@@ -2,7 +2,7 @@
 //!
 //! Establishes that the packed/blocked kernel structure and the Rayon
 //! parallelisation each contribute a meaningful speedup, i.e. that the
-//! substrate kernels have a realistic efficiency ramp (DESIGN.md, ablation 1).
+//! substrate kernels have a realistic efficiency ramp.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lamb_kernels::flops::gemm_flops;

@@ -11,9 +11,9 @@
 
 use crate::config::BlockConfig;
 use crate::gemm::gemm;
-use crate::getrf::{factor_triangle, getrf_packed, pivot_apply, pivot_apply_right};
+use crate::getrf::{factor_triangle, getrf_packed_into, pivot_apply, pivot_apply_right};
 use crate::potrf::potrf;
-use crate::qr::{ormqr, qr_packed};
+use crate::qr::{ormqr, qr_packed_into};
 use crate::symm::symm;
 use crate::syrk::syrk;
 use crate::trmm::trmm;
@@ -250,9 +250,9 @@ impl Kernel<'_> {
                 c.copy_triangle(a, uplo)?;
                 potrf(uplo, &mut c.view_mut(), cfg)
             }
-            Kernel::Getrf { a } => copy_into(c, &getrf_packed(a, cfg)?),
-            Kernel::Qr { a } => copy_into(c, &qr_packed(a, cfg)?),
-            Kernel::Ormqr { f, b } => copy_into(c, &ormqr(f, b)?),
+            Kernel::Getrf { a } => getrf_packed_into(a, c, cfg),
+            Kernel::Qr { a } => qr_packed_into(a, c, cfg),
+            Kernel::Ormqr { f, b } => ormqr(f, b, c, cfg),
             Kernel::FactorTri { uplo, f } => copy_into(c, &factor_triangle(uplo, f)?),
             Kernel::PivotApply { side, f, b } => match side {
                 Side::Left => copy_into(c, &pivot_apply(f, b)?),

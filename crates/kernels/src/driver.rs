@@ -482,15 +482,22 @@ mod tests {
             c
         };
         let first = run();
-        let before = pack_buffer_growth_events();
-        let second = run();
-        let after = pack_buffer_growth_events();
-        assert_eq!(
-            after - before,
-            0,
-            "warm repeat call must not grow packing buffers"
-        );
-        assert!(max_abs_diff(&first, &second).unwrap() == 0.0);
+        // The counter is process-wide, and every other test thread's first
+        // kernel call (and every worker a parallel kernel spawns) grows a
+        // fresh scratch: a single observation can count their events. A
+        // repeat call that did grow would show in every window, so one quiet
+        // window proves the property.
+        let quiet = (0..400).any(|_| {
+            let before = pack_buffer_growth_events();
+            let second = run();
+            let after = pack_buffer_growth_events();
+            assert!(max_abs_diff(&first, &second).unwrap() == 0.0);
+            after == before || {
+                std::thread::sleep(std::time::Duration::from_millis(25));
+                false
+            }
+        });
+        assert!(quiet, "warm repeat call must not grow packing buffers");
     }
 
     #[test]

@@ -9,23 +9,27 @@
 //! the swaps in order.
 //!
 //! Structure on the shared [`BlockedDriver`](crate::driver::BlockedDriver)
-//! engine: the classic **right-looking blocked algorithm**. The matrix is
-//! walked in column panels of [`BlockConfig::tri_block`] columns; each step
+//! engine: the **right-looking blocked algorithm**, applied recursively to
+//! column ranges. A range wider than [`BlockConfig::tri_block`] splits off
+//! one such panel, a narrower one splits in half, and each step
 //!
-//! 1. factors the panel with the scalar unblocked partial-pivot recurrence,
-//!    applying each row swap across the *full* width of the matrix as it is
-//!    found (reporting [`MatrixError::SingularDiagonal`] on an exactly-zero
-//!    pivot column),
+//! 1. factors the left columns (by the same recursion, down to a leaf of at
+//!    most eight columns — the leaf order the factorisation tier shares —
+//!    that runs the unblocked partial-pivot recurrence on column slices,
+//!    reporting [`MatrixError::SingularDiagonal`] on an exactly-zero pivot
+//!    column) and replays their row swaps on the right columns,
 //! 2. computes the row panel `U₁₂ := L₁₁⁻¹·A₁₂` with one
-//!    [`crate::trsm::trsm`] solve against the unit-lower diagonal block, and
+//!    [`crate::trsm::trsm`] solve against the unit-lower diagonal block,
 //! 3. folds the panels into the trailing submatrix with one rank-`kb`
 //!    [`crate::gemm::gemm`] update `A₂₂ -= L₂₁·U₁₂` (`alpha = -1`,
-//!    `beta = 1`).
+//!    `beta = 1`), and
+//! 4. factors the trailing columns and replays *their* swaps on the left.
 //!
 //! Steps 2 and 3 carry the `2n³/3` bulk of the work (see
 //! [`crate::flops::getrf_flops`]) and both run on the packed, cache-blocked,
-//! Rayon-capable engine — GETRF adds no loop nest of its own beyond the
-//! scalar panel factor.
+//! Rayon-capable engine; the leaves' share is `O(n²)`. Row swaps
+//! are applied a column range at a time, so each touches one contiguous
+//! column after another.
 //!
 //! [`getrf_packed`] produces the single-operand packed form the kernel-call
 //! IR uses: an `n x (n+1)` matrix with the LU factors in columns `0..n` and
@@ -33,6 +37,7 @@
 
 use crate::config::BlockConfig;
 use crate::gemm::gemm;
+use crate::leaf::{axpy, compact, first_part, two_cols, LEAF};
 use crate::trsm::trsm;
 use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Side, Trans, Uplo};
 
@@ -44,76 +49,85 @@ use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Side, Trans, Uplo}
 ///
 /// Returns [`MatrixError::NotSquare`] for rectangular input and
 /// [`MatrixError::SingularDiagonal`] (with the absolute pivot index) when a
-/// pivot column is exactly zero, in which case the leading part of the
-/// factorisation is complete.
+/// pivot column is exactly zero or NaN; `a` and `piv` then hold an unfinished
+/// factorisation.
 pub fn getrf(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>, cfg: &BlockConfig) -> Result<()> {
     let n = check_square(a)?;
     piv.clear();
     piv.reserve(n);
-    let tb = cfg.tri_block.max(1);
-    let mut k0 = 0;
-    while k0 < n {
-        let kb = tb.min(n - k0);
-        factor_panel(a, piv, k0, kb)?;
-        let rest = n - (k0 + kb);
-        if rest > 0 {
-            // The freshly factored unit-lower diagonal block, materialised
-            // with its implicit unit diagonal so the TRSM can borrow it
-            // immutably while the row panel of `a` is written. `kb` is at most
-            // `tri_block`, so the copy is O(tri_block²) per step.
-            let l11 = Matrix::from_fn(kb, kb, |i, j| match i.cmp(&j) {
-                std::cmp::Ordering::Greater => a.at(k0 + i, k0 + j),
-                std::cmp::Ordering::Equal => 1.0,
-                std::cmp::Ordering::Less => 0.0,
-            });
-            // Row panel: U12 := L11⁻¹ · A12.
-            let a12 = Matrix::from_fn(kb, rest, |i, j| a.at(k0 + i, k0 + kb + j));
-            let mut u12 = Matrix::zeros(kb, rest);
-            trsm(
-                Side::Left,
-                Uplo::Lower,
-                Trans::No,
-                1.0,
-                &l11.view(),
-                &a12.view(),
-                &mut u12.view_mut(),
-                cfg,
-            )?;
-            for j in 0..rest {
-                for i in 0..kb {
-                    *a.at_mut(k0 + i, k0 + kb + j) = u12[(i, j)];
-                }
-            }
-            // Trailing update: A22 -= L21 · U12, one rank-kb GEMM.
-            let l21 = Matrix::from_fn(rest, kb, |i, j| a.at(k0 + kb + i, k0 + j));
-            let mut a22 = a.subview_mut(k0 + kb, k0 + kb, rest, rest);
-            gemm(
-                Trans::No,
-                Trans::No,
-                -1.0,
-                &l21.view(),
-                &u12.view(),
-                1.0,
-                &mut a22,
-                cfg,
-            )?;
-        }
-        k0 += kb;
+    factor_columns(a.subview_mut(0, 0, n, n), piv, cfg)
+}
+
+/// [`getrf`] on the window `a` whose `(0, 0)` is the diagonal element of
+/// absolute index `piv.len()`: factor all its columns, pushing one absolute
+/// pivot index per column and swapping rows within the window only.
+fn factor_columns(mut a: MatrixViewMut<'_>, piv: &mut Vec<usize>, cfg: &BlockConfig) -> Result<()> {
+    let (m, nc, base) = (a.rows(), a.cols(), piv.len());
+    if nc <= LEAF {
+        return factor_unblocked(&mut a, piv);
     }
+    let kb = first_part(nc, cfg.tri_block);
+    let (below, rest) = (m - kb, nc - kb);
+    // Left and right columns are disjoint ranges of the buffer, so L11 and
+    // L21 are read in place while the right columns are written.
+    let (mut left, mut right) = a.split_at_col_mut(kb);
+    factor_columns(left.subview_mut(0, 0, m, kb), piv, cfg)?;
+    swap_rows(&mut right, &piv[base..], base);
+    // Row panel U12 := L11⁻¹ · A12 against the unit-lower diagonal block,
+    // its implicit unit diagonal written out (the solve reads one triangle).
+    let mut l11 = compact(left.as_view().subview(0, 0, kb, kb));
+    for j in 0..kb {
+        l11[(j, j)] = 1.0;
+    }
+    let mut u12 = Matrix::zeros(kb, rest);
+    let a12 = right.as_view().subview(0, 0, kb, rest);
+    trsm(
+        Side::Left,
+        Uplo::Lower,
+        Trans::No,
+        1.0,
+        &l11.view(),
+        &a12,
+        &mut u12.view_mut(),
+        cfg,
+    )?;
+    for j in 0..rest {
+        right.col_mut(j)[..kb].copy_from_slice(u12.col(j));
+    }
+    // Trailing update A22 -= L21 · U12 (U12 shares its columns with A22, so
+    // the product reads the copy), then the trailing columns themselves.
+    let l21 = left.as_view().subview(kb, 0, below, kb);
+    let mut a22 = right.subview_mut(kb, 0, below, rest);
+    gemm(
+        Trans::No,
+        Trans::No,
+        -1.0,
+        &l21,
+        &u12.view(),
+        1.0,
+        &mut a22,
+        cfg,
+    )?;
+    factor_columns(a22, piv, cfg)?;
+    swap_rows(
+        &mut left.subview_mut(kb, 0, below, kb),
+        &piv[base + kb..],
+        base + kb,
+    );
     Ok(())
 }
 
-/// Reference GETRF: the scalar unblocked partial-pivot recurrence over the
-/// whole matrix. Used by the unit and property tests to validate the blocked
+/// Reference GETRF: the unblocked partial-pivot recurrence over the whole
+/// matrix. Used by the unit and property tests to validate the blocked
 /// kernel.
 ///
 /// # Errors
 ///
 /// Same checks as [`getrf`].
 pub fn getrf_naive(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>) -> Result<()> {
-    let n = check_square(a)?;
+    check_square(a)?;
     piv.clear();
-    factor_panel(a, piv, 0, n)
+    factor_unblocked(a, piv)
 }
 
 fn check_square(a: &MatrixViewMut<'_>) -> Result<usize> {
@@ -126,62 +140,53 @@ fn check_square(a: &MatrixViewMut<'_>) -> Result<usize> {
     Ok(a.rows())
 }
 
-/// Scalar unblocked partial-pivot LU of the `kb`-column panel starting at
-/// column `k0` (rows `k0..n`), applying each row swap across the full width
-/// of the matrix and recording it in `piv`. Pivot failures report the
-/// *absolute* column index.
-fn factor_panel(
-    a: &mut MatrixViewMut<'_>,
-    piv: &mut Vec<usize>,
-    k0: usize,
-    kb: usize,
-) -> Result<()> {
-    let n = a.rows();
-    for j in 0..kb {
-        let col = k0 + j;
-        // Partial pivot: the largest magnitude on or below the diagonal.
-        let mut p = col;
-        let mut best = a.at(col, col).abs();
-        for i in (col + 1)..n {
-            let v = a.at(i, col).abs();
-            if v > best {
-                best = v;
+/// Unblocked right-looking partial-pivot LU of every column of the window
+/// `a` (whose `(0, 0)` is the diagonal element of absolute index
+/// `piv.len()`), one axpy per column pair. Swaps rows within the window and
+/// records them in `piv`; pivot failures report the *absolute* column index.
+fn factor_unblocked(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>) -> Result<()> {
+    let base = piv.len();
+    for j in 0..a.cols() {
+        // Partial pivot: the first largest magnitude on or below the diagonal.
+        let col = a.col_mut(j);
+        let mut p = j;
+        for (i, v) in col.iter().enumerate().skip(j + 1) {
+            if v.abs() > col[p].abs() {
                 p = i;
             }
         }
-        if best == 0.0 || best.is_nan() {
-            return Err(MatrixError::SingularDiagonal { index: col });
+        if col[p] == 0.0 || col[p].is_nan() {
+            return Err(MatrixError::SingularDiagonal { index: base + j });
         }
-        piv.push(p);
-        if p != col {
-            swap_rows(a, col, p);
+        piv.push(base + p);
+        for c in 0..a.cols() {
+            a.col_mut(c).swap(j, p);
         }
-        // Eliminate below the pivot and fold into the rest of the panel.
-        let d = a.at(col, col);
-        for i in (col + 1)..n {
-            let l = a.at(i, col) / d;
-            *a.at_mut(i, col) = l;
+        // Eliminate below the pivot and fold into the remaining columns.
+        let col = a.col_mut(j);
+        let d = col[j];
+        for v in &mut col[j + 1..] {
+            *v /= d;
         }
-        for jj in (j + 1)..kb {
-            let u = a.at(col, k0 + jj);
-            if u != 0.0 {
-                for i in (col + 1)..n {
-                    let l = a.at(i, col);
-                    *a.at_mut(i, k0 + jj) -= l * u;
-                }
+        for q in j + 1..a.cols() {
+            let (l, next) = two_cols(a, j, q);
+            if next[j] != 0.0 {
+                axpy(-next[j], &l[j + 1..], &mut next[j + 1..]);
             }
         }
     }
     Ok(())
 }
 
-/// Swap rows `r1` and `r2` across every column (column-major storage: one
-/// element per column).
-fn swap_rows(a: &mut MatrixViewMut<'_>, r1: usize, r2: usize) {
+/// Replay, in order, the row swaps `s <-> piv[s] - first` on every column of
+/// `a`: the pivots of the steps `first..`, on a window whose row 0 has
+/// absolute index `first`.
+fn swap_rows(a: &mut MatrixViewMut<'_>, piv: &[usize], first: usize) {
     for j in 0..a.cols() {
-        let t = a.at(r1, j);
-        *a.at_mut(r1, j) = a.at(r2, j);
-        *a.at_mut(r2, j) = t;
+        let col = a.col_mut(j);
+        for (s, &p) in piv.iter().enumerate() {
+            col.swap(s, p - first);
+        }
     }
 }
 
@@ -194,27 +199,33 @@ fn swap_rows(a: &mut MatrixViewMut<'_>, r1: usize, r2: usize) {
 ///
 /// Same checks as [`getrf`].
 pub fn getrf_packed(a: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
-    if a.rows() != a.cols() {
-        return Err(MatrixError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
+    let mut f = Matrix::zeros(a.rows(), a.cols() + 1);
+    getrf_packed_into(a, &mut f, cfg)?;
+    Ok(f)
+}
+
+/// [`getrf_packed`] into an existing `n x (n+1)` operand.
+///
+/// # Errors
+///
+/// Same checks as [`getrf`], plus [`MatrixError::DimensionMismatch`] for a
+/// mis-sized `f`.
+pub fn getrf_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Result<()> {
+    let (m, n) = a.shape();
+    if f.shape() != (m, n + 1) {
+        return Err(MatrixError::DimensionMismatch {
+            op: "getrf packed output",
+            lhs: f.shape(),
+            rhs: (m, n + 1),
         });
     }
-    let n = a.rows();
-    let mut f = Matrix::zeros(n, n + 1);
-    for j in 0..n {
-        f.col_mut(j).copy_from_slice(a.col(j));
-    }
+    f.as_mut_slice()[..m * n].copy_from_slice(a.as_slice());
     let mut piv = Vec::new();
-    {
-        let mut full = f.view_mut();
-        let mut lu = full.subview_mut(0, 0, n, n);
-        getrf(&mut lu, &mut piv, cfg)?;
+    getrf(&mut f.view_mut().subview_mut(0, 0, m, n), &mut piv, cfg)?;
+    for (dst, &p) in f.col_mut(n).iter_mut().zip(&piv) {
+        *dst = p as f64;
     }
-    for (j, &p) in piv.iter().enumerate() {
-        f[(j, n)] = p as f64;
-    }
-    Ok(f)
+    Ok(())
 }
 
 /// Apply the forward row swaps recorded in the pivot column of a packed LU
@@ -275,18 +286,13 @@ pub fn pivot_apply_right(f: &Matrix, b: &Matrix) -> Result<Matrix> {
         });
     }
     let mut out = b.clone();
-    if n == 0 {
-        return Ok(out);
-    }
+    let mut view = out.view_mut();
     for j in (0..n).rev() {
         // Clamp untrusted pivot data into range rather than panicking.
         let p = (f[(j, n)].round().max(0.0) as usize).clamp(j, n - 1);
         if p != j {
-            for r in 0..out.rows() {
-                let tmp = out[(r, j)];
-                out[(r, j)] = out[(r, p)];
-                out[(r, p)] = tmp;
-            }
+            let (cj, cp) = two_cols(&mut view, j, p);
+            cj.swap_with_slice(cp);
         }
     }
     Ok(out)
@@ -396,6 +402,39 @@ mod tests {
         let cfg = BlockConfig::serial();
         for n in [1, 2, 5, 23, 64, 65, 97] {
             check_reconstruction(n, 11 + n as u64, &cfg);
+        }
+    }
+
+    #[test]
+    fn factor_and_pivots_match_naive_on_leaf_and_block_edges() {
+        for (cfg, orders) in crate::leaf::tests::edge_grid() {
+            for n in orders {
+                let a = random_seeded(n, n, 60 + n as u64);
+                let (mut blocked, mut naive) = (a.clone(), a.clone());
+                let (mut piv_b, mut piv_n) = (Vec::new(), Vec::new());
+                getrf(&mut blocked.view_mut(), &mut piv_b, &cfg).unwrap();
+                getrf_naive(&mut naive.view_mut(), &mut piv_n).unwrap();
+                assert_eq!(piv_b, piv_n, "n {n} {cfg:?}");
+                let diff = max_abs_diff(&blocked, &naive).unwrap();
+                assert!(diff <= 1e-10 * n as f64, "n {n} {cfg:?}: {diff}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_columns_in_later_panels_keep_their_absolute_index() {
+        // A zero column stays exactly zero under elimination, so its own
+        // step is the one that finds no pivot — in the second panel or the
+        // third.
+        let cfg = BlockConfig::default();
+        let n = 2 * cfg.tri_block + 9;
+        for index in [cfg.tri_block + 5, n - 2] {
+            let mut a = random_seeded(n, n, 61);
+            a.col_mut(index).fill(0.0);
+            let expected = Err(MatrixError::SingularDiagonal { index });
+            let mut piv = Vec::new();
+            assert_eq!(getrf(&mut a.clone().view_mut(), &mut piv, &cfg), expected);
+            assert_eq!(getrf_naive(&mut a.view_mut(), &mut piv), expected);
         }
     }
 

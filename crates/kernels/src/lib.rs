@@ -14,13 +14,23 @@
 //! operands are packed into contiguous panels (`MR`-row panels of `op(A)`,
 //! `NR`-column panels of `op(B)`) and a register-blocked micro-kernel
 //! accumulates `MR x NR` tiles of `C`. Per-kernel code reduces to an element
-//! accessor (plain, transposed, symmetric-mirrored or triangle-masked), a
-//! panel policy and — for the triangular kernels — a diagonal-block
-//! recurrence. Parallelism is extracted over disjoint column panels of `C`,
+//! accessor (plain, transposed, symmetric-mirrored or triangle-masked) and a
+//! panel policy. Parallelism is extracted over disjoint column panels of `C`,
 //! which keeps the implementation free of `unsafe`.
 //!
+//! The factorisation tier — TRSM, POTRF, GETRF, QR and ORMQR — is recursive:
+//! a range of coupled unknowns splits off one [`BlockConfig::tri_block`]
+//! while it is wider than that and in half below, the first part is solved
+//! and folded into the rest on the packed engine, and the recursion ends at
+//! a leaf of eight unknowns that runs on contiguous column slices through
+//! the `dot` / `axpy` / two-disjoint-columns primitives of the private
+//! `leaf` module (a TRSM leaf copies its diagonal block once, in solve
+//! order, so `uplo` and `trans` are resolved per block, not per element).
+//! QR's trailing update and [`ormqr`] share one compact-WY block-reflector
+//! routine, `C -= V·Tᵀ·(Vᵀ·C)`, three products on the engine per panel.
+//!
 //! This crate substitutes for the Intel MKL used in the paper's experimental
-//! setup; see `DESIGN.md` at the workspace root for the substitution argument.
+//! setup; `ARCHITECTURE.md` at the workspace root describes the engine.
 //!
 //! ## Quick example
 //!
@@ -55,6 +65,7 @@ pub mod driver;
 pub mod flops;
 pub mod gemm;
 pub mod getrf;
+mod leaf;
 pub mod microkernel;
 pub mod pack;
 pub mod potrf;
@@ -76,11 +87,12 @@ pub use driver::{pack_buffer_growth_events, BlockedDriver};
 pub use gemm::gemm;
 pub use gemm::naive::gemm_naive;
 pub use getrf::{
-    factor_triangle, getrf, getrf_naive, getrf_packed, pivot_apply, pivot_apply_right,
+    factor_triangle, getrf, getrf_naive, getrf_packed, getrf_packed_into, pivot_apply,
+    pivot_apply_right,
 };
 pub use microkernel::{microkernel, microkernel_dyn};
 pub use potrf::{potrf, potrf_naive};
-pub use qr::{ormqr, qr, qr_naive, qr_packed};
+pub use qr::{ormqr, ormqr_naive, qr, qr_naive, qr_packed, qr_packed_into};
 pub use solver::{solve_auto, solver_for, CholeskySolver, LuSolver, QrSolver, Solver};
 pub use symm::symm;
 pub use syrk::syrk;

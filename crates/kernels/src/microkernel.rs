@@ -22,7 +22,7 @@ use crate::config::TileVariant;
 /// auto-vectorise; they differ only in one rounding step, well inside the
 /// tolerance every numerical test in this workspace uses.
 #[inline(always)]
-fn fmadd(acc: f64, a: f64, b: f64) -> f64 {
+pub(crate) fn fmadd(acc: f64, a: f64, b: f64) -> f64 {
     #[cfg(any(target_feature = "fma", target_arch = "aarch64"))]
     {
         a.mul_add(b, acc)

@@ -8,20 +8,24 @@
 //! [`crate::dispatch::Kernel::Potrf`] realisation does).
 //!
 //! Structure on the shared [`BlockedDriver`](crate::driver::BlockedDriver)
-//! engine: the classic **right-looking blocked algorithm**. The matrix is
-//! walked in diagonal blocks of [`BlockConfig::tri_block`] rows; each step
+//! engine: the **right-looking blocked algorithm**, applied recursively. A
+//! matrix wider than [`BlockConfig::tri_block`] splits off one such block, a
+//! narrower one splits in half, and each step
 //!
-//! 1. factors the diagonal block with the scalar unblocked recurrence
-//!    (reporting [`MatrixError::NotPositiveDefinite`] on a non-positive
-//!    pivot),
-//! 2. computes the panel below/right of it with one [`crate::trsm::trsm`]
-//!    solve against the freshly factored diagonal block, and
+//! 1. factors the leading block (by the same recursion, down to a leaf of at
+//!    most eight rows — the leaf order the factorisation tier shares — that
+//!    runs the unblocked recurrence on column slices, reporting
+//!    [`MatrixError::NotPositiveDefinite`] on a non-positive pivot),
+//! 2. computes the panel below/right of it with one in-place triangular
+//!    solve (see [`crate::trsm::trsm`]) against the freshly factored block,
+//!    and
 //! 3. folds the panel into the trailing submatrix with one rank-`kb`
-//!    [`crate::syrk::syrk`] update (`alpha = -1`, `beta = 1`).
+//!    [`crate::syrk::syrk`] update (`alpha = -1`, `beta = 1`), which is then
+//!    factored in turn.
 //!
 //! Steps 2 and 3 are where the `n³/3` bulk of the work happens, and both run
-//! on the packed, cache-blocked, Rayon-capable engine — POTRF adds no loop
-//! nest of its own beyond the small scalar diagonal factor.
+//! on the packed, cache-blocked, Rayon-capable engine — the leaves' share is
+//! `O(n)`.
 //!
 //! The Section-3.1-style FLOP model attributes `n³/3` FLOPs to the
 //! factorisation (see [`crate::flops::potrf_flops`]): one sixth of the
@@ -30,9 +34,10 @@
 //! anomalies.
 
 use crate::config::BlockConfig;
+use crate::leaf::{axpy, compact, first_part, LEAF};
 use crate::syrk::syrk;
-use crate::trsm::trsm;
-use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Side, Trans, Uplo};
+use crate::trsm::trsm_in_place;
+use lamb_matrix::{MatrixError, MatrixViewMut, Result, Side, Trans, Uplo};
 
 /// Factor the `uplo` triangle of the square matrix `a` in place:
 /// `A = L·Lᵀ` for [`Uplo::Lower`], `A = Uᵀ·U` for [`Uplo::Upper`]. Only the
@@ -45,102 +50,58 @@ use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Side, Trans, Uplo}
 /// the matrix is not positive definite, in which case the leading part of the
 /// triangle holds a partial factor.
 pub fn potrf(uplo: Uplo, a: &mut MatrixViewMut<'_>, cfg: &BlockConfig) -> Result<()> {
-    let n = check_square(a)?;
-    let tb = cfg.tri_block.max(1);
-    let mut k0 = 0;
-    while k0 < n {
-        let kb = tb.min(n - k0);
-        factor_diag_block(uplo, a, k0, kb)?;
-        let rest = n - (k0 + kb);
-        if rest > 0 {
-            // The freshly factored diagonal block, copied out so the TRSM can
-            // borrow it immutably while the panel of `a` is written. `kb` is
-            // at most `tri_block`, so the copy is O(tri_block²) per step.
-            let diag = Matrix::from_fn(kb, kb, |i, j| a.at(k0 + i, k0 + j));
-            match uplo {
-                Uplo::Lower => {
-                    // Panel: L21 := A21 · L11⁻ᵀ, computed through the
-                    // left-sided kernel as L21ᵀ = L11⁻¹ · A21ᵀ.
-                    let a21t = Matrix::from_fn(kb, rest, |i, j| a.at(k0 + kb + j, k0 + i));
-                    let mut l21t = Matrix::zeros(kb, rest);
-                    trsm(
-                        Side::Left,
-                        Uplo::Lower,
-                        Trans::No,
-                        1.0,
-                        &diag.view(),
-                        &a21t.view(),
-                        &mut l21t.view_mut(),
-                        cfg,
-                    )?;
-                    for j in 0..kb {
-                        for i in 0..rest {
-                            *a.at_mut(k0 + kb + i, k0 + j) = l21t[(j, i)];
-                        }
-                    }
-                    // Trailing update: A22 (lower triangle) -= L21 · L21ᵀ,
-                    // i.e. a rank-kb SYRK of op(L21ᵀ) = L21.
-                    let mut a22 = a.subview_mut(k0 + kb, k0 + kb, rest, rest);
-                    syrk(
-                        Uplo::Lower,
-                        Trans::Yes,
-                        -1.0,
-                        &l21t.view(),
-                        1.0,
-                        &mut a22,
-                        cfg,
-                    )?;
-                }
-                Uplo::Upper => {
-                    // Panel: U12 := U11⁻ᵀ · A12 — directly a left-sided solve
-                    // with the transposed upper factor.
-                    let a12 = Matrix::from_fn(kb, rest, |i, j| a.at(k0 + i, k0 + kb + j));
-                    let mut u12 = Matrix::zeros(kb, rest);
-                    trsm(
-                        Side::Left,
-                        Uplo::Upper,
-                        Trans::Yes,
-                        1.0,
-                        &diag.view(),
-                        &a12.view(),
-                        &mut u12.view_mut(),
-                        cfg,
-                    )?;
-                    for j in 0..rest {
-                        for i in 0..kb {
-                            *a.at_mut(k0 + i, k0 + kb + j) = u12[(i, j)];
-                        }
-                    }
-                    // Trailing update: A22 (upper triangle) -= U12ᵀ · U12.
-                    let mut a22 = a.subview_mut(k0 + kb, k0 + kb, rest, rest);
-                    syrk(
-                        Uplo::Upper,
-                        Trans::Yes,
-                        -1.0,
-                        &u12.view(),
-                        1.0,
-                        &mut a22,
-                        cfg,
-                    )?;
-                }
-            }
-        }
-        k0 += kb;
-    }
-    Ok(())
+    check_square(a)?;
+    factor(uplo, a, 0, cfg)
 }
 
-/// Reference POTRF: the scalar unblocked Cholesky recurrence over the whole
-/// matrix. Used by the unit and property tests to validate the blocked
-/// kernel. (`lamb_matrix::ops::is_spd` carries its own copy of the same
-/// recurrence — that crate sits below this one and cannot call in here.)
+/// [`potrf`] on a trailing window whose first pivot has absolute index `k0`.
+fn factor(uplo: Uplo, a: &mut MatrixViewMut<'_>, k0: usize, cfg: &BlockConfig) -> Result<()> {
+    let n = a.rows();
+    if n <= LEAF {
+        return factor_unblocked(uplo, a, k0);
+    }
+    let kb = first_part(n, cfg.tri_block);
+    let rest = n - kb;
+    factor(uplo, &mut a.subview_mut(0, 0, kb, kb), k0, cfg)?;
+    // The freshly factored block, copied out so the TRSM can borrow it while
+    // the panel beside it — same columns (Lower) or same rows (Upper) of `a`
+    // — is written.
+    let diag = compact(a.as_view().subview(0, 0, kb, kb));
+    match uplo {
+        Uplo::Lower => {
+            // Panel L21 := A21 · L11⁻ᵀ, then A22 (lower) -= L21 · L21ᵀ; the
+            // panel and the trailing block live in disjoint column ranges.
+            let (mut left, mut right) = a.subview_mut(0, 0, n, n).split_at_col_mut(kb);
+            let mut l21 = left.subview_mut(kb, 0, rest, kb);
+            trsm_in_place(Side::Right, uplo, Trans::Yes, &diag.view(), &mut l21, cfg)?;
+            let mut a22 = right.subview_mut(kb, 0, rest, rest);
+            syrk(uplo, Trans::No, -1.0, &l21.as_view(), 1.0, &mut a22, cfg)?;
+        }
+        Uplo::Upper => {
+            // Panel U12 := U11⁻ᵀ · A12, then A22 (upper) -= U12ᵀ · U12; the
+            // panel shares its columns with the trailing block, so the update
+            // reads a copy.
+            let mut a12 = a.subview_mut(0, kb, kb, rest);
+            trsm_in_place(Side::Left, uplo, Trans::Yes, &diag.view(), &mut a12, cfg)?;
+            let u12 = compact(a12.as_view());
+            let mut a22 = a.subview_mut(kb, kb, rest, rest);
+            syrk(uplo, Trans::Yes, -1.0, &u12.view(), 1.0, &mut a22, cfg)?;
+        }
+    }
+    factor(uplo, &mut a.subview_mut(kb, kb, rest, rest), k0 + kb, cfg)
+}
+
+/// Reference POTRF: the unblocked Cholesky recurrence over the whole matrix.
+/// Used by the unit and property tests to validate the blocked kernel.
+/// (`lamb_matrix::ops::is_spd` carries its own copy of the same recurrence —
+/// that crate sits below this one and cannot call in here.)
 ///
 /// # Errors
 ///
 /// Same checks as [`potrf`].
 pub fn potrf_naive(uplo: Uplo, a: &mut MatrixViewMut<'_>) -> Result<()> {
-    let n = check_square(a)?;
-    factor_diag_block(uplo, a, 0, n)
+    check_square(a)?;
+    factor_unblocked(uplo, a, 0)
 }
 
 fn check_square(a: &MatrixViewMut<'_>) -> Result<usize> {
@@ -153,43 +114,51 @@ fn check_square(a: &MatrixViewMut<'_>) -> Result<usize> {
     Ok(a.rows())
 }
 
-/// Scalar unblocked Cholesky of the `kb x kb` diagonal block starting at
-/// `(k0, k0)`, reading and writing only the `uplo` triangle of that block
-/// (the right-looking sweep has already folded in every earlier block
-/// column). Pivot failures report the *absolute* index.
-fn factor_diag_block(uplo: Uplo, a: &mut MatrixViewMut<'_>, k0: usize, kb: usize) -> Result<()> {
-    // Element (i, j) of the effective lower-triangular factor being built:
-    // for Upper the roles of rows and columns swap (A = UᵀU is the Cholesky
-    // of the same matrix with the factor living in the upper triangle).
-    let at = |a: &MatrixViewMut<'_>, i: usize, j: usize| match uplo {
-        Uplo::Lower => a.at(k0 + i, k0 + j),
-        Uplo::Upper => a.at(k0 + j, k0 + i),
+/// Unblocked right-looking Cholesky of the whole window, reading and writing
+/// only its `uplo` triangle. The triangle is copied once into a contiguous
+/// lower-triangular scratch — for Upper the roles of rows and columns swap
+/// (`A = UᵀU` is the Cholesky of the same matrix with the factor living in
+/// the upper triangle) — so the recurrence itself is one axpy per column
+/// pair. Pivot failures report the *absolute* index `k0 + j`.
+fn factor_unblocked(uplo: Uplo, a: &mut MatrixViewMut<'_>, k0: usize) -> Result<()> {
+    let n = a.rows();
+    let stored = |i: usize, j: usize| match uplo {
+        Uplo::Lower => (i, j),
+        Uplo::Upper => (j, i),
     };
-    for j in 0..kb {
-        let mut d = at(a, j, j);
-        for p in 0..j {
-            let v = at(a, j, p);
-            d -= v * v;
-        }
-        // The NaN check also rejects poisoned pivots (e.g. inf - inf
-        // upstream), which would otherwise propagate silently through sqrt.
-        if d <= 0.0 || d.is_nan() {
-            return Err(MatrixError::NotPositiveDefinite { index: k0 + j });
-        }
-        let d = d.sqrt();
-        *a.at_mut(k0 + j, k0 + j) = d;
-        for i in (j + 1)..kb {
-            let mut s = at(a, i, j);
-            for p in 0..j {
-                s -= at(a, i, p) * at(a, j, p);
-            }
-            match uplo {
-                Uplo::Lower => *a.at_mut(k0 + i, k0 + j) = s / d,
-                Uplo::Upper => *a.at_mut(k0 + j, k0 + i) = s / d,
-            }
+    let mut l = vec![0.0; n * n];
+    for j in 0..n {
+        for i in j..n {
+            let (r, c) = stored(i, j);
+            l[i + j * n] = a.at(r, c);
         }
     }
-    Ok(())
+    let mut outcome = Ok(());
+    for j in 0..n {
+        let (done, todo) = l.split_at_mut((j + 1) * n);
+        let col = &mut done[j * n + j..];
+        // The NaN check also rejects poisoned pivots (e.g. inf - inf
+        // upstream), which would otherwise propagate silently through sqrt.
+        if col[0] <= 0.0 || col[0].is_nan() {
+            outcome = Err(MatrixError::NotPositiveDefinite { index: k0 + j });
+            break;
+        }
+        let d = col[0].sqrt();
+        col[0] = d;
+        for v in &mut col[1..] {
+            *v /= d;
+        }
+        for (q, next) in todo.chunks_exact_mut(n).enumerate() {
+            axpy(-col[q + 1], &col[q + 1..], &mut next[j + q + 1..]);
+        }
+    }
+    for j in 0..n {
+        for i in j..n {
+            let (r, c) = stored(i, j);
+            *a.at_mut(r, c) = l[i + j * n];
+        }
+    }
+    outcome
 }
 
 #[cfg(test)]
@@ -199,6 +168,7 @@ mod tests {
     use crate::trsm::trsm_naive;
     use lamb_matrix::ops::max_abs_diff;
     use lamb_matrix::random::{random_seeded, random_spd};
+    use lamb_matrix::Matrix;
 
     /// Zero the opposite triangle so the factor can be multiplied as a full
     /// matrix by the naive GEMM reference.
@@ -237,6 +207,40 @@ mod tests {
         for uplo in [Uplo::Lower, Uplo::Upper] {
             for n in [1, 2, 5, 23, 64, 65, 97] {
                 check_reconstruction(uplo, n, 7 + n as u64, &cfg);
+            }
+        }
+    }
+
+    #[test]
+    fn both_triangles_match_naive_on_leaf_and_block_edges() {
+        for (cfg, orders) in crate::leaf::tests::edge_grid() {
+            for n in orders {
+                for uplo in [Uplo::Lower, Uplo::Upper] {
+                    let a = random_spd(n, 40 + n as u64);
+                    let (mut blocked, mut naive) = (a.clone(), a.clone());
+                    potrf(uplo, &mut blocked.view_mut(), &cfg).unwrap();
+                    potrf_naive(uplo, &mut naive.view_mut()).unwrap();
+                    // The opposite triangle is untouched input in both.
+                    let diff = max_abs_diff(&blocked, &naive).unwrap();
+                    assert!(diff <= 1e-10 * n as f64, "{uplo:?} n {n} {cfg:?}: {diff}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pivot_failures_in_later_blocks_keep_their_absolute_index() {
+        // A diagonal entry pushed far below zero makes exactly that pivot
+        // fail, whether it sits in the second or the third block.
+        let cfg = BlockConfig::default();
+        let n = 2 * cfg.tri_block + 9;
+        for index in [cfg.tri_block + 5, n - 2] {
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                let mut a = random_spd(n, 51);
+                a[(index, index)] = -1e6;
+                let expected = Err(MatrixError::NotPositiveDefinite { index });
+                assert_eq!(potrf(uplo, &mut a.clone().view_mut(), &cfg), expected);
+                assert_eq!(potrf_naive(uplo, &mut a.view_mut()), expected);
             }
         }
     }

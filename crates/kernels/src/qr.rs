@@ -7,17 +7,19 @@
 //! the scalar coefficients `tau`, reflector `j` is `H_j = I - tau_j·v_j·v_jᵀ`
 //! and `Q = H_0·H_1⋯H_{n-1}`.
 //!
-//! Structure on the shared [`BlockedDriver`](crate::driver::BlockedDriver)
-//! engine: the classic **blocked compact-WY algorithm**. The matrix is walked
-//! in column panels of [`BlockConfig::tri_block`] columns; each step
+//! Structure on the shared [`BlockedDriver`] engine: the classic **blocked
+//! compact-WY algorithm**. The matrix is walked in column panels of
+//! [`BlockConfig::tri_block`] columns; each step
 //!
-//! 1. factors the panel with the scalar unblocked Householder recurrence
-//!    (an exactly-zero column yields `tau = 0`, i.e. the identity reflector —
+//! 1. factors the panel with the unblocked Householder recurrence, one dot
+//!    product and one axpy on column slices per reflector and column (an
+//!    exactly-zero column yields `tau = 0`, i.e. the identity reflector —
 //!    rank deficiency surfaces later as a zero on `R`'s diagonal, not here),
 //! 2. accumulates the panel's triangular factor `T` (LAPACK `larft`, forward
 //!    columnwise) so the panel's reflector product is `I - V·T·Vᵀ`, and
-//! 3. applies `Qₚᵀ = I - V·Tᵀ·Vᵀ` to the trailing columns with three
-//!    [`crate::gemm::gemm`] calls: `W := VᵀC`, `W := TᵀW`, `C -= V·W`.
+//! 3. applies `Qₚᵀ = I - V·Tᵀ·Vᵀ` to the trailing columns through the one
+//!    block-reflector routine, three products on the packed engine:
+//!    `W := VᵀC`, `W := TᵀW`, `C -= V·W`.
 //!
 //! Step 3 carries the `2mn² - 2n³/3` bulk of the work (see
 //! [`crate::flops::qr_flops`]) on the packed, cache-blocked, Rayon-capable
@@ -26,12 +28,15 @@
 //! [`qr_packed`] produces the single-operand packed form the kernel-call IR
 //! uses: an `m x (n+1)` matrix with the factors in columns `0..n` and the
 //! `tau` coefficients in the first `n` rows of column `n`. [`ormqr`] applies
-//! `Qᵀ` from such a packed factor — the least-squares pipeline is
+//! `Qᵀ` from such a packed factor, panel by panel through the same
+//! block-reflector routine — the least-squares pipeline is
 //! `x = R⁻¹·(Qᵀb)` via one ORMQR and one TRSM.
 
 use crate::config::BlockConfig;
-use crate::gemm::gemm;
-use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Trans};
+use crate::driver::BlockedDriver;
+use crate::leaf::{axpy, dot, two_cols, LEAF};
+use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result};
+use std::cmp::Ordering;
 
 /// Factor the `m x n` matrix `a` (`m >= n`) in place as `A = Q·R`. On return
 /// `tau` holds the `n` Householder coefficients.
@@ -48,71 +53,29 @@ pub fn qr(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, cfg: &BlockConfig) -> R
     let mut k0 = 0;
     while k0 < n {
         let kb = tb.min(n - k0);
-        factor_panel(a, tau, k0, kb);
-        let rest = n - (k0 + kb);
-        if rest > 0 {
-            let rows = m - k0;
-            // The panel's reflectors with their implicit leading 1s written
-            // out, V ∈ R^{rows x kb}, plus the larft triangular factor T so
-            // the panel applies as one rank-kb update instead of kb rank-1s.
-            let v = Matrix::from_fn(rows, kb, |i, j| match i.cmp(&j) {
-                std::cmp::Ordering::Greater => a.at(k0 + i, k0 + j),
-                std::cmp::Ordering::Equal => 1.0,
-                std::cmp::Ordering::Less => 0.0,
-            });
-            let t = larft(&v, &tau[k0..k0 + kb]);
-            // Trailing update: C -= V · Tᵀ · Vᵀ · C, three GEMMs.
-            let c = Matrix::from_fn(rows, rest, |i, j| a.at(k0 + i, k0 + kb + j));
-            let mut w = Matrix::zeros(kb, rest);
-            gemm(
-                Trans::Yes,
-                Trans::No,
-                1.0,
-                &v.view(),
-                &c.view(),
-                0.0,
-                &mut w.view_mut(),
-                cfg,
-            )?;
-            let mut tw = Matrix::zeros(kb, rest);
-            gemm(
-                Trans::Yes,
-                Trans::No,
-                1.0,
-                &t.view(),
-                &w.view(),
-                0.0,
-                &mut tw.view_mut(),
-                cfg,
-            )?;
-            let mut trailing = a.subview_mut(k0, k0 + kb, rows, rest);
-            gemm(
-                Trans::No,
-                Trans::No,
-                -1.0,
-                &v.view(),
-                &tw.view(),
-                1.0,
-                &mut trailing,
-                cfg,
-            )?;
+        // Panel and trailing columns are disjoint ranges of the buffer, so
+        // the reflectors are read in place while the trailing block is
+        // updated.
+        let (mut panel, mut trailing) = a.subview_mut(k0, k0, m - k0, n - k0).split_at_col_mut(kb);
+        factor_panel(&mut panel, tau);
+        if trailing.cols() > 0 {
+            apply_block_reflector(&panel.as_view(), &tau[k0..], &mut trailing, cfg);
         }
         k0 += kb;
     }
     Ok(())
 }
 
-/// Reference QR: the scalar unblocked Householder recurrence over the whole
-/// matrix. Used by the unit and property tests to validate the blocked
-/// kernel.
+/// Reference QR: the unblocked Householder recurrence over the whole matrix.
+/// Used by the unit and property tests to validate the blocked kernel.
 ///
 /// # Errors
 ///
 /// Same checks as [`qr`].
 pub fn qr_naive(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>) -> Result<()> {
-    let (_, n) = check_tall(a)?;
+    check_tall(a)?;
     tau.clear();
-    factor_panel(a, tau, 0, n);
+    factor_panel(a, tau);
     Ok(())
 }
 
@@ -127,20 +90,15 @@ fn check_tall(a: &MatrixViewMut<'_>) -> Result<(usize, usize)> {
     Ok((a.rows(), a.cols()))
 }
 
-/// Scalar unblocked Householder QR of the `kb`-column panel starting at
-/// column `k0`, pushing one `tau` per column and applying each reflector to
-/// the remaining panel columns as it is formed.
-fn factor_panel(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, k0: usize, kb: usize) {
-    let m = a.rows();
-    for j in 0..kb {
-        let c = k0 + j;
-        // Householder vector annihilating a[c+1.., c] into a[c, c].
-        let mut normsq = 0.0;
-        for i in (c + 1)..m {
-            let v = a.at(i, c);
-            normsq += v * v;
-        }
-        let alpha = a.at(c, c);
+/// Unblocked Householder QR of every column of the window `a` (whose
+/// `(0, 0)` is a diagonal element), pushing one `tau` per column and applying
+/// each reflector to the remaining columns as it is formed.
+fn factor_panel(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>) {
+    for j in 0..a.cols() {
+        // Householder vector annihilating a[j+1.., j] into a[j, j].
+        let col = a.col_mut(j);
+        let alpha = col[j];
+        let normsq = dot(&col[j + 1..], &col[j + 1..]);
         if normsq == 0.0 {
             // Already triangular in this column: the identity reflector.
             tau.push(0.0);
@@ -151,54 +109,89 @@ fn factor_panel(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, k0: usize, kb: us
         let t = (beta - alpha) / beta;
         tau.push(t);
         let scale = 1.0 / (alpha - beta);
-        for i in (c + 1)..m {
-            *a.at_mut(i, c) *= scale;
+        for v in &mut col[j + 1..] {
+            *v *= scale;
         }
-        *a.at_mut(c, c) = beta;
-        // Apply H = I - tau·v·vᵀ to the remaining panel columns.
-        for cc in (c + 1)..(k0 + kb) {
-            let mut w = a.at(c, cc);
-            for i in (c + 1)..m {
-                w += a.at(i, c) * a.at(i, cc);
-            }
-            let tw = t * w;
-            *a.at_mut(c, cc) -= tw;
-            for i in (c + 1)..m {
-                let v = a.at(i, c);
-                *a.at_mut(i, cc) -= tw * v;
-            }
+        col[j] = beta;
+        // Apply H = I - tau·v·vᵀ to the remaining columns.
+        for q in j + 1..a.cols() {
+            let (v, c) = two_cols(a, j, q);
+            let tw = t * (c[j] + dot(&v[j + 1..], &c[j + 1..]));
+            c[j] -= tw;
+            axpy(-tw, &v[j + 1..], &mut c[j + 1..]);
         }
     }
 }
 
 /// LAPACK `larft` (forward, columnwise): the upper-triangular `T` with
-/// `H_0·H_1⋯H_{kb-1} = I - V·T·Vᵀ`.
-fn larft(v: &Matrix, tau: &[f64]) -> Matrix {
+/// `H_0·H_1⋯H_{kb-1} = I - V·T·Vᵀ`, for the `kb` reflectors stored below the
+/// diagonal of `v` (unit diagonal implicit) with coefficients `tau[..kb]`.
+fn larft(v: &MatrixView<'_>, tau: &[f64]) -> Matrix {
     let kb = v.cols();
     let mut t = Matrix::zeros(kb, kb);
+    let mut tj = vec![0.0; kb];
     for j in 0..kb {
+        if tau[j] != 0.0 {
+            // T(0..j, j) := -tau_j · T(0..j, 0..j) · (V(:, 0..j)ᵀ · v_j); v_j
+            // is zero above row j and one on it.
+            let vj = &v.col(j)[j + 1..];
+            tj[..j].fill(0.0);
+            for p in 0..j {
+                let vp = &v.col(p)[j..];
+                let z = vp[0] + dot(&vp[1..], vj);
+                axpy(-tau[j] * z, &t.col(p)[..=p], &mut tj[..=p]);
+            }
+            t.col_mut(j)[..j].copy_from_slice(&tj[..j]);
+        }
         t[(j, j)] = tau[j];
-        if j == 0 || tau[j] == 0.0 {
-            continue;
-        }
-        // z := V(:, 0..j)ᵀ · v_j, then T(0..j, j) := -tau_j · T(0..j, 0..j)·z.
-        let mut z = vec![0.0; j];
-        for (p, zp) in z.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for r in 0..v.rows() {
-                s += v[(r, p)] * v[(r, j)];
-            }
-            *zp = s;
-        }
-        for i in 0..j {
-            let mut s = 0.0;
-            for (p, &zp) in z.iter().enumerate().skip(i) {
-                s += t[(i, p)] * zp;
-            }
-            t[(i, j)] = -tau[j] * s;
-        }
     }
     t
+}
+
+/// `C := (I - V·Tᵀ·Vᵀ)·C`: apply the transpose of the compact-WY block
+/// `H_0⋯H_{kb-1} = I - V·T·Vᵀ` to `c`. `v` holds the `kb` reflectors below
+/// its diagonal (unit diagonal implicit, upper triangle ignored) and spans
+/// the same rows as `c`; `tau[..kb]` are their coefficients. The one routine
+/// behind [`qr`]'s trailing update and [`ormqr`].
+fn apply_block_reflector(
+    v: &MatrixView<'_>,
+    tau: &[f64],
+    c: &mut MatrixViewMut<'_>,
+    cfg: &BlockConfig,
+) {
+    let t = larft(v, tau);
+    let (rows, kb, nc) = (v.rows(), v.cols(), c.cols());
+    let (vd, ldv) = (v.as_slice(), v.ld());
+    let v_at = move |i: usize, j: usize| match i.cmp(&j) {
+        Ordering::Greater => vd[i + j * ldv],
+        Ordering::Equal => 1.0,
+        Ordering::Less => 0.0,
+    };
+    let driver = BlockedDriver::new(cfg);
+    let mut w = Matrix::zeros(kb, nc);
+    let (cd, ldc) = (c.as_slice(), c.ld());
+    driver.accumulate(
+        kb,
+        nc,
+        rows,
+        1.0,
+        &|p, i| v_at(i, p),
+        &|i, j| cd[i + j * ldc],
+        &mut w.view_mut(),
+    );
+    let mut tw = Matrix::zeros(kb, nc);
+    let (td, wd) = (t.as_slice(), w.as_slice());
+    driver.accumulate(
+        kb,
+        nc,
+        kb,
+        1.0,
+        &|i, p| td[p + i * kb],
+        &|p, j| wd[p + j * kb],
+        &mut tw.view_mut(),
+    );
+    let twd = tw.as_slice();
+    driver.accumulate(rows, nc, kb, -1.0, &v_at, &|p, j| twd[p + j * kb], c);
 }
 
 /// Factor `a` out of place into the packed `m x (n+1)` operand the
@@ -209,57 +202,85 @@ fn larft(v: &Matrix, tau: &[f64]) -> Matrix {
 ///
 /// Same checks as [`qr`].
 pub fn qr_packed(a: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
-    let (m, n) = (a.rows(), a.cols());
-    let mut f = Matrix::zeros(m, n + 1);
-    for j in 0..n {
-        f.col_mut(j).copy_from_slice(a.col(j));
-    }
-    let mut tau = Vec::new();
-    {
-        let mut full = f.view_mut();
-        let mut panel = full.subview_mut(0, 0, m, n);
-        qr(&mut panel, &mut tau, cfg)?;
-    }
-    for (j, &t) in tau.iter().enumerate() {
-        f[(j, n)] = t;
-    }
+    let mut f = Matrix::zeros(a.rows(), a.cols() + 1);
+    qr_packed_into(a, &mut f, cfg)?;
     Ok(f)
 }
 
+/// [`qr_packed`] into an existing `m x (n+1)` operand.
+///
+/// # Errors
+///
+/// Same checks as [`qr`], plus [`MatrixError::DimensionMismatch`] for a
+/// mis-sized `f`.
+pub fn qr_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Result<()> {
+    let (m, n) = a.shape();
+    if f.shape() != (m, n + 1) {
+        return Err(MatrixError::DimensionMismatch {
+            op: "qr packed output",
+            lhs: f.shape(),
+            rhs: (m, n + 1),
+        });
+    }
+    f.as_mut_slice()[..m * n].copy_from_slice(a.as_slice());
+    let mut tau = Vec::new();
+    qr(&mut f.view_mut().subview_mut(0, 0, m, n), &mut tau, cfg)?;
+    let last = f.col_mut(n);
+    last.fill(0.0);
+    last[..n].copy_from_slice(&tau);
+    Ok(())
+}
+
 /// Apply `Qᵀ` from a packed QR factor `f` (`m x (n+1)`, see [`qr_packed`]) to
-/// `b` (`m x k`) and return the *top `n` rows* of the product — exactly the
-/// `Qᵀb` block the least-squares triangular solve `x = R⁻¹·(Qᵀb)` consumes.
+/// `b` (`m x k`) and write the *top `n` rows* of the product into `c`
+/// (`n x k`) — exactly the `Qᵀb` block the least-squares triangular solve
+/// `x = R⁻¹·(Qᵀb)` consumes. Blocked: one `T` factor and one block-reflector
+/// application per [`BlockConfig::tri_block`] reflectors.
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] when `f` has no tau column,
-/// `b`'s row count differs from `f`'s, or `n > m`.
-pub fn ormqr(f: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let Some(n) = f.cols().checked_sub(1) else {
-        return Err(MatrixError::DimensionMismatch {
-            op: "ormqr",
-            lhs: f.shape(),
-            rhs: b.shape(),
-        });
-    };
-    let m = f.rows();
-    if b.rows() != m || n > m {
-        return Err(MatrixError::DimensionMismatch {
-            op: "ormqr",
-            lhs: f.shape(),
-            rhs: b.shape(),
-        });
+/// `b`'s row count differs from `f`'s, `n > m`, or `c` is not `n x k`.
+pub fn ormqr(f: &Matrix, b: &Matrix, c: &mut Matrix, cfg: &BlockConfig) -> Result<()> {
+    let (m, n, k) = check_ormqr(f, b, c)?;
+    if k == 0 {
+        return Ok(());
     }
-    let k = b.cols();
-    // Qᵀ·B = H_{n-1}⋯H_0·B: apply the reflectors in factorisation order.
+    // Qᵀ·B = H_{n-1}⋯H_0·B: apply the panels in factorisation order.
+    let mut work = b.clone();
+    let tau = &f.col(n)[..n];
+    let tb = cfg.tri_block.max(1).min(k.max(LEAF));
+    let mut k0 = 0;
+    while k0 < n {
+        let kb = tb.min(n - k0);
+        let v = f.subview(k0, k0, m - k0, kb);
+        let mut rows = work.view_mut();
+        let mut below = rows.subview_mut(k0, 0, m - k0, k);
+        apply_block_reflector(&v, &tau[k0..], &mut below, cfg);
+        k0 += kb;
+    }
+    for j in 0..k {
+        c.col_mut(j).copy_from_slice(&work.col(j)[..n]);
+    }
+    Ok(())
+}
+
+/// Reference ORMQR: the reflectors applied one by one. Used by the unit and
+/// property tests to validate the blocked kernel.
+///
+/// # Errors
+///
+/// Same checks as [`ormqr`].
+pub fn ormqr_naive(f: &Matrix, b: &Matrix, c: &mut Matrix) -> Result<()> {
+    let (m, n, k) = check_ormqr(f, b, c)?;
     let mut work = b.clone();
     for j in 0..n {
         let t = f[(j, n)];
         if t == 0.0 {
             continue;
         }
-        for c in 0..k {
-            let col = work.col_mut(c);
+        for col in 0..k {
+            let col = work.col_mut(col);
             let mut w = col[j];
             for i in (j + 1)..m {
                 w += f[(i, j)] * col[i];
@@ -271,17 +292,38 @@ pub fn ormqr(f: &Matrix, b: &Matrix) -> Result<Matrix> {
             }
         }
     }
-    Ok(Matrix::from_fn(n, k, |i, j| work[(i, j)]))
+    for j in 0..k {
+        c.col_mut(j).copy_from_slice(&work.col(j)[..n]);
+    }
+    Ok(())
+}
+
+/// Shapes `(m, n, k)` of an ORMQR call, validated.
+fn check_ormqr(f: &Matrix, b: &Matrix, c: &Matrix) -> Result<(usize, usize, usize)> {
+    let mismatch = MatrixError::DimensionMismatch {
+        op: "ormqr",
+        lhs: f.shape(),
+        rhs: b.shape(),
+    };
+    let Some(n) = f.cols().checked_sub(1) else {
+        return Err(mismatch);
+    };
+    if b.rows() != f.rows() || n > f.rows() || c.shape() != (n, b.cols()) {
+        return Err(mismatch);
+    }
+    Ok((f.rows(), n, b.cols()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::{ormqr_new, Kernel};
     use crate::gemm::naive::gemm_naive;
     use crate::getrf::factor_triangle;
     use crate::trsm::trsm_naive;
     use lamb_matrix::ops::max_abs_diff;
     use lamb_matrix::random::random_seeded;
+    use lamb_matrix::Trans;
     use lamb_matrix::{Side, Uplo};
 
     /// `Q·B` from a packed factor: apply the reflectors in reverse order.
@@ -324,7 +366,7 @@ mod tests {
             "m {m} n {n}: reconstruction diff {diff}"
         );
         // ORMQR must agree: Qᵀ·A is [R; 0], so its top n rows are R.
-        let qta = ormqr(&f, &a).unwrap();
+        let qta = ormqr_new(&f, &a, cfg).unwrap();
         assert!(max_abs_diff(&qta, &r).unwrap() < 1e-10 * (m as f64).max(1.0));
     }
 
@@ -334,6 +376,78 @@ mod tests {
         for (m, n) in [(1, 1), (2, 1), (5, 3), (23, 23), (64, 40), (97, 13)] {
             check_reconstruction(m, n, 7 + (m + n) as u64, &cfg);
         }
+    }
+
+    #[test]
+    fn factor_and_taus_match_naive_on_leaf_and_block_edges() {
+        for (cfg, orders) in crate::leaf::tests::edge_grid() {
+            for n in orders {
+                // Square, and tall by half.
+                for m in [n, n + n / 2] {
+                    let a = random_seeded(m, n, 70 + n as u64);
+                    let (mut blocked, mut naive) = (a.clone(), a.clone());
+                    let (mut tau_b, mut tau_n) = (Vec::new(), Vec::new());
+                    qr(&mut blocked.view_mut(), &mut tau_b, &cfg).unwrap();
+                    qr_naive(&mut naive.view_mut(), &mut tau_n).unwrap();
+                    let tol = 1e-10 * m as f64;
+                    assert!(
+                        max_abs_diff(&blocked, &naive).unwrap() <= tol,
+                        "{m}x{n} {cfg:?}"
+                    );
+                    assert_eq!(tau_b.len(), n);
+                    for (b, t) in tau_b.iter().zip(&tau_n) {
+                        assert!((b - t).abs() <= tol, "{m}x{n} {cfg:?}: tau {b} vs {t}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Blocked and reference ORMQR on a fresh factor of a random `m x n`
+    /// matrix, applied to `k` right-hand sides.
+    fn check_ormqr(m: usize, n: usize, k: usize, cfg: &BlockConfig) {
+        let f = qr_packed(&random_seeded(m, n, 80 + m as u64), cfg).unwrap();
+        let b = random_seeded(m, k, 81 + k as u64);
+        let mut blocked = Matrix::filled(n, k, f64::NAN);
+        Kernel::Ormqr { f: &f, b: &b }
+            .run_into(&mut blocked, cfg)
+            .unwrap();
+        let mut naive = Matrix::filled(n, k, f64::NAN);
+        ormqr_naive(&f, &b, &mut naive).unwrap();
+        let diff = max_abs_diff(&blocked, &naive).unwrap();
+        assert!(diff <= 1e-10 * (m as f64).max(1.0), "{m}x{n} k {k}: {diff}");
+    }
+
+    #[test]
+    fn blocked_ormqr_matches_the_reflector_by_reflector_reference() {
+        // Tall, square, a single right-hand side (the `A^+*b` case), fewer
+        // right-hand sides than a panel is wide, and empty operands — through
+        // the dispatcher, under the configuration it is handed.
+        for cfg in [BlockConfig::default(), BlockConfig::tiny()] {
+            for (m, n, k) in [
+                (150, 70, 90),
+                (131, 131, 17),
+                (200, 140, 1),
+                (9, 9, 1),
+                (40, 0, 5),
+                (40, 12, 0),
+                (0, 0, 0),
+            ] {
+                check_ormqr(m, n, k, &cfg);
+            }
+        }
+    }
+
+    #[test]
+    fn ormqr_blocks_by_the_configuration_it_is_given() {
+        // Different panel widths round differently: if the dispatcher
+        // dropped `cfg`, the two runs would be bit-identical.
+        let f = qr_packed(&random_seeded(90, 60, 5), &BlockConfig::default()).unwrap();
+        let b = random_seeded(90, 70, 6);
+        let wide = ormqr_new(&f, &b, &BlockConfig::default()).unwrap();
+        let narrow = ormqr_new(&f, &b, &BlockConfig::tiny()).unwrap();
+        assert!(max_abs_diff(&wide, &narrow).unwrap() > 0.0);
+        assert!(max_abs_diff(&wide, &narrow).unwrap() < 1e-10 * 90.0);
     }
 
     #[test]
@@ -373,7 +487,7 @@ mod tests {
         let b = random_seeded(m, k, 10);
         let f = qr_packed(&a, &cfg).unwrap();
         let r = factor_triangle(Uplo::Upper, &f).unwrap();
-        let c = ormqr(&f, &b).unwrap();
+        let c = ormqr_new(&f, &b, &cfg).unwrap();
         let mut x = Matrix::zeros(n, k);
         trsm_naive(
             Side::Left,
@@ -447,11 +561,11 @@ mod tests {
         ));
         // ORMQR shape errors.
         let b = Matrix::zeros(4, 2);
-        assert!(ormqr(&Matrix::zeros(4, 0), &b).is_err());
-        assert!(ormqr(&Matrix::zeros(3, 3), &b).is_err());
-        assert!(ormqr(&Matrix::zeros(4, 6), &b).is_err());
+        assert!(ormqr_new(&Matrix::zeros(4, 0), &b, &cfg).is_err());
+        assert!(ormqr_new(&Matrix::zeros(3, 3), &b, &cfg).is_err());
+        assert!(ormqr_new(&Matrix::zeros(4, 6), &b, &cfg).is_err());
         // Degenerate ORMQR: no reflectors leaves the top 0 rows.
-        let c = ormqr(&Matrix::zeros(4, 1), &b).unwrap();
+        let c = ormqr_new(&Matrix::zeros(4, 1), &b, &cfg).unwrap();
         assert_eq!(c.shape(), (0, 2));
     }
 

@@ -9,20 +9,25 @@
 //! formed — making TRSM, like TRMM, a structured kernel whose FLOP savings
 //! need not translate into time savings.
 //!
-//! Structure on the shared [`BlockedDriver`]: on the left the right-hand-side
-//! columns are completely independent, so they are distributed as column
-//! panels, and within a panel the classic blocked substitution runs over
-//! diagonal blocks of [`BlockConfig::tri_block`] rows. On the right the
-//! *columns* are coupled by the substitution (each output column folds in the
-//! already-solved columns) while the rows are independent; the blocked
-//! substitution walks column blocks in solve order, folding the solved
-//! columns with the packed rectangular core, and runs serially — the packed
-//! core itself is the compute-heavy part.
+//! Structure on the shared [`BlockedDriver`]: one recursion over the coupled
+//! dimension (the rows of `X` on the left, its columns on the right). A range
+//! of unknowns is split into the part that is solved first — one
+//! [`BlockConfig::tri_block`] while the range is wider than that, half of it
+//! below — and the rest; the first part is solved, folded into the rest with
+//! the packed rectangular core, and the rest is solved. The recursion ends at
+//! a leaf: a diagonal block of at most eight unknowns (a private constant of
+//! the crate, not a [`BlockConfig`] field), which is copied once into a
+//! contiguous scratch *in solve order* — so `uplo` and `trans` are resolved
+//! per block, not per element — and substituted on column slices. On the left
+//! the right-hand-side columns are independent and are distributed as column
+//! panels; on the right the rows are independent and the solve runs serially.
 
 use crate::config::BlockConfig;
 use crate::driver::BlockedDriver;
+use crate::leaf::{axpy, first_part, two_cols, LEAF};
+use crate::microkernel::fmadd;
 use crate::trmm::check_triangular_shapes;
-use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
+use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
 
 /// `X := alpha * op(L)⁻¹ * B` (Left) or `X := alpha * B * op(L)⁻¹` (Right)
 /// where `op(L)` is `L` or `Lᵀ` and only the `uplo` triangle of `L` is
@@ -35,7 +40,7 @@ use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Side, 
 ///
 /// Returns [`MatrixError::NotSquare`] / [`MatrixError::DimensionMismatch`]
 /// for inconsistent shapes and [`MatrixError::SingularDiagonal`] when a
-/// diagonal element of `L` is exactly zero (the solve does not exist).
+/// diagonal element of `L` is exactly zero or NaN (the solve does not exist).
 #[allow(clippy::too_many_arguments)] // BLAS-style interface
 pub fn trsm(
     side: Side,
@@ -47,188 +52,216 @@ pub fn trsm(
     x: &mut MatrixViewMut<'_>,
     cfg: &BlockConfig,
 ) -> Result<()> {
-    let (m, n) = check_triangular_shapes("trsm operand shape", side, l, b, x)?;
-    let order = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    let l_data = l.as_slice();
-    let ldl = l.ld();
-    for i in 0..order {
-        if l_data[i + i * ldl] == 0.0 {
-            return Err(MatrixError::SingularDiagonal { index: i });
-        }
-    }
+    let (_, n) = check_triangular_shapes("trsm operand shape", side, l, b, x)?;
     // Seed X with alpha * B; the substitution then runs in place on X.
     for j in 0..n {
-        let src = b.col(j);
-        for (dst, &s) in x.col_mut(j).iter_mut().zip(src) {
+        for (dst, &s) in x.col_mut(j).iter_mut().zip(b.col(j)) {
             *dst = alpha * s;
         }
     }
+    trsm_in_place(side, uplo, trans, l, x, cfg)
+}
+
+/// [`trsm`] with `alpha = 1` on `X` itself: `X := op(L)⁻¹ * X` (Left) or
+/// `X := X * op(L)⁻¹` (Right). What the factorisations call on a panel of
+/// the matrix they are factoring.
+///
+/// # Errors
+///
+/// [`MatrixError::SingularDiagonal`], as for [`trsm`].
+pub(crate) fn trsm_in_place(
+    side: Side,
+    uplo: Uplo,
+    trans: Trans,
+    l: &MatrixView<'_>,
+    x: &mut MatrixViewMut<'_>,
+    cfg: &BlockConfig,
+) -> Result<()> {
+    let (m, n) = (x.rows(), x.cols());
+    check_diagonal(l)?;
     if m == 0 || n == 0 {
         return Ok(());
     }
-
-    // Element (i, p) of op(L) ignoring the triangle mask.
-    let op_l = move |i: usize, p: usize| match trans {
-        Trans::No => l_data[i + p * ldl],
-        Trans::Yes => l_data[p + i * ldl],
+    let data = l.as_slice();
+    let (rs, cs) = match trans {
+        Trans::No => (1, l.ld()),
+        Trans::Yes => (l.ld(), 1),
     };
-    // The triangle op(L) effectively occupies; Lower solves forward (top
-    // down / right to left), Upper backward (bottom up / left to right).
-    let eff = uplo.under(trans);
-
-    let driver = BlockedDriver::new(cfg);
-    let tb = cfg.tri_block.max(1);
+    // Lower solves forward on the left (top down) and backward on the right
+    // (right to left): column q of X·op(L) reads the X columns p with
+    // op(L)[p, q] nonzero.
+    let lower = uplo.under(trans) == Uplo::Lower;
+    let solve = Solve {
+        op_l: move |i: usize, p: usize| data[i * rs + p * cs],
+        side,
+        forward: lower == (side == Side::Left),
+        driver: BlockedDriver::new(cfg),
+        tri_block: cfg.tri_block,
+    };
     match side {
         Side::Left => {
             let parallel = cfg.should_parallelise(m, n, m);
-            driver.for_each_panel(x.subview_mut(0, 0, m, n), parallel, |_, mut panel| {
-                let w = panel.cols();
-                // Diagonal-block start offsets in solve order.
-                let starts: Vec<usize> = match eff {
-                    Uplo::Lower => (0..m).step_by(tb).collect(),
-                    Uplo::Upper => {
-                        let mut s: Vec<usize> = (0..m).step_by(tb).collect();
-                        s.reverse();
-                        s
-                    }
-                };
-                let mut update = Matrix::zeros(tb.min(m), w);
-                for i0 in starts {
-                    let mb = tb.min(m - i0);
-                    // Fold the already-solved rows into this block:
-                    // update := op(L)[block, solved] * X[solved, panel].
-                    let (solved_start, solved_len) = match eff {
-                        Uplo::Lower => (0, i0),
-                        Uplo::Upper => (i0 + mb, m - (i0 + mb)),
-                    };
-                    let mut update_full = update.view_mut();
-                    let mut upd = update_full.subview_mut(0, 0, mb, w);
-                    upd.fill(0.0);
-                    if solved_len > 0 {
-                        // `panel.as_slice()` is an immutable borrow that ends
-                        // before the mutable writes below — the solved rows
-                        // are disjoint from the block being updated, but the
-                        // borrow checker cannot see row disjointness through
-                        // a column-major view, so the contribution goes
-                        // through a scratch block.
-                        let p_data = panel.as_slice();
-                        let ldp = panel.ld();
-                        driver.accumulate_serial(
-                            mb,
-                            w,
-                            solved_len,
-                            1.0,
-                            &|i, p| op_l(i0 + i, solved_start + p),
-                            &|p, j| p_data[(solved_start + p) + j * ldp],
-                            &mut upd,
-                        );
-                    }
-                    // Scalar substitution on the diagonal block.
-                    for j in 0..w {
-                        match eff {
-                            Uplo::Lower => {
-                                for i in 0..mb {
-                                    let mut s = panel.at(i0 + i, j) - update[(i, j)];
-                                    for p in 0..i {
-                                        s -= op_l(i0 + i, i0 + p) * panel.at(i0 + p, j);
-                                    }
-                                    *panel.at_mut(i0 + i, j) = s / op_l(i0 + i, i0 + i);
-                                }
-                            }
-                            Uplo::Upper => {
-                                for i in (0..mb).rev() {
-                                    let mut s = panel.at(i0 + i, j) - update[(i, j)];
-                                    for p in (i + 1)..mb {
-                                        s -= op_l(i0 + i, i0 + p) * panel.at(i0 + p, j);
-                                    }
-                                    *panel.at_mut(i0 + i, j) = s / op_l(i0 + i, i0 + i);
-                                }
-                            }
-                        }
-                    }
-                }
+            let whole = x.subview_mut(0, 0, m, n);
+            (solve.driver).for_each_panel(whole, parallel, |_, mut panel| {
+                solve.left(&mut panel, 0, m, &mut Vec::new());
             });
         }
-        Side::Right => {
-            // X·op(L) = alpha·B: column-block substitution over X. Column q
-            // of the product reads X columns p with op(L)[p, q] nonzero, so
-            // the effective Upper triangle solves columns left to right and
-            // the effective Lower triangle right to left.
-            let starts: Vec<usize> = match eff {
-                Uplo::Upper => (0..n).step_by(tb).collect(),
-                Uplo::Lower => {
-                    let mut s: Vec<usize> = (0..n).step_by(tb).collect();
-                    s.reverse();
-                    s
-                }
-            };
-            let mut update = Matrix::zeros(m, tb.min(n));
-            for c0 in starts {
-                let cb = tb.min(n - c0);
-                // Fold the already-solved columns into this block:
-                // update := X[:, solved] * op(L)[solved, block].
-                let (solved_start, solved_len) = match eff {
-                    Uplo::Upper => (0, c0),
-                    Uplo::Lower => (c0 + cb, n - (c0 + cb)),
-                };
-                let mut update_full = update.view_mut();
-                let mut upd = update_full.subview_mut(0, 0, m, cb);
-                upd.fill(0.0);
-                if solved_len > 0 {
-                    // Same scratch-block pattern as the left side: the solved
-                    // columns are disjoint from the block being updated, but
-                    // that is invisible to the borrow checker.
-                    let x_data = x.as_slice();
-                    let ldx = x.ld();
-                    driver.accumulate_serial(
-                        m,
-                        cb,
-                        solved_len,
-                        1.0,
-                        &|i, p| x_data[i + (solved_start + p) * ldx],
-                        &|p, j| op_l(solved_start + p, c0 + j),
-                        &mut upd,
-                    );
-                }
-                // Scalar substitution over the columns of the diagonal block.
-                match eff {
-                    Uplo::Upper => {
-                        for j in 0..cb {
-                            let d = op_l(c0 + j, c0 + j);
-                            for i in 0..m {
-                                let mut s = x.at(i, c0 + j) - update[(i, j)];
-                                for p in 0..j {
-                                    s -= x.at(i, c0 + p) * op_l(c0 + p, c0 + j);
-                                }
-                                *x.at_mut(i, c0 + j) = s / d;
-                            }
-                        }
-                    }
-                    Uplo::Lower => {
-                        for j in (0..cb).rev() {
-                            let d = op_l(c0 + j, c0 + j);
-                            for i in 0..m {
-                                let mut s = x.at(i, c0 + j) - update[(i, j)];
-                                for p in (j + 1)..cb {
-                                    s -= x.at(i, c0 + p) * op_l(c0 + p, c0 + j);
-                                }
-                                *x.at_mut(i, c0 + j) = s / d;
-                            }
-                        }
-                    }
-                }
-            }
+        Side::Right => solve.right(x, 0, n),
+    }
+    Ok(())
+}
+
+fn check_diagonal(l: &MatrixView<'_>) -> Result<()> {
+    for index in 0..l.rows() {
+        let d = l.at(index, index);
+        if d == 0.0 || d.is_nan() {
+            return Err(MatrixError::SingularDiagonal { index });
         }
     }
     Ok(())
 }
 
+/// One in-place solve: element `(i, p)` of `op(L)` ignoring the triangle
+/// mask, and the order in which the unknowns are eliminated.
+struct Solve<'a, F> {
+    op_l: F,
+    side: Side,
+    forward: bool,
+    driver: BlockedDriver<'a>,
+    tri_block: usize,
+}
+
+impl<F: Fn(usize, usize) -> f64> Solve<'_, F> {
+    /// Split the unknowns `lo..lo + len` into `(start, len)` of the part
+    /// solved first and of the rest.
+    fn split(&self, lo: usize, len: usize) -> ((usize, usize), (usize, usize)) {
+        let first = first_part(len, self.tri_block);
+        if self.forward {
+            ((lo, first), (lo + first, len - first))
+        } else {
+            ((lo + len - first, first), (lo, len - first))
+        }
+    }
+
+    /// Offset within a leaf of `nb` unknowns of the one eliminated `s`-th.
+    fn nth(&self, s: usize, nb: usize) -> usize {
+        if self.forward {
+            s
+        } else {
+            nb - 1 - s
+        }
+    }
+
+    /// The diagonal block `lo..lo + nb` of `op(L)` in solve order, padded to
+    /// the identity: `t[p][i]` (`i > p`) is the coefficient of unknown `p` in
+    /// equation `i`, `t[p][p]` its own pivot.
+    fn leaf_block(&self, lo: usize, nb: usize) -> [[f64; LEAF]; LEAF] {
+        let mut t = [[0.0; LEAF]; LEAF];
+        for (p, col) in t.iter_mut().enumerate() {
+            col[p] = 1.0;
+            for (i, v) in col.iter_mut().enumerate().take(nb).skip(p) {
+                let (eq, unknown) = (lo + self.nth(i, nb), lo + self.nth(p, nb));
+                *v = match self.side {
+                    Side::Left => (self.op_l)(eq, unknown),
+                    Side::Right => (self.op_l)(unknown, eq),
+                };
+            }
+        }
+        t
+    }
+
+    /// Solve rows `lo..lo + len` of one column panel; every earlier row of
+    /// the solve order is already folded in. `solved` is scratch.
+    fn left(&self, panel: &mut MatrixViewMut<'_>, lo: usize, len: usize, solved: &mut Vec<f64>) {
+        let w = panel.cols();
+        if len <= LEAF {
+            let t = self.leaf_block(lo, len);
+            for j in 0..w {
+                let x = &mut panel.col_mut(j)[lo..lo + len];
+                let mut v = [0.0; LEAF];
+                for s in 0..len {
+                    v[s] = x[self.nth(s, len)];
+                }
+                for p in 0..LEAF {
+                    v[p] /= t[p][p];
+                    for i in p + 1..LEAF {
+                        v[i] = fmadd(v[i], -v[p], t[p][i]);
+                    }
+                }
+                for s in 0..len {
+                    x[self.nth(s, len)] = v[s];
+                }
+            }
+            return;
+        }
+        let ((h0, hn), (r0, rn)) = self.split(lo, len);
+        self.left(panel, h0, hn, solved);
+        // X[rest] -= op(L)[rest, first] · X[first]. The two row ranges are
+        // disjoint, which a column-major view cannot show the borrow
+        // checker, so the solved rows are read from a compact copy.
+        solved.clear();
+        for j in 0..w {
+            solved.extend_from_slice(&panel.col_mut(j)[h0..h0 + hn]);
+        }
+        self.driver.accumulate_serial(
+            rn,
+            w,
+            hn,
+            -1.0,
+            &|i, p| (self.op_l)(r0 + i, h0 + p),
+            &|p, j| solved[p + j * hn],
+            &mut panel.subview_mut(r0, 0, rn, w),
+        );
+        self.left(panel, r0, rn, solved);
+    }
+
+    /// Solve columns `lo..lo + len` of `X·op(L) = B`; every earlier column
+    /// of the solve order is already folded in.
+    fn right(&self, x: &mut MatrixViewMut<'_>, lo: usize, len: usize) {
+        if len <= LEAF {
+            let t = self.leaf_block(lo, len);
+            for i in 0..len {
+                let dst = lo + self.nth(i, len);
+                for (p, col) in t.iter().enumerate().take(i) {
+                    let (src, dst) = two_cols(x, lo + self.nth(p, len), dst);
+                    axpy(-col[i], src, dst);
+                }
+                for v in x.col_mut(dst) {
+                    *v /= t[i][i];
+                }
+            }
+            return;
+        }
+        let ((h0, hn), (r0, rn)) = self.split(lo, len);
+        self.right(x, h0, hn);
+        // X[:, rest] -= X[:, first] · op(L)[first, rest]: disjoint column
+        // ranges, which the split proves.
+        let m = x.rows();
+        let (low, high) = x
+            .subview_mut(0, lo, m, len)
+            .split_at_col_mut(h0.max(r0) - lo);
+        let (first, mut rest) = if self.forward {
+            (low, high)
+        } else {
+            (high, low)
+        };
+        let (done, ld) = (first.as_slice(), first.ld());
+        self.driver.accumulate_serial(
+            m,
+            rn,
+            hn,
+            -1.0,
+            &|i, p| done[i + p * ld],
+            &|p, j| (self.op_l)(h0 + p, r0 + j),
+            &mut rest,
+        );
+        self.right(x, r0, rn);
+    }
+}
+
 /// Reference TRSM: unblocked column-by-column (Left) or column-recurrence
 /// (Right) forward/backward substitution. Used by the unit and property tests
-/// to validate the blocked kernel.
+/// to validate the blocked kernel, and by the reference backend.
 ///
 /// # Errors
 ///
@@ -244,15 +277,7 @@ pub fn trsm_naive(
     x: &mut MatrixViewMut<'_>,
 ) -> Result<()> {
     let (m, n) = check_triangular_shapes("trsm operand shape", side, l, b, x)?;
-    let order = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    for i in 0..order {
-        if l.at(i, i) == 0.0 {
-            return Err(MatrixError::SingularDiagonal { index: i });
-        }
-    }
+    check_diagonal(l)?;
     let op_l = |i: usize, p: usize| match trans {
         Trans::No => l.at(i, p),
         Trans::Yes => l.at(p, i),
@@ -317,6 +342,7 @@ mod tests {
     use crate::trmm::trmm_naive;
     use lamb_matrix::ops::max_abs_diff;
     use lamb_matrix::random::{random_seeded, random_triangular};
+    use lamb_matrix::Matrix;
 
     fn check(
         side: Side,
@@ -371,6 +397,21 @@ mod tests {
                 for trans in [Trans::No, Trans::Yes] {
                     check(side, uplo, trans, 23, 17, 1.0, &cfg);
                     check(side, uplo, trans, 9, 31, -2.0, &cfg);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_variant_matches_naive_on_leaf_and_block_edges() {
+        for (cfg, orders) in crate::leaf::tests::edge_grid() {
+            for order in orders {
+                for uplo in [Uplo::Lower, Uplo::Upper] {
+                    for trans in [Trans::No, Trans::Yes] {
+                        // Wide enough on the left for two panels of any tile.
+                        check(Side::Left, uplo, trans, order, 29, 1.0, &cfg);
+                        check(Side::Right, uplo, trans, 13, order, -0.5, &cfg);
+                    }
                 }
             }
         }
@@ -490,6 +531,47 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err_r, MatrixError::SingularDiagonal { index: 3 });
+    }
+
+    #[test]
+    fn bad_diagonals_are_reported_with_their_absolute_index() {
+        // Zero and NaN alike, wherever the entry sits: first leaf, second
+        // block, third block; both sides; blocked kernel and oracle.
+        let cfg = BlockConfig::default();
+        let order = 2 * cfg.tri_block + 9;
+        for index in [3, cfg.tri_block + 5, order - 2] {
+            for bad in [0.0, f64::NAN] {
+                for (side, m, n) in [(Side::Left, order, 4), (Side::Right, 4, order)] {
+                    let mut l = random_triangular(order, Uplo::Upper, 7);
+                    l[(index, index)] = bad;
+                    let b = random_seeded(m, n, 8);
+                    let mut x = Matrix::zeros(m, n);
+                    let expected = Err(MatrixError::SingularDiagonal { index });
+                    let (lv, bv) = (l.view(), b.view());
+                    let blocked = trsm(
+                        side,
+                        Uplo::Upper,
+                        Trans::Yes,
+                        1.0,
+                        &lv,
+                        &bv,
+                        &mut x.view_mut(),
+                        &cfg,
+                    );
+                    assert_eq!(blocked, expected, "{side:?} index {index} value {bad}");
+                    let naive = trsm_naive(
+                        side,
+                        Uplo::Upper,
+                        Trans::Yes,
+                        1.0,
+                        &lv,
+                        &bv,
+                        &mut x.view_mut(),
+                    );
+                    assert_eq!(naive, expected, "naive {side:?} index {index} value {bad}");
+                }
+            }
+        }
     }
 
     #[test]

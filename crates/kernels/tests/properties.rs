@@ -3,7 +3,7 @@
 //! blocking configurations.
 
 use lamb_kernels::{
-    factor_triangle, gemm, gemm_naive, getrf, getrf_naive, ormqr, pivot_apply, qr, qr_naive,
+    factor_triangle, gemm, gemm_naive, getrf, getrf_naive, ormqr_new, pivot_apply, qr, qr_naive,
     qr_packed, symm, syrk, trmm, trmm_naive, trsm, trsm_naive, BlockConfig, TileVariant,
 };
 use lamb_matrix::ops::{frobenius_norm, max_abs_diff, zero_opposite_triangle};
@@ -235,7 +235,7 @@ proptest! {
         // ORMQR preserves Gram structure: (Qᵀa)ᵀ(Qᵀa) restricted to the top
         // n rows equals RᵀR = aᵀa (Q orthogonal and a in Q's column span).
         let f = qr_packed(&a, &cfg).unwrap();
-        let qta = ormqr(&f, &a).unwrap();
+        let qta = ormqr_new(&f, &a, &cfg).unwrap();
         let r = factor_triangle(Uplo::Upper, &f).unwrap();
         prop_assert!(max_abs_diff(&qta, &r).unwrap() < 1e-9 * norm);
         let mut gram_a = Matrix::zeros(n, n);

@@ -11,9 +11,9 @@
 //!   Xeon + MKL testbed: shape-dependent efficiency ramps, a GEMM > SYMM >
 //!   SYRK efficiency ordering, abrupt internal-variant switches, inter-kernel
 //!   cache effects, and bounded measurement noise. This is the substitution
-//!   (documented in `DESIGN.md`) that makes the paper-scale experiments —
-//!   tens of thousands of instances, hundreds of thousands of isolated-call
-//!   benchmarks — feasible and reproducible on any machine.
+//!   that makes the paper-scale experiments — tens of thousands of
+//!   instances, hundreds of thousands of isolated-call benchmarks — feasible
+//!   and reproducible on any machine.
 //!
 //! Both implement the [`Executor`] trait, so every experiment driver in
 //! `lamb-experiments` runs unchanged on either.
