@@ -5,10 +5,9 @@
 //! ramping up with size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lamb_kernels::flops::{gemm_flops, symm_flops, syrk_flops};
-use lamb_kernels::{gemm_new, symm_new, syrk_new, BlockConfig};
+use lamb_kernels::{Backend, BlockConfig, KernelOp, NativeBackend};
 use lamb_matrix::random::random_seeded;
-use lamb_matrix::{Side, Trans, Uplo};
+use lamb_matrix::{Matrix, Uplo};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -28,20 +27,24 @@ fn bench_kernels(c: &mut Criterion) {
             s
         };
 
-        group.throughput(Throughput::Elements(gemm_flops(size, size, size)));
-        group.bench_with_input(BenchmarkId::new("gemm", size), &size, |bench, _| {
-            bench.iter(|| black_box(gemm_new(Trans::No, &a, Trans::No, &b, &cfg).unwrap()));
-        });
-
-        group.throughput(Throughput::Elements(syrk_flops(size, size)));
-        group.bench_with_input(BenchmarkId::new("syrk", size), &size, |bench, _| {
-            bench.iter(|| black_box(syrk_new(Uplo::Lower, Trans::No, &a, &cfg).unwrap()));
-        });
-
-        group.throughput(Throughput::Elements(symm_flops(size, size)));
-        group.bench_with_input(BenchmarkId::new("symm", size), &size, |bench, _| {
-            bench.iter(|| black_box(symm_new(Side::Left, Uplo::Lower, &sym, &b, &cfg).unwrap()));
-        });
+        // The Figure-1 trio from the shared example list (square, lower,
+        // untransposed, left side), each with its own operands.
+        let cases: [(&str, Vec<&Matrix>); 3] = [
+            ("gemm", vec![&a, &b]),
+            ("syrk", vec![&a]),
+            ("symm", vec![&sym, &b]),
+        ];
+        let examples = KernelOp::examples(size);
+        for (name, inputs) in cases {
+            let op = examples
+                .iter()
+                .find(|op| op.mnemonic() == name)
+                .expect("every kernel has an example");
+            group.throughput(Throughput::Elements(op.flops()));
+            group.bench_with_input(BenchmarkId::new(name, size), &size, |bench, _| {
+                bench.iter(|| black_box(NativeBackend.run_new(op, &inputs, &cfg).unwrap()));
+            });
+        }
     }
     group.finish();
 }

@@ -25,7 +25,7 @@ use lamb_experiments::{right_side_scenarios, sweep_csv, sweep_scenarios, Scenari
 use lamb_expr::{Expression, KernelOp, TreeExpression};
 use lamb_matrix::{Side, Trans, Uplo};
 use lamb_perfmodel::calibrate::single_call_algorithm;
-use lamb_perfmodel::{Executor, SimulatedExecutor};
+use lamb_perfmodel::{BackendId, Executor, SimulatedExecutor};
 use lamb_select::{assign_backends, pinned_backends};
 
 /// One row of the small-order backend-crossover sweep.
@@ -57,8 +57,8 @@ fn crossover_row(
     CrossoverRow {
         size,
         kernel,
-        native_seconds: sim.time_isolated_call_on(&alg, 0, "native"),
-        reference_seconds: sim.time_isolated_call_on(&alg, 0, "reference"),
+        native_seconds: sim.time_isolated_call_on(&alg, 0, BackendId::Native),
+        reference_seconds: sim.time_isolated_call_on(&alg, 0, BackendId::Reference),
     }
 }
 
@@ -229,8 +229,8 @@ fn main() {
         .min_by_key(|a| a.flops())
         .expect("at least one algorithm");
     let assignment = assign_backends(alg, &mut sim);
-    let native_pin = pinned_backends(alg, &mut sim, "native");
-    let reference_pin = pinned_backends(alg, &mut sim, "reference");
+    let native_pin = pinned_backends(alg, &mut sim, BackendId::Native);
+    let reference_pin = pinned_backends(alg, &mut sim, BackendId::Reference);
     println!(
         "\nper-call assignment for A*B*L[lower] at dims {dims:?} (algorithm `{}`):",
         alg.name

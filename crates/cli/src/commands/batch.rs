@@ -104,21 +104,14 @@ pub fn run(args: &[String]) -> Result<(), String> {
     // Per-call backend assignments over the chosen algorithms: the
     // benchmark-driven argmin, or every call pinned by `--backend <name>`.
     let mut backend_exec = opts.build_executor()?;
-    if let Some(name) = &opts.backend {
-        let names = backend_exec.backend_names();
-        if !names.iter().any(|n| n == name) {
-            return Err(format!(
-                "unknown backend `{name}` (this executor offers: {})",
-                names.join(", ")
-            ));
-        }
-    }
     let assignments: Vec<Option<BackendAssignment>> = outcome
         .results
         .iter()
         .map(|result| {
-            result.as_ref().ok().map(|plan| match &opts.backend {
-                Some(name) => pinned_backends(plan.chosen_algorithm(), backend_exec.as_mut(), name),
+            result.as_ref().ok().map(|plan| match opts.backend {
+                Some(backend) => {
+                    pinned_backends(plan.chosen_algorithm(), backend_exec.as_mut(), backend)
+                }
                 None => assign_backends(plan.chosen_algorithm(), backend_exec.as_mut()),
             })
         })
@@ -196,8 +189,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
         .flatten()
         .filter(|a| a.is_mixed())
         .count();
-    match &opts.backend {
-        Some(name) => println!("backends: every call pinned to `{name}` (--backend)"),
+    match opts.backend {
+        Some(backend) => println!("backends: every call pinned to `{backend}` (--backend)"),
         None => println!(
             "backends: {mixed} of {} chosen algorithm(s) mix backends",
             assignments.iter().flatten().count()
@@ -261,9 +254,10 @@ fn report_csv(
                     format_opt_seconds(chosen.predicted_seconds),
                     format_opt_seconds(flop_optimal.predicted_seconds),
                     plan.predicted_anomaly().unwrap_or(false).to_string(),
-                    assignment
-                        .as_ref()
-                        .map_or(String::new(), |a| a.backends_used().join("+")),
+                    assignment.as_ref().map_or(String::new(), |a| {
+                        let used: Vec<&str> = a.backends_used().iter().map(|b| b.name()).collect();
+                        used.join("+")
+                    }),
                 ]);
             }
             Err(e) => rows.push(vec![

@@ -105,7 +105,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     // own curves and call table in the store's v6 `backends` section (the
     // default backend's data is the top-level sweep above), so the planner
     // can compare implementations per call from a warm start.
-    for backend in executor.backend_names().iter().skip(1) {
+    for backend in executor.backends().into_iter().skip(1) {
         println!("  sweeping backend `{backend}` ...");
         let mut curves: Vec<(String, Vec<usize>, Vec<f64>)> = lamb_perfmodel::SQUARE_SWEEP_KERNELS
             .iter()
@@ -233,7 +233,7 @@ fn print_coverage(store: &CalibrationStore, opts: &CommonOptions, block_fingerpr
         store.calls.len(),
         per_kernel.join(", ")
     );
-    for name in store.backend_names().iter().skip(1) {
+    for name in store.backends().into_iter().skip(1) {
         let coverage = store.backend_coverage(name);
         let calls: usize = coverage.values().sum();
         let per_kernel: Vec<String> = coverage
@@ -290,6 +290,7 @@ fn print_coverage(store: &CalibrationStore, opts: &CommonOptions, block_fingerpr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lamb_perfmodel::BackendId;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -318,11 +319,13 @@ mod tests {
         // The simulated executor distinguishes two backends, so the sweep
         // also fills a per-backend section with full coverage.
         assert_eq!(
-            first.backend_names(),
-            vec!["native".to_string(), "reference".to_string()]
+            first.backends(),
+            vec![BackendId::Native, BackendId::Reference]
         );
-        assert_eq!(first.backend_calls("reference").unwrap().len(), 33);
-        assert!(first.backend_missing_kernels("reference").is_empty());
+        assert_eq!(first.backend_calls(BackendId::Reference).unwrap().len(), 33);
+        assert!(first
+            .backend_missing_kernels(BackendId::Reference)
+            .is_empty());
 
         // A second, larger sweep merges: coverage grows, sweeps accumulate.
         run(&strs(&["--store", &store_arg, "--sizes", "500"])).unwrap();
@@ -330,7 +333,10 @@ mod tests {
         assert_eq!(merged.meta.sweeps, 2);
         assert_eq!(merged.calls.len(), 55); // 11 kernels x 5 sizes
         assert_eq!(merged.profiles[0].sizes.len(), 5);
-        assert_eq!(merged.backend_calls("reference").unwrap().len(), 55);
+        assert_eq!(
+            merged.backend_calls(BackendId::Reference).unwrap().len(),
+            55
+        );
 
         // --no-merge replaces instead.
         run(&strs(&[

@@ -2,7 +2,7 @@
 
 use lamb_experiments::{LineConfig, SearchConfig};
 use lamb_expr::{AatbExpression, Expression, MatrixChainExpression, TreeExpression};
-use lamb_kernels::BlockConfig;
+use lamb_kernels::{BackendId, BlockConfig};
 use lamb_perfmodel::{
     CalibrationStore, Executor, MachineModel, MeasuredExecutor, SimulatedExecutor,
 };
@@ -64,7 +64,7 @@ pub struct CommonOptions {
     pub quick: bool,
     /// `--backend <name>`: pin every kernel call to the named backend
     /// instead of letting the planner assign backends per call (ablation).
-    pub backend: Option<String>,
+    pub backend: Option<BackendId>,
 }
 
 impl Default for CommonOptions {
@@ -192,7 +192,12 @@ pub fn parse(args: &[String]) -> Result<CommonOptions, String> {
                 opts.update_store = true;
             }
             "--backend" => {
-                opts.backend = Some(value("--backend")?);
+                let name = value("--backend")?;
+                let backend = BackendId::from_name(&name).ok_or_else(|| {
+                    let known: Vec<&str> = BackendId::ALL.iter().map(|id| id.name()).collect();
+                    format!("unknown backend `{name}` (expected {})", known.join(" or "))
+                })?;
+                opts.backend = Some(backend);
                 i += 1;
             }
             "--threshold" => {
@@ -449,6 +454,12 @@ mod tests {
     #[test]
     fn rejects_unknown_flags_and_bad_dims() {
         assert!(parse(&strs(&["--bogus"])).is_err());
+        // Backend names are checked where they enter, not by the executor.
+        let opts = parse(&strs(&["--backend", "reference"])).unwrap();
+        assert_eq!(opts.backend, Some(BackendId::Reference));
+        let err = parse(&strs(&["--backend", "quantum"])).unwrap_err();
+        assert!(err.contains("unknown backend `quantum`"), "{err}");
+        assert!(err.contains("native or reference"), "{err}");
         let opts = parse(&strs(&["chain", "10", "20"])).unwrap();
         assert!(opts.dims(5).is_err());
         let opts = parse(&strs(&["chain", "10", "0", "3", "4", "5"])).unwrap();

@@ -16,7 +16,6 @@
 use super::common::{self, parse_strategy};
 use lamb_plan::{FactorCache, Planner};
 use lamb_select::{assign_backends, pinned_backends, Strategy};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Run the subcommand.
@@ -99,24 +98,18 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     // Per-call backend assignment over the chosen algorithm: either the
     // benchmark-driven argmin or a `--backend <name>` pin (ablation).
-    let assignment = match opts.backend.as_deref() {
-        Some(name) => {
-            let names = executor.backend_names();
-            if !names.iter().any(|n| n == name) {
-                return Err(format!(
-                    "unknown backend `{name}` (this executor offers: {})",
-                    names.join(", ")
-                ));
-            }
-            println!("backend plan    : pinned to `{name}` (--backend)");
-            pinned_backends(chosen, executor.as_mut(), name)
+    let assignment = match opts.backend {
+        Some(backend) => {
+            println!("backend plan    : pinned to `{backend}` (--backend)");
+            pinned_backends(chosen, executor.as_mut(), backend)
         }
         None => {
             let a = assign_backends(chosen, executor.as_mut());
+            let used: Vec<&str> = a.backends_used().iter().map(|b| b.name()).collect();
             println!(
                 "backend plan    : {} ({})",
                 if a.is_mixed() { "mixed" } else { "uniform" },
-                a.backends_used().join(", ")
+                used.join(", ")
             );
             a
         }
@@ -127,9 +120,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
             choice.call_index, choice.label, choice.backend, choice.seconds
         );
     }
-    executor.set_backend_assignment(&assignment.as_map());
+    executor.set_backend_assignment(&assignment.backends());
     let assigned = executor.execute_algorithm(chosen);
-    executor.set_backend_assignment(&HashMap::new());
+    executor.set_backend_assignment(&[]);
     println!("  assigned time : {:.6} s", assigned.seconds);
     println!("best achievable : {:.6} s", outcome.best_seconds);
     println!("slowdown vs best: {:.2}%", 100.0 * outcome.regret());

@@ -465,6 +465,60 @@ fn recurse(
     }
 }
 
+/// Accumulates the kernel calls of one merge variant and the operand entries
+/// of the intermediates those calls define, numbering both from the next free
+/// operand id and `M{..}` name index.
+struct Emitter {
+    base_id: usize,
+    base_m: usize,
+    calls: Vec<KernelCall>,
+    infos: Vec<OperandInfo>,
+}
+
+impl Emitter {
+    /// Name of an intermediate this emitter defined.
+    fn name(&self, id: OperandId) -> &str {
+        &self.infos[id.index() - self.base_id].name
+    }
+
+    /// Emit `M := rhs` as a call of `op` on `inputs` into a fresh
+    /// intermediate `M`, whose shape and structure are the op's own, and
+    /// return its id.
+    fn emit(&mut self, op: KernelOp, inputs: Vec<OperandId>, rhs: &str) -> OperandId {
+        let id = OperandId(self.base_id + self.infos.len());
+        let name = format!("M{}", self.base_m + self.infos.len());
+        let (rows, cols) = op.output_shape();
+        self.infos.push(OperandInfo {
+            id,
+            rows,
+            cols,
+            role: OperandRole::Intermediate,
+            structure: op.output_structure(),
+            name: name.clone(),
+        });
+        self.calls.push(KernelCall {
+            op,
+            inputs,
+            output: id,
+            label: format!("{name} := {rhs}"),
+        });
+        id
+    }
+
+    /// Emit the in-place triangle-to-full copy of the order-`n` operand `id`.
+    fn emit_copy(&mut self, id: OperandId, name: &str, n: usize) {
+        self.calls.push(KernelCall {
+            op: KernelOp::CopyTriangle {
+                uplo: Uplo::Lower,
+                n,
+            },
+            inputs: vec![id],
+            output: id,
+            label: format!("{name} := full({name}) (copy triangle)"),
+        });
+    }
+}
+
 /// Build the kernel calls of one merge variant together with the merged
 /// segment and the new intermediates' operand entries. Most variants
 /// introduce exactly one intermediate (the merge result); the Cholesky
@@ -483,814 +537,334 @@ fn build_merge(
     base_m: usize,
     ambiguous: bool,
 ) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+    debug_assert_eq!(left.cols, right.rows, "validated by Expr::shape");
+    let mut e = Emitter {
+        base_id,
+        base_m,
+        calls: Vec::new(),
+        infos: Vec::new(),
+    };
+    match kind {
+        MergeKind::CholeskySolve => build_cholesky_solve(&mut e, left, right),
+        MergeKind::CholeskySolveRight => build_cholesky_solve_right(&mut e, left, right),
+        MergeKind::LuSolve => build_lu_solve(&mut e, left, right),
+        MergeKind::LuSolveRight => build_lu_solve_right(&mut e, left, right),
+        MergeKind::QrSolve => build_qr_solve(&mut e, left, right),
+        _ => build_product(&mut e, left, right, kind, ambiguous),
+    }
+    let result = e
+        .infos
+        .last_mut()
+        .expect("every merge variant defines its result last");
+    // Triangularity is closed under same-triangle products and solves: the
+    // intermediate then carries the structure forward (e.g. chained TRMMs in
+    // `L1[lower]*L2[lower]*B`).
+    if kind.preserves_triangle() {
+        if let (Some(a), Some(b)) = (left.effective_tri(), right.effective_tri()) {
+            if a == b {
+                result.structure = Structure::Triangular(a);
+            }
+        }
+    }
+    let merged = Segment {
+        id: result.id,
+        rows: result.rows,
+        cols: result.cols,
+        trans: Trans::No,
+        leaf: None,
+        storage: kind.result_storage(),
+        tri: result.triangle(),
+        spd: false,
+        inv: false,
+        pinv: false,
+        start: left.start,
+        end: right.end,
+        text: format!("({} {})", left.text, right.text),
+        name: result.name.clone(),
+    };
+    (e.calls, merged, e.infos)
+}
+
+/// Emit the single-kernel product variants (GEMM, SYRK, SYMM, TRMM, TRSM,
+/// with their triangle copies) of `left·right`.
+fn build_product(
+    e: &mut Emitter,
+    left: &Segment,
+    right: &Segment,
+    kind: MergeKind,
+    ambiguous: bool,
+) {
     let uplo = Uplo::Lower;
     let (m, k, n) = (left.rows, left.cols, right.cols);
-    debug_assert_eq!(left.cols, right.rows, "validated by Expr::shape");
-    if kind == MergeKind::CholeskySolve {
-        return build_cholesky_solve(left, right, base_id, base_m);
-    }
-    if kind == MergeKind::CholeskySolveRight {
-        return build_cholesky_solve_right(left, right, base_id, base_m);
-    }
-    if kind == MergeKind::LuSolve {
-        return build_lu_solve(left, right, base_id, base_m);
-    }
-    if kind == MergeKind::LuSolveRight {
-        return build_lu_solve_right(left, right, base_id, base_m);
-    }
-    if kind == MergeKind::QrSolve {
-        return build_qr_solve(left, right, base_id, base_m);
-    }
-    let out_id = OperandId(base_id);
-    let out_name = &format!("M{base_m}");
-    let product_label = |kernel: &str| {
+    let product = |kernel: &str| {
         if ambiguous {
-            format!("{out_name} := {}*{} ({kernel})", left.text, right.text)
+            format!("{}*{} ({kernel})", left.text, right.text)
         } else {
-            format!("{out_name} := {}*{}", left.text, right.text)
+            format!("{}*{}", left.text, right.text)
         }
     };
-    let copy_call = |seg: &Segment| KernelCall {
-        op: KernelOp::CopyTriangle { uplo, n: seg.rows },
-        inputs: vec![seg.id],
-        output: seg.id,
-        label: format!("{0} := full({0}) (copy triangle)", seg.name),
-    };
-    let gemm_call = |transa: Trans, transb: Trans, label: String| KernelCall {
-        op: KernelOp::Gemm {
+    let gemm = |e: &mut Emitter, transa: Trans, transb: Trans| {
+        let op = KernelOp::Gemm {
             transa,
             transb,
             m,
             n,
             k,
-        },
-        inputs: vec![left.id, right.id],
-        output: out_id,
-        label,
-    };
-    let symm_call = |side: Side| {
-        let inputs = match side {
-            Side::Left => vec![left.id, right.id],
-            Side::Right => vec![right.id, left.id],
         };
-        KernelCall {
-            op: KernelOp::Symm { side, uplo, m, n },
-            inputs,
-            output: out_id,
-            label: product_label("symm"),
-        }
+        e.emit(op, vec![left.id, right.id], &product("gemm"));
     };
-    let syrk_call = || KernelCall {
-        op: KernelOp::Syrk {
+    // The structured operand leads the input list for both sides, matching
+    // the kernel argument order (triangle or symmetric operand, then the
+    // rectangular one).
+    let sided = |side: Side| match side {
+        Side::Left => (left, right),
+        Side::Right => (right, left),
+    };
+    let symm = |e: &mut Emitter, side: Side| {
+        let (sym, rect) = sided(side);
+        let op = KernelOp::Symm { side, uplo, m, n };
+        e.emit(op, vec![sym.id, rect.id], &product("symm"));
+    };
+    let syrk = |e: &mut Emitter| {
+        let op = KernelOp::Syrk {
             uplo,
             trans: left.trans,
             n: m,
             k,
-        },
-        inputs: vec![left.id],
-        output: out_id,
-        label: product_label("syrk"),
-    };
-    // The triangular operand leads the input list for both sides, matching
-    // the kernel argument order (triangle, then the rectangular operand).
-    let trmm_call = |side: Side| {
-        let (tri_seg, rect_seg) = match side {
-            Side::Left => (left, right),
-            Side::Right => (right, left),
         };
-        KernelCall {
-            op: KernelOp::Trmm {
+        e.emit(op, vec![left.id], &product("syrk"))
+    };
+    let triangular = |e: &mut Emitter, side: Side, solve: bool| {
+        let (tri, rect) = sided(side);
+        let uplo = tri.tri.expect("TRMM/TRSM require a triangular operand");
+        let trans = tri.trans;
+        let (op, kernel) = if solve {
+            (trsm_op(side, uplo, trans, m, n), "trsm")
+        } else {
+            let trmm = KernelOp::Trmm {
                 side,
-                uplo: tri_seg.tri.expect("TRMM requires a triangular operand"),
-                trans: tri_seg.trans,
+                uplo,
+                trans,
                 m,
                 n,
-            },
-            inputs: vec![tri_seg.id, rect_seg.id],
-            output: out_id,
-            label: product_label("trmm"),
-        }
-    };
-    let trsm_call = |side: Side| {
-        let (tri_seg, rect_seg) = match side {
-            Side::Left => (left, right),
-            Side::Right => (right, left),
+            };
+            (trmm, "trmm")
         };
-        KernelCall {
-            op: KernelOp::Trsm {
-                side,
-                uplo: tri_seg.tri.expect("TRSM requires a triangular operand"),
-                trans: tri_seg.trans,
-                m,
-                n,
-            },
-            inputs: vec![tri_seg.id, rect_seg.id],
-            output: out_id,
-            label: product_label("trsm"),
-        }
+        e.emit(op, vec![tri.id, rect.id], &product(kernel));
     };
-
-    let calls = match kind {
-        MergeKind::Gemm => {
-            let label = product_label("gemm");
-            vec![gemm_call(left.trans, right.trans, label)]
+    let copy = |e: &mut Emitter, seg: &Segment| e.emit_copy(seg.id, &seg.name, seg.rows);
+    match kind {
+        MergeKind::Gemm | MergeKind::GemmSymmetric => gemm(e, left.trans, right.trans),
+        MergeKind::SyrkTriangle => {
+            syrk(e);
         }
-        MergeKind::GemmSymmetric => {
-            vec![gemm_call(left.trans, right.trans, product_label("gemm"))]
+        MergeKind::SyrkThenCopy => {
+            let out = syrk(e);
+            let name = e.name(out).to_string();
+            e.emit_copy(out, &name, m);
         }
-        MergeKind::SyrkTriangle => vec![syrk_call()],
-        MergeKind::SyrkThenCopy => vec![
-            syrk_call(),
-            KernelCall {
-                op: KernelOp::CopyTriangle { uplo, n: m },
-                inputs: vec![out_id],
-                output: out_id,
-                label: format!("{out_name} := full({out_name}) (copy triangle)"),
-            },
-        ],
-        MergeKind::SymmLeft => vec![symm_call(Side::Left)],
-        MergeKind::SymmRight => vec![symm_call(Side::Right)],
-        MergeKind::CopyLeftThenGemm => vec![
-            copy_call(left),
-            gemm_call(Trans::No, right.trans, product_label("gemm")),
-        ],
-        MergeKind::CopyRightThenGemm => vec![
-            copy_call(right),
-            gemm_call(left.trans, Trans::No, product_label("gemm")),
-        ],
-        MergeKind::CopyBothThenGemm => vec![
-            copy_call(left),
-            copy_call(right),
-            gemm_call(Trans::No, Trans::No, product_label("gemm")),
-        ],
-        MergeKind::CopyRightThenSymmLeft => vec![copy_call(right), symm_call(Side::Left)],
-        MergeKind::CopyLeftThenSymmRight => vec![copy_call(left), symm_call(Side::Right)],
-        MergeKind::Trmm => vec![trmm_call(Side::Left)],
-        MergeKind::TrmmRight => vec![trmm_call(Side::Right)],
-        MergeKind::Trsm => vec![trsm_call(Side::Left)],
-        MergeKind::TrsmRight => vec![trsm_call(Side::Right)],
+        MergeKind::SymmLeft => symm(e, Side::Left),
+        MergeKind::SymmRight => symm(e, Side::Right),
+        MergeKind::CopyLeftThenGemm => {
+            copy(e, left);
+            gemm(e, Trans::No, right.trans);
+        }
+        MergeKind::CopyRightThenGemm => {
+            copy(e, right);
+            gemm(e, left.trans, Trans::No);
+        }
+        MergeKind::CopyBothThenGemm => {
+            copy(e, left);
+            copy(e, right);
+            gemm(e, Trans::No, Trans::No);
+        }
+        MergeKind::CopyRightThenSymmLeft => {
+            copy(e, right);
+            symm(e, Side::Left);
+        }
+        MergeKind::CopyLeftThenSymmRight => {
+            copy(e, left);
+            symm(e, Side::Right);
+        }
+        MergeKind::Trmm => triangular(e, Side::Left, false),
+        MergeKind::TrmmRight => triangular(e, Side::Right, false),
+        MergeKind::Trsm => triangular(e, Side::Left, true),
+        MergeKind::TrsmRight => triangular(e, Side::Right, true),
         MergeKind::CholeskySolve
         | MergeKind::CholeskySolveRight
         | MergeKind::LuSolve
         | MergeKind::LuSolveRight
-        | MergeKind::QrSolve => {
-            unreachable!("handled above")
-        }
-    };
-
-    // Triangularity is closed under same-triangle products and solves: the
-    // intermediate then carries the structure forward (e.g. chained TRMMs in
-    // `L1[lower]*L2[lower]*B`).
-    let result_tri = if kind.preserves_triangle() {
-        match (left.effective_tri(), right.effective_tri()) {
-            (Some(a), Some(b)) if a == b => Some(a),
-            _ => None,
-        }
-    } else {
-        None
-    };
-    let merged = Segment {
-        id: out_id,
-        rows: m,
-        cols: n,
-        trans: Trans::No,
-        leaf: None,
-        storage: kind.result_storage(),
-        tri: result_tri,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name.to_string(),
-    };
-    let info = OperandInfo {
-        id: out_id,
-        rows: m,
-        cols: n,
-        role: OperandRole::Intermediate,
-        structure: result_tri.map_or(Structure::General, Structure::Triangular),
-        name: out_name.to_string(),
-    };
-    (calls, merged, vec![info])
+        | MergeKind::QrSolve => unreachable!("realised by the solve pipelines"),
+    }
 }
 
-/// Build the three-call Cholesky realisation of an SPD inverse merge
+/// The TRSM with an `m×n` result — what every solve realisation ends in.
+fn trsm_op(side: Side, uplo: Uplo, trans: Trans, m: usize, n: usize) -> KernelOp {
+    KernelOp::Trsm {
+        side,
+        uplo,
+        trans,
+        m,
+        n,
+    }
+}
+
+/// Emit the three-call Cholesky realisation of an SPD inverse merge
 /// `S⁻¹·B`: `L := POTRF(S)`, `Y := L⁻¹·B`, `X := L⁻ᵀ·Y`. Introduces three
 /// intermediates (the explicitly triangular factor, the half-solved
 /// right-hand side, and the result — in that order, result last).
-fn build_cholesky_solve(
-    left: &Segment,
-    right: &Segment,
-    base_id: usize,
-    base_m: usize,
-) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+fn build_cholesky_solve(e: &mut Emitter, left: &Segment, right: &Segment) {
     let (m, n) = (left.rows, right.cols);
     debug_assert_eq!(left.rows, left.cols, "SPD operands are square");
-    let l_id = OperandId(base_id);
-    let y_id = OperandId(base_id + 1);
-    let out_id = OperandId(base_id + 2);
-    let l_name = format!("M{base_m}");
-    let y_name = format!("M{}", base_m + 1);
-    let out_name = format!("M{}", base_m + 2);
-    let calls = vec![
-        KernelCall {
-            op: KernelOp::Potrf {
-                uplo: Uplo::Lower,
-                n: m,
-            },
-            inputs: vec![left.id],
-            output: l_id,
-            label: format!("{l_name} := chol({}) (potrf)", left.name),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![l_id, right.id],
-            output: y_id,
-            label: format!("{y_name} := {l_name}^-1*{} (trsm)", right.text),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Lower,
-                trans: Trans::Yes,
-                m,
-                n,
-            },
-            inputs: vec![l_id, y_id],
-            output: out_id,
-            label: format!("{out_name} := {l_name}^-T*{y_name} (trsm)"),
-        },
-    ];
-    let infos = vec![
-        OperandInfo {
-            id: l_id,
-            rows: m,
-            cols: m,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Lower),
-            name: l_name,
-        },
-        OperandInfo {
-            id: y_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: y_name,
-        },
-        OperandInfo {
-            id: out_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: out_name.clone(),
-        },
-    ];
-    let merged = Segment {
-        id: out_id,
-        rows: m,
-        cols: n,
-        trans: Trans::No,
-        leaf: None,
-        storage: Storage::General,
-        tri: None,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name,
-    };
-    (calls, merged, infos)
+    let (side, uplo) = (Side::Left, Uplo::Lower);
+    let potrf = KernelOp::Potrf { uplo, n: m };
+    let l = e.emit(
+        potrf,
+        vec![left.id],
+        &format!("chol({}) (potrf)", left.name),
+    );
+    let rhs = format!("{}^-1*{} (trsm)", e.name(l), right.text);
+    let y = e.emit(
+        trsm_op(side, uplo, Trans::No, m, n),
+        vec![l, right.id],
+        &rhs,
+    );
+    let rhs = format!("{}^-T*{} (trsm)", e.name(l), e.name(y));
+    e.emit(trsm_op(side, uplo, Trans::Yes, m, n), vec![l, y], &rhs);
 }
 
-/// Build the six-call pivoted LU realisation of a general inverse merge
+/// Emit the six-call pivoted LU realisation of a general inverse merge
 /// `A⁻¹·B`: `F := GETRF(A)` (the packed `L\U` factor with the pivot column),
 /// `L := tril(F)` and `U := triu(F)` (zero-FLOP triangle extractions),
 /// `Bₚ := P·B` (the pivot application), `Y := L⁻¹·Bₚ`, `X := U⁻¹·Y`.
 /// Introduces six intermediates, result last.
-fn build_lu_solve(
-    left: &Segment,
-    right: &Segment,
-    base_id: usize,
-    base_m: usize,
-) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+fn build_lu_solve(e: &mut Emitter, left: &Segment, right: &Segment) {
     let (m, n) = (left.rows, right.cols);
     debug_assert_eq!(left.rows, left.cols, "general inverses are square");
-    let f_id = OperandId(base_id);
-    let l_id = OperandId(base_id + 1);
-    let u_id = OperandId(base_id + 2);
-    let bp_id = OperandId(base_id + 3);
-    let y_id = OperandId(base_id + 4);
-    let out_id = OperandId(base_id + 5);
-    let f_name = format!("M{base_m}");
-    let l_name = format!("M{}", base_m + 1);
-    let u_name = format!("M{}", base_m + 2);
-    let bp_name = format!("M{}", base_m + 3);
-    let y_name = format!("M{}", base_m + 4);
-    let out_name = format!("M{}", base_m + 5);
-    let calls = vec![
-        KernelCall {
-            op: KernelOp::Getrf { n: m },
-            inputs: vec![left.id],
-            output: f_id,
-            label: format!("{f_name} := lu({}) (getrf)", left.name),
-        },
-        KernelCall {
-            op: KernelOp::FactorTri {
-                uplo: Uplo::Lower,
-                n: m,
-            },
-            inputs: vec![f_id],
-            output: l_id,
-            label: format!("{l_name} := tril({f_name}) (factortri)"),
-        },
-        KernelCall {
-            op: KernelOp::FactorTri {
-                uplo: Uplo::Upper,
-                n: m,
-            },
-            inputs: vec![f_id],
-            output: u_id,
-            label: format!("{u_name} := triu({f_name}) (factortri)"),
-        },
-        KernelCall {
-            op: KernelOp::PivotApply {
-                side: Side::Left,
-                m,
-                n,
-            },
-            inputs: vec![f_id, right.id],
-            output: bp_id,
-            label: format!("{bp_name} := P*{} (laswp)", right.text),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![l_id, bp_id],
-            output: y_id,
-            label: format!("{y_name} := {l_name}^-1*{bp_name} (trsm)"),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Upper,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![u_id, y_id],
-            output: out_id,
-            label: format!("{out_name} := {u_name}^-1*{y_name} (trsm)"),
-        },
-    ];
-    let infos = vec![
-        OperandInfo {
-            id: f_id,
-            rows: m,
-            cols: m + 1,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: f_name,
-        },
-        OperandInfo {
-            id: l_id,
-            rows: m,
-            cols: m,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Lower),
-            name: l_name,
-        },
-        OperandInfo {
-            id: u_id,
-            rows: m,
-            cols: m,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Upper),
-            name: u_name,
-        },
-        OperandInfo {
-            id: bp_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: bp_name,
-        },
-        OperandInfo {
-            id: y_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: y_name,
-        },
-        OperandInfo {
-            id: out_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: out_name.clone(),
-        },
-    ];
-    let merged = Segment {
-        id: out_id,
-        rows: m,
-        cols: n,
-        trans: Trans::No,
-        leaf: None,
-        storage: Storage::General,
-        tri: None,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name,
-    };
-    (calls, merged, infos)
+    let side = Side::Left;
+    let (f, l, u) = emit_lu_factors(e, left, m);
+    let pivot = KernelOp::PivotApply { side, m, n };
+    let bp = e.emit(
+        pivot,
+        vec![f, right.id],
+        &format!("P*{} (laswp)", right.text),
+    );
+    let rhs = format!("{}^-1*{} (trsm)", e.name(l), e.name(bp));
+    let y = e.emit(
+        trsm_op(side, Uplo::Lower, Trans::No, m, n),
+        vec![l, bp],
+        &rhs,
+    );
+    let rhs = format!("{}^-1*{} (trsm)", e.name(u), e.name(y));
+    e.emit(
+        trsm_op(side, Uplo::Upper, Trans::No, m, n),
+        vec![u, y],
+        &rhs,
+    );
 }
 
-/// Build the three-call Cholesky realisation of a *right-side* SPD inverse
+/// Emit `F := GETRF(A)`, `L := tril(F)`, `U := triu(F)` for the order-`n`
+/// general operand `a` — the head both LU realisations share — and return the
+/// three intermediates' ids.
+fn emit_lu_factors(e: &mut Emitter, a: &Segment, n: usize) -> (OperandId, OperandId, OperandId) {
+    let f = e.emit(
+        KernelOp::Getrf { n },
+        vec![a.id],
+        &format!("lu({}) (getrf)", a.name),
+    );
+    let lower = KernelOp::FactorTri {
+        uplo: Uplo::Lower,
+        n,
+    };
+    let l = e.emit(lower, vec![f], &format!("tril({}) (factortri)", e.name(f)));
+    let upper = KernelOp::FactorTri {
+        uplo: Uplo::Upper,
+        n,
+    };
+    let u = e.emit(upper, vec![f], &format!("triu({}) (factortri)", e.name(f)));
+    (f, l, u)
+}
+
+/// Emit the three-call Cholesky realisation of a *right-side* SPD inverse
 /// merge `B·S⁻¹`: `L := POTRF(S)`, `Y := B·L⁻ᵀ`, `X := Y·L⁻¹` (from
 /// `S⁻¹ = L⁻ᵀ·L⁻¹`) — both solves right-side TRSMs, never a transpose
 /// round-trip. Introduces three intermediates, result last.
-fn build_cholesky_solve_right(
-    left: &Segment,
-    right: &Segment,
-    base_id: usize,
-    base_m: usize,
-) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+fn build_cholesky_solve_right(e: &mut Emitter, left: &Segment, right: &Segment) {
     let (m, n) = (left.rows, right.cols);
     debug_assert_eq!(right.rows, right.cols, "SPD operands are square");
-    let l_id = OperandId(base_id);
-    let y_id = OperandId(base_id + 1);
-    let out_id = OperandId(base_id + 2);
-    let l_name = format!("M{base_m}");
-    let y_name = format!("M{}", base_m + 1);
-    let out_name = format!("M{}", base_m + 2);
-    let calls = vec![
-        KernelCall {
-            op: KernelOp::Potrf {
-                uplo: Uplo::Lower,
-                n,
-            },
-            inputs: vec![right.id],
-            output: l_id,
-            label: format!("{l_name} := chol({}) (potrf)", right.name),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Right,
-                uplo: Uplo::Lower,
-                trans: Trans::Yes,
-                m,
-                n,
-            },
-            inputs: vec![l_id, left.id],
-            output: y_id,
-            label: format!("{y_name} := {}*{l_name}^-T (trsm)", left.text),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Right,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![l_id, y_id],
-            output: out_id,
-            label: format!("{out_name} := {y_name}*{l_name}^-1 (trsm)"),
-        },
-    ];
-    let infos = vec![
-        OperandInfo {
-            id: l_id,
-            rows: n,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Lower),
-            name: l_name,
-        },
-        OperandInfo {
-            id: y_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: y_name,
-        },
-        OperandInfo {
-            id: out_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: out_name.clone(),
-        },
-    ];
-    let merged = Segment {
-        id: out_id,
-        rows: m,
-        cols: n,
-        trans: Trans::No,
-        leaf: None,
-        storage: Storage::General,
-        tri: None,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name,
-    };
-    (calls, merged, infos)
+    let (side, uplo) = (Side::Right, Uplo::Lower);
+    let potrf = KernelOp::Potrf { uplo, n };
+    let l = e.emit(
+        potrf,
+        vec![right.id],
+        &format!("chol({}) (potrf)", right.name),
+    );
+    let rhs = format!("{}*{}^-T (trsm)", left.text, e.name(l));
+    let y = e.emit(
+        trsm_op(side, uplo, Trans::Yes, m, n),
+        vec![l, left.id],
+        &rhs,
+    );
+    let rhs = format!("{}*{}^-1 (trsm)", e.name(y), e.name(l));
+    e.emit(trsm_op(side, uplo, Trans::No, m, n), vec![l, y], &rhs);
 }
 
-/// Build the six-call pivoted LU realisation of a *right-side* general
+/// Emit the six-call pivoted LU realisation of a *right-side* general
 /// inverse merge `B·A⁻¹`: from `P·A = L·U` follows
 /// `A⁻¹ = U⁻¹·L⁻¹·P`, so `F := GETRF(A)`, `L := tril(F)`, `U := triu(F)`,
 /// `Y := B·U⁻¹`, `Z := Y·L⁻¹` (both right-side TRSMs), and last
 /// `X := Z·P` — the pivot application as *column* swaps. Introduces six
 /// intermediates, result last.
-fn build_lu_solve_right(
-    left: &Segment,
-    right: &Segment,
-    base_id: usize,
-    base_m: usize,
-) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+fn build_lu_solve_right(e: &mut Emitter, left: &Segment, right: &Segment) {
     let (m, n) = (left.rows, right.cols);
     debug_assert_eq!(right.rows, right.cols, "general inverses are square");
-    let f_id = OperandId(base_id);
-    let l_id = OperandId(base_id + 1);
-    let u_id = OperandId(base_id + 2);
-    let y_id = OperandId(base_id + 3);
-    let z_id = OperandId(base_id + 4);
-    let out_id = OperandId(base_id + 5);
-    let f_name = format!("M{base_m}");
-    let l_name = format!("M{}", base_m + 1);
-    let u_name = format!("M{}", base_m + 2);
-    let y_name = format!("M{}", base_m + 3);
-    let z_name = format!("M{}", base_m + 4);
-    let out_name = format!("M{}", base_m + 5);
-    let calls = vec![
-        KernelCall {
-            op: KernelOp::Getrf { n },
-            inputs: vec![right.id],
-            output: f_id,
-            label: format!("{f_name} := lu({}) (getrf)", right.name),
-        },
-        KernelCall {
-            op: KernelOp::FactorTri {
-                uplo: Uplo::Lower,
-                n,
-            },
-            inputs: vec![f_id],
-            output: l_id,
-            label: format!("{l_name} := tril({f_name}) (factortri)"),
-        },
-        KernelCall {
-            op: KernelOp::FactorTri {
-                uplo: Uplo::Upper,
-                n,
-            },
-            inputs: vec![f_id],
-            output: u_id,
-            label: format!("{u_name} := triu({f_name}) (factortri)"),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Right,
-                uplo: Uplo::Upper,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![u_id, left.id],
-            output: y_id,
-            label: format!("{y_name} := {}*{u_name}^-1 (trsm)", left.text),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Right,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![l_id, y_id],
-            output: z_id,
-            label: format!("{z_name} := {y_name}*{l_name}^-1 (trsm)"),
-        },
-        KernelCall {
-            op: KernelOp::PivotApply {
-                side: Side::Right,
-                m,
-                n,
-            },
-            inputs: vec![f_id, z_id],
-            output: out_id,
-            label: format!("{out_name} := {z_name}*P (laswp)"),
-        },
-    ];
-    let infos = vec![
-        OperandInfo {
-            id: f_id,
-            rows: n,
-            cols: n + 1,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: f_name,
-        },
-        OperandInfo {
-            id: l_id,
-            rows: n,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Lower),
-            name: l_name,
-        },
-        OperandInfo {
-            id: u_id,
-            rows: n,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Upper),
-            name: u_name,
-        },
-        OperandInfo {
-            id: y_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: y_name,
-        },
-        OperandInfo {
-            id: z_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: z_name,
-        },
-        OperandInfo {
-            id: out_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: out_name.clone(),
-        },
-    ];
-    let merged = Segment {
-        id: out_id,
-        rows: m,
-        cols: n,
-        trans: Trans::No,
-        leaf: None,
-        storage: Storage::General,
-        tri: None,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name,
-    };
-    (calls, merged, infos)
+    let side = Side::Right;
+    let (f, l, u) = emit_lu_factors(e, right, n);
+    let rhs = format!("{}*{}^-1 (trsm)", left.text, e.name(u));
+    let y = e.emit(
+        trsm_op(side, Uplo::Upper, Trans::No, m, n),
+        vec![u, left.id],
+        &rhs,
+    );
+    let rhs = format!("{}*{}^-1 (trsm)", e.name(y), e.name(l));
+    let z = e.emit(
+        trsm_op(side, Uplo::Lower, Trans::No, m, n),
+        vec![l, y],
+        &rhs,
+    );
+    let rhs = format!("{}*P (laswp)", e.name(z));
+    e.emit(KernelOp::PivotApply { side, m, n }, vec![f, z], &rhs);
 }
 
-/// Build the four-call QR realisation of a pseudo-inverse merge `A⁺·B` (the
+/// Emit the four-call QR realisation of a pseudo-inverse merge `A⁺·B` (the
 /// least-squares solve `argmin‖A·X − B‖₂` for a tall `A`): `F := QR(A)` (the
 /// packed Householder factor with the tau column), `R := triu(F)` (zero-FLOP
 /// triangle extraction), `C := Q₁ᵀ·B` (ORMQR), `X := R⁻¹·C`. Introduces four
 /// intermediates, result last.
-fn build_qr_solve(
-    left: &Segment,
-    right: &Segment,
-    base_id: usize,
-    base_m: usize,
-) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+fn build_qr_solve(e: &mut Emitter, left: &Segment, right: &Segment) {
     // The pinv-marked segment's logical shape is A⁺'s (cols × rows of the
     // stored operand): the factored matrix A itself is `mm × nn`.
     let (nn, mm, k) = (left.rows, left.cols, right.cols);
     debug_assert!(mm >= nn, "validated before enumeration starts");
-    debug_assert_eq!(left.cols, right.rows, "validated by Expr::shape");
-    let f_id = OperandId(base_id);
-    let r_id = OperandId(base_id + 1);
-    let c_id = OperandId(base_id + 2);
-    let out_id = OperandId(base_id + 3);
-    let f_name = format!("M{base_m}");
-    let r_name = format!("M{}", base_m + 1);
-    let c_name = format!("M{}", base_m + 2);
-    let out_name = format!("M{}", base_m + 3);
-    let calls = vec![
-        KernelCall {
-            op: KernelOp::Qr { m: mm, n: nn },
-            inputs: vec![left.id],
-            output: f_id,
-            label: format!("{f_name} := qr({}) (qr)", left.name),
-        },
-        KernelCall {
-            op: KernelOp::FactorTri {
-                uplo: Uplo::Upper,
-                n: nn,
-            },
-            inputs: vec![f_id],
-            output: r_id,
-            label: format!("{r_name} := triu({f_name}) (factortri)"),
-        },
-        KernelCall {
-            op: KernelOp::Ormqr { m: mm, n: nn, k },
-            inputs: vec![f_id, right.id],
-            output: c_id,
-            label: format!("{c_name} := Q^T*{} (ormqr)", right.text),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Upper,
-                trans: Trans::No,
-                m: nn,
-                n: k,
-            },
-            inputs: vec![r_id, c_id],
-            output: out_id,
-            label: format!("{out_name} := {r_name}^-1*{c_name} (trsm)"),
-        },
-    ];
-    let infos = vec![
-        OperandInfo {
-            id: f_id,
-            rows: mm,
-            cols: nn + 1,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: f_name,
-        },
-        OperandInfo {
-            id: r_id,
-            rows: nn,
-            cols: nn,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Upper),
-            name: r_name,
-        },
-        OperandInfo {
-            id: c_id,
-            rows: nn,
-            cols: k,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: c_name,
-        },
-        OperandInfo {
-            id: out_id,
-            rows: nn,
-            cols: k,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: out_name.clone(),
-        },
-    ];
-    let merged = Segment {
-        id: out_id,
-        rows: nn,
-        cols: k,
-        trans: Trans::No,
-        leaf: None,
-        storage: Storage::General,
-        tri: None,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name,
+    let qr = KernelOp::Qr { m: mm, n: nn };
+    let f = e.emit(qr, vec![left.id], &format!("qr({}) (qr)", left.name));
+    let upper = KernelOp::FactorTri {
+        uplo: Uplo::Upper,
+        n: nn,
     };
-    (calls, merged, infos)
+    let r = e.emit(upper, vec![f], &format!("triu({}) (factortri)", e.name(f)));
+    let ormqr = KernelOp::Ormqr { m: mm, n: nn, k };
+    let c = e.emit(
+        ormqr,
+        vec![f, right.id],
+        &format!("Q^T*{} (ormqr)", right.text),
+    );
+    let rhs = format!("{}^-1*{} (trsm)", e.name(r), e.name(c));
+    e.emit(
+        trsm_op(Side::Left, Uplo::Upper, Trans::No, nn, k),
+        vec![r, c],
+        &rhs,
+    );
 }
 
 /// A memoized lower bound on the FLOPs still needed to merge `segments` into

@@ -1,34 +1,39 @@
-//! Kernel backends: interchangeable implementations of the kernel-call
-//! vocabulary the planner can choose between *per call*.
+//! Kernel backends: interchangeable implementations of the kernel vocabulary
+//! ([`KernelOp`]) the planner can choose between *per call*.
 //!
 //! The paper's discriminant question — "which algorithm is fastest?" — has a
 //! second axis in any real library: which *implementation* of each kernel
-//! runs. A [`Backend`] binds a [`lamb_expr::KernelOp`] plus its input
-//! matrices to one concrete implementation:
+//! runs. A [`Backend`] binds a [`KernelOp`] plus its input matrices to one
+//! concrete implementation:
 //!
-//! * [`NativeBackend`] dispatches to the blocked, packed, Rayon-parallel
-//!   `lamb-kernels` drivers — asymptotically fast, but every call pays
-//!   packing and blocking overheads;
+//! * [`NativeBackend`] is the one `match` from an op to the blocked, packed,
+//!   Rayon-parallel view-level kernels of this crate;
 //! * [`ReferenceBackend`] runs straight-loop naive kernels for the BLAS-3
-//!   multiplication family — no packing, no blocking, no parallel ramp-up,
-//!   which makes it *faster* on sufficiently small operands and far slower on
-//!   large ones.
-//!
-//! The two surfaces genuinely cross, so a plan over a mixed-size kernel-call
-//! sequence can be time-optimal only by assigning *different* backends to
-//! different calls — which is exactly what the measured-time selection
-//! strategies do once the calibration store carries per-backend call tables
-//! (format v6, see [`crate::store`]).
+//!   multiplication family — no packing, no blocking, no parallel runtime —
+//!   and is the oracle the native kernels are tested against.
 //!
 //! Factorisations (POTRF/GETRF/QR), reflector application and the zero-FLOP
 //! packed-factor movers have a single shared implementation: the reference
 //! backend delegates them to the native one, so *every* backend supports the
 //! full vocabulary and a `--backend` pin can execute any algorithm
 //! end-to-end.
+//!
+//! Both backends check a call's operands against the op's claimed
+//! dimensions ([`KernelOp::input_shapes`], [`KernelOp::output_shape`]) before
+//! touching them, so a malformed call is a [`MatrixError`], never a panic.
 
-use lamb_expr::KernelOp;
-use lamb_kernels::{gemm_naive, trmm_naive, trsm_naive, BlockConfig, Kernel};
+use crate::config::BlockConfig;
+use crate::gemm::{gemm, naive::gemm_naive};
+use crate::getrf::{factor_triangle, getrf_packed_into, pivot_apply, pivot_apply_right};
+use crate::op::KernelOp;
+use crate::potrf::potrf;
+use crate::qr::{ormqr, qr_packed_into};
+use crate::symm::symm;
+use crate::syrk::syrk;
+use crate::trmm::{trmm, trmm_naive};
+use crate::trsm::{trsm, trsm_naive};
 use lamb_matrix::{Matrix, MatrixError, Result, Side, Trans, Uplo};
+use std::sync::Arc;
 
 /// Name of the default blocked-driver backend.
 pub const NATIVE_BACKEND_NAME: &str = "native";
@@ -36,15 +41,65 @@ pub const NATIVE_BACKEND_NAME: &str = "native";
 /// Name of the naive straight-loop backend.
 pub const REFERENCE_BACKEND_NAME: &str = "reference";
 
-/// An interchangeable implementation of the kernel-call vocabulary.
+/// Identifies one of the backends this build ships — what a plan carries per
+/// call. The string form ([`BackendId::name`]) is the key calibration data is
+/// stored under and what `lamb select --backend <name>` parses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum BackendId {
+    /// [`NativeBackend`].
+    Native,
+    /// [`ReferenceBackend`].
+    Reference,
+}
+
+impl BackendId {
+    /// Every backend this build ships, native first.
+    pub const ALL: [BackendId; 2] = [BackendId::Native, BackendId::Reference];
+
+    /// The backend's stable name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            BackendId::Native => NATIVE_BACKEND_NAME,
+            BackendId::Reference => REFERENCE_BACKEND_NAME,
+        }
+    }
+
+    /// The backend with this stable name, if this build ships one.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<BackendId> {
+        BackendId::ALL.into_iter().find(|id| id.name() == name)
+    }
+
+    /// The implementation this id names.
+    #[must_use]
+    pub fn backend(self) -> Arc<dyn Backend> {
+        match self {
+            BackendId::Native => Arc::new(NativeBackend),
+            BackendId::Reference => Arc::new(ReferenceBackend),
+        }
+    }
+}
+
+impl std::fmt::Display for BackendId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(self.name())
+    }
+}
+
+/// An interchangeable implementation of the kernel vocabulary.
 ///
-/// Object safe: plans store `Arc<dyn Backend>` assignments per call, and the
-/// measured executor runs whichever backend the plan chose.
+/// Object safe: the measured executor holds an `Arc<dyn Backend>` and runs
+/// whichever backend the plan chose for each call.
 pub trait Backend: Send + Sync + std::fmt::Debug {
+    /// Which registered backend this is.
+    fn id(&self) -> BackendId;
+
     /// Stable name of this backend — the key its calibration data is stored
-    /// under (see [`crate::CalibrationStore::backend_tables_mut`]) and what
-    /// `lamb select --backend <name>` pins.
-    fn name(&self) -> &'static str;
+    /// under and what `lamb select --backend <name>` pins.
+    fn name(&self) -> &'static str {
+        self.id().name()
+    }
 
     /// Whether this backend can execute the given operation. Honest by
     /// contract: `supports(op)` implies [`Backend::run_into`] succeeds on
@@ -52,19 +107,19 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     fn supports(&self, op: &KernelOp) -> bool;
 
     /// Execute `op` over `inputs` into `out` (already allocated at the op's
-    /// output shape). Input order follows the kernel-call IR convention: the
+    /// output shape). Input order follows [`KernelOp::input_shapes`]: the
     /// structured operand (triangle, symmetric operand, packed factor)
-    /// first, then the rectangular operand.
+    /// first, then the rectangular operand. The triangle copy works in place
+    /// on `out`: when the copied operand *is* the output (the IR's in-place
+    /// spelling) pass no input, otherwise the one input is copied into `out`
+    /// first.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying kernel's shape errors, TRSM's singularity
-    /// error and POTRF's indefiniteness error.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `inputs` is shorter than the operation's arity — a
-    /// malformed kernel call, not a recoverable condition.
+    /// [`MatrixError::ArityMismatch`] when `inputs` has the wrong length,
+    /// [`MatrixError::DimensionMismatch`] when an operand's shape disagrees
+    /// with the op's claimed dimensions; otherwise the underlying kernel's
+    /// errors — TRSM's singularity error, POTRF's indefiniteness error.
     fn run_into(
         &self,
         op: &KernelOp,
@@ -72,16 +127,63 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         out: &mut Matrix,
         cfg: &BlockConfig,
     ) -> Result<()>;
+
+    /// Execute `op` over `inputs` into a freshly allocated output of the
+    /// op's [output shape](KernelOp::output_shape).
+    ///
+    /// # Errors
+    ///
+    /// See [`Backend::run_into`].
+    fn run_new(&self, op: &KernelOp, inputs: &[&Matrix], cfg: &BlockConfig) -> Result<Matrix> {
+        let (rows, cols) = op.output_shape();
+        let mut out = Matrix::zeros(rows, cols);
+        self.run_into(op, inputs, &mut out, cfg)?;
+        Ok(out)
+    }
 }
 
-/// The blocked, packed, Rayon-parallel `lamb-kernels` drivers — the default
+/// Check a call's operands against the op's arity and claimed dimensions.
+fn check_operands(op: &KernelOp, inputs: &[&Matrix], out: &Matrix) -> Result<()> {
+    let mismatch = |what: &'static str, got: (usize, usize), want: (usize, usize)| {
+        Err(MatrixError::DimensionMismatch {
+            op: what,
+            lhs: got,
+            rhs: want,
+        })
+    };
+    let arity = op.input_shapes().count();
+    let in_place_copy = matches!(op, KernelOp::CopyTriangle { .. }) && inputs.is_empty();
+    if inputs.len() != arity && !in_place_copy {
+        return Err(MatrixError::ArityMismatch {
+            op: op.mnemonic(),
+            expected: arity,
+            got: inputs.len(),
+        });
+    }
+    for (input, (rows, cols, _)) in inputs.iter().zip(op.input_shapes()) {
+        // A packed QR factor is taller than the triangle FactorTri extracts.
+        let fits = match op {
+            KernelOp::FactorTri { .. } => input.rows() >= rows && input.cols() == cols,
+            _ => input.shape() == (rows, cols),
+        };
+        if !fits {
+            return mismatch("kernel call input", input.shape(), (rows, cols));
+        }
+    }
+    if out.shape() != op.output_shape() {
+        return mismatch("kernel call output", out.shape(), op.output_shape());
+    }
+    Ok(())
+}
+
+/// The blocked, packed, Rayon-parallel kernels of this crate — the default
 /// backend, and the one the store's top-level calibration tables describe.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NativeBackend;
 
 impl Backend for NativeBackend {
-    fn name(&self) -> &'static str {
-        NATIVE_BACKEND_NAME
+    fn id(&self) -> BackendId {
+        BackendId::Native
     }
 
     fn supports(&self, _op: &KernelOp) -> bool {
@@ -95,63 +197,87 @@ impl Backend for NativeBackend {
         out: &mut Matrix,
         cfg: &BlockConfig,
     ) -> Result<()> {
-        // The in-place triangle copy is the one op outside the Kernel
-        // vocabulary: the output operand already holds the triangle.
-        if let KernelOp::CopyTriangle { uplo, .. } = op {
-            return out.symmetrize_from(*uplo);
-        }
-        let kernel = match *op {
-            KernelOp::Gemm { transa, transb, .. } => Kernel::Gemm {
+        check_operands(op, inputs, out)?;
+        let c = &mut out.view_mut();
+        match *op {
+            KernelOp::Gemm { transa, transb, .. } => gemm(
                 transa,
-                a: inputs[0],
                 transb,
-                b: inputs[1],
-            },
-            KernelOp::Syrk { uplo, trans, .. } => Kernel::Syrk {
-                uplo,
-                trans,
-                a: inputs[0],
-            },
-            KernelOp::Symm { side, uplo, .. } => Kernel::Symm {
+                1.0,
+                &inputs[0].view(),
+                &inputs[1].view(),
+                0.0,
+                c,
+                cfg,
+            ),
+            KernelOp::Syrk { uplo, trans, .. } => {
+                syrk(uplo, trans, 1.0, &inputs[0].view(), 0.0, c, cfg)
+            }
+            KernelOp::Symm { side, uplo, .. } => symm(
                 side,
                 uplo,
-                a_sym: inputs[0],
-                b: inputs[1],
-            },
+                1.0,
+                &inputs[0].view(),
+                &inputs[1].view(),
+                0.0,
+                c,
+                cfg,
+            ),
             KernelOp::Trmm {
                 side, uplo, trans, ..
-            } => Kernel::Trmm {
+            } => trmm(
                 side,
                 uplo,
                 trans,
-                l: inputs[0],
-                b: inputs[1],
-            },
+                1.0,
+                &inputs[0].view(),
+                &inputs[1].view(),
+                c,
+                cfg,
+            ),
             KernelOp::Trsm {
                 side, uplo, trans, ..
-            } => Kernel::Trsm {
+            } => trsm(
                 side,
                 uplo,
                 trans,
-                l: inputs[0],
-                b: inputs[1],
-            },
-            KernelOp::Potrf { uplo, .. } => Kernel::Potrf { uplo, a: inputs[0] },
-            KernelOp::Getrf { .. } => Kernel::Getrf { a: inputs[0] },
-            KernelOp::Qr { .. } => Kernel::Qr { a: inputs[0] },
-            KernelOp::Ormqr { .. } => Kernel::Ormqr {
-                f: inputs[0],
-                b: inputs[1],
-            },
-            KernelOp::FactorTri { uplo, .. } => Kernel::FactorTri { uplo, f: inputs[0] },
-            KernelOp::PivotApply { side, .. } => Kernel::PivotApply {
-                side,
-                f: inputs[0],
-                b: inputs[1],
-            },
-            KernelOp::CopyTriangle { .. } => unreachable!("handled above"),
-        };
-        kernel.run_into(out, cfg)
+                1.0,
+                &inputs[0].view(),
+                &inputs[1].view(),
+                c,
+                cfg,
+            ),
+            // The `uplo` triangle of the operand is copied into a zeroed
+            // output and factored in place, so the result is an *explicitly*
+            // triangular factor ready for TRMM/TRSM consumers.
+            KernelOp::Potrf { uplo, .. } => {
+                out.fill(0.0);
+                out.copy_triangle(inputs[0], uplo)?;
+                potrf(uplo, &mut out.view_mut(), cfg)
+            }
+            KernelOp::CopyTriangle { uplo, .. } => {
+                if let Some(src) = inputs.first() {
+                    out.as_mut_slice().copy_from_slice(src.as_slice());
+                }
+                out.symmetrize_from(uplo)
+            }
+            KernelOp::Getrf { .. } => getrf_packed_into(inputs[0], out, cfg),
+            KernelOp::Qr { .. } => qr_packed_into(inputs[0], out, cfg),
+            KernelOp::Ormqr { .. } => ormqr(inputs[0], inputs[1], out, cfg),
+            KernelOp::FactorTri { uplo, .. } => {
+                let tri = factor_triangle(uplo, inputs[0])?;
+                out.as_mut_slice().copy_from_slice(tri.as_slice());
+                Ok(())
+            }
+            KernelOp::PivotApply { side, .. } => {
+                let permuted = match side {
+                    Side::Left => pivot_apply(inputs[0], inputs[1])?,
+                    Side::Right => pivot_apply_right(inputs[0], inputs[1])?,
+                };
+                out.as_mut_slice().copy_from_slice(permuted.as_slice());
+                Ok(())
+            }
+        }
     }
 }
 
@@ -160,17 +286,17 @@ impl Backend for NativeBackend {
 /// native implementations.
 ///
 /// Deliberately *not* a slowed-down copy of the native backend: the naive
-/// loops skip packing, blocking and the parallel runtime entirely, so their
-/// efficiency surface is nearly flat — above the native surface at small
-/// operand orders (where packing overhead dominates) and far below it at
-/// large ones. The crossover is what makes per-call backend selection a real
-/// decision rather than a constant.
+/// loops skip packing, blocking and the parallel runtime entirely, which
+/// makes them an independent oracle for the blocked kernels. They are also
+/// the slower implementation at every measured order (8–17× at n = 16–64,
+/// `BENCH_kernels.json`), so per-call backend selection settles on `native`
+/// in practice.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReferenceBackend;
 
 impl Backend for ReferenceBackend {
-    fn name(&self) -> &'static str {
-        REFERENCE_BACKEND_NAME
+    fn id(&self) -> BackendId {
+        BackendId::Reference
     }
 
     fn supports(&self, _op: &KernelOp) -> bool {
@@ -184,6 +310,7 @@ impl Backend for ReferenceBackend {
         out: &mut Matrix,
         cfg: &BlockConfig,
     ) -> Result<()> {
+        check_operands(op, inputs, out)?;
         match *op {
             KernelOp::Gemm { transa, transb, .. } => gemm_naive(
                 transa,
@@ -318,21 +445,14 @@ fn symm_reference(
 
 /// Look up a backend by its stable name.
 #[must_use]
-pub fn backend_by_name(name: &str) -> Option<std::sync::Arc<dyn Backend>> {
-    match name {
-        NATIVE_BACKEND_NAME => Some(std::sync::Arc::new(NativeBackend)),
-        REFERENCE_BACKEND_NAME => Some(std::sync::Arc::new(ReferenceBackend)),
-        _ => None,
-    }
+pub fn backend_by_name(name: &str) -> Option<Arc<dyn Backend>> {
+    BackendId::from_name(name).map(BackendId::backend)
 }
 
 /// Every backend this build ships, native first.
 #[must_use]
-pub fn all_backends() -> Vec<std::sync::Arc<dyn Backend>> {
-    vec![
-        std::sync::Arc::new(NativeBackend),
-        std::sync::Arc::new(ReferenceBackend),
-    ]
+pub fn all_backends() -> Vec<Arc<dyn Backend>> {
+    BackendId::ALL.into_iter().map(BackendId::backend).collect()
 }
 
 #[cfg(test)]
@@ -342,12 +462,9 @@ mod tests {
     use lamb_matrix::random::{random_seeded, random_spd, random_triangular};
 
     fn run(backend: &dyn Backend, op: &KernelOp, inputs: &[&Matrix]) -> Matrix {
-        let (m, n) = op.output_shape();
-        let mut out = Matrix::zeros(m, n);
         backend
-            .run_into(op, inputs, &mut out, &BlockConfig::default())
-            .unwrap();
-        out
+            .run_new(op, inputs, &BlockConfig::default())
+            .unwrap()
     }
 
     #[test]
@@ -527,6 +644,7 @@ mod tests {
     #[test]
     fn shape_errors_are_reported_not_panicked() {
         let bad = Matrix::zeros(3, 3);
+        let sym = Matrix::zeros(4, 4);
         let b = Matrix::zeros(4, 5);
         let op = KernelOp::Symm {
             side: Side::Left,
@@ -534,11 +652,41 @@ mod tests {
             m: 4,
             n: 5,
         };
+        let cfg = BlockConfig::default();
         let mut out = Matrix::zeros(4, 5);
+        let mut small_out = Matrix::zeros(2, 2);
         for backend in all_backends() {
+            // Operands that disagree with each other.
+            assert!(backend.run_into(&op, &[&bad, &b], &mut out, &cfg).is_err());
+            // Operands that conform with each other but not with the op's
+            // claimed dimensions.
+            let wide = Matrix::zeros(4, 6);
+            let mut wide_out = Matrix::zeros(4, 6);
+            assert!(matches!(
+                backend.run_into(&op, &[&sym, &wide], &mut wide_out, &cfg),
+                Err(MatrixError::DimensionMismatch { .. })
+            ));
+            // A mis-sized destination is rejected, not silently truncated.
             assert!(backend
-                .run_into(&op, &[&bad, &b], &mut out, &BlockConfig::default())
+                .run_into(&op, &[&sym, &b], &mut small_out, &cfg)
                 .is_err());
+            // Too few and too many inputs, and none at all.
+            for inputs in [&[&sym][..], &[&sym, &b, &b][..], &[][..]] {
+                let err = backend.run_into(&op, inputs, &mut out, &cfg).unwrap_err();
+                assert_eq!(
+                    err,
+                    MatrixError::ArityMismatch {
+                        op: "symm",
+                        expected: 2,
+                        got: inputs.len()
+                    }
+                );
+                assert!(err.to_string().contains("symm takes 2"), "{err}");
+            }
+            // The factorisation tier is checked the same way.
+            let getrf = KernelOp::Getrf { n: 4 };
+            assert!(backend.run_into(&getrf, &[], &mut out, &cfg).is_err());
+            assert!(backend.run_new(&getrf, &[&b], &cfg).is_err());
         }
     }
 }

@@ -29,6 +29,15 @@
 //! QR's trailing update and [`ormqr`] share one compact-WY block-reflector
 //! routine, `C -= V·Tᵀ·(Vᵀ·C)`, three products on the engine per panel.
 //!
+//! The kernel *vocabulary* lives here too: [`op::KernelOp`] names every
+//! operation with its logical dimensions and knows its arity, operand
+//! shapes, output structure and FLOP closed form, and a
+//! [`backend::Backend`] executes one on owned matrices —
+//! [`backend::NativeBackend`] is the single `match` from an op to the
+//! view-level kernels above, [`backend::ReferenceBackend`] the naive-loop
+//! oracle. The symbolic and model layers (`lamb-expr`, `lamb-perfmodel`)
+//! re-export both rather than spelling the op set again.
+//!
 //! This crate substitutes for the Intel MKL used in the paper's experimental
 //! setup; `ARCHITECTURE.md` at the workspace root describes the engine.
 //!
@@ -58,15 +67,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod backend;
 pub mod cache;
 pub mod config;
-pub mod dispatch;
 pub mod driver;
 pub mod flops;
 pub mod gemm;
 pub mod getrf;
 mod leaf;
 pub mod microkernel;
+pub mod op;
 pub mod pack;
 pub mod potrf;
 pub mod qr;
@@ -77,12 +87,12 @@ pub mod timing;
 pub mod trmm;
 pub mod trsm;
 
+pub use backend::{
+    all_backends, backend_by_name, Backend, BackendId, NativeBackend, ReferenceBackend,
+    NATIVE_BACKEND_NAME, REFERENCE_BACKEND_NAME,
+};
 pub use cache::CacheFlusher;
 pub use config::{BlockConfig, TileVariant, MAX_TILE_ACC};
-pub use dispatch::{
-    factor_tri_new, gemm_into, gemm_new, getrf_new, ormqr_new, pivot_apply_new, potrf_new, qr_new,
-    symm_into, symm_new, syrk_into, syrk_new, trmm_new, trsm_new, Kernel,
-};
 pub use driver::{pack_buffer_growth_events, BlockedDriver};
 pub use gemm::gemm;
 pub use gemm::naive::gemm_naive;
@@ -91,6 +101,7 @@ pub use getrf::{
     pivot_apply_right,
 };
 pub use microkernel::{microkernel, microkernel_dyn};
+pub use op::KernelOp;
 pub use potrf::{potrf, potrf_naive};
 pub use qr::{ormqr, ormqr_naive, qr, qr_naive, qr_packed, qr_packed_into};
 pub use solver::{solve_auto, solver_for, CholeskySolver, LuSolver, QrSolver, Solver};

@@ -5,7 +5,7 @@
 //! neither read nor written (callers that need an explicitly triangular
 //! factor — zeros outside the triangle — start from a zeroed matrix and copy
 //! only the stored triangle in, which is exactly what the out-of-place
-//! [`crate::dispatch::Kernel::Potrf`] realisation does).
+//! [`crate::backend::NativeBackend`] realisation of `KernelOp::Potrf` does).
 //!
 //! Structure on the shared [`BlockedDriver`](crate::driver::BlockedDriver)
 //! engine: the **right-looking blocked algorithm**, applied recursively. A

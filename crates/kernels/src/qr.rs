@@ -317,14 +317,22 @@ fn check_ormqr(f: &Matrix, b: &Matrix, c: &Matrix) -> Result<(usize, usize, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{ormqr_new, Kernel};
+    use crate::backend::{Backend, NativeBackend};
     use crate::gemm::naive::gemm_naive;
     use crate::getrf::factor_triangle;
+    use crate::op::KernelOp;
     use crate::trsm::trsm_naive;
     use lamb_matrix::ops::max_abs_diff;
     use lamb_matrix::random::random_seeded;
     use lamb_matrix::Trans;
     use lamb_matrix::{Side, Uplo};
+
+    /// The top `n` rows of `Qᵀ·B` in a freshly allocated matrix.
+    fn ormqr_alloc(f: &Matrix, b: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
+        let mut c = Matrix::zeros(f.cols().saturating_sub(1), b.cols());
+        ormqr(f, b, &mut c, cfg)?;
+        Ok(c)
+    }
 
     /// `Q·B` from a packed factor: apply the reflectors in reverse order.
     fn apply_q(f: &Matrix, b: &Matrix) -> Matrix {
@@ -366,7 +374,7 @@ mod tests {
             "m {m} n {n}: reconstruction diff {diff}"
         );
         // ORMQR must agree: Qᵀ·A is [R; 0], so its top n rows are R.
-        let qta = ormqr_new(&f, &a, cfg).unwrap();
+        let qta = ormqr_alloc(&f, &a, cfg).unwrap();
         assert!(max_abs_diff(&qta, &r).unwrap() < 1e-10 * (m as f64).max(1.0));
     }
 
@@ -409,8 +417,8 @@ mod tests {
         let f = qr_packed(&random_seeded(m, n, 80 + m as u64), cfg).unwrap();
         let b = random_seeded(m, k, 81 + k as u64);
         let mut blocked = Matrix::filled(n, k, f64::NAN);
-        Kernel::Ormqr { f: &f, b: &b }
-            .run_into(&mut blocked, cfg)
+        NativeBackend
+            .run_into(&KernelOp::Ormqr { m, n, k }, &[&f, &b], &mut blocked, cfg)
             .unwrap();
         let mut naive = Matrix::filled(n, k, f64::NAN);
         ormqr_naive(&f, &b, &mut naive).unwrap();
@@ -444,8 +452,17 @@ mod tests {
         // dropped `cfg`, the two runs would be bit-identical.
         let f = qr_packed(&random_seeded(90, 60, 5), &BlockConfig::default()).unwrap();
         let b = random_seeded(90, 70, 6);
-        let wide = ormqr_new(&f, &b, &BlockConfig::default()).unwrap();
-        let narrow = ormqr_new(&f, &b, &BlockConfig::tiny()).unwrap();
+        let op = KernelOp::Ormqr {
+            m: 90,
+            n: 60,
+            k: 70,
+        };
+        let wide = NativeBackend
+            .run_new(&op, &[&f, &b], &BlockConfig::default())
+            .unwrap();
+        let narrow = NativeBackend
+            .run_new(&op, &[&f, &b], &BlockConfig::tiny())
+            .unwrap();
         assert!(max_abs_diff(&wide, &narrow).unwrap() > 0.0);
         assert!(max_abs_diff(&wide, &narrow).unwrap() < 1e-10 * 90.0);
     }
@@ -487,7 +504,7 @@ mod tests {
         let b = random_seeded(m, k, 10);
         let f = qr_packed(&a, &cfg).unwrap();
         let r = factor_triangle(Uplo::Upper, &f).unwrap();
-        let c = ormqr_new(&f, &b, &cfg).unwrap();
+        let c = ormqr_alloc(&f, &b, &cfg).unwrap();
         let mut x = Matrix::zeros(n, k);
         trsm_naive(
             Side::Left,
@@ -561,11 +578,11 @@ mod tests {
         ));
         // ORMQR shape errors.
         let b = Matrix::zeros(4, 2);
-        assert!(ormqr_new(&Matrix::zeros(4, 0), &b, &cfg).is_err());
-        assert!(ormqr_new(&Matrix::zeros(3, 3), &b, &cfg).is_err());
-        assert!(ormqr_new(&Matrix::zeros(4, 6), &b, &cfg).is_err());
+        assert!(ormqr_alloc(&Matrix::zeros(4, 0), &b, &cfg).is_err());
+        assert!(ormqr_alloc(&Matrix::zeros(3, 3), &b, &cfg).is_err());
+        assert!(ormqr_alloc(&Matrix::zeros(4, 6), &b, &cfg).is_err());
         // Degenerate ORMQR: no reflectors leaves the top 0 rows.
-        let c = ormqr_new(&Matrix::zeros(4, 1), &b, &cfg).unwrap();
+        let c = ormqr_alloc(&Matrix::zeros(4, 1), &b, &cfg).unwrap();
         assert_eq!(c.shape(), (0, 2));
     }
 

@@ -16,11 +16,35 @@
 //! associations: the factorisation is chosen once, per operand structure, and
 //! everything downstream programs against the trait.
 
+use crate::backend::{Backend, NativeBackend};
 use crate::config::BlockConfig;
-use crate::dispatch::{
-    factor_tri_new, getrf_new, ormqr_new, pivot_apply_new, potrf_new, qr_new, trsm_new,
-};
+use crate::op::KernelOp;
 use lamb_matrix::{Matrix, MatrixError, Result, Side, Structure, Trans, Uplo};
+
+/// `X := op(T)⁻¹·B` for a triangular `T` — the left-side TRSM every solve
+/// pipeline ends in.
+fn trsm_left(
+    uplo: Uplo,
+    trans: Trans,
+    t: &Matrix,
+    b: &Matrix,
+    cfg: &BlockConfig,
+) -> Result<Matrix> {
+    let op = KernelOp::Trsm {
+        side: Side::Left,
+        uplo,
+        trans,
+        m: b.rows(),
+        n: b.cols(),
+    };
+    NativeBackend.run_new(&op, &[t, b], cfg)
+}
+
+/// `T := tri(F)`: the explicit `uplo` triangle of a packed factor.
+fn factor_tri(uplo: Uplo, f: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
+    let n = f.cols().saturating_sub(1);
+    NativeBackend.run_new(&KernelOp::FactorTri { uplo, n }, &[f], cfg)
+}
 
 /// A factorisation-backed linear solver: factor once, solve many.
 ///
@@ -94,12 +118,16 @@ impl Solver for CholeskySolver {
     }
 
     fn factor(&self, a: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
-        potrf_new(Uplo::Lower, a, cfg)
+        let op = KernelOp::Potrf {
+            uplo: Uplo::Lower,
+            n: a.rows(),
+        };
+        NativeBackend.run_new(&op, &[a], cfg)
     }
 
     fn solve_factored(&self, factor: &Matrix, b: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
-        let y = trsm_new(Side::Left, Uplo::Lower, Trans::No, factor, b, cfg)?;
-        trsm_new(Side::Left, Uplo::Lower, Trans::Yes, factor, &y, cfg)
+        let y = trsm_left(Uplo::Lower, Trans::No, factor, b, cfg)?;
+        trsm_left(Uplo::Lower, Trans::Yes, factor, &y, cfg)
     }
 }
 
@@ -126,15 +154,20 @@ impl Solver for LuSolver {
     }
 
     fn factor(&self, a: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
-        getrf_new(a, cfg)
+        NativeBackend.run_new(&KernelOp::Getrf { n: a.rows() }, &[a], cfg)
     }
 
     fn solve_factored(&self, factor: &Matrix, b: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
-        let bp = pivot_apply_new(Side::Left, factor, b, cfg)?;
-        let l = factor_tri_new(Uplo::Lower, factor, cfg)?;
-        let u = factor_tri_new(Uplo::Upper, factor, cfg)?;
-        let y = trsm_new(Side::Left, Uplo::Lower, Trans::No, &l, &bp, cfg)?;
-        trsm_new(Side::Left, Uplo::Upper, Trans::No, &u, &y, cfg)
+        let pivot = KernelOp::PivotApply {
+            side: Side::Left,
+            m: b.rows(),
+            n: b.cols(),
+        };
+        let bp = NativeBackend.run_new(&pivot, &[factor, b], cfg)?;
+        let l = factor_tri(Uplo::Lower, factor, cfg)?;
+        let u = factor_tri(Uplo::Upper, factor, cfg)?;
+        let y = trsm_left(Uplo::Lower, Trans::No, &l, &bp, cfg)?;
+        trsm_left(Uplo::Upper, Trans::No, &u, &y, cfg)
     }
 }
 
@@ -161,13 +194,22 @@ impl Solver for QrSolver {
     }
 
     fn factor(&self, a: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
-        qr_new(a, cfg)
+        let op = KernelOp::Qr {
+            m: a.rows(),
+            n: a.cols(),
+        };
+        NativeBackend.run_new(&op, &[a], cfg)
     }
 
     fn solve_factored(&self, factor: &Matrix, b: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
-        let c = ormqr_new(factor, b, cfg)?;
-        let r = factor_tri_new(Uplo::Upper, factor, cfg)?;
-        trsm_new(Side::Left, Uplo::Upper, Trans::No, &r, &c, cfg)
+        let reflect = KernelOp::Ormqr {
+            m: factor.rows(),
+            n: factor.cols().saturating_sub(1),
+            k: b.cols(),
+        };
+        let c = NativeBackend.run_new(&reflect, &[factor, b], cfg)?;
+        let r = factor_tri(Uplo::Upper, factor, cfg)?;
+        trsm_left(Uplo::Upper, Trans::No, &r, &c, cfg)
     }
 }
 

@@ -3,8 +3,9 @@
 //! blocking configurations.
 
 use lamb_kernels::{
-    factor_triangle, gemm, gemm_naive, getrf, getrf_naive, ormqr_new, pivot_apply, qr, qr_naive,
-    qr_packed, symm, syrk, trmm, trmm_naive, trsm, trsm_naive, BlockConfig, TileVariant,
+    factor_triangle, gemm, gemm_naive, getrf, getrf_naive, ormqr, pivot_apply, qr, qr_naive,
+    qr_packed, symm, syrk, trmm, trmm_naive, trsm, trsm_naive, Backend, BlockConfig, KernelOp,
+    NativeBackend, TileVariant,
 };
 use lamb_matrix::ops::{frobenius_norm, max_abs_diff, zero_opposite_triangle};
 use lamb_matrix::random::{random_seeded, random_symmetric, random_triangular};
@@ -235,7 +236,8 @@ proptest! {
         // ORMQR preserves Gram structure: (Qᵀa)ᵀ(Qᵀa) restricted to the top
         // n rows equals RᵀR = aᵀa (Q orthogonal and a in Q's column span).
         let f = qr_packed(&a, &cfg).unwrap();
-        let qta = ormqr_new(&f, &a, &cfg).unwrap();
+        let mut qta = Matrix::zeros(n, n);
+        ormqr(&f, &a, &mut qta, &cfg).unwrap();
         let r = factor_triangle(Uplo::Upper, &f).unwrap();
         prop_assert!(max_abs_diff(&qta, &r).unwrap() < 1e-9 * norm);
         let mut gram_a = Matrix::zeros(n, n);
@@ -296,19 +298,21 @@ proptest! {
         let a = random_seeded(d0, d1, seed);
         let b = random_seeded(d0, d2, seed.wrapping_add(9));
 
+        let run = |op: KernelOp, inputs: &[&Matrix]| NativeBackend.run_new(&op, inputs, &cfg).unwrap();
+        let gemm_op = |transa, transb, m, n, k| KernelOp::Gemm { transa, transb, m, n, k };
+        let (uplo, no, yes) = (Uplo::Lower, Trans::No, Trans::Yes);
         // GEMM(A·Aᵀ) then GEMM(M·B).
-        let m_full = lamb_kernels::gemm_new(Trans::No, &a, Trans::Yes, &a, &cfg).unwrap();
-        let x_gg = lamb_kernels::gemm_new(Trans::No, &m_full, Trans::No, &b, &cfg).unwrap();
+        let m_full = run(gemm_op(no, yes, d0, d0, d1), &[&a, &a]);
+        let x_gg = run(gemm_op(no, no, d0, d2, d0), &[&m_full, &b]);
         // SYRK then SYMM (triangle only).
-        let tri = lamb_kernels::syrk_new(Uplo::Lower, Trans::No, &a, &cfg).unwrap();
-        let x_ss = lamb_kernels::symm_new(Side::Left, Uplo::Lower, &tri, &b, &cfg).unwrap();
+        let tri = run(KernelOp::Syrk { uplo, trans: no, n: d0, k: d1 }, &[&a]);
+        let x_ss = run(KernelOp::Symm { side: Side::Left, uplo, m: d0, n: d2 }, &[&tri, &b]);
         // SYRK, copy to full, then GEMM.
-        let mut full_from_tri = tri.clone();
-        full_from_tri.symmetrize_from(Uplo::Lower).unwrap();
-        let x_sg = lamb_kernels::gemm_new(Trans::No, &full_from_tri, Trans::No, &b, &cfg).unwrap();
+        let full_from_tri = run(KernelOp::CopyTriangle { uplo, n: d0 }, &[&tri]);
+        let x_sg = run(gemm_op(no, no, d0, d2, d0), &[&full_from_tri, &b]);
         // GEMM(Aᵀ·B) then GEMM(A·M).
-        let m_right = lamb_kernels::gemm_new(Trans::Yes, &a, Trans::No, &b, &cfg).unwrap();
-        let x_right = lamb_kernels::gemm_new(Trans::No, &a, Trans::No, &m_right, &cfg).unwrap();
+        let m_right = run(gemm_op(yes, no, d1, d2, d0), &[&a, &b]);
+        let x_right = run(gemm_op(no, no, d0, d2, d1), &[&a, &m_right]);
 
         let tol = 1e-10 * (d0 * d1) as f64;
         prop_assert!(max_abs_diff(&x_gg, &x_ss).unwrap() < tol);
@@ -331,7 +335,16 @@ proptest! {
         let b = random_seeded(d1, d2, seed.wrapping_add(1));
         let c = random_seeded(d2, d3, seed.wrapping_add(2));
         let d = random_seeded(d3, d4, seed.wrapping_add(3));
-        let g = |x: &Matrix, y: &Matrix| lamb_kernels::gemm_new(Trans::No, x, Trans::No, y, &cfg).unwrap();
+        let g = |x: &Matrix, y: &Matrix| {
+            let op = KernelOp::Gemm {
+                transa: Trans::No,
+                transb: Trans::No,
+                m: x.rows(),
+                n: y.cols(),
+                k: x.cols(),
+            };
+            NativeBackend.run_new(&op, &[x, y], &cfg).unwrap()
+        };
         let left = g(&g(&g(&a, &b), &c), &d); // ((AB)C)D
         let right = g(&a, &g(&b, &g(&c, &d))); // A(B(CD))
         let mid = g(&g(&a, &b), &g(&c, &d)); // (AB)(CD)

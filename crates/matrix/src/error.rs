@@ -23,6 +23,15 @@ pub enum MatrixError {
         /// Shape of the right/second operand.
         rhs: (usize, usize),
     },
+    /// A kernel call was given the wrong number of input operands.
+    ArityMismatch {
+        /// Mnemonic of the kernel operation.
+        op: &'static str,
+        /// Number of input operands the operation takes.
+        expected: usize,
+        /// Number of input operands it was given.
+        got: usize,
+    },
     /// An operation that requires a square matrix was given a rectangular one.
     NotSquare {
         /// Number of rows of the offending matrix.
@@ -75,6 +84,9 @@ impl fmt::Display for MatrixError {
                 "dimension mismatch in {op}: lhs is {}x{}, rhs is {}x{}",
                 lhs.0, lhs.1, rhs.0, rhs.1
             ),
+            MatrixError::ArityMismatch { op, expected, got } => {
+                write!(f, "{op} takes {expected} input operand(s), got {got}")
+            }
             MatrixError::NotSquare { rows, cols } => {
                 write!(f, "operation requires a square matrix, got {rows}x{cols}")
             }

@@ -16,9 +16,9 @@
 //! timing table, which makes the tuner's determinism a testable property.
 
 use crate::store::TunedConfig;
-use lamb_kernels::{gemm_new, syrk_new, trsm_new, BlockConfig, TileVariant};
+use lamb_kernels::{Backend, BlockConfig, KernelOp, NativeBackend, TileVariant};
 use lamb_matrix::random::{random_seeded, random_triangular};
-use lamb_matrix::{Side, Trans, Uplo};
+use lamb_matrix::{Matrix, Side, Trans, Uplo};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -152,17 +152,51 @@ pub fn measured_score(cfg: &BlockConfig, size: usize, reps: usize) -> f64 {
     let a = random_seeded(n, n, 0xA110);
     let b = random_seeded(n, n, 0xB110);
     let l = random_triangular(n, Uplo::Lower, 0x7110);
+    let (uplo, trans) = (Uplo::Lower, Trans::No);
+    let syrk = KernelOp::Syrk {
+        uplo,
+        trans,
+        n,
+        k: n,
+    };
+    let trsm = KernelOp::Trsm {
+        side: Side::Left,
+        uplo,
+        trans,
+        m: n,
+        n,
+    };
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let start = Instant::now();
-        let c = gemm_new(Trans::No, &a, Trans::No, &b, cfg).expect("square gemm");
-        let s = syrk_new(Uplo::Lower, Trans::No, &a, cfg).expect("square syrk");
-        let x = trsm_new(Side::Left, Uplo::Lower, Trans::No, &l, &b, cfg).expect("square trsm");
+        let c = square_gemm(&a, &b, cfg);
+        let s = NativeBackend
+            .run_new(&syrk, &[&a], cfg)
+            .expect("square syrk");
+        let x = NativeBackend
+            .run_new(&trsm, &[&l, &b], cfg)
+            .expect("square trsm");
         let dt = start.elapsed().as_secs_f64();
         std::hint::black_box((c, s, x));
         best = best.min(dt);
     }
     best
+}
+
+/// `A·B` for square operands of one order on the native backend — the probe
+/// the tuner and the peak estimate both time.
+pub(crate) fn square_gemm(a: &Matrix, b: &Matrix, cfg: &BlockConfig) -> Matrix {
+    let n = a.rows();
+    let op = KernelOp::Gemm {
+        transa: Trans::No,
+        transb: Trans::No,
+        m: n,
+        n,
+        k: n,
+    };
+    NativeBackend
+        .run_new(&op, &[a, b], cfg)
+        .expect("square gemm")
 }
 
 /// Measure sustained GEMM GFLOP/s of order `size` under `cfg` (best of
@@ -176,7 +210,7 @@ pub fn measured_gemm_gflops(cfg: &BlockConfig, size: usize, reps: usize) -> f64 
     let mut best = 0.0f64;
     for _ in 0..reps.max(1) {
         let start = Instant::now();
-        let c = gemm_new(Trans::No, &a, Trans::No, &b, cfg).expect("square gemm");
+        let c = square_gemm(&a, &b, cfg);
         let dt = start.elapsed().as_secs_f64();
         std::hint::black_box(c);
         best = best.max(flops / dt / 1e9);

@@ -1,250 +1,50 @@
 //! Calibration utilities: estimating the machine peak and sweeping kernel
 //! efficiency profiles (the data behind the paper's Figure 1).
 
+use crate::autotune::square_gemm;
 use crate::executor::Executor;
 use crate::profile::SquareProfile;
+use crate::store::kernel_coverage_key;
 use lamb_expr::{Algorithm, KernelCall, KernelOp, OperandId, OperandInfo, OperandRole};
-use lamb_kernels::{gemm_new, BlockConfig};
+use lamb_kernels::BlockConfig;
 use lamb_matrix::random::random_seeded;
-use lamb_matrix::{Side, Trans, Uplo};
 use std::time::Instant;
 
-/// Build a single-call algorithm wrapping `op`, with freshly named operands of
-/// the right shapes. Used to benchmark kernels in isolation through the
-/// ordinary [`Executor`] interface.
+/// Build a single-call algorithm wrapping `op`: one input operand per entry
+/// of [`KernelOp::input_shapes`] (named `A`, `B` in argument order, with the
+/// structure the op reads them as — so SYMM's symmetric operand and POTRF's
+/// are declared SPD, TRMM/TRSM's triangle triangular) and a distinct output
+/// `X` of the op's output shape and structure. Used to benchmark kernels in
+/// isolation through the ordinary [`Executor`] interface; inside real
+/// algorithms the triangle copy works in place on an intermediate, and the
+/// packed-factor consumers read a factor some earlier call produced rather
+/// than an algorithm input.
 #[must_use]
 pub fn single_call_algorithm(op: KernelOp) -> Algorithm {
-    let (out_rows, out_cols) = op.output_shape();
-    let mut operands = Vec::new();
-    let inputs: Vec<OperandId> = match op {
-        KernelOp::Gemm {
-            transa,
-            transb,
-            m,
-            n,
-            k,
-        } => {
-            let (ar, ac) = match transa {
-                Trans::No => (m, k),
-                Trans::Yes => (k, m),
-            };
-            let (br, bc) = match transb {
-                Trans::No => (k, n),
-                Trans::Yes => (n, k),
-            };
-            operands.push(OperandInfo {
-                id: OperandId(0),
-                rows: ar,
-                cols: ac,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "A".into(),
-            });
-            operands.push(OperandInfo {
-                id: OperandId(1),
-                rows: br,
-                cols: bc,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "B".into(),
-            });
-            vec![OperandId(0), OperandId(1)]
-        }
-        KernelOp::Syrk { trans, n, k, .. } => {
-            let (ar, ac) = match trans {
-                Trans::No => (n, k),
-                Trans::Yes => (k, n),
-            };
-            operands.push(OperandInfo {
-                id: OperandId(0),
-                rows: ar,
-                cols: ac,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "A".into(),
-            });
-            vec![OperandId(0)]
-        }
-        KernelOp::Symm { side, m, n, .. } => {
-            let sym_dim = match side {
-                Side::Left => m,
-                Side::Right => n,
-            };
-            // The operand SYMM treats as symmetric must be declared so, or
-            // the IR claims symmetry the operand table does not back
-            // (caught by lamb-verify's structure-flow pass).
-            operands.push(OperandInfo {
-                id: OperandId(0),
-                rows: sym_dim,
-                cols: sym_dim,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::Spd,
-                name: "A".into(),
-            });
-            operands.push(OperandInfo {
-                id: OperandId(1),
-                rows: m,
-                cols: n,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "B".into(),
-            });
-            vec![OperandId(0), OperandId(1)]
-        }
-        KernelOp::Trmm {
-            side, uplo, m, n, ..
-        }
-        | KernelOp::Trsm {
-            side, uplo, m, n, ..
-        } => {
-            // The triangle's order is B's row count on the left and its
-            // column count on the right.
-            let order = match side {
-                Side::Left => m,
-                Side::Right => n,
-            };
-            operands.push(OperandInfo {
-                id: OperandId(0),
-                rows: order,
-                cols: order,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::Triangular(uplo),
-                name: "L".into(),
-            });
-            operands.push(OperandInfo {
-                id: OperandId(1),
-                rows: m,
-                cols: n,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "B".into(),
-            });
-            vec![OperandId(0), OperandId(1)]
-        }
-        KernelOp::Potrf { n, .. } => {
-            operands.push(OperandInfo {
-                id: OperandId(0),
-                rows: n,
-                cols: n,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::Spd,
-                name: "S".into(),
-            });
-            vec![OperandId(0)]
-        }
-        KernelOp::CopyTriangle { n, .. } => {
-            operands.push(OperandInfo {
-                id: OperandId(0),
-                rows: n,
-                cols: n,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "A".into(),
-            });
-            vec![OperandId(0)]
-        }
-        KernelOp::Getrf { n } => {
-            operands.push(OperandInfo {
-                id: OperandId(0),
-                rows: n,
-                cols: n,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "A".into(),
-            });
-            vec![OperandId(0)]
-        }
-        KernelOp::Qr { m, n } => {
-            operands.push(OperandInfo {
-                id: OperandId(0),
-                rows: m,
-                cols: n,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "A".into(),
-            });
-            vec![OperandId(0)]
-        }
-        // The packed-factor consumers take the factor as an algorithm input
-        // — the structure-flow pass trusts externally supplied factors, the
-        // same boundary the factor cache uses.
-        KernelOp::Ormqr { m, n, k } => {
-            operands.push(OperandInfo {
-                id: OperandId(0),
-                rows: m,
-                cols: n + 1,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "F".into(),
-            });
-            operands.push(OperandInfo {
-                id: OperandId(1),
-                rows: m,
-                cols: k,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "B".into(),
-            });
-            vec![OperandId(0), OperandId(1)]
-        }
-        KernelOp::FactorTri { n, .. } => {
-            // A square packed LU-shaped factor: valid for both triangles.
-            operands.push(OperandInfo {
-                id: OperandId(0),
-                rows: n,
-                cols: n + 1,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "F".into(),
-            });
-            vec![OperandId(0)]
-        }
-        KernelOp::PivotApply { side, m, n } => {
-            // The packed pivot factor's order is the permuted dimension: B's
-            // row count on the left, its column count on the right.
-            let r = match side {
-                Side::Left => m,
-                Side::Right => n,
-            };
-            operands.push(OperandInfo {
-                id: OperandId(0),
-                rows: r,
-                cols: r + 1,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "F".into(),
-            });
-            operands.push(OperandInfo {
-                id: OperandId(1),
-                rows: m,
-                cols: n,
-                role: OperandRole::Input,
-                structure: lamb_matrix::Structure::General,
-                name: "B".into(),
-            });
-            vec![OperandId(0), OperandId(1)]
-        }
-    };
-    // For benchmarking purposes the triangle copy is also given a distinct
-    // output operand (an `n x n` workspace); inside real algorithms the copy
-    // is performed in place on the intermediate. POTRF's output is the
-    // explicitly triangular Cholesky factor, as everywhere else in the IR.
-    let out_structure = match &op {
-        KernelOp::Potrf { uplo, .. } | KernelOp::FactorTri { uplo, .. } => {
-            lamb_matrix::Structure::Triangular(*uplo)
-        }
-        _ => lamb_matrix::Structure::General,
-    };
-    let out_id = OperandId(operands.len());
+    let mut operands: Vec<OperandInfo> = op
+        .input_shapes()
+        .zip(["A", "B"])
+        .enumerate()
+        .map(|(i, ((rows, cols, structure), name))| OperandInfo {
+            id: OperandId(i),
+            rows,
+            cols,
+            role: OperandRole::Input,
+            structure,
+            name: name.into(),
+        })
+        .collect();
+    let inputs: Vec<OperandId> = operands.iter().map(|o| o.id).collect();
+    let output = OperandId(operands.len());
+    let (rows, cols) = op.output_shape();
     operands.push(OperandInfo {
-        id: out_id,
-        rows: out_rows,
-        cols: out_cols,
+        id: output,
+        rows,
+        cols,
         role: OperandRole::Output,
-        structure: out_structure,
+        structure: op.output_structure(),
         name: "X".into(),
     });
-    let output = out_id;
     let label = format!("X := {op}");
     Algorithm {
         name: format!("single call {}", op.mnemonic()),
@@ -269,7 +69,7 @@ pub fn estimate_peak_flops(cfg: &BlockConfig, size: usize, trials: usize) -> f64
     let mut best = 0.0f64;
     for _ in 0..trials.max(1) {
         let start = Instant::now();
-        let c = gemm_new(Trans::No, &a, Trans::No, &b, cfg).expect("square gemm");
+        let c = square_gemm(&a, &b, cfg);
         let dt = start.elapsed().as_secs_f64();
         std::hint::black_box(c);
         best = best.max(flops / dt);
@@ -287,73 +87,25 @@ pub const SQUARE_SWEEP_KERNELS: [&str; 11] = [
 ];
 
 /// The square-operand kernel operations of the calibration sweep at a given
-/// size: the paper's Figure 1 trio (GEMM, SYRK, SYMM) extended with the
-/// triangular kernels (TRMM, TRSM), the Cholesky factorisation (POTRF), the
-/// general factorisations (GETRF, square QR) and the right-side variants of
-/// the sided kernels, in [`SQUARE_SWEEP_KERNELS`] order.
+/// size, in [`SQUARE_SWEEP_KERNELS`] order: the members of
+/// [`KernelOp::examples`] the sweep names.
+///
+/// # Panics
+///
+/// Panics if a sweep kernel has no example — a vocabulary bug.
 #[must_use]
-pub fn square_ops(size: usize) -> [KernelOp; 11] {
-    [
-        KernelOp::Gemm {
-            transa: Trans::No,
-            transb: Trans::No,
-            m: size,
-            n: size,
-            k: size,
-        },
-        KernelOp::Syrk {
-            uplo: Uplo::Lower,
-            trans: Trans::No,
-            n: size,
-            k: size,
-        },
-        KernelOp::Symm {
-            side: Side::Left,
-            uplo: Uplo::Lower,
-            m: size,
-            n: size,
-        },
-        KernelOp::Trmm {
-            side: Side::Left,
-            uplo: Uplo::Lower,
-            trans: Trans::No,
-            m: size,
-            n: size,
-        },
-        KernelOp::Trsm {
-            side: Side::Left,
-            uplo: Uplo::Lower,
-            trans: Trans::No,
-            m: size,
-            n: size,
-        },
-        KernelOp::Potrf {
-            uplo: Uplo::Lower,
-            n: size,
-        },
-        KernelOp::Getrf { n: size },
-        KernelOp::Qr { m: size, n: size },
-        KernelOp::Symm {
-            side: Side::Right,
-            uplo: Uplo::Lower,
-            m: size,
-            n: size,
-        },
-        KernelOp::Trmm {
-            side: Side::Right,
-            uplo: Uplo::Lower,
-            trans: Trans::No,
-            m: size,
-            n: size,
-        },
-        KernelOp::Trsm {
-            side: Side::Right,
-            uplo: Uplo::Lower,
-            trans: Trans::No,
-            m: size,
-            n: size,
-        },
-    ]
+pub fn square_ops(size: usize) -> Vec<KernelOp> {
+    let examples = KernelOp::examples(size);
+    SQUARE_SWEEP_KERNELS
+        .iter()
+        .map(|name| {
+            examples
+                .iter()
+                .find(|op| kernel_coverage_key(op) == *name)
+                .expect("every sweep kernel has an example")
+                .clone()
+        })
+        .collect()
 }
 
 /// Sweep the per-kernel efficiency curves on square operands using any
@@ -384,11 +136,22 @@ pub fn measure_square_profiles(executor: &mut dyn Executor, sizes: &[usize]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineModel;
     use crate::simulate::SimulatedExecutor;
+    use crate::store::CalibrationStore;
+    use lamb_kernels::{Backend, NativeBackend, ReferenceBackend};
+    use lamb_matrix::ops::{is_triangular, max_abs_diff};
+    use lamb_matrix::random::{random_spd, random_triangular};
+    use lamb_matrix::{Matrix, Side, Structure, Trans, Uplo};
 
     #[test]
     fn single_call_algorithms_are_well_formed() {
-        let ops = [
+        // The vocabulary-completeness test: every variant (the square
+        // examples) plus rectangular shapes, upper triangles and
+        // transpositions the examples do not reach goes through every layer
+        // that spells the op set. A new variant either fails to compile
+        // (exhaustive matches) or fails here.
+        let rectangular = [
             KernelOp::Gemm {
                 transa: Trans::Yes,
                 transb: Trans::No,
@@ -462,11 +225,62 @@ mod tests {
                 n: 8,
             },
         ];
-        for op in ops {
+        let cfg = BlockConfig::default();
+        let materialise = |i: usize, (rows, cols, structure): (usize, usize, Structure)| {
+            let seed = 40 + i as u64;
+            match structure {
+                Structure::Triangular(uplo) => random_triangular(rows, uplo, seed),
+                Structure::Spd => random_spd(rows, seed),
+                Structure::General => random_seeded(rows, cols, seed),
+            }
+        };
+        for op in KernelOp::examples(7).into_iter().chain(rectangular) {
+            // The IR layer: a well-formed, verifier-clean single call whose
+            // FLOPs match the cost-audit pass's independent closed form.
             let alg = single_call_algorithm(op.clone());
             assert!(alg.is_well_formed(), "{op:?}");
             assert_eq!(alg.calls.len(), 1);
             assert_eq!(alg.flops(), op.flops());
+            let report = lamb_verify::verify_algorithm(&alg);
+            assert!(report.is_clean(), "{op}: {report}");
+
+            // The execution layer: operands materialised from the op's own
+            // input shapes run on every backend, agree, and come back with
+            // the declared output shape and structure.
+            let inputs: Vec<Matrix> = op
+                .input_shapes()
+                .enumerate()
+                .map(|(i, shape)| materialise(i, shape))
+                .collect();
+            let refs: Vec<&Matrix> = inputs.iter().collect();
+            let native = NativeBackend.run_new(&op, &refs, &cfg).unwrap();
+            let reference = ReferenceBackend.run_new(&op, &refs, &cfg).unwrap();
+            assert_eq!(native.shape(), op.output_shape(), "{op}");
+            assert!(max_abs_diff(&native, &reference).unwrap() <= 1e-10, "{op}");
+            if let Structure::Triangular(uplo) = op.output_structure() {
+                assert!(is_triangular(&native, uplo).unwrap(), "{op}");
+            }
+
+            // The persistence layer: the store's per-op JSON round-trips.
+            let mut store = CalibrationStore::new(MachineModel::generic_laptop(), "simulated");
+            store.calls.insert(op.clone(), 1.0 / 7.0);
+            let back = CalibrationStore::from_json(&store.to_json()).unwrap();
+            assert_eq!(back.calls.get(&op), Some(1.0 / 7.0), "{op}");
+        }
+        // Both sides of every sided op are among the examples.
+        let sided = |op: &KernelOp| match *op {
+            KernelOp::Symm { side, .. }
+            | KernelOp::Trmm { side, .. }
+            | KernelOp::Trsm { side, .. }
+            | KernelOp::PivotApply { side, .. } => Some(side),
+            _ => None,
+        };
+        for side in [Side::Left, Side::Right] {
+            let count = KernelOp::examples(7)
+                .iter()
+                .filter(|op| sided(op) == Some(side))
+                .count();
+            assert_eq!(count, 4, "{side:?}");
         }
     }
 

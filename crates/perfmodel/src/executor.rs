@@ -2,11 +2,10 @@
 //! an algorithm, either by running it (measured) or by evaluating a
 //! performance model (simulated).
 
-use crate::backend::NATIVE_BACKEND_NAME;
 use crate::machine::MachineModel;
 use crate::reuse::{FactorStore, ReuseReport};
 use lamb_expr::Algorithm;
-use std::collections::HashMap;
+use lamb_kernels::BackendId;
 
 /// The time attributed to one kernel call of an algorithm.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,27 +82,33 @@ pub trait Executor: Send {
     /// (the paper's Experiment 3 benchmarks).
     fn time_isolated_call(&mut self, alg: &Algorithm, call_index: usize) -> f64;
 
-    /// Names of the kernel-implementation backends this executor can
-    /// attribute distinct times to. The first name is the default backend;
-    /// executors with a single implementation report just `["native"]`.
-    fn backend_names(&self) -> Vec<String> {
-        vec![NATIVE_BACKEND_NAME.to_string()]
+    /// The kernel-implementation backends this executor can attribute
+    /// distinct times to. The first is the default backend; executors with a
+    /// single implementation report just `[Native]`.
+    fn backends(&self) -> Vec<BackendId> {
+        vec![BackendId::Native]
     }
 
-    /// Time a single call in isolation under the named backend. Executors
-    /// that cannot distinguish backends (and any unknown name) fall back to
-    /// the default backend's time, so callers can probe every name from
-    /// [`Executor::backend_names`] uniformly.
-    fn time_isolated_call_on(&mut self, alg: &Algorithm, call_index: usize, backend: &str) -> f64 {
+    /// Time a single call in isolation under the given backend. Executors
+    /// that cannot distinguish backends report the default backend's time,
+    /// so callers can probe every id from [`Executor::backends`] uniformly.
+    fn time_isolated_call_on(
+        &mut self,
+        alg: &Algorithm,
+        call_index: usize,
+        backend: BackendId,
+    ) -> f64 {
         let _ = backend;
         self.time_isolated_call(alg, call_index)
     }
 
-    /// Install a per-call backend assignment (call index → backend name) that
-    /// subsequent whole-algorithm executions should honour — how a plan's
-    /// `MinPredictedTime` backend choices reach the kernels. Executors with a
-    /// single implementation ignore it. Pass an empty map to clear.
-    fn set_backend_assignment(&mut self, assignment: &HashMap<usize, String>) {
+    /// Install a per-call backend assignment — one id per call of the next
+    /// executed algorithm, in call order — that subsequent whole-algorithm
+    /// executions should honour: how a plan's backend choices reach the
+    /// kernels. Calls beyond the slice run on the default backend, so an
+    /// empty slice clears the assignment. Executors with a single
+    /// implementation ignore it.
+    fn set_backend_assignment(&mut self, assignment: &[BackendId]) {
         let _ = assignment;
     }
 

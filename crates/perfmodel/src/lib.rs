@@ -28,7 +28,6 @@
 #![deny(missing_docs)]
 
 pub mod autotune;
-pub mod backend;
 pub mod calibrate;
 pub mod efficiency;
 pub mod executor;
@@ -41,15 +40,15 @@ pub mod simulate;
 pub mod store;
 
 pub use autotune::{autotune_measured, coordinate_descent, measured_gemm_gflops, TuneOutcome};
-pub use backend::{
-    all_backends, backend_by_name, Backend, NativeBackend, ReferenceBackend, NATIVE_BACKEND_NAME,
-    REFERENCE_BACKEND_NAME,
-};
 pub use calibrate::{
     estimate_peak_flops, measure_square_profiles, single_call_algorithm, SQUARE_SWEEP_KERNELS,
 };
 pub use efficiency::{AnalyticEfficiencyModel, EfficiencyModel, ReferenceEfficiencyModel};
 pub use executor::{AlgorithmTiming, CallTiming, Executor};
+pub use lamb_kernels::backend::{
+    all_backends, backend_by_name, Backend, BackendId, NativeBackend, ReferenceBackend,
+    NATIVE_BACKEND_NAME, REFERENCE_BACKEND_NAME,
+};
 pub use machine::MachineModel;
 pub use measured::MeasuredExecutor;
 pub use profile::{CallTimeTable, SquareProfile};

@@ -3,13 +3,12 @@
 //! the paper's protocol (median of N repetitions, cache flushed before each
 //! repetition).
 
-use crate::backend::{all_backends, backend_by_name, Backend, NativeBackend};
 use crate::executor::{AlgorithmTiming, CallTiming, Executor};
 use crate::machine::MachineModel;
 use crate::reuse::{FactorStore, ReuseReport};
 use lamb_expr::cse::cacheable_identities;
 use lamb_expr::{Algorithm, KernelCall, KernelOp, OperandId, OperandInfo, OperandRole};
-use lamb_kernels::{BlockConfig, CacheFlusher};
+use lamb_kernels::{Backend, BackendId, BlockConfig, CacheFlusher, NativeBackend};
 use lamb_matrix::ops::{is_symmetric, is_triangular};
 use lamb_matrix::random::{random_seeded, random_spd, random_triangular};
 use lamb_matrix::{Matrix, Structure};
@@ -26,7 +25,9 @@ pub struct MeasuredExecutor {
     flusher: Option<CacheFlusher>,
     seed: u64,
     backend: Arc<dyn Backend>,
-    call_backends: HashMap<usize, Arc<dyn Backend>>,
+    /// Per-call overrides of `backend`, in call order (see
+    /// [`Executor::set_backend_assignment`]).
+    call_backends: Vec<BackendId>,
 }
 
 impl MeasuredExecutor {
@@ -46,7 +47,7 @@ impl MeasuredExecutor {
             },
             seed: 42,
             backend: Arc::new(NativeBackend),
-            call_backends: HashMap::new(),
+            call_backends: Vec::new(),
         }
     }
 
@@ -81,13 +82,6 @@ impl MeasuredExecutor {
     #[must_use]
     pub fn backend(&self) -> &Arc<dyn Backend> {
         &self.backend
-    }
-
-    /// Install per-call backend overrides, keyed by call index within the
-    /// next executed algorithm — how a plan's per-call backend assignment
-    /// reaches the kernels. Calls without an entry use the default backend.
-    pub fn set_call_backends(&mut self, assignment: HashMap<usize, Arc<dyn Backend>>) {
-        self.call_backends = assignment;
     }
 
     /// Number of repetitions per measurement.
@@ -139,13 +133,14 @@ impl MeasuredExecutor {
         let mut out = operands
             .remove(&call.output)
             .expect("output operand must be allocated");
-        // The in-place triangle copy reads only the output operand, which is
-        // already removed from the map — give the backend no inputs for it.
-        let inputs: Vec<&Matrix> = if matches!(call.op, KernelOp::CopyTriangle { .. }) {
-            Vec::new()
-        } else {
-            call.inputs.iter().map(|id| &operands[id]).collect()
-        };
+        // An input that is also the output (the in-place triangle copy)
+        // reaches the backend through `out`, not through the input list.
+        let inputs: Vec<&Matrix> = call
+            .inputs
+            .iter()
+            .filter(|&&id| id != call.output)
+            .map(|id| &operands[id])
+            .collect();
         if let KernelOp::Trmm { uplo, .. } | KernelOp::Trsm { uplo, .. } = call.op {
             debug_assert!(
                 is_triangular(inputs[0], uplo).unwrap_or(false),
@@ -161,7 +156,8 @@ impl MeasuredExecutor {
                 "SPD operand of potrf is not exactly symmetric"
             );
         }
-        let backend = self.call_backends.get(&index).unwrap_or(&self.backend);
+        let assigned = self.call_backends.get(index).map(|id| id.backend());
+        let backend = assigned.as_ref().unwrap_or(&self.backend);
         backend
             .run_into(&call.op, &inputs, &mut out, &self.cfg)
             .expect("kernel shapes consistent (TRSM nonsingular, POTRF positive definite)");
@@ -372,24 +368,22 @@ impl Executor for MeasuredExecutor {
         Self::median(samples)
     }
 
-    fn backend_names(&self) -> Vec<String> {
+    fn backends(&self) -> Vec<BackendId> {
         // Default backend first, then every other registered backend.
-        let mut names = vec![self.backend.name().to_string()];
-        for b in all_backends() {
-            if b.name() != self.backend.name() {
-                names.push(b.name().to_string());
-            }
-        }
-        names
+        let default = self.backend.id();
+        let others = BackendId::ALL.into_iter().filter(|&id| id != default);
+        std::iter::once(default).chain(others).collect()
     }
 
-    fn time_isolated_call_on(&mut self, alg: &Algorithm, call_index: usize, backend: &str) -> f64 {
-        let Some(requested) = backend_by_name(backend) else {
-            return self.time_isolated_call(alg, call_index);
-        };
+    fn time_isolated_call_on(
+        &mut self,
+        alg: &Algorithm,
+        call_index: usize,
+        backend: BackendId,
+    ) -> f64 {
         // Swap in the requested backend (and suspend per-call overrides, which
         // would shadow it) for the duration of the measurement.
-        let saved_backend = std::mem::replace(&mut self.backend, requested);
+        let saved_backend = std::mem::replace(&mut self.backend, backend.backend());
         let saved_overrides = std::mem::take(&mut self.call_backends);
         let seconds = self.time_isolated_call(alg, call_index);
         self.backend = saved_backend;
@@ -397,11 +391,8 @@ impl Executor for MeasuredExecutor {
         seconds
     }
 
-    fn set_backend_assignment(&mut self, assignment: &HashMap<usize, String>) {
-        self.call_backends = assignment
-            .iter()
-            .filter_map(|(&i, name)| backend_by_name(name).map(|b| (i, b)))
-            .collect();
+    fn set_backend_assignment(&mut self, assignment: &[BackendId]) {
+        self.call_backends = assignment.to_vec();
     }
 }
 
@@ -610,8 +601,8 @@ mod tests {
 
     #[test]
     fn reference_backend_execution_matches_native_numerics() {
-        use crate::backend::{backend_by_name, ReferenceBackend};
         use lamb_expr::{Expression, TreeExpression};
+        use lamb_kernels::ReferenceBackend;
         let expr = TreeExpression::parse("L[lower]*A*B").unwrap();
         let algs = expr.algorithms(&[20, 14, 9]).unwrap();
         let native = tiny_executor();
@@ -622,20 +613,15 @@ mod tests {
             let b = reference.compute_result(alg);
             assert!(max_abs_diff(&a, &b).unwrap() < 1e-9, "{}", alg.name);
         }
-        assert!(backend_by_name("reference").is_some());
     }
 
     #[test]
     fn per_call_backend_overrides_execute_and_preserve_numerics() {
-        use crate::backend::ReferenceBackend;
         let alg = &enumerate_chain_algorithms(&[18, 14, 10, 8, 6]).unwrap()[0];
         let expected = tiny_executor().compute_result(alg);
         let mut mixed = tiny_executor();
         // Route only the first call through the reference backend.
-        mixed.set_call_backends(HashMap::from([(
-            0usize,
-            Arc::new(ReferenceBackend) as Arc<dyn Backend>,
-        )]));
+        mixed.set_backend_assignment(&[BackendId::Reference]);
         let got = mixed.compute_result(alg);
         assert!(max_abs_diff(&expected, &got).unwrap() < 1e-9);
         let timing = mixed.execute_algorithm(alg);

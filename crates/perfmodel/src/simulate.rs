@@ -20,13 +20,13 @@
 //! run and instance-to-instance measurement variability without breaking
 //! reproducibility.
 
-use crate::backend::{NATIVE_BACKEND_NAME, REFERENCE_BACKEND_NAME};
 use crate::efficiency::{AnalyticEfficiencyModel, EfficiencyModel, ReferenceEfficiencyModel};
 use crate::executor::{AlgorithmTiming, CallTiming, Executor};
 use crate::machine::MachineModel;
 use crate::reuse::{FactorStore, ReuseReport};
 use lamb_expr::cse::cacheable_identities;
 use lamb_expr::{Algorithm, KernelCall, KernelOp};
+use lamb_kernels::BackendId;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -81,7 +81,7 @@ pub struct SimulatedExecutor<E: EfficiencyModel = AnalyticEfficiencyModel> {
     /// can attribute distinct times per backend like the measured executor.
     reference: ReferenceEfficiencyModel,
     /// Per-call backend assignment honoured by whole-algorithm execution.
-    backend_assignment: HashMap<usize, String>,
+    backend_assignment: Vec<BackendId>,
 }
 
 impl SimulatedExecutor<AnalyticEfficiencyModel> {
@@ -117,7 +117,7 @@ impl<E: EfficiencyModel> SimulatedExecutor<E> {
             model,
             config,
             reference: ReferenceEfficiencyModel::default(),
-            backend_assignment: HashMap::new(),
+            backend_assignment: Vec::new(),
         }
     }
 
@@ -160,8 +160,8 @@ impl<E: EfficiencyModel> SimulatedExecutor<E> {
     /// The efficiency surface attributed to call `index` by the current
     /// backend assignment.
     fn call_model(&self, index: usize) -> &dyn EfficiencyModel {
-        match self.backend_assignment.get(&index) {
-            Some(name) if name == REFERENCE_BACKEND_NAME => &self.reference,
+        match self.backend_assignment.get(index) {
+            Some(BackendId::Reference) => &self.reference,
             _ => &self.model,
         }
     }
@@ -306,15 +306,17 @@ impl<E: EfficiencyModel> Executor for SimulatedExecutor<E> {
         self.base_call_time(call) * self.noise_factor(&call.op.timing_key(), 0, "isolated")
     }
 
-    fn backend_names(&self) -> Vec<String> {
-        vec![
-            NATIVE_BACKEND_NAME.to_string(),
-            REFERENCE_BACKEND_NAME.to_string(),
-        ]
+    fn backends(&self) -> Vec<BackendId> {
+        BackendId::ALL.to_vec()
     }
 
-    fn time_isolated_call_on(&mut self, alg: &Algorithm, call_index: usize, backend: &str) -> f64 {
-        if backend != REFERENCE_BACKEND_NAME {
+    fn time_isolated_call_on(
+        &mut self,
+        alg: &Algorithm,
+        call_index: usize,
+        backend: BackendId,
+    ) -> f64 {
+        if backend != BackendId::Reference {
             return self.time_isolated_call(alg, call_index);
         }
         // Same memoisability contract as the native isolated benchmark, under
@@ -324,8 +326,8 @@ impl<E: EfficiencyModel> Executor for SimulatedExecutor<E> {
             * self.noise_factor(&call.op.timing_key(), 0, "isolated:reference")
     }
 
-    fn set_backend_assignment(&mut self, assignment: &HashMap<usize, String>) {
-        self.backend_assignment = assignment.clone();
+    fn set_backend_assignment(&mut self, assignment: &[BackendId]) {
+        self.backend_assignment = assignment.to_vec();
     }
 }
 
@@ -471,7 +473,8 @@ mod tests {
         use crate::calibrate::single_call_algorithm;
         use lamb_matrix::Trans;
         let mut sim = SimulatedExecutor::paper_like();
-        assert_eq!(sim.backend_names(), vec!["native", "reference"]);
+        let (native, reference) = (BackendId::Native, BackendId::Reference);
+        assert_eq!(sim.backends(), vec![native, reference]);
         let square = |n: usize| {
             single_call_algorithm(KernelOp::Gemm {
                 transa: Trans::No,
@@ -485,27 +488,27 @@ mod tests {
         // relative efficiency terms) wins; at large sizes native wins big.
         let small = square(12);
         assert!(
-            sim.time_isolated_call_on(&small, 0, "reference")
-                < sim.time_isolated_call_on(&small, 0, "native")
+            sim.time_isolated_call_on(&small, 0, reference)
+                < sim.time_isolated_call_on(&small, 0, native)
         );
         let large = square(400);
         assert!(
-            sim.time_isolated_call_on(&large, 0, "native") * 4.0
-                < sim.time_isolated_call_on(&large, 0, "reference")
+            sim.time_isolated_call_on(&large, 0, native) * 4.0
+                < sim.time_isolated_call_on(&large, 0, reference)
         );
-        // Unknown names fall back to the default backend's time.
+        // The default backend's time is the plain isolated benchmark.
         assert_eq!(
-            sim.time_isolated_call_on(&large, 0, "no-such-backend"),
+            sim.time_isolated_call_on(&large, 0, native),
             sim.time_isolated_call(&large, 0)
         );
         // A per-call assignment changes sequence execution deterministically.
         let alg = &enumerate_chain_algorithms(&[200, 200, 200, 200, 200]).unwrap()[0];
         let native_t = sim.execute_algorithm(alg);
-        sim.set_backend_assignment(&HashMap::from([(0usize, "reference".to_string())]));
+        sim.set_backend_assignment(&[reference]);
         let mixed_t = sim.execute_algorithm(alg);
         assert!(mixed_t.per_call[0].seconds > native_t.per_call[0].seconds);
         assert_eq!(mixed_t.per_call[1].seconds, native_t.per_call[1].seconds);
-        sim.set_backend_assignment(&HashMap::new());
+        sim.set_backend_assignment(&[]);
         assert_eq!(sim.execute_algorithm(alg), native_t);
     }
 

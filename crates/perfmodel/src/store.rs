@@ -46,52 +46,28 @@ use crate::json::{Json, JsonError};
 use crate::machine::MachineModel;
 use crate::profile::{CallTimeTable, SquareProfile};
 use lamb_expr::KernelOp;
-use lamb_kernels::{BlockConfig, TileVariant};
+use lamb_kernels::{BackendId, BlockConfig, TileVariant};
 use lamb_matrix::{Side, Trans, Uplo};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Version of the on-disk format this build writes.
+/// Version of the on-disk format this build writes — and the only one it
+/// reads: no deployed stores of an older version exist, so a document with
+/// any other version number is refused instead of migrated.
 ///
-/// * **v1** — the original GEMM/SYRK/SYMM/copy call vocabulary.
-/// * **v2** — adds the triangular kernels TRMM and TRSM (stored by canonical
-///   timing key: effective triangle, transposition cleared). Structurally a
-///   superset of v1: a v1 document is readable as-is, simply has no coverage
-///   for the new kernels (see [`CalibrationStore::missing_kernels`]), and is
-///   upgraded to v2 the next time it is saved.
-/// * **v3** — adds the Cholesky factorisation POTRF (stored by its `uplo`
-///   and order; POTRF keeps its triangle in the timing key). Same migration
-///   contract: v1/v2 documents load as-is, report POTRF (and, for v1, the
-///   triangular kernels) as missing coverage, and are upgraded to v3 on the
-///   next save.
-/// * **v4** — adds the general-solver tier: the pivoted LU factorisation
-///   GETRF, the Householder QR factorisation, the reflector application
-///   ORMQR, and the zero-FLOP packed-factor movers FACTORTRI (`laswp`-style
-///   triangle extraction, keeps its `uplo`) and LASWP (pivot application).
-///   Same migration contract: v1-v3 documents load as-is, report GETRF and
-///   QR as missing sweep coverage, and are upgraded to v4 on the next save.
-/// * **v5** — adds the optional `tuned` section recording the autotuned
-///   [`BlockConfig`] (cache blocks, triangular block, register tile, parallel
-///   policy) and the GFLOP/s it achieved, written by
-///   `lamb calibrate --autotune`. Same migration contract: v1-v4 documents
-///   load as-is with no tuned config ([`CalibrationStore::tuned`] is `None`),
-///   and are upgraded to v5 on the next save.
-/// * **v6** — makes the kernel *side* explicit: TRMM/TRSM and LASWP call
-///   entries carry a `side` tag (documents without one parse as left-side,
-///   which is the only side older builds could express), the sweep grows the
-///   right-side variants `symm_r`/`trmm_r`/`trsm_r`, and an optional
-///   `backends` section holds per-backend call tables and profiles for
-///   non-default kernel backends (the top-level `profiles`/`calls` remain
-///   the `native` backend's data, so v1-v5 documents are unchanged byte for
-///   byte). Same migration contract: v1-v5 documents load as-is, report the
-///   right-side kernels as missing sweep coverage, and are upgraded to v6 on
-///   the next save.
+/// The vocabulary grew version by version (v2 TRMM/TRSM, v3 POTRF, v4 the
+/// GETRF/QR/ORMQR/FACTORTRI/LASWP tier, v5 the optional `tuned` section); v6
+/// makes the kernel *side* explicit — SYMM/TRMM/TRSM and LASWP call entries
+/// carry a `side` tag, the sweep covers the right-side variants
+/// `symm_r`/`trmm_r`/`trsm_r` — and adds the optional `backends` section
+/// holding per-backend call tables and profiles for non-default kernel
+/// backends (the top-level `profiles`/`calls` are the `native` backend's).
 pub const STORE_FORMAT_VERSION: u64 = 6;
 
-/// Oldest on-disk format version this build still reads (and migrates).
-pub const STORE_MIN_SUPPORTED_VERSION: u64 = 1;
+/// Oldest on-disk format version this build reads.
+pub const STORE_MIN_SUPPORTED_VERSION: u64 = STORE_FORMAT_VERSION;
 
 /// Magic string identifying a calibration-store document.
 pub const STORE_FORMAT_NAME: &str = "lamb-calibration-store";
@@ -230,9 +206,9 @@ pub struct TunedConfig {
 /// implementation so per-call backend selection can compare measured times.
 #[derive(Debug, Clone)]
 pub struct BackendCalibration {
-    /// Backend name (`"reference"`, ...); the `native` backend's data lives
-    /// in the store's top-level `profiles`/`calls` instead.
-    pub name: String,
+    /// The backend (written to disk by name); the `native` backend's data
+    /// lives in the store's top-level `profiles`/`calls` instead.
+    pub backend: BackendId,
     /// Square-operand efficiency curves measured through this backend.
     pub profiles: Vec<SquareProfile>,
     /// Isolated-call benchmark times measured through this backend.
@@ -253,11 +229,10 @@ pub struct CalibrationStore {
     /// Isolated-call benchmark times keyed by canonical timing key,
     /// measured through the default (`native`) backend.
     pub calls: CallTimeTable,
-    /// The autotuned block configuration, when a `--autotune` sweep has run
-    /// (`None` for stores written by v1-v4 builds or untuned sweeps).
+    /// The autotuned block configuration, when a `--autotune` sweep has run.
     pub tuned: Option<TunedConfig>,
-    /// Per-backend tables for non-default backends (format v6; empty for
-    /// stores written by v1-v5 builds or single-backend sweeps).
+    /// Per-backend tables for non-default backends (empty for
+    /// single-backend sweeps).
     pub backends: Vec<BackendCalibration>,
 }
 
@@ -292,29 +267,29 @@ impl CalibrationStore {
         }
     }
 
-    /// The isolated-call table of the named backend: the top-level table for
+    /// The isolated-call table of a backend: the top-level table for
     /// `native`, the matching `backends` section otherwise.
     #[must_use]
-    pub fn backend_calls(&self, name: &str) -> Option<&CallTimeTable> {
-        if name == crate::backend::NATIVE_BACKEND_NAME {
+    pub fn backend_calls(&self, backend: BackendId) -> Option<&CallTimeTable> {
+        if backend == BackendId::Native {
             Some(&self.calls)
         } else {
             self.backends
                 .iter()
-                .find(|b| b.name == name)
+                .find(|b| b.backend == backend)
                 .map(|b| &b.calls)
         }
     }
 
-    /// The square-profile curves of the named backend.
+    /// The square-profile curves of a backend.
     #[must_use]
-    pub fn backend_profiles(&self, name: &str) -> Option<&[SquareProfile]> {
-        if name == crate::backend::NATIVE_BACKEND_NAME {
+    pub fn backend_profiles(&self, backend: BackendId) -> Option<&[SquareProfile]> {
+        if backend == BackendId::Native {
             Some(&self.profiles)
         } else {
             self.backends
                 .iter()
-                .find(|b| b.name == name)
+                .find(|b| b.backend == backend)
                 .map(|b| b.profiles.as_slice())
         }
     }
@@ -324,42 +299,42 @@ impl CalibrationStore {
     /// calibration sweep writes through.
     pub fn backend_tables_mut(
         &mut self,
-        name: &str,
+        backend: BackendId,
     ) -> (&mut Vec<SquareProfile>, &mut CallTimeTable) {
-        if name == crate::backend::NATIVE_BACKEND_NAME {
+        if backend == BackendId::Native {
             return (&mut self.profiles, &mut self.calls);
         }
-        if !self.backends.iter().any(|b| b.name == name) {
-            self.backends.push(BackendCalibration {
-                name: name.to_string(),
-                profiles: Vec::new(),
-                calls: CallTimeTable::new(),
-            });
-        }
-        let section = self
-            .backends
-            .iter_mut()
-            .find(|b| b.name == name)
-            .expect("just inserted");
+        let at = match self.backends.iter().position(|b| b.backend == backend) {
+            Some(at) => at,
+            None => {
+                self.backends.push(BackendCalibration {
+                    backend,
+                    profiles: Vec::new(),
+                    calls: CallTimeTable::new(),
+                });
+                self.backends.len() - 1
+            }
+        };
+        let section = &mut self.backends[at];
         (&mut section.profiles, &mut section.calls)
     }
 
     /// Every backend this store has calibration data for, `native` first.
     #[must_use]
-    pub fn backend_names(&self) -> Vec<String> {
-        let mut names = vec![crate::backend::NATIVE_BACKEND_NAME.to_string()];
-        let mut extra: Vec<String> = self.backends.iter().map(|b| b.name.clone()).collect();
+    pub fn backends(&self) -> Vec<BackendId> {
+        let mut ids = vec![BackendId::Native];
+        let mut extra: Vec<BackendId> = self.backends.iter().map(|b| b.backend).collect();
         extra.sort();
-        names.extend(extra);
-        names
+        ids.extend(extra);
+        ids
     }
 
-    /// Distinct benchmarked calls per coverage key for the named backend —
+    /// Distinct benchmarked calls per coverage key for one backend —
     /// [`CalibrationStore::coverage`], per backend.
     #[must_use]
-    pub fn backend_coverage(&self, name: &str) -> BTreeMap<String, usize> {
+    pub fn backend_coverage(&self, backend: BackendId) -> BTreeMap<String, usize> {
         let mut counts = BTreeMap::new();
-        if let Some(calls) = self.backend_calls(name) {
+        if let Some(calls) = self.backend_calls(backend) {
             for (op, _) in calls.entries() {
                 *counts.entry(kernel_coverage_key(op)).or_insert(0) += 1;
             }
@@ -367,10 +342,10 @@ impl CalibrationStore {
         counts
     }
 
-    /// Sweep kernels the named backend has no benchmark entry for.
+    /// Sweep kernels a backend has no benchmark entry for.
     #[must_use]
-    pub fn backend_missing_kernels(&self, name: &str) -> Vec<&'static str> {
-        let coverage = self.backend_coverage(name);
+    pub fn backend_missing_kernels(&self, backend: BackendId) -> Vec<&'static str> {
+        let coverage = self.backend_coverage(backend);
         EXPECTED_KERNELS
             .iter()
             .copied()
@@ -422,7 +397,11 @@ impl CalibrationStore {
             }
         }
         for theirs in &other.backends {
-            match self.backends.iter_mut().find(|b| b.name == theirs.name) {
+            match self
+                .backends
+                .iter_mut()
+                .find(|b| b.backend == theirs.backend)
+            {
                 Some(mine) => {
                     mine.calls.merge_from(&theirs.calls);
                     for profile in &theirs.profiles {
@@ -497,8 +476,7 @@ impl CalibrationStore {
     }
 
     /// Compute kernels with no benchmark entry at all — the coverage gap a
-    /// migrated v1 store reports for the triangular kernels until the next
-    /// calibration sweep fills them in.
+    /// workload-only store reports until a square sweep fills it in.
     #[must_use]
     pub fn missing_kernels(&self) -> Vec<&'static str> {
         let coverage = self.coverage();
@@ -571,7 +549,7 @@ impl CalibrationStore {
         }
         if !self.backends.is_empty() {
             let mut sections: Vec<&BackendCalibration> = self.backends.iter().collect();
-            sections.sort_by(|a, b| a.name.cmp(&b.name));
+            sections.sort_by_key(|b| b.backend.name());
             fields.push((
                 "backends".into(),
                 Json::Arr(
@@ -579,7 +557,7 @@ impl CalibrationStore {
                         .into_iter()
                         .map(|b| {
                             Json::Obj(vec![
-                                ("name".into(), Json::Str(b.name.clone())),
+                                ("name".into(), Json::Str(b.backend.name().into())),
                                 ("profiles".into(), profiles_to_json(&b.profiles)),
                                 ("calls".into(), calls_to_json(&b.calls)),
                             ])
@@ -608,8 +586,8 @@ impl CalibrationStore {
         let version = field_u64(&doc, "version")?;
         if !(STORE_MIN_SUPPORTED_VERSION..=STORE_FORMAT_VERSION).contains(&version) {
             return Err(StoreError::Format(format!(
-                "unsupported store version {version} (this build reads versions \
-                 {STORE_MIN_SUPPORTED_VERSION}..={STORE_FORMAT_VERSION})"
+                "unsupported store version {version} (this build reads version \
+                 {STORE_FORMAT_VERSION} only)"
             )));
         }
         let meta_doc = doc
@@ -638,8 +616,11 @@ impl CalibrationStore {
         let mut backends = Vec::new();
         if let Some(sections) = doc.get("backends").and_then(Json::as_array) {
             for section in sections {
+                let name = field_str(section, "name")?;
+                let backend = BackendId::from_name(&name)
+                    .ok_or_else(|| StoreError::Format(format!("unknown backend `{name}`")))?;
                 backends.push(BackendCalibration {
-                    name: field_str(section, "name")?,
+                    backend,
                     profiles: profiles_from_json(field_array(section, "profiles")?)?,
                     calls: calls_from_json(field_array(section, "calls")?)?,
                 });
@@ -885,12 +866,7 @@ fn op_to_json(op: &KernelOp, seconds: f64) -> Json {
 fn op_from_json(entry: &Json) -> Result<(KernelOp, f64), StoreError> {
     let kind = field_str(entry, "op")?;
     let dim = |name: &str| field_u64(entry, name).map(|v| v as usize);
-    // Documents from before format v6 have no `side` tag on TRMM/TRSM/LASWP
-    // entries; those builds could only express the left side.
-    let side_or_left = || match entry.get("side").and_then(Json::as_str) {
-        Some(tag) => parse_side(tag),
-        None => Ok(Side::Left),
-    };
+    let side = || parse_side(&field_str(entry, "side")?);
     let op = match kind.as_str() {
         "gemm" => KernelOp::Gemm {
             transa: Trans::No,
@@ -906,20 +882,20 @@ fn op_from_json(entry: &Json) -> Result<(KernelOp, f64), StoreError> {
             k: dim("k")?,
         },
         "symm" => KernelOp::Symm {
-            side: parse_side(&field_str(entry, "side")?)?,
+            side: side()?,
             uplo: parse_uplo(&field_str(entry, "uplo")?)?,
             m: dim("m")?,
             n: dim("n")?,
         },
         "trmm" => KernelOp::Trmm {
-            side: side_or_left()?,
+            side: side()?,
             uplo: parse_uplo(&field_str(entry, "uplo")?)?,
             trans: Trans::No,
             m: dim("m")?,
             n: dim("n")?,
         },
         "trsm" => KernelOp::Trsm {
-            side: side_or_left()?,
+            side: side()?,
             uplo: parse_uplo(&field_str(entry, "uplo")?)?,
             trans: Trans::No,
             m: dim("m")?,
@@ -948,7 +924,7 @@ fn op_from_json(entry: &Json) -> Result<(KernelOp, f64), StoreError> {
             n: dim("n")?,
         },
         "laswp" => KernelOp::PivotApply {
-            side: side_or_left()?,
+            side: side()?,
             m: dim("m")?,
             n: dim("n")?,
         },
@@ -1204,6 +1180,27 @@ mod tests {
     }
 
     #[test]
+    fn every_older_version_number_is_refused() {
+        // No deployed stores of an older format exist, so this build reads
+        // its own format only: nothing is migrated, every older number gets
+        // the same error a too-new one does.
+        let current = sample_store().to_json();
+        for version in 0..STORE_FORMAT_VERSION {
+            let old = current.replace(
+                &format!("\"version\": {STORE_FORMAT_VERSION}"),
+                &format!("\"version\": {version}"),
+            );
+            let err = CalibrationStore::from_json(&old).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported store version {version}")),
+                "{err}"
+            );
+        }
+        assert_eq!(STORE_MIN_SUPPORTED_VERSION, STORE_FORMAT_VERSION);
+    }
+
+    #[test]
     fn merge_unions_calls_and_profiles_and_accumulates_meta() {
         let mut base = sample_store();
         base.meta.created_unix = 100;
@@ -1335,6 +1332,34 @@ mod tests {
             assert_eq!(cov.get(kernel), Some(&1), "{kernel}");
         }
         assert!(store.missing_kernels().is_empty());
+
+        // A store that only ever benchmarked the paper's original vocabulary
+        // reports every other sweep kernel as its coverage gap, in sweep
+        // order, through a save/load round trip...
+        let mut partial = sample_store();
+        partial.calls = CallTimeTable::from_entries(
+            store
+                .calls
+                .entries()
+                .filter(|(op, _)| {
+                    matches!(
+                        op,
+                        KernelOp::Gemm { .. }
+                            | KernelOp::Syrk { .. }
+                            | KernelOp::Symm { .. }
+                            | KernelOp::CopyTriangle { .. }
+                    )
+                })
+                .map(|(op, s)| (op.clone(), s)),
+        );
+        let mut partial = CalibrationStore::from_json(&partial.to_json()).unwrap();
+        assert_eq!(
+            partial.missing_kernels(),
+            vec!["trmm", "trsm", "potrf", "getrf", "qr", "trmm_r", "trsm_r"]
+        );
+        // ...until a sweep that covers them is merged in.
+        partial.merge_from(&store).unwrap();
+        assert!(partial.missing_kernels().is_empty());
     }
 
     #[test]
@@ -1361,301 +1386,6 @@ mod tests {
         assert_eq!(calls.lookup(&stored_upper_n), Some(3.25e-4));
     }
 
-    #[test]
-    fn v1_documents_load_report_missing_coverage_and_migrate() {
-        // Reconstruct what the v1 build wrote: a version-1 document whose
-        // call table has only the original GEMM/SYRK/SYMM/copy vocabulary.
-        let mut old = sample_store();
-        old.calls = CallTimeTable::from_entries(
-            old.calls
-                .entries()
-                .filter(|(op, _)| {
-                    matches!(
-                        op,
-                        KernelOp::Gemm { .. }
-                            | KernelOp::Syrk { .. }
-                            | KernelOp::Symm { .. }
-                            | KernelOp::CopyTriangle { .. }
-                    )
-                })
-                .map(|(op, s)| (op.clone(), s)),
-        );
-        let v1_text = old.to_json().replace(
-            &format!("\"version\": {STORE_FORMAT_VERSION}"),
-            "\"version\": 1",
-        );
-
-        // It loads under the current build...
-        let migrated = CalibrationStore::from_json(&v1_text).unwrap();
-        assert_eq!(migrated.calls.len(), old.calls.len());
-        // ...reports the coverage gap for every newer sweep kernel...
-        assert_eq!(
-            migrated.missing_kernels(),
-            vec!["trmm", "trsm", "potrf", "getrf", "qr", "trmm_r", "trsm_r"]
-        );
-
-        // ...and after merging a sweep that fills the gap, round-trips
-        // bit-identically through the current serialisation.
-        let mut merged = migrated;
-        let mut sweep = CalibrationStore::new(MachineModel::paper_xeon_silver_4210(), "simulated");
-        sweep.meta.block_fingerprint = merged.meta.block_fingerprint.clone();
-        sweep.calls.insert(
-            KernelOp::Trmm {
-                side: Side::Left,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m: 100,
-                n: 100,
-            },
-            1.0 / 7.0, // not exactly representable: a real bit-identity test
-        );
-        sweep.calls.insert(
-            KernelOp::Trmm {
-                side: Side::Right,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m: 100,
-                n: 100,
-            },
-            3.0 / 7.0,
-        );
-        sweep.calls.insert(
-            KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m: 100,
-                n: 100,
-            },
-            2.0 / 3.0,
-        );
-        sweep.calls.insert(
-            KernelOp::Trsm {
-                side: Side::Right,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m: 100,
-                n: 100,
-            },
-            5.0 / 9.0,
-        );
-        sweep.calls.insert(
-            KernelOp::Potrf {
-                uplo: Uplo::Lower,
-                n: 100,
-            },
-            1.0 / 11.0,
-        );
-        sweep.calls.insert(KernelOp::Getrf { n: 100 }, 1.0 / 17.0);
-        sweep
-            .calls
-            .insert(KernelOp::Qr { m: 100, n: 100 }, 1.0 / 19.0);
-        merged.merge_from(&sweep).unwrap();
-        assert!(merged.missing_kernels().is_empty());
-        let text = merged.to_json();
-        assert!(text.contains(&format!("\"version\": {STORE_FORMAT_VERSION}")));
-        let back = CalibrationStore::from_json(&text).unwrap();
-        assert_eq!(back.to_json(), text, "v1→v4 migration must round-trip");
-        let mut calls = back.calls;
-        let t = calls
-            .lookup(&KernelOp::Trmm {
-                side: Side::Left,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m: 100,
-                n: 100,
-            })
-            .unwrap();
-        assert_eq!(t.to_bits(), (1.0f64 / 7.0).to_bits());
-        let tr = calls
-            .lookup(&KernelOp::Trmm {
-                side: Side::Right,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m: 100,
-                n: 100,
-            })
-            .unwrap();
-        assert_eq!(tr.to_bits(), (3.0f64 / 7.0).to_bits());
-    }
-
-    #[test]
-    fn v2_documents_load_report_missing_potrf_and_migrate_bit_identically() {
-        // Reconstruct what the v2 build wrote: a version-2 document with the
-        // triangular kernels but neither POTRF nor the general-solver tier.
-        let mut old = sample_store();
-        old.calls = CallTimeTable::from_entries(
-            old.calls
-                .entries()
-                .filter(|(op, _)| {
-                    !matches!(
-                        op,
-                        KernelOp::Potrf { .. }
-                            | KernelOp::Getrf { .. }
-                            | KernelOp::Qr { .. }
-                            | KernelOp::Ormqr { .. }
-                            | KernelOp::FactorTri { .. }
-                            | KernelOp::PivotApply { .. }
-                    )
-                })
-                .map(|(op, s)| (op.clone(), s)),
-        );
-        let v2_text = old.to_json().replace(
-            &format!("\"version\": {STORE_FORMAT_VERSION}"),
-            "\"version\": 2",
-        );
-
-        // It loads under the current build with its triangular coverage
-        // intact...
-        let migrated = CalibrationStore::from_json(&v2_text).unwrap();
-        assert_eq!(migrated.calls.len(), old.calls.len());
-        let mut calls_check = migrated.calls.clone();
-        assert_eq!(
-            calls_check.lookup(&KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Upper,
-                trans: Trans::No,
-                m: 64,
-                n: 16,
-            }),
-            Some(9.5e-5),
-            "v2 triangular coverage must survive the migration"
-        );
-        // ...reports the factorisation sweep kernels as the coverage gap...
-        assert_eq!(migrated.missing_kernels(), vec!["potrf", "getrf", "qr"]);
-
-        // ...and after a factorisation sweep fills it, the migration
-        // round-trips bit-identically.
-        let mut merged = migrated;
-        let mut sweep = CalibrationStore::new(MachineModel::paper_xeon_silver_4210(), "simulated");
-        sweep.meta.block_fingerprint = merged.meta.block_fingerprint.clone();
-        sweep.calls.insert(
-            KernelOp::Potrf {
-                uplo: Uplo::Lower,
-                n: 72,
-            },
-            1.0 / 13.0, // not exactly representable: a real bit-identity test
-        );
-        sweep.calls.insert(KernelOp::Getrf { n: 72 }, 1.0 / 23.0);
-        sweep
-            .calls
-            .insert(KernelOp::Qr { m: 72, n: 72 }, 1.0 / 29.0);
-        merged.merge_from(&sweep).unwrap();
-        assert!(merged.missing_kernels().is_empty());
-        let text = merged.to_json();
-        assert!(text.contains(&format!("\"version\": {STORE_FORMAT_VERSION}")));
-        let back = CalibrationStore::from_json(&text).unwrap();
-        assert_eq!(back.to_json(), text, "v2→v4 migration must round-trip");
-        let mut calls = back.calls;
-        let t = calls
-            .lookup(&KernelOp::Potrf {
-                uplo: Uplo::Lower,
-                n: 72,
-            })
-            .unwrap();
-        assert_eq!(t.to_bits(), (1.0f64 / 13.0).to_bits());
-    }
-
-    #[test]
-    fn v3_documents_load_report_missing_getrf_and_qr_and_migrate_bit_identically() {
-        // Reconstruct what the v3 build wrote: a version-3 document with
-        // everything up to POTRF but none of the general-solver tier.
-        let mut old = sample_store();
-        old.calls = CallTimeTable::from_entries(
-            old.calls
-                .entries()
-                .filter(|(op, _)| {
-                    !matches!(
-                        op,
-                        KernelOp::Getrf { .. }
-                            | KernelOp::Qr { .. }
-                            | KernelOp::Ormqr { .. }
-                            | KernelOp::FactorTri { .. }
-                            | KernelOp::PivotApply { .. }
-                    )
-                })
-                .map(|(op, s)| (op.clone(), s)),
-        );
-        let v3_text = old.to_json().replace(
-            &format!("\"version\": {STORE_FORMAT_VERSION}"),
-            "\"version\": 3",
-        );
-
-        // It loads under the v4 build with its POTRF coverage intact...
-        let migrated = CalibrationStore::from_json(&v3_text).unwrap();
-        assert_eq!(migrated.calls.len(), old.calls.len());
-        let mut calls_check = migrated.calls.clone();
-        assert_eq!(
-            calls_check.lookup(&KernelOp::Potrf {
-                uplo: Uplo::Lower,
-                n: 72,
-            }),
-            Some(4.75e-4),
-            "v3 POTRF coverage must survive the migration"
-        );
-        // ...reports GETRF and QR (and only those) as the coverage gap...
-        assert_eq!(migrated.missing_kernels(), vec!["getrf", "qr"]);
-
-        // ...and after a general-factorisation sweep fills it, the v3→v4
-        // migration round-trips bit-identically.
-        let mut merged = migrated;
-        let mut sweep = CalibrationStore::new(MachineModel::paper_xeon_silver_4210(), "simulated");
-        sweep.meta.block_fingerprint = merged.meta.block_fingerprint.clone();
-        // Not exactly representable: real bit-identity tests.
-        sweep.calls.insert(KernelOp::Getrf { n: 88 }, 1.0 / 31.0);
-        sweep
-            .calls
-            .insert(KernelOp::Qr { m: 88, n: 88 }, 1.0 / 37.0);
-        sweep
-            .calls
-            .insert(KernelOp::Ormqr { m: 88, n: 88, k: 4 }, 1.0 / 41.0);
-        sweep.calls.insert(
-            KernelOp::FactorTri {
-                uplo: Uplo::Lower,
-                n: 88,
-            },
-            1.0 / 43.0,
-        );
-        sweep.calls.insert(
-            KernelOp::PivotApply {
-                side: Side::Left,
-                m: 88,
-                n: 4,
-            },
-            1.0 / 47.0,
-        );
-        merged.merge_from(&sweep).unwrap();
-        assert!(merged.missing_kernels().is_empty());
-        let text = merged.to_json();
-        assert!(text.contains(&format!("\"version\": {STORE_FORMAT_VERSION}")));
-        let back = CalibrationStore::from_json(&text).unwrap();
-        assert_eq!(back.to_json(), text, "v3→v4 migration must round-trip");
-        let mut calls = back.calls;
-        for (op, expected) in [
-            (KernelOp::Getrf { n: 88 }, 1.0f64 / 31.0),
-            (KernelOp::Qr { m: 88, n: 88 }, 1.0 / 37.0),
-            (KernelOp::Ormqr { m: 88, n: 88, k: 4 }, 1.0 / 41.0),
-            (
-                KernelOp::FactorTri {
-                    uplo: Uplo::Lower,
-                    n: 88,
-                },
-                1.0 / 43.0,
-            ),
-            (
-                KernelOp::PivotApply {
-                    side: Side::Left,
-                    m: 88,
-                    n: 4,
-                },
-                1.0 / 47.0,
-            ),
-        ] {
-            let t = calls.lookup(&op).unwrap();
-            assert_eq!(t.to_bits(), expected.to_bits(), "{op}");
-        }
-    }
-
     fn sample_tuned() -> TunedConfig {
         TunedConfig {
             config: BlockConfig {
@@ -1673,116 +1403,20 @@ mod tests {
     }
 
     #[test]
-    fn v4_documents_load_without_tuned_config_and_migrate_bit_identically() {
-        // Reconstruct what the v4 build wrote: full call coverage, no
-        // `tuned` section.
-        let old = sample_store();
-        assert!(old.tuned.is_none());
-        let v4_text = old.to_json().replace(
-            &format!("\"version\": {STORE_FORMAT_VERSION}"),
-            "\"version\": 4",
-        );
-
-        // It loads under the v5 build with no tuned config and full
-        // coverage...
-        let migrated = CalibrationStore::from_json(&v4_text).unwrap();
-        assert_eq!(migrated.calls.len(), old.calls.len());
-        assert!(migrated.tuned.is_none());
-        assert!(migrated.tuned_block_config().is_none());
-        assert!(migrated.missing_kernels().is_empty());
-
-        // ...the resave upgrades only the version number, bit-for-bit...
-        let resaved = migrated.to_json();
-        assert_eq!(
-            resaved,
-            v4_text.replace(
-                "\"version\": 4",
-                &format!("\"version\": {STORE_FORMAT_VERSION}")
-            ),
-            "v4→v5 migration must only bump the version"
-        );
-
-        // ...and after merging an autotune sweep the tuned config round-trips
-        // bit-identically.
-        let mut merged = migrated;
-        let mut sweep = CalibrationStore::new(MachineModel::paper_xeon_silver_4210(), "simulated");
-        sweep.meta.block_fingerprint = merged.meta.block_fingerprint.clone();
-        sweep.tuned = Some(sample_tuned());
-        merged.merge_from(&sweep).unwrap();
-        assert_eq!(merged.tuned, Some(sample_tuned()));
-        let text = merged.to_json();
-        assert!(text.contains(&format!("\"version\": {STORE_FORMAT_VERSION}")));
-        assert!(text.contains("\"tuned\""));
-        let back = CalibrationStore::from_json(&text).unwrap();
-        assert_eq!(back.to_json(), text, "v4→v5 migration must round-trip");
-        let tuned = back.tuned.unwrap();
-        assert_eq!(tuned.config, sample_tuned().config);
-        assert_eq!(tuned.gflops.to_bits(), sample_tuned().gflops.to_bits());
-    }
-
-    #[test]
-    fn v5_documents_load_without_backend_tables_and_migrate_bit_identically() {
-        // Reconstruct what the v5 build wrote: full call coverage, a tuned
-        // section, no `backends` section.
-        let mut old = sample_store();
-        old.tuned = Some(sample_tuned());
-        assert!(old.backends.is_empty());
-        let v5_text = old.to_json().replace(
-            &format!("\"version\": {STORE_FORMAT_VERSION}"),
-            "\"version\": 5",
-        );
-
-        // It loads under the v6 build with no per-backend tables and full
-        // native coverage...
-        let migrated = CalibrationStore::from_json(&v5_text).unwrap();
-        assert_eq!(migrated.calls.len(), old.calls.len());
-        assert!(migrated.backends.is_empty());
-        assert_eq!(migrated.backend_names(), vec!["native".to_string()]);
-        assert!(migrated.missing_kernels().is_empty());
-
-        // ...the resave upgrades only the version number, bit-for-bit...
-        let resaved = migrated.to_json();
-        assert_eq!(
-            resaved,
-            v5_text.replace(
-                "\"version\": 5",
-                &format!("\"version\": {STORE_FORMAT_VERSION}")
-            ),
-            "v5→v6 migration must only bump the version"
-        );
-
-        // ...and after merging a reference-backend sweep the new section
-        // round-trips while the native tables stay untouched.
-        let mut merged = migrated;
-        let mut sweep = CalibrationStore::new(MachineModel::paper_xeon_silver_4210(), "simulated");
-        sweep.meta.block_fingerprint = merged.meta.block_fingerprint.clone();
-        let (_, calls) = sweep.backend_tables_mut("reference");
-        let op = KernelOp::Gemm {
-            transa: Trans::No,
-            transb: Trans::No,
-            m: 24,
-            n: 24,
-            k: 24,
-        };
-        calls.insert(op.clone(), 3.25e-6);
-        merged.merge_from(&sweep).unwrap();
-        assert_eq!(merged.calls.len(), old.calls.len());
-        assert_eq!(
-            merged.backend_names(),
-            vec!["native".to_string(), "reference".to_string()]
-        );
-        let text = merged.to_json();
-        assert!(text.contains("\"backends\""));
-        let back = CalibrationStore::from_json(&text).unwrap();
-        assert_eq!(back.to_json(), text, "v5→v6 migration must round-trip");
-        assert_eq!(
-            back.backend_calls("reference").and_then(|t| t.get(&op)),
-            Some(3.25e-6)
-        );
-    }
-
-    #[test]
     fn tuned_config_round_trips_bit_identically() {
+        // An untuned store has no `tuned` section and loads without one.
+        let untuned = sample_store();
+        assert!(!untuned.to_json().contains("\"tuned\""));
+        let mut plain = CalibrationStore::from_json(&untuned.to_json()).unwrap();
+        assert!(plain.tuned.is_none());
+        assert!(plain.tuned_block_config().is_none());
+        // Merging an autotune sweep adopts its tuned configuration.
+        let mut sweep = CalibrationStore::new(MachineModel::paper_xeon_silver_4210(), "simulated");
+        sweep.meta.block_fingerprint = plain.meta.block_fingerprint.clone();
+        sweep.tuned = Some(sample_tuned());
+        plain.merge_from(&sweep).unwrap();
+        assert_eq!(plain.tuned, Some(sample_tuned()));
+
         let mut store = sample_store();
         store.tuned = Some(sample_tuned());
         let text = store.to_json();
@@ -1827,77 +1461,15 @@ mod tests {
     }
 
     #[test]
-    fn sideless_legacy_call_entries_parse_as_left_side() {
-        // Pre-v6 documents carry no `side` tag on trmm/trsm/laswp entries;
-        // strip the tags the current serialiser writes and check the entries
-        // land on the left side — the only side those builds could express.
-        let store = sample_store();
-        let text = store.to_json();
-        let mut stripped_lines: Vec<&str> = Vec::new();
-        let lines: Vec<&str> = text.lines().collect();
-        let mut i = 0;
-        while i < lines.len() {
-            let line = lines[i];
-            let sided_kernel = line.contains("\"op\": \"trmm\"")
-                || line.contains("\"op\": \"trsm\"")
-                || line.contains("\"op\": \"laswp\"");
-            stripped_lines.push(line);
-            if sided_kernel && i + 1 < lines.len() && lines[i + 1].contains("\"side\"") {
-                i += 2; // skip the side line
-                continue;
-            }
-            i += 1;
-        }
-        let legacy = stripped_lines.join("\n").replace(
-            &format!("\"version\": {STORE_FORMAT_VERSION}"),
-            "\"version\": 5",
-        );
-        assert!(!legacy.contains("\"op\": \"trmm\",\n      \"side\""));
-        let migrated = CalibrationStore::from_json(&legacy).unwrap();
-        let mut calls = migrated.calls;
-        // The left-side entries are reachable under their sided keys...
-        assert_eq!(
-            calls.lookup(&KernelOp::Trmm {
-                side: Side::Left,
-                uplo: Uplo::Lower,
-                trans: Trans::Yes,
-                m: 80,
-                n: 35,
-            }),
-            Some(3.25e-4)
-        );
-        assert_eq!(
-            calls.lookup(&KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Upper,
-                trans: Trans::No,
-                m: 64,
-                n: 16,
-            }),
-            Some(9.5e-5)
-        );
-        // ...while the stripped right-side entries collapsed onto left-side
-        // keys (their dimensions differ, so they collide with nothing).
-        assert_eq!(
-            calls.lookup(&KernelOp::Trmm {
-                side: Side::Right,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m: 30,
-                n: 66,
-            }),
-            None,
-            "a legacy document cannot provide right-side coverage"
-        );
-    }
-
-    #[test]
     fn backends_section_round_trips_and_is_omitted_when_empty() {
         let plain = sample_store();
         assert!(!plain.to_json().contains("\"backends\""));
+        let reloaded = CalibrationStore::from_json(&plain.to_json()).unwrap();
+        assert!(reloaded.backends.is_empty());
+        assert_eq!(reloaded.backends(), vec![BackendId::Native]);
         let mut store = sample_store();
         {
-            let (profiles, calls) = store.backend_tables_mut("reference");
+            let (profiles, calls) = store.backend_tables_mut(BackendId::Reference);
             profiles.push(SquareProfile::new("gemm", vec![50, 150], vec![0.11, 0.21]));
             calls.insert(
                 KernelOp::Gemm {
@@ -1923,8 +1495,11 @@ mod tests {
         let text = store.to_json();
         assert!(text.contains("\"backends\""));
         let back = CalibrationStore::from_json(&text).unwrap();
-        assert_eq!(back.backend_names(), vec!["native", "reference"]);
-        let reference = back.backend_calls("reference").unwrap().clone();
+        assert_eq!(
+            back.backends(),
+            vec![BackendId::Native, BackendId::Reference]
+        );
+        let reference = back.backend_calls(BackendId::Reference).unwrap().clone();
         let mut reference = reference;
         assert_eq!(
             reference
@@ -1941,39 +1516,54 @@ mod tests {
         );
         // The native tables are reachable through the same accessor.
         assert_eq!(
-            back.backend_calls("native").unwrap().len(),
+            back.backend_calls(BackendId::Native).unwrap().len(),
             sample_store().calls.len()
         );
         // Per-backend coverage distinguishes the sides.
-        let cov = back.backend_coverage("reference");
+        let cov = back.backend_coverage(BackendId::Reference);
         assert_eq!(cov.get("trsm_r"), Some(&1));
-        assert!(back.backend_missing_kernels("reference").contains(&"trsm"));
+        assert!(back
+            .backend_missing_kernels(BackendId::Reference)
+            .contains(&"trsm"));
         // Deterministic bytes.
         assert_eq!(back.to_json(), text);
+        // A section for a backend this build does not ship is refused at
+        // load rather than carried along under a name nothing can run.
+        let foreign = text.replace("\"name\": \"reference\"", "\"name\": \"mkl\"");
+        let err = CalibrationStore::from_json(&foreign).unwrap_err();
+        assert!(err.to_string().contains("unknown backend `mkl`"), "{err}");
     }
 
     #[test]
     fn merging_stores_unions_backend_sections() {
         let mut base = sample_store();
         {
-            let (profiles, calls) = base.backend_tables_mut("reference");
+            let (profiles, calls) = base.backend_tables_mut(BackendId::Reference);
             profiles.push(SquareProfile::new("gemm", vec![100], vec![0.1]));
             calls.insert(KernelOp::Getrf { n: 32 }, 4.0e-4);
         }
         let mut sweep = CalibrationStore::new(MachineModel::paper_xeon_silver_4210(), "simulated");
         sweep.meta.block_fingerprint = base.meta.block_fingerprint.clone();
         {
-            let (profiles, calls) = sweep.backend_tables_mut("reference");
+            let (profiles, calls) = sweep.backend_tables_mut(BackendId::Reference);
             profiles.push(SquareProfile::new("gemm", vec![100, 200], vec![0.15, 0.2]));
             calls.insert(KernelOp::Getrf { n: 32 }, 3.5e-4); // fresher wins
             calls.insert(KernelOp::Getrf { n: 64 }, 9.0e-4);
         }
         base.merge_from(&sweep).unwrap();
-        let mut merged = base.backend_calls("reference").unwrap().clone();
+        let mut merged = base.backend_calls(BackendId::Reference).unwrap().clone();
         assert_eq!(merged.lookup(&KernelOp::Getrf { n: 32 }), Some(3.5e-4));
         assert_eq!(merged.lookup(&KernelOp::Getrf { n: 64 }), Some(9.0e-4));
-        let profile = &base.backend_profiles("reference").unwrap()[0];
+        let profile = &base.backend_profiles(BackendId::Reference).unwrap()[0];
         assert_eq!(profile.sizes, vec![100, 200]);
         assert_eq!(profile.efficiencies, vec![0.15, 0.2]);
+        // A store without the section gains it, native tables untouched.
+        let mut fresh = sample_store();
+        fresh.merge_from(&sweep).unwrap();
+        assert_eq!(fresh.calls.len(), sample_store().calls.len());
+        assert_eq!(
+            fresh.backends(),
+            vec![BackendId::Native, BackendId::Reference]
+        );
     }
 }

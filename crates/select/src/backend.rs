@@ -6,8 +6,7 @@
 //! applied one level down.
 
 use lamb_expr::Algorithm;
-use lamb_perfmodel::Executor;
-use std::collections::HashMap;
+use lamb_perfmodel::{BackendId, Executor};
 
 /// The backend chosen for one kernel call.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,8 +15,8 @@ pub struct BackendChoice {
     pub call_index: usize,
     /// The call's human-readable label.
     pub label: String,
-    /// Name of the chosen backend.
-    pub backend: String,
+    /// The chosen backend.
+    pub backend: BackendId,
     /// Predicted (isolated-benchmark) time under the chosen backend.
     pub seconds: f64,
 }
@@ -32,14 +31,11 @@ pub struct BackendAssignment {
 }
 
 impl BackendAssignment {
-    /// The assignment as the call-index → backend-name map that
+    /// The assignment as the per-call list, in call order, that
     /// [`Executor::set_backend_assignment`] consumes.
     #[must_use]
-    pub fn as_map(&self) -> HashMap<usize, String> {
-        self.per_call
-            .iter()
-            .map(|c| (c.call_index, c.backend.clone()))
-            .collect()
+    pub fn backends(&self) -> Vec<BackendId> {
+        self.per_call.iter().map(|c| c.backend).collect()
     }
 
     /// Whether the assignment uses more than one distinct backend.
@@ -50,43 +46,43 @@ impl BackendAssignment {
             .any(|w| w[0].backend != w[1].backend)
     }
 
-    /// The distinct backend names used, in first-use order.
+    /// The distinct backends used, in first-use order.
     #[must_use]
-    pub fn backends_used(&self) -> Vec<String> {
-        let mut names: Vec<String> = Vec::new();
+    pub fn backends_used(&self) -> Vec<BackendId> {
+        let mut used: Vec<BackendId> = Vec::new();
         for c in &self.per_call {
-            if !names.contains(&c.backend) {
-                names.push(c.backend.clone());
+            if !used.contains(&c.backend) {
+                used.push(c.backend);
             }
         }
-        names
+        used
     }
 }
 
 /// Assign each call of `alg` the backend whose isolated benchmark under
 /// `executor` is fastest. Ties (and executors that report a single backend)
-/// resolve to the earliest name in [`Executor::backend_names`] order, so the
+/// resolve to the earliest id in [`Executor::backends`] order, so the
 /// default backend wins when it is not strictly beaten.
 pub fn assign_backends(alg: &Algorithm, executor: &mut dyn Executor) -> BackendAssignment {
-    let names = executor.backend_names();
+    let backends = executor.backends();
     let per_call: Vec<BackendChoice> = alg
         .calls
         .iter()
         .enumerate()
         .map(|(i, call)| {
-            let mut best_name = names[0].clone();
-            let mut best_t = executor.time_isolated_call_on(alg, i, &names[0]);
-            for name in &names[1..] {
-                let t = executor.time_isolated_call_on(alg, i, name);
+            let mut best = backends[0];
+            let mut best_t = executor.time_isolated_call_on(alg, i, best);
+            for &backend in &backends[1..] {
+                let t = executor.time_isolated_call_on(alg, i, backend);
                 if t < best_t {
                     best_t = t;
-                    best_name = name.clone();
+                    best = backend;
                 }
             }
             BackendChoice {
                 call_index: i,
                 label: call.label.clone(),
-                backend: best_name,
+                backend: best,
                 seconds: best_t,
             }
         })
@@ -97,13 +93,12 @@ pub fn assign_backends(alg: &Algorithm, executor: &mut dyn Executor) -> BackendA
     }
 }
 
-/// The assignment that pins *every* call of `alg` to the named backend — the
-/// `--backend <name>` ablation. The name is not validated here; executors
-/// fall back to their default backend for names they do not know.
+/// The assignment that pins *every* call of `alg` to one backend — the
+/// `--backend <name>` ablation.
 pub fn pinned_backends(
     alg: &Algorithm,
     executor: &mut dyn Executor,
-    backend: &str,
+    backend: BackendId,
 ) -> BackendAssignment {
     let per_call: Vec<BackendChoice> = alg
         .calls
@@ -112,7 +107,7 @@ pub fn pinned_backends(
         .map(|(i, call)| BackendChoice {
             call_index: i,
             label: call.label.clone(),
-            backend: backend.to_string(),
+            backend,
             seconds: executor.time_isolated_call_on(alg, i, backend),
         })
         .collect();
@@ -151,12 +146,11 @@ mod tests {
             assignment.backends_used()
         );
         assert!(assignment.seconds > 0.0);
-        let map = assignment.as_map();
-        assert_eq!(map.len(), alg.calls.len());
+        assert_eq!(assignment.backends().len(), alg.calls.len());
         // The assignment is at least as fast (per the model) as either pin.
-        for name in ["native", "reference"] {
-            let pinned = pinned_backends(alg, &mut sim, name);
-            assert!(assignment.seconds <= pinned.seconds + 1e-15, "{name}");
+        for backend in BackendId::ALL {
+            let pinned = pinned_backends(alg, &mut sim, backend);
+            assert!(assignment.seconds <= pinned.seconds + 1e-15, "{backend}");
         }
     }
 
@@ -164,9 +158,9 @@ mod tests {
     fn pinned_assignment_uses_one_backend_everywhere() {
         let mut sim = SimulatedExecutor::paper_like();
         let alg = &enumerate_chain_algorithms(&[60, 60, 60, 60, 60]).unwrap()[0];
-        let pinned = pinned_backends(alg, &mut sim, "reference");
+        let pinned = pinned_backends(alg, &mut sim, BackendId::Reference);
         assert!(!pinned.is_mixed());
-        assert_eq!(pinned.backends_used(), vec!["reference".to_string()]);
+        assert_eq!(pinned.backends_used(), vec![BackendId::Reference]);
         assert!(pinned.per_call.iter().all(|c| c.seconds > 0.0));
     }
 }

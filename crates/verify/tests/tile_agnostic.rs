@@ -10,7 +10,7 @@
 //! configuration cannot make an audited claim wrong after the fact.
 
 use lamb_expr::{enumerate_expr_algorithms, Expr};
-use lamb_kernels::{gemm_new, BlockConfig, TileVariant};
+use lamb_kernels::{Backend, BlockConfig, KernelOp, NativeBackend, TileVariant};
 use lamb_matrix::ops::max_abs_diff;
 use lamb_matrix::random::random_seeded;
 use lamb_matrix::Trans;
@@ -44,10 +44,17 @@ fn every_register_tile_computes_the_flops_the_audit_prices() {
     let (m, n, k) = (31, 29, 27);
     let a = random_seeded(m, k, 42);
     let b = random_seeded(k, n, 43);
-    let reference = gemm_new(Trans::No, &a, Trans::No, &b, &BlockConfig::serial()).unwrap();
+    let op = KernelOp::Gemm {
+        transa: Trans::No,
+        transb: Trans::No,
+        m,
+        n,
+        k,
+    };
+    let run = |cfg: &BlockConfig| NativeBackend.run_new(&op, &[&a, &b], cfg).unwrap();
+    let reference = run(&BlockConfig::serial());
     for tile in TileVariant::ALL {
-        let cfg = BlockConfig::serial().with_tile(tile);
-        let c = gemm_new(Trans::No, &a, Trans::No, &b, &cfg).unwrap();
+        let c = run(&BlockConfig::serial().with_tile(tile));
         assert!(
             max_abs_diff(&c, &reference).unwrap() < 1e-11 * k as f64,
             "tile {tile} diverged from the audited computation"

@@ -59,12 +59,33 @@ fn main() {
     let cfg = BlockConfig::default();
     let a = random_seeded(d0, d1, 1);
     let b = random_seeded(d0, d2, 2);
+    let run = |op: KernelOp, inputs: &[&Matrix]| NativeBackend.run_new(&op, inputs, &cfg).unwrap();
+    let (uplo, side) = (Uplo::Lower, Side::Left);
     // Variant 1: SYRK triangle + SYMM.
-    let tri = syrk_new(Uplo::Lower, Trans::No, &a, &cfg).unwrap();
-    let x_syrk = symm_new(Side::Left, Uplo::Lower, &tri, &b, &cfg).unwrap();
+    let syrk = KernelOp::Syrk {
+        uplo,
+        trans: Trans::No,
+        n: d0,
+        k: d1,
+    };
+    let tri = run(syrk, &[&a]);
+    let symm = KernelOp::Symm {
+        side,
+        uplo,
+        m: d0,
+        n: d2,
+    };
+    let x_syrk = run(symm, &[&tri, &b]);
     // Variant 5: GEMM(Aᵀ·B) then GEMM(A·M).
-    let m = gemm_new(Trans::Yes, &a, Trans::No, &b, &cfg).unwrap();
-    let x_gemm = gemm_new(Trans::No, &a, Trans::No, &m, &cfg).unwrap();
+    let gemm = |transa, m, k| KernelOp::Gemm {
+        transa,
+        transb: Trans::No,
+        m,
+        n: d2,
+        k,
+    };
+    let m = run(gemm(Trans::Yes, d1, d0), &[&a, &b]);
+    let x_gemm = run(gemm(Trans::No, d0, d1), &[&a, &m]);
     let diff = max_abs_diff(&x_syrk, &x_gemm).unwrap();
     println!("max |X_syrk+symm - X_gemm+gemm| = {diff:.3e} (mathematically equivalent)");
     assert!(diff < 1e-8, "algorithm variants must agree numerically");

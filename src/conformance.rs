@@ -63,6 +63,7 @@ macro_rules! solver_conformance_suite {
     ) => {
         mod $name {
             use $crate::expr::Expression as _;
+            use $crate::kernels::Backend as _;
             use $crate::kernels::Solver as _;
             use $crate::matrix::ops::{max_abs, max_abs_diff};
             use $crate::matrix::random::random_seeded;
@@ -72,15 +73,23 @@ macro_rules! solver_conformance_suite {
                 $crate::kernels::BlockConfig::default()
             }
 
-            fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
-                $crate::kernels::Kernel::Gemm {
-                    transa: $crate::matrix::Trans::No,
-                    a,
+            /// `op(A)·B` on the native backend.
+            fn gemm_t(transa: $crate::matrix::Trans, a: &Matrix, b: &Matrix) -> Matrix {
+                let (m, k) = transa.apply(a.shape());
+                let op = $crate::kernels::KernelOp::Gemm {
+                    transa,
                     transb: $crate::matrix::Trans::No,
-                    b,
-                }
-                .run_new(&cfg())
-                .unwrap()
+                    m,
+                    n: b.cols(),
+                    k,
+                };
+                $crate::kernels::NativeBackend
+                    .run_new(&op, &[a, b], &cfg())
+                    .unwrap()
+            }
+
+            fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
+                gemm_t($crate::matrix::Trans::No, a, b)
             }
 
             #[test]
@@ -136,16 +145,7 @@ macro_rules! solver_conformance_suite {
                 } else {
                     // Least squares: only the normal-equations residual
                     // Aᵀ(A·X − B) vanishes.
-                    max_abs(
-                        &$crate::kernels::Kernel::Gemm {
-                            transa: $crate::matrix::Trans::Yes,
-                            a: &a,
-                            transb: $crate::matrix::Trans::No,
-                            b: &resid,
-                        }
-                        .run_new(&cfg())
-                        .unwrap(),
-                    )
+                    max_abs(&gemm_t($crate::matrix::Trans::Yes, &a, &resid))
                 };
                 let tol = 1e-10 * (rows as f64).max(1.0) * max_abs(&b).max(1.0);
                 assert!(measured <= tol, "residual {measured} exceeds {tol}");

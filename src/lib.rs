@@ -90,8 +90,8 @@ pub mod prelude {
         TreeExpression,
     };
     pub use lamb_kernels::{
-        gemm, gemm_new, solve_auto, solver_for, symm, symm_new, syrk, syrk_new, BlockConfig,
-        CholeskySolver, LuSolver, QrSolver, Solver,
+        gemm, solve_auto, solver_for, symm, syrk, Backend, BlockConfig, CholeskySolver, LuSolver,
+        NativeBackend, QrSolver, Solver,
     };
     pub use lamb_matrix::{Matrix, Side, Trans, Uplo};
     pub use lamb_perfmodel::{

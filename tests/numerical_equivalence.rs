@@ -9,7 +9,6 @@
 
 use lamb::expr::aatb::aatb_flop_formulas;
 use lamb::expr::chain::abcd_flop_formulas;
-use lamb::kernels::Kernel;
 use lamb::matrix::ops::max_abs_diff;
 use lamb::matrix::random::{random_seeded, random_spd, random_triangular};
 use lamb::matrix::Structure;
@@ -40,63 +39,17 @@ fn interpret(alg: &Algorithm, seed: u64) -> Matrix {
         let mut out = store
             .remove(&call.output.index())
             .expect("output allocated");
-        let input = |i: usize| &store[&call.inputs[i].index()];
-        if let KernelOp::CopyTriangle { uplo, .. } = call.op {
-            out.symmetrize_from(uplo).unwrap();
-        } else {
-            let kernel = match call.op {
-                KernelOp::Gemm { transa, transb, .. } => Kernel::Gemm {
-                    transa,
-                    a: input(0),
-                    transb,
-                    b: input(1),
-                },
-                KernelOp::Syrk { uplo, trans, .. } => Kernel::Syrk {
-                    uplo,
-                    trans,
-                    a: input(0),
-                },
-                KernelOp::Symm { side, uplo, .. } => Kernel::Symm {
-                    side,
-                    uplo,
-                    a_sym: input(0),
-                    b: input(1),
-                },
-                KernelOp::Trmm {
-                    side, uplo, trans, ..
-                } => Kernel::Trmm {
-                    side,
-                    uplo,
-                    trans,
-                    l: input(0),
-                    b: input(1),
-                },
-                KernelOp::Trsm {
-                    side, uplo, trans, ..
-                } => Kernel::Trsm {
-                    side,
-                    uplo,
-                    trans,
-                    l: input(0),
-                    b: input(1),
-                },
-                KernelOp::Potrf { uplo, .. } => Kernel::Potrf { uplo, a: input(0) },
-                KernelOp::Getrf { .. } => Kernel::Getrf { a: input(0) },
-                KernelOp::Qr { .. } => Kernel::Qr { a: input(0) },
-                KernelOp::Ormqr { .. } => Kernel::Ormqr {
-                    f: input(0),
-                    b: input(1),
-                },
-                KernelOp::FactorTri { uplo, .. } => Kernel::FactorTri { uplo, f: input(0) },
-                KernelOp::PivotApply { side, .. } => Kernel::PivotApply {
-                    side,
-                    f: input(0),
-                    b: input(1),
-                },
-                KernelOp::CopyTriangle { .. } => unreachable!("handled above"),
-            };
-            kernel.run_into(&mut out, &cfg).unwrap();
-        }
+        // The in-place triangle copy names its output as its input; that
+        // operand reaches the backend through `out`.
+        let inputs: Vec<&Matrix> = call
+            .inputs
+            .iter()
+            .filter(|id| **id != call.output)
+            .map(|id| &store[&id.index()])
+            .collect();
+        NativeBackend
+            .run_into(&call.op, &inputs, &mut out, &cfg)
+            .unwrap();
         store.insert(call.output.index(), out);
     }
     let out_id = alg.output().expect("single output").id.index();
@@ -176,7 +129,20 @@ fn triangular_algorithm_variants_compute_the_same_matrix() {
 fn general_solve_and_least_squares_interpret_correctly() {
     use lamb::matrix::ops::{axpy, max_abs};
     use lamb::matrix::Trans;
-    let cfg = BlockConfig::default();
+    // `op(A)·X` on the native backend.
+    let product = |transa: Trans, a: &Matrix, x: &Matrix| {
+        let (m, k) = transa.apply(a.shape());
+        let op = KernelOp::Gemm {
+            transa,
+            transb: Trans::No,
+            m,
+            n: x.cols(),
+            k,
+        };
+        NativeBackend
+            .run_new(&op, &[a, x], &BlockConfig::default())
+            .unwrap()
+    };
     // Rebuild an input operand exactly as `interpret` seeds it.
     let operand = |alg: &Algorithm, name: &str, seed: u64| {
         let info = alg.operands.iter().find(|o| o.name == name).unwrap();
@@ -190,14 +156,7 @@ fn general_solve_and_least_squares_interpret_correctly() {
     let x = interpret(&algorithms[0], 17);
     let a = operand(&algorithms[0], "A", 17);
     let b = operand(&algorithms[0], "B", 17);
-    let mut resid = Kernel::Gemm {
-        transa: Trans::No,
-        a: &a,
-        transb: Trans::No,
-        b: &x,
-    }
-    .run_new(&cfg)
-    .unwrap();
+    let mut resid = product(Trans::No, &a, &x);
     axpy(-1.0, &b, &mut resid).unwrap();
     assert!(
         max_abs(&resid) < 1e-10 * 26.0,
@@ -215,23 +174,9 @@ fn general_solve_and_least_squares_interpret_correctly() {
     let b = operand(&algorithms[0], "b", 23);
     assert_eq!(a.shape(), (34, 9));
     assert_eq!(x.shape(), (9, 2));
-    let mut resid = Kernel::Gemm {
-        transa: Trans::No,
-        a: &a,
-        transb: Trans::No,
-        b: &x,
-    }
-    .run_new(&cfg)
-    .unwrap();
+    let mut resid = product(Trans::No, &a, &x);
     axpy(-1.0, &b, &mut resid).unwrap();
-    let normal = Kernel::Gemm {
-        transa: Trans::Yes,
-        a: &a,
-        transb: Trans::No,
-        b: &resid,
-    }
-    .run_new(&cfg)
-    .unwrap();
+    let normal = product(Trans::Yes, &a, &resid);
     assert!(
         max_abs(&normal) < 1e-10 * 34.0,
         "normal equations violated: {}",
