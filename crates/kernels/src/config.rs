@@ -130,8 +130,18 @@ pub struct BlockConfig {
     pub tile: TileVariant,
     /// Whether to parallelise over column panels of `C` with Rayon.
     pub parallel: bool,
-    /// Minimum number of useful FLOPs before the parallel path is taken;
-    /// below this the Rayon fork/join overhead dominates.
+    /// Minimum number of useful FLOPs before the parallel path is taken.
+    ///
+    /// Handing a panel to a pooled worker costs microseconds, not a thread
+    /// spawn, and a warm GEMM repeated in a loop already gains from two
+    /// threads at order 96. What sets the default is the cost a loop like
+    /// that hides: in a sequence of kernel calls the operands were just
+    /// written by the calling thread, so a second core starts by pulling its
+    /// share of them (and every worker packs all of `A`) and hands its part
+    /// of `C` back the same way. Served end to end, calls below about order
+    /// 192 ran no faster split than whole (`BENCH_pool.json`), and a kernel
+    /// whose isolated timing flatters it is exactly what the selector must
+    /// not be fed.
     pub parallel_flop_threshold: u64,
 }
 
@@ -144,7 +154,7 @@ impl Default for BlockConfig {
             tri_block: 64,
             tile: TileVariant::default(),
             parallel: true,
-            parallel_flop_threshold: 2 * 64 * 64 * 64,
+            parallel_flop_threshold: 2 * 192 * 192 * 192,
         }
     }
 }
@@ -193,12 +203,14 @@ impl BlockConfig {
     }
 
     /// Width of the column panels distributed to Rayon workers for an output
-    /// matrix with `n` columns.
+    /// matrix with `n` columns: one panel per thread. Every panel packs the
+    /// whole of `A` for itself, so each panel beyond the thread count buys
+    /// its load balancing with another copy of that work.
     #[must_use]
     pub fn parallel_panel_width(&self, n: usize) -> usize {
         let nr = self.tile.nr();
         let threads = rayon::current_num_threads().max(1);
-        let target = n.div_ceil(threads * 3).max(nr);
+        let target = n.div_ceil(threads).max(nr);
         // Round up to a multiple of NR so that full micro-tiles dominate.
         target.div_ceil(nr) * nr
     }

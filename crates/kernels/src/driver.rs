@@ -8,7 +8,8 @@
 //!    through element accessor closures;
 //! 2. a **column-panel partitioner** ([`BlockedDriver::for_each_panel`]) that
 //!    splits the output into disjoint column panels and runs a per-panel
-//!    closure either serially or on Rayon workers;
+//!    closure either serially or on the Rayon pool (the calling thread
+//!    included);
 //! 3. the **beta-scaling rule** ([`scale_inplace`]) with the BLAS convention
 //!    that `beta == 0` writes zeros without reading the previous contents.
 //!
@@ -33,10 +34,13 @@
 //!
 //! The packed-panel buffers are thread-local scratch, taken at the start of a
 //! serial-core call and returned at the end, so the cache-block loop nest —
-//! and every subsequent kernel call on the same thread (or Rayon worker) —
-//! reuses one pair of allocations instead of reallocating per panel.
-//! [`pack_buffer_growth_events`] counts how often a buffer actually had to
-//! grow, which tests use to assert the steady state allocates nothing.
+//! and every subsequent kernel call on the same thread — reuses one pair of
+//! allocations instead of reallocating per panel. That holds for the parallel
+//! path too: the panels of a call run on the calling thread and on the
+//! pool's helper threads, which live as long as the process, so a helper's
+//! scratch is as warm on its second panel as the caller's is on its second
+//! call. [`pack_buffer_growth_events`] counts how often a buffer actually had
+//! to grow, which tests use to assert the steady state allocates nothing.
 
 use crate::config::{BlockConfig, TileVariant, MAX_TILE_ACC};
 use crate::microkernel::microkernel;
@@ -457,6 +461,26 @@ mod tests {
         assert!(max_abs_diff(&c_serial, &c_parallel).unwrap() < 1e-12);
     }
 
+    /// Whether some repeat of `run` sees no packing buffer grow anywhere in
+    /// the process, each repeat returning what `first` did.
+    ///
+    /// The counter is process-wide, and the first kernel call of every other
+    /// test thread (and of every pool helper) grows a fresh scratch: a single
+    /// observation can count their events. A repeat call that did grow would
+    /// show in every window, so one quiet window proves the property.
+    fn some_repeat_grows_nothing(first: &Matrix, run: impl Fn() -> Matrix) -> bool {
+        (0..400).any(|_| {
+            let before = pack_buffer_growth_events();
+            let again = run();
+            let after = pack_buffer_growth_events();
+            assert!(max_abs_diff(first, &again).unwrap() == 0.0);
+            after == before || {
+                std::thread::sleep(std::time::Duration::from_millis(25));
+                false
+            }
+        })
+    }
+
     #[test]
     fn pack_scratch_is_reused_after_warmup() {
         // Two identical calls: the first may grow the thread-local scratch,
@@ -482,22 +506,48 @@ mod tests {
             c
         };
         let first = run();
-        // The counter is process-wide, and every other test thread's first
-        // kernel call (and every worker a parallel kernel spawns) grows a
-        // fresh scratch: a single observation can count their events. A
-        // repeat call that did grow would show in every window, so one quiet
-        // window proves the property.
-        let quiet = (0..400).any(|_| {
-            let before = pack_buffer_growth_events();
-            let second = run();
-            let after = pack_buffer_growth_events();
-            assert!(max_abs_diff(&first, &second).unwrap() == 0.0);
-            after == before || {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-                false
-            }
-        });
-        assert!(quiet, "warm repeat call must not grow packing buffers");
+        assert!(
+            some_repeat_grows_nothing(&first, run),
+            "warm repeat call must not grow packing buffers"
+        );
+    }
+
+    #[test]
+    fn pack_scratch_is_reused_by_the_parallel_path_too() {
+        // The same property with every call forced through the pool: the
+        // panels land on the caller and on helper threads that outlive the
+        // call, so once each of them has packed a panel of this shape a
+        // repeat grows nothing. With workers spawned per call, every call's
+        // workers would start from empty scratch and no window could be
+        // quiet.
+        let (m, n, k) = (48, 96, 48);
+        let a = random_seeded(m, k, 33);
+        let b = random_seeded(k, n, 34);
+        let a_s = a.as_slice();
+        let b_s = b.as_slice();
+        let cfg = BlockConfig {
+            parallel_flop_threshold: 1,
+            ..BlockConfig::default()
+        };
+        let driver = BlockedDriver::new(&cfg);
+        let run = || {
+            let mut c = Matrix::zeros(m, n);
+            driver.accumulate(
+                m,
+                n,
+                k,
+                1.0,
+                &|i, p| a_s[i + p * m],
+                &|p, j| b_s[p + j * k],
+                &mut c.view_mut(),
+            );
+            c
+        };
+        let first = run();
+        assert!(
+            some_repeat_grows_nothing(&first, run),
+            "warm parallel repeat call must not grow packing buffers"
+        );
     }
 
     #[test]

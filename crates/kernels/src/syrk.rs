@@ -53,64 +53,64 @@ pub fn syrk(
 
     let driver = BlockedDriver::new(cfg);
     let parallel = cfg.should_parallelise(n, n, k);
+    let tb = cfg.tri_block.max(1);
     driver.for_each_panel(
         c.subview_mut(0, 0, n, n),
         parallel,
         |j0, mut panel: MatrixViewMut<'_>| {
+            // Walk the panel's stretch of the diagonal in blocks of at most
+            // `tri_block` columns. Only a diagonal block needs the triangle
+            // mask, so only it takes the detour through a scratch product;
+            // the rest of its columns, below (or above) the diagonal, is a
+            // plain rectangle. Whatever the panel width — a serial call is
+            // one panel of width n — the product computed is the triangle
+            // plus a `tri_block`-wide band along the diagonal.
             let w = panel.cols();
-            // Diagonal block: compute the full w x w product into a scratch
-            // buffer, then fold only the selected triangle into C so the
-            // opposite triangle of C is never written.
-            let mut diag = Matrix::zeros(w, w);
-            driver.accumulate_serial(
-                w,
-                w,
-                k,
-                alpha,
-                &|i, p| load(j0 + i, p),
-                &|p, j| load(j0 + j, p),
-                &mut diag.view_mut(),
-            );
-            match uplo {
-                Uplo::Lower => {
-                    for jj in 0..w {
-                        for ii in jj..w {
-                            *panel.at_mut(j0 + ii, jj) += diag[(ii, jj)];
-                        }
-                    }
-                    let below_rows = n - (j0 + w);
-                    if below_rows > 0 {
-                        let mut below = panel.subview_mut(j0 + w, 0, below_rows, w);
-                        driver.accumulate_serial(
-                            below_rows,
-                            w,
-                            k,
-                            alpha,
-                            &|i, p| load(j0 + w + i, p),
-                            &|p, j| load(j0 + j, p),
-                            &mut below,
-                        );
+            let mut scratch = Matrix::zeros(tb.min(w), tb.min(w));
+            for d0 in (0..w).step_by(tb) {
+                let bw = tb.min(w - d0);
+                // The block's first row and column in C.
+                let g0 = j0 + d0;
+                let mut scratch = scratch.view_mut();
+                let mut diag = scratch.subview_mut(0, 0, bw, bw);
+                diag.fill(0.0);
+                driver.accumulate_serial(
+                    bw,
+                    bw,
+                    k,
+                    alpha,
+                    &|i, p| load(g0 + i, p),
+                    &|p, j| load(g0 + j, p),
+                    &mut diag,
+                );
+                // Fold only the selected triangle into C, so the opposite
+                // triangle of C is never written.
+                let diag = diag.as_view();
+                for jj in 0..bw {
+                    let rows = match uplo {
+                        Uplo::Lower => jj..bw,
+                        Uplo::Upper => 0..jj + 1,
+                    };
+                    let col = &mut panel.col_mut(d0 + jj)[g0..g0 + bw];
+                    for (x, &d) in col[rows.clone()].iter_mut().zip(&diag.col(jj)[rows]) {
+                        *x += d;
                     }
                 }
-                Uplo::Upper => {
-                    for jj in 0..w {
-                        for ii in 0..=jj {
-                            *panel.at_mut(j0 + ii, jj) += diag[(ii, jj)];
-                        }
-                    }
-                    if j0 > 0 {
-                        let mut above = panel.subview_mut(0, 0, j0, w);
-                        driver.accumulate_serial(
-                            j0,
-                            w,
-                            k,
-                            alpha,
-                            &|i, p| load(i, p),
-                            &|p, j| load(j0 + j, p),
-                            &mut above,
-                        );
-                    }
-                }
+                // Rows of C strictly below (Lower) or above (Upper) the block.
+                let rect = match uplo {
+                    Uplo::Lower => g0 + bw..n,
+                    Uplo::Upper => 0..g0,
+                };
+                let (r0, rows) = (rect.start, rect.len());
+                driver.accumulate_serial(
+                    rows,
+                    bw,
+                    k,
+                    alpha,
+                    &|i, p| load(r0 + i, p),
+                    &|p, j| load(g0 + j, p),
+                    &mut panel.subview_mut(r0, d0, rows, bw),
+                );
             }
         },
     );

@@ -16,6 +16,18 @@ fn required_len(rows: usize, cols: usize, ld: usize) -> usize {
     }
 }
 
+/// The range of a parent buffer that an `nr x nc` window at `(r0, c0)`
+/// covers. A window without elements covers nothing, wherever it sits: its
+/// nominal start `r0 + c0 * ld` may lie past the end of the buffer, which
+/// only has to reach the last row of the parent's last column.
+fn window_range(r0: usize, c0: usize, nr: usize, nc: usize, ld: usize) -> std::ops::Range<usize> {
+    if nr == 0 || nc == 0 {
+        return 0..0;
+    }
+    let start = r0 + c0 * ld;
+    start..start + required_len(nr, nc, ld)
+}
+
 /// An immutable, column-major matrix window.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixView<'a> {
@@ -95,6 +107,10 @@ impl<'a> MatrixView<'a> {
     #[must_use]
     pub fn col(&self, j: usize) -> &'a [f64] {
         assert!(j < self.cols, "view column out of bounds");
+        if self.rows == 0 {
+            // A window without rows owns no part of the buffer.
+            return &[];
+        }
         &self.data[j * self.ld..j * self.ld + self.rows]
     }
 
@@ -109,10 +125,9 @@ impl<'a> MatrixView<'a> {
             r0 + nr <= self.rows && c0 + nc <= self.cols,
             "subview out of bounds"
         );
-        let start = r0 + c0 * self.ld;
-        let end = start + required_len(nr, nc, self.ld);
+        let window = window_range(r0, c0, nr, nc, self.ld);
         MatrixView {
-            data: &self.data[start..end],
+            data: &self.data[window],
             rows: nr,
             cols: nc,
             ld: self.ld,
@@ -222,6 +237,10 @@ impl<'a> MatrixViewMut<'a> {
     /// Panics if `j >= cols`.
     pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
         assert!(j < self.cols, "view column out of bounds");
+        if self.rows == 0 {
+            // A window without rows owns no part of the buffer.
+            return &mut [];
+        }
         &mut self.data[j * self.ld..j * self.ld + self.rows]
     }
 
@@ -253,10 +272,9 @@ impl<'a> MatrixViewMut<'a> {
             r0 + nr <= self.rows && c0 + nc <= self.cols,
             "subview out of bounds"
         );
-        let start = r0 + c0 * self.ld;
-        let end = start + required_len(nr, nc, self.ld);
+        let window = window_range(r0, c0, nr, nc, self.ld);
         MatrixViewMut {
-            data: &mut self.data[start..end],
+            data: &mut self.data[window],
             rows: nr,
             cols: nc,
             ld: self.ld,
@@ -455,6 +473,28 @@ mod tests {
             }
         }
         assert_eq!(count, 4);
+    }
+
+    #[test]
+    fn empty_windows_are_allowed_at_every_corner() {
+        // A 3x4 view with ld 5 over the shortest buffer that holds it: the
+        // nominal start of a window at the far corners lies past its end.
+        let (rows, cols, ld) = (3, 4, 5);
+        let mut buf = vec![1.0; (cols - 1) * ld + rows];
+        for (r0, c0) in [(0, 0), (rows, 0), (0, cols), (rows, cols)] {
+            for (nr, nc) in [(0, cols - c0), (rows - r0, 0), (0, 0)] {
+                let v = MatrixView::new(&buf, rows, cols, ld).unwrap();
+                let s = v.subview(r0, c0, nr, nc);
+                assert_eq!((s.rows(), s.cols(), s.ld()), (nr, nc, ld));
+                assert!(s.to_compact_vec().is_empty());
+                let mut v = MatrixViewMut::new(&mut buf, rows, cols, ld).unwrap();
+                let mut s = v.subview_mut(r0, c0, nr, nc);
+                assert_eq!((s.rows(), s.cols(), s.ld()), (nr, nc, ld));
+                s.fill(9.0);
+                assert!(s.into_col_panels(2).iter().all(|p| p.rows() == 0));
+            }
+        }
+        assert!(buf.iter().all(|&x| x == 1.0));
     }
 
     #[test]

@@ -36,8 +36,11 @@ pub mod grid {
     /// Diagonal-block order of the triangular recurrences.
     pub const TRI_BLOCK: [usize; 5] = [32, 48, 64, 96, 128];
     /// Minimum useful FLOPs before forking to Rayon.
-    pub const PARALLEL_FLOP_THRESHOLD: [u64; 3] =
-        [2 * 32 * 32 * 32, 2 * 64 * 64 * 64, 2 * 128 * 128 * 128];
+    pub const PARALLEL_FLOP_THRESHOLD: [u64; 3] = [
+        2 * 128 * 128 * 128,
+        2 * 192 * 192 * 192,
+        2 * 256 * 256 * 256,
+    ];
 }
 
 /// Number of coordinate axes the descent sweeps.
@@ -254,7 +257,7 @@ mod tests {
             + (cfg.kc as f64 - 384.0).abs() / 128.0
             + (cfg.nc as f64 - 2048.0).abs() / 1024.0
             + (cfg.tri_block as f64 - 96.0).abs() / 32.0
-            + (cfg.parallel_flop_threshold as f64 - 524_288.0).abs() / 1e6
+            + (cfg.parallel_flop_threshold as f64 - 14_155_776.0).abs() / 1e6
     }
 
     #[test]
@@ -266,7 +269,7 @@ mod tests {
         assert_eq!(outcome.config.kc, 384);
         assert_eq!(outcome.config.nc, 2048);
         assert_eq!(outcome.config.tri_block, 96);
-        assert_eq!(outcome.config.parallel_flop_threshold, 2 * 64 * 64 * 64);
+        assert_eq!(outcome.config.parallel_flop_threshold, 2 * 192 * 192 * 192);
         assert!(outcome.score < outcome.baseline_score);
         assert!(outcome.passes >= 2, "needs a pass to confirm convergence");
     }

@@ -1293,6 +1293,20 @@ mod tests {
         for w in &warnings {
             assert!(!w.to_string().is_empty());
         }
+        // A store written under an earlier default configuration — here the
+        // one whose parallel cutoff was 2·64³ — differs from today's default
+        // in nothing but the fingerprint, and that alone reports it stale.
+        let mut earlier = sample_store();
+        earlier.meta.block_fingerprint = "mc128-kc256-nc4096-tb64-r8x4-pft524288-par".into();
+        let warnings =
+            earlier.staleness(&earlier.machine, &BlockConfig::default().fingerprint(), now);
+        assert!(
+            matches!(
+                warnings.as_slice(),
+                [StalenessWarning::BlockConfigChanged { .. }]
+            ),
+            "{warnings:?}"
+        );
     }
 
     #[test]
