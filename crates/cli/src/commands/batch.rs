@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
     let opts = common::parse(args)?;
-    let executor_label = opts.executor_label()?;
+    let executor_label = opts.executor.name();
     let strategy = parse_strategy(opts.strategy.as_deref().unwrap_or("predicted"))?;
     let threshold = opts.threshold.unwrap_or(0.10);
 
@@ -54,11 +54,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         .strategy(strategy)
         .threshold(threshold)
         .cse(!opts.no_cse)
-        .executor_factory(move || {
-            factory_opts
-                .build_executor()
-                .expect("executor name validated above")
-        });
+        .executor_factory(move || factory_opts.build_executor());
     let factor_cache = (!opts.no_factor_cache).then(|| Arc::new(FactorCache::new()));
     if let Some(fc) = &factor_cache {
         planner = planner.factor_cache(Arc::clone(fc));
@@ -81,7 +77,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             ));
         }
         for warning in store.staleness(
-            opts.build_executor()?.machine(),
+            opts.build_executor().machine(),
             &block_fingerprint,
             now_unix(),
         ) {
@@ -103,7 +99,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     // Per-call backend assignments over the chosen algorithms: the
     // benchmark-driven argmin, or every call pinned by `--backend <name>`.
-    let mut backend_exec = opts.build_executor()?;
+    let mut backend_exec = opts.build_executor();
     let assignments: Vec<Option<BackendAssignment>> = outcome
         .results
         .iter()
@@ -130,7 +126,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     // compatibility guards apply (a store must never silently mix times
     // measured under different configurations).
     if opts.update_store {
-        let executor = opts.build_executor()?;
+        let executor = opts.build_executor();
         let mut sweep = CalibrationStore::new(executor.machine().clone(), executor_label);
         let (block_fingerprint, timing_reps) = opts.timing_metadata();
         sweep.meta.block_fingerprint = block_fingerprint;

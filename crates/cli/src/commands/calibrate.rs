@@ -27,7 +27,7 @@ use lamb_plan::{BatchPlanner, BatchRequest};
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
     let opts = common::parse(args)?;
-    let executor_label = opts.executor_label()?;
+    let executor_label = opts.executor.name();
 
     // `--autotune`: search the blocking space first, so the sweep below runs
     // under — and is fingerprinted with — the winning configuration.
@@ -45,8 +45,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
             outcome.evaluations,
             outcome.passes
         );
+        let (size, reps) = lamb_perfmodel::tuned_gemm_probe(opts.quick);
         println!(
-            "  gemm   : {:.2} GFLOP/s under the tuned configuration",
+            "  gemm   : {:.2} → {:.2} GFLOP/s (starting → tuned configuration, n = {size})",
+            lamb_perfmodel::measured_gemm_gflops(&base, size, reps),
             tuned.gflops
         );
         Some(tuned)
@@ -59,7 +61,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| opts.block_config());
     let block_fingerprint = block_config.fingerprint();
     let (_, timing_reps) = opts.timing_metadata();
-    let mut executor = opts.build_executor_with(block_config)?;
+    let mut executor = opts.build_executor_with(block_config);
 
     let mut store = CalibrationStore::new(executor.machine().clone(), executor_label);
     store.meta.block_fingerprint = block_fingerprint.clone();
@@ -136,11 +138,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let requests = BatchRequest::parse_file(&contents).map_err(|e| e.to_string())?;
         let factory_opts = opts.clone();
         let planner = BatchPlanner::new()
-            .executor_factory(move || {
-                factory_opts
-                    .build_executor()
-                    .expect("executor name validated above")
-            })
+            .executor_factory(move || factory_opts.build_executor())
             .threshold(opts.threshold.unwrap_or(0.10));
         let planner = match opts.top_k {
             Some(k) => planner.top_k(k),
@@ -274,10 +272,11 @@ fn print_coverage(store: &CalibrationStore, opts: &CommonOptions, block_fingerpr
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let warnings = match opts.build_executor() {
-        Ok(executor) => store.staleness(executor.machine(), block_fingerprint, now_unix()),
-        Err(_) => Vec::new(),
-    };
+    let warnings = store.staleness(
+        opts.build_executor().machine(),
+        block_fingerprint,
+        now_unix(),
+    );
     if warnings.is_empty() {
         println!("  status : fresh");
     } else {

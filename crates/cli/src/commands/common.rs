@@ -8,11 +8,44 @@ use lamb_perfmodel::{
 };
 use std::path::PathBuf;
 
+/// Which executor back end `--executor` selects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecutorKind {
+    /// Deterministic analytic machine model (default; paper-scale feasible).
+    Simulated,
+    /// Analytic model without abrupt variant switches (ablation).
+    SimulatedSmooth,
+    /// Real kernels, wall-clock timing, paper measurement protocol.
+    Measured,
+}
+
+impl ExecutorKind {
+    /// Parse the `--executor` flag value (every alias of a kind).
+    pub fn parse(value: &str) -> Option<Self> {
+        match value {
+            "simulated" | "sim" => Some(ExecutorKind::Simulated),
+            "smooth" | "simulated-smooth" => Some(ExecutorKind::SimulatedSmooth),
+            "measured" | "real" => Some(ExecutorKind::Measured),
+            _ => None,
+        }
+    }
+
+    /// Canonical name for reports and store metadata (aliases like
+    /// `sim`/`real` collapse onto one name, so stores stay mergeable).
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecutorKind::Simulated => "simulated",
+            ExecutorKind::SimulatedSmooth => "simulated-smooth",
+            ExecutorKind::Measured => "measured",
+        }
+    }
+}
+
 /// Options shared by the experiment-style subcommands.
 #[derive(Debug, Clone)]
 pub struct CommonOptions {
-    /// Executor back end name (`simulated`, `smooth`, `measured`).
-    pub executor: String,
+    /// Executor back end selected by `--executor`.
+    pub executor: ExecutorKind,
     /// Workload scale factor in `(0, 1]`.
     pub scale: f64,
     /// Sampling seed.
@@ -70,7 +103,7 @@ pub struct CommonOptions {
 impl Default for CommonOptions {
     fn default() -> Self {
         CommonOptions {
-            executor: "simulated".into(),
+            executor: ExecutorKind::Simulated,
             scale: 1.0,
             seed: 20220829,
             out_dir: PathBuf::from("results"),
@@ -110,7 +143,10 @@ pub fn parse(args: &[String]) -> Result<CommonOptions, String> {
         };
         match arg.as_str() {
             "--executor" => {
-                opts.executor = value("--executor")?;
+                let name = value("--executor")?;
+                opts.executor = ExecutorKind::parse(&name).ok_or_else(|| {
+                    format!("unknown executor `{name}` (expected simulated, smooth or measured)")
+                })?;
                 i += 1;
             }
             "--scale" => {
@@ -227,7 +263,9 @@ pub fn parse(args: &[String]) -> Result<CommonOptions, String> {
         }
         i += 1;
     }
-    if opts.executor == "measured" && !explicit_scale {
+    // Measured runs are wall-clock expensive: default to a small scale
+    // unless the user explicitly asked for more.
+    if opts.executor == ExecutorKind::Measured && !explicit_scale {
         opts.scale = 0.02;
     }
     Ok(opts)
@@ -255,9 +293,24 @@ pub fn parse_strategy(name: &str) -> Result<lamb_select::Strategy, String> {
     }
 }
 
+/// An expression with the name the experiment configurations and artefact
+/// prefixes key on: `chain`, `aatb`, or `expr` for a parsed `--expr`.
+pub type NamedExpression = (String, Box<dyn Expression>);
+
+/// One of the paper's two expressions by name.
+pub fn named_expression(name: &str) -> Result<NamedExpression, String> {
+    match name {
+        "chain" | "abcd" => Ok(("chain".into(), Box::new(MatrixChainExpression::abcd()))),
+        "aatb" => Ok(("aatb".into(), Box::new(AatbExpression::new()))),
+        other => Err(format!(
+            "unknown expression `{other}` (expected chain, aatb, or --expr \"...\")"
+        )),
+    }
+}
+
 impl CommonOptions {
     /// Build the requested executor under [`CommonOptions::block_config`].
-    pub fn build_executor(&self) -> Result<Box<dyn Executor>, String> {
+    pub fn build_executor(&self) -> Box<dyn Executor> {
         self.build_executor_with(self.block_config())
     }
 
@@ -265,18 +318,15 @@ impl CommonOptions {
     /// (the simulated back ends ignore it). `lamb calibrate --autotune` uses
     /// this to run its sweep under a configuration it just discovered — one
     /// that is not yet persisted where [`CommonOptions::block_config`] looks.
-    pub fn build_executor_with(&self, cfg: BlockConfig) -> Result<Box<dyn Executor>, String> {
-        match self.executor.as_str() {
-            "simulated" | "sim" => Ok(Box::new(SimulatedExecutor::paper_like())),
-            "smooth" | "simulated-smooth" => Ok(Box::new(SimulatedExecutor::paper_like_smooth())),
-            "measured" | "real" => Ok(Box::new(MeasuredExecutor::new(
+    pub fn build_executor_with(&self, cfg: BlockConfig) -> Box<dyn Executor> {
+        match self.executor {
+            ExecutorKind::Simulated => Box::new(SimulatedExecutor::paper_like()),
+            ExecutorKind::SimulatedSmooth => Box::new(SimulatedExecutor::paper_like_smooth()),
+            ExecutorKind::Measured => Box::new(MeasuredExecutor::new(
                 MachineModel::generic_laptop(),
                 cfg,
                 MEASURED_REPS,
                 MEASURED_FLUSH_BYTES,
-            ))),
-            other => Err(format!(
-                "unknown executor `{other}` (expected simulated, smooth or measured)"
             )),
         }
     }
@@ -307,7 +357,7 @@ impl CommonOptions {
 
     /// Resolve the expression: either parsed from `--expr <text>` or named
     /// by the first positional argument.
-    pub fn expression(&self) -> Result<(String, Box<dyn Expression>), String> {
+    pub fn expression(&self) -> Result<NamedExpression, String> {
         if let Some(text) = &self.expr_text {
             let parsed = TreeExpression::parse(text)
                 .map_err(|e| format!("cannot parse --expr `{text}`: {e}"))?;
@@ -317,13 +367,7 @@ impl CommonOptions {
             .positional
             .first()
             .ok_or("missing expression (chain, aatb, or --expr \"...\")")?;
-        match name.as_str() {
-            "chain" | "abcd" => Ok(("chain".into(), Box::new(MatrixChainExpression::abcd()))),
-            "aatb" => Ok(("aatb".into(), Box::new(AatbExpression::new()))),
-            other => Err(format!(
-                "unknown expression `{other}` (expected chain, aatb, or --expr \"...\")"
-            )),
-        }
+        named_expression(name)
     }
 
     /// Parse the dimension tuple — from `--dims` when given, otherwise from
@@ -372,7 +416,7 @@ impl CommonOptions {
     /// selected).
     pub fn line_config(&self) -> LineConfig {
         let cfg = LineConfig::paper();
-        if self.executor == "measured" {
+        if self.executor == ExecutorKind::Measured {
             cfg.with_max_anomalies(((100.0 * self.scale).ceil() as usize).max(1))
         } else {
             cfg
@@ -394,25 +438,12 @@ impl CommonOptions {
             .unwrap_or_else(|| self.out_dir.join("calibration.json"))
     }
 
-    /// Canonical name of the selected executor for store metadata (aliases
-    /// like `sim`/`real` collapse onto one name, so stores stay mergeable).
-    pub fn executor_label(&self) -> Result<&'static str, String> {
-        match self.executor.as_str() {
-            "simulated" | "sim" => Ok("simulated"),
-            "smooth" | "simulated-smooth" => Ok("simulated-smooth"),
-            "measured" | "real" => Ok("measured"),
-            other => Err(format!(
-                "unknown executor `{other}` (expected simulated, smooth or measured)"
-            )),
-        }
-    }
-
     /// Timing-protocol metadata recorded in calibration stores: the block
     /// configuration fingerprint and repetitions per measurement of the
     /// executor that [`CommonOptions::build_executor`] constructs (both read
     /// from the same definitions the construction uses).
     pub fn timing_metadata(&self) -> (String, usize) {
-        let reps = if matches!(self.executor.as_str(), "measured" | "real") {
+        let reps = if self.executor == ExecutorKind::Measured {
             MEASURED_REPS
         } else {
             1
@@ -440,10 +471,16 @@ mod tests {
             "3",
             "--strategy",
             "oracle",
+            "--out",
+            "/tmp/x",
+            "--sizes",
+            "800",
         ]))
         .unwrap();
         assert_eq!(opts.positional, vec!["aatb", "80", "514", "768"]);
         assert_eq!(opts.seed, 3);
+        assert_eq!(opts.out_dir, PathBuf::from("/tmp/x"));
+        assert_eq!(opts.figure1_sizes().last(), Some(&800));
         assert_eq!(opts.strategy.as_deref(), Some("oracle"));
         assert_eq!(opts.dims(3).unwrap(), vec![80, 514, 768]);
         let (name, expr) = opts.expression().unwrap();
@@ -497,8 +534,40 @@ mod tests {
     }
 
     #[test]
-    fn unknown_executor_is_an_error() {
-        let opts = parse(&strs(&["chain", "--executor", "quantum"])).unwrap();
-        assert!(opts.build_executor().is_err());
+    fn defaults_are_paper_scale_simulated() {
+        let opts = parse(&[]).unwrap();
+        assert_eq!(opts.executor, ExecutorKind::Simulated);
+        assert!((opts.scale - 1.0).abs() < 1e-12);
+        assert_eq!(opts.search_config("chain").target_anomalies, 100);
+        assert_eq!(opts.search_config("aatb").target_anomalies, 1000);
+        assert!(opts.line_config().max_anomalies.is_none());
+        assert_eq!(opts.figure1_sizes().len(), 30);
+    }
+
+    #[test]
+    fn every_alias_of_an_executor_kind_configures_identically() {
+        // `real` is the measured executor: reduced default scale and the
+        // Experiment-2 cap, not paper scale on real kernels.
+        for (aliases, cap, label, reps) in [
+            (["simulated", "sim"], None, "simulated", 1),
+            (["smooth", "simulated-smooth"], None, "simulated-smooth", 1),
+            (["measured", "real"], Some(2), "measured", MEASURED_REPS),
+        ] {
+            for alias in aliases {
+                let opts = parse(&strs(&["aatb", "--executor", alias])).unwrap();
+                assert_eq!(
+                    opts.scale,
+                    if cap.is_some() { 0.02 } else { 1.0 },
+                    "{alias}"
+                );
+                assert_eq!(opts.line_config().max_anomalies, cap, "{alias}");
+                assert_eq!(opts.executor.name(), label);
+                assert_eq!(opts.timing_metadata().1, reps, "{alias}");
+                assert!(opts.build_executor().machine().peak_flops > 0.0);
+            }
+        }
+        // An unknown name is rejected where it enters, like `--backend`.
+        let err = parse(&strs(&["chain", "--executor", "quantum"])).unwrap_err();
+        assert!(err.contains("unknown executor `quantum`"), "{err}");
     }
 }

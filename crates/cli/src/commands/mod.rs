@@ -4,8 +4,7 @@ pub mod algorithms;
 pub mod batch;
 pub mod calibrate;
 pub mod common;
-pub mod experiment;
-pub mod figure;
+pub mod paper;
 pub mod select;
 pub mod verify;
 
@@ -39,9 +38,13 @@ COMMANDS:
                                        (--store F additionally lints the store's timing keys)
     verify --cse-parity                plan every scenario family with CSE on and off and check
                                        the chosen algorithms compute identical numerics
+    paper ID|all [OPTS]                regenerate an artefact of the paper by id: fig1, fig6..fig11,
+                                       table1, table2 (`paper --list` prints the table)
+    sweep FAMILY|all [OPTS]            Experiment 1 over a scenario family: mixed, triangular,
+                                       spd, general, right (each with a GEMM-only chain baseline)
     figure1 [OPTS]                     kernel efficiency sweep (paper Figure 1)
-    exp1 chain|aatb [OPTS]             Experiment 1: random anomaly search (Figures 6/9)
-    pipeline chain|aatb [OPTS]         Experiments 1+2+3 end to end (Figures 7/10, Tables 1/2)
+    exp1 chain|aatb|--expr E [OPTS]    Experiment 1: random anomaly search (Figures 6/9)
+    pipeline chain|aatb|--expr E [OPTS]  Experiments 1+2+3 end to end (Figures 7/10, Tables 1/2)
     help                               show this message
 
 COMMON OPTIONS:

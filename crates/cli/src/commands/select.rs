@@ -24,7 +24,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let (_, expr) = opts.expression()?;
     let dims = opts.dims(expr.num_dims())?;
     let strategy = parse_strategy(opts.strategy.as_deref().unwrap_or("min-flops"))?;
-    let mut executor = opts.build_executor()?;
+    let mut executor = opts.build_executor();
 
     // Only benchmark predicted-time scores when the policy consults them:
     // with a measured executor, filling the column for min-flops/oracle would
@@ -51,7 +51,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     println!(
         "{} with dims {:?} ({} executor)",
-        plan.expression, dims, opts.executor
+        plan.expression,
+        dims,
+        opts.executor.name()
     );
     println!("policy          : {}", plan.policy);
     if plan.duplicates_removed > 0 {

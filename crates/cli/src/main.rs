@@ -8,6 +8,9 @@
 //! lamb calibrate --store results/calibration.json --sizes 1200
 //! lamb batch --exprs workload.txt --store results/calibration.json
 //! lamb verify --demo 5                           static analysis of all enumerated algorithms
+//! lamb paper table1 [--scale 0.05]               regenerate a figure/table of the paper by id
+//! lamb paper --list                              the ids: fig1, fig6..fig11, table1, table2
+//! lamb sweep spd|all [--scale 0.05]              Experiment 1 over a scenario family
 //! lamb figure1 [--executor measured] [--sizes 1200]
 //! lamb exp1 chain|aatb [--scale 0.1] [--executor simulated|smooth|measured]
 //! lamb pipeline chain|aatb [--scale 0.05]        experiments 1+2+3 end to end
@@ -32,9 +35,11 @@ fn main() -> ExitCode {
         "calibrate" => commands::calibrate::run(rest),
         "batch" => commands::batch::run(rest),
         "verify" => commands::verify::run(rest),
-        "figure1" | "fig1" => commands::figure::run_figure1(rest),
-        "exp1" | "experiment1" => commands::experiment::run_exp1(rest),
-        "pipeline" => commands::experiment::run_pipeline(rest),
+        "paper" => commands::paper::run_paper(rest),
+        "sweep" => commands::paper::run_sweep(rest),
+        "figure1" | "fig1" => commands::paper::run_figure1(rest),
+        "exp1" | "experiment1" => commands::paper::run_exp1(rest),
+        "pipeline" => commands::paper::run_pipeline(rest),
         "help" | "--help" | "-h" => {
             commands::print_help();
             Ok(())

@@ -1,8 +1,8 @@
 //! High-level drivers: one function per paper artifact (figure or table).
 //!
 //! Each driver runs the necessary experiment(s), writes the raw data series
-//! as CSV into an output directory, and returns a textual report. The
-//! figure/table binaries in `lamb-bench` and the `lamb` CLI are thin wrappers
+//! as CSV into an output directory, and returns a textual report. The `lamb`
+//! CLI (`lamb paper <id>`, `figure1`, `exp1`, `pipeline`) is a thin wrapper
 //! around these functions, so the artifacts can also be regenerated
 //! programmatically (e.g. from the integration tests).
 
@@ -24,7 +24,7 @@ use std::path::Path;
 /// The report and artifact paths produced by one driver invocation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DriverOutput {
-    /// Human-readable summary (also suitable for EXPERIMENTS.md).
+    /// Human-readable summary.
     pub report: String,
     /// CSV files written, as `(label, path)` pairs.
     pub artifacts: Vec<(String, String)>,
@@ -182,8 +182,8 @@ pub fn run_efficiency_line(
 }
 
 /// Run the full pipeline (Experiments 1, 2 and 3) for one expression and
-/// return the combined report. This is what `EXPERIMENTS.md` is generated
-/// from.
+/// return the combined report (`lamb pipeline`, and `lamb paper` for
+/// Figures 7 / 10 and Tables 1 / 2).
 pub fn run_full_pipeline(
     expr: &dyn Expression,
     executor: &mut dyn Executor,

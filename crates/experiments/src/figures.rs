@@ -155,9 +155,11 @@ pub fn efficiency_along_line(
     let machine = executor.machine().clone();
     let mut points = Vec::with_capacity(scan.points.len());
     for point in &scan.points {
-        let algorithms = expr
-            .algorithms(&point.dims)
-            .unwrap_or_else(|e| panic!("cannot enumerate algorithms at {:?}: {e}", point.dims));
+        // A scan holds only planned points, so this enumerates; should it
+        // not, the point is skipped rather than the line aborted.
+        let Ok(algorithms) = expr.algorithms(&point.dims) else {
+            continue;
+        };
         let mut entries = Vec::with_capacity(algorithms.len());
         for (i, alg) in algorithms.iter().enumerate() {
             // Re-execute to recover the per-call breakdown (the classification

@@ -44,9 +44,8 @@ pub use predict::{predict_from_benchmarks, ConfusionMatrix, PredictionResult};
 pub use region::{find_boundary, RegionExtent};
 pub use report::{prediction_report, region_report, search_report, summary_stats};
 pub use scenarios::{
-    all_scenarios, batch_sweep_csv, factor_reuse_scenarios, lu_qr_scenarios,
-    mixed_transpose_scenarios, right_side_scenarios, scenario_batch_requests, spd_scenarios,
-    sweep_csv, sweep_scenarios, sweep_scenarios_batched, triangular_scenarios, BatchSweepRow,
-    Scenario, ScenarioSweepRow,
+    all_scenarios, factor_reuse_scenarios, lu_qr_scenarios, mixed_transpose_scenarios,
+    right_side_scenarios, scenario_batch_requests, spd_scenarios, sweep_csv, sweep_scenarios,
+    triangular_scenarios, Scenario, ScenarioSweepRow, SCENARIO_FAMILIES,
 };
-pub use search::{classify_instance, run_random_search, AnomalyRecord, SearchResult};
+pub use search::{run_random_search, AnomalyRecord, SearchResult};

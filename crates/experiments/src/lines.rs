@@ -5,11 +5,12 @@
 //! traversed in steps of 10 in both directions. Each visited instance is
 //! classified (threshold 5%), holes of up to two non-anomalous instances are
 //! tolerated, and the region boundary/thickness is derived from the
-//! classifications.
+//! classifications. A walk that reaches an instance outside the expression's
+//! domain ends there, as it does at the edge of the box.
 
 use crate::config::LineConfig;
 use crate::region::{find_boundary, RegionExtent};
-use crate::search::{pipeline, AnomalyRecord};
+use crate::search::{classify, pipeline, AnomalyRecord};
 use lamb_expr::Expression;
 use lamb_perfmodel::Executor;
 use lamb_plan::Planner;
@@ -55,8 +56,8 @@ impl LineScan {
         self.points.len()
     }
 
-    /// Whether the scan visited no instances (cannot happen in practice —
-    /// the anomaly itself is always included).
+    /// Whether the scan visited no instances: only when the centre of the
+    /// line itself lies outside the expression's domain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
@@ -64,26 +65,24 @@ impl LineScan {
 }
 
 /// Classify the instance obtained by replacing dimension `dim` of `base` with
-/// `value`, routed through the [`Planner`] pipeline.
+/// `value`, routed through the [`Planner`] pipeline; `None` outside the
+/// expression's domain.
 fn classify_at(
     planner: &Planner<'_>,
     executor: &mut dyn Executor,
     base: &[usize],
     dim: usize,
     value: usize,
-) -> LinePoint {
+) -> Option<LinePoint> {
     let mut dims = base.to_vec();
     dims[dim] = value;
-    let executed = planner
-        .plan_with(&dims, executor)
-        .unwrap_or_else(|e| panic!("cannot classify instance {dims:?}: {e}"))
-        .execute_with(executor);
-    LinePoint {
+    let executed = classify(planner, executor, &dims)?;
+    Some(LinePoint {
         dims,
         value,
         evaluation: executed.evaluation,
         classification: executed.verdict,
-    }
+    })
 }
 
 /// Traverse the line through `anomaly` along dimension `dim`.
@@ -96,10 +95,21 @@ pub fn scan_line(
 ) -> LineScan {
     let planner = pipeline(expr, config.time_score_threshold);
     let centre_value = anomaly[dim];
-    let centre = classify_at(&planner, executor, anomaly, dim, centre_value);
+    let Some(centre) = classify_at(&planner, executor, anomaly, dim, centre_value) else {
+        return LineScan {
+            anomaly_dims: anomaly.to_vec(),
+            dimension: dim,
+            points: Vec::new(),
+            region: RegionExtent {
+                lower: centre_value,
+                upper: centre_value,
+            },
+        };
+    };
 
     // Walk outwards in both directions until the region provably ends
-    // (end_run consecutive non-anomalies) or the box edge is reached.
+    // (end_run consecutive non-anomalies) or the edge of the box or of the
+    // expression's domain is reached.
     let mut walk = |direction: i64| -> (Vec<LinePoint>, usize) {
         let mut points = Vec::new();
         let mut flags = Vec::new();
@@ -111,7 +121,9 @@ pub fn scan_line(
                 break;
             }
             let value = value as usize;
-            let point = classify_at(&planner, executor, anomaly, dim, value);
+            let Some(point) = classify_at(&planner, executor, anomaly, dim, value) else {
+                break;
+            };
             let is_anomaly = point.classification.is_anomaly;
             flags.push((value, is_anomaly));
             points.push(point);
@@ -270,5 +282,21 @@ mod tests {
                 .iter()
                 .all(|p| (p.value as i64 - centre) % cfg.step as i64 == 0));
         }
+    }
+
+    #[test]
+    fn a_walk_ends_where_the_domain_of_the_expression_does() {
+        // `A^+*b` with dims (columns, rows, rhs) needs columns <= rows: the
+        // walk up dimension 0 from (100, 150, 5) stops at 150 as it would at
+        // the edge of the box, and a wide centre has no line at all.
+        let expr = lamb_expr::TreeExpression::parse("A^+*b").unwrap();
+        let mut exec = SimulatedExecutor::paper_like();
+        let mut cfg = LineConfig::paper();
+        cfg.end_run = usize::MAX; // only an edge ends this walk
+        let scan = scan_line(&expr, &mut exec, &[100, 150, 5], 0, &cfg);
+        assert_eq!(scan.points.last().map(|p| p.value), Some(150));
+        assert_eq!(scan.region.upper, 150);
+        let wide = scan_line(&expr, &mut exec, &[300, 150, 5], 0, &cfg);
+        assert!(wide.is_empty() && wide.thickness() == 0);
     }
 }

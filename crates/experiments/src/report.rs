@@ -61,6 +61,9 @@ pub fn search_report(result: &SearchResult) -> String {
         100.0 * result.threshold
     );
     let _ = writeln!(out, "  samples drawn       : {}", result.samples_drawn);
+    if result.samples_rejected > 0 {
+        let _ = writeln!(out, "  redrawn (no plan)   : {}", result.samples_rejected);
+    }
     let _ = writeln!(out, "  anomalies found     : {}", result.anomalies.len());
     let _ = writeln!(
         out,
@@ -140,6 +143,7 @@ mod tests {
             executor: "simulated".into(),
             threshold: 0.10,
             samples_drawn: 1000,
+            samples_rejected: 0,
             anomalies: vec![
                 AnomalyRecord {
                     dims: vec![100, 200, 300],

@@ -12,7 +12,7 @@ use crate::config::SearchConfig;
 use crate::search::{run_random_search, SearchResult};
 use lamb_expr::{Expression, TreeExpression};
 use lamb_perfmodel::Executor;
-use lamb_plan::{BatchPlanner, BatchRequest};
+use lamb_plan::BatchRequest;
 
 /// A named expression scenario for anomaly sweeps.
 #[derive(Debug, Clone)]
@@ -128,10 +128,7 @@ pub fn lu_qr_scenarios() -> Vec<Scenario> {
 /// *right* of the product, unlocking the `side = Right` TRMM/TRSM/SYMM
 /// kernels (`B·L`, `B·L⁻¹`, `A·S`). The FLOP counts mirror the left-side
 /// family exactly, so any abundance difference against the left-side twins
-/// is purely a property of the sided kernels' FLOP-rate surfaces — and at
-/// small orders these scenarios are also where the reference backend's flat
-/// cost profile beats the blocked native kernels, making them the natural
-/// workload for the per-call backend assignment demo.
+/// is purely a property of the sided kernels' FLOP-rate surfaces.
 #[must_use]
 pub fn right_side_scenarios() -> Vec<Scenario> {
     vec![
@@ -145,27 +142,38 @@ pub fn right_side_scenarios() -> Vec<Scenario> {
     ]
 }
 
+/// A scenario family: the name `lamb sweep <family>` takes, and its set.
+pub type ScenarioFamily = (&'static str, fn() -> Vec<Scenario>);
+
+/// The five standing scenario families, in the order [`all_scenarios`]
+/// concatenates them.
+pub const SCENARIO_FAMILIES: [ScenarioFamily; 5] = [
+    ("mixed", mixed_transpose_scenarios),
+    ("triangular", triangular_scenarios),
+    ("spd", spd_scenarios),
+    ("general", lu_qr_scenarios),
+    ("right", right_side_scenarios),
+];
+
 /// Every standing scenario: the mixed-transpose set plus the triangular,
 /// SPD, general-solve (LU/QR) and right-side families — the workload behind
-/// `lamb batch --demo`, `lamb verify --demo` and the throughput benches.
+/// `lamb batch --demo`, `lamb verify --demo` and `lamb sweep all`.
 #[must_use]
 pub fn all_scenarios() -> Vec<Scenario> {
-    let mut scenarios = mixed_transpose_scenarios();
-    scenarios.extend(triangular_scenarios());
-    scenarios.extend(spd_scenarios());
-    scenarios.extend(lu_qr_scenarios());
-    scenarios.extend(right_side_scenarios());
-    scenarios
+    SCENARIO_FAMILIES
+        .iter()
+        .flat_map(|(_, family)| family())
+        .collect()
 }
 
 /// The factor-reuse scenario family: expressions with *repeated* operands,
 /// where the same factorisation or Gram product occurs more than once in a
 /// single expression. These are the workloads the CSE pass and the batch
 /// factor cache exist for — a repeated SPD solve needs exactly one POTRF,
-/// a repeated Gram product exactly one SYRK — and the sweep driving the
-/// `extension_factor_reuse` bench and the CLI's CSE-parity check runs over
-/// them. Kept separate from [`all_scenarios`] because their headline metric
-/// is shared-versus-raw FLOPs rather than anomaly frequency.
+/// a repeated Gram product exactly one SYRK — and the CLI's CSE-parity check
+/// (`lamb verify --cse-parity`) runs over them. Kept separate from
+/// [`all_scenarios`] because their headline metric is shared-versus-raw
+/// FLOPs rather than anomaly frequency.
 #[must_use]
 pub fn factor_reuse_scenarios() -> Vec<Scenario> {
     vec![
@@ -177,10 +185,9 @@ pub fn factor_reuse_scenarios() -> Vec<Scenario> {
 
 /// Deterministically sample a batch of expression instances from the
 /// scenarios: `per_scenario` instances each, dimensions drawn uniformly from
-/// `dim_min..=dim_max`. This is the workload generator behind the `lamb
-/// batch` demo file, the batch scenario sweep and the `batch_throughput`
-/// benchmark — a standing stream of heterogeneous planning requests, exactly
-/// what a calibration store is amortised over.
+/// `dim_min..=dim_max`. This is the workload generator behind `lamb batch
+/// --demo` and `lamb verify --demo` — a standing stream of heterogeneous
+/// planning requests, exactly what a calibration store is amortised over.
 #[must_use]
 pub fn scenario_batch_requests(
     scenarios: &[Scenario],
@@ -213,107 +220,6 @@ pub fn scenario_batch_requests(
         }
     }
     requests
-}
-
-/// The per-scenario aggregate of a batched scenario sweep.
-#[derive(Debug, Clone)]
-pub struct BatchSweepRow {
-    /// Scenario name.
-    pub name: String,
-    /// Expression text.
-    pub expression: String,
-    /// Instances planned for this scenario.
-    pub instances: usize,
-    /// Instances whose FLOP-minimal algorithm is predicted more than the
-    /// threshold slower than the predicted-fastest one.
-    pub predicted_anomalies: usize,
-    /// Sum of predicted times of the chosen algorithms (seconds).
-    pub chosen_predicted_seconds: f64,
-    /// Sum of predicted times of the FLOP-minimal algorithms (seconds).
-    pub flop_optimal_predicted_seconds: f64,
-}
-
-/// Plan a scenario-generated batch with `planner` and aggregate the outcome
-/// per scenario (the batched, store-amortised analogue of
-/// [`sweep_scenarios`]). Predicted anomalies use the planner's own anomaly
-/// threshold, carried by each [`lamb_plan::Plan`].
-#[must_use]
-pub fn sweep_scenarios_batched(
-    scenarios: &[Scenario],
-    planner: &BatchPlanner,
-    per_scenario: usize,
-    seed: u64,
-    dim_min: usize,
-    dim_max: usize,
-) -> Vec<BatchSweepRow> {
-    let requests = scenario_batch_requests(scenarios, per_scenario, seed, dim_min, dim_max);
-    let outcome = planner.plan_batch(&requests);
-    scenarios
-        .iter()
-        .enumerate()
-        .map(|(s, scenario)| {
-            let mut row = BatchSweepRow {
-                name: scenario.name.clone(),
-                expression: scenario.expression.name(),
-                instances: 0,
-                predicted_anomalies: 0,
-                chosen_predicted_seconds: 0.0,
-                flop_optimal_predicted_seconds: 0.0,
-            };
-            let span = s * per_scenario..(s + 1) * per_scenario;
-            for result in &outcome.results[span] {
-                let Ok(plan) = result else { continue };
-                row.instances += 1;
-                if let Some(chosen) = plan.chosen_score().predicted_seconds {
-                    row.chosen_predicted_seconds += chosen;
-                }
-                if let Some(flop_optimal) = plan.flop_optimal_score().predicted_seconds {
-                    row.flop_optimal_predicted_seconds += flop_optimal;
-                }
-                if plan.predicted_anomaly() == Some(true) {
-                    row.predicted_anomalies += 1;
-                }
-            }
-            row
-        })
-        .collect()
-}
-
-/// CSV rows for a batched scenario sweep
-/// (`scenario,expression,instances,predicted_anomalies,abundance,chosen_predicted_s,flop_optimal_predicted_s`).
-#[must_use]
-pub fn batch_sweep_csv(rows: &[BatchSweepRow]) -> String {
-    let data: Vec<Vec<String>> = rows
-        .iter()
-        .map(|row| {
-            let abundance = if row.instances == 0 {
-                0.0
-            } else {
-                row.predicted_anomalies as f64 / row.instances as f64
-            };
-            vec![
-                row.name.clone(),
-                row.expression.clone(),
-                row.instances.to_string(),
-                row.predicted_anomalies.to_string(),
-                format!("{abundance:.6}"),
-                format!("{:.6e}", row.chosen_predicted_seconds),
-                format!("{:.6e}", row.flop_optimal_predicted_seconds),
-            ]
-        })
-        .collect();
-    crate::csvout::csv_from_rows(
-        &[
-            "scenario",
-            "expression",
-            "instances",
-            "predicted_anomalies",
-            "abundance",
-            "chosen_predicted_s",
-            "flop_optimal_predicted_s",
-        ],
-        &data,
-    )
 }
 
 /// One row of a scenario sweep.
@@ -389,6 +295,27 @@ pub fn sweep_csv(rows: &[ScenarioSweepRow]) -> String {
 mod tests {
     use super::*;
     use lamb_perfmodel::SimulatedExecutor;
+    use lamb_plan::{BatchPlanner, Plan};
+
+    /// Plan `per_scenario` seeded instances of every scenario in one batch,
+    /// scenario by scenario; every request must plan.
+    fn plan_family(
+        scenarios: &[Scenario],
+        per_scenario: usize,
+        seed: u64,
+        dim_max: usize,
+    ) -> Vec<Plan> {
+        let requests = scenario_batch_requests(scenarios, per_scenario, seed, 40, dim_max);
+        let outcome = BatchPlanner::new().top_k(8).plan_batch(&requests);
+        assert_eq!(outcome.results.len(), scenarios.len() * per_scenario);
+        let plans = outcome.results.into_iter();
+        plans.map(|r| r.expect("every instance plans")).collect()
+    }
+
+    fn predicted_anomalies(plans: &[Plan]) -> usize {
+        let anomalous = |p: &&Plan| p.predicted_anomaly() == Some(true);
+        plans.iter().filter(anomalous).count()
+    }
 
     #[test]
     fn the_standard_scenarios_parse_and_enumerate() {
@@ -620,18 +547,8 @@ mod tests {
         // Gram-flavoured mixtures put SYRK's FLOP savings against the
         // small-order rate collapse of the symmetric kernels, so the family
         // as a whole produces predicted anomalies at small-to-medium dims.
-        let scenarios = spd_scenarios();
-        let planner = BatchPlanner::new().top_k(8);
-        let rows = sweep_scenarios_batched(&scenarios, &planner, 20, 13, 40, 400);
-        assert_eq!(rows.len(), scenarios.len());
-        let total_anomalies: usize = rows.iter().map(|r| r.predicted_anomalies).sum();
-        assert!(
-            total_anomalies > 0,
-            "the SPD family should produce predicted anomalies"
-        );
-        for row in &rows {
-            assert_eq!(row.instances, 20, "{}", row.name);
-        }
+        let plans = plan_family(&spd_scenarios(), 20, 13, 400);
+        assert!(predicted_anomalies(&plans) > 0);
     }
 
     #[test]
@@ -639,18 +556,8 @@ mod tests {
         // The batched analogue of the paper's abundance measurements, over
         // the triangular family: at small-to-medium dimensions the TRMM/TRSM
         // FLOP savings are frequently defeated by their lower FLOP rates.
-        let scenarios = triangular_scenarios();
-        let planner = BatchPlanner::new().top_k(8);
-        let rows = sweep_scenarios_batched(&scenarios, &planner, 20, 11, 40, 400);
-        assert_eq!(rows.len(), scenarios.len());
-        let total_anomalies: usize = rows.iter().map(|r| r.predicted_anomalies).sum();
-        assert!(
-            total_anomalies > 0,
-            "the triangular family should produce predicted anomalies"
-        );
-        for row in &rows {
-            assert_eq!(row.instances, 20, "{}", row.name);
-        }
+        let plans = plan_family(&triangular_scenarios(), 20, 11, 400);
+        assert!(predicted_anomalies(&plans) > 0);
     }
 
     #[test]
@@ -695,27 +602,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_sweep_aggregates_per_scenario() {
+    fn batched_plans_separate_the_gram_scenario_from_the_chain() {
         let scenarios = vec![
             Scenario::new("aatb", "A*A^T*B"),
             Scenario::new("chain4", "A*B*C*D"),
         ];
-        let planner = BatchPlanner::new().top_k(8);
-        let rows = sweep_scenarios_batched(&scenarios, &planner, 25, 7, 40, 600);
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            assert_eq!(row.instances, 25);
-            assert!(row.chosen_predicted_seconds > 0.0);
-            assert!(row.chosen_predicted_seconds <= row.flop_optimal_predicted_seconds + 1e-15);
+        let plans = plan_family(&scenarios, 25, 7, 600);
+        for plan in &plans {
+            let chosen = plan.chosen_score().predicted_seconds.unwrap();
+            let flop_optimal = plan.flop_optimal_score().predicted_seconds.unwrap();
+            assert!(chosen > 0.0 && chosen <= flop_optimal + 1e-15);
         }
         // The Gram-flavoured scenario mixes kernels and shows far more
         // predicted anomalies than the GEMM-only chain (the paper's thesis).
-        let aatb = &rows[0];
-        let chain = &rows[1];
-        assert!(aatb.predicted_anomalies > chain.predicted_anomalies);
-        let csv = batch_sweep_csv(&rows);
-        assert!(csv.starts_with("scenario,expression,instances,"));
-        assert_eq!(csv.lines().count(), 3);
+        assert!(predicted_anomalies(&plans[..25]) > predicted_anomalies(&plans[25..]));
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! search box; every algorithm of the expression is timed on each instance;
 //! the instance is classified as an anomaly or not; the search stops when the
 //! target number of *distinct* anomalies has been found (or the sample cap is
-//! reached).
+//! reached). A draw the enumerator rejects (a wide operand under `^+`, say)
+//! lies outside the expression's domain: it is redrawn and counted apart.
 
 use crate::config::SearchConfig;
 use lamb_expr::Expression;
 use lamb_perfmodel::Executor;
-use lamb_plan::Planner;
-use lamb_select::Classification;
+use lamb_plan::{PlanExecution, Planner};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -39,8 +39,11 @@ pub struct SearchResult {
     pub executor: String,
     /// Time-score threshold used for classification.
     pub threshold: f64,
-    /// Number of instances sampled (with replacement).
+    /// Number of instances sampled (with replacement) and classified.
     pub samples_drawn: usize,
+    /// Number of draws the enumerator rejected as outside the expression's
+    /// domain; each was redrawn and none counts as a sample.
+    pub samples_rejected: usize,
     /// The anomalies found, in discovery order.
     pub anomalies: Vec<AnomalyRecord>,
 }
@@ -98,19 +101,16 @@ pub(crate) fn pipeline(expr: &dyn Expression, threshold: f64) -> Planner<'_> {
         .score_predictions(false)
 }
 
-/// Classify one instance by timing every algorithm with `executor`, routed
-/// through the [`Planner`] pipeline.
-pub fn classify_instance(
-    expr: &dyn Expression,
+/// Plan `dims` and time every algorithm with `executor`. `None` when the
+/// instance cannot be planned: it lies outside the expression's domain, which
+/// a uniform sampler or a line walk can reach and has to step over.
+pub(crate) fn classify(
+    planner: &Planner<'_>,
     executor: &mut dyn Executor,
     dims: &[usize],
-    threshold: f64,
-) -> Classification {
-    pipeline(expr, threshold)
-        .plan_with(dims, executor)
-        .unwrap_or_else(|e| panic!("cannot classify instance {dims:?}: {e}"))
-        .execute_with(executor)
-        .verdict
+) -> Option<PlanExecution> {
+    let plan = planner.plan_with(dims, executor).ok()?;
+    Some(plan.execute_with(executor))
 }
 
 /// Run Experiment 1.
@@ -124,14 +124,24 @@ pub fn run_random_search(
     let mut anomalies = Vec::new();
     let mut seen: HashSet<Vec<usize>> = HashSet::new();
     let mut samples_drawn = 0;
-    while anomalies.len() < config.target_anomalies && samples_drawn < config.max_samples {
+    let mut samples_rejected = 0;
+    // A run of `max_samples` rejected draws means the box holds (next to) no
+    // instance of the expression's domain; without this bound an expression
+    // no instance realises (`A^+*A^T`) would be redrawn forever.
+    let mut rejected_run = 0;
+    while anomalies.len() < config.target_anomalies
+        && samples_drawn < config.max_samples
+        && rejected_run < config.max_samples
+    {
         let dims = sample_dims(&mut rng, expr.num_dims(), config);
+        let Some(executed) = classify(&planner, executor, &dims) else {
+            samples_rejected += 1;
+            rejected_run += 1;
+            continue;
+        };
+        rejected_run = 0;
         samples_drawn += 1;
-        let classification = planner
-            .plan_with(&dims, executor)
-            .unwrap_or_else(|e| panic!("cannot classify instance {dims:?}: {e}"))
-            .execute_with(executor)
-            .verdict;
+        let classification = executed.verdict;
         if classification.is_anomaly && !seen.contains(&dims) {
             seen.insert(dims.clone());
             anomalies.push(AnomalyRecord {
@@ -148,6 +158,7 @@ pub fn run_random_search(
         executor: executor.name(),
         threshold: config.time_score_threshold,
         samples_drawn,
+        samples_rejected,
         anomalies,
     }
 }
@@ -155,8 +166,10 @@ pub fn run_random_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_expr::{AatbExpression, MatrixChainExpression};
-    use lamb_perfmodel::SimulatedExecutor;
+    use lamb_expr::{AatbExpression, MatrixChainExpression, TreeExpression};
+    use lamb_perfmodel::{
+        AnalyticEfficiencyModel, MachineModel, SimulatedExecutor, SimulatorConfig,
+    };
 
     fn quick_config(target: usize, samples: usize) -> SearchConfig {
         SearchConfig {
@@ -251,5 +264,62 @@ mod tests {
         assert_eq!(scatter.len(), result.anomalies.len());
         assert!(result.severe_fraction(0.0, 0.0) >= result.severe_fraction(0.2, 0.3));
         assert!(result.severe_fraction(2.0, 2.0) == 0.0);
+    }
+
+    #[test]
+    fn draws_outside_the_domain_are_redrawn_and_counted_apart() {
+        // `A^+*b` needs a tall `A`; dims are (columns, rows, rhs), so uniform
+        // sampling draws a wide operand about half the time.
+        let expr = TreeExpression::parse("A^+*b").unwrap();
+        let mut exec = SimulatedExecutor::paper_like();
+        let config = quick_config(usize::MAX, 60);
+        let result = run_random_search(&expr, &mut exec, &config);
+        assert_eq!(
+            result.samples_drawn, 60,
+            "the cap counts classified samples"
+        );
+        // Replaying the sampler: exactly the wide draws were rejected, so
+        // every classified instance was tall.
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let draws = result.samples_drawn + result.samples_rejected;
+        let wide = (0..draws).filter(|_| {
+            let dims = sample_dims(&mut rng, 3, &config);
+            dims[0] > dims[1]
+        });
+        assert_eq!(wide.count(), result.samples_rejected);
+        assert!(result.samples_rejected > 0);
+
+        // An expression no instance realises ends the search instead.
+        let expr = TreeExpression::parse("A^+*A^T").unwrap();
+        let result = run_random_search(&expr, &mut exec, &quick_config(1, 40));
+        assert_eq!((result.samples_drawn, result.samples_rejected), (0, 40));
+    }
+
+    #[test]
+    fn most_anomalies_survive_without_inter_kernel_cache_effects() {
+        // The abstract: "most of the anomalies remained as such even after
+        // filtering out the inter-kernel cache effects".
+        let expr = AatbExpression::new();
+        let mut with_cache = SimulatedExecutor::paper_like();
+        let search = run_random_search(&expr, &mut with_cache, &quick_config(20, 5000));
+        assert_eq!(search.anomalies.len(), 20);
+        let mut no_cache = SimulatedExecutor::new(
+            MachineModel::paper_xeon_silver_4210(),
+            AnalyticEfficiencyModel::default(),
+            SimulatorConfig {
+                cache_reuse_gain: 0.0,
+                ..SimulatorConfig::default()
+            },
+        );
+        let planner = pipeline(&expr, search.threshold);
+        let survives = |a: &&AnomalyRecord| {
+            let executed = classify(&planner, &mut no_cache, &a.dims);
+            executed
+                .expect("a recorded instance plans")
+                .verdict
+                .is_anomaly
+        };
+        let survived = search.anomalies.iter().filter(survives).count();
+        assert!(2 * survived > 20, "only {survived} of 20 anomalies survive");
     }
 }

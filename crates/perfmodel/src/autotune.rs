@@ -221,16 +221,25 @@ pub fn measured_gemm_gflops(cfg: &BlockConfig, size: usize, reps: usize) -> f64 
     best
 }
 
+/// Square order and repetitions of the GEMM measurement recorded next to a
+/// tuned configuration; `lamb calibrate --autotune` measures the configuration
+/// it started from with the same probe, so the two numbers compare.
+#[must_use]
+pub fn tuned_gemm_probe(quick: bool) -> (usize, usize) {
+    (if quick { 96 } else { 384 }, 2)
+}
+
 /// Run the full measured autotune from `base` and package the winner as the
 /// store's [`TunedConfig`]. `quick` trades fidelity for speed (smaller
 /// operands, one repetition, one pass) and exists for CI smoke tests; the
 /// full setting is what `lamb calibrate --autotune` runs.
 #[must_use]
 pub fn autotune_measured(base: &BlockConfig, quick: bool) -> (TuneOutcome, TunedConfig) {
-    let (size, reps, passes) = if quick { (96, 1, 1) } else { (384, 2, 3) };
+    let (size, headline_reps) = tuned_gemm_probe(quick);
+    let (reps, passes) = if quick { (1, 1) } else { (2, 3) };
     let mut score = |cfg: &BlockConfig| measured_score(cfg, size, reps);
     let outcome = coordinate_descent(base, &mut score, passes);
-    let gflops = measured_gemm_gflops(&outcome.config, size, reps.max(2));
+    let gflops = measured_gemm_gflops(&outcome.config, size, headline_reps);
     let tuned = TunedConfig {
         config: outcome.config.clone(),
         gflops,

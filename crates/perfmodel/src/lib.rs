@@ -39,7 +39,9 @@ pub mod reuse;
 pub mod simulate;
 pub mod store;
 
-pub use autotune::{autotune_measured, coordinate_descent, measured_gemm_gflops, TuneOutcome};
+pub use autotune::{
+    autotune_measured, coordinate_descent, measured_gemm_gflops, tuned_gemm_probe, TuneOutcome,
+};
 pub use calibrate::{
     estimate_peak_flops, measure_square_profiles, single_call_algorithm, SQUARE_SWEEP_KERNELS,
 };
