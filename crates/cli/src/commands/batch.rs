@@ -19,7 +19,7 @@ use lamb_experiments::all_scenarios;
 use lamb_perfmodel::store::now_unix;
 use lamb_perfmodel::CalibrationStore;
 use lamb_plan::{BatchOutcome, BatchPlanner, BatchRequest, FactorCache};
-use lamb_select::{assign_backends, pinned_backends, BackendAssignment};
+use lamb_select::{assign_backends, pinned_backends, BackendAssignment, SelectionPolicy};
 use std::sync::Arc;
 
 /// Run the subcommand.
@@ -51,7 +51,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     let factory_opts = opts.clone();
     let mut planner = BatchPlanner::new()
-        .strategy(strategy)
+        .policy(strategy)
         .threshold(threshold)
         .cse(!opts.no_cse)
         .executor_factory(move || factory_opts.build_executor());

@@ -34,7 +34,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         Strategy::MinPredictedTime | Strategy::Hybrid { .. }
     );
     let mut planner = Planner::for_expression(expr.as_ref())
-        .strategy(strategy)
+        .policy(strategy)
         .score_predictions(wants_predictions)
         .cse(!opts.no_cse);
     let factor_cache = (!opts.no_factor_cache).then(|| Arc::new(FactorCache::new()));

@@ -133,23 +133,28 @@ pub struct PredictionResult {
 ///
 /// The ground-truth classification is re-derived from the stored Experiment-2
 /// measurements at the Experiment-3 threshold; the predicted classification
-/// comes from [`Planner::predict_instance`], whose shared cache memoises the
-/// isolated-call benchmarks by kernel-call signature — identical calls are
-/// benchmarked once across all scans.
+/// comes from the predicted times each [`Plan`](lamb_plan::Plan) carries
+/// ([`Plan::predicted_evaluation`](lamb_plan::Plan::predicted_evaluation)),
+/// whose shared cache memoises the isolated-call benchmarks by kernel-call
+/// signature — identical calls are benchmarked once across all scans.
 pub fn predict_from_benchmarks(
     expr: &dyn Expression,
     executor: &mut dyn Executor,
     scans: &[LineScan],
     config: &PredictConfig,
 ) -> PredictionResult {
-    let planner = Planner::for_expression(expr).score_predictions(false);
+    let planner = Planner::for_expression(expr);
     let mut confusion = ConfusionMatrix::default();
     let mut instances = 0;
     for scan in scans {
         for point in &scan.points {
             // Every point of a scan was planned once; one that no longer
             // plans has no prediction to compare and is left out.
-            let Ok(prediction) = planner.predict_instance(&point.dims, executor) else {
+            let Some(prediction) = planner
+                .plan_with(&point.dims, executor)
+                .ok()
+                .and_then(|plan| plan.predicted_evaluation())
+            else {
                 continue;
             };
             instances += 1;

@@ -41,6 +41,7 @@ use crate::operand::OperandId;
 use crate::rewrite::{merge_variants, MergeKind, MergeOperand, Storage};
 use lamb_matrix::{Side, Structure, Trans, Uplo};
 use std::collections::{BinaryHeap, HashMap};
+use std::rc::Rc;
 
 /// Knobs of the general enumerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,10 +96,11 @@ struct Segment {
     start: usize,
     /// One past the last flattened-factor index covered.
     end: usize,
-    /// Parenthesised text, e.g. `"(A B)"`.
-    text: String,
+    /// Parenthesised text, e.g. `"(A B)"`. Shared, like `name`: every step
+    /// of the recursion copies the segments it does not merge.
+    text: Rc<str>,
     /// Operand name, e.g. `"A"` or `"M1"`.
-    name: String,
+    name: Rc<str>,
 }
 
 impl Segment {
@@ -276,8 +278,8 @@ pub fn enumerate_expr_algorithms_with(
                 pinv: f.pinv,
                 start: pos,
                 end: pos + 1,
-                name: f.var.name.clone(),
-                text,
+                name: Rc::from(f.var.name.as_str()),
+                text: Rc::from(text),
             }
         })
         .collect();
@@ -302,7 +304,7 @@ pub fn enumerate_expr_algorithms_with(
         lb_memo: HashMap::new(),
         out: Vec::new(),
     };
-    recurse(&mut ctx, &segments, &[], &[], 0);
+    recurse(&mut ctx, &segments, &mut Vec::new(), &mut Vec::new(), 0);
     if ctx.out.is_empty() {
         // Every merge order hit a variant-free merge. Inverses realise from
         // either side now (left- and right-side TRSM/Cholesky/LU lowerings),
@@ -322,7 +324,18 @@ pub fn enumerate_expr_algorithms_with(
         // algorithm pays once repeated subcomputations are computed only
         // once — with the raw total as tie-break. For expressions without
         // repeated leaves the two coincide and this is the plain FLOP sort.
-        out.sort_by_key(|a| (a.shared_flops(), a.flops())); // stable
+        // The shared count runs a full CSE pass, so it is computed once per
+        // algorithm (cached key), and not at all when the leaves are distinct.
+        out.sort_by_cached_key(|a| {
+            let flops = a.flops();
+            let shared = if max_leaf_multiplicity > 1 {
+                a.shared_flops()
+            } else {
+                debug_assert_eq!(a.shared_flops(), flops, "distinct leaves share nothing");
+                flops
+            };
+            (shared, flops)
+        }); // stable
         out.truncate(k.max(1));
     }
     for (idx, alg) in out.iter_mut().enumerate() {
@@ -383,8 +396,8 @@ struct Ctx<'a> {
 fn recurse(
     ctx: &mut Ctx<'_>,
     segments: &[Segment],
-    calls: &[KernelCall],
-    intermediates: &[OperandInfo],
+    calls: &mut Vec<KernelCall>,
+    intermediates: &mut Vec<OperandInfo>,
     partial_flops: u64,
 ) {
     if segments.len() == 1 {
@@ -396,7 +409,7 @@ fn recurse(
         }
         operands.extend(inters);
         let alg = Algorithm {
-            name: segments[0].text.clone(),
+            name: segments[0].text.to_string(),
             operands,
             calls: calls.to_vec(),
         };
@@ -447,20 +460,25 @@ fn recurse(
             let (new_calls, merged, new_infos) =
                 build_merge(left, right, kind, base_id, base_m, ambiguous);
             let added_flops: u64 = new_calls.iter().map(KernelCall::flops).sum();
-            let mut next_segments = segments.to_vec();
-            next_segments[i] = merged;
-            next_segments.remove(i + 1);
-            let mut next_calls = calls.to_vec();
-            next_calls.extend(new_calls);
-            let mut next_inters = intermediates.to_vec();
-            next_inters.extend(new_infos);
+            let mut next_segments = Vec::with_capacity(segments.len() - 1);
+            next_segments.extend_from_slice(&segments[..i]);
+            next_segments.push(merged);
+            next_segments.extend_from_slice(&segments[i + 2..]);
+            // This branch's calls and intermediates are pushed for the
+            // recursion and popped after it; only a completed algorithm
+            // copies them.
+            let (calls_before, inters_before) = (calls.len(), intermediates.len());
+            calls.extend(new_calls);
+            intermediates.extend(new_infos);
             recurse(
                 ctx,
                 &next_segments,
-                &next_calls,
-                &next_inters,
+                calls,
+                intermediates,
                 partial_flops + added_flops,
             );
+            calls.truncate(calls_before);
+            intermediates.truncate(inters_before);
         }
     }
 }
@@ -579,8 +597,8 @@ fn build_merge(
         pinv: false,
         start: left.start,
         end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: result.name.clone(),
+        text: Rc::from(format!("({} {})", left.text, right.text)),
+        name: Rc::from(result.name.as_str()),
     };
     (e.calls, merged, e.infos)
 }
@@ -1841,8 +1859,8 @@ mod tests {
                 pinv: false,
                 start: pos,
                 end: pos + 1,
-                text: f.var.name.clone(),
-                name: f.var.name.clone(),
+                text: Rc::from(f.var.name.as_str()),
+                name: Rc::from(f.var.name.as_str()),
             })
             .collect();
         let _ = inputs;

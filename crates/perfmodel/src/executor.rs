@@ -3,8 +3,8 @@
 //! performance model (simulated).
 
 use crate::machine::MachineModel;
-use crate::reuse::{FactorStore, ReuseReport};
-use lamb_expr::Algorithm;
+use crate::reuse::{FactorCache, ReuseReport};
+use lamb_expr::{Algorithm, KernelCall};
 use lamb_kernels::BackendId;
 
 /// The time attributed to one kernel call of an algorithm.
@@ -35,6 +35,32 @@ pub struct AlgorithmTiming {
 }
 
 impl AlgorithmTiming {
+    /// The timing of `alg` given one time per call: `seconds_of(i, call)` is
+    /// asked once for every call, in call order, and the total is the sum of
+    /// the answers.
+    pub fn from_calls(
+        alg: &Algorithm,
+        mut seconds_of: impl FnMut(usize, &KernelCall) -> f64,
+    ) -> Self {
+        let per_call: Vec<CallTiming> = alg
+            .calls
+            .iter()
+            .enumerate()
+            .map(|(index, call)| CallTiming {
+                index,
+                label: call.label.clone(),
+                flops: call.flops(),
+                seconds: seconds_of(index, call),
+            })
+            .collect();
+        AlgorithmTiming {
+            algorithm_name: alg.name.clone(),
+            seconds: per_call.iter().map(|c| c.seconds).sum(),
+            per_call,
+            flops: alg.flops(),
+        }
+    }
+
     /// Whole-algorithm efficiency: FLOP rate over machine peak (the solid
     /// "Total" curves of the paper's Figures 8 and 11).
     #[must_use]
@@ -122,7 +148,7 @@ pub trait Executor: Send {
     fn execute_algorithm_reusing(
         &mut self,
         alg: &Algorithm,
-        _store: &dyn FactorStore,
+        _store: &FactorCache,
     ) -> (AlgorithmTiming, ReuseReport) {
         (self.execute_algorithm(alg), ReuseReport::all_executed(alg))
     }
@@ -130,23 +156,7 @@ pub trait Executor: Send {
     /// Predict the algorithm's time as the sum of its isolated-call
     /// benchmarks — the predictor evaluated in the paper's Experiment 3.
     fn predict_from_isolated_calls(&mut self, alg: &Algorithm) -> AlgorithmTiming {
-        let per_call: Vec<CallTiming> = alg
-            .calls
-            .iter()
-            .enumerate()
-            .map(|(i, call)| CallTiming {
-                index: i,
-                label: call.label.clone(),
-                flops: call.flops(),
-                seconds: self.time_isolated_call(alg, i),
-            })
-            .collect();
-        AlgorithmTiming {
-            algorithm_name: alg.name.clone(),
-            seconds: per_call.iter().map(|c| c.seconds).sum(),
-            per_call,
-            flops: alg.flops(),
-        }
+        AlgorithmTiming::from_calls(alg, |i, _| self.time_isolated_call(alg, i))
     }
 }
 

@@ -347,13 +347,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded character.
+                    // Consume the run of plain characters up to the next
+                    // quote or escape (both ASCII, so never inside a
+                    // multi-byte character). Validating only the run keeps
+                    // the parse linear: re-validating the rest of the
+                    // document per character made it quadratic.
                     let rest = &self.bytes[start..];
-                    let text = std::str::from_utf8(rest)
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let text = std::str::from_utf8(&rest[..run])
                         .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -454,6 +461,31 @@ mod tests {
         // Standard escape forms parse too.
         let parsed = Json::parse(r#""aA\/\b\f""#).unwrap();
         assert_eq!(parsed.as_str(), Some("aA/\u{8}\u{c}"));
+    }
+
+    #[test]
+    fn strings_are_read_a_run_at_a_time() {
+        // Runs of plain characters between quotes and escapes: empty runs,
+        // back-to-back escapes, multi-byte characters up against a delimiter.
+        for (text, expected) in [
+            (r#""""#, ""),
+            (r#""plain""#, "plain"),
+            (r#""\n\n""#, "\n\n"),
+            (r#""é\\∑""#, "é\\∑"),
+            (r#""a\"∑""#, "a\"∑"),
+            (r#""€""#, "€"),
+        ] {
+            assert_eq!(
+                Json::parse(text).unwrap().as_str(),
+                Some(expected),
+                "{text}"
+            );
+        }
+        // A run that reaches the end of the input is an unterminated string,
+        // reported at the end.
+        let err = Json::parse("\"open é").unwrap_err();
+        assert_eq!(err.offset, "\"open é".len());
+        assert!(err.message.contains("unterminated"));
     }
 
     #[test]

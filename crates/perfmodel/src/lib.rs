@@ -54,7 +54,7 @@ pub use lamb_kernels::backend::{
 pub use machine::MachineModel;
 pub use measured::MeasuredExecutor;
 pub use profile::{CallTimeTable, SquareProfile};
-pub use reuse::{FactorStore, ReuseReport, SimpleFactorStore};
+pub use reuse::{FactorCache, ReuseReport};
 pub use simulate::{SimulatedExecutor, SimulatorConfig};
 pub use store::{
     kernel_coverage_key, BackendCalibration, CalibrationStore, StalenessWarning, StoreError,

@@ -3,10 +3,9 @@
 //! the paper's protocol (median of N repetitions, cache flushed before each
 //! repetition).
 
-use crate::executor::{AlgorithmTiming, CallTiming, Executor};
+use crate::executor::{AlgorithmTiming, Executor};
 use crate::machine::MachineModel;
-use crate::reuse::{FactorStore, ReuseReport};
-use lamb_expr::cse::cacheable_identities;
+use crate::reuse::{cacheable_keys, FactorCache, ReuseReport};
 use lamb_expr::{Algorithm, KernelCall, KernelOp, OperandId, OperandInfo, OperandRole};
 use lamb_kernels::{Backend, BackendId, BlockConfig, CacheFlusher, NativeBackend};
 use lamb_matrix::ops::{is_symmetric, is_triangular};
@@ -164,6 +163,47 @@ impl MeasuredExecutor {
         operands.insert(call.output, out);
     }
 
+    /// The one walk over an algorithm's calls: run each call, in order,
+    /// against `operands` and report it to `observe` with the seconds it
+    /// took. With a factor store, a call whose
+    /// [cacheable](lamb_expr::is_cacheable_op) result is resident is not run
+    /// — its bytes are injected and `observe` sees `None` — and every
+    /// cacheable result the walk does compute is deposited. Without one,
+    /// no node identity is derived at all.
+    fn walk_calls(
+        &self,
+        alg: &Algorithm,
+        operands: &mut HashMap<OperandId, Matrix>,
+        store: Option<&FactorCache>,
+        mut observe: impl FnMut(usize, &KernelCall, Option<f64>),
+    ) {
+        let cacheable = cacheable_keys(alg, store);
+        for (i, call) in alg.calls.iter().enumerate() {
+            let key = store.zip(cacheable.get(&i));
+            if let Some(resident) = key.and_then(|(store, key)| store.lookup(key)) {
+                operands.insert(call.output, (*resident).clone());
+                observe(i, call, None);
+                continue;
+            }
+            let start = Instant::now();
+            self.run_call(i, call, operands);
+            let seconds = start.elapsed().as_secs_f64();
+            if let Some((store, key)) = key {
+                // Snapshot now: a later in-place copy would mutate the map
+                // entry, but the clone is immune (and the identity of the
+                // copied operand advances, so it can never alias this key).
+                store.store(key, Arc::new(operands[&call.output].clone()));
+            }
+            observe(i, call, Some(seconds));
+        }
+    }
+
+    /// The output operand of `alg` after a walk.
+    fn take_output(alg: &Algorithm, mut operands: HashMap<OperandId, Matrix>) -> Matrix {
+        let out_id = alg.output().expect("algorithm declares an output").id;
+        operands.remove(&out_id).expect("output operand allocated")
+    }
+
     /// Execute the algorithm once (untimed) with the real kernels and return
     /// the final result matrix. Inputs are filled from the executor's seed,
     /// so two algorithms of the same expression see identical operands —
@@ -177,11 +217,8 @@ impl MeasuredExecutor {
     #[must_use]
     pub fn compute_result(&self, alg: &Algorithm) -> Matrix {
         let mut operands = self.allocate_operands(alg);
-        for (i, call) in alg.calls.iter().enumerate() {
-            self.run_call(i, call, &mut operands);
-        }
-        let out_id = alg.output().expect("algorithm declares an output").id;
-        operands.remove(&out_id).expect("output operand allocated")
+        self.walk_calls(alg, &mut operands, None, |_, _, _| {});
+        Self::take_output(alg, operands)
     }
 
     /// Execute the algorithm once (untimed) against a factor store — the
@@ -199,29 +236,14 @@ impl MeasuredExecutor {
     pub fn compute_result_reusing(
         &self,
         alg: &Algorithm,
-        store: &dyn FactorStore,
+        store: &FactorCache,
     ) -> (Matrix, ReuseReport) {
-        let cacheable: HashMap<usize, String> = cacheable_identities(alg)
-            .into_iter()
-            .map(|(i, _, identity)| (i, identity))
-            .collect();
         let mut operands = self.allocate_operands(alg);
         let mut report = ReuseReport::default();
-        for (i, call) in alg.calls.iter().enumerate() {
-            if let Some(resident) = cacheable.get(&i).and_then(|key| store.lookup(key)) {
-                operands.insert(call.output, (*resident).clone());
-                report.record_reused(call.flops());
-                continue;
-            }
-            self.run_call(i, call, &mut operands);
-            report.record_executed(call.op.mnemonic());
-            if let Some(key) = cacheable.get(&i) {
-                store.store(key, Arc::new(operands[&call.output].clone()));
-            }
-        }
-        let out_id = alg.output().expect("algorithm declares an output").id;
-        let result = operands.remove(&out_id).expect("output operand allocated");
-        (result, report)
+        self.walk_calls(alg, &mut operands, Some(store), |_, call, seconds| {
+            report.record(call, seconds.is_none());
+        });
+        (Self::take_output(alg, operands), report)
     }
 
     fn median(mut samples: Vec<f64>) -> f64 {
@@ -248,97 +270,45 @@ impl Executor for MeasuredExecutor {
 
     fn execute_algorithm(&mut self, alg: &Algorithm) -> AlgorithmTiming {
         let mut operands = self.allocate_operands(alg);
-        let n_calls = alg.calls.len();
         let mut total_samples = Vec::with_capacity(self.reps);
-        let mut call_samples: Vec<Vec<f64>> = vec![Vec::with_capacity(self.reps); n_calls];
+        let mut call_samples = vec![Vec::with_capacity(self.reps); alg.calls.len()];
         for _ in 0..self.reps {
             if let Some(flusher) = &mut self.flusher {
                 flusher.flush();
             }
             let mut total = 0.0;
-            for (i, call) in alg.calls.iter().enumerate() {
-                let start = Instant::now();
-                self.run_call(i, call, &mut operands);
-                let dt = start.elapsed().as_secs_f64();
+            self.walk_calls(alg, &mut operands, None, |i, _, seconds| {
+                let dt = seconds.expect("without a store every call runs");
                 call_samples[i].push(dt);
                 total += dt;
-            }
+            });
             total_samples.push(total);
         }
-        let per_call = alg
-            .calls
-            .iter()
-            .enumerate()
-            .map(|(i, call)| CallTiming {
-                index: i,
-                label: call.label.clone(),
-                flops: call.flops(),
-                seconds: Self::median(call_samples[i].clone()),
-            })
-            .collect();
-        AlgorithmTiming {
-            algorithm_name: alg.name.clone(),
-            seconds: Self::median(total_samples),
-            per_call,
-            flops: alg.flops(),
-        }
+        let mut timing =
+            AlgorithmTiming::from_calls(alg, |i, _| Self::median(call_samples[i].clone()));
+        timing.seconds = Self::median(total_samples);
+        timing
     }
 
     /// Serving-style execution against a factor store: a *single* timed pass
-    /// (no repetitions, no cache flush — a warm cache is the point of reuse).
-    /// Calls whose [cacheable](lamb_expr::is_cacheable_op) result is resident
-    /// are skipped and their value injected from the store at zero attributed
-    /// cost; cacheable results this pass computes are deposited for later
-    /// executions. The injected bytes are exactly what the call would have
-    /// produced (node identities pin the computation to the seeded leaf
-    /// contents), so downstream numerics are unchanged.
+    /// (no repetitions, no cache flush — a warm cache is the point of reuse)
+    /// in which injected factors are attributed zero seconds. The injected
+    /// bytes are exactly what the call would have produced (node identities
+    /// pin the computation to the seeded leaf contents), so downstream
+    /// numerics are unchanged.
     fn execute_algorithm_reusing(
         &mut self,
         alg: &Algorithm,
-        store: &dyn FactorStore,
+        store: &FactorCache,
     ) -> (AlgorithmTiming, ReuseReport) {
-        let cacheable: HashMap<usize, String> = cacheable_identities(alg)
-            .into_iter()
-            .map(|(i, _, identity)| (i, identity))
-            .collect();
         let mut operands = self.allocate_operands(alg);
         let mut report = ReuseReport::default();
-        let mut per_call = Vec::with_capacity(alg.calls.len());
-        for (i, call) in alg.calls.iter().enumerate() {
-            if let Some(resident) = cacheable.get(&i).and_then(|key| store.lookup(key)) {
-                operands.insert(call.output, (*resident).clone());
-                report.record_reused(call.flops());
-                per_call.push(CallTiming {
-                    index: i,
-                    label: call.label.clone(),
-                    flops: call.flops(),
-                    seconds: 0.0,
-                });
-                continue;
-            }
-            let start = Instant::now();
-            self.run_call(i, call, &mut operands);
-            let dt = start.elapsed().as_secs_f64();
-            report.record_executed(call.op.mnemonic());
-            if let Some(key) = cacheable.get(&i) {
-                // Snapshot now: a later in-place copy would mutate the map
-                // entry, but the clone is immune (and the identity of the
-                // copied operand advances, so it can never alias this key).
-                store.store(key, Arc::new(operands[&call.output].clone()));
-            }
-            per_call.push(CallTiming {
-                index: i,
-                label: call.label.clone(),
-                flops: call.flops(),
-                seconds: dt,
-            });
-        }
-        let timing = AlgorithmTiming {
-            algorithm_name: alg.name.clone(),
-            seconds: per_call.iter().map(|c| c.seconds).sum(),
-            per_call,
-            flops: alg.flops(),
-        };
+        let mut seconds_of = vec![0.0; alg.calls.len()];
+        self.walk_calls(alg, &mut operands, Some(store), |i, call, seconds| {
+            report.record(call, seconds.is_none());
+            seconds_of[i] = seconds.unwrap_or(0.0);
+        });
+        let timing = AlgorithmTiming::from_calls(alg, |i, _| seconds_of[i]);
         (timing, report)
     }
 
@@ -412,15 +382,7 @@ mod tests {
         // compare the output operands numerically.
         let exec = tiny_executor();
         let algs = enumerate_chain_algorithms(&[30, 25, 20, 15, 10]).unwrap();
-        let mut results = Vec::new();
-        for alg in &algs {
-            let mut operands = exec.allocate_operands(alg);
-            for (i, call) in alg.calls.iter().enumerate() {
-                exec.run_call(i, call, &mut operands);
-            }
-            let out_id = alg.output().unwrap().id;
-            results.push(operands.remove(&out_id).unwrap());
-        }
+        let results: Vec<Matrix> = algs.iter().map(|a| exec.compute_result(a)).collect();
         for other in &results[1..] {
             assert!(max_abs_diff(&results[0], other).unwrap() < 1e-9);
         }
@@ -430,15 +392,7 @@ mod tests {
     fn all_aatb_algorithms_produce_the_same_result_matrix() {
         let exec = tiny_executor();
         let algs = enumerate_aatb_algorithms(28, 17, 22);
-        let mut results = Vec::new();
-        for alg in &algs {
-            let mut operands = exec.allocate_operands(alg);
-            for (i, call) in alg.calls.iter().enumerate() {
-                exec.run_call(i, call, &mut operands);
-            }
-            let out_id = alg.output().unwrap().id;
-            results.push(operands.remove(&out_id).unwrap());
-        }
+        let results: Vec<Matrix> = algs.iter().map(|a| exec.compute_result(a)).collect();
         for other in &results[1..] {
             assert!(max_abs_diff(&results[0], other).unwrap() < 1e-9);
         }
@@ -519,7 +473,6 @@ mod tests {
 
     #[test]
     fn factor_store_reuse_skips_the_potrf_and_preserves_numerics() {
-        use crate::reuse::SimpleFactorStore;
         use lamb_expr::{Expression, TreeExpression};
         let expr = TreeExpression::parse("S[spd]^-1*B").unwrap();
         let algs = expr.algorithms(&[24, 7]).unwrap();
@@ -529,7 +482,7 @@ mod tests {
             .unwrap();
         let mut exec = tiny_executor();
         let reference = exec.compute_result(solve);
-        let store = SimpleFactorStore::new();
+        let store = FactorCache::new();
         // Cold pass: everything executes, factors are deposited.
         let (_, cold) = exec.execute_algorithm_reusing(solve, &store);
         assert_eq!(cold.reused_calls, 0);
@@ -551,7 +504,6 @@ mod tests {
 
     #[test]
     fn factor_store_reuse_skips_the_getrf_and_preserves_numerics() {
-        use crate::reuse::SimpleFactorStore;
         use lamb_expr::{Expression, TreeExpression};
         let expr = TreeExpression::parse("A^-1*B").unwrap();
         let algs = expr.algorithms(&[24, 7]).unwrap();
@@ -561,7 +513,7 @@ mod tests {
             .unwrap();
         let mut exec = tiny_executor();
         let reference = exec.compute_result(solve);
-        let store = SimpleFactorStore::new();
+        let store = FactorCache::new();
         // Cold pass: the LU pipeline runs in full and deposits its factor.
         let (_, cold) = exec.execute_algorithm_reusing(solve, &store);
         assert_eq!(cold.reused_calls, 0);

@@ -21,14 +21,12 @@
 //! reproducibility.
 
 use crate::efficiency::{AnalyticEfficiencyModel, EfficiencyModel, ReferenceEfficiencyModel};
-use crate::executor::{AlgorithmTiming, CallTiming, Executor};
+use crate::executor::{AlgorithmTiming, Executor};
 use crate::machine::MachineModel;
-use crate::reuse::{FactorStore, ReuseReport};
-use lamb_expr::cse::cacheable_identities;
+use crate::reuse::{cacheable_keys, FactorCache, ReuseReport};
 use lamb_expr::{Algorithm, KernelCall, KernelOp};
 use lamb_kernels::BackendId;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Tunable parameters of the simulator.
@@ -204,6 +202,37 @@ impl<E: EfficiencyModel> SimulatedExecutor<E> {
         let residency = 1.0 - bytes / llc;
         1.0 - self.config.cache_reuse_gain * residency
     }
+
+    /// The one walk over an algorithm's calls as a sequence: each call costs
+    /// its base time under its assigned backend's surface, scaled by the
+    /// inter-kernel cache effect and the sequence noise. With a factor store,
+    /// a call whose [cacheable](lamb_expr::is_cacheable_op) result is
+    /// resident costs zero seconds (the value would be injected, not
+    /// recomputed) and every cacheable result the walk produces is *noted* —
+    /// the simulator models time, it has no bytes to deposit. `observe` sees
+    /// every call and whether it was reused.
+    fn walk_calls(
+        &self,
+        alg: &Algorithm,
+        store: Option<&FactorCache>,
+        mut observe: impl FnMut(&KernelCall, bool),
+    ) -> AlgorithmTiming {
+        let cacheable = cacheable_keys(alg, store);
+        AlgorithmTiming::from_calls(alg, |i, call| {
+            let key = store.zip(cacheable.get(&i));
+            let reused = key.is_some_and(|(store, key)| store.contains(key));
+            observe(call, reused);
+            if reused {
+                return 0.0;
+            }
+            if let Some((store, key)) = key {
+                store.note(key);
+            }
+            self.base_call_time_for(call, self.call_model(i))
+                * self.cache_reuse_factor(alg, i)
+                * self.noise_factor(&call.op, i, "sequence")
+        })
+    }
 }
 
 impl<E: EfficiencyModel> Executor for SimulatedExecutor<E> {
@@ -216,79 +245,18 @@ impl<E: EfficiencyModel> Executor for SimulatedExecutor<E> {
     }
 
     fn execute_algorithm(&mut self, alg: &Algorithm) -> AlgorithmTiming {
-        let per_call: Vec<CallTiming> = alg
-            .calls
-            .iter()
-            .enumerate()
-            .map(|(i, call)| {
-                let t = self.base_call_time_for(call, self.call_model(i))
-                    * self.cache_reuse_factor(alg, i)
-                    * self.noise_factor(&call.op, i, "sequence");
-                CallTiming {
-                    index: i,
-                    label: call.label.clone(),
-                    flops: call.flops(),
-                    seconds: t,
-                }
-            })
-            .collect();
-        AlgorithmTiming {
-            algorithm_name: alg.name.clone(),
-            seconds: per_call.iter().map(|c| c.seconds).sum(),
-            per_call,
-            flops: alg.flops(),
-        }
+        self.walk_calls(alg, None, |_, _| {})
     }
 
-    /// Simulated execution against a factor store: calls whose
-    /// [cacheable](lamb_expr::is_cacheable_op) result is resident cost zero
-    /// seconds (the value would be injected, not recomputed); cacheable
-    /// results this execution produces are *noted* in the store — the
-    /// simulator models time, it has no bytes to deposit.
     fn execute_algorithm_reusing(
         &mut self,
         alg: &Algorithm,
-        store: &dyn FactorStore,
+        store: &FactorCache,
     ) -> (AlgorithmTiming, ReuseReport) {
-        let cacheable: HashMap<usize, String> = cacheable_identities(alg)
-            .into_iter()
-            .map(|(i, _, identity)| (i, identity))
-            .collect();
         let mut report = ReuseReport::default();
-        let per_call: Vec<CallTiming> = alg
-            .calls
-            .iter()
-            .enumerate()
-            .map(|(i, call)| {
-                let seconds = match cacheable.get(&i) {
-                    Some(key) if store.contains(key) => {
-                        report.record_reused(call.flops());
-                        0.0
-                    }
-                    key => {
-                        if let Some(key) = key {
-                            store.note(key);
-                        }
-                        report.record_executed(call.op.mnemonic());
-                        self.base_call_time_for(call, self.call_model(i))
-                            * self.cache_reuse_factor(alg, i)
-                            * self.noise_factor(&call.op, i, "sequence")
-                    }
-                };
-                CallTiming {
-                    index: i,
-                    label: call.label.clone(),
-                    flops: call.flops(),
-                    seconds,
-                }
-            })
-            .collect();
-        let timing = AlgorithmTiming {
-            algorithm_name: alg.name.clone(),
-            seconds: per_call.iter().map(|c| c.seconds).sum(),
-            per_call,
-            flops: alg.flops(),
-        };
+        let timing = self.walk_calls(alg, Some(store), |call, reused| {
+            report.record(call, reused);
+        });
         (timing, report)
     }
 
@@ -435,7 +403,6 @@ mod tests {
 
     #[test]
     fn resident_factors_cost_nothing_in_simulated_reuse() {
-        use crate::reuse::{FactorStore, SimpleFactorStore};
         use lamb_expr::{Expression, TreeExpression};
         let expr = TreeExpression::parse("S[spd]^-1*B").unwrap();
         let algs = expr.algorithms(&[300, 40]).unwrap();
@@ -444,7 +411,7 @@ mod tests {
             .find(|a| a.kernel_summary().contains("potrf"))
             .unwrap();
         let mut sim = SimulatedExecutor::paper_like();
-        let store = SimpleFactorStore::new();
+        let store = FactorCache::new();
         let (cold_t, cold) = sim.execute_algorithm_reusing(solve, &store);
         assert_eq!(cold.reused_calls, 0);
         assert_eq!(cold.executed("potrf"), 1);

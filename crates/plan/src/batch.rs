@@ -9,11 +9,14 @@
 //!
 //! * [`BatchRequest`] — one parsed expression plus its dimension tuple
 //!   (parsed from text lines like `A*A^T*B 80 514 768`);
-//! * [`BatchPlanner`] — a reusable builder holding the policy, executor
-//!   factory and the shared, sharded prediction cache, optionally
-//!   warm-started from a [`CalibrationStore`];
+//! * [`BatchPlanner`] — the same settings a [`Planner`] holds (policy,
+//!   executor factory, the shared, sharded prediction cache, optionally
+//!   warm-started from a
+//!   [`CalibrationStore`](lamb_perfmodel::CalibrationStore)) without an
+//!   expression: each request brings its own;
 //! * [`BatchPlanner::plan_batch`] — fans the requests out across rayon
-//!   workers (one executor per worker, results in input order) and returns
+//!   workers (one executor per worker, results in input order), every
+//!   request through the pipeline a [`Planner`] runs, and returns
 //!   per-request [`Plan`]s plus a [`BatchStats`] aggregate: cache hit rate,
 //!   total predicted time of the chosen algorithms versus the FLOP-optimal
 //!   ones, and the predicted-anomaly count.
@@ -22,17 +25,15 @@
 //! call's timing key alone, batch results are independent of worker count
 //! and of whether the cache started cold or warm — a warm start only makes
 //! them *faster*.
+//!
+//! [`Planner`]: crate::Planner
 
-use crate::cache::{CachingExecutor, PredictionCache};
-use crate::factor_cache::{effective_flops, FactorCache, ReuseAwareExecutor};
+use crate::factor_cache::{note_factors, resident_calls, FactorCache};
 use crate::plan::{Plan, PlanError};
-use crate::planner::Planner;
-use lamb_expr::{cacheable_identities, ParseError, TreeExpression};
-use lamb_perfmodel::{CalibrationStore, CallTimeTable, Executor, FactorStore, SimulatedExecutor};
-use lamb_select::{MinPredictedTime, SelectionPolicy, Strategy};
-use rayon::prelude::*;
+use crate::planner::{impl_settings_builder, Settings};
+use lamb_expr::{ParseError, TreeExpression};
+use lamb_select::MinPredictedTime;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One unit of batch work: a parsed expression and its instance dimensions.
@@ -149,9 +150,9 @@ pub struct BatchStats {
     pub planned: usize,
     /// Requests that failed (their `Err` is in the results vector).
     pub failed: usize,
-    /// Instances whose FLOP-minimal algorithm is *predicted* to be more than
-    /// `threshold` slower than the predicted-fastest algorithm — the paper's
-    /// anomaly definition, evaluated on predictions.
+    /// Instances that are *predicted* anomalies
+    /// ([`Plan::predicted_anomaly`]): the paper's Section 3.3 classification
+    /// applied to the predicted times.
     pub predicted_anomalies: usize,
     /// Prediction-cache hits during this batch.
     pub cache_hits: usize,
@@ -216,9 +217,10 @@ impl BatchOutcome {
 }
 
 /// Plans whole slices of parsed expressions against one shared, sharded
-/// prediction cache. The builder mirrors [`Planner`]; the default policy is
-/// `MinPredictedTime`, because batch serving exists precisely to exploit
-/// measured kernel performance.
+/// prediction cache. It is a [`Planner`] without the expression — the same
+/// settings, the same setters, the same pipeline per request — and its
+/// default policy is `MinPredictedTime`, because batch serving exists
+/// precisely to exploit measured kernel performance.
 ///
 /// ```
 /// use lamb_plan::{BatchPlanner, BatchRequest};
@@ -232,15 +234,13 @@ impl BatchOutcome {
 /// assert_eq!(outcome.stats.planned, 2);
 /// assert_eq!(outcome.stats.predicted_anomalies, 1); // A*A^T*B at (80,514,768)
 /// ```
+///
+/// [`Planner`]: crate::Planner
 pub struct BatchPlanner {
-    policy: Arc<dyn SelectionPolicy>,
-    factory: Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>,
-    threshold: f64,
-    top_k: Option<usize>,
-    cache: Arc<PredictionCache>,
-    use_cse: bool,
-    factor_cache: Option<Arc<FactorCache>>,
+    settings: Settings,
 }
+
+impl_settings_builder!([] BatchPlanner);
 
 impl Default for BatchPlanner {
     fn default() -> Self {
@@ -255,127 +255,8 @@ impl BatchPlanner {
     #[must_use]
     pub fn new() -> Self {
         BatchPlanner {
-            policy: Arc::new(MinPredictedTime),
-            factory: Arc::new(|| Box::new(SimulatedExecutor::paper_like())),
-            threshold: 0.10,
-            top_k: None,
-            cache: Arc::new(PredictionCache::new()),
-            use_cse: true,
-            factor_cache: None,
+            settings: Settings::new(MinPredictedTime),
         }
-    }
-
-    /// Enable or disable common-subexpression elimination over every
-    /// request's enumerated algorithms (on by default; `--no-cse` ablation).
-    #[must_use]
-    pub fn cse(mut self, enabled: bool) -> Self {
-        self.use_cse = enabled;
-        self
-    }
-
-    /// Attach a [`FactorCache`] shared across the whole batch: after the
-    /// parallel planning pass, plans are re-scored in input order against
-    /// the factors earlier requests computed, so repeated solves against the
-    /// same operand are steered onto shared-factor algorithms. Off by
-    /// default — without a factor cache every request plans independently
-    /// and batch results are bit-identical across runs and worker counts.
-    #[must_use]
-    pub fn factor_cache(mut self, cache: Arc<FactorCache>) -> Self {
-        self.factor_cache = Some(cache);
-        self
-    }
-
-    /// Identities resident in the attached factor cache (0 when factor
-    /// reuse is disabled).
-    #[must_use]
-    pub fn factor_cache_len(&self) -> usize {
-        self.factor_cache.as_ref().map_or(0, |fc| fc.len())
-    }
-
-    /// Use `policy` to choose among each request's algorithms.
-    #[must_use]
-    pub fn policy(mut self, policy: impl SelectionPolicy + 'static) -> Self {
-        self.policy = Arc::new(policy);
-        self
-    }
-
-    /// Use the built-in policy named by `strategy`.
-    #[must_use]
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.policy = Arc::from(strategy.to_policy());
-        self
-    }
-
-    /// Time algorithms with executors built by `factory` (one per worker).
-    #[must_use]
-    pub fn executor_factory(
-        mut self,
-        factory: impl Fn() -> Box<dyn Executor> + Send + Sync + 'static,
-    ) -> Self {
-        self.factory = Arc::new(factory);
-        self
-    }
-
-    /// Anomaly time-score threshold (paper: 10% / 5%).
-    #[must_use]
-    pub fn threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Keep only the `k` FLOP-cheapest algorithms per request (essential for
-    /// long chains, whose algorithm count grows factorially).
-    #[must_use]
-    pub fn top_k(mut self, k: usize) -> Self {
-        self.top_k = Some(k.max(1));
-        self
-    }
-
-    /// Warm-start the shared cache from a persisted calibration store. When
-    /// the store carries an autotuned block configuration
-    /// ([`CalibrationStore::tuned_block_config`]), pair this with an
-    /// [`BatchPlanner::executor_factory`] that builds its measured executors
-    /// under that configuration, so cached timings and fresh benchmarks
-    /// describe the same blocking.
-    #[must_use]
-    pub fn with_store(self, store: &CalibrationStore) -> Self {
-        self.cache.preload(&store.calls);
-        self
-    }
-
-    /// Share an existing cache (e.g. with single-expression [`Planner`]s).
-    #[must_use]
-    pub fn shared_cache(mut self, cache: Arc<PredictionCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// `(hits, misses)` of the shared prediction cache since construction.
-    #[must_use]
-    pub fn cache_stats(&self) -> (usize, usize) {
-        self.cache.stats()
-    }
-
-    /// Export the cache contents (preloaded plus newly benchmarked calls),
-    /// e.g. to merge back into a calibration store.
-    #[must_use]
-    pub fn snapshot_cache(&self) -> CallTimeTable {
-        self.cache.snapshot()
-    }
-
-    /// The [`Planner`] this batch planner applies to one request.
-    fn planner_for<'e>(&self, expr: &'e TreeExpression) -> Planner<'e> {
-        let factory = Arc::clone(&self.factory);
-        let mut planner = Planner::for_expression(expr)
-            .shared_policy(Arc::clone(&self.policy))
-            .shared_cache(Arc::clone(&self.cache))
-            .cse(self.use_cse)
-            .threshold(self.threshold)
-            .executor_factory(move || factory());
-        if let Some(k) = self.top_k {
-            planner = planner.top_k(k);
-        }
-        planner
     }
 
     /// Plan every request, fanning out across rayon workers: the slice is
@@ -389,37 +270,19 @@ impl BatchPlanner {
     /// reports its preloaded entries as hits.
     #[must_use]
     pub fn plan_batch(&self, requests: &[BatchRequest]) -> BatchOutcome {
+        let settings = &self.settings;
         let start = Instant::now();
-        let (hits_before, misses_before) = self.cache.stats();
-        let mut results: Vec<Result<Plan, PlanError>> = if requests.is_empty() {
-            Vec::new()
-        } else {
-            let workers = rayon::current_num_threads().clamp(1, requests.len());
-            let chunk_size = requests.len().div_ceil(workers);
-            let spans: Vec<(usize, usize)> = (0..requests.len())
-                .step_by(chunk_size)
-                .map(|lo| (lo, (lo + chunk_size).min(requests.len())))
-                .collect();
-            let per_chunk: Vec<Vec<Result<Plan, PlanError>>> = spans
-                .into_par_iter()
-                .map(|(lo, hi)| {
-                    let mut executor = (self.factory)();
-                    requests[lo..hi]
-                        .iter()
-                        .map(|req| {
-                            self.planner_for(&req.expr)
-                                .plan_with(&req.dims, executor.as_mut())
-                        })
-                        .collect()
-                })
-                .collect();
-            per_chunk.into_iter().flatten().collect()
-        };
-        if let Some(fc) = &self.factor_cache {
+        let (hits_before, misses_before) = settings.cache.stats();
+        // Every request plans independently here; factor residency is an
+        // order-dependent matter and is applied afterwards, in input order.
+        let mut results = settings.fan_out(requests, |req, executor| {
+            settings.plan_with(&req.expr, &req.dims, executor, None)
+        });
+        if let Some(fc) = &settings.factor_cache {
             self.rescore_with_factor_reuse(fc, &mut results);
         }
         let elapsed_seconds = start.elapsed().as_secs_f64();
-        let (hits_after, misses_after) = self.cache.stats();
+        let (hits_after, misses_after) = settings.cache.stats();
 
         let mut stats = BatchStats {
             requests: requests.len(),
@@ -428,7 +291,7 @@ impl BatchPlanner {
             predicted_anomalies: 0,
             cache_hits: hits_after - hits_before,
             cache_misses: misses_after - misses_before,
-            distinct_calls: self.cache.len(),
+            distinct_calls: settings.cache.len(),
             chosen_predicted_seconds: 0.0,
             flop_optimal_predicted_seconds: 0.0,
             elapsed_seconds,
@@ -457,42 +320,23 @@ impl BatchPlanner {
     /// each plan against the residency the earlier requests established,
     /// let the policy re-select, and register the chosen algorithm's factors
     /// for the requests that follow.
-    fn rescore_with_factor_reuse(
-        &self,
-        fc: &Arc<FactorCache>,
-        results: &mut [Result<Plan, PlanError>],
-    ) {
-        let store: &dyn FactorStore = fc.as_ref();
-        let mut executor = (self.factory)();
-        for result in results.iter_mut() {
-            let Ok(plan) = result.as_mut() else { continue };
+    fn rescore_with_factor_reuse(&self, fc: &FactorCache, results: &mut [Result<Plan, PlanError>]) {
+        let settings = &self.settings;
+        let mut executor = (settings.factory)();
+        for plan in results.iter_mut().flatten() {
             // Fast path: a plan none of whose candidates can reuse anything
             // resident keeps its phase-one scores untouched.
-            let any_resident = plan.algorithms.iter().any(|alg| {
-                cacheable_identities(alg)
-                    .iter()
-                    .any(|(_, _, identity)| store.contains(identity))
-            });
+            let any_resident = plan
+                .algorithms
+                .iter()
+                .any(|alg| !resident_calls(alg, Some(fc)).is_empty());
             if any_resident {
-                let mut caching = CachingExecutor::new(executor.as_mut(), &self.cache);
-                let mut reuse = ReuseAwareExecutor::new(&mut caching, store);
-                for index in 0..plan.algorithms.len() {
-                    let rescored_flops = effective_flops(&plan.algorithms[index], store);
-                    let rescored_seconds = plan.scores[index].predicted_seconds.map(|_| {
-                        reuse
-                            .predict_from_isolated_calls(&plan.algorithms[index])
-                            .seconds
-                    });
-                    plan.scores[index].flops = rescored_flops;
-                    plan.scores[index].predicted_seconds = rescored_seconds;
-                }
-                if let Ok(chosen) = self.policy.select(&plan.algorithms, &mut reuse) {
-                    plan.chosen = chosen;
+                let rescored = settings.score(&plan.algorithms, executor.as_mut(), Some(fc));
+                if let Ok(rescored) = rescored {
+                    (plan.scores, plan.chosen) = rescored;
                 }
             }
-            for (_, _, identity) in cacheable_identities(&plan.algorithms[plan.chosen]) {
-                store.note(&identity);
-            }
+            note_factors(plan.chosen_algorithm(), fc);
         }
     }
 }
@@ -501,6 +345,7 @@ impl BatchPlanner {
 mod tests {
     use super::*;
     use lamb_select::MinFlops;
+    use std::sync::Arc;
 
     fn requests() -> Vec<BatchRequest> {
         BatchRequest::parse_file(
@@ -622,7 +467,7 @@ mod tests {
 
     #[test]
     fn a_factor_cache_steers_later_solves_onto_the_resident_factorisation() {
-        use lamb_perfmodel::{Executor as _, MeasuredExecutor, SimpleFactorStore};
+        use lamb_perfmodel::{Executor as _, MeasuredExecutor};
         let reqs = BatchRequest::parse_file(
             "S[spd]^-1*B 96 12\n\
              S[spd]^-1*B 96 12\n\
@@ -634,7 +479,7 @@ mod tests {
         let planner = BatchPlanner::new().factor_cache(Arc::clone(&fc));
         let outcome = planner.plan_batch(&reqs);
         assert_eq!(outcome.stats.planned, 4);
-        assert!(planner.factor_cache_len() > 0, "chosen factors registered");
+        assert!(!fc.is_empty(), "chosen factors registered");
         let plans: Vec<&Plan> = outcome.plans().collect();
         let first = plans[0].chosen_score().predicted_seconds.unwrap();
         let warm = plans[1].chosen_score().predicted_seconds.unwrap();
@@ -649,7 +494,7 @@ mod tests {
         );
         // Executing the four chosen algorithms against one shared store
         // factors the operand exactly once: 1 POTRF for the whole batch.
-        let store = SimpleFactorStore::new();
+        let store = FactorCache::new();
         let mut exec = MeasuredExecutor::quick();
         let mut potrfs = 0;
         for plan in &plans {
@@ -661,7 +506,7 @@ mod tests {
 
     #[test]
     fn repeated_general_solves_execute_exactly_one_getrf() {
-        use lamb_perfmodel::{Executor as _, MeasuredExecutor, SimpleFactorStore};
+        use lamb_perfmodel::{Executor as _, MeasuredExecutor};
         let reqs = BatchRequest::parse_file(
             "A^-1*B 72 9\n\
              A^-1*B 72 9\n\
@@ -673,10 +518,10 @@ mod tests {
         let planner = BatchPlanner::new().factor_cache(Arc::clone(&fc));
         let outcome = planner.plan_batch(&reqs);
         assert_eq!(outcome.stats.planned, 4);
-        assert!(planner.factor_cache_len() > 0, "LU factors registered");
+        assert!(!fc.is_empty(), "LU factors registered");
         // Executing the four chosen algorithms against one shared store
         // pivots and factors the operand exactly once.
-        let store = SimpleFactorStore::new();
+        let store = FactorCache::new();
         let mut exec = MeasuredExecutor::quick();
         let mut getrfs = 0;
         for plan in outcome.plans() {
@@ -689,7 +534,7 @@ mod tests {
     #[test]
     fn mixed_spd_and_general_factor_identities_never_collide() {
         use lamb_expr::cacheable_identities;
-        use lamb_perfmodel::{Executor as _, MeasuredExecutor, SimpleFactorStore};
+        use lamb_perfmodel::{Executor as _, MeasuredExecutor};
         use std::collections::HashSet;
         // Same operand name, same dims: only the declared structure (and so
         // the factorisation kind) distinguishes the two families.
@@ -720,7 +565,7 @@ mod tests {
             "LU and Cholesky factor identities must never collide: {lu:?} vs {chol:?}"
         );
         // And under one shared store, each family factors exactly once.
-        let store = SimpleFactorStore::new();
+        let store = FactorCache::new();
         let mut exec = MeasuredExecutor::quick();
         let (mut getrfs, mut potrfs) = (0, 0);
         for plan in &plans {

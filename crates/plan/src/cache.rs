@@ -20,8 +20,9 @@
 //! [`PredictionCache::preload`] and exported back with
 //! [`PredictionCache::snapshot`].
 
+use crate::factor_cache::{resident_calls, FactorCache};
 use lamb_expr::{Algorithm, KernelOp};
-use lamb_perfmodel::{AlgorithmTiming, CallTimeTable, CallTiming, Executor, MachineModel};
+use lamb_perfmodel::{AlgorithmTiming, CallTimeTable, Executor, MachineModel};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
@@ -122,26 +123,10 @@ impl PredictionCache {
     }
 
     /// Predict `alg`'s time as the sum of its (cached) isolated-call
-    /// benchmarks — the cached equivalent of
-    /// [`Executor::predict_from_isolated_calls`].
+    /// benchmarks — what [`Executor::predict_from_isolated_calls`] returns
+    /// through a [`CachingExecutor`] over this cache.
     pub fn predict(&self, executor: &mut dyn Executor, alg: &Algorithm) -> AlgorithmTiming {
-        let per_call: Vec<CallTiming> = alg
-            .calls
-            .iter()
-            .enumerate()
-            .map(|(i, call)| CallTiming {
-                index: i,
-                label: call.label.clone(),
-                flops: call.flops(),
-                seconds: self.cached_isolated_call(executor, alg, i),
-            })
-            .collect();
-        AlgorithmTiming {
-            algorithm_name: alg.name.clone(),
-            seconds: per_call.iter().map(|c| c.seconds).sum(),
-            per_call,
-            flops: alg.flops(),
-        }
+        AlgorithmTiming::from_calls(alg, |i, _| self.cached_isolated_call(executor, alg, i))
     }
 
     /// Number of distinct timing keys benchmarked (or preloaded) so far.
@@ -180,15 +165,35 @@ impl PredictionCache {
 /// executions are *not* cached: for measured executors they are genuine
 /// timing runs, and for the anomaly classification every instance must be
 /// executed.
+///
+/// Given a [`FactorCache`] ([`CachingExecutor::with_factor_cache`]) the
+/// adapter is also *residency aware*: a call whose cacheable result is
+/// resident costs zero seconds (it would be injected, not recomputed) and
+/// never reaches the prediction cache. Executions still pass through
+/// untouched — selection-time execution must not deposit factors the batch
+/// never actually computes.
 pub struct CachingExecutor<'a> {
     inner: &'a mut dyn Executor,
     cache: &'a PredictionCache,
+    factors: Option<&'a FactorCache>,
 }
 
 impl<'a> CachingExecutor<'a> {
     /// Wrap `inner`, memoizing isolated-call timings in `cache`.
     pub fn new(inner: &'a mut dyn Executor, cache: &'a PredictionCache) -> Self {
-        CachingExecutor { inner, cache }
+        CachingExecutor {
+            inner,
+            cache,
+            factors: None,
+        }
+    }
+
+    /// Price the calls resident in `factors` at zero seconds (`None`, the
+    /// default, prices every call by its benchmark).
+    #[must_use]
+    pub fn with_factor_cache(mut self, factors: Option<&'a FactorCache>) -> Self {
+        self.factors = factors;
+        self
     }
 }
 
@@ -206,7 +211,24 @@ impl Executor for CachingExecutor<'_> {
     }
 
     fn time_isolated_call(&mut self, alg: &Algorithm, call_index: usize) -> f64 {
-        self.cache.cached_isolated_call(self.inner, alg, call_index)
+        if resident_calls(alg, self.factors).contains(&call_index) {
+            0.0
+        } else {
+            self.cache.cached_isolated_call(self.inner, alg, call_index)
+        }
+    }
+
+    /// The sum of the isolated-call times, with the resident calls resolved
+    /// once for the whole algorithm instead of once per call.
+    fn predict_from_isolated_calls(&mut self, alg: &Algorithm) -> AlgorithmTiming {
+        let resident = resident_calls(alg, self.factors);
+        AlgorithmTiming::from_calls(alg, |i, _| {
+            if resident.contains(&i) {
+                0.0
+            } else {
+                self.cache.cached_isolated_call(self.inner, alg, i)
+            }
+        })
     }
 }
 

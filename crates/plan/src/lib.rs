@@ -34,32 +34,41 @@
 //! * [`Planner`] — builder over an expression: policy, executor (factory),
 //!   threshold, prediction scoring; `plan` / `plan_with` for one instance,
 //!   [`Planner::plan_grid`] for a batched sweep fanned out across worker
-//!   threads, [`Planner::predict_instance`] for Experiment-3-style predicted
-//!   verdicts.
+//!   threads. Everything it configures apart from the expression is one
+//!   private settings value, and the pipeline — enumerate → CSE → deduplicate
+//!   → verify gate → score → select — is written once on it.
 //! * [`Plan`] — the enumerated algorithm set with per-algorithm
 //!   [`AlgorithmScore`]s and the policy's chosen index;
 //!   [`Plan::execute`] / [`Plan::execute_with`] time every algorithm and
-//!   produce a [`PlanExecution`] carrying the [`Classification`] verdict.
+//!   produce a [`PlanExecution`] carrying the [`Classification`] verdict,
+//!   and [`Plan::predicted_evaluation`] / [`Plan::predicted_anomaly`] give
+//!   the Experiment-3-style verdict from the predicted times the plan
+//!   already carries (the same Section 3.3 classification, on predictions).
 //! * [`PredictionCache`] / [`CachingExecutor`] — a sharded memo table of
 //!   isolated-call benchmark times keyed by the call's timing key
 //!   (operation and dimensions, with timing-irrelevant GEMM transposition
 //!   flags cleared), shared across algorithms, instances and threads, so
-//!   repeated profile benchmarks are paid once. It warm-starts from a
+//!   repeated profile benchmarks are paid once, and the one [`Executor`]
+//!   adapter policies see it through. It warm-starts from a
 //!   persisted [`CalibrationStore`](lamb_perfmodel::CalibrationStore)
 //!   ([`Planner::with_store`]) and exports back to one
 //!   ([`Planner::snapshot_cache`]).
-//! * [`FactorCache`] / [`ReuseAwareExecutor`] — the batch-level factor
-//!   store: computed factors (Cholesky factors, Gram products, half-solves)
-//!   keyed by canonical node identity, shared across the requests of a
-//!   batch, with a reuse-aware scoring wrapper that zeroes the predicted
-//!   cost of resident factors so `MinPredictedTime` prefers shared-factor
-//!   algorithms.
-//! * [`BatchPlanner`] / [`BatchRequest`] — the batch-serving front end:
-//!   parse a whole file of expression instances, fan them out across rayon
-//!   workers against the shared cache, and report aggregate [`BatchStats`]
-//!   (cache hit rate, predicted versus FLOP-optimal time, anomaly count).
-//!   "Calibrate once, plan many."
+//! * [`FactorCache`] — the factor store (defined beside the executors in
+//!   `lamb_perfmodel::reuse`, re-exported here): computed factors (Cholesky
+//!   and LU factors, Gram products, half-solves) keyed by canonical node
+//!   identity, shared across the plans of a planner or the requests of a
+//!   batch. Given one, scoring prices resident factors at zero —
+//!   [`effective_flops`] for the FLOP score, the same [`CachingExecutor`]
+//!   for the predicted seconds — so `MinPredictedTime` prefers
+//!   shared-factor algorithms.
+//! * [`BatchPlanner`] / [`BatchRequest`] — the batch-serving front end: the
+//!   same settings and setters as [`Planner`] without the expression. It
+//!   parses a whole file of expression instances, fans them out across rayon
+//!   workers through the same pipeline against the shared cache, and reports
+//!   aggregate [`BatchStats`] (cache hit rate, predicted versus FLOP-optimal
+//!   time, anomaly count). "Calibrate once, plan many."
 //!
+//! [`Executor`]: lamb_perfmodel::Executor
 //! [`Classification`]: lamb_select::Classification
 
 #![forbid(unsafe_code)]
@@ -73,7 +82,7 @@ mod planner;
 
 pub use batch::{BatchOutcome, BatchParseError, BatchPlanner, BatchRequest, BatchStats};
 pub use cache::{CachingExecutor, PredictionCache};
-pub use factor_cache::{effective_flops, FactorCache, ReuseAwareExecutor};
+pub use factor_cache::{effective_flops, FactorCache};
 pub use plan::{AlgorithmScore, Plan, PlanError, PlanExecution};
 pub use planner::Planner;
 

@@ -1,12 +1,11 @@
 //! The output of planning: a scored, selected algorithm set that can be
 //! executed and judged.
 
-use crate::cache::PredictionCache;
+use crate::planner::ExecutorFactory;
 use lamb_expr::{Algorithm, GenerateError};
 use lamb_perfmodel::{AlgorithmTiming, Executor};
 use lamb_select::{AlgorithmMeasurement, Classification, InstanceEvaluation, SelectError};
 use std::fmt;
-use std::sync::Arc;
 
 /// Why a planner could not produce a [`Plan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,8 +90,7 @@ pub struct Plan {
     /// call sequence along different paths).
     pub duplicates_removed: usize,
     pub(crate) threshold: f64,
-    pub(crate) factory: Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>,
-    pub(crate) cache: Arc<PredictionCache>,
+    pub(crate) factory: ExecutorFactory,
 }
 
 impl fmt::Debug for Plan {
@@ -121,7 +119,8 @@ impl Plan {
     }
 
     /// The score entry of the FLOP-minimal algorithm — what a pure FLOP
-    /// discriminant (Linnea, Armadillo, Julia) would select.
+    /// discriminant (Linnea, Armadillo, Julia) would select: the first of
+    /// the algorithms tied on the minimum.
     #[must_use]
     pub fn flop_optimal_score(&self) -> &AlgorithmScore {
         self.scores
@@ -130,31 +129,40 @@ impl Plan {
             .expect("a plan has at least one algorithm")
     }
 
-    /// The smallest predicted time over all algorithms, when predictions
-    /// were scored.
+    /// The *predicted* evaluation of the instance: one measurement per
+    /// algorithm whose time is the plan's predicted score — the sum of
+    /// (cached) isolated-call benchmarks, the predictor of the paper's
+    /// Experiment 3. Classify it to get the predicted anomaly verdict. `None`
+    /// when the plan was made without prediction scoring.
     #[must_use]
-    pub fn best_predicted_seconds(&self) -> Option<f64> {
-        self.scores
+    pub fn predicted_evaluation(&self) -> Option<InstanceEvaluation> {
+        let measurements = self
+            .scores
             .iter()
-            .filter_map(|s| s.predicted_seconds)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite predictions"))
+            .map(|s| {
+                Some(AlgorithmMeasurement {
+                    index: s.index,
+                    name: s.name.clone(),
+                    flops: s.flops,
+                    seconds: s.predicted_seconds?,
+                })
+            })
+            .collect::<Option<_>>()?;
+        Some(InstanceEvaluation {
+            dims: self.dims.clone(),
+            measurements,
+        })
     }
 
-    /// The anomaly time-score threshold this plan was made under.
-    #[must_use]
-    pub fn anomaly_threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Whether the FLOP-minimal algorithm is *predicted* to be more than the
-    /// plan's threshold slower than the predicted-fastest algorithm — the
-    /// paper's anomaly definition evaluated on predictions. `None` when the
-    /// plan was made without prediction scoring.
+    /// Whether the instance is *predicted* to be an anomaly: the Section 3.3
+    /// classification of [`Plan::predicted_evaluation`] at the plan's
+    /// threshold — none of the FLOP-minimal algorithms is predicted fastest,
+    /// and the best of them trails the fastest by more than the threshold in
+    /// time score. `None` when the plan was made without prediction scoring.
     #[must_use]
     pub fn predicted_anomaly(&self) -> Option<bool> {
-        let flop_optimal = self.flop_optimal_score().predicted_seconds?;
-        let best = self.best_predicted_seconds()?;
-        Some(flop_optimal > best * (1.0 + self.threshold))
+        let evaluation = self.predicted_evaluation()?;
+        Some(evaluation.classify(self.threshold).is_anomaly)
     }
 
     /// Execute every algorithm with a fresh executor from the planner's
@@ -204,12 +212,6 @@ impl Plan {
             best_seconds,
         }
     }
-
-    /// The shared prediction cache backing this plan (and its planner).
-    #[must_use]
-    pub fn cache(&self) -> &PredictionCache {
-        &self.cache
-    }
 }
 
 /// The result of executing a [`Plan`]: timings for every algorithm, the
@@ -247,5 +249,79 @@ impl PlanExecution {
     #[must_use]
     pub fn is_anomaly(&self) -> bool {
         self.verdict.is_anomaly
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lamb_perfmodel::SimulatedExecutor;
+    use std::sync::Arc;
+
+    /// A plan over placeholder algorithms whose scores are the given
+    /// `(flops, predicted seconds)` pairs, made at `threshold`.
+    fn plan_with_scores(threshold: f64, scores: &[(u64, f64)]) -> Plan {
+        let algorithms = lamb_expr::enumerate_aatb_algorithms(8, 8, 8);
+        Plan {
+            dims: vec![8, 8, 8],
+            expression: "hand-built".into(),
+            algorithms: algorithms[..scores.len()].to_vec(),
+            scores: scores
+                .iter()
+                .enumerate()
+                .map(|(index, &(flops, seconds))| AlgorithmScore {
+                    index,
+                    name: format!("alg {index}"),
+                    flops,
+                    predicted_seconds: Some(seconds),
+                })
+                .collect(),
+            chosen: 0,
+            policy: "hand-built".into(),
+            duplicates_removed: 0,
+            threshold,
+            factory: Arc::new(|| Box::new(SimulatedExecutor::paper_like())),
+        }
+    }
+
+    #[test]
+    fn a_flop_tie_is_judged_by_the_fastest_of_the_tied_algorithms() {
+        // Algorithms 0 and 1 tie on FLOPs; the second of them is the
+        // predicted-fastest of all three, so a FLOP-minimal algorithm *is*
+        // among the fastest and Section 3.3 sees no anomaly — although the
+        // first of the tie, which a pure FLOP selector picks, is slow.
+        let plan = plan_with_scores(0.10, &[(100, 3.0), (100, 1.0), (400, 2.0)]);
+        assert_eq!(plan.flop_optimal_score().index, 0, "first of the ties");
+        assert_eq!(plan.predicted_anomaly(), Some(false));
+        // With the expensive algorithm fastest, the time score is taken from
+        // the *better* of the tied pair: (2.0 - 1.0) / 2.0.
+        let plan = plan_with_scores(0.10, &[(100, 3.0), (100, 2.0), (400, 1.0)]);
+        let verdict = plan.predicted_evaluation().unwrap().classify(0.10);
+        assert!((verdict.time_score - 0.5).abs() < 1e-12);
+        assert_eq!(plan.predicted_anomaly(), Some(true));
+    }
+
+    #[test]
+    fn the_threshold_applies_to_the_time_score_not_to_the_time_ratio() {
+        // The FLOP-minimal algorithm is predicted 10.5% slower than the
+        // fastest: a ratio above 1.10, but a time score of 0.105 / 1.105 =
+        // 0.095, which the 10% threshold does not reach.
+        let plan = plan_with_scores(0.10, &[(100, 1.105), (150, 1.0)]);
+        let verdict = plan.predicted_evaluation().unwrap().classify(0.10);
+        assert!((verdict.time_score - 0.105 / 1.105).abs() < 1e-12);
+        assert_eq!(plan.predicted_anomaly(), Some(false));
+        assert_eq!(
+            plan_with_scores(0.09, &[(100, 1.105), (150, 1.0)]).predicted_anomaly(),
+            Some(true)
+        );
+    }
+
+    #[test]
+    fn plans_without_predictions_have_no_predicted_verdict() {
+        let mut plan = plan_with_scores(0.10, &[(100, 2.0), (150, 1.0)]);
+        assert_eq!(plan.predicted_anomaly(), Some(true));
+        plan.scores[1].predicted_seconds = None;
+        assert!(plan.predicted_evaluation().is_none());
+        assert_eq!(plan.predicted_anomaly(), None);
     }
 }

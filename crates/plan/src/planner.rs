@@ -1,18 +1,297 @@
-//! The builder-style [`Planner`]: one pipeline from expression instance to
-//! selected algorithm.
+//! The builder-style [`Planner`] and the one pipeline behind it.
+//!
+//! Everything a planner configures apart from the expression — policy,
+//! executor factory, threshold, caches — is one private `Settings` value.
+//! [`Planner`] is an expression plus settings,
+//! [`BatchPlanner`](crate::BatchPlanner) is settings alone, and both run
+//! `Settings::plan_with`, so a request plans identically through either.
 
 use crate::cache::{CachingExecutor, PredictionCache};
-use crate::factor_cache::{effective_flops, FactorCache, ReuseAwareExecutor};
+use crate::factor_cache::{effective_flops, note_factors, FactorCache};
 use crate::plan::{AlgorithmScore, Plan, PlanError};
-use lamb_expr::{
-    cacheable_identities, eliminate_common_subexpressions, Algorithm, Expression, KernelOp,
-    OperandId,
-};
-use lamb_perfmodel::{CalibrationStore, CallTimeTable, Executor, FactorStore, SimulatedExecutor};
-use lamb_select::{AlgorithmMeasurement, InstanceEvaluation, MinFlops, SelectionPolicy, Strategy};
+use lamb_expr::{eliminate_common_subexpressions, Algorithm, Expression, KernelOp, OperandId};
+use lamb_perfmodel::{Executor, SimulatedExecutor};
+use lamb_select::{MinFlops, SelectError, SelectionPolicy};
 use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// Builds the executors a planner times algorithms with.
+pub(crate) type ExecutorFactory = Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>;
+
+/// The expression-independent configuration of a planner, and the pipeline
+/// it drives.
+pub(crate) struct Settings {
+    pub(crate) policy: Arc<dyn SelectionPolicy>,
+    pub(crate) factory: ExecutorFactory,
+    pub(crate) threshold: f64,
+    pub(crate) score_predictions: bool,
+    pub(crate) top_k: Option<usize>,
+    pub(crate) cache: Arc<PredictionCache>,
+    pub(crate) use_cse: bool,
+    pub(crate) factor_cache: Option<Arc<FactorCache>>,
+}
+
+impl Settings {
+    /// The defaults under `policy`: the paper-like simulated executor,
+    /// predicted-time scoring enabled, the 10% anomaly threshold of
+    /// Experiment 1, a cold prediction cache, CSE enabled, no factor cache
+    /// and no enumeration cap.
+    pub(crate) fn new(policy: impl SelectionPolicy + 'static) -> Self {
+        Settings {
+            policy: Arc::new(policy),
+            factory: Arc::new(|| Box::new(SimulatedExecutor::paper_like())),
+            threshold: 0.10,
+            score_predictions: true,
+            top_k: None,
+            cache: Arc::new(PredictionCache::new()),
+            use_cse: true,
+            factor_cache: None,
+        }
+    }
+
+    /// Plan one instance of `expr`: enumerate (pruned) → CSE → deduplicate →
+    /// verify gate → score → select. `factors` is the factor cache to price
+    /// residency against and to register the chosen algorithm's factors in
+    /// (`None` plans the instance independently of every other).
+    pub(crate) fn plan_with(
+        &self,
+        expr: &dyn Expression,
+        dims: &[usize],
+        executor: &mut dyn Executor,
+        factors: Option<&FactorCache>,
+    ) -> Result<Plan, PlanError> {
+        // Zero dimensions are deliberately *not* rejected here: every kernel,
+        // FLOP model and executor handles degenerate (empty) operands, and
+        // the degenerate-dimension proptests drive zero- and unit-sized
+        // instances through this exact path.
+        let expected = expr.num_dims();
+        if dims.len() != expected {
+            return Err(PlanError::DimensionMismatch {
+                expected,
+                got: dims.len(),
+            });
+        }
+        // With CSE on, every candidate is rewritten into its shared (DAG)
+        // form so each distinct node is computed — and charged — once.
+        let mut algorithms = expr.algorithms_pruned(dims, self.top_k)?;
+        if self.use_cse {
+            for alg in &mut algorithms {
+                *alg = eliminate_common_subexpressions(alg).algorithm;
+            }
+        }
+        // Drop algorithms whose kernel-call signature duplicates an earlier
+        // one, on the *post-CSE* canonical form: rewrites can derive
+        // sequences that only become identical once their internal
+        // duplicates are merged.
+        let enumerated = algorithms.len();
+        let mut seen = HashSet::with_capacity(enumerated);
+        algorithms.retain(|alg| seen.insert(call_signature(alg)));
+        let duplicates_removed = enumerated - algorithms.len();
+        if algorithms.is_empty() {
+            return Err(PlanError::NoAlgorithms);
+        }
+        // Debug-mode gate: every candidate the policy may pick must pass the
+        // static analyser. Compiled out in release builds (no timing skew).
+        for alg in &algorithms {
+            lamb_verify::debug_assert_verified(alg);
+        }
+        let (scores, chosen) = self.score(&algorithms, executor, factors)?;
+        if let Some(fc) = factors {
+            // The chosen algorithm's factors become resident for later
+            // instances planned against the same cache (bytes arrive when an
+            // execution actually computes them).
+            note_factors(&algorithms[chosen], fc);
+        }
+        Ok(Plan {
+            dims: dims.to_vec(),
+            expression: expr.name(),
+            algorithms,
+            scores,
+            chosen,
+            policy: self.policy.name(),
+            duplicates_removed,
+            threshold: self.threshold,
+            factory: Arc::clone(&self.factory),
+        })
+    }
+
+    /// Score every algorithm — FLOPs, and predicted seconds through the
+    /// shared prediction cache when prediction scoring is on — and let the
+    /// policy choose. Factors resident in `factors` are priced at zero FLOPs
+    /// and zero seconds, for the scores and for the policy alike.
+    pub(crate) fn score(
+        &self,
+        algorithms: &[Algorithm],
+        executor: &mut dyn Executor,
+        factors: Option<&FactorCache>,
+    ) -> Result<(Vec<AlgorithmScore>, usize), SelectError> {
+        let mut caching = CachingExecutor::new(executor, &self.cache).with_factor_cache(factors);
+        let scores = algorithms
+            .iter()
+            .enumerate()
+            .map(|(index, alg)| AlgorithmScore {
+                index,
+                name: alg.name.clone(),
+                flops: factors.map_or_else(|| alg.flops(), |fc| effective_flops(alg, fc)),
+                predicted_seconds: self
+                    .score_predictions
+                    .then(|| caching.predict_from_isolated_calls(alg).seconds),
+            })
+            .collect();
+        let chosen = self.policy.select(algorithms, &mut caching)?;
+        Ok((scores, chosen))
+    }
+
+    /// Plan `items` across worker threads: one contiguous chunk and one
+    /// executor from the factory per worker, results in input order.
+    pub(crate) fn fan_out<T: Sync>(
+        &self,
+        items: &[T],
+        plan_one: impl Fn(&T, &mut dyn Executor) -> Result<Plan, PlanError> + Sync,
+    ) -> Vec<Result<Plan, PlanError>> {
+        let workers = rayon::current_num_threads().max(1);
+        let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(workers).max(1)).collect();
+        let per_chunk: Vec<Vec<Result<Plan, PlanError>>> = chunks
+            .into_par_iter()
+            .map(|chunk| {
+                let mut executor = (self.factory)();
+                chunk
+                    .iter()
+                    .map(|item| plan_one(item, executor.as_mut()))
+                    .collect()
+            })
+            .collect();
+        per_chunk.into_iter().flatten().collect()
+    }
+}
+
+/// Stamps the configuration surface [`Planner`] and
+/// [`BatchPlanner`](crate::BatchPlanner) share onto a type holding a
+/// `settings: Settings` field, so each setter has one body and one doc
+/// comment. `impl_settings_builder!([generics] Type)`.
+macro_rules! impl_settings_builder {
+    ([$($generics:tt)*] $ty:ty) => {
+        impl<$($generics)*> $ty {
+            /// Use `policy` to choose among the enumerated algorithms: any
+            /// [`SelectionPolicy`](lamb_select::SelectionPolicy), the
+            /// [`Strategy`](lamb_select::Strategy) enum included.
+            #[must_use]
+            pub fn policy(
+                mut self,
+                policy: impl lamb_select::SelectionPolicy + 'static,
+            ) -> Self {
+                self.settings.policy = std::sync::Arc::new(policy);
+                self
+            }
+
+            /// Time algorithms with executors built by `factory`: one per
+            /// single-instance plan, one per worker thread of a fan-out.
+            #[must_use]
+            pub fn executor_factory(
+                mut self,
+                factory: impl Fn() -> Box<dyn lamb_perfmodel::Executor> + Send + Sync + 'static,
+            ) -> Self {
+                self.settings.factory = std::sync::Arc::new(factory);
+                self
+            }
+
+            /// Time-score threshold at which plans classify anomalies,
+            /// predicted and executed (paper: 10% in Experiment 1, 5% in
+            /// Experiments 2-3).
+            #[must_use]
+            pub fn threshold(mut self, threshold: f64) -> Self {
+                self.settings.threshold = threshold;
+                self
+            }
+
+            /// Restrict enumeration to the `k` algorithms with the smallest
+            /// FLOP counts (branch-and-bound pruned by the general
+            /// enumerator). This keeps planning tractable on long chains,
+            /// whose full algorithm set grows factorially.
+            #[must_use]
+            pub fn top_k(mut self, k: usize) -> Self {
+                self.settings.top_k = Some(k.max(1));
+                self
+            }
+
+            /// Enable or disable common-subexpression elimination over the
+            /// enumerated kernel-call sequences (on by default). With CSE on,
+            /// every candidate algorithm is rewritten so identical
+            /// subcomputations — repeated POTRFs of one SPD operand, repeated
+            /// SYRK Gram products, repeated TRSM half-solves — are computed
+            /// once and referenced thereafter, and the FLOP scores charge each
+            /// distinct node once. Disable for an ablation (`--no-cse` in the
+            /// CLI).
+            #[must_use]
+            pub fn cse(mut self, enabled: bool) -> Self {
+                self.settings.use_cse = enabled;
+                self
+            }
+
+            /// Plan against a shared [`FactorCache`](crate::FactorCache):
+            /// cacheable factors already resident in it score as free — zero
+            /// FLOPs, zero predicted seconds — so `MinPredictedTime` (and
+            /// `Hybrid`) prefer algorithms that reuse them, and each plan's
+            /// chosen algorithm registers its own factors for the instances
+            /// that follow. A batch applies it in input order, after its
+            /// parallel planning pass, so the outcome does not depend on the
+            /// worker count. Off by default: without a factor cache every
+            /// instance plans independently of every other.
+            #[must_use]
+            pub fn factor_cache(mut self, cache: std::sync::Arc<crate::FactorCache>) -> Self {
+                self.settings.factor_cache = Some(cache);
+                self
+            }
+
+            /// Share `cache` with other planners, single-expression and batch
+            /// alike: every planner wired to the same cache benchmarks each
+            /// distinct kernel call at most once between them.
+            #[must_use]
+            pub fn shared_cache(
+                mut self,
+                cache: std::sync::Arc<crate::PredictionCache>,
+            ) -> Self {
+                self.settings.cache = cache;
+                self
+            }
+
+            /// Warm-start the prediction cache from a persisted
+            /// [`CalibrationStore`](lamb_perfmodel::CalibrationStore): every
+            /// kernel call whose timing key the store covers is a cache hit
+            /// instead of a fresh benchmark (`snapshot_cache` is the other
+            /// half of the round trip).
+            ///
+            /// Stores written by `calibrate --autotune` also carry the
+            /// autotuned `BlockConfig` (`CalibrationStore::tuned_block_config`);
+            /// pair this with an `executor_factory` that builds its measured
+            /// executors under that configuration, so cached timings and
+            /// fresh benchmarks describe the same blocking (the CLI's
+            /// executor factory does this).
+            #[must_use]
+            pub fn with_store(self, store: &lamb_perfmodel::CalibrationStore) -> Self {
+                self.settings.cache.preload(&store.calls);
+                self
+            }
+
+            /// Export the prediction cache (preloaded entries plus everything
+            /// benchmarked since) as a
+            /// [`CallTimeTable`](lamb_perfmodel::CallTimeTable), e.g. to merge
+            /// back into a calibration store.
+            #[must_use]
+            pub fn snapshot_cache(&self) -> lamb_perfmodel::CallTimeTable {
+                self.settings.cache.snapshot()
+            }
+
+            /// `(hits, misses)` of the shared prediction cache.
+            #[must_use]
+            pub fn cache_stats(&self) -> (usize, usize) {
+                self.settings.cache.stats()
+            }
+        }
+    };
+}
+pub(crate) use impl_settings_builder;
 
 /// Plans expression instances: enumerate the mathematically equivalent
 /// algorithms, score them, and let a [`SelectionPolicy`] choose.
@@ -33,15 +312,10 @@ use std::sync::Arc;
 /// ```
 pub struct Planner<'e> {
     expr: &'e dyn Expression,
-    policy: Arc<dyn SelectionPolicy>,
-    factory: Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>,
-    threshold: f64,
-    score_predictions: bool,
-    top_k: Option<usize>,
-    cache: Arc<PredictionCache>,
-    use_cse: bool,
-    factor_cache: Option<Arc<FactorCache>>,
+    settings: Settings,
 }
+
+impl_settings_builder!(['e] Planner<'e>);
 
 impl<'e> Planner<'e> {
     /// Start planning for `expr` with the defaults: the `MinFlops` policy
@@ -52,123 +326,8 @@ impl<'e> Planner<'e> {
     pub fn for_expression(expr: &'e dyn Expression) -> Self {
         Planner {
             expr,
-            policy: Arc::new(MinFlops),
-            factory: Arc::new(|| Box::new(SimulatedExecutor::paper_like())),
-            threshold: 0.10,
-            score_predictions: true,
-            top_k: None,
-            cache: Arc::new(PredictionCache::new()),
-            use_cse: true,
-            factor_cache: None,
+            settings: Settings::new(MinFlops),
         }
-    }
-
-    /// Enable or disable common-subexpression elimination over the enumerated
-    /// kernel-call sequences (on by default). With CSE on, every candidate
-    /// algorithm is rewritten so identical subcomputations — repeated POTRFs
-    /// of one SPD operand, repeated SYRK Gram products, repeated TRSM
-    /// half-solves — are computed once and referenced thereafter, and the
-    /// FLOP scores charge each distinct node once. Disable for an ablation
-    /// (`--no-cse` in the CLI).
-    #[must_use]
-    pub fn cse(mut self, enabled: bool) -> Self {
-        self.use_cse = enabled;
-        self
-    }
-
-    /// Share a [`FactorCache`] with other planners (typically through a
-    /// [`crate::BatchPlanner`] batch): cacheable factors already resident in
-    /// the cache score as free — zero FLOPs, zero predicted seconds — so
-    /// `MinPredictedTime` (and `Hybrid`) prefer algorithms that reuse them,
-    /// and each plan's chosen algorithm registers its own factors for later
-    /// instances. Off by default: without a factor cache, planning is
-    /// completely independent across instances.
-    #[must_use]
-    pub fn factor_cache(mut self, cache: Arc<FactorCache>) -> Self {
-        self.factor_cache = Some(cache);
-        self
-    }
-
-    /// Use `policy` to choose among the enumerated algorithms.
-    #[must_use]
-    pub fn policy(mut self, policy: impl SelectionPolicy + 'static) -> Self {
-        self.policy = Arc::new(policy);
-        self
-    }
-
-    /// Use an already-shared policy (e.g. one driving a whole batch).
-    #[must_use]
-    pub fn shared_policy(mut self, policy: Arc<dyn SelectionPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Share `cache` with other planners (and with [`crate::BatchPlanner`]):
-    /// every planner wired to the same cache benchmarks each distinct kernel
-    /// call at most once between them.
-    #[must_use]
-    pub fn shared_cache(mut self, cache: Arc<PredictionCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Warm-start the prediction cache from a persisted
-    /// [`CalibrationStore`]: every kernel call whose timing key the store
-    /// covers is a cache hit instead of a fresh benchmark. See the
-    /// `calibrate` CLI command and [`Planner::snapshot_cache`] for the other
-    /// half of the round trip.
-    ///
-    /// Stores written by `calibrate --autotune` also carry the autotuned
-    /// `BlockConfig`
-    /// ([`CalibrationStore::tuned_block_config`]); construct the measured
-    /// executor under that configuration so the preloaded timings describe
-    /// the blocking actually run (the CLI's executor factory does this).
-    #[must_use]
-    pub fn with_store(self, store: &CalibrationStore) -> Self {
-        self.cache.preload(&store.calls);
-        self
-    }
-
-    /// Export the prediction cache (preloaded entries plus everything
-    /// benchmarked since) as a [`CallTimeTable`], e.g. to merge back into a
-    /// calibration store.
-    #[must_use]
-    pub fn snapshot_cache(&self) -> CallTimeTable {
-        self.cache.snapshot()
-    }
-
-    /// Use the built-in policy named by `strategy` (back-compat constructor).
-    #[must_use]
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.policy = Arc::from(strategy.to_policy());
-        self
-    }
-
-    /// Time algorithms with clones of `executor` (one clone per worker in
-    /// [`Planner::plan_grid`]).
-    #[must_use]
-    pub fn executor<E: Executor + Clone + Sync + 'static>(self, executor: E) -> Self {
-        self.executor_factory(move || Box::new(executor.clone()))
-    }
-
-    /// Time algorithms with executors built by `factory`. The factory is
-    /// invoked once per [`Planner::plan`] call and once per worker thread in
-    /// [`Planner::plan_grid`].
-    #[must_use]
-    pub fn executor_factory(
-        mut self,
-        factory: impl Fn() -> Box<dyn Executor> + Send + Sync + 'static,
-    ) -> Self {
-        self.factory = Arc::new(factory);
-        self
-    }
-
-    /// Time-score threshold used when executed plans classify anomalies
-    /// (paper: 10% in Experiment 1, 5% in Experiments 2-3).
-    #[must_use]
-    pub fn threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
     }
 
     /// Whether [`Plan::scores`](crate::Plan) should include predicted times
@@ -176,17 +335,7 @@ impl<'e> Planner<'e> {
     /// only need the FLOP scores and the policy's choice.
     #[must_use]
     pub fn score_predictions(mut self, enabled: bool) -> Self {
-        self.score_predictions = enabled;
-        self
-    }
-
-    /// Restrict enumeration to the `k` algorithms with the smallest FLOP
-    /// counts (branch-and-bound pruned by the general enumerator). This
-    /// keeps [`Planner::plan`] and [`Planner::plan_grid`] tractable on long
-    /// chains, whose full algorithm set grows factorially.
-    #[must_use]
-    pub fn top_k(mut self, k: usize) -> Self {
-        self.top_k = Some(k.max(1));
+        self.settings.score_predictions = enabled;
         self
     }
 
@@ -199,43 +348,7 @@ impl<'e> Planner<'e> {
     /// The shared prediction cache: distinct kernel calls benchmarked so far.
     #[must_use]
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// `(hits, misses)` of the shared prediction cache.
-    #[must_use]
-    pub fn cache_stats(&self) -> (usize, usize) {
-        self.cache.stats()
-    }
-
-    /// Enumerate (pruned) and, when CSE is enabled, rewrite every candidate
-    /// into its shared (DAG) form so each distinct node is computed — and
-    /// charged — once.
-    fn cse_algorithms(&self, dims: &[usize]) -> Result<Vec<Algorithm>, PlanError> {
-        let enumerated = self.expr.algorithms_pruned(dims, self.top_k)?;
-        if self.use_cse {
-            Ok(enumerated
-                .into_iter()
-                .map(|a| eliminate_common_subexpressions(&a).algorithm)
-                .collect())
-        } else {
-            Ok(enumerated)
-        }
-    }
-
-    // Zero dimensions are deliberately *not* rejected here: every kernel,
-    // FLOP model and executor handles degenerate (empty) operands, and the
-    // degenerate-dimension proptests drive zero- and unit-sized instances
-    // through this exact path.
-    fn validate(&self, dims: &[usize]) -> Result<(), PlanError> {
-        let expected = self.expr.num_dims();
-        if dims.len() != expected {
-            return Err(PlanError::DimensionMismatch {
-                expected,
-                got: dims.len(),
-            });
-        }
-        Ok(())
+        self.settings.cache.len()
     }
 
     /// Plan one instance with a fresh executor from the factory.
@@ -262,12 +375,14 @@ impl<'e> Planner<'e> {
     ///
     /// See [`PlanError`].
     pub fn plan(&self, dims: &[usize]) -> Result<Plan, PlanError> {
-        let mut executor = (self.factory)();
+        let mut executor = (self.settings.factory)();
         self.plan_with(dims, executor.as_mut())
     }
 
     /// Plan one instance, consulting `executor` (through the shared
-    /// prediction cache) for predicted times.
+    /// prediction cache) for predicted times. The per-algorithm predicted
+    /// times of the paper's Experiment 3 are the plan's scores:
+    /// [`Plan::predicted_evaluation`] classifies them.
     ///
     /// # Errors
     ///
@@ -277,75 +392,8 @@ impl<'e> Planner<'e> {
         dims: &[usize],
         executor: &mut dyn Executor,
     ) -> Result<Plan, PlanError> {
-        self.validate(dims)?;
-        let enumerated = self.cse_algorithms(dims)?;
-        // Deduplicate on the *post-CSE* canonical form: rewrites can derive
-        // sequences that only become identical once their internal
-        // duplicates are merged.
-        let (algorithms, duplicates_removed) = dedup_by_signature(enumerated);
-        if algorithms.is_empty() {
-            return Err(PlanError::NoAlgorithms);
-        }
-        // Debug-mode gate: every candidate the policy may pick must pass the
-        // static analyser. Compiled out in release builds (no timing skew).
-        for alg in &algorithms {
-            lamb_verify::debug_assert_verified(alg);
-        }
-        let mut caching = CachingExecutor::new(executor, &self.cache);
-        let (scores, chosen) = match &self.factor_cache {
-            Some(fc) => {
-                let store: &dyn FactorStore = fc.as_ref();
-                let mut reuse = ReuseAwareExecutor::new(&mut caching, store);
-                let scores: Vec<AlgorithmScore> = algorithms
-                    .iter()
-                    .enumerate()
-                    .map(|(index, alg)| AlgorithmScore {
-                        index,
-                        name: alg.name.clone(),
-                        flops: effective_flops(alg, store),
-                        predicted_seconds: self
-                            .score_predictions
-                            .then(|| reuse.predict_from_isolated_calls(alg).seconds),
-                    })
-                    .collect();
-                let chosen = self.policy.select(&algorithms, &mut reuse)?;
-                // The chosen algorithm's factors become resident for later
-                // instances planned against the same cache (bytes arrive
-                // when an execution actually computes them).
-                for (_, _, identity) in cacheable_identities(&algorithms[chosen]) {
-                    fc.note(&identity);
-                }
-                (scores, chosen)
-            }
-            None => {
-                let scores: Vec<AlgorithmScore> = algorithms
-                    .iter()
-                    .enumerate()
-                    .map(|(index, alg)| AlgorithmScore {
-                        index,
-                        name: alg.name.clone(),
-                        flops: alg.flops(),
-                        predicted_seconds: self
-                            .score_predictions
-                            .then(|| caching.predict_from_isolated_calls(alg).seconds),
-                    })
-                    .collect();
-                let chosen = self.policy.select(&algorithms, &mut caching)?;
-                (scores, chosen)
-            }
-        };
-        Ok(Plan {
-            dims: dims.to_vec(),
-            expression: self.expr.name(),
-            algorithms,
-            scores,
-            chosen,
-            policy: self.policy.name(),
-            duplicates_removed,
-            threshold: self.threshold,
-            factory: Arc::clone(&self.factory),
-            cache: Arc::clone(&self.cache),
-        })
+        let factors = self.settings.factor_cache.as_deref();
+        self.settings.plan_with(self.expr, dims, executor, factors)
     }
 
     /// Plan a batch of instances, fanning out across worker threads: the
@@ -359,106 +407,25 @@ impl<'e> Planner<'e> {
     /// executors key their timings on the kernel-call signatures alone.
     #[must_use]
     pub fn plan_grid(&self, grid: &[Vec<usize>]) -> Vec<Result<Plan, PlanError>> {
-        if grid.is_empty() {
-            return Vec::new();
-        }
-        let workers = rayon::current_num_threads().clamp(1, grid.len());
-        let chunk_size = grid.len().div_ceil(workers);
-        let chunks: Vec<Vec<Vec<usize>>> = grid.chunks(chunk_size).map(<[_]>::to_vec).collect();
-        let per_chunk: Vec<Vec<Result<Plan, PlanError>>> = chunks
-            .into_par_iter()
-            .map(|chunk| {
-                let mut executor = (self.factory)();
-                chunk
-                    .iter()
-                    .map(|dims| self.plan_with(dims, executor.as_mut()))
-                    .collect()
-            })
-            .collect();
-        per_chunk.into_iter().flatten().collect()
-    }
-
-    /// Build the *predicted* evaluation of one instance: per-algorithm times
-    /// formed by summing (cached) isolated-call benchmarks — the predictor of
-    /// the paper's Experiment 3. Classify the result to get the predicted
-    /// anomaly verdict.
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanError`].
-    pub fn predict_instance(
-        &self,
-        dims: &[usize],
-        executor: &mut dyn Executor,
-    ) -> Result<InstanceEvaluation, PlanError> {
-        self.validate(dims)?;
-        let (algorithms, _) = dedup_by_signature(self.cse_algorithms(dims)?);
-        if algorithms.is_empty() {
-            return Err(PlanError::NoAlgorithms);
-        }
-        for alg in &algorithms {
-            lamb_verify::debug_assert_verified(alg);
-        }
-        let measurements = algorithms
-            .iter()
-            .enumerate()
-            .map(|(index, alg)| match &self.factor_cache {
-                Some(fc) => {
-                    let store: &dyn FactorStore = fc.as_ref();
-                    let mut caching = CachingExecutor::new(executor, &self.cache);
-                    let mut reuse = ReuseAwareExecutor::new(&mut caching, store);
-                    AlgorithmMeasurement {
-                        index,
-                        name: alg.name.clone(),
-                        flops: effective_flops(alg, store),
-                        seconds: reuse.predict_from_isolated_calls(alg).seconds,
-                    }
-                }
-                None => AlgorithmMeasurement {
-                    index,
-                    name: alg.name.clone(),
-                    flops: alg.flops(),
-                    seconds: self.cache.predict(executor, alg).seconds,
-                },
-            })
-            .collect();
-        Ok(InstanceEvaluation {
-            dims: dims.to_vec(),
-            measurements,
-        })
+        self.settings
+            .fan_out(grid, |dims, executor| self.plan_with(dims, executor))
     }
 }
 
 /// The behavioural identity of an algorithm: its kernel-call signature
 /// (operation, operand wiring) with the presentational labels stripped.
-type CallSignature = Vec<(KernelOp, Vec<OperandId>, OperandId)>;
-
-fn call_signature(alg: &Algorithm) -> CallSignature {
+fn call_signature(alg: &Algorithm) -> Vec<(KernelOp, Vec<OperandId>, OperandId)> {
     alg.calls
         .iter()
         .map(|c| (c.op.clone(), c.inputs.clone(), c.output))
         .collect()
 }
 
-/// Drop algorithms whose kernel-call signature duplicates an earlier one
-/// (rewrites can derive the same sequence along different paths), returning
-/// the survivors in order and the number removed.
-fn dedup_by_signature(algorithms: Vec<Algorithm>) -> (Vec<Algorithm>, usize) {
-    let before = algorithms.len();
-    let mut seen: HashSet<CallSignature> = HashSet::with_capacity(before);
-    let deduped: Vec<Algorithm> = algorithms
-        .into_iter()
-        .filter(|alg| seen.insert(call_signature(alg)))
-        .collect();
-    let removed = before - deduped.len();
-    (deduped, removed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lamb_expr::{AatbExpression, GenerateError, MatrixChainExpression, TreeExpression};
-    use lamb_select::{MinPredictedTime, Oracle, SelectError};
+    use lamb_select::{MinPredictedTime, Oracle, Strategy};
 
     #[test]
     fn planning_validates_dimensions() {
@@ -512,7 +479,7 @@ mod tests {
             .plan(&dims)
             .unwrap();
         let via_strategy = Planner::for_expression(&expr)
-            .strategy(Strategy::MinPredictedTime)
+            .policy(Strategy::MinPredictedTime)
             .plan(&dims)
             .unwrap();
         assert_eq!(via_policy.chosen, via_strategy.chosen);

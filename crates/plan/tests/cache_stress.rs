@@ -1,4 +1,10 @@
-//! Concurrency stress for the sharded [`PredictionCache`]: many threads
+//! Concurrency stress for the two shared caches of the planner.
+//!
+//! The single-mutex [`FactorCache`]: many threads noting, storing, looking
+//! up and probing overlapping keys; afterwards the entry count, the hit
+//! counter and "a note never evicts bytes" all hold.
+//!
+//! The sharded [`PredictionCache`]: many threads
 //! preloading calibration tables (with non-canonical keys), taking
 //! snapshots, predicting algorithm times and running whole plans against one
 //! shared cache, concurrently. The invariants checked at every step and at
@@ -16,12 +22,12 @@
 //! hammers the shard locks enough to catch logic races.
 
 use lamb_expr::{AatbExpression, Expression, KernelOp, TreeExpression};
-use lamb_matrix::Trans;
+use lamb_matrix::{Matrix, Trans};
 use lamb_perfmodel::{CallTimeTable, SimulatedExecutor};
-use lamb_plan::{MinPredictedTime, Planner, PredictionCache};
+use lamb_plan::{FactorCache, MinPredictedTime, Planner, PredictionCache};
 use lamb_verify::verify_call_table;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 /// A small calibration table whose keys are deliberately *non-canonical*
 /// spellings (transposed GEMMs): every ingest path must canonicalise them.
@@ -168,4 +174,66 @@ fn concurrent_preloads_of_equivalent_keys_collapse_to_one_entry() {
     let snapshot = cache.snapshot();
     assert_eq!(snapshot.len(), 1, "variants must collapse to one entry");
     assert!(verify_call_table(&snapshot).is_clean());
+}
+
+#[test]
+fn factor_cache_survives_concurrent_notes_stores_and_lookups() {
+    const THREADS: usize = 8;
+    const KEYS: usize = 24;
+    const ROUNDS: usize = 40;
+    let cache = FactorCache::new();
+    let key = |k: usize| format!("potrf(leaf:S#{k}:8x8:Spd)");
+    // Bytes are held for the even keys up front; the odd keys only ever get
+    // noted, so no lookup of them may ever serve bytes.
+    for k in (0..KEYS).step_by(2) {
+        cache.store(&key(k), Arc::new(Matrix::identity(8)));
+    }
+    let served = AtomicUsize::new(0);
+    let violated = AtomicBool::new(false);
+    // Every thread starts its rounds at the same moment, on the same keys.
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (cache, served, violated, barrier) = (&cache, &served, &violated, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for round in 0..ROUNDS {
+                    for k in 0..KEYS {
+                        let key = key(k);
+                        match (t + round + k) % 4 {
+                            0 => cache.note(&key),
+                            1 if k % 2 == 0 => cache.store(&key, Arc::new(Matrix::identity(8))),
+                            2 => {
+                                let found = cache.lookup(&key);
+                                if found.is_some() != (k % 2 == 0) {
+                                    violated.store(true, Ordering::Relaxed);
+                                }
+                                served.fetch_add(usize::from(found.is_some()), Ordering::Relaxed);
+                            }
+                            _ => {
+                                if k % 2 == 0 && !cache.contains(&key) {
+                                    violated.store(true, Ordering::Relaxed);
+                                }
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    });
+    assert!(
+        !violated.load(Ordering::Relaxed),
+        "a note evicted bytes, a note served bytes, or a stored key vanished"
+    );
+    assert_eq!(cache.len(), KEYS, "overlapping writers must not split keys");
+    assert_eq!(
+        cache.hits(),
+        served.load(Ordering::Relaxed),
+        "every byte-serving lookup is counted exactly once"
+    );
+    assert!(cache.hits() > 0);
+    assert_eq!(cache.resident_bytes(), (KEYS / 2 * 64 * 8) as u64);
+    for k in 0..KEYS {
+        assert_eq!(cache.lookup(&key(k)).is_some(), k % 2 == 0, "key {k}");
+    }
 }

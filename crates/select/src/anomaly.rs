@@ -5,7 +5,6 @@
 //! threshold (10% in Experiment 1, 5% in Experiments 2 and 3).
 
 use crate::scores::{flop_score, time_score};
-use std::collections::HashMap;
 
 /// FLOP count and execution time of one algorithm on one instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,38 +76,6 @@ impl InstanceEvaluation {
             .filter(|m| m.seconds <= min * (1.0 + 1e-12))
             .map(|m| m.index)
             .collect()
-    }
-
-    /// The evaluation a *shared-factor family* actually experiences: each
-    /// algorithm's measurement reduced by the work that factors resident
-    /// from earlier instances of the family already paid for.
-    ///
-    /// `discounts` maps an algorithm index to `(flops, seconds)` to deduct —
-    /// typically the FLOP count and predicted time of its cached POTRF /
-    /// SYRK / TRSM calls. Indices absent from the map are unchanged;
-    /// deductions saturate at zero. Classifying the result answers whether
-    /// the instance is still an anomaly once factor reuse is priced in:
-    /// families whose shared-factor algorithm is FLOP-expensive standalone
-    /// but effectively free warm flip their verdict here.
-    #[must_use]
-    pub fn with_reuse_discount(&self, discounts: &HashMap<usize, (u64, f64)>) -> Self {
-        let measurements = self
-            .measurements
-            .iter()
-            .map(|m| {
-                let &(flops, seconds) = discounts.get(&m.index).unwrap_or(&(0, 0.0));
-                AlgorithmMeasurement {
-                    index: m.index,
-                    name: m.name.clone(),
-                    flops: m.flops.saturating_sub(flops),
-                    seconds: (m.seconds - seconds).max(0.0),
-                }
-            })
-            .collect();
-        InstanceEvaluation {
-            dims: self.dims.clone(),
-            measurements,
-        }
     }
 
     /// Classify the instance at the given time-score threshold.
@@ -257,30 +224,6 @@ mod tests {
         assert!(c.is_anomaly);
         assert!((c.time_score - 0.4).abs() < 1e-12);
         assert!((c.flop_score - 450.0 / 1450.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reuse_discounts_flip_shared_factor_verdicts() {
-        use std::collections::HashMap;
-        // Standalone: algorithm 0 (a direct method) is both cheapest and
-        // fastest; the factor-based algorithm 1 pays its factorisation.
-        let e = eval(&[(100, 1.0), (180, 1.6)]);
-        assert!(!e.classify(0.10).is_anomaly);
-        // Warm in a shared-factor family, algorithm 1's factor is resident:
-        // deduct its factorisation cost. It becomes the fastest while
-        // algorithm 0 stays FLOP-cheapest — an anomaly the standalone
-        // evaluation cannot see.
-        let discounts: HashMap<usize, (u64, f64)> = [(1, (60, 1.2))].into();
-        let warm = e.with_reuse_discount(&discounts);
-        assert_eq!(warm.measurements[1].flops, 120);
-        let c = warm.classify(0.10);
-        assert!(c.is_anomaly, "factor reuse flips the verdict: {c:?}");
-        assert_eq!(c.fastest, vec![1]);
-        // Unmentioned indices are untouched; deductions saturate at zero.
-        assert_eq!(warm.measurements[0], e.measurements[0]);
-        let floor = e.with_reuse_discount(&[(0, (1000, 99.0)), (1, (1000, 99.0))].into());
-        assert_eq!(floor.measurements[0].flops, 0);
-        assert_eq!(floor.measurements[1].seconds, 0.0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! the trait to plug new policies into the `lamb-plan` `Planner` without
 //! touching this crate.
 //!
-//! Unlike the historical [`Strategy::select`](crate::Strategy::select) entry
-//! point (which panicked), `select` reports failure through [`SelectError`].
+//! `select` reports failure through [`SelectError`] rather than panicking; the
+//! closed [`Strategy`](crate::Strategy) enum is one more implementation.
 
 use lamb_expr::Algorithm;
 use lamb_perfmodel::Executor;

@@ -3,9 +3,10 @@
 //! [`Strategy`] predates the open [`SelectionPolicy`] trait and is kept as a
 //! thin, `Copy`able constructor over the built-in policies: it is convenient
 //! to iterate over in experiments (`for strategy in [Strategy::MinFlops,
-//! ...]`) and to parse from command-line flags. New selection logic should
-//! implement [`SelectionPolicy`] directly; the `lamb-plan` `Planner` accepts
-//! either.
+//! ...]`) and to parse from command-line flags. It is itself a
+//! [`SelectionPolicy`] (delegating to the policy it names), so the
+//! `lamb-plan` `Planner` takes it like any other; new selection logic should
+//! implement the trait directly.
 
 use crate::anomaly::{AlgorithmMeasurement, InstanceEvaluation};
 use crate::policy::{Hybrid, MinFlops, MinPredictedTime, Oracle, SelectError, SelectionPolicy};
@@ -45,20 +46,14 @@ impl Strategy {
             Strategy::Oracle => Box::new(Oracle),
         }
     }
+}
 
-    /// Short name for reports.
-    #[must_use]
-    pub fn name(&self) -> String {
+impl SelectionPolicy for Strategy {
+    fn name(&self) -> String {
         self.to_policy().name()
     }
 
-    /// Select an algorithm index from `algorithms`, consulting `executor` for
-    /// predictions or (for the oracle) actual executions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SelectError::EmptyAlgorithmSet`] when `algorithms` is empty.
-    pub fn select(
+    fn select(
         &self,
         algorithms: &[Algorithm],
         executor: &mut dyn Executor,
@@ -99,7 +94,7 @@ impl StrategyOutcome {
 /// # Panics
 ///
 /// Panics if `algorithms` is empty — there is nothing to evaluate. Use
-/// [`Strategy::select`] directly to handle that case as an error.
+/// [`SelectionPolicy::select`] directly to handle that case as an error.
 pub fn evaluate_strategy(
     strategy: Strategy,
     algorithms: &[Algorithm],

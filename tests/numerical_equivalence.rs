@@ -217,7 +217,7 @@ fn right_side_expressions_plan_and_execute_against_naive_references() {
     let plan_and_execute = |text: &str, dims: &[usize], kernel: &str| -> (Algorithm, Matrix) {
         let expr = TreeExpression::parse(text).unwrap();
         let plan = Planner::for_expression(&expr)
-            .strategy(Strategy::MinFlops)
+            .policy(Strategy::MinFlops)
             .plan(dims)
             .unwrap_or_else(|e| panic!("{text}: {e}"));
         let chosen = plan.chosen_algorithm().clone();

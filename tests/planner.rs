@@ -35,7 +35,7 @@ fn planner_reproduces_legacy_strategy_selection_on_both_paper_expressions() {
             Strategy::Hybrid { flop_margin: 0.5 },
             Strategy::Oracle,
         ] {
-            let planner = Planner::for_expression(expr.as_ref()).strategy(strategy);
+            let planner = Planner::for_expression(expr.as_ref()).policy(strategy);
             for dims in &grid {
                 // Legacy path: enumerate + Strategy::select on a fresh executor.
                 let algorithms = expr.algorithms(dims).expect("enumeration succeeds");
@@ -82,7 +82,8 @@ fn cached_predictions_are_identical_to_uncached_predictions() {
         let grid = random_grid(expr.num_dims(), 8, 99);
         for dims in &grid {
             let mut exec = SimulatedExecutor::paper_like();
-            let predicted = planner.predict_instance(dims, &mut exec).unwrap();
+            let plan = planner.plan_with(dims, &mut exec).unwrap();
+            let predicted = plan.predicted_evaluation().unwrap();
             let mut plain_exec = SimulatedExecutor::paper_like();
             for (m, alg) in predicted
                 .measurements
@@ -99,7 +100,7 @@ fn cached_predictions_are_identical_to_uncached_predictions() {
         let (_, misses_before) = planner.cache_stats();
         for dims in &grid {
             let mut exec = SimulatedExecutor::paper_like();
-            let _ = planner.predict_instance(dims, &mut exec).unwrap();
+            let _ = planner.plan_with(dims, &mut exec).unwrap();
         }
         let (hits, misses_after) = planner.cache_stats();
         assert_eq!(misses_before, misses_after);

@@ -268,7 +268,7 @@ proptest! {
             MeasuredExecutor::new(MachineModel::generic_laptop(), BlockConfig::default(), 1, 0)
                 .with_seed(20260728);
         let plan = Planner::for_expression(&expr)
-            .strategy(Strategy::MinFlops)
+            .policy(Strategy::MinFlops)
             .plan_with(instance, &mut executor)
             .expect("degenerate instance plans");
         let out = plan.chosen_algorithm().output().expect("output declared");
@@ -313,7 +313,7 @@ proptest! {
             MeasuredExecutor::new(MachineModel::generic_laptop(), BlockConfig::default(), 1, 0)
                 .with_seed(20220829);
         let plan = Planner::for_expression(&expr)
-            .strategy(Strategy::MinFlops)
+            .policy(Strategy::MinFlops)
             .plan_with(&instance, &mut executor)
             .expect("solve instance plans");
         let out = plan.chosen_algorithm().output().expect("output declared");

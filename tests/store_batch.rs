@@ -6,8 +6,12 @@
 //! * **refinement** — an incremental sweep merged into a stored calibration
 //!   grows coverage without disturbing existing entries;
 //! * **equivalence** — the batch front end agrees with single-expression
-//!   `Planner::plan` calls on every instance.
+//!   `Planner::plan` calls on every instance, over every scenario family and
+//!   under non-default settings;
+//! * **one anomaly definition** — a plan's predicted-anomaly verdict is the
+//!   Section 3.3 classification of its predicted times.
 
+use lamb::experiments::{all_scenarios, scenario_batch_requests};
 use lamb::prelude::*;
 
 /// A mixed workload: both paper expressions, Gram products, a pruned longer
@@ -139,4 +143,95 @@ fn batch_planning_agrees_with_single_expression_planning() {
             );
         }
     }
+}
+
+#[test]
+fn batch_and_single_planners_agree_request_for_request_on_every_scenario() {
+    // `BatchPlanner` and `Planner` are two front doors onto one pipeline:
+    // under the same (here deliberately non-default) settings a request gets
+    // the same plan through either, whatever the expression family.
+    let requests = scenario_batch_requests(&all_scenarios(), 3, 2022, 60, 900);
+    let outcome = BatchPlanner::new()
+        .policy(Hybrid { flop_margin: 0.5 })
+        .top_k(6)
+        .threshold(0.05)
+        .plan_batch(&requests);
+    assert_eq!(outcome.stats.failed, 0);
+    let mut exec = SimulatedExecutor::paper_like();
+    for (req, result) in requests.iter().zip(&outcome.results) {
+        let batch_plan = result.as_ref().unwrap();
+        let solo_plan = Planner::for_expression(&req.expr)
+            .policy(Hybrid { flop_margin: 0.5 })
+            .top_k(6)
+            .threshold(0.05)
+            .plan_with(&req.dims, &mut exec)
+            .unwrap();
+        assert_eq!(batch_plan.chosen, solo_plan.chosen, "{}", req.text);
+        assert_eq!(batch_plan.scores, solo_plan.scores, "{}", req.text);
+        assert_eq!(
+            batch_plan.duplicates_removed, solo_plan.duplicates_removed,
+            "{}",
+            req.text
+        );
+        assert_eq!(batch_plan.policy, solo_plan.policy);
+        assert_eq!(
+            batch_plan.predicted_anomaly(),
+            solo_plan.predicted_anomaly(),
+            "{}: the threshold reaches both plans",
+            req.text
+        );
+    }
+    // The CSE ablation reaches the batch pipeline the same way.
+    let ablated = BatchPlanner::new().cse(false).plan_batch(&requests);
+    for (req, result) in requests.iter().zip(&ablated.results) {
+        let solo_plan = Planner::for_expression(&req.expr)
+            .policy(MinPredictedTime)
+            .cse(false)
+            .plan_with(&req.dims, &mut exec)
+            .unwrap();
+        let batch_plan = result.as_ref().unwrap();
+        assert_eq!(batch_plan.chosen, solo_plan.chosen, "{}", req.text);
+        assert_eq!(batch_plan.scores, solo_plan.scores, "{}", req.text);
+    }
+}
+
+#[test]
+fn a_predicted_anomaly_is_the_section_3_3_classification_of_the_predicted_times() {
+    let requests = scenario_batch_requests(&all_scenarios(), 6, 7, 60, 900);
+    let outcome = BatchPlanner::new().plan_batch(&requests);
+    let (mut anomalies, mut flop_ties) = (0, 0);
+    for plan in outcome.plans() {
+        // Classify the predicted times by hand: the cheapest set, the
+        // fastest set, and the time score between their best members.
+        let min_flops = plan.scores.iter().map(|s| s.flops).min().unwrap();
+        let seconds = |s: &AlgorithmScore| s.predicted_seconds.unwrap();
+        let fastest = plan
+            .scores
+            .iter()
+            .map(seconds)
+            .fold(f64::INFINITY, f64::min);
+        let cheapest: Vec<&AlgorithmScore> = plan
+            .scores
+            .iter()
+            .filter(|s| s.flops == min_flops)
+            .collect();
+        let best_cheapest = cheapest
+            .iter()
+            .map(|s| seconds(s))
+            .fold(f64::INFINITY, f64::min);
+        let disjoint = best_cheapest > fastest * (1.0 + 1e-12);
+        let by_hand = disjoint && (best_cheapest - fastest) / best_cheapest > 0.10;
+        assert_eq!(
+            plan.predicted_anomaly(),
+            Some(by_hand),
+            "{} {:?}",
+            plan.expression,
+            plan.dims
+        );
+        anomalies += usize::from(by_hand);
+        flop_ties += usize::from(cheapest.len() > 1);
+    }
+    assert_eq!(outcome.stats.predicted_anomalies, anomalies);
+    assert!(anomalies > 0, "the scenario set has predicted anomalies");
+    assert!(flop_ties > 0, "the scenario set exercises FLOP ties");
 }
