@@ -12,22 +12,39 @@ use std::fmt;
 /// accumulator columns. Which variant is fastest depends on the machine's
 /// vector width and register file — that is exactly what
 /// `lamb calibrate --autotune` measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+///
+/// [`TileVariant::default`] is chosen from the compile target, the way
+/// [`mod@crate::microkernel`] chooses fusion: the tile whose accumulator fills
+/// the vector register file without spilling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TileVariant {
-    /// 8 rows x 4 columns — the historical default: modest register
-    /// pressure, good fit for 128/256-bit vector units.
-    #[default]
+    /// 8 rows x 4 columns — four accumulator columns: modest register
+    /// pressure, the default wherever the target has 16 vector registers
+    /// (AVX2: the 16 `ymm` accumulators of an 8 x 8 tile would spill).
     T8x4,
-    /// 8 x 8 — double the B-reuse per packed A load; needs a large register
-    /// file (pays off on 512-bit units).
+    /// 8 x 8 — double the B-reuse per packed A load, and eight independent
+    /// accumulator columns to hide the FMA latency that four cannot. The
+    /// default under AVX-512, where the tile is 8 of the 32 `zmm` registers.
     T8x8,
-    /// 4 x 8 — the transposed default; favours wide-`n` outputs.
+    /// 4 x 8 — the transpose of 8 x 4; favours wide-`n` outputs.
     T4x8,
     /// 16 x 4 — tall tile, maximises A-panel throughput per B element.
     T16x4,
     /// 8 x 12 — the classic BLIS-style wide tile for machines with many
     /// vector registers.
     T8x12,
+}
+
+impl Default for TileVariant {
+    /// [`TileVariant::T8x8`] when the compile target has AVX-512 (32 vector
+    /// registers), [`TileVariant::T8x4`] otherwise.
+    fn default() -> Self {
+        if cfg!(target_feature = "avx512f") {
+            TileVariant::T8x8
+        } else {
+            TileVariant::T8x4
+        }
+    }
 }
 
 impl TileVariant {
@@ -263,7 +280,13 @@ mod tests {
             assert_eq!(tile.tag(), format!("{}x{}", tile.mr(), tile.nr()));
         }
         assert_eq!(TileVariant::parse("3x3"), None);
-        assert_eq!(TileVariant::default(), TileVariant::T8x4);
+        // The default follows the compile target's register file.
+        let expected = if cfg!(target_feature = "avx512f") {
+            TileVariant::T8x8
+        } else {
+            TileVariant::T8x4
+        };
+        assert_eq!(TileVariant::default(), expected);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! 1. a **packed serial core** ([`BlockedDriver::accumulate_serial`]) that
 //!    accumulates `C += alpha * OpA * OpB` with cache blocking, packing and a
 //!    register-tiled micro-kernel, where the logical operands are presented
-//!    through element accessor closures;
+//!    as [`Operand`]s: strided windows of storage, which the packer reads
+//!    at copy rates, or element accessors for what is not storage;
 //! 2. a **column-panel partitioner** ([`BlockedDriver::for_each_panel`]) that
 //!    splits the output into disjoint column panels and runs a per-panel
 //!    closure either serially or on the Rayon pool (the calling thread
@@ -14,13 +15,14 @@
 //!    that `beta == 0` writes zeros without reading the previous contents.
 //!
 //! The per-kernel modules are thin specialisations: GEMM feeds plain (possibly
-//! transposed) accessors, SYMM a mirroring accessor for its symmetric operand,
-//! SYRK adds the triangle mask on the diagonal blocks of its panel closure,
-//! and TRMM/TRSM walk the triangular operand in diagonal blocks of
-//! [`BlockConfig::tri_block`] rows, handling everything off the diagonal with
-//! the same packed core. Presenting operands through accessors is what lets
-//! every kernel share one loop nest without materialising transposed, mirrored
-//! or masked copies.
+//! transposed) [`Strided`](crate::pack::Strided) windows, SYMM a mirroring
+//! accessor for its symmetric operand, SYRK adds the triangle mask on the
+//! diagonal blocks of its panel closure, and TRMM/TRSM walk the triangular
+//! operand in diagonal blocks of [`BlockConfig::tri_block`] rows, handling
+//! everything off the diagonal with the same packed core on offset windows.
+//! Presenting operands through one trait is what lets every kernel share one
+//! loop nest without materialising transposed, mirrored or masked copies,
+//! and without the dense ones paying for the accessors the others need.
 //!
 //! ## Tile dispatch
 //!
@@ -44,7 +46,7 @@
 
 use crate::config::{BlockConfig, TileVariant, MAX_TILE_ACC};
 use crate::microkernel::microkernel;
-use crate::pack::{pack_a, pack_b, packed_a_len, packed_b_len};
+use crate::pack::{pack_a, pack_b, packed_a_len, packed_b_len, Operand};
 use lamb_matrix::MatrixViewMut;
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -53,7 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 thread_local! {
     /// Per-thread packed-panel scratch: `(a_pack, b_pack)`. Taken (moved out)
     /// for the duration of a serial-core call rather than borrowed, so a
-    /// reentrant call through an element accessor can never hit a `RefCell`
+    /// reentrant call through an operand's accessor can never hit a `RefCell`
     /// double-borrow — it simply starts from empty buffers.
     static PACK_SCRATCH: RefCell<Option<(Vec<f64>, Vec<f64>)>> = const { RefCell::new(None) };
 }
@@ -113,8 +115,8 @@ impl<'a> BlockedDriver<'a> {
     }
 
     /// Accumulate `C += alpha * OpA * OpB` serially with cache blocking and
-    /// packing. `load_a(i, p)` is the logical `m x k` left operand and
-    /// `load_b(p, j)` the logical `k x n` right operand.
+    /// packing. `load_a` is the logical `m x k` left operand and `load_b` the
+    /// logical `k x n` right operand.
     ///
     /// Dispatches once on [`BlockConfig::tile`] into a monomorphic core, so
     /// the entire blocked loop nest below this call sees compile-time
@@ -130,8 +132,8 @@ impl<'a> BlockedDriver<'a> {
         load_b: &FB,
         c: &mut MatrixViewMut<'_>,
     ) where
-        FA: Fn(usize, usize) -> f64,
-        FB: Fn(usize, usize) -> f64,
+        FA: Operand,
+        FB: Operand,
     {
         match self.cfg.tile {
             TileVariant::T8x4 => self.serial_core::<8, 4, _, _>(m, n, k, alpha, load_a, load_b, c),
@@ -158,8 +160,8 @@ impl<'a> BlockedDriver<'a> {
         load_b: &FB,
         c: &mut MatrixViewMut<'_>,
     ) where
-        FA: Fn(usize, usize) -> f64,
-        FB: Fn(usize, usize) -> f64,
+        FA: Operand,
+        FB: Operand,
     {
         debug_assert_eq!(c.rows(), m);
         debug_assert_eq!(c.cols(), n);
@@ -186,14 +188,14 @@ impl<'a> BlockedDriver<'a> {
                 if b_pack.capacity() < packed_b_len(NR, kcb, ncb) {
                     PACK_GROWTH_EVENTS.fetch_add(1, Ordering::Relaxed);
                 }
-                pack_b(NR, kcb, ncb, |p, j| load_b(pc + p, jc + j), &mut b_pack);
+                pack_b(NR, kcb, ncb, load_b.offset(pc, jc), &mut b_pack);
                 let mut ic = 0;
                 while ic < m {
                     let mcb = mc.min(m - ic);
                     if a_pack.capacity() < packed_a_len(MR, mcb, kcb) {
                         PACK_GROWTH_EVENTS.fetch_add(1, Ordering::Relaxed);
                     }
-                    pack_a(MR, mcb, kcb, |i, p| load_a(ic + i, pc + p), &mut a_pack);
+                    pack_a(MR, mcb, kcb, load_a.offset(ic, pc), &mut a_pack);
                     macro_kernel::<MR, NR>(
                         mcb,
                         ncb,
@@ -217,7 +219,7 @@ impl<'a> BlockedDriver<'a> {
     /// Accumulate `C += alpha * OpA * OpB`, automatically distributing
     /// disjoint column panels of `C` across Rayon workers when the problem is
     /// large enough under this driver's configuration (each worker runs the
-    /// serial core on its panel with a column-shifted `OpB` accessor).
+    /// serial core on its panel with a column-shifted `OpB`).
     #[allow(clippy::too_many_arguments)] // BLAS-style interface
     pub fn accumulate<FA, FB>(
         &self,
@@ -229,13 +231,13 @@ impl<'a> BlockedDriver<'a> {
         load_b: &FB,
         c: &mut MatrixViewMut<'_>,
     ) where
-        FA: Fn(usize, usize) -> f64 + Sync,
-        FB: Fn(usize, usize) -> f64 + Sync,
+        FA: Operand + Sync,
+        FB: Operand + Sync,
     {
         if self.cfg.should_parallelise(m, n, k) {
             self.for_each_panel(c.subview_mut(0, 0, m, n), true, |j0, mut panel| {
                 let ncols = panel.cols();
-                let shifted_b = |p: usize, j: usize| load_b(p, j0 + j);
+                let shifted_b = load_b.offset(0, j0);
                 self.accumulate_serial(m, ncols, k, alpha, load_a, &shifted_b, &mut panel);
             });
         } else {
@@ -245,13 +247,9 @@ impl<'a> BlockedDriver<'a> {
 
     /// Partition `c` into disjoint column panels and run `f(j0, panel)` for
     /// each, where `j0` is the panel's first column in `c`. With
-    /// `parallel == true` the panels are sized for the Rayon pool and run
-    /// concurrently; otherwise `f` sees the whole view as one panel.
-    ///
-    /// This is the one place in the crate that decides how output columns are
-    /// distributed to workers — SYRK's triangle-masked panels, TRSM's
-    /// independent right-hand-side columns and the parallel GEMM path all go
-    /// through it.
+    /// `parallel == true` the panels are sized for the Rayon pool — equal
+    /// widths, one per thread — and run concurrently; otherwise `f` sees the
+    /// whole view as one panel.
     pub fn for_each_panel<F>(&self, c: MatrixViewMut<'_>, parallel: bool, f: F)
     where
         F: Fn(usize, MatrixViewMut<'_>) + Sync,
@@ -262,17 +260,34 @@ impl<'a> BlockedDriver<'a> {
         } else {
             n.max(1)
         };
-        let panels = c.into_col_panels(width);
-        if parallel {
-            panels
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(idx, panel)| f(idx * width, panel));
+        let ends: Vec<usize> = (1..=n.div_ceil(width))
+            .map(|panel| (panel * width).min(n))
+            .collect();
+        self.for_each_panel_ending(c, &ends, f);
+    }
+
+    /// [`BlockedDriver::for_each_panel`] with the caller choosing where each
+    /// panel ends: `ends` is strictly ascending and its last entry is
+    /// `c.cols()`. More than one panel means the Rayon pool.
+    ///
+    /// This is the one place in the crate that hands output columns to
+    /// workers — SYRK's equal-area panels, TRSM's independent
+    /// right-hand-side columns and the parallel GEMM path all go through it.
+    pub fn for_each_panel_ending<F>(&self, c: MatrixViewMut<'_>, ends: &[usize], f: F)
+    where
+        F: Fn(usize, MatrixViewMut<'_>) + Sync,
+    {
+        let mut panels = Vec::with_capacity(ends.len());
+        let (mut rest, mut j0) = (c, 0);
+        for &end in ends {
+            let (panel, tail) = rest.split_at_col_mut(end - j0);
+            panels.push((j0, panel));
+            (rest, j0) = (tail, end);
+        }
+        if panels.len() > 1 {
+            panels.into_par_iter().for_each(|(j0, panel)| f(j0, panel));
         } else {
-            panels
-                .into_iter()
-                .enumerate()
-                .for_each(|(idx, panel)| f(idx * width, panel));
+            panels.into_iter().for_each(|(j0, panel)| f(j0, panel));
         }
     }
 }
@@ -318,6 +333,7 @@ fn macro_kernel<const MR: usize, const NR: usize>(
 mod tests {
     use super::*;
     use crate::gemm::naive::gemm_naive;
+    use crate::pack::Strided;
     use lamb_matrix::ops::max_abs_diff;
     use lamb_matrix::random::random_seeded;
     use lamb_matrix::{Matrix, Trans};
@@ -372,6 +388,33 @@ mod tests {
                     max_abs_diff(&c, &expected).unwrap() < 1e-12,
                     "{tile} size {m}x{n}x{k}"
                 );
+                // The same product from strided windows — A as stored, B
+                // through its stored transpose — whole and split into panels.
+                let bt = b.transposed();
+                let op_a = Strided::new(&a.view(), Trans::No);
+                let op_b = Strided::new(&bt.view(), Trans::Yes);
+                let forced = BlockConfig {
+                    parallel: true,
+                    parallel_flop_threshold: 1,
+                    ..cfg.clone()
+                };
+                for cfg in [&cfg, &forced] {
+                    let mut c = Matrix::zeros(m, n);
+                    BlockedDriver::new(cfg).accumulate(
+                        m,
+                        n,
+                        k,
+                        1.0,
+                        &op_a,
+                        &op_b,
+                        &mut c.view_mut(),
+                    );
+                    assert!(
+                        max_abs_diff(&c, &expected).unwrap() < 1e-12,
+                        "{tile} size {m}x{n}x{k} strided, parallel {}",
+                        cfg.parallel
+                    );
+                }
             }
         }
     }

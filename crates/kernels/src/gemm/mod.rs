@@ -1,13 +1,14 @@
 //! General matrix–matrix multiplication: `C := alpha * op(A) * op(B) + beta * C`.
 //!
 //! The public entry point is [`gemm`]; it validates shapes, applies `beta`,
-//! and hands plain (possibly transposed) element accessors to the shared
+//! and hands `op(A)` and `op(B)` as [`Strided`] windows to the shared
 //! [`BlockedDriver`], which blocks, packs and parallelises.
 
 pub mod naive;
 
 use crate::config::BlockConfig;
 use crate::driver::{scale_inplace, BlockedDriver};
+use crate::pack::Strided;
 use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Trans};
 
 /// `C := alpha * op(A) * op(B) + beta * C`.
@@ -54,20 +55,8 @@ pub fn gemm(
         return Ok(());
     }
 
-    let a_data = a.as_slice();
-    let lda = a.ld();
-    let b_data = b.as_slice();
-    let ldb = b.ld();
-    let load_a = move |i: usize, p: usize| match transa {
-        Trans::No => a_data[i + p * lda],
-        Trans::Yes => a_data[p + i * lda],
-    };
-    let load_b = move |p: usize, j: usize| match transb {
-        Trans::No => b_data[p + j * ldb],
-        Trans::Yes => b_data[j + p * ldb],
-    };
-
-    BlockedDriver::new(cfg).accumulate(m, n, k, alpha, &load_a, &load_b, c);
+    let (op_a, op_b) = (Strided::new(a, transa), Strided::new(b, transb));
+    BlockedDriver::new(cfg).accumulate(m, n, k, alpha, &op_a, &op_b, c);
     Ok(())
 }
 

@@ -13,9 +13,10 @@
 //! [`driver::BlockedDriver`], in the classic GotoBLAS/BLIS structure: the
 //! operands are packed into contiguous panels (`MR`-row panels of `op(A)`,
 //! `NR`-column panels of `op(B)`) and a register-blocked micro-kernel
-//! accumulates `MR x NR` tiles of `C`. Per-kernel code reduces to an element
-//! accessor (plain, transposed, symmetric-mirrored or triangle-masked) and a
-//! panel policy. Parallelism is extracted over disjoint column panels of `C`,
+//! accumulates `MR x NR` tiles of `C`. Per-kernel code reduces to its
+//! [`pack::Operand`]s — strided windows of storage (plain, transposed,
+//! offset) or element accessors (symmetric-mirrored, triangle-masked) — and
+//! a panel policy. Parallelism is extracted over disjoint column panels of `C`,
 //! which keeps the implementation free of `unsafe`.
 //!
 //! The factorisation tier — TRSM, POTRF, GETRF, QR and ORMQR — is recursive:

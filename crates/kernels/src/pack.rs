@@ -5,16 +5,125 @@
 //!   stores, for `p = 0..k`, the `mr` values `op(A)[q*mr + r, p]`
 //!   (`r = 0..mr`), zero-padded past the block edge.
 //! * `op(B)` blocks are packed into consecutive `nr`-column panels with the
-//!   symmetric layout.
+//!   symmetric layout — which is the first layout applied to `op(B)ᵀ`, so
+//!   there is one packing loop.
 //!
-//! Packing goes through element accessor closures, which lets the same code
-//! path serve plain GEMM (`A` as stored), transposed operands (`Aᵀ` read
-//! during packing) and SYMM (elements mirrored from the stored triangle).
+//! The buffer is sized once per block and cut into panels and panel columns
+//! by `chunks_exact_mut`, each slot written in place — nothing is pushed
+//! element by element, and the padding is written rather than assumed,
+//! because the buffer is reused. The source is read through the [`Operand`]
+//! trait, in which two kinds of operand meet:
+//!
+//! * [`Strided`] — a window of column-major storage, plain or transposed,
+//!   shifted by moving its origin. Reading one is a multiply-add on two
+//!   strides fixed for the whole call, with no per-element decision about
+//!   transposition and no accessor calling an accessor, which is what lets
+//!   the packing loop run at memory-copy rates in both orientations. GEMM,
+//!   SYRK, the dense sides of SYMM/TRMM/TRSM and the compact-WY products of
+//!   QR present these.
+//! * any `Fn(usize, usize) -> f64` — for operands that are not storage:
+//!   SYMM's mirrored triangle, TRMM's masked diagonal block, the unit-lower
+//!   reflector block of QR.
 //!
 //! The panel heights/widths are *runtime* parameters — the packing loops are
-//! memory-bound, so unlike the micro-kernel they gain nothing from
-//! monomorphisation, and keeping them dynamic means one packing routine
-//! serves every [`crate::config::TileVariant`].
+//! memory-bound, so unlike the micro-kernel they gain nothing from being
+//! monomorphised per tile, and keeping them dynamic means one packing routine
+//! serves every [`crate::config::TileVariant`]. They *are* monomorphised per
+//! operand type, which is the point of the trait.
+
+use lamb_matrix::{MatrixView, Trans};
+
+/// A logical operand block of the packed core, read by position.
+pub trait Operand {
+    /// Element `(i, j)`.
+    fn at(&self, i: usize, j: usize) -> f64;
+
+    /// The operand seen from `(i0, j0)`: its element `(i, j)` is this one's
+    /// `(i0 + i, j0 + j)`.
+    fn offset(&self, i0: usize, j0: usize) -> impl Operand;
+
+    /// The transposed operand.
+    fn t(&self) -> impl Operand;
+}
+
+impl<F: Fn(usize, usize) -> f64> Operand for F {
+    fn at(&self, i: usize, j: usize) -> f64 {
+        self(i, j)
+    }
+
+    fn offset(&self, i0: usize, j0: usize) -> impl Operand {
+        move |i: usize, j: usize| self(i0 + i, j0 + j)
+    }
+
+    fn t(&self) -> impl Operand {
+        move |i: usize, j: usize| self(j, i)
+    }
+}
+
+/// A window of stored elements: `(i, j)` lives at `data[i * rs + j * cs]`.
+/// Column-major storage has `rs == 1`, its transpose `cs == 1`.
+#[derive(Debug, Clone, Copy)]
+pub struct Strided<'a> {
+    /// The storage, starting at element `(0, 0)`.
+    pub data: &'a [f64],
+    /// Distance between vertically adjacent elements.
+    pub rs: usize,
+    /// Distance between horizontally adjacent elements.
+    pub cs: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// `op(X)` for a column-major view `x`.
+    #[must_use]
+    pub fn new(x: &MatrixView<'a>, trans: Trans) -> Self {
+        let plain = Strided {
+            data: x.as_slice(),
+            rs: 1,
+            cs: x.ld(),
+        };
+        match trans {
+            Trans::No => plain,
+            Trans::Yes => plain.t(),
+        }
+    }
+
+    /// The transposed window.
+    #[must_use]
+    pub fn t(self) -> Self {
+        Strided {
+            rs: self.cs,
+            cs: self.rs,
+            ..self
+        }
+    }
+
+    /// The window starting at `(i0, j0)`. A window that starts past the end
+    /// of the storage is empty, as a zero-extent block is entitled to be.
+    #[must_use]
+    pub fn offset(self, i0: usize, j0: usize) -> Self {
+        Strided {
+            data: self
+                .data
+                .get(i0 * self.rs + j0 * self.cs..)
+                .unwrap_or_default(),
+            ..self
+        }
+    }
+}
+
+impl Operand for Strided<'_> {
+    fn at(&self, i: usize, j: usize) -> f64 {
+        self.data[i * self.rs + j * self.cs]
+    }
+
+    fn offset(&self, i0: usize, j0: usize) -> impl Operand {
+        Strided::offset(*self, i0, j0)
+    }
+
+    fn t(&self) -> impl Operand {
+        Strided::t(*self)
+    }
+}
 
 /// Number of `f64` slots required to pack an `mb x kb` block of `op(A)` into
 /// `mr`-row panels.
@@ -32,54 +141,34 @@ pub fn packed_b_len(nr: usize, kb: usize, nb: usize) -> usize {
 
 /// Pack an `mb x kb` block of `op(A)` into `buf` using `mr`-row panels.
 ///
-/// `load(i, p)` must return the logical element `op(A)[i, p]` for
-/// `i < mb`, `p < kb`. Rows past `mb` within the last panel are zero-padded.
-pub fn pack_a<F: Fn(usize, usize) -> f64>(
-    mr: usize,
-    mb: usize,
-    kb: usize,
-    load: F,
-    buf: &mut Vec<f64>,
-) {
-    buf.clear();
-    buf.reserve(packed_a_len(mr, mb, kb));
-    let mut ir = 0;
-    while ir < mb {
+/// `load` is the logical `op(A)`: element `(i, p)` for `i < mb`, `p < kb`.
+/// Rows past `mb` within the last panel are zero-padded — written, not
+/// assumed: `buf` is reused across calls and holds whatever the last one
+/// packed.
+pub fn pack_a<L: Operand>(mr: usize, mb: usize, kb: usize, load: L, buf: &mut Vec<f64>) {
+    buf.resize(packed_a_len(mr, mb, kb), 0.0);
+    if buf.is_empty() {
+        return;
+    }
+    for (q, panel) in buf.chunks_exact_mut(mr * kb).enumerate() {
+        let ir = q * mr;
         let rows = mr.min(mb - ir);
-        for p in 0..kb {
-            for r in 0..mr {
-                let v = if r < rows { load(ir + r, p) } else { 0.0 };
-                buf.push(v);
+        for (p, col) in panel.chunks_exact_mut(mr).enumerate() {
+            let (live, pad) = col.split_at_mut(rows);
+            for (r, slot) in live.iter_mut().enumerate() {
+                *slot = load.at(ir + r, p);
             }
+            pad.fill(0.0);
         }
-        ir += mr;
     }
 }
 
 /// Pack a `kb x nb` block of `op(B)` into `buf` using `nr`-column panels.
 ///
-/// `load(p, j)` must return the logical element `op(B)[p, j]` for
-/// `p < kb`, `j < nb`. Columns past `nb` within the last panel are zero-padded.
-pub fn pack_b<F: Fn(usize, usize) -> f64>(
-    nr: usize,
-    kb: usize,
-    nb: usize,
-    load: F,
-    buf: &mut Vec<f64>,
-) {
-    buf.clear();
-    buf.reserve(packed_b_len(nr, kb, nb));
-    let mut jr = 0;
-    while jr < nb {
-        let cols = nr.min(nb - jr);
-        for p in 0..kb {
-            for c in 0..nr {
-                let v = if c < cols { load(p, jr + c) } else { 0.0 };
-                buf.push(v);
-            }
-        }
-        jr += nr;
-    }
+/// `load` is the logical `op(B)`: element `(p, j)` for `p < kb`, `j < nb`.
+/// Columns past `nb` within the last panel are zero-padded.
+pub fn pack_b<L: Operand>(nr: usize, kb: usize, nb: usize, load: L, buf: &mut Vec<f64>) {
+    pack_a(nr, nb, kb, load.t(), buf);
 }
 
 #[cfg(test)]
@@ -178,6 +267,38 @@ mod tests {
             let nonzero: f64 = buf.iter().sum();
             let expected: f64 = (0..mb).flat_map(|i| (0..kb).map(move |p| load(i, p))).sum();
             assert!((nonzero - expected).abs() < 1e-12, "{tile}");
+        }
+    }
+
+    #[test]
+    fn padding_does_not_depend_on_what_the_buffer_held() {
+        // The scratch is reused across calls: pack a large all-NaN block,
+        // then a small one with partial edge panels into the same Vec.
+        for tile in TileVariant::ALL {
+            let (mr, nr) = (tile.mr(), tile.nr());
+            let (mb, kb, nb) = (mr + 1, 3, 2 * nr - 1);
+            let mut buf = Vec::new();
+            pack_a(mr, 4 * mr, 2 * kb, |_, _| f64::NAN, &mut buf);
+            pack_a(mr, mb, kb, |i, p| (1 + i + 10 * p) as f64, &mut buf);
+            assert_eq!(buf.len(), packed_a_len(mr, mb, kb), "{tile}");
+            for (slot, &v) in buf.iter().enumerate() {
+                let (i, p) = (slot / (mr * kb) * mr + slot % mr, slot % (mr * kb) / mr);
+                let expected = if i < mb { (1 + i + 10 * p) as f64 } else { 0.0 };
+                assert_eq!(v.to_bits(), expected.to_bits(), "{tile} A slot {slot}");
+            }
+            pack_b(nr, 2 * kb, 4 * nr, |_, _| f64::NAN, &mut buf);
+            pack_b(nr, kb, nb, |p, j| (1 + j + 10 * p) as f64, &mut buf);
+            assert_eq!(buf.len(), packed_b_len(nr, kb, nb), "{tile}");
+            for (slot, &v) in buf.iter().enumerate() {
+                let (j, p) = (slot / (nr * kb) * nr + slot % nr, slot % (nr * kb) / nr);
+                let expected = if j < nb { (1 + j + 10 * p) as f64 } else { 0.0 };
+                assert_eq!(v.to_bits(), expected.to_bits(), "{tile} B slot {slot}");
+            }
+            // Zero extents leave nothing behind.
+            pack_a(mr, 0, kb, |_, _| f64::NAN, &mut buf);
+            assert!(buf.is_empty());
+            pack_b(nr, 0, nb, |_, _| f64::NAN, &mut buf);
+            assert!(buf.is_empty());
         }
     }
 

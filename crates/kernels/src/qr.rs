@@ -35,7 +35,8 @@
 use crate::config::BlockConfig;
 use crate::driver::BlockedDriver;
 use crate::leaf::{axpy, dot, two_cols, LEAF};
-use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result};
+use crate::pack::{Operand, Strided};
+use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Trans};
 use std::cmp::Ordering;
 
 /// Factor the `m x n` matrix `a` (`m >= n`) in place as `A = Q·R`. On return
@@ -169,29 +170,16 @@ fn apply_block_reflector(
     };
     let driver = BlockedDriver::new(cfg);
     let mut w = Matrix::zeros(kb, nc);
-    let (cd, ldc) = (c.as_slice(), c.ld());
-    driver.accumulate(
-        kb,
-        nc,
-        rows,
-        1.0,
-        &|p, i| v_at(i, p),
-        &|i, j| cd[i + j * ldc],
-        &mut w.view_mut(),
-    );
+    let c_in = Strided::new(&c.as_view(), Trans::No);
+    driver.accumulate(kb, nc, rows, 1.0, &v_at.t(), &c_in, &mut w.view_mut());
     let mut tw = Matrix::zeros(kb, nc);
-    let (td, wd) = (t.as_slice(), w.as_slice());
-    driver.accumulate(
-        kb,
-        nc,
-        kb,
-        1.0,
-        &|i, p| td[p + i * kb],
-        &|p, j| wd[p + j * kb],
-        &mut tw.view_mut(),
+    let (t_t, w) = (
+        Strided::new(&t.view(), Trans::Yes),
+        Strided::new(&w.view(), Trans::No),
     );
-    let twd = tw.as_slice();
-    driver.accumulate(rows, nc, kb, -1.0, &v_at, &|p, j| twd[p + j * kb], c);
+    driver.accumulate(kb, nc, kb, 1.0, &t_t, &w, &mut tw.view_mut());
+    let tw = Strided::new(&tw.view(), Trans::No);
+    driver.accumulate(rows, nc, kb, -1.0, &v_at, &tw, c);
 }
 
 /// Factor `a` out of place into the packed `m x (n+1)` operand the

@@ -10,7 +10,8 @@
 
 use crate::config::BlockConfig;
 use crate::driver::{scale_inplace, BlockedDriver};
-use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Side, Uplo};
+use crate::pack::Strided;
+use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
 
 /// `C := alpha * A·B + beta * C` (Left) or `C := alpha * B·A + beta * C`
 /// (Right), with `A` symmetric and only its `uplo` triangle referenced.
@@ -68,8 +69,7 @@ pub fn symm(
 
     let a_data = a.as_slice();
     let lda = a.ld();
-    let b_data = b.as_slice();
-    let ldb = b.ld();
+    let op_b = Strided::new(b, Trans::No);
     // Element (i, j) of the full symmetric matrix, read from the stored triangle.
     let sym = move |i: usize, j: usize| {
         if uplo.contains(i, j) {
@@ -83,13 +83,11 @@ pub fn symm(
     match side {
         Side::Left => {
             // C(m x n) += alpha * Asym(m x m) * B(m x n); inner dimension m.
-            let load_b = move |p: usize, j: usize| b_data[p + j * ldb];
-            driver.accumulate(m, n, m, alpha, &sym, &load_b, c);
+            driver.accumulate(m, n, m, alpha, &sym, &op_b, c);
         }
         Side::Right => {
             // C(m x n) += alpha * B(m x n) * Asym(n x n); inner dimension n.
-            let load_a = move |i: usize, p: usize| b_data[i + p * ldb];
-            driver.accumulate(m, n, n, alpha, &load_a, &sym, c);
+            driver.accumulate(m, n, n, alpha, &op_b, &sym, c);
         }
     }
     Ok(())

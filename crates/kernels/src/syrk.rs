@@ -9,6 +9,7 @@
 
 use crate::config::BlockConfig;
 use crate::driver::BlockedDriver;
+use crate::pack::Strided;
 use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Trans, Uplo};
 
 /// `C_uplo := alpha * op(A)·op(A)ᵀ + beta * C_uplo` where `op(A)` is `A`
@@ -43,20 +44,19 @@ pub fn syrk(
         return Ok(());
     }
 
-    let a_data = a.as_slice();
-    let lda = a.ld();
-    // Logical op(A)[i, p] with op(A) of shape n x k.
-    let load = move |i: usize, p: usize| match trans {
-        Trans::No => a_data[i + p * lda],
-        Trans::Yes => a_data[p + i * lda],
-    };
+    // op(A), of shape n x k.
+    let op_a = Strided::new(a, trans);
 
     let driver = BlockedDriver::new(cfg);
-    let parallel = cfg.should_parallelise(n, n, k);
+    let panels = if cfg.should_parallelise(n, n, k) {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
     let tb = cfg.tri_block.max(1);
-    driver.for_each_panel(
+    driver.for_each_panel_ending(
         c.subview_mut(0, 0, n, n),
-        parallel,
+        &triangle_panel_ends(n, uplo, panels, cfg.tile.nr()),
         |j0, mut panel: MatrixViewMut<'_>| {
             // Walk the panel's stretch of the diagonal in blocks of at most
             // `tri_block` columns. Only a diagonal block needs the triangle
@@ -79,8 +79,8 @@ pub fn syrk(
                     bw,
                     k,
                     alpha,
-                    &|i, p| load(g0 + i, p),
-                    &|p, j| load(g0 + j, p),
+                    &op_a.offset(g0, 0),
+                    &op_a.t().offset(0, g0),
                     &mut diag,
                 );
                 // Fold only the selected triangle into C, so the opposite
@@ -107,14 +107,38 @@ pub fn syrk(
                     bw,
                     k,
                     alpha,
-                    &|i, p| load(r0 + i, p),
-                    &|p, j| load(g0 + j, p),
+                    &op_a.offset(r0, 0),
+                    &op_a.t().offset(0, g0),
                     &mut panel.subview_mut(r0, d0, rows, bw),
                 );
             }
         },
     );
     Ok(())
+}
+
+/// Where each of `panels` column panels of the `uplo` triangle of order `n`
+/// ends so that the panels hold equal shares of the triangle's *elements*
+/// (equal widths would give the panel on the long-column side three times
+/// the work of the other, with two): the first `x` of a lower triangle's
+/// columns hold `1 - (1 - x/n)²` of it, of an upper triangle's `(x/n)²`.
+/// Ends are rounded to whole `nr`-column micro-tiles; panels that round to
+/// nothing are dropped.
+fn triangle_panel_ends(n: usize, uplo: Uplo, panels: usize, nr: usize) -> Vec<usize> {
+    let mut ends: Vec<usize> = (1..panels)
+        .map(|i| {
+            let share = i as f64 / panels as f64;
+            let x = match uplo {
+                Uplo::Lower => 1.0 - (1.0 - share).sqrt(),
+                Uplo::Upper => share.sqrt(),
+            };
+            ((x * n as f64 / nr as f64).round() as usize * nr).min(n)
+        })
+        .chain([n])
+        .filter(|&end| end > 0)
+        .collect();
+    ends.dedup();
+    ends
 }
 
 /// Scale only the `uplo` triangle of `c` by `beta`, honouring the BLAS rule
@@ -217,6 +241,96 @@ mod tests {
         for &uplo in &[Uplo::Lower, Uplo::Upper] {
             check(uplo, Trans::No, 90, 64, 1.0, 0.0, &cfg);
             check(uplo, Trans::Yes, 70, 110, -1.0, 2.0, &cfg);
+        }
+    }
+
+    #[test]
+    fn parallel_panels_hold_equal_shares_of_the_triangle() {
+        let cfg = BlockConfig::default();
+        let nr = cfg.tile.nr();
+        for n in [64usize, 200, 513] {
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                for panels in 2..=4 {
+                    let ends = triangle_panel_ends(n, uplo, panels, nr);
+                    // The panels tile 0..n exactly once, on micro-tile edges.
+                    assert_eq!(ends.last(), Some(&n));
+                    assert!(ends.windows(2).all(|w| w[0] < w[1]), "{ends:?}");
+                    assert!(ends[..ends.len() - 1].iter().all(|e| e % nr == 0));
+                    let starts = [0].into_iter().chain(ends.iter().copied());
+                    let counts: Vec<usize> = starts
+                        .zip(&ends)
+                        .map(|(j0, &j1)| {
+                            (j0..j1)
+                                .map(|j| match uplo {
+                                    Uplo::Lower => n - j,
+                                    Uplo::Upper => j + 1,
+                                })
+                                .sum()
+                        })
+                        .collect();
+                    assert_eq!(counts.iter().sum::<usize>(), n * (n + 1) / 2);
+                    let mean = n * (n + 1) / 2 / counts.len();
+                    let band = cfg.tri_block * n;
+                    assert!(
+                        counts.iter().all(|&c| c.abs_diff(mean) <= band),
+                        "n={n} {uplo:?} {panels} panels: {counts:?} around {mean}"
+                    );
+                }
+            }
+        }
+        assert!(triangle_panel_ends(0, Uplo::Lower, 2, nr).is_empty());
+        assert_eq!(triangle_panel_ends(3, Uplo::Upper, 4, nr), [3]);
+    }
+
+    #[test]
+    fn equal_area_panels_agree_with_the_serial_result() {
+        // A column can move from a diagonal block's scratch sum to a
+        // rectangle's in-place sum when the panel edges move, so the two
+        // results agree to rounding, not bit for bit.
+        let parallel = BlockConfig {
+            parallel_flop_threshold: 1,
+            ..BlockConfig::default()
+        };
+        let k = 40;
+        for n in [64usize, 200, 513] {
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                let a = random_seeded(n, k, n as u64);
+                let c0 = random_seeded(n, n, 56);
+                let mut c_serial = c0.clone();
+                let mut c_parallel = c0.clone();
+                let serial = BlockConfig::serial();
+                syrk(
+                    uplo,
+                    Trans::No,
+                    1.0,
+                    &a.view(),
+                    0.5,
+                    &mut c_serial.view_mut(),
+                    &serial,
+                )
+                .unwrap();
+                syrk(
+                    uplo,
+                    Trans::No,
+                    1.0,
+                    &a.view(),
+                    0.5,
+                    &mut c_parallel.view_mut(),
+                    &parallel,
+                )
+                .unwrap();
+                for j in 0..n {
+                    for i in 0..n {
+                        if uplo.contains(i, j) {
+                            let diff = (c_serial[(i, j)] - c_parallel[(i, j)]).abs();
+                            assert!(diff <= 1e-12 * k as f64, "n={n} {uplo:?} ({i},{j}): {diff}");
+                        } else {
+                            // The opposite triangle is never written.
+                            assert_eq!(c_parallel[(i, j)].to_bits(), c0[(i, j)].to_bits());
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -24,6 +24,7 @@
 
 use crate::config::BlockConfig;
 use crate::driver::{scale_inplace, BlockedDriver};
+use crate::pack::{Operand, Strided};
 use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
 
 /// Validate the operand shapes shared by TRMM and TRSM: `L` square of order
@@ -94,18 +95,11 @@ pub fn trmm(
         return Ok(());
     }
 
-    let l_data = l.as_slice();
-    let ldl = l.ld();
-    let b_data = b.as_slice();
-    let ldb = b.ld();
-    // Element (i, p) of op(L) ignoring the triangle mask.
-    let op_l = move |i: usize, p: usize| match trans {
-        Trans::No => l_data[i + p * ldl],
-        Trans::Yes => l_data[p + i * ldl],
-    };
+    // op(L) ignoring the triangle mask.
+    let op_l = Strided::new(l, trans);
     // The triangle op(L) effectively occupies: transposition flips it.
     let eff = uplo.under(trans);
-    let load_b = move |p: usize, j: usize| b_data[p + j * ldb];
+    let op_b = Strided::new(b, Trans::No);
 
     let driver = BlockedDriver::new(cfg);
     let tb = cfg.tri_block.max(1);
@@ -126,7 +120,7 @@ pub fn trmm(
                         let mut out = panel.subview_mut(i0, 0, mb, w);
                         let masked = |i: usize, p: usize| {
                             if eff.contains(i0 + i, i0 + p) {
-                                op_l(i0 + i, i0 + p)
+                                op_l.at(i0 + i, i0 + p)
                             } else {
                                 0.0
                             }
@@ -137,7 +131,7 @@ pub fn trmm(
                             mb,
                             alpha,
                             &masked,
-                            &|p, j| load_b(i0 + p, j0 + j),
+                            &op_b.offset(i0, j0),
                             &mut out,
                         );
                     }
@@ -151,8 +145,8 @@ pub fn trmm(
                                 w,
                                 i0,
                                 alpha,
-                                &|i, p| op_l(i0 + i, p),
-                                &|p, j| load_b(p, j0 + j),
+                                &op_l.offset(i0, 0),
+                                &op_b.offset(0, j0),
                                 &mut out,
                             );
                         }
@@ -164,8 +158,8 @@ pub fn trmm(
                                 w,
                                 right,
                                 alpha,
-                                &|i, p| op_l(i0 + i, i0 + mb + p),
-                                &|p, j| load_b(i0 + mb + p, j0 + j),
+                                &op_l.offset(i0, i0 + mb),
+                                &op_b.offset(i0 + mb, j0),
                                 &mut out,
                             );
                         }
@@ -190,7 +184,7 @@ pub fn trmm(
                         let mut out = panel.subview_mut(0, c0, m, cb);
                         let masked = |p: usize, j: usize| {
                             if eff.contains(q0 + p, q0 + j) {
-                                op_l(q0 + p, q0 + j)
+                                op_l.at(q0 + p, q0 + j)
                             } else {
                                 0.0
                             }
@@ -200,7 +194,7 @@ pub fn trmm(
                             cb,
                             cb,
                             alpha,
-                            &|i, p| load_b(i, q0 + p),
+                            &op_b.offset(0, q0),
                             &masked,
                             &mut out,
                         );
@@ -215,8 +209,8 @@ pub fn trmm(
                                 cb,
                                 q0,
                                 alpha,
-                                &load_b,
-                                &|p, j| op_l(p, q0 + j),
+                                &op_b,
+                                &op_l.offset(0, q0),
                                 &mut out,
                             );
                         }
@@ -228,8 +222,8 @@ pub fn trmm(
                                 cb,
                                 below,
                                 alpha,
-                                &|i, p| load_b(i, q0 + cb + p),
-                                &|p, j| op_l(q0 + cb + p, q0 + j),
+                                &op_b.offset(0, q0 + cb),
+                                &op_l.offset(q0 + cb, q0),
                                 &mut out,
                             );
                         }

@@ -26,6 +26,7 @@ use crate::config::BlockConfig;
 use crate::driver::BlockedDriver;
 use crate::leaf::{axpy, first_part, two_cols, LEAF};
 use crate::microkernel::fmadd;
+use crate::pack::{Operand, Strided};
 use crate::trmm::check_triangular_shapes;
 use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
 
@@ -82,17 +83,12 @@ pub(crate) fn trsm_in_place(
     if m == 0 || n == 0 {
         return Ok(());
     }
-    let data = l.as_slice();
-    let (rs, cs) = match trans {
-        Trans::No => (1, l.ld()),
-        Trans::Yes => (l.ld(), 1),
-    };
     // Lower solves forward on the left (top down) and backward on the right
     // (right to left): column q of X·op(L) reads the X columns p with
     // op(L)[p, q] nonzero.
     let lower = uplo.under(trans) == Uplo::Lower;
     let solve = Solve {
-        op_l: move |i: usize, p: usize| data[i * rs + p * cs],
+        op_l: Strided::new(l, trans),
         side,
         forward: lower == (side == Side::Left),
         driver: BlockedDriver::new(cfg),
@@ -121,17 +117,17 @@ fn check_diagonal(l: &MatrixView<'_>) -> Result<()> {
     Ok(())
 }
 
-/// One in-place solve: element `(i, p)` of `op(L)` ignoring the triangle
-/// mask, and the order in which the unknowns are eliminated.
-struct Solve<'a, F> {
-    op_l: F,
+/// One in-place solve: `op(L)` ignoring the triangle mask, and the order in
+/// which the unknowns are eliminated.
+struct Solve<'a> {
+    op_l: Strided<'a>,
     side: Side,
     forward: bool,
     driver: BlockedDriver<'a>,
     tri_block: usize,
 }
 
-impl<F: Fn(usize, usize) -> f64> Solve<'_, F> {
+impl Solve<'_> {
     /// Split the unknowns `lo..lo + len` into `(start, len)` of the part
     /// solved first and of the rest.
     fn split(&self, lo: usize, len: usize) -> ((usize, usize), (usize, usize)) {
@@ -162,8 +158,8 @@ impl<F: Fn(usize, usize) -> f64> Solve<'_, F> {
             for (i, v) in col.iter_mut().enumerate().take(nb).skip(p) {
                 let (eq, unknown) = (lo + self.nth(i, nb), lo + self.nth(p, nb));
                 *v = match self.side {
-                    Side::Left => (self.op_l)(eq, unknown),
-                    Side::Right => (self.op_l)(unknown, eq),
+                    Side::Left => self.op_l.at(eq, unknown),
+                    Side::Right => self.op_l.at(unknown, eq),
                 };
             }
         }
@@ -208,8 +204,12 @@ impl<F: Fn(usize, usize) -> f64> Solve<'_, F> {
             w,
             hn,
             -1.0,
-            &|i, p| (self.op_l)(r0 + i, h0 + p),
-            &|p, j| solved[p + j * hn],
+            &self.op_l.offset(r0, h0),
+            &Strided {
+                data: solved,
+                rs: 1,
+                cs: hn,
+            },
             &mut panel.subview_mut(r0, 0, rn, w),
         );
         self.left(panel, r0, rn, solved);
@@ -245,14 +245,13 @@ impl<F: Fn(usize, usize) -> f64> Solve<'_, F> {
         } else {
             (high, low)
         };
-        let (done, ld) = (first.as_slice(), first.ld());
         self.driver.accumulate_serial(
             m,
             rn,
             hn,
             -1.0,
-            &|i, p| done[i + p * ld],
-            &|p, j| (self.op_l)(h0 + p, r0 + j),
+            &Strided::new(&first.as_view(), Trans::No),
+            &self.op_l.offset(h0, r0),
             &mut rest,
         );
         self.right(x, r0, rn);

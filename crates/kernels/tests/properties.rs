@@ -2,6 +2,7 @@
 //! reference, over randomly drawn shapes, transposition flags, scalars and
 //! blocking configurations.
 
+use lamb_kernels::pack::{pack_a, pack_b, packed_a_len, packed_b_len, Strided};
 use lamb_kernels::{
     factor_triangle, gemm, gemm_naive, getrf, getrf_naive, ormqr, pivot_apply, qr, qr_naive,
     qr_packed, symm, syrk, trmm, trmm_naive, trsm, trsm_naive, Backend, BlockConfig, KernelOp,
@@ -76,6 +77,50 @@ proptest! {
         gemm(transa, transb, 1.5, &a.view(), &b.view(), -0.5, &mut c_fast.view_mut(), &cfg).unwrap();
         gemm_naive(transa, transb, 1.5, &a.view(), &b.view(), -0.5, &mut c_ref.view_mut()).unwrap();
         prop_assert!(max_abs_diff(&c_fast, &c_ref).unwrap() < 1e-11 * k as f64);
+    }
+
+    #[test]
+    fn strided_and_accessor_packing_agree(
+        rows in 0usize..40,
+        cols in 0usize..40,
+        (r0, c0) in (0usize..4, 0usize..4),
+        slack in 0usize..3,
+        trans in trans_strategy(),
+        seed in 0u64..10_000,
+    ) {
+        // A `rows x cols` logical block op(X), X a window of a larger parent
+        // (so `ld > rows` whenever `r0 + slack > 0`), packed once from the
+        // strided window and once through a bounds-checked accessor. Extents
+        // run from zero and are rarely multiples of any tile.
+        let (sr, sc) = trans.apply((rows, cols));
+        let parent = random_seeded(r0 + sr + slack, c0 + sc, seed);
+        let x = parent.subview(r0, c0, sr, sc);
+        let strided = Strided::new(&x, trans);
+        let accessor = |i: usize, j: usize| match trans {
+            Trans::No => x.at(i, j),
+            Trans::Yes => x.at(j, i),
+        };
+        let bits = |buf: &[f64]| buf.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut fast, mut slow) = (vec![f64::NAN; 7], Vec::new());
+        for tile in TileVariant::ALL {
+            let (mr, nr) = (tile.mr(), tile.nr());
+            pack_a(mr, rows, cols, strided, &mut fast);
+            pack_a(mr, rows, cols, accessor, &mut slow);
+            prop_assert_eq!(fast.len(), packed_a_len(mr, rows, cols));
+            prop_assert_eq!(bits(&fast), bits(&slow));
+            pack_b(nr, rows, cols, strided, &mut fast);
+            pack_b(nr, rows, cols, accessor, &mut slow);
+            prop_assert_eq!(fast.len(), packed_b_len(nr, rows, cols));
+            prop_assert_eq!(bits(&fast), bits(&slow));
+            // An offset window against a shifted accessor.
+            let (di, dj) = (rows / 3, cols / 2);
+            pack_a(mr, rows - di, cols - dj, strided.offset(di, dj), &mut fast);
+            pack_a(mr, rows - di, cols - dj, |i, j| accessor(di + i, dj + j), &mut slow);
+            prop_assert_eq!(bits(&fast), bits(&slow));
+            pack_b(nr, rows - di, cols - dj, strided.offset(di, dj), &mut fast);
+            pack_b(nr, rows - di, cols - dj, |i, j| accessor(di + i, dj + j), &mut slow);
+            prop_assert_eq!(bits(&fast), bits(&slow));
+        }
     }
 
     #[test]

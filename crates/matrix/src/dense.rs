@@ -238,18 +238,7 @@ impl Matrix {
     /// Panics if the window does not fit inside the matrix.
     #[must_use]
     pub fn subview(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> MatrixView<'_> {
-        assert!(
-            r0 + nr <= self.rows && c0 + nc <= self.cols,
-            "subview out of bounds"
-        );
-        let start = r0 + c0 * self.rows;
-        let end = if nr == 0 || nc == 0 {
-            start
-        } else {
-            start + (nc - 1) * self.rows + nr
-        };
-        MatrixView::new(&self.data[start..end], nr, nc, self.rows)
-            .expect("subview bounds already validated")
+        self.view().subview(r0, c0, nr, nc)
     }
 
     /// Return the explicit transpose as a new matrix.

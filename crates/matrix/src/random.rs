@@ -44,19 +44,22 @@ pub fn random_seeded(rows: usize, cols: usize, seed: u64) -> Matrix {
 ///
 /// The same `(n, uplo, seed)` triple always yields the same matrix, so two
 /// algorithms of the same expression see identical triangular operands.
+///
+/// Built in place on the one [`random_seeded`] buffer, a column slice at a
+/// time: the dead triangle is zeroed and the diagonal lifted where it lies.
 #[must_use]
 pub fn random_triangular(n: usize, uplo: Uplo, seed: u64) -> Matrix {
-    let dense = random_seeded(n, n, seed);
-    Matrix::from_fn(n, n, |i, j| {
-        if i == j {
-            let v = dense[(i, j)];
-            v.signum() * (2.0 + v.abs())
-        } else if uplo.contains(i, j) {
-            dense[(i, j)]
-        } else {
-            0.0
+    let mut m = random_seeded(n, n, seed);
+    for j in 0..n {
+        let col = m.col_mut(j);
+        let v = col[j];
+        col[j] = v.signum() * (2.0 + v.abs());
+        match uplo {
+            Uplo::Lower => col[..j].fill(0.0),
+            Uplo::Upper => col[j + 1..].fill(0.0),
         }
-    })
+    }
+    m
 }
 
 /// Create a random symmetric positive-definite `n x n` matrix: exactly
@@ -70,17 +73,43 @@ pub fn random_triangular(n: usize, uplo: Uplo, seed: u64) -> Matrix {
 ///
 /// The same `(n, seed)` pair always yields the same matrix, so two algorithms
 /// of the same expression see identical SPD operands.
+///
+/// Built in place on the one [`random_seeded`] buffer: each strictly-lower
+/// element is averaged with its mirror image and the one result written to
+/// both (`0.5·(a + b)` is commutative, so the two halves hold the same bits
+/// whichever is computed). The walk is tiled so the mirror elements, which
+/// lie along a row, stay in cache while a tile is swept by columns.
 #[must_use]
 pub fn random_spd(n: usize, seed: u64) -> Matrix {
-    let dense = random_seeded(n, n, seed);
-    Matrix::from_fn(n, n, |i, j| {
-        if i == j {
-            n as f64 + 1.0
-        } else {
-            // Exact symmetry: both (i, j) and (j, i) read the same pair.
-            0.5 * (dense[(i, j)] + dense[(j, i)])
+    const TILE: usize = 32;
+    let mut m = random_seeded(n, n, seed);
+    let data = m.as_mut_slice();
+    for j0 in (0..n).step_by(TILE) {
+        for i0 in (j0..n).step_by(TILE) {
+            let i1 = (i0 + TILE).min(n);
+            for j in j0..(j0 + TILE).min(n) {
+                // Rows of column j in this tile, strictly below the diagonal.
+                let first = i0.max(j + 1);
+                if first >= i1 {
+                    continue;
+                }
+                // Column j ends before column `first` starts, where the
+                // mirror elements (j, first..i1) sit one per column.
+                let (left, right) = data.split_at_mut(first * n);
+                let below = &mut left[j * n + first..j * n + i1];
+                let across = right[j..].iter_mut().step_by(n);
+                for (x, y) in below.iter_mut().zip(across) {
+                    let avg = 0.5 * (*x + *y);
+                    *x = avg;
+                    *y = avg;
+                }
+            }
         }
-    })
+    }
+    for j in 0..n {
+        data[j + j * n] = n as f64 + 1.0;
+    }
+    m
 }
 
 /// Create a random symmetric `n x n` matrix (A + Aᵀ scaled to stay in range).
@@ -165,6 +194,54 @@ mod tests {
         // Degenerate orders are well defined.
         assert!(crate::ops::is_spd(&random_spd(0, 1), 1e-12).unwrap());
         assert!(crate::ops::is_spd(&random_spd(1, 1), 1e-12).unwrap());
+    }
+
+    /// The element-at-a-time formulations the in-place fills replaced, kept
+    /// as the definition of what they must produce.
+    fn triangular_by_elements(n: usize, uplo: Uplo, seed: u64) -> Matrix {
+        let dense = random_seeded(n, n, seed);
+        Matrix::from_fn(n, n, |i, j| {
+            if i == j {
+                let v = dense[(i, j)];
+                v.signum() * (2.0 + v.abs())
+            } else if uplo.contains(i, j) {
+                dense[(i, j)]
+            } else {
+                0.0
+            }
+        })
+    }
+
+    fn spd_by_elements(n: usize, seed: u64) -> Matrix {
+        let dense = random_seeded(n, n, seed);
+        Matrix::from_fn(n, n, |i, j| {
+            if i == j {
+                n as f64 + 1.0
+            } else {
+                0.5 * (dense[(i, j)] + dense[(j, i)])
+            }
+        })
+    }
+
+    #[test]
+    fn in_place_fills_are_bit_identical_to_the_element_formulations() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0, 1, 7, 32, 33, 100] {
+            for seed in [1, 17, 2022] {
+                assert_eq!(
+                    bits(&random_spd(n, seed)),
+                    bits(&spd_by_elements(n, seed)),
+                    "spd n={n} seed={seed}"
+                );
+                for uplo in [Uplo::Lower, Uplo::Upper] {
+                    assert_eq!(
+                        bits(&random_triangular(n, uplo, seed)),
+                        bits(&triangular_by_elements(n, uplo, seed)),
+                        "triangular n={n} {uplo:?} seed={seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -492,6 +492,9 @@ mod tests {
                 assert_eq!((s.rows(), s.cols(), s.ld()), (nr, nc, ld));
                 s.fill(9.0);
                 assert!(s.into_col_panels(2).iter().all(|p| p.rows() == 0));
+                // An owned matrix windows through the same rule.
+                let owned = Matrix::zeros(rows, cols);
+                assert!(owned.subview(r0, c0, nr, nc).to_compact_vec().is_empty());
             }
         }
         assert!(buf.iter().all(|&x| x == 1.0));

@@ -1293,20 +1293,31 @@ mod tests {
         for w in &warnings {
             assert!(!w.to_string().is_empty());
         }
-        // A store written under an earlier default configuration — here the
-        // one whose parallel cutoff was 2·64³ — differs from today's default
-        // in nothing but the fingerprint, and that alone reports it stale.
-        let mut earlier = sample_store();
-        earlier.meta.block_fingerprint = "mc128-kc256-nc4096-tb64-r8x4-pft524288-par".into();
-        let warnings =
-            earlier.staleness(&earlier.machine, &BlockConfig::default().fingerprint(), now);
-        assert!(
-            matches!(
-                warnings.as_slice(),
-                [StalenessWarning::BlockConfigChanged { .. }]
-            ),
-            "{warnings:?}"
-        );
+        // A store written under an earlier default configuration — the one
+        // whose parallel cutoff was 2·64³, and the one whose register tile
+        // was 8x4 on every target — differs from today's default in nothing
+        // but the fingerprint, and that alone reports it stale. (Without
+        // AVX-512 the second one still is the default.)
+        let today = BlockConfig::default().fingerprint();
+        for fingerprint in [
+            "mc128-kc256-nc4096-tb64-r8x4-pft524288-par",
+            "mc128-kc256-nc4096-tb64-r8x4-pft14155776-par",
+        ] {
+            let mut earlier = sample_store();
+            earlier.meta.block_fingerprint = fingerprint.into();
+            let warnings = earlier.staleness(&earlier.machine, &today, now);
+            if fingerprint == today {
+                assert!(warnings.is_empty(), "{warnings:?}");
+            } else {
+                assert!(
+                    matches!(
+                        warnings.as_slice(),
+                        [StalenessWarning::BlockConfigChanged { .. }]
+                    ),
+                    "{fingerprint}: {warnings:?}"
+                );
+            }
+        }
     }
 
     #[test]
