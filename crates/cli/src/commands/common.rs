@@ -334,7 +334,7 @@ impl CommonOptions {
     /// The kernel block configuration the measured executor runs under.
     ///
     /// When the calibration store at [`CommonOptions::store_path`] exists and
-    /// carries an autotuned configuration (schema v5 `tuned` section), that
+    /// carries an autotuned configuration (its optional `tuned` section), that
     /// configuration wins — so a warm start after `lamb calibrate --autotune`
     /// both runs the kernels under the tuned blocking *and* records/compares
     /// the matching fingerprint in [`CommonOptions::timing_metadata`].
@@ -344,8 +344,9 @@ impl CommonOptions {
     }
 
     /// The autotuned block configuration persisted in the calibration store
-    /// at [`CommonOptions::store_path`], when one exists. Unreadable or
-    /// pre-v5 stores simply yield `None`; they are diagnosed elsewhere.
+    /// at [`CommonOptions::store_path`], when one exists. A store that does
+    /// not load (unreadable, or any format version but the current one)
+    /// yields `None`; it is diagnosed elsewhere.
     pub fn stored_tuned_config(&self) -> Option<BlockConfig> {
         let path = self.store_path();
         if !path.exists() {

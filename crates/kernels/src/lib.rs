@@ -102,7 +102,7 @@ pub use getrf::{
     pivot_apply_right,
 };
 pub use microkernel::{microkernel, microkernel_dyn};
-pub use op::KernelOp;
+pub use op::{FieldValue, KernelOp, OpField};
 pub use potrf::{potrf, potrf_naive};
 pub use qr::{ormqr, ormqr_naive, qr, qr_naive, qr_packed, qr_packed_into};
 pub use solver::{solve_auto, solver_for, CholeskySolver, LuSolver, QrSolver, Solver};

@@ -156,32 +156,195 @@ pub enum KernelOp {
     },
 }
 
+/// The value of one [`KernelOp`] field: a BLAS-style flag by its tag
+/// (`Side::tag`, `Uplo::tag`, `Trans::tag`) or a dimension.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldValue {
+    /// A `side` / `uplo` / `trans…` flag, as its one-character tag.
+    Flag(char),
+    /// A dimension.
+    Dim(usize),
+}
+
+/// One field of a [`KernelOp`], as [`KernelOp::fields`] walks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpField {
+    /// The field's name in the variant's declaration.
+    pub name: &'static str,
+    /// Its value.
+    pub value: FieldValue,
+    /// Whether [`KernelOp::timing_key`] keeps the field; `false` for the
+    /// transposition flags every key resets, which timing tables and the
+    /// calibration store therefore never need to spell.
+    pub keyed: bool,
+}
+
+/// A field type of the op enum: how it becomes a [`FieldValue`] and back.
+trait Field: Copy {
+    fn to_value(self) -> FieldValue;
+    fn from_value(value: FieldValue) -> Option<Self>;
+
+    fn read(name: &str, value: Option<FieldValue>) -> Result<Self, String> {
+        value
+            .and_then(Self::from_value)
+            .ok_or_else(|| format!("missing or malformed field `{name}`"))
+    }
+}
+
+impl Field for usize {
+    fn to_value(self) -> FieldValue {
+        FieldValue::Dim(self)
+    }
+    fn from_value(value: FieldValue) -> Option<Self> {
+        match value {
+            FieldValue::Dim(dim) => Some(dim),
+            FieldValue::Flag(_) => None,
+        }
+    }
+}
+
+macro_rules! flag_fields {
+    ($($flag:ty),*) => {$(
+        impl Field for $flag {
+            fn to_value(self) -> FieldValue {
+                FieldValue::Flag(self.tag())
+            }
+            fn from_value(value: FieldValue) -> Option<Self> {
+                match value {
+                    FieldValue::Flag(tag) => <$flag>::from_tag(tag),
+                    FieldValue::Dim(_) => None,
+                }
+            }
+        }
+    )*};
+}
+flag_fields!(Side, Uplo, Trans);
+
+/// The structural view of [`KernelOp`], written once: each variant's
+/// mnemonic and its fields by name in declaration order, `= value` marking a
+/// flag [`KernelOp::timing_key`] always resets to `value`. The patterns name
+/// every field and the matches every variant, so a variant or a field
+/// missing from the table does not compile.
+macro_rules! kernel_op_table {
+    (@keyed) => { true };
+    (@keyed $cleared:expr) => { false };
+    ($($variant:ident $mnemonic:literal { $($field:ident $(= $cleared:expr)?),* })*) => {
+        impl KernelOp {
+            /// Short BLAS/LAPACK-style mnemonic (`gemm`, `syrk`, `symm`,
+            /// `trmm`, `trsm`, `potrf`, `copy`, `getrf`, `qr`, `ormqr`,
+            /// `factortri`, `laswp`).
+            #[must_use]
+            pub fn mnemonic(&self) -> &'static str {
+                match self {
+                    $(KernelOp::$variant { .. } => $mnemonic,)*
+                }
+            }
+
+            /// Every flag and dimension of this operation by field name, in
+            /// declaration order — with [`KernelOp::mnemonic`], everything
+            /// [`KernelOp::from_fields`] needs to rebuild it.
+            #[must_use]
+            pub fn fields(&self) -> Vec<OpField> {
+                match *self {
+                    $(KernelOp::$variant { $($field),* } => vec![$(OpField {
+                        name: stringify!($field),
+                        value: $field.to_value(),
+                        keyed: kernel_op_table!(@keyed $($cleared)?),
+                    }),*],)*
+                }
+            }
+
+            /// The operation with mnemonic `mnemonic` whose fields are what
+            /// `get` returns for their names: the inverse of
+            /// [`KernelOp::fields`]. A flag `timing_key()` always resets may
+            /// be absent and then takes its reset value.
+            ///
+            /// # Errors
+            ///
+            /// A message naming the unknown mnemonic, or the first field
+            /// that is absent, of the wrong kind, or an unknown flag tag.
+            pub fn from_fields(
+                mnemonic: &str,
+                get: impl Fn(&'static str) -> Option<FieldValue>,
+            ) -> Result<KernelOp, String> {
+                match mnemonic {
+                    $($mnemonic => Ok(KernelOp::$variant {
+                        $($field: Field::read(
+                            stringify!($field),
+                            get(stringify!($field))$(.or(Some($cleared.to_value())))?,
+                        )?,)*
+                    }),)*
+                    other => Err(format!("unknown kernel op `{other}`")),
+                }
+            }
+
+            /// Reset the flags the timing key does not keep.
+            #[allow(unused_variables)]
+            fn clear_unkeyed(&mut self) {
+                match self {
+                    $(KernelOp::$variant { $($field),* } => {
+                        $($(*$field = $cleared;)?)*
+                    })*
+                }
+            }
+        }
+    };
+}
+
+kernel_op_table! {
+    Gemm "gemm" { transa = Trans::No, transb = Trans::No, m, n, k }
+    Syrk "syrk" { uplo, trans, n, k }
+    Symm "symm" { side, uplo, m, n }
+    Trmm "trmm" { side, uplo, trans = Trans::No, m, n }
+    Trsm "trsm" { side, uplo, trans = Trans::No, m, n }
+    Potrf "potrf" { uplo, n }
+    CopyTriangle "copy" { uplo, n }
+    Getrf "getrf" { n }
+    Qr "qr" { m, n }
+    Ormqr "ormqr" { m, n, k }
+    FactorTri "factortri" { uplo, n }
+    PivotApply "laswp" { side, m, n }
+}
+
 impl KernelOp {
-    /// FLOP count of this operation according to the paper's Section 3.1
-    /// (closed forms in [`crate::flops`]). The sided kernels count
-    /// `order²·other`, where `order` is the structured operand's order: `m`
-    /// on the left, `n` on the right.
+    /// The side flag of the sided ops (SYMM, TRMM, TRSM, PivotApply).
     #[must_use]
-    pub fn flops(&self) -> u64 {
-        let sided = |side: Side, m: usize, n: usize| match side {
+    pub fn side(&self) -> Option<Side> {
+        match *self {
+            KernelOp::Symm { side, .. }
+            | KernelOp::Trmm { side, .. }
+            | KernelOp::Trsm { side, .. }
+            | KernelOp::PivotApply { side, .. } => Some(side),
+            _ => None,
+        }
+    }
+
+    /// `(order, other)` of a sided op: the order of its structured operand
+    /// (symmetric, triangular, packed LU factor) and the remaining dimension
+    /// of the `m×n` rectangular one — `(m, n)` on the left, `(n, m)` on the
+    /// right. The one place the side flag is turned into dimensions: FLOP
+    /// counts, operand shapes and the efficiency surfaces all read it.
+    #[must_use]
+    pub fn structured_dims(&self) -> Option<(usize, usize)> {
+        let (m, n) = self.output_shape();
+        self.side().map(|side| match side {
             Side::Left => (m, n),
             Side::Right => (n, m),
-        };
+        })
+    }
+
+    /// FLOP count of this operation according to the paper's Section 3.1
+    /// (closed forms in [`crate::flops`]). The sided kernels count
+    /// `order²·other` over their [`KernelOp::structured_dims`].
+    #[must_use]
+    pub fn flops(&self) -> u64 {
+        let (order, other) = self.structured_dims().unwrap_or_default();
         match *self {
             KernelOp::Gemm { m, n, k, .. } => flops::gemm_flops(m, n, k),
             KernelOp::Syrk { n, k, .. } => flops::syrk_flops(n, k),
-            KernelOp::Symm { side, m, n, .. } => {
-                let (order, other) = sided(side, m, n);
-                flops::symm_flops(order, other)
-            }
-            KernelOp::Trmm { side, m, n, .. } => {
-                let (order, other) = sided(side, m, n);
-                flops::trmm_flops(order, other)
-            }
-            KernelOp::Trsm { side, m, n, .. } => {
-                let (order, other) = sided(side, m, n);
-                flops::trsm_flops(order, other)
-            }
+            KernelOp::Symm { .. } => flops::symm_flops(order, other),
+            KernelOp::Trmm { .. } => flops::trmm_flops(order, other),
+            KernelOp::Trsm { .. } => flops::trsm_flops(order, other),
             KernelOp::Potrf { n, .. } => flops::potrf_flops(n),
             KernelOp::CopyTriangle { n, .. } => flops::copy_triangle_flops(n),
             KernelOp::Getrf { n } => flops::getrf_flops(n),
@@ -239,10 +402,7 @@ impl KernelOp {
     /// smallest shape — a QR factor is taller than the triangle it holds.
     pub fn input_shapes(&self) -> impl Iterator<Item = OperandShape> {
         let g = Structure::General;
-        let order = |side: Side, m: usize, n: usize| match side {
-            Side::Left => m,
-            Side::Right => n,
-        };
+        let (order, _) = self.structured_dims().unwrap_or_default();
         let (first, second) = match *self {
             KernelOp::Gemm {
                 transa,
@@ -259,28 +419,16 @@ impl KernelOp {
                 let (ar, ac) = trans.apply((n, k));
                 ((ar, ac, g), None)
             }
-            KernelOp::Symm { side, m, n, .. } => {
-                let s = order(side, m, n);
-                ((s, s, Structure::Spd), Some((m, n, g)))
-            }
-            KernelOp::Trmm {
-                side, uplo, m, n, ..
-            }
-            | KernelOp::Trsm {
-                side, uplo, m, n, ..
-            } => {
-                let t = order(side, m, n);
-                ((t, t, Structure::Triangular(uplo)), Some((m, n, g)))
+            KernelOp::Symm { m, n, .. } => ((order, order, Structure::Spd), Some((m, n, g))),
+            KernelOp::Trmm { uplo, m, n, .. } | KernelOp::Trsm { uplo, m, n, .. } => {
+                ((order, order, Structure::Triangular(uplo)), Some((m, n, g)))
             }
             KernelOp::Potrf { n, .. } => ((n, n, Structure::Spd), None),
             KernelOp::CopyTriangle { n, .. } | KernelOp::Getrf { n } => ((n, n, g), None),
             KernelOp::Qr { m, n } => ((m, n, g), None),
             KernelOp::Ormqr { m, n, k } => ((m, n + 1, g), Some((m, k, g))),
             KernelOp::FactorTri { n, .. } => ((n, n + 1, g), None),
-            KernelOp::PivotApply { side, m, n } => {
-                let r = order(side, m, n);
-                ((r, r + 1, g), Some((m, n, g)))
-            }
+            KernelOp::PivotApply { m, n, .. } => ((order, order + 1, g), Some((m, n, g))),
         };
         std::iter::once(first).chain(second)
     }
@@ -350,27 +498,6 @@ impl KernelOp {
         ops
     }
 
-    /// Short BLAS/LAPACK-style mnemonic (`gemm`, `syrk`, `symm`, `trmm`,
-    /// `trsm`, `potrf`, `copy`, `getrf`, `qr`, `ormqr`, `factortri`,
-    /// `laswp`).
-    #[must_use]
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            KernelOp::Gemm { .. } => "gemm",
-            KernelOp::Syrk { .. } => "syrk",
-            KernelOp::Symm { .. } => "symm",
-            KernelOp::Trmm { .. } => "trmm",
-            KernelOp::Trsm { .. } => "trsm",
-            KernelOp::Potrf { .. } => "potrf",
-            KernelOp::CopyTriangle { .. } => "copy",
-            KernelOp::Getrf { .. } => "getrf",
-            KernelOp::Qr { .. } => "qr",
-            KernelOp::Ormqr { .. } => "ormqr",
-            KernelOp::FactorTri { .. } => "factortri",
-            KernelOp::PivotApply { .. } => "laswp",
-        }
-    }
-
     /// Whether this operation performs floating-point work.
     #[must_use]
     pub fn is_compute(&self) -> bool {
@@ -414,42 +541,12 @@ impl KernelOp {
     /// and FactorTri keeps its `uplo` for the same reason POTRF does.
     #[must_use]
     pub fn timing_key(&self) -> KernelOp {
-        match *self {
-            KernelOp::Gemm { m, n, k, .. } => KernelOp::Gemm {
-                transa: Trans::No,
-                transb: Trans::No,
-                m,
-                n,
-                k,
-            },
-            KernelOp::Trmm {
-                side,
-                uplo,
-                trans,
-                m,
-                n,
-            } => KernelOp::Trmm {
-                side,
-                uplo: uplo.under(trans),
-                trans: Trans::No,
-                m,
-                n,
-            },
-            KernelOp::Trsm {
-                side,
-                uplo,
-                trans,
-                m,
-                n,
-            } => KernelOp::Trsm {
-                side,
-                uplo: uplo.under(trans),
-                trans: Trans::No,
-                m,
-                n,
-            },
-            ref other => other.clone(),
+        let mut key = self.clone();
+        if let KernelOp::Trmm { uplo, trans, .. } | KernelOp::Trsm { uplo, trans, .. } = &mut key {
+            *uplo = uplo.under(*trans);
         }
+        key.clear_unkeyed();
+        key
     }
 }
 

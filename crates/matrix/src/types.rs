@@ -37,6 +37,14 @@ impl Uplo {
         }
     }
 
+    /// The triangle a [`Uplo::tag`] names, if it names one.
+    #[must_use]
+    pub fn from_tag(tag: char) -> Option<Self> {
+        [Uplo::Lower, Uplo::Upper]
+            .into_iter()
+            .find(|u| u.tag() == tag)
+    }
+
     /// The triangle this triangle becomes under a transposition: `op(L)` of
     /// a stored-lower `L` with `trans = T` effectively occupies the upper
     /// triangle. This is the single definition every kernel and the
@@ -131,6 +139,12 @@ impl Trans {
         }
     }
 
+    /// The setting a [`Trans::tag`] names, if it names one.
+    #[must_use]
+    pub fn from_tag(tag: char) -> Option<Self> {
+        [Trans::No, Trans::Yes].into_iter().find(|t| t.tag() == tag)
+    }
+
     /// Apply the transposition to a `(rows, cols)` shape.
     #[must_use]
     pub fn apply(self, shape: (usize, usize)) -> (usize, usize) {
@@ -158,6 +172,14 @@ impl Side {
             Side::Left => 'L',
             Side::Right => 'R',
         }
+    }
+
+    /// The side a [`Side::tag`] names, if it names one.
+    #[must_use]
+    pub fn from_tag(tag: char) -> Option<Self> {
+        [Side::Left, Side::Right]
+            .into_iter()
+            .find(|s| s.tag() == tag)
     }
 }
 
@@ -246,5 +268,12 @@ mod tests {
         assert_eq!(Trans::Yes.tag(), 'T');
         assert_eq!(Side::Left.tag(), 'L');
         assert_eq!(Side::Right.tag(), 'R');
+        // `from_tag` inverts `tag` and refuses everything else.
+        assert_eq!(Uplo::from_tag('U'), Some(Uplo::Upper));
+        assert_eq!(Trans::from_tag('N'), Some(Trans::No));
+        assert_eq!(Side::from_tag('R'), Some(Side::Right));
+        assert_eq!(Side::from_tag('U'), None);
+        assert_eq!(Uplo::from_tag('R'), None);
+        assert_eq!(Trans::from_tag('L'), None);
     }
 }

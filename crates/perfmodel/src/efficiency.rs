@@ -21,7 +21,6 @@
 //!    gradual transition type).
 
 use lamb_expr::KernelOp;
-use lamb_matrix::Side;
 
 /// Saturating ramp `x / (x + half)`: 0 at zero size, 0.5 at `half`, → 1.
 fn ramp(x: usize, half: f64) -> f64 {
@@ -50,57 +49,17 @@ pub trait EfficiencyModel: Send + Sync {
 
 /// Parameters of the analytic ramp/plateau efficiency surfaces.
 ///
-/// GEMM has its own absolute surface; SYRK and SYMM are expressed *relative*
-/// to the GEMM surface of the corresponding shape, with a relative factor
-/// `base + gain · s(order, half)` that is small for small symmetric orders and
-/// approaches `base + gain` (slightly below 1) for large ones — reproducing
-/// Figure 1's "small but noticeable" gaps on large squares and the large gaps
-/// at small `d0` that drive the `A·Aᵀ·B` anomalies.
+/// GEMM has its own absolute surface; every other compute kernel is one
+/// `Surface` row *relative* to the GEMM surface of the corresponding shape
+/// — small for small structured orders and slightly below 1 for large ones,
+/// reproducing Figure 1's "small but noticeable" gaps on large squares and
+/// the large gaps at small `d0` that drive the `A·Aᵀ·B` anomalies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticEfficiencyModel {
     /// Asymptotic efficiency of GEMM.
     pub gemm_max: f64,
     /// Half-saturation sizes of GEMM in the `m`, `n` and `k` dimensions.
     pub gemm_half: (f64, f64, f64),
-    /// SYRK efficiency relative to same-shape GEMM: `(base, gain, half)` in
-    /// the symmetric order `n`.
-    pub syrk_rel: (f64, f64, f64),
-    /// SYMM efficiency relative to same-shape GEMM: `(base, gain, half)` in
-    /// the symmetric order.
-    pub symm_rel: (f64, f64, f64),
-    /// TRMM efficiency relative to same-shape GEMM: `(base, gain, half)` in
-    /// the triangular order.
-    pub trmm_rel: (f64, f64, f64),
-    /// TRSM efficiency relative to same-shape GEMM: `(base, gain, half)` in
-    /// the triangular order. The solve's sequential dependency chain keeps it
-    /// further below GEMM than any other kernel, especially at small orders —
-    /// the regime where its halved FLOP count is most thoroughly defeated by
-    /// its lower FLOP rate (the anomaly mechanism of the triangular family).
-    pub trsm_rel: (f64, f64, f64),
-    /// POTRF efficiency relative to the same-order square GEMM:
-    /// `(base, gain, half)` in the factored order. The factorisation's
-    /// recursive dependency structure (panel solves feeding trailing
-    /// updates) keeps its FLOP rate below every multiplication kernel at
-    /// small and mid-sized orders — so the `n³/3` FLOP saving of a
-    /// Cholesky-based SPD solve need not translate into a time saving, the
-    /// anomaly mechanism of the SPD family.
-    pub potrf_rel: (f64, f64, f64),
-    /// GETRF efficiency relative to the same-order square GEMM:
-    /// `(base, gain, half)` in the factored order. Partial pivoting adds row
-    /// searches and swaps on top of POTRF-style panel/update recursion, so
-    /// the LU rate sits slightly below POTRF's at every order — and the
-    /// general solve's `2n³/3` factor cost is even easier to defeat at small
-    /// orders than the Cholesky one.
-    pub getrf_rel: (f64, f64, f64),
-    /// QR efficiency relative to the `(m, n, n)` GEMM: `(base, gain, half)`
-    /// in the reflector count `n`. Householder panel factorisation is
-    /// dominated by skinny rank-1-ish updates until the blocked trailing
-    /// update takes over, so QR ramps latest of all the factorisations.
-    pub qr_rel: (f64, f64, f64),
-    /// ORMQR efficiency relative to the `(m, k, n)` GEMM: `(base, gain,
-    /// half)` in the reflector count. Blocked reflector application is
-    /// GEMM-rich, so it sits well above the factorisations but below GEMM.
-    pub ormqr_rel: (f64, f64, f64),
     /// Whether abrupt internal-variant switches are modelled.
     pub variant_switches: bool,
 }
@@ -110,18 +69,64 @@ impl Default for AnalyticEfficiencyModel {
         AnalyticEfficiencyModel {
             gemm_max: 0.93,
             gemm_half: (30.0, 30.0, 46.0),
-            syrk_rel: (0.30, 0.64, 420.0),
-            symm_rel: (0.45, 0.49, 350.0),
-            trmm_rel: (0.38, 0.56, 390.0),
-            trsm_rel: (0.22, 0.62, 520.0),
-            potrf_rel: (0.18, 0.64, 560.0),
-            getrf_rel: (0.17, 0.63, 580.0),
-            qr_rel: (0.15, 0.62, 640.0),
-            ormqr_rel: (0.34, 0.58, 360.0),
             variant_switches: true,
         }
     }
 }
+
+/// The efficiency surface of one structured kernel, relative to the GEMM of
+/// its GEMM-equivalent shape — `Surface(rel, order_switch, other_switch)`:
+///
+/// * `rel = (base, gain, half)`: a smooth ramp `base + gain · ramp(order,
+///   half)` in the structured order;
+/// * two `(threshold, factor)` switches, the sizes below which the library's
+///   internal variant choice costs a factor: one in the structured order, one
+///   in the other dimension (panel depth, right-hand-side width; the
+///   factorisations switch on their order twice).
+struct Surface((f64, f64, f64), (usize, f64), (usize, f64));
+
+/// SYRK switches on the order of the triangular result and on the panel
+/// depth.
+const SYRK: Surface = Surface((0.30, 0.64, 420.0), (256, 0.92), (128, 0.93));
+
+/// SYMM switches on the order of the symmetric operand and on the width of
+/// the other one.
+const SYMM: Surface = Surface((0.45, 0.49, 350.0), (192, 0.93), (32, 0.84));
+
+/// TRMM falls back to an unblocked path for small triangles and thin
+/// right-hand sides.
+const TRMM: Surface = Surface((0.38, 0.56, 390.0), (224, 0.91), (32, 0.85));
+
+/// TRSM: the solve's sequential dependency chain keeps it further below GEMM
+/// than any other multiplication kernel, especially at small orders — the
+/// regime where its halved FLOP count is most thoroughly defeated by its
+/// lower FLOP rate (the anomaly mechanism of the triangular family). The
+/// substitution recurrence limits blocking, so its switches bite harder and
+/// earlier than TRMM's.
+const TRSM: Surface = Surface((0.22, 0.62, 520.0), (320, 0.88), (48, 0.82));
+
+/// POTRF: the recursive dependency structure (panel solves feeding trailing
+/// updates) keeps its FLOP rate below every multiplication kernel at small
+/// and mid-sized orders — so the `n³/3` FLOP saving of a Cholesky-based SPD
+/// solve need not translate into a time saving, the anomaly mechanism of the
+/// SPD family. It switches from a blocked right-looking path to an unblocked
+/// one below a crossover order.
+const POTRF: Surface = Surface((0.18, 0.64, 560.0), (384, 0.89), (64, 0.80));
+
+/// GETRF: partial pivoting adds row searches and swaps on top of POTRF-style
+/// panel/update recursion, so the LU rate sits slightly below POTRF's at
+/// every order, with a deeper small-order penalty from the pivot searches.
+const GETRF: Surface = Surface((0.17, 0.63, 580.0), (384, 0.90), (64, 0.78));
+
+/// QR, in the reflector count: Householder panel factorisation is dominated
+/// by skinny rank-1-ish updates until the blocked compact-WY trailing update
+/// takes over, so QR ramps latest of all the factorisations.
+const QR: Surface = Surface((0.15, 0.62, 640.0), (320, 0.90), (48, 0.80));
+
+/// ORMQR, in the reflector count and the right-hand-side width: blocked
+/// reflector application is GEMM-rich, so it sits well above the
+/// factorisations but below GEMM.
+const ORMQR: Surface = Surface((0.34, 0.58, 360.0), (256, 0.92), (32, 0.85));
 
 impl AnalyticEfficiencyModel {
     /// The default model but with the abrupt variant-switch discontinuities
@@ -168,200 +173,48 @@ impl AnalyticEfficiencyModel {
         f
     }
 
-    /// Variant factor for SYRK (switches on the order of the triangular
-    /// result and on the panel depth).
-    fn syrk_variant_factor(&self, n: usize, k: usize) -> f64 {
-        if !self.variant_switches {
-            return 1.0;
+    /// A structured kernel's efficiency: the GEMM surface at its
+    /// GEMM-equivalent `(m, n, k)`, times the row's ramp in `order`, times
+    /// its variant switches in `order` and `other`.
+    fn structured(
+        &self,
+        surface: &Surface,
+        (m, n, k): (usize, usize, usize),
+        order: usize,
+        other: usize,
+    ) -> f64 {
+        let Surface((base, gain, half), order_switch, other_switch) = *surface;
+        let mut variant = 1.0;
+        if self.variant_switches {
+            for (dim, (threshold, factor)) in [(order, order_switch), (other, other_switch)] {
+                if dim < threshold {
+                    variant *= factor;
+                }
+            }
         }
-        let mut f = 1.0;
-        if n < 256 {
-            f *= 0.92;
-        }
-        if k < 128 {
-            f *= 0.93;
-        }
-        f
-    }
-
-    /// Variant factor for SYMM (switches on the order of the symmetric
-    /// operand and on the width of the other operand).
-    fn symm_variant_factor(&self, m_sym: usize, n_other: usize) -> f64 {
-        if !self.variant_switches {
-            return 1.0;
-        }
-        let mut f = 1.0;
-        if m_sym < 192 {
-            f *= 0.93;
-        }
-        if n_other < 32 {
-            f *= 0.84;
-        }
-        f
-    }
-
-    /// Variant factor for TRMM (switches on the triangular order and the
-    /// right-hand-side width, mimicking a library that falls back to an
-    /// unblocked path for thin problems).
-    fn trmm_variant_factor(&self, m_tri: usize, n_rhs: usize) -> f64 {
-        if !self.variant_switches {
-            return 1.0;
-        }
-        let mut f = 1.0;
-        if m_tri < 224 {
-            f *= 0.91;
-        }
-        if n_rhs < 32 {
-            f *= 0.85;
-        }
-        f
-    }
-
-    /// Variant factor for TRSM: the substitution recurrence limits blocking,
-    /// so the switches bite harder and earlier than TRMM's.
-    fn trsm_variant_factor(&self, m_tri: usize, n_rhs: usize) -> f64 {
-        if !self.variant_switches {
-            return 1.0;
-        }
-        let mut f = 1.0;
-        if m_tri < 320 {
-            f *= 0.88;
-        }
-        if n_rhs < 48 {
-            f *= 0.82;
-        }
-        f
-    }
-
-    /// Variant factor for POTRF: the factorisation switches from a blocked
-    /// right-looking path to an unblocked one below a crossover order, and
-    /// panel solves dominate for mid-sized problems.
-    fn potrf_variant_factor(&self, n: usize) -> f64 {
-        if !self.variant_switches {
-            return 1.0;
-        }
-        let mut f = 1.0;
-        if n < 384 {
-            f *= 0.89;
-        }
-        if n < 64 {
-            f *= 0.80;
-        }
-        f
-    }
-
-    /// Variant factor for GETRF: like POTRF's blocked/unblocked crossover,
-    /// with a deeper small-order penalty from the pivot searches.
-    fn getrf_variant_factor(&self, n: usize) -> f64 {
-        if !self.variant_switches {
-            return 1.0;
-        }
-        let mut f = 1.0;
-        if n < 384 {
-            f *= 0.90;
-        }
-        if n < 64 {
-            f *= 0.78;
-        }
-        f
-    }
-
-    /// Variant factor for QR: the library switches from a blocked
-    /// compact-WY path to an unblocked Householder loop for thin panels.
-    fn qr_variant_factor(&self, n: usize) -> f64 {
-        if !self.variant_switches {
-            return 1.0;
-        }
-        let mut f = 1.0;
-        if n < 320 {
-            f *= 0.90;
-        }
-        if n < 48 {
-            f *= 0.80;
-        }
-        f
-    }
-
-    /// Variant factor for ORMQR (switches on the reflector count and on the
-    /// right-hand-side width, like the triangular kernels).
-    fn ormqr_variant_factor(&self, n: usize, k: usize) -> f64 {
-        if !self.variant_switches {
-            return 1.0;
-        }
-        let mut f = 1.0;
-        if n < 256 {
-            f *= 0.92;
-        }
-        if k < 32 {
-            f *= 0.85;
-        }
-        f
-    }
-
-    fn rel(&self, params: (f64, f64, f64), order: usize) -> f64 {
-        let (base, gain, half) = params;
-        base + gain * ramp(order, half)
+        self.gemm_efficiency(m, n, k) * (base + gain * ramp(order, half)) * variant
     }
 }
 
 impl EfficiencyModel for AnalyticEfficiencyModel {
     fn efficiency(&self, op: &KernelOp) -> f64 {
+        // The sided kernels depend on the structured order and the width of
+        // the rectangular operand, whichever side the structured operand
+        // multiplies from: the right-side surfaces mirror the left ones.
+        let sided = |surface: &Surface| {
+            let (order, other) = op.structured_dims().unwrap_or_default();
+            self.structured(surface, (order, other, order), order, other)
+        };
         let e = match *op {
             KernelOp::Gemm { m, n, k, .. } => self.gemm_efficiency(m, n, k),
-            KernelOp::Syrk { n, k, .. } => {
-                self.gemm_efficiency(n, n, k)
-                    * self.rel(self.syrk_rel, n)
-                    * self.syrk_variant_factor(n, k)
-            }
-            KernelOp::Symm { side, m, n, .. } => {
-                let (sym_dim, other) = match side {
-                    Side::Left => (m, n),
-                    Side::Right => (n, m),
-                };
-                self.gemm_efficiency(sym_dim, other, sym_dim)
-                    * self.rel(self.symm_rel, sym_dim)
-                    * self.symm_variant_factor(sym_dim, other)
-            }
-            KernelOp::Trmm { side, m, n, .. } => {
-                // The surface depends on the triangular order and the width
-                // of the rectangular operand, whichever side the triangle
-                // multiplies from (the `trmm_r` surface mirrors the left one,
-                // exactly like SYMM's two sides).
-                let (order, other) = match side {
-                    Side::Left => (m, n),
-                    Side::Right => (n, m),
-                };
-                self.gemm_efficiency(order, other, order)
-                    * self.rel(self.trmm_rel, order)
-                    * self.trmm_variant_factor(order, other)
-            }
-            KernelOp::Trsm { side, m, n, .. } => {
-                let (order, other) = match side {
-                    Side::Left => (m, n),
-                    Side::Right => (n, m),
-                };
-                self.gemm_efficiency(order, other, order)
-                    * self.rel(self.trsm_rel, order)
-                    * self.trsm_variant_factor(order, other)
-            }
-            KernelOp::Potrf { n, .. } => {
-                self.gemm_efficiency(n, n, n)
-                    * self.rel(self.potrf_rel, n)
-                    * self.potrf_variant_factor(n)
-            }
-            KernelOp::Getrf { n } => {
-                self.gemm_efficiency(n, n, n)
-                    * self.rel(self.getrf_rel, n)
-                    * self.getrf_variant_factor(n)
-            }
-            KernelOp::Qr { m, n } => {
-                self.gemm_efficiency(m, n, n) * self.rel(self.qr_rel, n) * self.qr_variant_factor(n)
-            }
-            KernelOp::Ormqr { m, n, k } => {
-                self.gemm_efficiency(m, k, n)
-                    * self.rel(self.ormqr_rel, n)
-                    * self.ormqr_variant_factor(n, k)
-            }
+            KernelOp::Syrk { n, k, .. } => self.structured(&SYRK, (n, n, k), n, k),
+            KernelOp::Symm { .. } => sided(&SYMM),
+            KernelOp::Trmm { .. } => sided(&TRMM),
+            KernelOp::Trsm { .. } => sided(&TRSM),
+            KernelOp::Potrf { n, .. } => self.structured(&POTRF, (n, n, n), n, n),
+            KernelOp::Getrf { n } => self.structured(&GETRF, (n, n, n), n, n),
+            KernelOp::Qr { m, n } => self.structured(&QR, (m, n, n), n, n),
+            KernelOp::Ormqr { m, n, k } => self.structured(&ORMQR, (m, k, n), n, k),
             // The data-movement ops have no floating-point work; report a
             // nominal efficiency so callers never divide by zero.
             KernelOp::CopyTriangle { .. }
@@ -431,7 +284,7 @@ impl EfficiencyModel for ReferenceEfficiencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_matrix::{Trans, Uplo};
+    use lamb_matrix::{Side, Trans, Uplo};
 
     fn gemm_op(m: usize, n: usize, k: usize) -> KernelOp {
         KernelOp::Gemm {

@@ -59,6 +59,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -201,9 +202,15 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting the parser follows. It recurses once per
+/// level, so an unbounded document could overflow the stack — an abort no
+/// caller can catch; the store nests four levels.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -248,11 +255,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -451,6 +471,17 @@ mod tests {
             assert!(err.offset <= bad.len(), "{bad}: {err}");
             assert!(!err.message.is_empty());
         }
+        // Nesting is bounded: a 100,000-deep document is an error at the
+        // first level past the bound, not a stack overflow.
+        let deep_array = "[".repeat(100_000) + &"]".repeat(100_000);
+        let deep_object = "{\"a\":".repeat(100_000) + "1" + &"}".repeat(100_000);
+        for (bad, level_bytes) in [(deep_array, 1), (deep_object, 5)] {
+            let err = Json::parse(&bad).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH * level_bytes);
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        let at_the_bound = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&at_the_bound).is_ok());
     }
 
     #[test]

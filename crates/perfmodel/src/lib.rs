@@ -58,5 +58,5 @@ pub use reuse::{FactorCache, ReuseReport};
 pub use simulate::{SimulatedExecutor, SimulatorConfig};
 pub use store::{
     kernel_coverage_key, BackendCalibration, CalibrationStore, StalenessWarning, StoreError,
-    StoreMeta, TunedConfig, EXPECTED_KERNELS, STORE_FORMAT_VERSION, STORE_MIN_SUPPORTED_VERSION,
+    StoreMeta, TunedConfig, EXPECTED_KERNELS, STORE_FORMAT_VERSION,
 };

@@ -46,8 +46,8 @@ use crate::json::{Json, JsonError};
 use crate::machine::MachineModel;
 use crate::profile::{CallTimeTable, SquareProfile};
 use lamb_expr::KernelOp;
-use lamb_kernels::{BackendId, BlockConfig, TileVariant};
-use lamb_matrix::{Side, Trans, Uplo};
+use lamb_kernels::{BackendId, BlockConfig, FieldValue, TileVariant};
+use lamb_matrix::Side;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -65,9 +65,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 /// holding per-backend call tables and profiles for non-default kernel
 /// backends (the top-level `profiles`/`calls` are the `native` backend's).
 pub const STORE_FORMAT_VERSION: u64 = 6;
-
-/// Oldest on-disk format version this build reads.
-pub const STORE_MIN_SUPPORTED_VERSION: u64 = STORE_FORMAT_VERSION;
 
 /// Magic string identifying a calibration-store document.
 pub const STORE_FORMAT_NAME: &str = "lamb-calibration-store";
@@ -584,7 +581,7 @@ impl CalibrationStore {
             )));
         }
         let version = field_u64(&doc, "version")?;
-        if !(STORE_MIN_SUPPORTED_VERSION..=STORE_FORMAT_VERSION).contains(&version) {
+        if version != STORE_FORMAT_VERSION {
             return Err(StoreError::Format(format!(
                 "unsupported store version {version} (this build reads version \
                  {STORE_FORMAT_VERSION} only)"
@@ -606,11 +603,14 @@ impl CalibrationStore {
             .ok_or_else(|| StoreError::Format("missing `machine`".into()))?;
         let machine = MachineModel {
             name: field_str(machine_doc, "name")?,
-            peak_flops: field_f64(machine_doc, "peak_flops")?,
+            peak_flops: field_positive(machine_doc, "peak_flops")?,
             cores: field_u64(machine_doc, "cores")? as usize,
             llc_bytes: field_u64(machine_doc, "llc_bytes")?,
-            mem_bandwidth: field_f64(machine_doc, "mem_bandwidth")?,
+            mem_bandwidth: field_positive(machine_doc, "mem_bandwidth")?,
         };
+        if machine.cores == 0 {
+            return Err(StoreError::Format("machine has no cores".into()));
+        }
         let profiles = profiles_from_json(field_array(&doc, "profiles")?)?;
         let calls = calls_from_json(field_array(&doc, "calls")?)?;
         let mut backends = Vec::new();
@@ -707,16 +707,8 @@ fn merge_profiles(older: &SquareProfile, newer: &SquareProfile) -> SquareProfile
 /// match the [`crate::calibrate::SQUARE_SWEEP_KERNELS`] naming.
 #[must_use]
 pub fn kernel_coverage_key(op: &KernelOp) -> String {
-    match op {
-        KernelOp::Symm {
-            side: Side::Right, ..
-        }
-        | KernelOp::Trmm {
-            side: Side::Right, ..
-        }
-        | KernelOp::Trsm {
-            side: Side::Right, ..
-        } => format!("{}_r", op.mnemonic()),
+    match op.side() {
+        Some(Side::Right) if op.is_compute() => format!("{}_r", op.mnemonic()),
         _ => op.mnemonic().to_string(),
     }
 }
@@ -794,70 +786,16 @@ fn calls_from_json(docs: &[Json]) -> Result<CallTimeTable, StoreError> {
     Ok(calls)
 }
 
+/// One call entry: the mnemonic, then the op's fields by name. Calls are
+/// stored by timing key, so the flags every key resets are not written.
 fn op_to_json(op: &KernelOp, seconds: f64) -> Json {
     let mut fields: Vec<(String, Json)> = vec![("op".into(), Json::Str(op.mnemonic().into()))];
-    match *op {
-        // GEMM is stored by timing key, so the (canonical, cleared)
-        // transposition flags are omitted from the document.
-        KernelOp::Gemm { m, n, k, .. } => {
-            fields.push(("m".into(), Json::Num(m as f64)));
-            fields.push(("n".into(), Json::Num(n as f64)));
-            fields.push(("k".into(), Json::Num(k as f64)));
-        }
-        KernelOp::Syrk { uplo, trans, n, k } => {
-            fields.push(("uplo".into(), Json::Str(uplo.tag().to_string())));
-            fields.push(("trans".into(), Json::Str(trans.tag().to_string())));
-            fields.push(("n".into(), Json::Num(n as f64)));
-            fields.push(("k".into(), Json::Num(k as f64)));
-        }
-        KernelOp::Symm { side, uplo, m, n } => {
-            fields.push(("side".into(), Json::Str(side.tag().to_string())));
-            fields.push(("uplo".into(), Json::Str(uplo.tag().to_string())));
-            fields.push(("m".into(), Json::Num(m as f64)));
-            fields.push(("n".into(), Json::Num(n as f64)));
-        }
-        // TRMM/TRSM are stored by timing key (side kept, effective triangle,
-        // canonical cleared transposition), so side + uplo tags are written.
-        KernelOp::Trmm {
-            side, uplo, m, n, ..
-        }
-        | KernelOp::Trsm {
-            side, uplo, m, n, ..
-        } => {
-            fields.push(("side".into(), Json::Str(side.tag().to_string())));
-            fields.push(("uplo".into(), Json::Str(uplo.tag().to_string())));
-            fields.push(("m".into(), Json::Num(m as f64)));
-            fields.push(("n".into(), Json::Num(n as f64)));
-        }
-        KernelOp::Potrf { uplo, n } => {
-            fields.push(("uplo".into(), Json::Str(uplo.tag().to_string())));
-            fields.push(("n".into(), Json::Num(n as f64)));
-        }
-        KernelOp::CopyTriangle { uplo, n } => {
-            fields.push(("uplo".into(), Json::Str(uplo.tag().to_string())));
-            fields.push(("n".into(), Json::Num(n as f64)));
-        }
-        KernelOp::Getrf { n } => {
-            fields.push(("n".into(), Json::Num(n as f64)));
-        }
-        KernelOp::Qr { m, n } => {
-            fields.push(("m".into(), Json::Num(m as f64)));
-            fields.push(("n".into(), Json::Num(n as f64)));
-        }
-        KernelOp::PivotApply { side, m, n } => {
-            fields.push(("side".into(), Json::Str(side.tag().to_string())));
-            fields.push(("m".into(), Json::Num(m as f64)));
-            fields.push(("n".into(), Json::Num(n as f64)));
-        }
-        KernelOp::Ormqr { m, n, k } => {
-            fields.push(("m".into(), Json::Num(m as f64)));
-            fields.push(("n".into(), Json::Num(n as f64)));
-            fields.push(("k".into(), Json::Num(k as f64)));
-        }
-        KernelOp::FactorTri { uplo, n } => {
-            fields.push(("uplo".into(), Json::Str(uplo.tag().to_string())));
-            fields.push(("n".into(), Json::Num(n as f64)));
-        }
+    for field in op.fields().into_iter().filter(|field| field.keyed) {
+        let value = match field.value {
+            FieldValue::Flag(tag) => Json::Str(tag.to_string()),
+            FieldValue::Dim(dim) => Json::Num(dim as f64),
+        };
+        fields.push((field.name.into(), value));
     }
     fields.push(("seconds".into(), Json::Num(seconds)));
     Json::Obj(fields)
@@ -865,71 +803,17 @@ fn op_to_json(op: &KernelOp, seconds: f64) -> Json {
 
 fn op_from_json(entry: &Json) -> Result<(KernelOp, f64), StoreError> {
     let kind = field_str(entry, "op")?;
-    let dim = |name: &str| field_u64(entry, name).map(|v| v as usize);
-    let side = || parse_side(&field_str(entry, "side")?);
-    let op = match kind.as_str() {
-        "gemm" => KernelOp::Gemm {
-            transa: Trans::No,
-            transb: Trans::No,
-            m: dim("m")?,
-            n: dim("n")?,
-            k: dim("k")?,
-        },
-        "syrk" => KernelOp::Syrk {
-            uplo: parse_uplo(&field_str(entry, "uplo")?)?,
-            trans: parse_trans(&field_str(entry, "trans")?)?,
-            n: dim("n")?,
-            k: dim("k")?,
-        },
-        "symm" => KernelOp::Symm {
-            side: side()?,
-            uplo: parse_uplo(&field_str(entry, "uplo")?)?,
-            m: dim("m")?,
-            n: dim("n")?,
-        },
-        "trmm" => KernelOp::Trmm {
-            side: side()?,
-            uplo: parse_uplo(&field_str(entry, "uplo")?)?,
-            trans: Trans::No,
-            m: dim("m")?,
-            n: dim("n")?,
-        },
-        "trsm" => KernelOp::Trsm {
-            side: side()?,
-            uplo: parse_uplo(&field_str(entry, "uplo")?)?,
-            trans: Trans::No,
-            m: dim("m")?,
-            n: dim("n")?,
-        },
-        "potrf" => KernelOp::Potrf {
-            uplo: parse_uplo(&field_str(entry, "uplo")?)?,
-            n: dim("n")?,
-        },
-        "copy" => KernelOp::CopyTriangle {
-            uplo: parse_uplo(&field_str(entry, "uplo")?)?,
-            n: dim("n")?,
-        },
-        "getrf" => KernelOp::Getrf { n: dim("n")? },
-        "qr" => KernelOp::Qr {
-            m: dim("m")?,
-            n: dim("n")?,
-        },
-        "ormqr" => KernelOp::Ormqr {
-            m: dim("m")?,
-            n: dim("n")?,
-            k: dim("k")?,
-        },
-        "factortri" => KernelOp::FactorTri {
-            uplo: parse_uplo(&field_str(entry, "uplo")?)?,
-            n: dim("n")?,
-        },
-        "laswp" => KernelOp::PivotApply {
-            side: side()?,
-            m: dim("m")?,
-            n: dim("n")?,
-        },
-        other => return Err(StoreError::Format(format!("unknown call kind `{other}`"))),
-    };
+    let op = KernelOp::from_fields(&kind, |name| match entry.get(name)? {
+        Json::Str(tag) => {
+            let mut chars = tag.chars();
+            match (chars.next(), chars.next()) {
+                (Some(tag), None) => Some(FieldValue::Flag(tag)),
+                _ => None,
+            }
+        }
+        dim => usize::try_from(dim.as_u64()?).ok().map(FieldValue::Dim),
+    })
+    .map_err(StoreError::Format)?;
     let seconds = field_f64(entry, "seconds")?;
     if !(seconds.is_finite() && seconds >= 0.0) {
         return Err(StoreError::Format(format!(
@@ -967,39 +851,29 @@ fn field_f64(doc: &Json, key: &str) -> Result<f64, StoreError> {
         .ok_or_else(|| StoreError::Format(format!("missing or non-numeric field `{key}`")))
 }
 
+/// A rate: a machine whose peak or bandwidth is zero, negative or not finite
+/// would turn every efficiency computed against it into nonsense.
+fn field_positive(doc: &Json, key: &str) -> Result<f64, StoreError> {
+    let value = field_f64(doc, key)?;
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(StoreError::Format(format!(
+            "field `{key}` must be positive and finite, not {value}"
+        )))
+    }
+}
+
 fn field_array<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], StoreError> {
     doc.get(key)
         .and_then(Json::as_array)
         .ok_or_else(|| StoreError::Format(format!("missing or non-array field `{key}`")))
 }
 
-fn parse_trans(tag: &str) -> Result<Trans, StoreError> {
-    match tag {
-        "N" => Ok(Trans::No),
-        "T" => Ok(Trans::Yes),
-        other => Err(StoreError::Format(format!("unknown trans tag `{other}`"))),
-    }
-}
-
-fn parse_uplo(tag: &str) -> Result<Uplo, StoreError> {
-    match tag {
-        "L" => Ok(Uplo::Lower),
-        "U" => Ok(Uplo::Upper),
-        other => Err(StoreError::Format(format!("unknown uplo tag `{other}`"))),
-    }
-}
-
-fn parse_side(tag: &str) -> Result<Side, StoreError> {
-    match tag {
-        "L" => Ok(Side::Left),
-        "R" => Ok(Side::Right),
-        other => Err(StoreError::Format(format!("unknown side tag `{other}`"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lamb_matrix::{Trans, Uplo};
 
     fn sample_store() -> CalibrationStore {
         let mut store = CalibrationStore::new(MachineModel::paper_xeon_silver_4210(), "simulated");
@@ -1177,6 +1051,21 @@ mod tests {
         );
         let err = CalibrationStore::from_json(&text).unwrap_err();
         assert!(err.to_string().contains("unsupported store version 999"));
+        // A machine no time can be computed against is garbage too.
+        let good = sample_store().to_json();
+        for (field, value, bad) in [
+            ("peak_flops", "352000000000", "-48000000000"),
+            ("peak_flops", "352000000000", "0"),
+            ("mem_bandwidth", "100000000000", "-1"),
+            ("mem_bandwidth", "100000000000", "0"),
+            ("cores", "10", "0"),
+        ] {
+            let from = format!("\"{field}\": {value}");
+            assert!(good.contains(&from), "{from}");
+            let text = good.replace(&from, &format!("\"{field}\": {bad}"));
+            let err = CalibrationStore::from_json(&text).unwrap_err();
+            assert!(matches!(err, StoreError::Format(_)), "{field} {bad}: {err}");
+        }
     }
 
     #[test]
@@ -1197,7 +1086,6 @@ mod tests {
                 "{err}"
             );
         }
-        assert_eq!(STORE_MIN_SUPPORTED_VERSION, STORE_FORMAT_VERSION);
     }
 
     #[test]
