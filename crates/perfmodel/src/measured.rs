@@ -7,13 +7,21 @@ use crate::executor::{AlgorithmTiming, Executor};
 use crate::machine::MachineModel;
 use crate::reuse::{cacheable_keys, FactorCache, ReuseReport};
 use lamb_expr::{Algorithm, KernelCall, KernelOp, OperandId, OperandInfo, OperandRole};
-use lamb_kernels::{Backend, BackendId, BlockConfig, CacheFlusher, NativeBackend};
+use lamb_kernels::{Backend, BackendId, BlockConfig, CacheFlusher, NativeBackend, TimingResult};
 use lamb_matrix::ops::{is_symmetric, is_triangular};
 use lamb_matrix::random::{random_seeded, random_spd, random_triangular};
 use lamb_matrix::{Matrix, Structure};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The operands of one execution, by id. An operand is either owned by the
+/// walk (the only handle) or shared with a [`FactorCache`] — a resident
+/// factor injected on a hit, or a result the walk computed and deposited —
+/// and whoever writes one goes through [`Arc::make_mut`]: a sole owner is
+/// mutated in place, a shared operand is copied first, so bytes the cache
+/// holds never change.
+type Operands = HashMap<OperandId, Arc<Matrix>>;
 
 /// Executes algorithms with the real kernels and wall-clock timing.
 #[derive(Debug)]
@@ -32,7 +40,8 @@ pub struct MeasuredExecutor {
 impl MeasuredExecutor {
     /// Full-protocol executor: `reps` repetitions per measurement and a cache
     /// flush of `flush_bytes` bytes before each repetition (the paper uses 10
-    /// repetitions).
+    /// repetitions). The flush buffer is mapped by the first measurement, so
+    /// an executor that only plans or computes results costs none.
     #[must_use]
     pub fn new(machine: MachineModel, cfg: BlockConfig, reps: usize, flush_bytes: usize) -> Self {
         MeasuredExecutor {
@@ -107,19 +116,40 @@ impl MeasuredExecutor {
         }
     }
 
-    /// Allocate every operand of the algorithm: inputs are filled with
-    /// reproducible random values, intermediates and the output with zeros.
-    fn allocate_operands(&self, alg: &Algorithm) -> HashMap<OperandId, Matrix> {
+    /// One operand as a walk first sees it: an input is filled with
+    /// reproducible random values, an intermediate or the output with zeros.
+    fn fresh_operand(&self, info: &OperandInfo) -> Matrix {
+        match info.role {
+            OperandRole::Input => self.input_matrix(info),
+            _ => Matrix::zeros(info.rows, info.cols),
+        }
+    }
+
+    /// Allocate every operand of the algorithm up front — what the walks
+    /// without a factor store start from.
+    fn allocate_operands(&self, alg: &Algorithm) -> Operands {
         alg.operands
             .iter()
-            .map(|info| {
-                let m = match info.role {
-                    OperandRole::Input => self.input_matrix(info),
-                    _ => Matrix::zeros(info.rows, info.cols),
-                };
-                (info.id, m)
-            })
+            .map(|info| (info.id, Arc::new(self.fresh_operand(info))))
             .collect()
+    }
+
+    /// Allocate, through `fill`, the operands `call` touches that the map
+    /// does not hold yet. A walk against a factor store does this before a
+    /// call that actually runs, so an operand whose only readers were served
+    /// from the store (the matrix behind a resident factorisation) is never
+    /// generated.
+    fn allocate_missing(
+        alg: &Algorithm,
+        call: &KernelCall,
+        operands: &mut Operands,
+        fill: impl Fn(&OperandInfo) -> Matrix,
+    ) {
+        for id in call.inputs.iter().copied().chain([call.output]) {
+            operands
+                .entry(id)
+                .or_insert_with(|| Arc::new(fill(alg.operand(id).expect("operand declared"))));
+        }
     }
 
     /// Execute one call against the operand map.
@@ -128,17 +158,20 @@ impl MeasuredExecutor {
     ///
     /// Panics if the algorithm references operands it does not declare or if
     /// kernel shape checks fail — both indicate a malformed algorithm.
-    fn run_call(&self, index: usize, call: &KernelCall, operands: &mut HashMap<OperandId, Matrix>) {
-        let mut out = operands
+    fn run_call(&self, index: usize, call: &KernelCall, operands: &mut Operands) {
+        let mut shared_out = operands
             .remove(&call.output)
             .expect("output operand must be allocated");
+        // Copy on write: only the in-place triangle copy ever finds its
+        // output shared (with the cache its producer deposited it in).
+        let out = Arc::make_mut(&mut shared_out);
         // An input that is also the output (the in-place triangle copy)
         // reaches the backend through `out`, not through the input list.
         let inputs: Vec<&Matrix> = call
             .inputs
             .iter()
             .filter(|&&id| id != call.output)
-            .map(|id| &operands[id])
+            .map(|id| &*operands[id])
             .collect();
         if let KernelOp::Trmm { uplo, .. } | KernelOp::Trsm { uplo, .. } = call.op {
             debug_assert!(
@@ -158,22 +191,26 @@ impl MeasuredExecutor {
         let assigned = self.call_backends.get(index).map(|id| id.backend());
         let backend = assigned.as_ref().unwrap_or(&self.backend);
         backend
-            .run_into(&call.op, &inputs, &mut out, &self.cfg)
+            .run_into(&call.op, &inputs, out, &self.cfg)
             .expect("kernel shapes consistent (TRSM nonsingular, POTRF positive definite)");
-        operands.insert(call.output, out);
+        operands.insert(call.output, shared_out);
     }
 
     /// The one walk over an algorithm's calls: run each call, in order,
     /// against `operands` and report it to `observe` with the seconds it
     /// took. With a factor store, a call whose
     /// [cacheable](lamb_expr::is_cacheable_op) result is resident is not run
-    /// — its bytes are injected and `observe` sees `None` — and every
-    /// cacheable result the walk does compute is deposited. Without one,
-    /// no node identity is derived at all.
+    /// — the resident matrix itself becomes the operand and `observe` sees
+    /// `None` — every cacheable result the walk does compute is deposited,
+    /// shared rather than copied (see [`Operands`]), and the operands of a
+    /// call are allocated when the first call that runs touches them,
+    /// outside its timed seconds (`operands` may start empty). Without a
+    /// store the map must hold every operand ([`Self::allocate_operands`])
+    /// and no node identity is derived at all.
     fn walk_calls(
         &self,
         alg: &Algorithm,
-        operands: &mut HashMap<OperandId, Matrix>,
+        operands: &mut Operands,
         store: Option<&FactorCache>,
         mut observe: impl FnMut(usize, &KernelCall, Option<f64>),
     ) {
@@ -181,27 +218,35 @@ impl MeasuredExecutor {
         for (i, call) in alg.calls.iter().enumerate() {
             let key = store.zip(cacheable.get(&i));
             if let Some(resident) = key.and_then(|(store, key)| store.lookup(key)) {
-                operands.insert(call.output, (*resident).clone());
+                operands.insert(call.output, resident);
                 observe(i, call, None);
                 continue;
+            }
+            if store.is_some() {
+                Self::allocate_missing(alg, call, operands, |info| self.fresh_operand(info));
             }
             let start = Instant::now();
             self.run_call(i, call, operands);
             let seconds = start.elapsed().as_secs_f64();
             if let Some((store, key)) = key {
-                // Snapshot now: a later in-place copy would mutate the map
-                // entry, but the clone is immune (and the identity of the
-                // copied operand advances, so it can never alias this key).
-                store.store(key, Arc::new(operands[&call.output].clone()));
+                // The deposit is a snapshot: a later in-place copy writes to
+                // a copy of its own (and the identity of the copied operand
+                // advances, so it can never alias this key).
+                store.store(key, Arc::clone(&operands[&call.output]));
             }
             observe(i, call, Some(seconds));
         }
     }
 
-    /// The output operand of `alg` after a walk.
-    fn take_output(alg: &Algorithm, mut operands: HashMap<OperandId, Matrix>) -> Matrix {
-        let out_id = alg.output().expect("algorithm declares an output").id;
-        operands.remove(&out_id).expect("output operand allocated")
+    /// The output operand of `alg` after a walk, as the caller's own matrix:
+    /// copied if a factor store shares it, allocated now if no call ran
+    /// against it (a call-free algorithm walked from an empty map).
+    fn take_output(&self, alg: &Algorithm, mut operands: Operands) -> Matrix {
+        let info = alg.output().expect("algorithm declares an output");
+        match operands.remove(&info.id) {
+            Some(out) => Arc::try_unwrap(out).unwrap_or_else(|shared| (*shared).clone()),
+            None => self.fresh_operand(info),
+        }
     }
 
     /// Execute the algorithm once (untimed) with the real kernels and return
@@ -218,7 +263,7 @@ impl MeasuredExecutor {
     pub fn compute_result(&self, alg: &Algorithm) -> Matrix {
         let mut operands = self.allocate_operands(alg);
         self.walk_calls(alg, &mut operands, None, |_, _, _| {});
-        Self::take_output(alg, operands)
+        self.take_output(alg, operands)
     }
 
     /// Execute the algorithm once (untimed) against a factor store — the
@@ -226,7 +271,9 @@ impl MeasuredExecutor {
     /// [`Executor::execute_algorithm_reusing`]: resident cacheable results
     /// are injected instead of recomputed, newly computed cacheable results
     /// are deposited, and the final result matrix is returned together with
-    /// the reuse accounting.
+    /// the reuse accounting. Operands are allocated as calls that run reach
+    /// them (see `walk_calls`), so a request served from resident factors
+    /// never fills the matrix that was factored.
     ///
     /// # Panics
     ///
@@ -238,24 +285,12 @@ impl MeasuredExecutor {
         alg: &Algorithm,
         store: &FactorCache,
     ) -> (Matrix, ReuseReport) {
-        let mut operands = self.allocate_operands(alg);
+        let mut operands = Operands::new();
         let mut report = ReuseReport::default();
         self.walk_calls(alg, &mut operands, Some(store), |_, call, seconds| {
             report.record(call, seconds.is_none());
         });
-        (Self::take_output(alg, operands), report)
-    }
-
-    fn median(mut samples: Vec<f64>) -> f64 {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        let n = samples.len();
-        if n == 0 {
-            0.0
-        } else if n % 2 == 1 {
-            samples[n / 2]
-        } else {
-            0.5 * (samples[n / 2 - 1] + samples[n / 2])
-        }
+        (self.take_output(alg, operands), report)
     }
 }
 
@@ -284,9 +319,12 @@ impl Executor for MeasuredExecutor {
             });
             total_samples.push(total);
         }
-        let mut timing =
-            AlgorithmTiming::from_calls(alg, |i, _| Self::median(call_samples[i].clone()));
-        timing.seconds = Self::median(total_samples);
+        let median = |samples: &mut Vec<f64>| {
+            let samples = std::mem::take(samples);
+            TimingResult { samples }.median()
+        };
+        let mut timing = AlgorithmTiming::from_calls(alg, |i, _| median(&mut call_samples[i]));
+        timing.seconds = median(&mut total_samples);
         timing
     }
 
@@ -301,7 +339,7 @@ impl Executor for MeasuredExecutor {
         alg: &Algorithm,
         store: &FactorCache,
     ) -> (AlgorithmTiming, ReuseReport) {
-        let mut operands = self.allocate_operands(alg);
+        let mut operands = Operands::new();
         let mut report = ReuseReport::default();
         let mut seconds_of = vec![0.0; alg.calls.len()];
         self.walk_calls(alg, &mut operands, Some(store), |i, call, seconds| {
@@ -319,13 +357,8 @@ impl Executor for MeasuredExecutor {
         // intermediates elsewhere are simply random here — except triangular
         // operands, which must be genuinely triangular and nonsingular (a
         // TRSM against a random dense matrix could overflow mid-benchmark).
-        let mut operands: HashMap<OperandId, Matrix> = HashMap::new();
-        for id in call.inputs.iter().copied().chain([call.output]) {
-            let info = alg.operand(id).expect("operand declared");
-            operands
-                .entry(id)
-                .or_insert_with(|| self.input_matrix(info));
-        }
+        let mut operands = Operands::new();
+        Self::allocate_missing(alg, call, &mut operands, |info| self.input_matrix(info));
         let mut samples = Vec::with_capacity(self.reps);
         for _ in 0..self.reps {
             if let Some(flusher) = &mut self.flusher {
@@ -335,7 +368,7 @@ impl Executor for MeasuredExecutor {
             self.run_call(call_index, call, &mut operands);
             samples.push(start.elapsed().as_secs_f64());
         }
-        Self::median(samples)
+        TimingResult { samples }.median()
     }
 
     fn backends(&self) -> Vec<BackendId> {
@@ -534,10 +567,218 @@ mod tests {
 
     #[test]
     fn median_handles_odd_even_and_empty() {
-        assert_eq!(MeasuredExecutor::median(vec![]), 0.0);
-        assert_eq!(MeasuredExecutor::median(vec![2.0]), 2.0);
-        assert_eq!(MeasuredExecutor::median(vec![3.0, 1.0]), 2.0);
-        assert_eq!(MeasuredExecutor::median(vec![5.0, 1.0, 3.0]), 3.0);
+        // The kernels' median is the one the executor summarises with: it
+        // must keep the conventions the executor's own copy had.
+        let median = |samples: &[f64]| {
+            let samples = samples.to_vec();
+            TimingResult { samples }.median()
+        };
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(median(&[2.0]), 2.0);
+        assert_eq!(median(&[3.0, 1.0]), 2.0);
+        assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
+    }
+
+    /// The algorithms of `text` at `dims`.
+    fn algorithms_of(text: &str, dims: &[usize]) -> Vec<Algorithm> {
+        use lamb_expr::{Expression, TreeExpression};
+        TreeExpression::parse(text)
+            .unwrap()
+            .algorithms(dims)
+            .unwrap()
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn an_operand_read_only_by_resident_factors_is_never_generated() {
+        let algs = algorithms_of("S[spd]^-1*B", &[24, 7]);
+        let solve = algs
+            .iter()
+            .find(|a| a.kernel_summary().contains("potrf"))
+            .unwrap();
+        let exec = tiny_executor();
+        // A store in which only the factorisation is resident.
+        let cold = FactorCache::new();
+        let _ = exec.compute_result_reusing(solve, &cold);
+        let potrf = solve
+            .calls
+            .iter()
+            .position(|c| c.op.mnemonic() == "potrf")
+            .unwrap();
+        let keys = cacheable_keys(solve, Some(&cold));
+        let store = FactorCache::new();
+        store.store(&keys[&potrf], cold.lookup(&keys[&potrf]).unwrap());
+
+        let mut operands = Operands::new();
+        let mut ran = Vec::new();
+        exec.walk_calls(solve, &mut operands, Some(&store), |i, _, seconds| {
+            if seconds.is_some() {
+                ran.push(i);
+            }
+        });
+        assert!(!ran.contains(&potrf) && !ran.is_empty());
+        let s = solve.inputs().find(|o| o.name == "S").unwrap();
+        let b = solve.inputs().find(|o| o.name == "B").unwrap();
+        assert!(!operands.contains_key(&s.id), "S is read by the POTRF only");
+        assert!(operands.contains_key(&b.id));
+        // The factor in the map is the cache's own matrix, not a copy.
+        let factor = &operands[&solve.calls[potrf].output];
+        assert!(Arc::ptr_eq(factor, &store.lookup(&keys[&potrf]).unwrap()));
+        let result = exec.take_output(solve, operands);
+        assert_eq!(bits(&result), bits(&exec.compute_result(solve)));
+    }
+
+    #[test]
+    fn cold_warm_and_storeless_executions_agree_bit_for_bit() {
+        // The four reuse texts, each at two sizes (the larger one crosses a
+        // block edge of every factorisation kernel).
+        let cases: [(&str, [&[usize]; 2]); 4] = [
+            ("S[spd]^-1*B", [&[24, 7], &[65, 33]]),
+            ("A^-1*B", [&[24, 7], &[65, 33]]),
+            // `A^+` puts the column count first: the operands are 24 x 16 and 70 x 33.
+            ("A^+*b", [&[16, 24, 1], &[33, 70, 3]]),
+            ("S[spd]^-1*A*B", [&[24, 7, 5], &[65, 33, 12]]),
+        ];
+        for (text, sizes) in cases {
+            for dims in sizes {
+                let mut exec = tiny_executor();
+                for alg in &algorithms_of(text, dims) {
+                    let cacheable = cacheable_keys(alg, Some(&FactorCache::new())).len();
+                    let reference = bits(&exec.compute_result(alg));
+                    let store = FactorCache::new();
+                    let (cold, cold_report) = exec.compute_result_reusing(alg, &store);
+                    assert_eq!(bits(&cold), reference, "{text} {dims:?} cold");
+                    assert_eq!(cold_report, ReuseReport::all_executed(alg));
+                    assert_eq!(store.hits(), 0);
+                    assert_eq!(store.len(), cacheable, "{text} {dims:?}");
+                    let resident = store.resident_bytes();
+                    // Warm: every cacheable call is served, the rest run.
+                    let (warm, warm_report) = exec.compute_result_reusing(alg, &store);
+                    assert_eq!(bits(&warm), reference, "{text} {dims:?} warm");
+                    assert_eq!(warm_report.reused_calls, cacheable);
+                    assert_eq!(
+                        warm_report.executed_calls,
+                        alg.calls.len() - cacheable,
+                        "{text} {dims:?}"
+                    );
+                    assert_eq!(store.hits(), cacheable);
+                    assert_eq!(store.resident_bytes(), resident, "a hit deposits nothing");
+                    // The timed pass takes the same route through the store.
+                    let (timing, timed_report) = exec.execute_algorithm_reusing(alg, &store);
+                    assert_eq!(timed_report, warm_report);
+                    assert_eq!(store.hits(), 2 * cacheable);
+                    assert_eq!(timing.per_call.len(), alg.calls.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_in_place_copy_after_a_deposit_leaves_the_cached_bytes_alone() {
+        // M := A*A^T (syrk, deposited), then M := full(M) in place: the
+        // output is the copied operand itself.
+        use lamb_matrix::{Trans, Uplo};
+        let (n, k) = (9, 4);
+        let operand = |id, rows, cols, role, name: &str| OperandInfo {
+            id: OperandId(id),
+            rows,
+            cols,
+            role,
+            name: name.into(),
+            structure: Structure::General,
+        };
+        let uplo = Uplo::Lower;
+        let (trans, m) = (Trans::No, OperandId(1));
+        let alg = Algorithm {
+            name: "syrk+copy".into(),
+            operands: vec![
+                operand(0, n, k, OperandRole::Input, "A"),
+                operand(1, n, n, OperandRole::Output, "M"),
+            ],
+            calls: vec![
+                KernelCall {
+                    op: KernelOp::Syrk { uplo, trans, n, k },
+                    inputs: vec![OperandId(0)],
+                    output: m,
+                    label: "M := A*A^T".into(),
+                },
+                KernelCall {
+                    op: KernelOp::CopyTriangle { uplo, n },
+                    inputs: vec![m],
+                    output: m,
+                    label: "M := full(M)".into(),
+                },
+            ],
+        };
+        assert!(alg.is_well_formed());
+        let exec = tiny_executor();
+        let reference = exec.compute_result(&alg);
+        assert!(is_symmetric(&reference, 0.0).unwrap());
+
+        let store = FactorCache::new();
+        let key = &cacheable_keys(&alg, Some(&store))[&0];
+        let mut operands = Operands::new();
+        let mut snapshot = None;
+        exec.walk_calls(&alg, &mut operands, Some(&store), |i, _, _| {
+            if i == 0 {
+                snapshot = Some(bits(&store.lookup(key).expect("syrk deposited")));
+            }
+        });
+        let cached = store.lookup(key).unwrap();
+        let snapshot = snapshot.unwrap();
+        // The copy wrote to a matrix of its own: the deposit is still the
+        // one-triangle SYRK result, and nothing but the store holds it.
+        assert_eq!(bits(&cached), snapshot);
+        assert!(!is_symmetric(&cached, 0.0).unwrap());
+        assert!(!Arc::ptr_eq(&cached, &operands[&m]));
+        assert_eq!(Arc::strong_count(&cached), 2, "the store and this handle");
+        assert_eq!(bits(&operands[&m]), bits(&reference));
+        drop(operands);
+
+        // Warm: the deposit is injected, and the copy again leaves it alone.
+        let (mut warm, report) = exec.compute_result_reusing(&alg, &store);
+        assert_eq!((report.reused_calls, report.executed_calls), (1, 1));
+        assert_eq!(bits(&warm), bits(&reference));
+        assert_eq!(bits(&cached), snapshot);
+        // What the caller receives is the caller's own.
+        warm.fill(-1.0);
+        assert_eq!(bits(&store.lookup(key).unwrap()), snapshot);
+    }
+
+    #[test]
+    fn a_shared_output_is_copied_out_to_the_caller() {
+        // The final TRSM of the solve is deposited, so the walk's output is
+        // shared with the store; mutating the returned matrix touches neither.
+        let solve = &algorithms_of("S[spd]^-1*B", &[24, 7])[0];
+        let exec = tiny_executor();
+        let store = FactorCache::new();
+        let last = solve.calls.len() - 1;
+        let key = &cacheable_keys(solve, Some(&store))[&last];
+        for pass in ["cold", "warm"] {
+            let (mut result, _) = exec.compute_result_reusing(solve, &store);
+            let cached = store.lookup(key).expect("final solve deposited");
+            assert_eq!(Arc::strong_count(&cached), 2, "{pass}: no handle leaked");
+            assert_eq!(bits(&result), bits(&cached), "{pass}");
+            result.fill(0.5);
+            assert_ne!(bits(&result), bits(&cached), "{pass}");
+        }
+    }
+
+    #[test]
+    fn a_call_free_algorithm_returns_its_operand_from_an_empty_map() {
+        let leaf = &algorithms_of("A", &[5, 3])[0];
+        assert!(leaf.calls.is_empty());
+        let exec = tiny_executor();
+        let direct = exec.compute_result(leaf);
+        let store = FactorCache::new();
+        let (late, report) = exec.compute_result_reusing(leaf, &store);
+        assert_eq!((late.rows(), late.cols()), (5, 3));
+        assert_eq!(bits(&late), bits(&direct));
+        assert_eq!(report, ReuseReport::default());
+        assert!(store.is_empty());
     }
 
     #[test]
