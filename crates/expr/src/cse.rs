@@ -27,6 +27,14 @@
 //! charged once. For a CSE-transformed algorithm it coincides with
 //! [`Algorithm::flops`].
 //!
+//! The rules are written once, in one value numbering over a call list. An
+//! algorithm has a handful of calls, so its tables are short vectors searched
+//! linearly. [`eliminate_common_subexpressions`] builds the transformed
+//! algorithm from it, [`eliminate_shared_calls`] — the planner's step —
+//! builds one only when a call merges, [`shared_flops`] only counts, and the
+//! enumerator runs the same numbering over its search stack to rank
+//! completions by what they cost under sharing.
+//!
 //! [`node_identities`] assigns every operand a *canonical identity string*
 //! that is stable across algorithms and across planner requests: leaves are
 //! identified by name, id, shape and structure (executors seed input contents
@@ -39,7 +47,7 @@
 use crate::algorithm::{Algorithm, OperandRole};
 use crate::kernel_call::{KernelCall, KernelOp};
 use crate::operand::OperandId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The result of [`eliminate_common_subexpressions`].
 #[derive(Debug, Clone)]
@@ -53,16 +61,197 @@ pub struct CseOutcome {
     pub eliminated_flops: u64,
 }
 
-/// Whether `call` is the in-place spelling of the triangle copy (an *update*
-/// of an existing operand, not a definition of a new one).
-fn is_in_place_copy(call: &KernelCall) -> bool {
-    matches!(call.op, KernelOp::CopyTriangle { .. }) && call.inputs.first() == Some(&call.output)
+/// A kernel call as the value numbering reads it: an operation, the operands
+/// it reads and the operand it writes. The enumerator numbers its search
+/// stack through this without building [`KernelCall`]s.
+pub(crate) trait CallView {
+    fn op(&self) -> &KernelOp;
+    fn inputs(&self) -> &[OperandId];
+    fn output(&self) -> OperandId;
 }
 
-/// Resolve `id` through the representative map (one level deep is enough:
-/// the map always points at surviving operands, never at eliminated ones).
-fn resolve(repr: &HashMap<OperandId, OperandId>, id: OperandId) -> OperandId {
-    *repr.get(&id).unwrap_or(&id)
+impl CallView for KernelCall {
+    fn op(&self) -> &KernelOp {
+        &self.op
+    }
+
+    fn inputs(&self) -> &[OperandId] {
+        &self.inputs
+    }
+
+    fn output(&self) -> OperandId {
+        self.output
+    }
+}
+
+/// A call the value numbering keeps: its index in the call list, the range of
+/// its representative inputs in [`ValueNumbering::resolved`] and the operand
+/// it writes (an in-place copy is redirected to the representative).
+#[derive(Debug, Clone, Copy)]
+struct Kept {
+    call: usize,
+    inputs: (usize, usize),
+    output: OperandId,
+}
+
+/// The CSE rules, written once: forward value numbering over a call list.
+///
+/// A value is an `(operation, representative inputs)` pair. An algorithm has
+/// a handful of calls, so every table is a short vector searched linearly,
+/// and one numbering can be reused across call lists without allocating
+/// again.
+#[derive(Debug, Default)]
+pub(crate) struct ValueNumbering {
+    /// Merged-away operand → the surviving representative that replaces it.
+    repr: Vec<(OperandId, OperandId)>,
+    /// The calls that survive, in call order.
+    kept: Vec<Kept>,
+    /// Indices into `kept` of the calls that define a value (the table).
+    values: Vec<usize>,
+    /// The representative inputs of the kept calls, back to back.
+    resolved: Vec<OperandId>,
+    /// Number of calls eliminated.
+    pub(crate) eliminated_calls: usize,
+    /// FLOPs of the eliminated calls.
+    pub(crate) eliminated_flops: u64,
+}
+
+impl ValueNumbering {
+    /// Number `calls`; `is_output(id)` says whether `id` is the algorithm's
+    /// output operand.
+    pub(crate) fn run<C: CallView>(&mut self, calls: &[C], is_output: impl Fn(OperandId) -> bool) {
+        self.repr.clear();
+        self.kept.clear();
+        self.values.clear();
+        self.resolved.clear();
+        self.eliminated_calls = 0;
+        self.eliminated_flops = 0;
+        for (index, call) in calls.iter().enumerate() {
+            let start = self.resolved.len();
+            // The in-place triangle copy (`inputs == [x]`, `output == x`)
+            // *updates* its operand rather than defining a new value: it is
+            // redirected to the surviving representative, and dropped when
+            // that representative has already been completed by an identical
+            // copy (zero FLOPs — only the call count moves).
+            let in_place = matches!(call.op(), KernelOp::CopyTriangle { .. })
+                && call.inputs().first() == Some(&call.output());
+            if in_place {
+                let target = self.resolve(call.output());
+                self.resolved.push(target);
+            } else {
+                for &id in call.inputs() {
+                    let id = self.resolve(id);
+                    self.resolved.push(id);
+                }
+            }
+            let existing = self.lookup(calls, call.op(), start);
+            if in_place {
+                if existing.is_some() {
+                    self.resolved.truncate(start);
+                    self.eliminated_calls += 1;
+                } else {
+                    let target = self.resolved[start];
+                    self.keep(index, start, target, true);
+                }
+                continue;
+            }
+            match existing {
+                // A duplicate definition of a value already held: drop the
+                // call and remember the representative. A duplicate that
+                // writes the output operand stays (and stays charged): the
+                // IR contract, relied on by every executor and by the
+                // def-use pass, is that the final call materialises it.
+                Some(value) if !is_output(call.output()) => {
+                    self.resolved.truncate(start);
+                    match self
+                        .repr
+                        .iter_mut()
+                        .find(|(from, _)| *from == call.output())
+                    {
+                        Some(entry) => entry.1 = value,
+                        None => self.repr.push((call.output(), value)),
+                    }
+                    self.eliminated_calls += 1;
+                    self.eliminated_flops += call.op().flops();
+                }
+                _ => self.keep(index, start, call.output(), existing.is_none()),
+            }
+        }
+    }
+
+    /// Resolve `id` through the representative map (one level deep is
+    /// enough: the map always points at surviving operands).
+    fn resolve(&self, id: OperandId) -> OperandId {
+        self.repr
+            .iter()
+            .find(|(from, _)| *from == id)
+            .map_or(id, |&(_, to)| to)
+    }
+
+    /// The operand holding the value `(op, resolved[start..])`, if any.
+    fn lookup<C: CallView>(&self, calls: &[C], op: &KernelOp, start: usize) -> Option<OperandId> {
+        let key = &self.resolved[start..];
+        self.values.iter().map(|&v| &self.kept[v]).find_map(|k| {
+            let inputs = &self.resolved[k.inputs.0..k.inputs.0 + k.inputs.1];
+            (calls[k.call].op() == op && inputs == key).then_some(k.output)
+        })
+    }
+
+    /// Keep call `index`, whose representative inputs start at `start`;
+    /// `defines` enters its value into the table.
+    fn keep(&mut self, index: usize, start: usize, output: OperandId, defines: bool) {
+        self.kept.push(Kept {
+            call: index,
+            inputs: (start, self.resolved.len() - start),
+            output,
+        });
+        if defines {
+            self.values.push(self.kept.len() - 1);
+        }
+    }
+
+    /// The CSE of `alg`, which must be the call list last numbered: the kept
+    /// calls in their original order, rewired to representatives, and the
+    /// operand table without the merged-away operands.
+    fn outcome(&self, alg: &Algorithm) -> CseOutcome {
+        let calls = self
+            .kept
+            .iter()
+            .map(|k| {
+                let call = &alg.calls[k.call];
+                KernelCall {
+                    op: call.op.clone(),
+                    inputs: self.resolved[k.inputs.0..k.inputs.0 + k.inputs.1].to_vec(),
+                    output: k.output,
+                    label: call.label.clone(),
+                }
+            })
+            .collect();
+        let operands = alg
+            .operands
+            .iter()
+            .filter(|o| !self.repr.iter().any(|(from, _)| *from == o.id))
+            .cloned()
+            .collect();
+        CseOutcome {
+            algorithm: Algorithm {
+                name: alg.name.clone(),
+                operands,
+                calls,
+            },
+            eliminated_calls: self.eliminated_calls,
+            eliminated_flops: self.eliminated_flops,
+        }
+    }
+}
+
+/// The value numbering of `alg`'s calls.
+fn number(alg: &Algorithm) -> ValueNumbering {
+    let mut numbering = ValueNumbering::default();
+    numbering.run(&alg.calls, |id| {
+        alg.operand(id).map(|o| o.role) == Some(OperandRole::Output)
+    });
+    numbering
 }
 
 /// Eliminate common subexpressions from `alg` by forward value numbering.
@@ -72,87 +261,28 @@ fn resolve(repr: &HashMap<OperandId, OperandId>, id: OperandId) -> OperandId {
 /// running it on its own result eliminates nothing further.
 #[must_use]
 pub fn eliminate_common_subexpressions(alg: &Algorithm) -> CseOutcome {
-    let mut repr: HashMap<OperandId, OperandId> = HashMap::new();
-    let mut table: HashMap<(KernelOp, Vec<OperandId>), OperandId> = HashMap::new();
-    let mut eliminated: HashSet<OperandId> = HashSet::new();
-    let mut calls: Vec<KernelCall> = Vec::with_capacity(alg.calls.len());
-    let mut eliminated_calls = 0usize;
-    let mut eliminated_flops = 0u64;
+    number(alg).outcome(alg)
+}
 
-    for call in &alg.calls {
-        if is_in_place_copy(call) {
-            // An update of an existing value: redirect it to the surviving
-            // representative, and drop it when that representative has
-            // already been completed by an identical copy.
-            let target = resolve(&repr, call.output);
-            let key = (call.op.clone(), vec![target]);
-            if table.contains_key(&key) {
-                eliminated_calls += 1; // zero FLOPs — only the call count moves
-                continue;
-            }
-            table.insert(key, target);
-            calls.push(KernelCall {
-                op: call.op.clone(),
-                inputs: vec![target],
-                output: target,
-                label: call.label.clone(),
-            });
-            continue;
-        }
-
-        let inputs: Vec<OperandId> = call.inputs.iter().map(|&id| resolve(&repr, id)).collect();
-        let key = (call.op.clone(), inputs.clone());
-        match table.get(&key) {
-            Some(&existing)
-                if alg.operand(call.output).map(|o| o.role) != Some(OperandRole::Output) =>
-            {
-                // A duplicate definition of a value we already hold: drop the
-                // call, remember the representative, forget the operand.
-                repr.insert(call.output, existing);
-                eliminated.insert(call.output);
-                eliminated_calls += 1;
-                eliminated_flops += call.flops();
-            }
-            _ => {
-                // First occurrence — or a duplicate that materialises the
-                // output operand, which must stay (the output is produced by
-                // the final call; executors and the def-use pass rely on it).
-                table.entry(key).or_insert(call.output);
-                calls.push(KernelCall {
-                    op: call.op.clone(),
-                    inputs,
-                    output: call.output,
-                    label: call.label.clone(),
-                });
-            }
-        }
-    }
-
-    let operands = alg
-        .operands
-        .iter()
-        .filter(|o| !eliminated.contains(&o.id))
-        .cloned()
-        .collect();
-    CseOutcome {
-        algorithm: Algorithm {
-            name: alg.name.clone(),
-            operands,
-            calls,
-        },
-        eliminated_calls,
-        eliminated_flops,
-    }
+/// [`eliminate_common_subexpressions`] when it finds a duplicate, `None` when
+/// it eliminates no call — without building a copy of an algorithm that has
+/// nothing to merge. This is the planner's CSE step: a candidate is rewritten
+/// only when sharing changes it.
+#[must_use]
+pub fn eliminate_shared_calls(alg: &Algorithm) -> Option<CseOutcome> {
+    let numbering = number(alg);
+    (numbering.eliminated_calls > 0).then(|| numbering.outcome(alg))
 }
 
 /// The DAG-aware FLOP count of `alg`: each distinct `(operation, inputs)`
 /// value is charged once, with the same rules as
 /// [`eliminate_common_subexpressions`] (duplicate productions of the output
 /// operand stay charged). Always `<= alg.flops()`, and equal for algorithms
-/// with no common subexpressions.
+/// with no common subexpressions. Counted without building the transformed
+/// algorithm.
 #[must_use]
 pub fn shared_flops(alg: &Algorithm) -> u64 {
-    alg.flops() - eliminate_common_subexpressions(alg).eliminated_flops
+    alg.flops() - number(alg).eliminated_flops
 }
 
 impl Algorithm {

@@ -22,6 +22,14 @@
 //! planning tractable for chains of length 8–10 where full enumeration is
 //! factorial.
 //!
+//! The search moves operand ids, dimensions and kernel ops, never strings:
+//! a branch is a stack of calls whose labels stay as pieces (a literal, an
+//! operand, a node of the merge tree), and the `M{k}` names, parenthesised
+//! texts and labels are rendered once, for each algorithm returned. With
+//! `top_k`, a completion is ranked from its call stack by `(shared FLOPs,
+//! FLOPs, enumeration order)` and copied only if it enters the bounded top-k
+//! set; only the final survivors become [`Algorithm`]s.
+//!
 //! ```
 //! use lamb_expr::enumerate::enumerate_expr_algorithms;
 //! use lamb_expr::expr::Expr;
@@ -34,14 +42,15 @@
 //! ```
 
 use crate::algorithm::{Algorithm, OperandInfo, OperandRole};
+use crate::cse::{CallView, ValueNumbering};
 use crate::expr::{Expr, Factor, ShapeError};
 use crate::generator::GenerateError;
 use crate::kernel_call::{KernelCall, KernelOp};
 use crate::operand::OperandId;
-use crate::rewrite::{merge_variants, MergeKind, MergeOperand, Storage};
+use crate::rewrite::{variants, MergeKind, MergeOperand, Storage};
 use lamb_matrix::{Side, Structure, Trans, Uplo};
-use std::collections::{BinaryHeap, HashMap};
-use std::rc::Rc;
+use std::collections::HashMap;
+use std::fmt::Write;
 
 /// Knobs of the general enumerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +58,8 @@ pub struct EnumerateOptions {
     /// Keep only the `k` algorithms with the smallest FLOP counts, pruning
     /// provably-too-expensive branches during the search (`None` enumerates
     /// everything). The surviving algorithms are returned sorted by
-    /// ascending FLOP count (ties keep enumeration order).
+    /// ascending FLOP count (ties keep enumeration order); only they are
+    /// ever built.
     pub top_k: Option<usize>,
     /// Whether the structural rewrites (SYRK, SYMM, triangle copies) are
     /// applied. With `false` every merge lowers to plain GEMM, which is
@@ -69,7 +79,7 @@ impl Default for EnumerateOptions {
 /// One factor of the partially evaluated product: an original (possibly
 /// transposed, possibly inverse-marked) leaf or an intermediate, covering
 /// the factor range `[start, end)` of the flattened expression.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Segment {
     id: OperandId,
     /// Logical number of rows (after leaf transposition).
@@ -96,11 +106,11 @@ struct Segment {
     start: usize,
     /// One past the last flattened-factor index covered.
     end: usize,
-    /// Parenthesised text, e.g. `"(A B)"`. Shared, like `name`: every step
-    /// of the recursion copies the segments it does not merge.
-    text: Rc<str>,
-    /// Operand name, e.g. `"A"` or `"M1"`.
-    name: Rc<str>,
+    /// The segment's node in the merge tree: its factor position for a
+    /// leaf, `factors + d` for the result of the merge at recursion depth
+    /// `d`. The parenthesised text (`"(A B)"`) is rendered from the tree,
+    /// and only for an algorithm that is built.
+    node: usize,
 }
 
 impl Segment {
@@ -121,6 +131,65 @@ impl Segment {
             pinv: self.pinv,
         }
     }
+}
+
+/// One piece of a call label. The search keeps a label as pieces and renders
+/// it only for an algorithm that is built.
+#[derive(Debug, Clone, Copy)]
+enum Piece {
+    /// Literal text.
+    Lit(&'static str),
+    /// The parenthesised text of a merge-tree node, e.g. `(A B)`.
+    Text(usize),
+    /// An operand's name: the leaf's own, or `M{k}` for the k-th
+    /// intermediate (the output is `M{k}` in labels too).
+    Name(OperandId),
+}
+
+use Piece::{Lit, Name, Text};
+
+/// The right-hand side of a call label `M := rhs`.
+type Rhs = [Piece; 4];
+
+/// `pieces`, padded to an [`Rhs`].
+fn rhs<const N: usize>(pieces: [Piece; N]) -> Rhs {
+    let mut out = [Lit(""); 4];
+    out[..N].copy_from_slice(&pieces);
+    out
+}
+
+/// One call of the branch being searched: a [`KernelCall`] with its inputs
+/// inline and its label still in pieces.
+#[derive(Debug, Clone)]
+struct Step {
+    op: KernelOp,
+    inputs: [OperandId; 2],
+    arity: usize,
+    output: OperandId,
+    rhs: Rhs,
+}
+
+impl CallView for Step {
+    fn op(&self) -> &KernelOp {
+        &self.op
+    }
+
+    fn inputs(&self) -> &[OperandId] {
+        &self.inputs[..self.arity]
+    }
+
+    fn output(&self) -> OperandId {
+        self.output
+    }
+}
+
+/// An intermediate the branch defines. Its id (inputs first, then the
+/// intermediates in definition order) and its name follow from its position.
+#[derive(Debug, Clone, Copy)]
+struct Intermediate {
+    rows: usize,
+    cols: usize,
+    structure: Structure,
 }
 
 /// Enumerate every algorithm for `expr` with the default options (full
@@ -235,16 +304,14 @@ pub fn enumerate_expr_algorithms_with(
         }]);
     }
 
-    let leaf_index: HashMap<&str, usize> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, info)| (info.name.as_str(), i))
-        .collect();
-    let segments: Vec<Segment> = factors
+    let mut segments: Vec<Segment> = factors
         .iter()
         .enumerate()
         .map(|(pos, f)| {
-            let leaf = leaf_index[f.var.name.as_str()];
+            let leaf = inputs
+                .iter()
+                .position(|info| info.name == f.var.name)
+                .expect("every factor's leaf is an input");
             // Transposition and pseudo-inversion each swap the logical
             // shape; applied together they cancel ((Aᵀ)⁺ is m×n again).
             let (rows, cols) = if f.trans != f.pinv {
@@ -252,13 +319,6 @@ pub fn enumerate_expr_algorithms_with(
             } else {
                 (f.var.rows, f.var.cols)
             };
-            let text = format!(
-                "{}{}{}{}",
-                f.var.name,
-                if f.trans { "^T" } else { "" },
-                if f.inv { "^-1" } else { "" },
-                if f.pinv { "^+" } else { "" }
-            );
             Segment {
                 id: inputs[leaf].id,
                 rows,
@@ -278,8 +338,7 @@ pub fn enumerate_expr_algorithms_with(
                 pinv: f.pinv,
                 start: pos,
                 end: pos + 1,
-                name: Rc::from(f.var.name.as_str()),
-                text: Rc::from(text),
+                node: pos,
             }
         })
         .collect();
@@ -288,24 +347,26 @@ pub fn enumerate_expr_algorithms_with(
     // same subcomputation can occur up to this many times in one algorithm,
     // so CSE can shrink an algorithm's *shared* cost by at most this factor
     // — the scaling that keeps branch-and-bound pruning admissible below.
-    let max_leaf_multiplicity = {
-        let mut counts: HashMap<&str, u64> = HashMap::new();
-        for f in &factors {
-            *counts.entry(f.var.name.as_str()).or_insert(0) += 1;
-        }
-        counts.values().copied().max().unwrap_or(1)
-    };
+    let max_leaf_multiplicity = factors
+        .iter()
+        .map(|f| factors.iter().filter(|g| g.var.name == f.var.name).count())
+        .max()
+        .unwrap_or(1) as u64;
 
     let mut ctx = Ctx {
         options,
+        factors: &factors,
         inputs: &inputs,
         max_leaf_multiplicity,
-        best: BinaryHeap::new(),
+        branch: Branch::default(),
+        numbering: ValueNumbering::default(),
         lb_memo: HashMap::new(),
-        out: Vec::new(),
+        lb_cost: Vec::new(),
+        completions: 0,
+        survivors: Vec::new(),
     };
-    recurse(&mut ctx, &segments, &mut Vec::new(), &mut Vec::new(), 0);
-    if ctx.out.is_empty() {
+    recurse(&mut ctx, &mut segments, 0);
+    if ctx.survivors.is_empty() {
         // Every merge order hit a variant-free merge. Inverses realise from
         // either side now (left- and right-side TRSM/Cholesky/LU lowerings),
         // so the remaining dead ends are: a solve whose rectangular partner
@@ -318,37 +379,12 @@ pub fn enumerate_expr_algorithms_with(
             expression: expr.to_string(),
         });
     }
-    let mut out = ctx.out;
-    if let Some(k) = options.top_k {
-        // Rank by the *shared* (CSE-deduplicated) FLOP count — what the
-        // algorithm pays once repeated subcomputations are computed only
-        // once — with the raw total as tie-break. For expressions without
-        // repeated leaves the two coincide and this is the plain FLOP sort.
-        // The shared count runs a full CSE pass, so it is computed once per
-        // algorithm (cached key), and not at all when the leaves are distinct.
-        out.sort_by_cached_key(|a| {
-            let flops = a.flops();
-            let shared = if max_leaf_multiplicity > 1 {
-                a.shared_flops()
-            } else {
-                debug_assert_eq!(a.shared_flops(), flops, "distinct leaves share nothing");
-                flops
-            };
-            (shared, flops)
-        }); // stable
-        out.truncate(k.max(1));
-    }
-    for (idx, alg) in out.iter_mut().enumerate() {
-        // The kernel composition disambiguates rewrite variants that share a
-        // parenthesization (e.g. syrk,symm vs gemm,gemm for (A A^T) B).
-        alg.name = format!(
-            "Algorithm {}: {} [{}]",
-            idx + 1,
-            alg.name,
-            alg.kernel_summary()
-        );
-    }
-    Ok(out)
+    Ok(ctx
+        .survivors
+        .iter()
+        .enumerate()
+        .map(|(idx, (_, branch))| ctx.build(branch, idx + 1))
+        .collect())
 }
 
 /// Build the deduplicated input-operand table (one entry per distinct leaf
@@ -380,198 +416,356 @@ fn distinct_inputs(factors: &[Factor]) -> Result<Vec<OperandInfo>, GenerateError
     Ok(inputs)
 }
 
+/// One branch of the search: its calls, the intermediates they define, and
+/// its merge tree (the `(left, right)` nodes of the merge at each depth).
+#[derive(Debug, Clone, Default)]
+struct Branch {
+    steps: Vec<Step>,
+    intermediates: Vec<Intermediate>,
+    merges: Vec<(usize, usize)>,
+}
+
+/// A completion's rank: `(shared FLOPs, FLOPs, enumeration order)`.
+type Rank = (u64, u64, usize);
+
+/// The search state. The branch being explored is pushed before a recursion
+/// and popped after it, so an edge of the search moves ids, dims and ops and
+/// allocates nothing; names, texts and labels are rendered only for the
+/// algorithms returned.
 struct Ctx<'a> {
     options: &'a EnumerateOptions,
+    factors: &'a [Factor],
     inputs: &'a [OperandInfo],
     /// Multiplicity of the most-repeated leaf (1 for all-distinct leaves).
     max_leaf_multiplicity: u64,
-    /// Max-heap of the *shared* (CSE-deduplicated) FLOP totals of the best
-    /// `top_k` complete algorithms found so far (used only for pruning).
-    best: BinaryHeap<u64>,
-    /// Lower-bound memo keyed by the partition boundaries of a state.
-    lb_memo: HashMap<Vec<usize>, u64>,
-    out: Vec<Algorithm>,
+    branch: Branch,
+    /// Reused to rank completions by their shared (CSE) FLOPs.
+    numbering: ValueNumbering,
+    /// Lower-bound memo keyed by the partition of the factors into
+    /// segments (the set of segment starts), and the DP's scratch table.
+    lb_memo: HashMap<u128, u64>,
+    lb_cost: Vec<u64>,
+    /// Completions reached so far: the enumeration order.
+    completions: usize,
+    /// Copies of the completed branches that will be returned: every one in
+    /// enumeration order without `top_k`, else the best `k` by rank,
+    /// ascending. A branch that drops out hands its buffers to the next one
+    /// that enters.
+    survivors: Vec<(Rank, Branch)>,
 }
 
-fn recurse(
-    ctx: &mut Ctx<'_>,
-    segments: &[Segment],
-    calls: &mut Vec<KernelCall>,
-    intermediates: &mut Vec<OperandInfo>,
-    partial_flops: u64,
-) {
-    if segments.len() == 1 {
-        let mut operands = ctx.inputs.to_vec();
-        let mut inters = intermediates.to_vec();
-        if let Some(last) = inters.last_mut() {
-            last.role = OperandRole::Output;
-            last.name = "X".into();
+/// Rendering: what a returned algorithm is built from, once each.
+impl Ctx<'_> {
+    /// Completed `branch` as the `number`-th algorithm: named by number,
+    /// parenthesization and kernel composition (which disambiguates rewrite
+    /// variants that share a parenthesization, e.g. syrk,symm vs gemm,gemm
+    /// for (A A^T) B), with the last intermediate as the output `X`.
+    fn build(&self, branch: &Branch, number: usize) -> Algorithm {
+        let n = self.inputs.len();
+        let last = branch.intermediates.len() - 1;
+        let mut operands = Vec::with_capacity(n + branch.intermediates.len());
+        operands.extend_from_slice(self.inputs);
+        operands.extend(branch.intermediates.iter().enumerate().map(|(i, m)| {
+            let output = i == last;
+            OperandInfo {
+                id: OperandId(n + i),
+                rows: m.rows,
+                cols: m.cols,
+                role: if output {
+                    OperandRole::Output
+                } else {
+                    OperandRole::Intermediate
+                },
+                name: if output {
+                    "X".into()
+                } else {
+                    format!("M{}", i + 1)
+                },
+                structure: m.structure,
+            }
+        }));
+        // Every string is rendered into one buffer and copied out at its
+        // exact length.
+        let mut text = String::new();
+        let calls = branch
+            .steps
+            .iter()
+            .map(|step| {
+                text.clear();
+                self.write_name(&mut text, step.output);
+                text.push_str(" := ");
+                for piece in step.rhs {
+                    match piece {
+                        Lit(lit) => text.push_str(lit),
+                        Text(node) => self.write_text(branch, &mut text, node),
+                        Name(id) => self.write_name(&mut text, id),
+                    }
+                }
+                KernelCall {
+                    op: step.op.clone(),
+                    inputs: step.inputs().to_vec(),
+                    output: step.output,
+                    label: text.as_str().into(),
+                }
+            })
+            .collect();
+        text.clear();
+        let _ = write!(text, "Algorithm {number}: ");
+        self.write_text(
+            branch,
+            &mut text,
+            self.factors.len() + branch.merges.len() - 1,
+        );
+        text.push_str(" [");
+        for (i, step) in branch.steps.iter().enumerate() {
+            if i > 0 {
+                text.push(',');
+            }
+            text.push_str(step.op.mnemonic());
         }
-        operands.extend(inters);
-        let alg = Algorithm {
-            name: segments[0].text.to_string(),
+        text.push(']');
+        Algorithm {
+            name: text.as_str().into(),
             operands,
-            calls: calls.to_vec(),
-        };
-        if let Some(k) = ctx.options.top_k {
-            // The heap ranks completed algorithms by what they cost under
-            // sharing: their CSE-deduplicated FLOP total. For all-distinct
-            // leaves this equals `partial_flops` exactly.
-            let shared = if ctx.max_leaf_multiplicity > 1 {
-                alg.shared_flops()
-            } else {
-                partial_flops
-            };
-            ctx.best.push(shared);
-            if ctx.best.len() > k.max(1) {
-                ctx.best.pop();
+            calls,
+        }
+    }
+
+    fn write_name(&self, out: &mut String, id: OperandId) {
+        match self.inputs.get(id.index()) {
+            Some(leaf) => out.push_str(&leaf.name),
+            None => {
+                let _ = write!(out, "M{}", id.index() - self.inputs.len() + 1);
             }
         }
-        ctx.out.push(alg);
+    }
+
+    /// The parenthesised text of merge-tree node `node` of `branch`: `A^T`
+    /// for a leaf, `(left right)` for a merge.
+    fn write_text(&self, branch: &Branch, out: &mut String, node: usize) {
+        match self.factors.get(node) {
+            Some(f) => {
+                out.push_str(&f.var.name);
+                for (on, suffix) in [(f.trans, "^T"), (f.inv, "^-1"), (f.pinv, "^+")] {
+                    if on {
+                        out.push_str(suffix);
+                    }
+                }
+            }
+            None => {
+                let (left, right) = branch.merges[node - self.factors.len()];
+                out.push('(');
+                self.write_text(branch, out, left);
+                out.push(' ');
+                self.write_text(branch, out, right);
+                out.push(')');
+            }
+        }
+    }
+}
+
+fn recurse(ctx: &mut Ctx<'_>, segments: &mut Vec<Segment>, partial_flops: u64) {
+    if segments.len() == 1 {
+        ctx.complete(partial_flops);
         return;
     }
-    if let Some(k) = ctx.options.top_k {
-        if ctx.best.len() >= k.max(1) {
-            // With repeated leaves, CSE can shrink a completion's shared
-            // cost to as little as 1/m of its raw total (m = multiplicity of
-            // the most-repeated leaf), so the raw lower bound must be scaled
-            // down by m to stay admissible against the shared-cost heap.
-            // For m == 1 this is exactly the classic FLOP bound.
-            let bound = (partial_flops + lower_bound(&mut ctx.lb_memo, segments))
-                / ctx.max_leaf_multiplicity;
-            if bound >= *ctx.best.peek().expect("heap is non-empty") {
-                return;
-            }
+    if let Some(bar) = ctx.entry_bar() {
+        // With repeated leaves, CSE can shrink a completion's shared cost to
+        // as little as 1/m of its raw total (m = multiplicity of the
+        // most-repeated leaf), so the raw lower bound must be scaled down by
+        // m to stay admissible against the shared-cost ranking. For m == 1
+        // this is exactly the classic FLOP bound.
+        let bound = (partial_flops + lower_bound(&mut ctx.lb_memo, &mut ctx.lb_cost, segments))
+            / ctx.max_leaf_multiplicity;
+        if bound >= bar {
+            return;
         }
     }
+    let node = ctx.factors.len() + ctx.branch.merges.len();
     for i in 0..segments.len() - 1 {
-        let left = &segments[i];
-        let right = &segments[i + 1];
-        let variants = merge_variants(
+        let (left, right) = (segments[i], segments[i + 1]);
+        let variants = variants(
             &left.merge_operand(),
             &right.merge_operand(),
             segments.len() == 2,
             ctx.options.rewrites,
         );
-        let ambiguous = variants.len() > 1;
-        for kind in variants {
-            let base_id = ctx.inputs.len() + intermediates.len();
-            let base_m = intermediates.len() + 1;
-            let (new_calls, merged, new_infos) =
-                build_merge(left, right, kind, base_id, base_m, ambiguous);
-            let added_flops: u64 = new_calls.iter().map(KernelCall::flops).sum();
-            let mut next_segments = Vec::with_capacity(segments.len() - 1);
-            next_segments.extend_from_slice(&segments[..i]);
-            next_segments.push(merged);
-            next_segments.extend_from_slice(&segments[i + 2..]);
-            // This branch's calls and intermediates are pushed for the
-            // recursion and popped after it; only a completed algorithm
-            // copies them.
-            let (calls_before, inters_before) = (calls.len(), intermediates.len());
-            calls.extend(new_calls);
-            intermediates.extend(new_infos);
-            recurse(
-                ctx,
-                &next_segments,
-                calls,
-                intermediates,
-                partial_flops + added_flops,
+        for &kind in variants.iter() {
+            let steps_before = ctx.branch.steps.len();
+            let inters_before = ctx.branch.intermediates.len();
+            let merged = build_merge(
+                &mut ctx.emitter(),
+                &left,
+                &right,
+                kind,
+                variants.len() > 1,
+                node,
             );
-            calls.truncate(calls_before);
-            intermediates.truncate(inters_before);
+            let added_flops: u64 = ctx.branch.steps[steps_before..]
+                .iter()
+                .map(|s| s.op.flops())
+                .sum();
+            // The merged segment stands in for the pair during the recursion;
+            // the pair, the branch's calls, intermediates and merge are
+            // restored after it.
+            ctx.branch.merges.push((left.node, right.node));
+            segments[i] = merged;
+            segments.remove(i + 1);
+            recurse(ctx, segments, partial_flops + added_flops);
+            segments.insert(i + 1, right);
+            segments[i] = left;
+            ctx.branch.merges.pop();
+            ctx.branch.steps.truncate(steps_before);
+            ctx.branch.intermediates.truncate(inters_before);
         }
     }
 }
 
-/// Accumulates the kernel calls of one merge variant and the operand entries
-/// of the intermediates those calls define, numbering both from the next free
-/// operand id and `M{..}` name index.
-struct Emitter {
-    base_id: usize,
-    base_m: usize,
-    calls: Vec<KernelCall>,
-    infos: Vec<OperandInfo>,
-}
-
-impl Emitter {
-    /// Name of an intermediate this emitter defined.
-    fn name(&self, id: OperandId) -> &str {
-        &self.infos[id.index() - self.base_id].name
+/// The search-time half of the state: everything below `recurse` moves
+/// ids, dims and ops only.
+impl Ctx<'_> {
+    fn emitter(&mut self) -> Emitter<'_> {
+        Emitter {
+            inputs: self.inputs.len(),
+            steps: &mut self.branch.steps,
+            intermediates: &mut self.branch.intermediates,
+        }
     }
 
+    /// The shared FLOPs a completion must stay under to enter a full top-k
+    /// set (`None` while the set has room or without `top_k`).
+    fn entry_bar(&self) -> Option<u64> {
+        let k = self.options.top_k?.max(1);
+        (self.survivors.len() >= k).then(|| self.survivors[k - 1].0 .0)
+    }
+
+    /// The branch is a complete algorithm costing `flops`: keep a copy if
+    /// it survives.
+    fn complete(&mut self, flops: u64) {
+        let order = self.completions;
+        self.completions += 1;
+        let (at, rank) = match self.options.top_k {
+            // Without `top_k` every completion is kept in order; its rank is
+            // never compared.
+            None => (self.survivors.len(), (flops, flops, order)),
+            Some(k) => {
+                // Ranked by what the algorithm costs under sharing — its
+                // CSE-deduplicated FLOP total — with the raw total and then
+                // enumeration order as tie-breaks, so the survivors are the
+                // stable sort of every completion, truncated.
+                let rank = (self.shared_flops(flops), flops, order);
+                let at = self.survivors.partition_point(|(kept, _)| *kept < rank);
+                if at >= k.max(1) {
+                    return;
+                }
+                (at, rank)
+            }
+        };
+        let full = self.entry_bar().is_some();
+        let mut branch = if full {
+            self.survivors.pop().expect("a full set is not empty").1
+        } else {
+            Branch::default()
+        };
+        branch.steps.clone_from(&self.branch.steps);
+        branch.intermediates.clone_from(&self.branch.intermediates);
+        branch.merges.clone_from(&self.branch.merges);
+        self.survivors.insert(at, (rank, branch));
+    }
+
+    /// The shared FLOPs of the branch, whose raw total is `flops`. For
+    /// all-distinct leaves nothing is shared and no numbering runs.
+    fn shared_flops(&mut self, flops: u64) -> u64 {
+        if self.max_leaf_multiplicity == 1 {
+            debug_assert_eq!(self.eliminated_flops(), 0, "distinct leaves share nothing");
+            return flops;
+        }
+        flops - self.eliminated_flops()
+    }
+
+    fn eliminated_flops(&mut self) -> u64 {
+        let output = OperandId(self.inputs.len() + self.branch.intermediates.len() - 1);
+        self.numbering.run(&self.branch.steps, |id| id == output);
+        self.numbering.eliminated_flops
+    }
+}
+
+/// Pushes the kernel calls of one merge variant, and the intermediates those
+/// calls define, onto the branch, numbering the intermediates from the next
+/// free operand id.
+struct Emitter<'a> {
+    /// Number of input operands: the first intermediate's id.
+    inputs: usize,
+    steps: &'a mut Vec<Step>,
+    intermediates: &'a mut Vec<Intermediate>,
+}
+
+impl Emitter<'_> {
     /// Emit `M := rhs` as a call of `op` on `inputs` into a fresh
     /// intermediate `M`, whose shape and structure are the op's own, and
     /// return its id.
-    fn emit(&mut self, op: KernelOp, inputs: Vec<OperandId>, rhs: &str) -> OperandId {
-        let id = OperandId(self.base_id + self.infos.len());
-        let name = format!("M{}", self.base_m + self.infos.len());
+    fn emit(&mut self, op: KernelOp, inputs: &[OperandId], rhs: Rhs) -> OperandId {
+        let id = OperandId(self.inputs + self.intermediates.len());
         let (rows, cols) = op.output_shape();
-        self.infos.push(OperandInfo {
-            id,
+        self.intermediates.push(Intermediate {
             rows,
             cols,
-            role: OperandRole::Intermediate,
             structure: op.output_structure(),
-            name: name.clone(),
         });
-        self.calls.push(KernelCall {
-            op,
-            inputs,
-            output: id,
-            label: format!("{name} := {rhs}"),
-        });
+        self.push(op, inputs, id, rhs);
         id
     }
 
     /// Emit the in-place triangle-to-full copy of the order-`n` operand `id`.
-    fn emit_copy(&mut self, id: OperandId, name: &str, n: usize) {
-        self.calls.push(KernelCall {
-            op: KernelOp::CopyTriangle {
-                uplo: Uplo::Lower,
-                n,
-            },
-            inputs: vec![id],
-            output: id,
-            label: format!("{name} := full({name}) (copy triangle)"),
+    fn emit_copy(&mut self, id: OperandId, n: usize) {
+        let op = KernelOp::CopyTriangle {
+            uplo: Uplo::Lower,
+            n,
+        };
+        let label = rhs([Lit("full("), Name(id), Lit(") (copy triangle)")]);
+        self.push(op, &[id], id, label);
+    }
+
+    fn push(&mut self, op: KernelOp, inputs: &[OperandId], output: OperandId, rhs: Rhs) {
+        let mut ids = [OperandId(0); 2];
+        ids[..inputs.len()].copy_from_slice(inputs);
+        self.steps.push(Step {
+            op,
+            inputs: ids,
+            arity: inputs.len(),
+            output,
+            rhs,
         });
     }
 }
 
-/// Build the kernel calls of one merge variant together with the merged
-/// segment and the new intermediates' operand entries. Most variants
-/// introduce exactly one intermediate (the merge result); the Cholesky
-/// realisation of an SPD inverse introduces three, the QR realisation of a
-/// pseudo-inverse four, and the pivoted LU realisation of a general inverse
-/// six. The *last* entry of the returned operand list is always the merge
-/// result — `recurse` relies on this when it promotes the final intermediate
-/// to the algorithm's output.
-///
-/// `base_id`/`base_m` are the next free operand id and `M{..}` name index.
+/// Emit the kernel calls of one merge variant and return the merged segment
+/// (merge-tree node `node`). Most variants introduce exactly one
+/// intermediate (the merge result); the Cholesky realisation of an SPD
+/// inverse introduces three, the QR realisation of a pseudo-inverse four,
+/// and the pivoted LU realisation of a general inverse six. The *last*
+/// intermediate emitted is always the merge result — the output of the
+/// algorithm when the merge is the final one.
 fn build_merge(
+    e: &mut Emitter<'_>,
     left: &Segment,
     right: &Segment,
     kind: MergeKind,
-    base_id: usize,
-    base_m: usize,
     ambiguous: bool,
-) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+    node: usize,
+) -> Segment {
     debug_assert_eq!(left.cols, right.rows, "validated by Expr::shape");
-    let mut e = Emitter {
-        base_id,
-        base_m,
-        calls: Vec::new(),
-        infos: Vec::new(),
-    };
     match kind {
-        MergeKind::CholeskySolve => build_cholesky_solve(&mut e, left, right),
-        MergeKind::CholeskySolveRight => build_cholesky_solve_right(&mut e, left, right),
-        MergeKind::LuSolve => build_lu_solve(&mut e, left, right),
-        MergeKind::LuSolveRight => build_lu_solve_right(&mut e, left, right),
-        MergeKind::QrSolve => build_qr_solve(&mut e, left, right),
-        _ => build_product(&mut e, left, right, kind, ambiguous),
+        MergeKind::CholeskySolve => build_cholesky_solve(e, left, right),
+        MergeKind::CholeskySolveRight => build_cholesky_solve_right(e, left, right),
+        MergeKind::LuSolve => build_lu_solve(e, left, right),
+        MergeKind::LuSolveRight => build_lu_solve_right(e, left, right),
+        MergeKind::QrSolve => build_qr_solve(e, left, right),
+        _ => build_product(e, left, right, kind, ambiguous),
     }
+    let id = OperandId(e.inputs + e.intermediates.len() - 1);
     let result = e
-        .infos
+        .intermediates
         .last_mut()
         .expect("every merge variant defines its result last");
     // Triangularity is closed under same-triangle products and solves: the
@@ -584,29 +778,27 @@ fn build_merge(
             }
         }
     }
-    let merged = Segment {
-        id: result.id,
+    Segment {
+        id,
         rows: result.rows,
         cols: result.cols,
         trans: Trans::No,
         leaf: None,
         storage: kind.result_storage(),
-        tri: result.triangle(),
+        tri: result.structure.triangle(),
         spd: false,
         inv: false,
         pinv: false,
         start: left.start,
         end: right.end,
-        text: Rc::from(format!("({} {})", left.text, right.text)),
-        name: Rc::from(result.name.as_str()),
-    };
-    (e.calls, merged, e.infos)
+        node,
+    }
 }
 
 /// Emit the single-kernel product variants (GEMM, SYRK, SYMM, TRMM, TRSM,
 /// with their triangle copies) of `left·right`.
 fn build_product(
-    e: &mut Emitter,
+    e: &mut Emitter<'_>,
     left: &Segment,
     right: &Segment,
     kind: MergeKind,
@@ -614,12 +806,10 @@ fn build_product(
 ) {
     let uplo = Uplo::Lower;
     let (m, k, n) = (left.rows, left.cols, right.cols);
-    let product = |kernel: &str| {
-        if ambiguous {
-            format!("{}*{} ({kernel})", left.text, right.text)
-        } else {
-            format!("{}*{}", left.text, right.text)
-        }
+    // `left*right`, tagged with the kernel when the merge has variants.
+    let product = |kernel: &'static str| {
+        let tag = if ambiguous { kernel } else { "" };
+        rhs([Text(left.node), Lit("*"), Text(right.node), Lit(tag)])
     };
     let gemm = |e: &mut Emitter, transa: Trans, transb: Trans| {
         let op = KernelOp::Gemm {
@@ -629,7 +819,7 @@ fn build_product(
             n,
             k,
         };
-        e.emit(op, vec![left.id, right.id], &product("gemm"));
+        e.emit(op, &[left.id, right.id], product(" (gemm)"));
     };
     // The structured operand leads the input list for both sides, matching
     // the kernel argument order (triangle or symmetric operand, then the
@@ -641,7 +831,7 @@ fn build_product(
     let symm = |e: &mut Emitter, side: Side| {
         let (sym, rect) = sided(side);
         let op = KernelOp::Symm { side, uplo, m, n };
-        e.emit(op, vec![sym.id, rect.id], &product("symm"));
+        e.emit(op, &[sym.id, rect.id], product(" (symm)"));
     };
     let syrk = |e: &mut Emitter| {
         let op = KernelOp::Syrk {
@@ -650,14 +840,14 @@ fn build_product(
             n: m,
             k,
         };
-        e.emit(op, vec![left.id], &product("syrk"))
+        e.emit(op, &[left.id], product(" (syrk)"))
     };
     let triangular = |e: &mut Emitter, side: Side, solve: bool| {
         let (tri, rect) = sided(side);
         let uplo = tri.tri.expect("TRMM/TRSM require a triangular operand");
         let trans = tri.trans;
         let (op, kernel) = if solve {
-            (trsm_op(side, uplo, trans, m, n), "trsm")
+            (trsm_op(side, uplo, trans, m, n), " (trsm)")
         } else {
             let trmm = KernelOp::Trmm {
                 side,
@@ -666,11 +856,11 @@ fn build_product(
                 m,
                 n,
             };
-            (trmm, "trmm")
+            (trmm, " (trmm)")
         };
-        e.emit(op, vec![tri.id, rect.id], &product(kernel));
+        e.emit(op, &[tri.id, rect.id], product(kernel));
     };
-    let copy = |e: &mut Emitter, seg: &Segment| e.emit_copy(seg.id, &seg.name, seg.rows);
+    let copy = |e: &mut Emitter, seg: &Segment| e.emit_copy(seg.id, seg.rows);
     match kind {
         MergeKind::Gemm | MergeKind::GemmSymmetric => gemm(e, left.trans, right.trans),
         MergeKind::SyrkTriangle => {
@@ -678,8 +868,7 @@ fn build_product(
         }
         MergeKind::SyrkThenCopy => {
             let out = syrk(e);
-            let name = e.name(out).to_string();
-            e.emit_copy(out, &name, m);
+            e.emit_copy(out, m);
         }
         MergeKind::SymmLeft => symm(e, Side::Left),
         MergeKind::SymmRight => symm(e, Side::Right),
@@ -731,24 +920,26 @@ fn trsm_op(side: Side, uplo: Uplo, trans: Trans, m: usize, n: usize) -> KernelOp
 /// `S⁻¹·B`: `L := POTRF(S)`, `Y := L⁻¹·B`, `X := L⁻ᵀ·Y`. Introduces three
 /// intermediates (the explicitly triangular factor, the half-solved
 /// right-hand side, and the result — in that order, result last).
-fn build_cholesky_solve(e: &mut Emitter, left: &Segment, right: &Segment) {
+fn build_cholesky_solve(e: &mut Emitter<'_>, left: &Segment, right: &Segment) {
     let (m, n) = (left.rows, right.cols);
     debug_assert_eq!(left.rows, left.cols, "SPD operands are square");
     let (side, uplo) = (Side::Left, Uplo::Lower);
     let potrf = KernelOp::Potrf { uplo, n: m };
     let l = e.emit(
         potrf,
-        vec![left.id],
-        &format!("chol({}) (potrf)", left.name),
+        &[left.id],
+        rhs([Lit("chol("), Name(left.id), Lit(") (potrf)")]),
     );
-    let rhs = format!("{}^-1*{} (trsm)", e.name(l), right.text);
     let y = e.emit(
         trsm_op(side, uplo, Trans::No, m, n),
-        vec![l, right.id],
-        &rhs,
+        &[l, right.id],
+        rhs([Name(l), Lit("^-1*"), Text(right.node), Lit(" (trsm)")]),
     );
-    let rhs = format!("{}^-T*{} (trsm)", e.name(l), e.name(y));
-    e.emit(trsm_op(side, uplo, Trans::Yes, m, n), vec![l, y], &rhs);
+    e.emit(
+        trsm_op(side, uplo, Trans::Yes, m, n),
+        &[l, y],
+        rhs([Name(l), Lit("^-T*"), Name(y), Lit(" (trsm)")]),
+    );
 }
 
 /// Emit the six-call pivoted LU realisation of a general inverse merge
@@ -756,7 +947,7 @@ fn build_cholesky_solve(e: &mut Emitter, left: &Segment, right: &Segment) {
 /// `L := tril(F)` and `U := triu(F)` (zero-FLOP triangle extractions),
 /// `Bₚ := P·B` (the pivot application), `Y := L⁻¹·Bₚ`, `X := U⁻¹·Y`.
 /// Introduces six intermediates, result last.
-fn build_lu_solve(e: &mut Emitter, left: &Segment, right: &Segment) {
+fn build_lu_solve(e: &mut Emitter<'_>, left: &Segment, right: &Segment) {
     let (m, n) = (left.rows, right.cols);
     debug_assert_eq!(left.rows, left.cols, "general inverses are square");
     let side = Side::Left;
@@ -764,42 +955,52 @@ fn build_lu_solve(e: &mut Emitter, left: &Segment, right: &Segment) {
     let pivot = KernelOp::PivotApply { side, m, n };
     let bp = e.emit(
         pivot,
-        vec![f, right.id],
-        &format!("P*{} (laswp)", right.text),
+        &[f, right.id],
+        rhs([Lit("P*"), Text(right.node), Lit(" (laswp)")]),
     );
-    let rhs = format!("{}^-1*{} (trsm)", e.name(l), e.name(bp));
     let y = e.emit(
         trsm_op(side, Uplo::Lower, Trans::No, m, n),
-        vec![l, bp],
-        &rhs,
+        &[l, bp],
+        rhs([Name(l), Lit("^-1*"), Name(bp), Lit(" (trsm)")]),
     );
-    let rhs = format!("{}^-1*{} (trsm)", e.name(u), e.name(y));
     e.emit(
         trsm_op(side, Uplo::Upper, Trans::No, m, n),
-        vec![u, y],
-        &rhs,
+        &[u, y],
+        rhs([Name(u), Lit("^-1*"), Name(y), Lit(" (trsm)")]),
     );
 }
 
 /// Emit `F := GETRF(A)`, `L := tril(F)`, `U := triu(F)` for the order-`n`
 /// general operand `a` — the head both LU realisations share — and return the
 /// three intermediates' ids.
-fn emit_lu_factors(e: &mut Emitter, a: &Segment, n: usize) -> (OperandId, OperandId, OperandId) {
+fn emit_lu_factors(
+    e: &mut Emitter<'_>,
+    a: &Segment,
+    n: usize,
+) -> (OperandId, OperandId, OperandId) {
     let f = e.emit(
         KernelOp::Getrf { n },
-        vec![a.id],
-        &format!("lu({}) (getrf)", a.name),
+        &[a.id],
+        rhs([Lit("lu("), Name(a.id), Lit(") (getrf)")]),
     );
     let lower = KernelOp::FactorTri {
         uplo: Uplo::Lower,
         n,
     };
-    let l = e.emit(lower, vec![f], &format!("tril({}) (factortri)", e.name(f)));
+    let l = e.emit(
+        lower,
+        &[f],
+        rhs([Lit("tril("), Name(f), Lit(") (factortri)")]),
+    );
     let upper = KernelOp::FactorTri {
         uplo: Uplo::Upper,
         n,
     };
-    let u = e.emit(upper, vec![f], &format!("triu({}) (factortri)", e.name(f)));
+    let u = e.emit(
+        upper,
+        &[f],
+        rhs([Lit("triu("), Name(f), Lit(") (factortri)")]),
+    );
     (f, l, u)
 }
 
@@ -807,24 +1008,26 @@ fn emit_lu_factors(e: &mut Emitter, a: &Segment, n: usize) -> (OperandId, Operan
 /// merge `B·S⁻¹`: `L := POTRF(S)`, `Y := B·L⁻ᵀ`, `X := Y·L⁻¹` (from
 /// `S⁻¹ = L⁻ᵀ·L⁻¹`) — both solves right-side TRSMs, never a transpose
 /// round-trip. Introduces three intermediates, result last.
-fn build_cholesky_solve_right(e: &mut Emitter, left: &Segment, right: &Segment) {
+fn build_cholesky_solve_right(e: &mut Emitter<'_>, left: &Segment, right: &Segment) {
     let (m, n) = (left.rows, right.cols);
     debug_assert_eq!(right.rows, right.cols, "SPD operands are square");
     let (side, uplo) = (Side::Right, Uplo::Lower);
     let potrf = KernelOp::Potrf { uplo, n };
     let l = e.emit(
         potrf,
-        vec![right.id],
-        &format!("chol({}) (potrf)", right.name),
+        &[right.id],
+        rhs([Lit("chol("), Name(right.id), Lit(") (potrf)")]),
     );
-    let rhs = format!("{}*{}^-T (trsm)", left.text, e.name(l));
     let y = e.emit(
         trsm_op(side, uplo, Trans::Yes, m, n),
-        vec![l, left.id],
-        &rhs,
+        &[l, left.id],
+        rhs([Text(left.node), Lit("*"), Name(l), Lit("^-T (trsm)")]),
     );
-    let rhs = format!("{}*{}^-1 (trsm)", e.name(y), e.name(l));
-    e.emit(trsm_op(side, uplo, Trans::No, m, n), vec![l, y], &rhs);
+    e.emit(
+        trsm_op(side, uplo, Trans::No, m, n),
+        &[l, y],
+        rhs([Name(y), Lit("*"), Name(l), Lit("^-1 (trsm)")]),
+    );
 }
 
 /// Emit the six-call pivoted LU realisation of a *right-side* general
@@ -833,25 +1036,26 @@ fn build_cholesky_solve_right(e: &mut Emitter, left: &Segment, right: &Segment) 
 /// `Y := B·U⁻¹`, `Z := Y·L⁻¹` (both right-side TRSMs), and last
 /// `X := Z·P` — the pivot application as *column* swaps. Introduces six
 /// intermediates, result last.
-fn build_lu_solve_right(e: &mut Emitter, left: &Segment, right: &Segment) {
+fn build_lu_solve_right(e: &mut Emitter<'_>, left: &Segment, right: &Segment) {
     let (m, n) = (left.rows, right.cols);
     debug_assert_eq!(right.rows, right.cols, "general inverses are square");
     let side = Side::Right;
     let (f, l, u) = emit_lu_factors(e, right, n);
-    let rhs = format!("{}*{}^-1 (trsm)", left.text, e.name(u));
     let y = e.emit(
         trsm_op(side, Uplo::Upper, Trans::No, m, n),
-        vec![u, left.id],
-        &rhs,
+        &[u, left.id],
+        rhs([Text(left.node), Lit("*"), Name(u), Lit("^-1 (trsm)")]),
     );
-    let rhs = format!("{}*{}^-1 (trsm)", e.name(y), e.name(l));
     let z = e.emit(
         trsm_op(side, Uplo::Lower, Trans::No, m, n),
-        vec![l, y],
-        &rhs,
+        &[l, y],
+        rhs([Name(y), Lit("*"), Name(l), Lit("^-1 (trsm)")]),
     );
-    let rhs = format!("{}*P (laswp)", e.name(z));
-    e.emit(KernelOp::PivotApply { side, m, n }, vec![f, z], &rhs);
+    e.emit(
+        KernelOp::PivotApply { side, m, n },
+        &[f, z],
+        rhs([Name(z), Lit("*P (laswp)")]),
+    );
 }
 
 /// Emit the four-call QR realisation of a pseudo-inverse merge `A⁺·B` (the
@@ -859,29 +1063,36 @@ fn build_lu_solve_right(e: &mut Emitter, left: &Segment, right: &Segment) {
 /// packed Householder factor with the tau column), `R := triu(F)` (zero-FLOP
 /// triangle extraction), `C := Q₁ᵀ·B` (ORMQR), `X := R⁻¹·C`. Introduces four
 /// intermediates, result last.
-fn build_qr_solve(e: &mut Emitter, left: &Segment, right: &Segment) {
+fn build_qr_solve(e: &mut Emitter<'_>, left: &Segment, right: &Segment) {
     // The pinv-marked segment's logical shape is A⁺'s (cols × rows of the
     // stored operand): the factored matrix A itself is `mm × nn`.
     let (nn, mm, k) = (left.rows, left.cols, right.cols);
     debug_assert!(mm >= nn, "validated before enumeration starts");
     let qr = KernelOp::Qr { m: mm, n: nn };
-    let f = e.emit(qr, vec![left.id], &format!("qr({}) (qr)", left.name));
+    let f = e.emit(
+        qr,
+        &[left.id],
+        rhs([Lit("qr("), Name(left.id), Lit(") (qr)")]),
+    );
     let upper = KernelOp::FactorTri {
         uplo: Uplo::Upper,
         n: nn,
     };
-    let r = e.emit(upper, vec![f], &format!("triu({}) (factortri)", e.name(f)));
+    let r = e.emit(
+        upper,
+        &[f],
+        rhs([Lit("triu("), Name(f), Lit(") (factortri)")]),
+    );
     let ormqr = KernelOp::Ormqr { m: mm, n: nn, k };
     let c = e.emit(
         ormqr,
-        vec![f, right.id],
-        &format!("Q^T*{} (ormqr)", right.text),
+        &[f, right.id],
+        rhs([Lit("Q^T*"), Text(right.node), Lit(" (ormqr)")]),
     );
-    let rhs = format!("{}^-1*{} (trsm)", e.name(r), e.name(c));
     e.emit(
         trsm_op(Side::Left, Uplo::Upper, Trans::No, nn, k),
-        vec![r, c],
-        &rhs,
+        &[r, c],
+        rhs([Name(r), Lit("^-1*"), Name(c), Lit(" (trsm)")]),
     );
 }
 
@@ -908,31 +1119,43 @@ fn build_qr_solve(e: &mut Emitter, left: &Segment, right: &Segment) {
 /// `2·m³/3 + 2·m²·n ≥ m·n·k` and the QR realisation of a pseudo-inverse
 /// costs at least `2·nn·mm·k ≥ nn·mm·k` (ORMQR alone), so the discount stays
 /// admissible for those too.
-fn lower_bound(memo: &mut HashMap<Vec<usize>, u64>, segments: &[Segment]) -> u64 {
+///
+/// The search's segments always cover the factors `0..p` in order, so the
+/// set of segment starts names the state; it keys the memo as a bit set
+/// (products of more than 128 factors are not memoized). `cost` is the DP's
+/// table, reused across calls.
+fn lower_bound(memo: &mut HashMap<u128, u64>, cost: &mut Vec<u64>, segments: &[Segment]) -> u64 {
     let t = segments.len();
     if t <= 1 {
         return 0;
     }
-    let key: Vec<usize> = segments
+    let key = segments
         .iter()
-        .map(|s| s.start)
-        .chain([segments[t - 1].end])
-        .collect();
-    if let Some(&cached) = memo.get(&key) {
+        .try_fold(0u128, |key, s| (s.start < 128).then(|| key | 1 << s.start));
+    if let Some(&cached) = key.and_then(|key| memo.get(&key)) {
         return cached;
     }
-    let d: Vec<u64> = std::iter::once(segments[0].rows as u64)
-        .chain(segments.iter().map(|s| s.cols as u64))
-        .collect();
-    let gram: Vec<bool> = segments
-        .windows(2)
-        .map(|w| crate::rewrite::is_gram_pair(&w[0].merge_operand(), &w[1].merge_operand()))
-        .collect();
-    let structured: Vec<bool> = segments
-        .iter()
-        .map(|s| s.tri.is_some() || s.inv || s.pinv)
-        .collect();
-    let mut cost = vec![vec![0u64; t]; t];
+    // `d[i]` of the chain DP: the row count of segment `i`, or the column
+    // count of segment `i - 1`.
+    let d = |i: usize| {
+        if i == 0 {
+            segments[0].rows as u64
+        } else {
+            segments[i - 1].cols as u64
+        }
+    };
+    let structured = |i: usize| {
+        let s = &segments[i];
+        s.tri.is_some() || s.inv || s.pinv
+    };
+    let gram = |i: usize| {
+        crate::rewrite::is_gram_pair(
+            &segments[i].merge_operand(),
+            &segments[i + 1].merge_operand(),
+        )
+    };
+    cost.clear();
+    cost.resize(t * t, 0);
     for len in 2..=t {
         for i in 0..=t - len {
             let j = i + len - 1;
@@ -944,20 +1167,23 @@ fn lower_bound(memo: &mut HashMap<Vec<usize>, u64>, segments: &[Segment]) -> u64
                 // both discounts share the `d[i]·d[s+1]·d[j+1]` form
                 // (triangular operands are square, so order²·other equals
                 // the dimension product on whichever side the triangle is).
-                let merge = if structured[i] || structured[j] {
-                    d[i] * d[s + 1] * d[j + 1]
-                } else if len == 2 && gram[i] {
-                    (d[i] + 1) * d[i] * d[i + 1]
+                let merge = if structured(i) || structured(j) {
+                    d(i) * d(s + 1) * d(j + 1)
+                } else if len == 2 && gram(i) {
+                    (d(i) + 1) * d(i) * d(i + 1)
                 } else {
-                    2 * d[i] * d[s + 1] * d[j + 1]
+                    2 * d(i) * d(s + 1) * d(j + 1)
                 };
-                best = best.min(cost[i][s] + cost[s + 1][j] + merge);
+                best = best.min(cost[i * t + s] + cost[(s + 1) * t + j] + merge);
             }
-            cost[i][j] = best;
+            cost[i * t + j] = best;
         }
     }
-    memo.insert(key, cost[0][t - 1]);
-    cost[0][t - 1]
+    let bound = cost[t - 1];
+    if let Some(key) = key {
+        memo.insert(key, bound);
+    }
+    bound
 }
 
 #[cfg(test)]
@@ -1859,13 +2085,12 @@ mod tests {
                 pinv: false,
                 start: pos,
                 end: pos + 1,
-                text: Rc::from(f.var.name.as_str()),
-                name: Rc::from(f.var.name.as_str()),
+                node: pos,
             })
             .collect();
         let _ = inputs;
         let mut memo = HashMap::new();
-        let lb = lower_bound(&mut memo, &segments);
+        let lb = lower_bound(&mut memo, &mut Vec::new(), &segments);
         let (dp, _) = optimal_chain_order(&dims).unwrap();
         assert_eq!(lb, dp);
         // The memo caches the full-range entry.

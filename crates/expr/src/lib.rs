@@ -58,8 +58,8 @@ pub use aatb::{enumerate_aatb_algorithms, AatbExpression};
 pub use algorithm::{Algorithm, OperandInfo, OperandRole};
 pub use chain::{enumerate_chain_algorithms, optimal_chain_order, MatrixChainExpression};
 pub use cse::{
-    cacheable_identities, eliminate_common_subexpressions, is_cacheable_op, node_identities,
-    shared_flops, CseOutcome,
+    cacheable_identities, eliminate_common_subexpressions, eliminate_shared_calls, is_cacheable_op,
+    node_identities, shared_flops, CseOutcome,
 };
 pub use enumerate::{
     enumerate_expr_algorithms, enumerate_expr_algorithms_pruned, enumerate_expr_algorithms_with,

@@ -366,6 +366,51 @@ pub fn merge_variants(
     is_final: bool,
     rewrites: bool,
 ) -> Vec<MergeKind> {
+    variants(left, right, is_final, rewrites).to_vec()
+}
+
+/// At most four variants, held inline: what [`merge_variants`] returns
+/// without a heap allocation, for the enumerator's once-per-edge question.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Variants {
+    kinds: [MergeKind; 4],
+    len: usize,
+}
+
+impl Variants {
+    fn of(kinds: &[MergeKind]) -> Self {
+        let mut out = Variants {
+            kinds: [MergeKind::Gemm; 4],
+            len: kinds.len(),
+        };
+        out.kinds[..kinds.len()].copy_from_slice(kinds);
+        out
+    }
+
+    /// The same list with `first` in front (the structured variant leads).
+    fn led_by(self, first: MergeKind) -> Self {
+        let mut out = Variants::of(&[first]);
+        out.kinds[1..=self.len].copy_from_slice(&self);
+        out.len = self.len + 1;
+        out
+    }
+}
+
+impl std::ops::Deref for Variants {
+    type Target = [MergeKind];
+
+    fn deref(&self) -> &[MergeKind] {
+        &self.kinds[..self.len]
+    }
+}
+
+/// [`merge_variants`], held inline.
+pub(crate) fn variants(
+    left: &MergeOperand,
+    right: &MergeOperand,
+    is_final: bool,
+    rewrites: bool,
+) -> Variants {
     // The sided kernels read their rectangular operand as stored: a
     // transposed or triangle-stored partner side rules the structured
     // lowering out.
@@ -373,7 +418,7 @@ pub fn merge_variants(
     let left_plain = left.trans == Trans::No && left.storage != Storage::SymmetricTriangle;
     if right.pinv {
         // `b·A⁺` stays unrealisable: ORMQR only applies Q₁ᵀ from the left.
-        return Vec::new();
+        return Variants::of(&[]);
     }
     if right.inv {
         // Right-side inverse realisations mirror the left-side family and,
@@ -381,20 +426,20 @@ pub fn merge_variants(
         // merge (`L⁻¹·M⁻¹`) stay unrealisable: each solve needs a plain
         // rectangular partner.
         if !left_plain || left.inv || left.pinv {
-            return Vec::new();
+            return Variants::of(&[]);
         }
         return if right.spd {
             // S⁻ᵀ = S⁻¹ for symmetric S, so transposition is immaterial.
-            vec![MergeKind::CholeskySolveRight]
+            Variants::of(&[MergeKind::CholeskySolveRight])
         } else if right.tri.is_some() {
             // Right TRSM carries a transposition flag, so B·L⁻ᵀ realises.
-            vec![MergeKind::TrsmRight]
+            Variants::of(&[MergeKind::TrsmRight])
         } else if right.trans == Trans::No {
             // GETRF carries no transposition flag: only the untransposed
             // general inverse realises.
-            vec![MergeKind::LuSolveRight]
+            Variants::of(&[MergeKind::LuSolveRight])
         } else {
-            Vec::new()
+            Variants::of(&[])
         };
     }
     if left.inv {
@@ -404,20 +449,20 @@ pub fn merge_variants(
         // through TRSM, SPD goes through Cholesky, and a general square
         // operand through pivoted LU.
         if !right_plain {
-            return Vec::new();
+            return Variants::of(&[]);
         }
         return if left.spd {
             // S⁻ᵀ = S⁻¹ for symmetric S, so transposition is immaterial.
-            vec![MergeKind::CholeskySolve]
+            Variants::of(&[MergeKind::CholeskySolve])
         } else if left.tri.is_some() {
             // TRSM carries a transposition flag, so L⁻ᵀ·B also realises.
-            vec![MergeKind::Trsm]
+            Variants::of(&[MergeKind::Trsm])
         } else if left.trans == Trans::No {
             // GETRF carries no transposition flag: only the untransposed
             // general inverse realises.
-            vec![MergeKind::LuSolve]
+            Variants::of(&[MergeKind::LuSolve])
         } else {
-            Vec::new()
+            Variants::of(&[])
         };
     }
     if left.pinv {
@@ -426,21 +471,21 @@ pub fn merge_variants(
         // QR carries no transposition flag, so only the untransposed
         // pseudo-inverse realises.
         return if right_plain && left.trans == Trans::No {
-            vec![MergeKind::QrSolve]
+            Variants::of(&[MergeKind::QrSolve])
         } else {
-            Vec::new()
+            Variants::of(&[])
         };
     }
     if !rewrites {
-        return vec![MergeKind::Gemm];
+        return Variants::of(&[MergeKind::Gemm]);
     }
     if is_gram_pair(left, right) {
         // Cholesky-style Gram products of a triangular leaf (L·Lᵀ) stay on
         // the SYRK rewrite, exactly like their dense counterparts.
         return if is_final {
-            vec![MergeKind::SyrkThenCopy, MergeKind::Gemm]
+            Variants::of(&[MergeKind::SyrkThenCopy, MergeKind::Gemm])
         } else {
-            vec![MergeKind::SyrkTriangle, MergeKind::GemmSymmetric]
+            Variants::of(&[MergeKind::SyrkTriangle, MergeKind::GemmSymmetric])
         };
     }
     use Storage::{General, SymmetricFull, SymmetricTriangle};
@@ -449,67 +494,68 @@ pub fn merge_variants(
     // to the GEMM-based variants (GEMM does carry transposition flags).
     let left_symm_partner = left.trans == Trans::No;
     let right_symm_partner = right.trans == Trans::No;
-    let mut variants = match (left.storage, right.storage) {
-        (SymmetricTriangle, SymmetricTriangle) => vec![
+    let variants = Variants::of(match (left.storage, right.storage) {
+        (SymmetricTriangle, SymmetricTriangle) => &[
             MergeKind::CopyRightThenSymmLeft,
             MergeKind::CopyLeftThenSymmRight,
             MergeKind::CopyBothThenGemm,
         ],
-        (SymmetricTriangle, SymmetricFull) => vec![
+        (SymmetricTriangle, SymmetricFull) => &[
             MergeKind::SymmLeft,
             MergeKind::CopyLeftThenSymmRight,
             MergeKind::CopyLeftThenGemm,
         ],
         (SymmetricTriangle, General) => {
             if right_symm_partner {
-                vec![MergeKind::SymmLeft, MergeKind::CopyLeftThenGemm]
+                &[MergeKind::SymmLeft, MergeKind::CopyLeftThenGemm]
             } else {
-                vec![MergeKind::CopyLeftThenGemm]
+                &[MergeKind::CopyLeftThenGemm]
             }
         }
-        (SymmetricFull, SymmetricTriangle) => vec![
+        (SymmetricFull, SymmetricTriangle) => &[
             MergeKind::SymmRight,
             MergeKind::CopyRightThenSymmLeft,
             MergeKind::CopyRightThenGemm,
         ],
         (SymmetricFull, SymmetricFull) => {
-            vec![MergeKind::SymmLeft, MergeKind::SymmRight, MergeKind::Gemm]
+            &[MergeKind::SymmLeft, MergeKind::SymmRight, MergeKind::Gemm]
         }
         (SymmetricFull, General) => {
             if right_symm_partner {
-                vec![MergeKind::SymmLeft, MergeKind::Gemm]
+                &[MergeKind::SymmLeft, MergeKind::Gemm]
             } else {
-                vec![MergeKind::Gemm]
+                &[MergeKind::Gemm]
             }
         }
         (General, SymmetricTriangle) => {
             if left_symm_partner {
-                vec![MergeKind::SymmRight, MergeKind::CopyRightThenGemm]
+                &[MergeKind::SymmRight, MergeKind::CopyRightThenGemm]
             } else {
-                vec![MergeKind::CopyRightThenGemm]
+                &[MergeKind::CopyRightThenGemm]
             }
         }
         (General, SymmetricFull) => {
             if left_symm_partner {
-                vec![MergeKind::SymmRight, MergeKind::Gemm]
+                &[MergeKind::SymmRight, MergeKind::Gemm]
             } else {
-                vec![MergeKind::Gemm]
+                &[MergeKind::Gemm]
             }
         }
-        (General, General) => vec![MergeKind::Gemm],
-    };
+        (General, General) => &[MergeKind::Gemm],
+    });
     if left.tri.is_some() && right_plain {
         // A triangular left side multiplies through TRMM, reading only its
         // effective triangle — the structured variant leads, like SYRK/SYMM.
-        variants.insert(0, MergeKind::Trmm);
+        variants.led_by(MergeKind::Trmm)
     } else if right.tri.is_some() && left_plain {
         // A triangular *right* side multiplies through a right-side TRMM —
         // realised directly as one sided kernel, never a transpose
         // round-trip. (When both sides are triangular the left-side TRMM
         // above already leads; one structured variant per merge suffices.)
-        variants.insert(0, MergeKind::TrmmRight);
+        variants.led_by(MergeKind::TrmmRight)
+    } else {
+        variants
     }
-    variants
 }
 
 #[cfg(test)]

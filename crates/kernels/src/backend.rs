@@ -24,7 +24,9 @@
 
 use crate::config::BlockConfig;
 use crate::gemm::{gemm, naive::gemm_naive};
-use crate::getrf::{factor_triangle, getrf_packed_into, pivot_apply, pivot_apply_right};
+use crate::getrf::{
+    factor_triangle_into, getrf_packed_into, pivot_apply_into, pivot_apply_right_into,
+};
 use crate::op::KernelOp;
 use crate::potrf::potrf;
 use crate::qr::{ormqr, qr_packed_into};
@@ -264,19 +266,11 @@ impl Backend for NativeBackend {
             KernelOp::Getrf { .. } => getrf_packed_into(inputs[0], out, cfg),
             KernelOp::Qr { .. } => qr_packed_into(inputs[0], out, cfg),
             KernelOp::Ormqr { .. } => ormqr(inputs[0], inputs[1], out, cfg),
-            KernelOp::FactorTri { uplo, .. } => {
-                let tri = factor_triangle(uplo, inputs[0])?;
-                out.as_mut_slice().copy_from_slice(tri.as_slice());
-                Ok(())
-            }
-            KernelOp::PivotApply { side, .. } => {
-                let permuted = match side {
-                    Side::Left => pivot_apply(inputs[0], inputs[1])?,
-                    Side::Right => pivot_apply_right(inputs[0], inputs[1])?,
-                };
-                out.as_mut_slice().copy_from_slice(permuted.as_slice());
-                Ok(())
-            }
+            KernelOp::FactorTri { uplo, .. } => factor_triangle_into(uplo, inputs[0], out),
+            KernelOp::PivotApply { side, .. } => match side {
+                Side::Left => pivot_apply_into(inputs[0], inputs[1], out),
+                Side::Right => pivot_apply_right_into(inputs[0], inputs[1], out),
+            },
         }
     }
 }

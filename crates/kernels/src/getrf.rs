@@ -239,29 +239,44 @@ pub fn getrf_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Resul
 /// Returns [`MatrixError::DimensionMismatch`] when `f` is not `m x (m+1)`
 /// for `b`'s row count `m`.
 pub fn pivot_apply(f: &Matrix, b: &Matrix) -> Result<Matrix> {
+    let mut out = Matrix::zeros(b.rows(), b.cols());
+    pivot_apply_into(f, b, &mut out)?;
+    Ok(out)
+}
+
+/// [`pivot_apply`] into `out` (`b`'s shape): each column of `b` is copied
+/// once and every swap is replayed on that contiguous column.
+pub(crate) fn pivot_apply_into(f: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<()> {
     let m = b.rows();
-    if f.rows() != m || f.cols() != m + 1 {
+    if f.rows() != m || f.cols() != m + 1 || out.shape() != b.shape() {
         return Err(MatrixError::DimensionMismatch {
             op: "pivot_apply",
             lhs: f.shape(),
             rhs: b.shape(),
         });
     }
-    let mut out = b.clone();
-    if m == 0 {
-        return Ok(out);
-    }
-    for j in 0..m {
-        // Clamp untrusted pivot data into range rather than panicking.
-        let p = (f[(j, m)].round().max(0.0) as usize).clamp(j, m - 1);
-        if p != j {
-            for c in 0..out.cols() {
-                let col = out.col_mut(c);
-                col.swap(j, p);
-            }
+    let swaps = recorded_swaps(f, m);
+    for c in 0..b.cols() {
+        let col = out.col_mut(c);
+        col.copy_from_slice(b.col(c));
+        for &(j, p) in &swaps {
+            col.swap(j, p);
         }
     }
-    Ok(out)
+    Ok(())
+}
+
+/// The forward swaps `(j, p)`, `p != j`, recorded in column `n` of the
+/// packed factor `f`, in order; each entry is rounded and clamped to the
+/// legal range `[j, n-1]` rather than trusted.
+fn recorded_swaps(f: &Matrix, n: usize) -> Vec<(usize, usize)> {
+    let recorded = &f.col(n)[..n];
+    recorded
+        .iter()
+        .enumerate()
+        .map(|(j, &p)| (j, (p.round().max(0.0) as usize).clamp(j, n - 1)))
+        .filter(|&(j, p)| p != j)
+        .collect()
 }
 
 /// Apply the permutation recorded in the pivot column of a packed LU factor
@@ -277,25 +292,28 @@ pub fn pivot_apply(f: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// Returns [`MatrixError::DimensionMismatch`] when `f` is not `n x (n+1)`
 /// for `b`'s column count `n`.
 pub fn pivot_apply_right(f: &Matrix, b: &Matrix) -> Result<Matrix> {
+    let mut out = Matrix::zeros(b.rows(), b.cols());
+    pivot_apply_right_into(f, b, &mut out)?;
+    Ok(out)
+}
+
+/// [`pivot_apply_right`] into `out` (`b`'s shape).
+pub(crate) fn pivot_apply_right_into(f: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<()> {
     let n = b.cols();
-    if f.rows() != n || f.cols() != n + 1 {
+    if f.rows() != n || f.cols() != n + 1 || out.shape() != b.shape() {
         return Err(MatrixError::DimensionMismatch {
             op: "pivot_apply_right",
             lhs: f.shape(),
             rhs: b.shape(),
         });
     }
-    let mut out = b.clone();
+    out.as_mut_slice().copy_from_slice(b.as_slice());
     let mut view = out.view_mut();
-    for j in (0..n).rev() {
-        // Clamp untrusted pivot data into range rather than panicking.
-        let p = (f[(j, n)].round().max(0.0) as usize).clamp(j, n - 1);
-        if p != j {
-            let (cj, cp) = two_cols(&mut view, j, p);
-            cj.swap_with_slice(cp);
-        }
+    for (j, p) in recorded_swaps(f, n).into_iter().rev() {
+        let (cj, cp) = two_cols(&mut view, j, p);
+        cj.swap_with_slice(cp);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Extract an explicit triangular factor from a packed factor operand `f`
@@ -310,6 +328,15 @@ pub fn pivot_apply_right(f: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// Returns [`MatrixError::DimensionMismatch`] when `f` has no pivot/tau
 /// column (`cols == 0`) or fewer than `n` rows.
 pub fn factor_triangle(uplo: Uplo, f: &Matrix) -> Result<Matrix> {
+    let n = f.cols().saturating_sub(1);
+    let mut out = Matrix::zeros(n, n);
+    factor_triangle_into(uplo, f, &mut out)?;
+    Ok(out)
+}
+
+/// [`factor_triangle`] into the `n x n` operand `out`, column slice by
+/// column slice.
+pub(crate) fn factor_triangle_into(uplo: Uplo, f: &Matrix, out: &mut Matrix) -> Result<()> {
     let Some(n) = f.cols().checked_sub(1) else {
         return Err(MatrixError::DimensionMismatch {
             op: "factor_triangle",
@@ -317,21 +344,28 @@ pub fn factor_triangle(uplo: Uplo, f: &Matrix) -> Result<Matrix> {
             rhs: (0, 0),
         });
     };
-    if f.rows() < n {
+    if f.rows() < n || out.shape() != (n, n) {
         return Err(MatrixError::DimensionMismatch {
             op: "factor_triangle",
             lhs: f.shape(),
             rhs: (n, n),
         });
     }
-    Ok(match uplo {
-        Uplo::Lower => Matrix::from_fn(n, n, |i, j| match i.cmp(&j) {
-            std::cmp::Ordering::Greater => f[(i, j)],
-            std::cmp::Ordering::Equal => 1.0,
-            std::cmp::Ordering::Less => 0.0,
-        }),
-        Uplo::Upper => Matrix::from_fn(n, n, |i, j| if i <= j { f[(i, j)] } else { 0.0 }),
-    })
+    for j in 0..n {
+        let (src, dst) = (&f.col(j)[..n], out.col_mut(j));
+        match uplo {
+            Uplo::Lower => {
+                dst[..j].fill(0.0);
+                dst[j] = 1.0;
+                dst[j + 1..].copy_from_slice(&src[j + 1..]);
+            }
+            Uplo::Upper => {
+                dst[..=j].copy_from_slice(&src[..=j]);
+                dst[j + 1..].fill(0.0);
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -697,5 +731,79 @@ mod tests {
         );
         assert!(factor_triangle(Uplo::Lower, &Matrix::zeros(3, 0)).is_err());
         assert!(factor_triangle(Uplo::Upper, &Matrix::zeros(2, 4)).is_err());
+    }
+
+    #[test]
+    fn the_data_movers_write_exactly_the_element_wise_definitions() {
+        use crate::backend::{Backend, NativeBackend};
+        use crate::op::KernelOp;
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (n, extra_rows, cols) in [(0, 0, 3), (1, 0, 1), (7, 0, 5), (9, 4, 2), (33, 0, 17)] {
+            // Arbitrary factor data, with a pivot column of in-range,
+            // out-of-range and negative entries; a taller factor stands for
+            // a packed QR factor.
+            let mut f = random_seeded(n + extra_rows, n + 1, 11 + n as u64);
+            for (j, p) in f.col_mut(n).iter_mut().enumerate() {
+                *p = ((7 * j + 3) % (n + 3)) as f64 - 1.4;
+            }
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                let want = Matrix::from_fn(n, n, |i, j| match (uplo, i.cmp(&j)) {
+                    (Uplo::Lower, std::cmp::Ordering::Greater)
+                    | (Uplo::Upper, std::cmp::Ordering::Less | std::cmp::Ordering::Equal) => {
+                        f[(i, j)]
+                    }
+                    (Uplo::Lower, std::cmp::Ordering::Equal) => 1.0,
+                    _ => 0.0,
+                });
+                let got = NativeBackend
+                    .run_new(
+                        &KernelOp::FactorTri { uplo, n },
+                        &[&f],
+                        &BlockConfig::serial(),
+                    )
+                    .unwrap();
+                assert_eq!(bits(&got), bits(&want), "factortri {uplo:?} n = {n}");
+            }
+            if extra_rows > 0 {
+                continue;
+            }
+            let clamp = |j: usize| (f[(j, n)].round().max(0.0) as usize).clamp(j, n - 1);
+            // Left: every row swap across every column, in order.
+            let b = random_seeded(n, cols, 29);
+            let mut want = b.clone();
+            for j in 0..n {
+                for c in 0..cols {
+                    want.col_mut(c).swap(j, clamp(j));
+                }
+            }
+            let op = KernelOp::PivotApply {
+                side: Side::Left,
+                m: n,
+                n: cols,
+            };
+            let got = NativeBackend
+                .run_new(&op, &[&f, &b], &BlockConfig::serial())
+                .unwrap();
+            assert_eq!(bits(&got), bits(&want), "laswp left n = {n}");
+            // Right: the same transpositions as column swaps, last first.
+            let b = random_seeded(cols, n, 31);
+            let mut want = b.clone();
+            for j in (0..n).rev() {
+                for r in 0..cols {
+                    let (x, y) = (want[(r, j)], want[(r, clamp(j))]);
+                    want[(r, j)] = y;
+                    want[(r, clamp(j))] = x;
+                }
+            }
+            let op = KernelOp::PivotApply {
+                side: Side::Right,
+                m: cols,
+                n,
+            };
+            let got = NativeBackend
+                .run_new(&op, &[&f, &b], &BlockConfig::serial())
+                .unwrap();
+            assert_eq!(bits(&got), bits(&want), "laswp right n = {n}");
+        }
     }
 }

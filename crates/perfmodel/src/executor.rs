@@ -12,19 +12,16 @@ use lamb_kernels::BackendId;
 pub struct CallTiming {
     /// Index of the call within the algorithm.
     pub index: usize,
-    /// The call's human-readable label.
-    pub label: String,
     /// FLOP count of the call (Section 3.1 models).
     pub flops: u64,
     /// Execution time in seconds.
     pub seconds: f64,
 }
 
-/// The result of timing a whole algorithm.
+/// The result of timing a whole algorithm: numbers only (the algorithm's
+/// name and call labels stay with the algorithm).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlgorithmTiming {
-    /// Name of the algorithm that was timed.
-    pub algorithm_name: String,
     /// Total execution time in seconds (median over repetitions for measured
     /// executors).
     pub seconds: f64,
@@ -48,13 +45,11 @@ impl AlgorithmTiming {
             .enumerate()
             .map(|(index, call)| CallTiming {
                 index,
-                label: call.label.clone(),
                 flops: call.flops(),
                 seconds: seconds_of(index, call),
             })
             .collect();
         AlgorithmTiming {
-            algorithm_name: alg.name.clone(),
             seconds: per_call.iter().map(|c| c.seconds).sum(),
             per_call,
             flops: alg.flops(),
@@ -166,18 +161,15 @@ mod tests {
 
     fn toy_timing() -> AlgorithmTiming {
         AlgorithmTiming {
-            algorithm_name: "toy".into(),
             seconds: 2.0,
             per_call: vec![
                 CallTiming {
                     index: 0,
-                    label: "first".into(),
                     flops: 100_000_000_000,
                     seconds: 1.0,
                 },
                 CallTiming {
                     index: 1,
-                    label: "second".into(),
                     flops: 50_000_000_000,
                     seconds: 0.9,
                 },

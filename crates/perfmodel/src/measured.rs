@@ -116,12 +116,16 @@ impl MeasuredExecutor {
         }
     }
 
-    /// One operand as a walk first sees it: an input is filled with
-    /// reproducible random values, an intermediate or the output with zeros.
-    fn fresh_operand(&self, info: &OperandInfo) -> Matrix {
-        match info.role {
-            OperandRole::Input => self.input_matrix(info),
-            _ => Matrix::zeros(info.rows, info.cols),
+    /// One operand as a walk first sees it: an operand some call writes
+    /// starts as zeros; every other one is an input — the lone leaf of a
+    /// call-free algorithm too, whatever its role — and is filled with
+    /// reproducible random values.
+    fn fresh_operand(&self, alg: &Algorithm, info: &OperandInfo) -> Matrix {
+        let written = alg.calls.iter().any(|call| call.output == info.id);
+        if info.role == OperandRole::Input || !written {
+            self.input_matrix(info)
+        } else {
+            Matrix::zeros(info.rows, info.cols)
         }
     }
 
@@ -130,7 +134,7 @@ impl MeasuredExecutor {
     fn allocate_operands(&self, alg: &Algorithm) -> Operands {
         alg.operands
             .iter()
-            .map(|info| (info.id, Arc::new(self.fresh_operand(info))))
+            .map(|info| (info.id, Arc::new(self.fresh_operand(alg, info))))
             .collect()
     }
 
@@ -223,7 +227,7 @@ impl MeasuredExecutor {
                 continue;
             }
             if store.is_some() {
-                Self::allocate_missing(alg, call, operands, |info| self.fresh_operand(info));
+                Self::allocate_missing(alg, call, operands, |info| self.fresh_operand(alg, info));
             }
             let start = Instant::now();
             self.run_call(i, call, operands);
@@ -245,7 +249,7 @@ impl MeasuredExecutor {
         let info = alg.output().expect("algorithm declares an output");
         match operands.remove(&info.id) {
             Some(out) => Arc::try_unwrap(out).unwrap_or_else(|shared| (*shared).clone()),
-            None => self.fresh_operand(info),
+            None => self.fresh_operand(alg, info),
         }
     }
 
@@ -777,6 +781,10 @@ mod tests {
         let (late, report) = exec.compute_result_reusing(leaf, &store);
         assert_eq!((late.rows(), late.cols()), (5, 3));
         assert_eq!(bits(&late), bits(&direct));
+        // The result is the leaf itself, seeded like any input operand.
+        let operand = &leaf.operands[0];
+        assert_eq!(bits(&direct), bits(&exec.input_matrix(operand)));
+        assert!(direct.as_slice().iter().any(|&v| v != 0.0));
         assert_eq!(report, ReuseReport::default());
         assert!(store.is_empty());
     }

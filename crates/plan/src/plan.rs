@@ -185,10 +185,11 @@ impl Plan {
             .collect();
         let measurements = timings
             .iter()
+            .zip(&self.algorithms)
             .enumerate()
-            .map(|(i, t)| AlgorithmMeasurement {
+            .map(|(i, (t, alg))| AlgorithmMeasurement {
                 index: i,
-                name: t.algorithm_name.clone(),
+                name: alg.name.clone(),
                 flops: t.flops,
                 seconds: t.seconds,
             })

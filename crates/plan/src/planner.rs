@@ -9,11 +9,10 @@
 use crate::cache::{CachingExecutor, PredictionCache};
 use crate::factor_cache::{effective_flops, note_factors, FactorCache};
 use crate::plan::{AlgorithmScore, Plan, PlanError};
-use lamb_expr::{eliminate_common_subexpressions, Algorithm, Expression, KernelOp, OperandId};
+use lamb_expr::{eliminate_shared_calls, Algorithm, Expression};
 use lamb_perfmodel::{Executor, SimulatedExecutor};
 use lamb_select::{MinFlops, SelectError, SelectionPolicy};
 use rayon::prelude::*;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Builds the executors a planner times algorithms with.
@@ -73,11 +72,14 @@ impl Settings {
             });
         }
         // With CSE on, every candidate is rewritten into its shared (DAG)
-        // form so each distinct node is computed — and charged — once.
+        // form so each distinct node is computed — and charged — once; a
+        // candidate with nothing to share is already in that form.
         let mut algorithms = expr.algorithms_pruned(dims, self.top_k)?;
         if self.use_cse {
             for alg in &mut algorithms {
-                *alg = eliminate_common_subexpressions(alg).algorithm;
+                if let Some(shared) = eliminate_shared_calls(alg) {
+                    *alg = shared.algorithm;
+                }
             }
         }
         // Drop algorithms whose kernel-call signature duplicates an earlier
@@ -85,9 +87,18 @@ impl Settings {
         // sequences that only become identical once their internal
         // duplicates are merged.
         let enumerated = algorithms.len();
-        let mut seen = HashSet::with_capacity(enumerated);
-        algorithms.retain(|alg| seen.insert(call_signature(alg)));
-        let duplicates_removed = enumerated - algorithms.len();
+        let mut kept = 0;
+        for i in 0..enumerated {
+            if !algorithms[..kept]
+                .iter()
+                .any(|k| same_calls(k, &algorithms[i]))
+            {
+                algorithms.swap(kept, i);
+                kept += 1;
+            }
+        }
+        algorithms.truncate(kept);
+        let duplicates_removed = enumerated - kept;
         if algorithms.is_empty() {
             return Err(PlanError::NoAlgorithms);
         }
@@ -412,13 +423,14 @@ impl<'e> Planner<'e> {
     }
 }
 
-/// The behavioural identity of an algorithm: its kernel-call signature
-/// (operation, operand wiring) with the presentational labels stripped.
-fn call_signature(alg: &Algorithm) -> Vec<(KernelOp, Vec<OperandId>, OperandId)> {
-    alg.calls
-        .iter()
-        .map(|c| (c.op.clone(), c.inputs.clone(), c.output))
-        .collect()
+/// Whether two algorithms have the same behavioural identity: the same
+/// kernel-call signature (operation, operand wiring), labels aside.
+fn same_calls(a: &Algorithm, b: &Algorithm) -> bool {
+    a.calls.len() == b.calls.len()
+        && a.calls
+            .iter()
+            .zip(&b.calls)
+            .all(|(x, y)| x.op == y.op && x.inputs == y.inputs && x.output == y.output)
 }
 
 #[cfg(test)]

@@ -404,3 +404,84 @@ fn degenerate_scenarios_jointly_cover_every_kernel_op() {
         );
     }
 }
+
+/// Factor spellings the random CSE expressions are drawn from: repeated and
+/// transposed leaves (so Gram products recur), a triangular leaf, an SPD
+/// leaf, inverses of all three kinds and a pseudo-inverse.
+const CSE_FACTORS: [&str; 12] = [
+    "A", "A^T", "A", "A^T", "B", "L[lower]", "L^T", "L^-1", "S[spd]", "S^-1", "C^-1", "D^+",
+];
+
+/// The relations between the value numbering's three faces, for one
+/// algorithm: `shared_flops` counts what `eliminate_common_subexpressions`
+/// builds, `eliminate_shared_calls` answers "found a duplicate" exactly when
+/// a call is eliminated, the planner's CSE step (keep the candidate unless a
+/// duplicate is found) equals the full transform under `{:#?}`, and the
+/// transform is idempotent. Returns whether anything merged.
+fn check_cse_relations(alg: &Algorithm) -> Result<bool, proptest::test_runner::TestCaseError> {
+    use lamb::expr::{eliminate_common_subexpressions, eliminate_shared_calls, shared_flops};
+    let outcome = eliminate_common_subexpressions(alg);
+    prop_assert_eq!(shared_flops(alg), outcome.algorithm.flops(), "{}", alg.name);
+    let found = eliminate_shared_calls(alg);
+    prop_assert_eq!(
+        found.is_some(),
+        outcome.eliminated_calls > 0,
+        "{}",
+        alg.name
+    );
+    let planner_step = found.map_or_else(|| alg.clone(), |shared| shared.algorithm);
+    prop_assert_eq!(
+        format!("{planner_step:#?}"),
+        format!("{:#?}", outcome.algorithm),
+        "{}",
+        alg.name
+    );
+    let twice = eliminate_common_subexpressions(&outcome.algorithm);
+    prop_assert_eq!(twice.eliminated_calls, 0, "{}", alg.name);
+    prop_assert_eq!(&twice.algorithm, &outcome.algorithm);
+    prop_assert!(eliminate_shared_calls(&outcome.algorithm).is_none());
+    Ok(outcome.eliminated_calls > 0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn value_numbering_agrees_with_the_cse_transform(
+        (len, picks, dims) in (2usize..=5, [0usize..12, 0usize..12, 0usize..12, 0usize..12, 0usize..12], small_dims7())
+    ) {
+        let text = picks[..len].iter().map(|&i| CSE_FACTORS[i]).collect::<Vec<_>>().join("*");
+        // Draws whose dimensions cannot unify, or that have no realisation,
+        // are not expressions of interest here.
+        let Ok(expr) = TreeExpression::parse(&text) else { return Ok(()) };
+        let Ok(algorithms) = expr.algorithms(&dims[..expr.num_dims()]) else { return Ok(()) };
+        for alg in &algorithms {
+            check_cse_relations(alg)?;
+        }
+    }
+}
+
+#[test]
+fn value_numbering_relations_hold_where_sharing_happens() {
+    // The deterministic companion of the property above: texts that are
+    // known to repeat a subcomputation, so the relations are exercised on
+    // algorithms that actually merge.
+    let mut merged = 0;
+    for text in [
+        "A*A^T*A*A^T*B",
+        "S[spd]^-1*S^-1*B",
+        "L[lower]^-1*L^-1*B",
+        "A^T*A*A^T*A",
+        "C^-1*C^-1*B",
+        "A*A^T*B*B^T",
+    ] {
+        let expr = TreeExpression::parse(text).unwrap();
+        let dims: Vec<usize> = (0..expr.num_dims()).map(|i| 9 + 4 * i).collect();
+        for alg in expr.algorithms(&dims).unwrap() {
+            if check_cse_relations(&alg).unwrap_or_else(|e| panic!("{text}: {e}")) {
+                merged += 1;
+            }
+        }
+    }
+    assert!(merged >= 10, "only {merged} algorithms merged a duplicate");
+}
