@@ -5,6 +5,7 @@
 //! parsed text via `--expr "A*A^T*B" --dims 80,514,768`.
 
 use super::common;
+use lamb_expr::Expression;
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {

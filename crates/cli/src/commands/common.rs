@@ -1,7 +1,7 @@
 //! Shared argument parsing for the CLI subcommands.
 
 use lamb_experiments::{LineConfig, SearchConfig};
-use lamb_expr::{AatbExpression, Expression, MatrixChainExpression, TreeExpression};
+use lamb_expr::TreeExpression;
 use lamb_kernels::{BackendId, BlockConfig};
 use lamb_perfmodel::{
     CalibrationStore, Executor, MachineModel, MeasuredExecutor, SimulatedExecutor,
@@ -295,17 +295,21 @@ pub fn parse_strategy(name: &str) -> Result<lamb_select::Strategy, String> {
 
 /// An expression with the name the experiment configurations and artefact
 /// prefixes key on: `chain`, `aatb`, or `expr` for a parsed `--expr`.
-pub type NamedExpression = (String, Box<dyn Expression>);
+pub type NamedExpression = (String, TreeExpression);
 
 /// One of the paper's two expressions by name.
 pub fn named_expression(name: &str) -> Result<NamedExpression, String> {
-    match name {
-        "chain" | "abcd" => Ok(("chain".into(), Box::new(MatrixChainExpression::abcd()))),
-        "aatb" => Ok(("aatb".into(), Box::new(AatbExpression::new()))),
-        other => Err(format!(
-            "unknown expression `{other}` (expected chain, aatb, or --expr \"...\")"
-        )),
-    }
+    let (name, text) = match name {
+        "chain" | "abcd" => ("chain", "A*B*C*D"),
+        "aatb" => ("aatb", "A*A^T*B"),
+        other => {
+            return Err(format!(
+                "unknown expression `{other}` (expected chain, aatb, or --expr \"...\")"
+            ))
+        }
+    };
+    let expr = TreeExpression::parse(text).expect("the paper's expressions parse");
+    Ok((name.into(), expr))
 }
 
 impl CommonOptions {
@@ -362,7 +366,7 @@ impl CommonOptions {
         if let Some(text) = &self.expr_text {
             let parsed = TreeExpression::parse(text)
                 .map_err(|e| format!("cannot parse --expr `{text}`: {e}"))?;
-            return Ok(("expr".into(), Box::new(parsed)));
+            return Ok(("expr".into(), parsed));
         }
         let name = self
             .positional
@@ -486,7 +490,7 @@ mod tests {
         assert_eq!(opts.dims(3).unwrap(), vec![80, 514, 768]);
         let (name, expr) = opts.expression().unwrap();
         assert_eq!(name, "aatb");
-        assert_eq!(expr.num_dims(), 3);
+        assert_eq!(expr.text(), "A*A^T*B");
     }
 
     #[test]

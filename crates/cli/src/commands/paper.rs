@@ -144,7 +144,7 @@ fn experiment1(
     prefix: &str,
 ) -> Result<(), String> {
     let run = run_experiment1(
-        expr.as_ref(),
+        expr,
         opts.build_executor().as_mut(),
         &opts.search_config(name),
         &opts.out_dir,
@@ -159,7 +159,7 @@ fn pipeline(
     prefix: &str,
 ) -> Result<(), String> {
     emit(run_full_pipeline(
-        expr.as_ref(),
+        expr,
         opts.build_executor().as_mut(),
         &opts.search_config(name),
         &opts.line_config(),
@@ -179,7 +179,7 @@ fn lines(
     let config = opts.line_config();
     for &(panel, base, dim) in panels {
         emit(run_efficiency_line(
-            expr.as_ref(),
+            expr,
             executor.as_mut(),
             base,
             dim,

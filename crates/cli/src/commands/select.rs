@@ -14,6 +14,7 @@
 //! ```
 
 use super::common::{self, parse_strategy};
+use lamb_expr::Expression;
 use lamb_plan::{FactorCache, Planner};
 use lamb_select::{assign_backends, pinned_backends, Strategy};
 use std::sync::Arc;
@@ -33,7 +34,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         strategy,
         Strategy::MinPredictedTime | Strategy::Hybrid { .. }
     );
-    let mut planner = Planner::for_expression(expr.as_ref())
+    let mut planner = Planner::for_expression(&expr)
         .policy(strategy)
         .score_predictions(wants_predictions)
         .cse(!opts.no_cse);

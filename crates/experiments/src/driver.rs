@@ -205,7 +205,7 @@ pub fn run_full_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_expr::AatbExpression;
+    use lamb_expr::TreeExpression;
     use lamb_perfmodel::SimulatedExecutor;
     use std::path::PathBuf;
 
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn full_pipeline_runs_at_reduced_scale() {
         let dir = temp_dir("pipeline");
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let search_cfg = SearchConfig {
             target_anomalies: 2,
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn efficiency_line_driver_reports_centre_classification() {
         let dir = temp_dir("line");
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let mut cfg = LineConfig::paper();
         cfg.box_min = 80;

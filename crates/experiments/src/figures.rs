@@ -194,7 +194,7 @@ mod tests {
     use super::*;
     use crate::config::{LineConfig, SearchConfig};
     use crate::search::run_random_search;
-    use lamb_expr::{AatbExpression, MatrixChainExpression};
+    use lamb_expr::TreeExpression;
     use lamb_perfmodel::SimulatedExecutor;
 
     #[test]
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn scatter_csv_has_one_row_per_anomaly() {
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let cfg = SearchConfig {
             target_anomalies: 5,
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn efficiency_line_reproduces_figure11_structure() {
         // Use the paper's Figure 11 centre column: line (80, 514±10x, 768).
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let mut cfg = LineConfig::paper();
         // Keep the test fast: a narrow box around the centre.
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn thickness_csv_is_grouped_by_dimension() {
-        let expr = MatrixChainExpression::abcd();
+        let expr = TreeExpression::parse("A*B*C*D").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let cfg = SearchConfig {
             target_anomalies: 1,

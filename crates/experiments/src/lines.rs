@@ -193,11 +193,11 @@ mod tests {
     use super::*;
     use crate::config::SearchConfig;
     use crate::search::run_random_search;
-    use lamb_expr::AatbExpression;
+    use lamb_expr::TreeExpression;
     use lamb_perfmodel::SimulatedExecutor;
 
     fn find_one_anomaly() -> AnomalyRecord {
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let cfg = SearchConfig {
             target_anomalies: 1,
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn line_scan_contains_the_anomaly_and_is_sorted() {
         let anomaly = find_one_anomaly();
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let scan = scan_line(&expr, &mut exec, &anomaly.dims, 0, &LineConfig::paper());
         assert!(!scan.is_empty());
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn scans_cover_every_dimension() {
         let anomaly = find_one_anomaly();
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let scans = scan_lines_around(&expr, &mut exec, &[anomaly], &LineConfig::paper());
         assert_eq!(scans.len(), 3);
@@ -244,7 +244,7 @@ mod tests {
     #[test]
     fn thickness_grouping_matches_scan_dimensions() {
         let anomaly = find_one_anomaly();
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let scans = scan_lines_around(&expr, &mut exec, &[anomaly], &LineConfig::paper());
         let grouped = thickness_by_dimension(&scans, 3);
@@ -256,7 +256,7 @@ mod tests {
     fn max_anomalies_cap_limits_work() {
         let anomaly = find_one_anomaly();
         let anomalies = vec![anomaly.clone(), anomaly];
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let cfg = LineConfig::paper().with_max_anomalies(1);
         let scans = scan_lines_around(&expr, &mut exec, &anomalies, &cfg);
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn points_respect_the_search_box() {
         let anomaly = find_one_anomaly();
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let cfg = LineConfig::paper();
         for dim in 0..3 {

@@ -179,7 +179,7 @@ mod tests {
     use crate::config::{LineConfig, SearchConfig};
     use crate::lines::scan_lines_around;
     use crate::search::run_random_search;
-    use lamb_expr::AatbExpression;
+    use lamb_expr::TreeExpression;
     use lamb_perfmodel::SimulatedExecutor;
 
     #[test]
@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn prediction_experiment_runs_end_to_end_on_the_simulator() {
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let search_cfg = SearchConfig {
             target_anomalies: 2,

@@ -166,7 +166,7 @@ pub fn run_random_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_expr::{AatbExpression, MatrixChainExpression, TreeExpression};
+    use lamb_expr::TreeExpression;
     use lamb_perfmodel::{
         AnalyticEfficiencyModel, MachineModel, SimulatedExecutor, SimulatorConfig,
     };
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn aatb_search_finds_anomalies_quickly_on_the_simulator() {
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let result = run_random_search(&expr, &mut exec, &quick_config(10, 3000));
         assert_eq!(
@@ -226,8 +226,16 @@ mod tests {
             max_samples: 400,
             ..quick_config(0, 0)
         };
-        let chain = run_random_search(&MatrixChainExpression::abcd(), &mut exec, &chain_cfg);
-        let aatb = run_random_search(&AatbExpression::new(), &mut exec, &chain_cfg);
+        let chain = run_random_search(
+            &TreeExpression::parse("A*B*C*D").unwrap(),
+            &mut exec,
+            &chain_cfg,
+        );
+        let aatb = run_random_search(
+            &TreeExpression::parse("A*A^T*B").unwrap(),
+            &mut exec,
+            &chain_cfg,
+        );
         assert!(
             aatb.abundance() > chain.abundance(),
             "aatb {} vs chain {}",
@@ -238,7 +246,7 @@ mod tests {
 
     #[test]
     fn search_is_deterministic_for_a_fixed_seed() {
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut e1 = SimulatedExecutor::paper_like();
         let mut e2 = SimulatedExecutor::paper_like();
         let cfg = quick_config(5, 2000);
@@ -249,7 +257,7 @@ mod tests {
 
     #[test]
     fn sample_cap_is_honoured() {
-        let expr = MatrixChainExpression::abcd();
+        let expr = TreeExpression::parse("A*B*C*D").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let result = run_random_search(&expr, &mut exec, &quick_config(1_000_000, 50));
         assert_eq!(result.samples_drawn, 50);
@@ -257,7 +265,7 @@ mod tests {
 
     #[test]
     fn scatter_and_severity_summaries() {
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut exec = SimulatedExecutor::paper_like();
         let result = run_random_search(&expr, &mut exec, &quick_config(8, 3000));
         let scatter = result.scatter();
@@ -299,7 +307,7 @@ mod tests {
     fn most_anomalies_survive_without_inter_kernel_cache_effects() {
         // The abstract: "most of the anomalies remained as such even after
         // filtering out the inter-kernel cache effects".
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let mut with_cache = SimulatedExecutor::paper_like();
         let search = run_random_search(&expr, &mut with_cache, &quick_config(20, 5000));
         assert_eq!(search.anomalies.len(), 20);

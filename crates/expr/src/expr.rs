@@ -1,9 +1,10 @@
 //! A small symbolic expression AST for matrix products.
 //!
-//! This is the front end of the mini-LAMP pipeline: users (and the examples)
-//! write an expression tree such as `A * Aᵀ * B` or `L⁻¹ * B` with `L`
-//! triangular, the [`generator`](crate::generator) recognises which algorithm
-//! family applies, and the enumerators produce the candidate algorithm set.
+//! An expression tree such as `A * Aᵀ * B` or `L⁻¹ * B` with `L` triangular
+//! is what [`TreeExpression::bind`](crate::parse::TreeExpression::bind)
+//! builds from a parsed text and a dimension tuple, and what
+//! [`enumerate_expr_algorithms`](crate::enumerate::enumerate_expr_algorithms)
+//! turns into the candidate algorithm set.
 
 use lamb_matrix::{Structure, Trans, Uplo};
 use std::fmt;

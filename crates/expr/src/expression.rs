@@ -1,103 +1,57 @@
 //! The [`Expression`] abstraction used by the planner and experiment drivers.
 //!
-//! An expression (matrix chain, `A·Aᵀ·B`, a parsed
-//! [`TreeExpression`](crate::parse::TreeExpression), ...) defines a
-//! *problem-instance space*: every instance is a tuple of dimension sizes,
-//! and for each instance the expression enumerates its set of mathematically
-//! equivalent algorithms. This is exactly the structure the paper's three
-//! experiments operate on. Since the general enumerator landed, every
-//! built-in implementation is a thin adapter that binds the dimension tuple
-//! onto an [`Expr`](crate::expr::Expr) tree and runs
-//! [`enumerate_expr_algorithms`](crate::enumerate::enumerate_expr_algorithms).
+//! An expression defines a *problem-instance space*: every instance is a
+//! tuple of dimension sizes, and for each instance the expression enumerates
+//! its set of mathematically equivalent algorithms. This is exactly the
+//! structure the paper's three experiments operate on. The implementation
+//! in this crate is the parsed [`TreeExpression`](crate::parse::TreeExpression),
+//! which binds the dimension tuple onto an [`Expr`](crate::expr::Expr) tree
+//! and runs [`enumerate_expr_algorithms`](crate::enumerate::enumerate_expr_algorithms);
+//! the paper's two expressions are the texts `"A*B*C*D"` and `"A*A^T*B"`.
 
 use crate::algorithm::Algorithm;
-use crate::generator::GenerateError;
+use crate::enumerate::GenerateError;
 
 /// A linear-algebra expression whose instances are dimension-size tuples.
 pub trait Expression: Send + Sync {
-    /// Human-readable name, e.g. `"matrix chain ABCD"`.
+    /// Human-readable name, e.g. `"A*A^T*B"`.
     fn name(&self) -> String;
 
     /// Number of dimension sizes that specify one instance
     /// (5 for `A·B·C·D`: `d0..d4`; 3 for `A·Aᵀ·B`: `d0..d2`).
     fn num_dims(&self) -> usize;
 
-    /// Enumerate the mathematically equivalent algorithms for the instance
-    /// `dims` (whose length must equal [`Expression::num_dims`]).
+    /// Enumerate at most `top_k` algorithms for the instance `dims` (whose
+    /// length must equal [`Expression::num_dims`]), keeping the cheapest;
+    /// `None` enumerates everything in the expression's natural order.
     ///
     /// # Errors
     ///
     /// Returns [`GenerateError`] when the instance admits no valid
-    /// enumeration (shape inconsistency, degenerate chain, ...).
-    fn algorithms(&self, dims: &[usize]) -> Result<Vec<Algorithm>, GenerateError>;
-
-    /// Enumerate at most `top_k` algorithms, keeping those with the smallest
-    /// FLOP counts (sorted ascending, ties in enumeration order). `None`
-    /// enumerates everything in the expression's natural order.
-    ///
-    /// The default implementation enumerates fully and truncates;
-    /// implementations backed by the general enumerator override this with
-    /// branch-and-bound pruning so long chains stay tractable.
-    ///
-    /// # Errors
-    ///
-    /// See [`Expression::algorithms`].
+    /// enumeration (shape inconsistency, no kernel realisation, ...).
     fn algorithms_pruned(
         &self,
         dims: &[usize],
         top_k: Option<usize>,
-    ) -> Result<Vec<Algorithm>, GenerateError> {
-        let mut algorithms = self.algorithms(dims)?;
-        if let Some(k) = top_k {
-            algorithms.sort_by_key(Algorithm::flops); // stable sort keeps order on ties
-            algorithms.truncate(k.max(1));
-        }
-        Ok(algorithms)
-    }
+    ) -> Result<Vec<Algorithm>, GenerateError>;
 
-    /// Labels of the dimensions (`d0`, `d1`, ...). The defaults match the
-    /// notation of the paper.
-    fn dim_labels(&self) -> Vec<String> {
-        (0..self.num_dims()).map(|i| format!("d{i}")).collect()
-    }
-
-    /// The minimum FLOP count over all algorithms for this instance, or
-    /// `None` when enumeration fails or produces no algorithms.
-    fn min_flops(&self, dims: &[usize]) -> Option<u64> {
-        self.algorithms(dims)
-            .ok()?
-            .iter()
-            .map(Algorithm::flops)
-            .min()
+    /// Enumerate every algorithm for the instance `dims`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Expression::algorithms_pruned`].
+    fn algorithms(&self, dims: &[usize]) -> Result<Vec<Algorithm>, GenerateError> {
+        self.algorithms_pruned(dims, None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aatb::AatbExpression;
-    use crate::chain::MatrixChainExpression;
+    use crate::parse::TreeExpression;
 
     #[test]
-    fn dim_labels_follow_paper_notation() {
-        let chain = MatrixChainExpression::abcd();
-        assert_eq!(chain.dim_labels(), vec!["d0", "d1", "d2", "d3", "d4"]);
-        let aatb = AatbExpression::new();
-        assert_eq!(aatb.dim_labels(), vec!["d0", "d1", "d2"]);
-    }
-
-    #[test]
-    fn min_flops_is_a_lower_bound_over_algorithms() {
-        let chain = MatrixChainExpression::abcd();
-        let dims = [200, 30, 400, 50, 600];
-        let min = chain.min_flops(&dims).expect("enumeration succeeds");
-        for alg in chain.algorithms(&dims).unwrap() {
-            assert!(alg.flops() >= min);
-        }
-    }
-
-    #[test]
-    fn min_flops_reports_failures_as_none() {
+    fn expressions_are_object_safe() {
         struct Broken;
         impl Expression for Broken {
             fn name(&self) -> String {
@@ -106,58 +60,23 @@ mod tests {
             fn num_dims(&self) -> usize {
                 1
             }
-            fn algorithms(&self, _dims: &[usize]) -> Result<Vec<Algorithm>, GenerateError> {
+            fn algorithms_pruned(
+                &self,
+                _dims: &[usize],
+                _top_k: Option<usize>,
+            ) -> Result<Vec<Algorithm>, GenerateError> {
                 Err(GenerateError::Empty)
             }
         }
-        assert_eq!(Broken.min_flops(&[10]), None);
-
-        struct NoAlgorithms;
-        impl Expression for NoAlgorithms {
-            fn name(&self) -> String {
-                "empty set".into()
-            }
-            fn num_dims(&self) -> usize {
-                1
-            }
-            fn algorithms(&self, _dims: &[usize]) -> Result<Vec<Algorithm>, GenerateError> {
-                Ok(Vec::new())
-            }
-        }
-        assert_eq!(NoAlgorithms.min_flops(&[10]), None);
-    }
-
-    #[test]
-    fn default_pruning_keeps_the_cheapest_algorithms() {
-        let chain = MatrixChainExpression::abcd();
-        let dims = [100, 20, 300, 20, 500];
-        let all = chain.algorithms(&dims).unwrap();
-        let mut flops: Vec<u64> = all.iter().map(Algorithm::flops).collect();
-        flops.sort_unstable();
-        let pruned = chain.algorithms_pruned(&dims, Some(2)).unwrap();
-        assert_eq!(pruned.len(), 2);
-        assert_eq!(
-            pruned.iter().map(Algorithm::flops).collect::<Vec<_>>(),
-            flops[..2].to_vec()
-        );
-        // And `None` keeps everything in natural order.
-        let unpruned = chain.algorithms_pruned(&dims, None).unwrap();
-        assert_eq!(unpruned.len(), all.len());
-    }
-
-    #[test]
-    fn expressions_are_object_safe() {
         let exprs: Vec<Box<dyn Expression>> = vec![
-            Box::new(MatrixChainExpression::abcd()),
-            Box::new(AatbExpression::new()),
+            Box::new(TreeExpression::parse("A*B*C*D").unwrap()),
+            Box::new(TreeExpression::parse("A*A^T*B").unwrap()),
+            Box::new(Broken),
         ];
-        let counts: Vec<usize> = exprs
+        let counts: Vec<Result<usize, GenerateError>> = exprs
             .iter()
-            .map(|e| {
-                let dims = vec![16; e.num_dims()];
-                e.algorithms(&dims).unwrap().len()
-            })
+            .map(|e| Ok(e.algorithms(&vec![16; e.num_dims()])?.len()))
             .collect();
-        assert_eq!(counts, vec![6, 5]);
+        assert_eq!(counts, vec![Ok(6), Ok(5), Err(GenerateError::Empty)]);
     }
 }

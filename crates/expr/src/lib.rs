@@ -17,10 +17,11 @@
 //! * the expression `X := A·Aᵀ·B` (Section 3.2.2), whose five algorithms mix
 //!   GEMM, SYRK and SYMM (plus an explicit triangle-to-full copy).
 //!
-//! The hand-written enumerators in [`chain`] and [`aatb`] are kept as the
-//! paper's reference tables; parity tests assert the engine reproduces them
-//! exactly. Text expressions such as `"A*A^T*B"` are parsed by [`parse`]
-//! into dimension-parameterised [`Expression`]s.
+//! Both are parsed texts, `"A*B*C*D"` and `"A*A^T*B"`: [`parse`] turns any
+//! such text into a dimension-parameterised [`TreeExpression`], the one
+//! [`Expression`] the crate implements. The paper's tables (Figure 5, the
+//! closed-form FLOP counts of Section 3.2, the chain DP optimum) are test
+//! fixtures the engine is checked against.
 //!
 //! An [`Algorithm`] is a sequence of
 //! [`KernelCall`]s over symbolic operands; its FLOP
@@ -41,33 +42,24 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod aatb;
 pub mod algorithm;
-pub mod chain;
 pub mod cse;
 pub mod enumerate;
 pub mod expr;
 pub mod expression;
-pub mod generator;
 pub mod kernel_call;
 pub mod operand;
 pub mod parse;
 pub mod rewrite;
 
-pub use aatb::{enumerate_aatb_algorithms, AatbExpression};
 pub use algorithm::{Algorithm, OperandInfo, OperandRole};
-pub use chain::{enumerate_chain_algorithms, optimal_chain_order, MatrixChainExpression};
 pub use cse::{
     cacheable_identities, eliminate_common_subexpressions, eliminate_shared_calls, is_cacheable_op,
     node_identities, shared_flops, CseOutcome,
 };
-pub use enumerate::{
-    enumerate_expr_algorithms, enumerate_expr_algorithms_pruned, enumerate_expr_algorithms_with,
-    EnumerateOptions,
-};
+pub use enumerate::{enumerate_expr_algorithms, GenerateError};
 pub use expr::{Expr, Factor, ShapeError, Var};
 pub use expression::Expression;
-pub use generator::{generate_algorithms, GenerateError, RecognisedPattern};
 pub use kernel_call::{KernelCall, KernelOp};
 pub use operand::OperandId;
 pub use parse::{ParseError, TreeExpression};

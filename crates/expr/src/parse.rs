@@ -60,10 +60,9 @@
 //! ```
 
 use crate::algorithm::Algorithm;
-use crate::enumerate::enumerate_expr_algorithms_pruned;
+use crate::enumerate::{enumerate_expr_algorithms, GenerateError};
 use crate::expr::Expr;
 use crate::expression::Expression;
-use crate::generator::GenerateError;
 use lamb_matrix::{Structure, Uplo};
 use std::collections::HashMap;
 use std::fmt;
@@ -498,16 +497,12 @@ impl Expression for TreeExpression {
         self.num_dims
     }
 
-    fn algorithms(&self, dims: &[usize]) -> Result<Vec<Algorithm>, GenerateError> {
-        enumerate_expr_algorithms_pruned(&self.bind(dims), None)
-    }
-
     fn algorithms_pruned(
         &self,
         dims: &[usize],
         top_k: Option<usize>,
     ) -> Result<Vec<Algorithm>, GenerateError> {
-        enumerate_expr_algorithms_pruned(&self.bind(dims), top_k)
+        enumerate_expr_algorithms(&self.bind(dims), top_k)
     }
 }
 

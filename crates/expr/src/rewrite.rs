@@ -348,10 +348,6 @@ pub fn is_gram_pair(left: &MergeOperand, right: &MergeOperand) -> bool {
 ///
 /// `is_final` marks the merge that produces the expression's result, which
 /// must be stored in full (a SYRK-produced triangle is completed by a copy).
-/// With `rewrites` disabled every merge lowers to plain GEMM (triangle-stored
-/// operands cannot occur in that mode because nothing produces them) — except
-/// inverse-marked sides, whose TRSM lowering is a *realisation*, not an
-/// optimisation, and therefore survives the ablation.
 ///
 /// Inverse-marked sides realise from *either* side: `L⁻¹·B` lowers to a
 /// left-side TRSM and `B·L⁻¹` to a right-side TRSM (likewise the Cholesky
@@ -360,13 +356,8 @@ pub fn is_gram_pair(left: &MergeOperand, right: &MergeOperand) -> bool {
 /// (`b·A⁺`): ORMQR applies `Q₁ᵀ` from the left only, so no kernel sequence
 /// realises it and the enumerator abandons such merge orders.
 #[must_use]
-pub fn merge_variants(
-    left: &MergeOperand,
-    right: &MergeOperand,
-    is_final: bool,
-    rewrites: bool,
-) -> Vec<MergeKind> {
-    variants(left, right, is_final, rewrites).to_vec()
+pub fn merge_variants(left: &MergeOperand, right: &MergeOperand, is_final: bool) -> Vec<MergeKind> {
+    variants(left, right, is_final).to_vec()
 }
 
 /// At most four variants, held inline: what [`merge_variants`] returns
@@ -405,12 +396,7 @@ impl std::ops::Deref for Variants {
 }
 
 /// [`merge_variants`], held inline.
-pub(crate) fn variants(
-    left: &MergeOperand,
-    right: &MergeOperand,
-    is_final: bool,
-    rewrites: bool,
-) -> Variants {
+pub(crate) fn variants(left: &MergeOperand, right: &MergeOperand, is_final: bool) -> Variants {
     // The sided kernels read their rectangular operand as stored: a
     // transposed or triangle-stored partner side rules the structured
     // lowering out.
@@ -421,10 +407,9 @@ pub(crate) fn variants(
         return Variants::of(&[]);
     }
     if right.inv {
-        // Right-side inverse realisations mirror the left-side family and,
-        // like it, survive the rewrites-off ablation. Two inverses in one
-        // merge (`L⁻¹·M⁻¹`) stay unrealisable: each solve needs a plain
-        // rectangular partner.
+        // Right-side inverse realisations mirror the left-side family. Two
+        // inverses in one merge (`L⁻¹·M⁻¹`) stay unrealisable: each solve
+        // needs a plain rectangular partner.
         if !left_plain || left.inv || left.pinv {
             return Variants::of(&[]);
         }
@@ -443,11 +428,9 @@ pub(crate) fn variants(
         };
     }
     if left.inv {
-        // Inverse lowerings are *realisations*, not optimisations: they
-        // survive the rewrites-off ablation. The structure of the inverted
-        // operand picks the factorisation: triangular solves directly
-        // through TRSM, SPD goes through Cholesky, and a general square
-        // operand through pivoted LU.
+        // The structure of the inverted operand picks the factorisation:
+        // triangular solves directly through TRSM, SPD goes through
+        // Cholesky, and a general square operand through pivoted LU.
         if !right_plain {
             return Variants::of(&[]);
         }
@@ -467,17 +450,13 @@ pub(crate) fn variants(
     }
     if left.pinv {
         // The pseudo-inverse has exactly one realisation: the QR-based
-        // least-squares solve. Like the inverses it survives rewrites-off.
-        // QR carries no transposition flag, so only the untransposed
-        // pseudo-inverse realises.
+        // least-squares solve. QR carries no transposition flag, so only
+        // the untransposed pseudo-inverse realises.
         return if right_plain && left.trans == Trans::No {
             Variants::of(&[MergeKind::QrSolve])
         } else {
             Variants::of(&[])
         };
-    }
-    if !rewrites {
-        return Variants::of(&[MergeKind::Gemm]);
     }
     if is_gram_pair(left, right) {
         // Cholesky-style Gram products of a triangular leaf (L·Lᵀ) stay on
@@ -580,12 +559,12 @@ mod tests {
         let a = MergeOperand::leaf(0, Trans::No);
         let at = MergeOperand::leaf(0, Trans::Yes);
         assert_eq!(
-            merge_variants(&a, &at, false, true),
+            merge_variants(&a, &at, false),
             vec![MergeKind::SyrkTriangle, MergeKind::GemmSymmetric]
         );
         // As the final result the triangle must be completed by a copy.
         assert_eq!(
-            merge_variants(&a, &at, true, true),
+            merge_variants(&a, &at, true),
             vec![MergeKind::SyrkThenCopy, MergeKind::Gemm]
         );
     }
@@ -596,11 +575,11 @@ mod tests {
         let full = MergeOperand::intermediate(Storage::SymmetricFull);
         let b = MergeOperand::leaf(1, Trans::No);
         assert_eq!(
-            merge_variants(&tri, &b, true, true),
+            merge_variants(&tri, &b, true),
             vec![MergeKind::SymmLeft, MergeKind::CopyLeftThenGemm]
         );
         assert_eq!(
-            merge_variants(&full, &b, true, true),
+            merge_variants(&full, &b, true),
             vec![MergeKind::SymmLeft, MergeKind::Gemm]
         );
     }
@@ -610,7 +589,7 @@ mod tests {
         let tri = MergeOperand::intermediate(Storage::SymmetricTriangle);
         let b = MergeOperand::leaf(1, Trans::No);
         assert_eq!(
-            merge_variants(&b, &tri, true, true),
+            merge_variants(&b, &tri, true),
             vec![MergeKind::SymmRight, MergeKind::CopyRightThenGemm]
         );
     }
@@ -622,37 +601,24 @@ mod tests {
         let full = MergeOperand::intermediate(Storage::SymmetricFull);
         let bt = MergeOperand::leaf(1, Trans::Yes);
         assert_eq!(
-            merge_variants(&tri, &bt, true, true),
+            merge_variants(&tri, &bt, true),
             vec![MergeKind::CopyLeftThenGemm]
         );
+        assert_eq!(merge_variants(&full, &bt, true), vec![MergeKind::Gemm]);
         assert_eq!(
-            merge_variants(&full, &bt, true, true),
-            vec![MergeKind::Gemm]
-        );
-        assert_eq!(
-            merge_variants(&bt, &tri, true, true),
+            merge_variants(&bt, &tri, true),
             vec![MergeKind::CopyRightThenGemm]
         );
-        assert_eq!(
-            merge_variants(&bt, &full, true, true),
-            vec![MergeKind::Gemm]
-        );
+        assert_eq!(merge_variants(&bt, &full, true), vec![MergeKind::Gemm]);
     }
 
     #[test]
     fn two_triangles_require_at_least_one_copy() {
         let tri = MergeOperand::intermediate(Storage::SymmetricTriangle);
-        let variants = merge_variants(&tri, &tri, true, true);
+        let variants = merge_variants(&tri, &tri, true);
         assert_eq!(variants.len(), 3);
         assert!(!variants.contains(&MergeKind::Gemm));
         assert!(!variants.contains(&MergeKind::SymmLeft));
-    }
-
-    #[test]
-    fn disabling_rewrites_lowers_everything_to_gemm() {
-        let a = MergeOperand::leaf(0, Trans::No);
-        let at = MergeOperand::leaf(0, Trans::Yes);
-        assert_eq!(merge_variants(&a, &at, false, false), vec![MergeKind::Gemm]);
     }
 
     #[test]
@@ -660,29 +626,29 @@ mod tests {
         let l = MergeOperand::tri_leaf(0, Trans::No, Uplo::Lower, false);
         let b = MergeOperand::leaf(1, Trans::No);
         assert_eq!(
-            merge_variants(&l, &b, true, true),
+            merge_variants(&l, &b, true),
             vec![MergeKind::Trmm, MergeKind::Gemm]
         );
         // A transposed triangular leaf still multiplies through TRMM (the
         // kernel carries the transposition flag)...
         let lt = MergeOperand::tri_leaf(0, Trans::Yes, Uplo::Upper, false);
         assert_eq!(
-            merge_variants(&lt, &b, false, true),
+            merge_variants(&lt, &b, false),
             vec![MergeKind::Trmm, MergeKind::Gemm]
         );
         // ...but a transposed *right* side rules TRMM out (no transb flag),
         // while a triangular right side goes through the right-side TRMM.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert_eq!(merge_variants(&l, &bt, true, true), vec![MergeKind::Gemm]);
+        assert_eq!(merge_variants(&l, &bt, true), vec![MergeKind::Gemm]);
         assert_eq!(
-            merge_variants(&b, &l, true, true),
+            merge_variants(&b, &l, true),
             vec![MergeKind::TrmmRight, MergeKind::Gemm]
         );
         // The triangular intermediate (a product of same-triangle factors)
         // behaves like the leaf.
         let tri_m = MergeOperand::tri_intermediate(Uplo::Lower);
         assert_eq!(
-            merge_variants(&tri_m, &b, true, true),
+            merge_variants(&tri_m, &b, true),
             vec![MergeKind::Trmm, MergeKind::Gemm]
         );
     }
@@ -695,11 +661,11 @@ mod tests {
         let lt = MergeOperand::tri_leaf(0, Trans::Yes, Uplo::Upper, false);
         assert!(is_gram_pair(&l, &lt));
         assert_eq!(
-            merge_variants(&l, &lt, false, true),
+            merge_variants(&l, &lt, false),
             vec![MergeKind::SyrkTriangle, MergeKind::GemmSymmetric]
         );
         assert_eq!(
-            merge_variants(&l, &lt, true, true),
+            merge_variants(&l, &lt, true),
             vec![MergeKind::SyrkThenCopy, MergeKind::Gemm]
         );
     }
@@ -708,16 +674,10 @@ mod tests {
     fn inverse_left_side_lowers_to_trsm_only() {
         let linv = MergeOperand::tri_leaf(0, Trans::No, Uplo::Lower, true);
         let b = MergeOperand::leaf(1, Trans::No);
-        assert_eq!(merge_variants(&linv, &b, true, true), vec![MergeKind::Trsm]);
-        // TRSM survives the rewrites-off ablation: it is a realisation, not
-        // an optimisation.
-        assert_eq!(
-            merge_variants(&linv, &b, true, false),
-            vec![MergeKind::Trsm]
-        );
+        assert_eq!(merge_variants(&linv, &b, true), vec![MergeKind::Trsm]);
         // A transposed right side has no kernel.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert!(merge_variants(&linv, &bt, true, true).is_empty());
+        assert!(merge_variants(&linv, &bt, true).is_empty());
         // Inverses never form Gram pairs.
         let linv_t = MergeOperand::tri_leaf(0, Trans::Yes, Uplo::Upper, true);
         assert!(!is_gram_pair(&linv, &linv_t));
@@ -728,26 +688,19 @@ mod tests {
         let linv = MergeOperand::tri_leaf(0, Trans::No, Uplo::Lower, true);
         let b = MergeOperand::leaf(1, Trans::No);
         // B·L⁻¹ realises directly as one right-side TRSM — no transpose
-        // round-trip, and it survives the rewrites-off ablation.
-        assert_eq!(
-            merge_variants(&b, &linv, true, true),
-            vec![MergeKind::TrsmRight]
-        );
-        assert_eq!(
-            merge_variants(&b, &linv, true, false),
-            vec![MergeKind::TrsmRight]
-        );
+        // round-trip.
+        assert_eq!(merge_variants(&b, &linv, true), vec![MergeKind::TrsmRight]);
         // B·L⁻ᵀ realises too: the right TRSM carries the transposition flag.
         let linv_t = MergeOperand::tri_leaf(0, Trans::Yes, Uplo::Upper, true);
         assert_eq!(
-            merge_variants(&b, &linv_t, true, true),
+            merge_variants(&b, &linv_t, true),
             vec![MergeKind::TrsmRight]
         );
         // A transposed or triangle-stored *left* partner has no kernel, and
         // two inverses in one merge stay unrealisable.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert!(merge_variants(&bt, &linv, true, true).is_empty());
-        assert!(merge_variants(&linv, &linv_t, true, true).is_empty());
+        assert!(merge_variants(&bt, &linv, true).is_empty());
+        assert!(merge_variants(&linv, &linv_t, true).is_empty());
     }
 
     #[test]
@@ -755,48 +708,31 @@ mod tests {
         let b = MergeOperand::leaf(1, Trans::No);
         let sinv = MergeOperand::spd_leaf(0, Trans::No, true);
         assert_eq!(
-            merge_variants(&b, &sinv, true, true),
-            vec![MergeKind::CholeskySolveRight]
-        );
-        assert_eq!(
-            merge_variants(&b, &sinv, true, false),
+            merge_variants(&b, &sinv, true),
             vec![MergeKind::CholeskySolveRight]
         );
         let ainv = MergeOperand::inv_leaf(0, Trans::No);
         assert_eq!(
-            merge_variants(&b, &ainv, true, true),
-            vec![MergeKind::LuSolveRight]
-        );
-        assert_eq!(
-            merge_variants(&b, &ainv, true, false),
+            merge_variants(&b, &ainv, true),
             vec![MergeKind::LuSolveRight]
         );
         // GETRF carries no transposition flag: A⁻ᵀ on the right stays dead.
         let ainv_t = MergeOperand::inv_leaf(0, Trans::Yes);
-        assert!(merge_variants(&b, &ainv_t, true, true).is_empty());
+        assert!(merge_variants(&b, &ainv_t, true).is_empty());
         // The pseudo-inverse on the right stays unrealisable (ORMQR applies
         // Q₁ᵀ from the left only).
         let apinv = MergeOperand::pinv_leaf(0, Trans::No);
-        assert!(merge_variants(&b, &apinv, true, true).is_empty());
+        assert!(merge_variants(&b, &apinv, true).is_empty());
     }
 
     #[test]
     fn inverse_general_left_side_lowers_to_the_lu_realisation_only() {
         let ainv = MergeOperand::inv_leaf(0, Trans::No);
         let b = MergeOperand::leaf(1, Trans::No);
-        assert_eq!(
-            merge_variants(&ainv, &b, true, true),
-            vec![MergeKind::LuSolve]
-        );
-        // The LU lowering is a realisation, not an optimisation: it survives
-        // the rewrites-off ablation.
-        assert_eq!(
-            merge_variants(&ainv, &b, true, false),
-            vec![MergeKind::LuSolve]
-        );
+        assert_eq!(merge_variants(&ainv, &b, true), vec![MergeKind::LuSolve]);
         // A transposed right-hand side has no kernel.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert!(merge_variants(&ainv, &bt, true, true).is_empty());
+        assert!(merge_variants(&ainv, &bt, true).is_empty());
         // Inverses never form Gram pairs.
         let ainv_t = MergeOperand::inv_leaf(0, Trans::Yes);
         assert!(!is_gram_pair(&ainv, &ainv_t));
@@ -806,20 +742,12 @@ mod tests {
     fn pseudo_inverse_left_side_lowers_to_the_qr_realisation_only() {
         let apinv = MergeOperand::pinv_leaf(0, Trans::No);
         let b = MergeOperand::leaf(1, Trans::No);
-        assert_eq!(
-            merge_variants(&apinv, &b, true, true),
-            vec![MergeKind::QrSolve]
-        );
-        // The QR lowering is a realisation: it survives rewrites-off.
-        assert_eq!(
-            merge_variants(&apinv, &b, true, false),
-            vec![MergeKind::QrSolve]
-        );
+        assert_eq!(merge_variants(&apinv, &b, true), vec![MergeKind::QrSolve]);
         // A transposed right-hand side has no kernel; a pseudo-inverse on
         // the right is a dead end; pseudo-inverses never form Gram pairs.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert!(merge_variants(&apinv, &bt, true, true).is_empty());
-        assert!(merge_variants(&b, &apinv, true, true).is_empty());
+        assert!(merge_variants(&apinv, &bt, true).is_empty());
+        assert!(merge_variants(&b, &apinv, true).is_empty());
         let apinv_t = MergeOperand::pinv_leaf(0, Trans::Yes);
         assert!(!is_gram_pair(&apinv, &apinv_t));
     }
@@ -829,18 +757,12 @@ mod tests {
         let sinv = MergeOperand::spd_leaf(0, Trans::No, true);
         let b = MergeOperand::leaf(1, Trans::No);
         assert_eq!(
-            merge_variants(&sinv, &b, true, true),
-            vec![MergeKind::CholeskySolve]
-        );
-        // The Cholesky lowering is a realisation, not an optimisation: it
-        // survives the rewrites-off ablation.
-        assert_eq!(
-            merge_variants(&sinv, &b, true, false),
+            merge_variants(&sinv, &b, true),
             vec![MergeKind::CholeskySolve]
         );
         // A transposed right-hand side has no kernel.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert!(merge_variants(&sinv, &bt, true, true).is_empty());
+        assert!(merge_variants(&sinv, &bt, true).is_empty());
     }
 
     #[test]
@@ -850,15 +772,13 @@ mod tests {
         let s = MergeOperand::spd_leaf(0, Trans::No, false);
         let b = MergeOperand::leaf(1, Trans::No);
         assert_eq!(
-            merge_variants(&s, &b, true, true),
+            merge_variants(&s, &b, true),
             vec![MergeKind::SymmLeft, MergeKind::Gemm]
         );
         assert_eq!(
-            merge_variants(&b, &s, true, true),
+            merge_variants(&b, &s, true),
             vec![MergeKind::SymmRight, MergeKind::Gemm]
         );
-        // With rewrites disabled only GEMM remains (SYMM is an optimisation).
-        assert_eq!(merge_variants(&s, &b, true, false), vec![MergeKind::Gemm]);
     }
 
     #[test]

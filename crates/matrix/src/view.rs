@@ -281,30 +281,6 @@ impl<'a> MatrixViewMut<'a> {
         }
     }
 
-    /// Consume the view and split it into disjoint column panels of width
-    /// `panel_width` (the final panel may be narrower). Useful for handing
-    /// disjoint output panels to parallel workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `panel_width == 0` and the view has at least one column.
-    #[must_use]
-    pub fn into_col_panels(self, panel_width: usize) -> Vec<MatrixViewMut<'a>> {
-        if self.cols == 0 {
-            return Vec::new();
-        }
-        assert!(panel_width > 0, "panel width must be positive");
-        let mut panels = Vec::with_capacity(self.cols.div_ceil(panel_width));
-        let mut rest = self;
-        while rest.cols() > panel_width {
-            let (head, tail) = rest.split_at_col_mut(panel_width);
-            panels.push(head);
-            rest = tail;
-        }
-        panels.push(rest);
-        panels
-    }
-
     /// Split the view into two disjoint mutable views at column `j`:
     /// the left view holds columns `[0, j)`, the right view columns `[j, cols)`.
     ///
@@ -491,40 +467,12 @@ mod tests {
                 let mut s = v.subview_mut(r0, c0, nr, nc);
                 assert_eq!((s.rows(), s.cols(), s.ld()), (nr, nc, ld));
                 s.fill(9.0);
-                assert!(s.into_col_panels(2).iter().all(|p| p.rows() == 0));
                 // An owned matrix windows through the same rule.
                 let owned = Matrix::zeros(rows, cols);
                 assert!(owned.subview(r0, c0, nr, nc).to_compact_vec().is_empty());
             }
         }
         assert!(buf.iter().all(|&x| x == 1.0));
-    }
-
-    #[test]
-    fn into_col_panels_covers_all_columns() {
-        let mut m = Matrix::zeros(3, 7);
-        {
-            let panels = m.view_mut().into_col_panels(3);
-            assert_eq!(panels.len(), 3);
-            assert_eq!(panels[0].cols(), 3);
-            assert_eq!(panels[1].cols(), 3);
-            assert_eq!(panels[2].cols(), 1);
-            for (idx, mut p) in panels.into_iter().enumerate() {
-                p.fill((idx + 1) as f64);
-            }
-        }
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(2, 2)], 1.0);
-        assert_eq!(m[(0, 3)], 2.0);
-        assert_eq!(m[(1, 5)], 2.0);
-        assert_eq!(m[(2, 6)], 3.0);
-    }
-
-    #[test]
-    fn into_col_panels_empty_view() {
-        let mut buf: Vec<f64> = vec![];
-        let v = MatrixViewMut::new(&mut buf, 4, 0, 4).unwrap();
-        assert!(v.into_col_panels(2).is_empty());
     }
 
     #[test]

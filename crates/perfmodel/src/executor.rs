@@ -49,11 +49,13 @@ impl AlgorithmTiming {
                 seconds: seconds_of(index, call),
             })
             .collect();
-        AlgorithmTiming {
-            seconds: per_call.iter().map(|c| c.seconds).sum(),
+        let mut timing = AlgorithmTiming {
+            seconds: 0.0,
             per_call,
             flops: alg.flops(),
-        }
+        };
+        timing.seconds = timing.sum_of_calls();
+        timing
     }
 
     /// Whole-algorithm efficiency: FLOP rate over machine peak (the solid
@@ -74,10 +76,12 @@ impl AlgorithmTiming {
 
     /// Sum of the per-call times. For measured executors this can differ
     /// slightly from `seconds` (which is the median of whole-algorithm
-    /// repetitions); for simulated executors they coincide.
+    /// repetitions); for simulated executors they coincide. Folded from
+    /// `0.0`: `Iterator::sum` starts at `-0.0`, which a call-free algorithm
+    /// would report as its time.
     #[must_use]
     pub fn sum_of_calls(&self) -> f64 {
-        self.per_call.iter().map(|c| c.seconds).sum()
+        self.per_call.iter().fold(0.0, |total, c| total + c.seconds)
     }
 }
 
@@ -198,5 +202,17 @@ mod tests {
     fn sum_of_calls_adds_per_call_times() {
         let t = toy_timing();
         assert!((t.sum_of_calls() - 1.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_call_free_algorithm_takes_positive_zero_seconds() {
+        let leaf = Algorithm {
+            name: "A".into(),
+            operands: Vec::new(),
+            calls: Vec::new(),
+        };
+        let timing = AlgorithmTiming::from_calls(&leaf, |_, _| unreachable!("no calls"));
+        assert_eq!(timing.seconds.to_bits(), 0);
+        assert_eq!(timing.sum_of_calls().to_bits(), 0);
     }
 }

@@ -20,7 +20,8 @@ use std::time::Instant;
 /// factor injected on a hit, or a result the walk computed and deposited —
 /// and whoever writes one goes through [`Arc::make_mut`]: a sole owner is
 /// mutated in place, a shared operand is copied first, so bytes the cache
-/// holds never change.
+/// holds never change. A walk's map is sized for all of its algorithm's
+/// operands up front, so filling it late never grows it.
 type Operands = HashMap<OperandId, Arc<Matrix>>;
 
 /// Executes algorithms with the real kernels and wall-clock timing.
@@ -129,20 +130,10 @@ impl MeasuredExecutor {
         }
     }
 
-    /// Allocate every operand of the algorithm up front — what the walks
-    /// without a factor store start from.
-    fn allocate_operands(&self, alg: &Algorithm) -> Operands {
-        alg.operands
-            .iter()
-            .map(|info| (info.id, Arc::new(self.fresh_operand(alg, info))))
-            .collect()
-    }
-
     /// Allocate, through `fill`, the operands `call` touches that the map
-    /// does not hold yet. A walk against a factor store does this before a
-    /// call that actually runs, so an operand whose only readers were served
-    /// from the store (the matrix behind a resident factorisation) is never
-    /// generated.
+    /// does not hold yet. A walk does this before a call that actually runs,
+    /// so an operand whose only readers were served from a factor store (the
+    /// matrix behind a resident factorisation) is never generated.
     fn allocate_missing(
         alg: &Algorithm,
         call: &KernelCall,
@@ -206,11 +197,10 @@ impl MeasuredExecutor {
     /// [cacheable](lamb_expr::is_cacheable_op) result is resident is not run
     /// — the resident matrix itself becomes the operand and `observe` sees
     /// `None` — every cacheable result the walk does compute is deposited,
-    /// shared rather than copied (see [`Operands`]), and the operands of a
-    /// call are allocated when the first call that runs touches them,
-    /// outside its timed seconds (`operands` may start empty). Without a
-    /// store the map must hold every operand ([`Self::allocate_operands`])
-    /// and no node identity is derived at all.
+    /// shared rather than copied (see [`Operands`]). Without a store no node
+    /// identity is derived at all. Either way the operands of a call are
+    /// allocated when the first call that runs touches them, outside its
+    /// timed seconds, so `operands` may start empty.
     fn walk_calls(
         &self,
         alg: &Algorithm,
@@ -226,9 +216,7 @@ impl MeasuredExecutor {
                 observe(i, call, None);
                 continue;
             }
-            if store.is_some() {
-                Self::allocate_missing(alg, call, operands, |info| self.fresh_operand(alg, info));
-            }
+            Self::allocate_missing(alg, call, operands, |info| self.fresh_operand(alg, info));
             let start = Instant::now();
             self.run_call(i, call, operands);
             let seconds = start.elapsed().as_secs_f64();
@@ -265,7 +253,7 @@ impl MeasuredExecutor {
     /// inconsistent kernel shapes).
     #[must_use]
     pub fn compute_result(&self, alg: &Algorithm) -> Matrix {
-        let mut operands = self.allocate_operands(alg);
+        let mut operands = Operands::with_capacity(alg.operands.len());
         self.walk_calls(alg, &mut operands, None, |_, _, _| {});
         self.take_output(alg, operands)
     }
@@ -289,7 +277,7 @@ impl MeasuredExecutor {
         alg: &Algorithm,
         store: &FactorCache,
     ) -> (Matrix, ReuseReport) {
-        let mut operands = Operands::new();
+        let mut operands = Operands::with_capacity(alg.operands.len());
         let mut report = ReuseReport::default();
         self.walk_calls(alg, &mut operands, Some(store), |_, call, seconds| {
             report.record(call, seconds.is_none());
@@ -308,7 +296,14 @@ impl Executor for MeasuredExecutor {
     }
 
     fn execute_algorithm(&mut self, alg: &Algorithm) -> AlgorithmTiming {
-        let mut operands = self.allocate_operands(alg);
+        // Every operand is filled before the first flush, so each timed
+        // repetition starts from operands the flush evicted.
+        let mut operands = Operands::with_capacity(alg.operands.len());
+        for call in &alg.calls {
+            Self::allocate_missing(alg, call, &mut operands, |info| {
+                self.fresh_operand(alg, info)
+            });
+        }
         let mut total_samples = Vec::with_capacity(self.reps);
         let mut call_samples = vec![Vec::with_capacity(self.reps); alg.calls.len()];
         for _ in 0..self.reps {
@@ -343,7 +338,7 @@ impl Executor for MeasuredExecutor {
         alg: &Algorithm,
         store: &FactorCache,
     ) -> (AlgorithmTiming, ReuseReport) {
-        let mut operands = Operands::new();
+        let mut operands = Operands::with_capacity(alg.operands.len());
         let mut report = ReuseReport::default();
         let mut seconds_of = vec![0.0; alg.calls.len()];
         self.walk_calls(alg, &mut operands, Some(store), |i, call, seconds| {
@@ -406,7 +401,6 @@ impl Executor for MeasuredExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_expr::{enumerate_aatb_algorithms, enumerate_chain_algorithms};
     use lamb_matrix::ops::max_abs_diff;
 
     fn tiny_executor() -> MeasuredExecutor {
@@ -418,7 +412,7 @@ mod tests {
         // Execute each of the six ABCD algorithms with identical inputs and
         // compare the output operands numerically.
         let exec = tiny_executor();
-        let algs = enumerate_chain_algorithms(&[30, 25, 20, 15, 10]).unwrap();
+        let algs = algorithms_of("A*B*C*D", &[30, 25, 20, 15, 10]);
         let results: Vec<Matrix> = algs.iter().map(|a| exec.compute_result(a)).collect();
         for other in &results[1..] {
             assert!(max_abs_diff(&results[0], other).unwrap() < 1e-9);
@@ -428,7 +422,7 @@ mod tests {
     #[test]
     fn all_aatb_algorithms_produce_the_same_result_matrix() {
         let exec = tiny_executor();
-        let algs = enumerate_aatb_algorithms(28, 17, 22);
+        let algs = algorithms_of("A*A^T*B", &[28, 17, 22]);
         let results: Vec<Matrix> = algs.iter().map(|a| exec.compute_result(a)).collect();
         for other in &results[1..] {
             assert!(max_abs_diff(&results[0], other).unwrap() < 1e-9);
@@ -491,7 +485,7 @@ mod tests {
     #[test]
     fn timings_have_one_entry_per_call_and_are_positive() {
         let mut exec = tiny_executor();
-        let alg = &enumerate_aatb_algorithms(40, 30, 20)[1]; // syrk + copy + gemm
+        let alg = &algorithms_of("A*A^T*B", &[40, 30, 20])[1]; // syrk + copy + gemm
         let timing = exec.execute_algorithm(alg);
         assert_eq!(timing.per_call.len(), 3);
         assert!(timing.seconds > 0.0);
@@ -502,7 +496,7 @@ mod tests {
     #[test]
     fn isolated_call_timing_is_positive() {
         let mut exec = tiny_executor();
-        let alg = &enumerate_chain_algorithms(&[40, 30, 20, 10, 50]).unwrap()[0];
+        let alg = &algorithms_of("A*B*C*D", &[40, 30, 20, 10, 50])[0];
         for i in 0..alg.calls.len() {
             assert!(exec.time_isolated_call(alg, i) > 0.0);
         }
@@ -794,7 +788,7 @@ mod tests {
         let mut exec = MeasuredExecutor::quick().with_seed(7);
         assert_eq!(exec.name(), "measured");
         assert!(exec.reps() >= 1);
-        let alg = &enumerate_chain_algorithms(&[16, 16, 16, 16, 16]).unwrap()[0];
+        let alg = &algorithms_of("A*B*C*D", &[16, 16, 16, 16, 16])[0];
         let t = exec.execute_algorithm(alg);
         assert!(t.seconds > 0.0);
         assert!(exec.machine().peak_flops > 0.0);
@@ -818,7 +812,7 @@ mod tests {
 
     #[test]
     fn per_call_backend_overrides_execute_and_preserve_numerics() {
-        let alg = &enumerate_chain_algorithms(&[18, 14, 10, 8, 6]).unwrap()[0];
+        let alg = &algorithms_of("A*B*C*D", &[18, 14, 10, 8, 6])[0];
         let expected = tiny_executor().compute_result(alg);
         let mut mixed = tiny_executor();
         // Route only the first call through the reference backend.

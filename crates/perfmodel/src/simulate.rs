@@ -302,12 +302,18 @@ impl<E: EfficiencyModel> Executor for SimulatedExecutor<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_expr::{enumerate_aatb_algorithms, enumerate_chain_algorithms};
+    use lamb_expr::{Expression, TreeExpression};
+
+    /// The algorithms of `text` at `dims`.
+    fn algorithms_of(text: &str, dims: &[usize]) -> Vec<Algorithm> {
+        let expr = TreeExpression::parse(text).unwrap();
+        expr.algorithms(dims).unwrap()
+    }
 
     #[test]
     fn simulation_is_deterministic() {
         let mut sim = SimulatedExecutor::paper_like();
-        let algs = enumerate_chain_algorithms(&[300, 200, 100, 400, 250]).unwrap();
+        let algs = algorithms_of("A*B*C*D", &[300, 200, 100, 400, 250]);
         let t1 = sim.execute_algorithm(&algs[0]);
         let t2 = sim.execute_algorithm(&algs[0]);
         assert_eq!(t1, t2);
@@ -316,8 +322,8 @@ mod tests {
     #[test]
     fn times_are_positive_and_scale_with_work() {
         let mut sim = SimulatedExecutor::paper_like();
-        let small = enumerate_chain_algorithms(&[50, 50, 50, 50, 50]).unwrap();
-        let large = enumerate_chain_algorithms(&[500, 500, 500, 500, 500]).unwrap();
+        let small = algorithms_of("A*B*C*D", &[50, 50, 50, 50, 50]);
+        let large = algorithms_of("A*B*C*D", &[500, 500, 500, 500, 500]);
         let ts = sim.execute_algorithm(&small[0]).seconds;
         let tl = sim.execute_algorithm(&large[0]).seconds;
         assert!(ts > 0.0);
@@ -328,7 +334,7 @@ mod tests {
     fn efficiency_is_in_unit_interval_for_all_algorithms() {
         let mut sim = SimulatedExecutor::paper_like();
         let machine = sim.machine().clone();
-        for alg in enumerate_aatb_algorithms(700, 450, 900) {
+        for alg in algorithms_of("A*A^T*B", &[700, 450, 900]) {
             let t = sim.execute_algorithm(&alg);
             let e = t.efficiency(&machine);
             assert!(e > 0.0 && e <= 1.0, "{}: efficiency {e}", alg.name);
@@ -344,7 +350,7 @@ mod tests {
             AnalyticEfficiencyModel::default(),
             SimulatorConfig::idealised(),
         );
-        let alg = &enumerate_aatb_algorithms(400, 300, 200)[0];
+        let alg = &algorithms_of("A*A^T*B", &[400, 300, 200])[0];
         let seq = ideal.execute_algorithm(alg);
         let pred = ideal.predict_from_isolated_calls(alg);
         assert!((seq.seconds - pred.seconds).abs() < 1e-15);
@@ -361,7 +367,7 @@ mod tests {
     #[test]
     fn cache_reuse_only_applies_to_producer_consumer_pairs() {
         let sim = SimulatedExecutor::paper_like();
-        let alg = &enumerate_aatb_algorithms(300, 200, 100)[0];
+        let alg = &algorithms_of("A*A^T*B", &[300, 200, 100])[0];
         // Call 1 (symm) consumes the output of call 0 (syrk): factor < 1.
         assert!(sim.cache_reuse_factor(alg, 1) < 1.0);
         // The first call never gets a reuse bonus.
@@ -372,14 +378,14 @@ mod tests {
     fn large_intermediates_do_not_fit_in_cache() {
         let sim = SimulatedExecutor::paper_like();
         // d0 = 2000 gives a 2000x2000 intermediate (32 MB) > 14 MiB LLC.
-        let alg = &enumerate_aatb_algorithms(2000, 100, 100)[0];
+        let alg = &algorithms_of("A*A^T*B", &[2000, 100, 100])[0];
         assert_eq!(sim.cache_reuse_factor(alg, 1), 1.0);
     }
 
     #[test]
     fn copy_triangle_costs_memory_time_not_flop_time() {
         let mut sim = SimulatedExecutor::paper_like();
-        let algs = enumerate_aatb_algorithms(1000, 500, 500);
+        let algs = algorithms_of("A*A^T*B", &[1000, 500, 500]);
         let alg2 = &algs[1]; // syrk + copy + gemm
         let timing = sim.execute_algorithm(alg2);
         let copy = &timing.per_call[1];
@@ -394,7 +400,7 @@ mod tests {
     #[test]
     fn noise_is_bounded() {
         let sim = SimulatedExecutor::paper_like();
-        let alg = &enumerate_chain_algorithms(&[100, 100, 100, 100, 100]).unwrap()[0];
+        let alg = &algorithms_of("A*B*C*D", &[100, 100, 100, 100, 100])[0];
         for (i, call) in alg.calls.iter().enumerate() {
             let f = sim.noise_factor(&call.op, i, "sequence");
             assert!((f - 1.0).abs() <= 2.0 * sim.config().noise_sigma + 1e-12);
@@ -403,9 +409,7 @@ mod tests {
 
     #[test]
     fn resident_factors_cost_nothing_in_simulated_reuse() {
-        use lamb_expr::{Expression, TreeExpression};
-        let expr = TreeExpression::parse("S[spd]^-1*B").unwrap();
-        let algs = expr.algorithms(&[300, 40]).unwrap();
+        let algs = algorithms_of("S[spd]^-1*B", &[300, 40]);
         let solve = algs
             .iter()
             .find(|a| a.kernel_summary().contains("potrf"))
@@ -469,7 +473,7 @@ mod tests {
             sim.time_isolated_call(&large, 0)
         );
         // A per-call assignment changes sequence execution deterministically.
-        let alg = &enumerate_chain_algorithms(&[200, 200, 200, 200, 200]).unwrap()[0];
+        let alg = &algorithms_of("A*B*C*D", &[200, 200, 200, 200, 200])[0];
         let native_t = sim.execute_algorithm(alg);
         sim.set_backend_assignment(&[reference]);
         let mixed_t = sim.execute_algorithm(alg);

@@ -235,7 +235,13 @@ impl Executor for CachingExecutor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_expr::enumerate_aatb_algorithms;
+    use lamb_expr::{Expression, TreeExpression};
+
+    /// The algorithms of `text` at `dims`.
+    fn algorithms_of(text: &str, dims: &[usize]) -> Vec<Algorithm> {
+        let expr = TreeExpression::parse(text).unwrap();
+        expr.algorithms(dims).unwrap()
+    }
     use lamb_perfmodel::SimulatedExecutor;
 
     #[test]
@@ -243,7 +249,7 @@ mod tests {
         let cache = PredictionCache::new();
         let mut cached_exec = SimulatedExecutor::paper_like();
         let mut plain_exec = SimulatedExecutor::paper_like();
-        for alg in enumerate_aatb_algorithms(80, 514, 768) {
+        for alg in algorithms_of("A*A^T*B", &[80, 514, 768]) {
             let cached = cache.predict(&mut cached_exec, &alg);
             let plain = plain_exec.predict_from_isolated_calls(&alg);
             assert_eq!(cached.seconds, plain.seconds, "{}", alg.name);
@@ -255,7 +261,7 @@ mod tests {
     fn repeated_predictions_hit_the_cache() {
         let cache = PredictionCache::new();
         let mut exec = SimulatedExecutor::paper_like();
-        let algs = enumerate_aatb_algorithms(100, 200, 300);
+        let algs = algorithms_of("A*A^T*B", &[100, 200, 300]);
         for alg in &algs {
             cache.predict(&mut exec, alg);
         }
@@ -275,7 +281,7 @@ mod tests {
         // bit-identical predictions.
         let first = PredictionCache::new();
         let mut exec = SimulatedExecutor::paper_like();
-        let algs = enumerate_aatb_algorithms(120, 340, 560);
+        let algs = algorithms_of("A*A^T*B", &[120, 340, 560]);
         let baseline: Vec<f64> = algs
             .iter()
             .map(|a| first.predict(&mut exec, a).seconds)
@@ -414,7 +420,7 @@ mod tests {
         let cache = PredictionCache::new();
         let mut inner = SimulatedExecutor::paper_like();
         let mut reference = SimulatedExecutor::paper_like();
-        let alg = &enumerate_aatb_algorithms(90, 110, 130)[0];
+        let alg = &algorithms_of("A*A^T*B", &[90, 110, 130])[0];
         let mut wrapped = CachingExecutor::new(&mut inner, &cache);
         assert_eq!(
             wrapped.execute_algorithm(alg),

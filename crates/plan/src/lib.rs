@@ -12,11 +12,11 @@
 //! builder:
 //!
 //! ```
-//! use lamb_expr::AatbExpression;
+//! use lamb_expr::TreeExpression;
 //! use lamb_plan::Planner;
 //! use lamb_select::MinPredictedTime;
 //!
-//! let expr = AatbExpression::new();
+//! let expr = TreeExpression::parse("A*A^T*B").unwrap();
 //! let plan = Planner::for_expression(&expr)
 //!     .policy(MinPredictedTime)          // or any custom SelectionPolicy
 //!     .threshold(0.10)                   // anomaly time-score threshold

@@ -262,7 +262,8 @@ mod tests {
     /// A plan over placeholder algorithms whose scores are the given
     /// `(flops, predicted seconds)` pairs, made at `threshold`.
     fn plan_with_scores(threshold: f64, scores: &[(u64, f64)]) -> Plan {
-        let algorithms = lamb_expr::enumerate_aatb_algorithms(8, 8, 8);
+        let aatb = lamb_expr::TreeExpression::parse("A*A^T*B").unwrap();
+        let algorithms = lamb_expr::Expression::algorithms(&aatb, &[8, 8, 8]).unwrap();
         Plan {
             dims: vec![8, 8, 8],
             expression: "hand-built".into(),

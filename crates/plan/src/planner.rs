@@ -308,11 +308,11 @@ pub(crate) use impl_settings_builder;
 /// algorithms, score them, and let a [`SelectionPolicy`] choose.
 ///
 /// ```
-/// use lamb_expr::AatbExpression;
+/// use lamb_expr::TreeExpression;
 /// use lamb_plan::Planner;
 /// use lamb_select::MinPredictedTime;
 ///
-/// let expr = AatbExpression::new();
+/// let expr = TreeExpression::parse("A*A^T*B").unwrap();
 /// let planner = Planner::for_expression(&expr).policy(MinPredictedTime);
 /// let plan = planner.plan(&[80, 514, 768]).unwrap();
 /// let outcome = plan.execute();
@@ -436,12 +436,12 @@ fn same_calls(a: &Algorithm, b: &Algorithm) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_expr::{AatbExpression, GenerateError, MatrixChainExpression, TreeExpression};
+    use lamb_expr::{GenerateError, TreeExpression};
     use lamb_select::{MinPredictedTime, Oracle, Strategy};
 
     #[test]
     fn planning_validates_dimensions() {
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let planner = Planner::for_expression(&expr);
         assert_eq!(
             planner.plan(&[10, 20]).unwrap_err(),
@@ -458,7 +458,7 @@ mod tests {
 
     #[test]
     fn default_policy_is_min_flops() {
-        let expr = MatrixChainExpression::abcd();
+        let expr = TreeExpression::parse("A*B*C*D").unwrap();
         let planner = Planner::for_expression(&expr);
         let plan = planner.plan(&[100, 20, 300, 20, 500]).unwrap();
         assert_eq!(plan.policy, "min-flops");
@@ -470,7 +470,7 @@ mod tests {
 
     #[test]
     fn scores_include_predictions_by_default_and_can_be_disabled() {
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let planner = Planner::for_expression(&expr);
         let plan = planner.plan(&[80, 100, 120]).unwrap();
         assert!(plan.scores.iter().all(|s| s.predicted_seconds.is_some()));
@@ -484,7 +484,7 @@ mod tests {
 
     #[test]
     fn policy_and_strategy_builders_agree() {
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let dims = [400usize, 100, 1100];
         let via_policy = Planner::for_expression(&expr)
             .policy(MinPredictedTime)
@@ -500,7 +500,7 @@ mod tests {
 
     #[test]
     fn execution_judges_the_choice_against_the_optimum() {
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let oracle = Planner::for_expression(&expr).policy(Oracle);
         let outcome = oracle.plan(&[300, 700, 900]).unwrap().execute();
         assert!(outcome.regret() < 1e-12, "the oracle has no regret");
@@ -519,7 +519,11 @@ mod tests {
             fn num_dims(&self) -> usize {
                 1
             }
-            fn algorithms(&self, _dims: &[usize]) -> Result<Vec<Algorithm>, GenerateError> {
+            fn algorithms_pruned(
+                &self,
+                _dims: &[usize],
+                _top_k: Option<usize>,
+            ) -> Result<Vec<Algorithm>, GenerateError> {
                 Ok(Vec::new())
             }
         }
@@ -543,7 +547,11 @@ mod tests {
             fn num_dims(&self) -> usize {
                 1
             }
-            fn algorithms(&self, _dims: &[usize]) -> Result<Vec<Algorithm>, GenerateError> {
+            fn algorithms_pruned(
+                &self,
+                _dims: &[usize],
+                _top_k: Option<usize>,
+            ) -> Result<Vec<Algorithm>, GenerateError> {
                 Err(GenerateError::Empty)
             }
         }
@@ -569,8 +577,12 @@ mod tests {
             fn num_dims(&self) -> usize {
                 3
             }
-            fn algorithms(&self, dims: &[usize]) -> Result<Vec<Algorithm>, GenerateError> {
-                let aatb = AatbExpression::new();
+            fn algorithms_pruned(
+                &self,
+                dims: &[usize],
+                _top_k: Option<usize>,
+            ) -> Result<Vec<Algorithm>, GenerateError> {
+                let aatb = TreeExpression::parse("A*A^T*B").unwrap();
                 let mut algs = aatb.algorithms(dims)?;
                 let mut twin = algs[0].clone();
                 twin.name = "the same algorithm again".into();
@@ -588,7 +600,7 @@ mod tests {
         assert_eq!(plan.duplicates_removed, 1, "the relabelled twin is a dup");
         assert_eq!(plan.algorithms.len(), 5);
         // The paper expressions have no duplicates.
-        let aatb = AatbExpression::new();
+        let aatb = TreeExpression::parse("A*A^T*B").unwrap();
         let plan = Planner::for_expression(&aatb)
             .plan(&[80, 100, 120])
             .unwrap();
@@ -613,7 +625,11 @@ mod tests {
             fn num_dims(&self) -> usize {
                 1
             }
-            fn algorithms(&self, dims: &[usize]) -> Result<Vec<Algorithm>, GenerateError> {
+            fn algorithms_pruned(
+                &self,
+                dims: &[usize],
+                _top_k: Option<usize>,
+            ) -> Result<Vec<Algorithm>, GenerateError> {
                 let s = dims[0];
                 let square = |id: usize, name: &str, role: OperandRole| OperandInfo {
                     id: OperandId(id),
@@ -736,7 +752,7 @@ mod tests {
     fn plan_grid_builds_at_most_one_executor_per_worker() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let built = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&built);
         let planner = Planner::for_expression(&expr).executor_factory(move || {
@@ -757,7 +773,7 @@ mod tests {
 
     #[test]
     fn the_shared_cache_spans_instances() {
-        let expr = AatbExpression::new();
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let planner = Planner::for_expression(&expr).policy(MinPredictedTime);
         let _ = planner.plan(&[80, 100, 120]).unwrap();
         let after_first = planner.cache_stats();

@@ -21,7 +21,7 @@
 //! races into hard failures; under the normal test profile this still
 //! hammers the shard locks enough to catch logic races.
 
-use lamb_expr::{AatbExpression, Expression, KernelOp, TreeExpression};
+use lamb_expr::{Expression, KernelOp, TreeExpression};
 use lamb_matrix::{Matrix, Trans};
 use lamb_perfmodel::{CallTimeTable, SimulatedExecutor};
 use lamb_plan::{FactorCache, MinPredictedTime, Planner, PredictionCache};
@@ -60,7 +60,7 @@ fn transposed_variant_table(seed: usize) -> CallTimeTable {
 #[test]
 fn sharded_cache_survives_concurrent_preload_snapshot_and_planning() {
     let cache = Arc::new(PredictionCache::new());
-    let aatb = AatbExpression::new();
+    let aatb = TreeExpression::parse("A*A^T*B").unwrap();
     let chain = TreeExpression::parse("A*B*C*D").unwrap();
     let failed = Arc::new(AtomicBool::new(false));
 

@@ -120,7 +120,13 @@ pub fn pinned_backends(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_expr::enumerate_chain_algorithms;
+    use lamb_expr::{Expression, TreeExpression};
+
+    /// The algorithms of `text` at `dims`.
+    fn algorithms_of(text: &str, dims: &[usize]) -> Vec<Algorithm> {
+        let expr = TreeExpression::parse(text).unwrap();
+        expr.algorithms(dims).unwrap()
+    }
     use lamb_perfmodel::SimulatedExecutor;
 
     #[test]
@@ -128,7 +134,7 @@ mod tests {
         // One large product (native wins) and one tiny product (reference
         // wins) in a single chain.
         let mut sim = SimulatedExecutor::paper_like();
-        let algs = enumerate_chain_algorithms(&[300, 300, 300, 8, 8]).unwrap();
+        let algs = algorithms_of("A*B*C*D", &[300, 300, 300, 8, 8]);
         let alg = algs
             .iter()
             .find(|a| {
@@ -157,7 +163,7 @@ mod tests {
     #[test]
     fn pinned_assignment_uses_one_backend_everywhere() {
         let mut sim = SimulatedExecutor::paper_like();
-        let alg = &enumerate_chain_algorithms(&[60, 60, 60, 60, 60]).unwrap()[0];
+        let alg = &algorithms_of("A*B*C*D", &[60, 60, 60, 60, 60])[0];
         let pinned = pinned_backends(alg, &mut sim, BackendId::Reference);
         assert!(!pinned.is_mixed());
         assert_eq!(pinned.backends_used(), vec![BackendId::Reference]);

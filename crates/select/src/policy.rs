@@ -174,7 +174,13 @@ impl SelectionPolicy for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_expr::{enumerate_aatb_algorithms, enumerate_chain_algorithms};
+    use lamb_expr::{Expression, TreeExpression};
+
+    /// The algorithms of `text` at `dims`.
+    fn algorithms_of(text: &str, dims: &[usize]) -> Vec<Algorithm> {
+        let expr = TreeExpression::parse(text).unwrap();
+        expr.algorithms(dims).unwrap()
+    }
     use lamb_perfmodel::SimulatedExecutor;
 
     #[test]
@@ -185,7 +191,7 @@ mod tests {
             Box::new(Hybrid { flop_margin: 0.5 }),
             Box::new(Oracle),
         ];
-        let algs = enumerate_chain_algorithms(&[60, 70, 80, 90, 100]).unwrap();
+        let algs = algorithms_of("A*B*C*D", &[60, 70, 80, 90, 100]);
         let mut exec = SimulatedExecutor::paper_like();
         for p in &policies {
             assert!(!p.name().is_empty());
@@ -215,7 +221,7 @@ mod tests {
 
     #[test]
     fn min_flops_ignores_the_executor_and_matches_the_minimum() {
-        let algs = enumerate_aatb_algorithms(150, 300, 450);
+        let algs = algorithms_of("A*A^T*B", &[150, 300, 450]);
         let mut exec = SimulatedExecutor::paper_like();
         let chosen = MinFlops.select(&algs, &mut exec).unwrap();
         let min = algs.iter().map(Algorithm::flops).min().unwrap();
@@ -224,7 +230,7 @@ mod tests {
 
     #[test]
     fn hybrid_with_huge_margin_equals_min_predicted_time() {
-        let algs = enumerate_aatb_algorithms(400, 100, 1100);
+        let algs = algorithms_of("A*A^T*B", &[400, 100, 1100]);
         let mut e1 = SimulatedExecutor::paper_like();
         let mut e2 = SimulatedExecutor::paper_like();
         let hybrid = Hybrid { flop_margin: 1.0e9 }

@@ -142,12 +142,18 @@ pub fn evaluate_instance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_expr::{enumerate_aatb_algorithms, enumerate_chain_algorithms};
+    use lamb_expr::{Expression, TreeExpression};
+
+    /// The algorithms of `text` at `dims`.
+    fn algorithms_of(text: &str, dims: &[usize]) -> Vec<Algorithm> {
+        let expr = TreeExpression::parse(text).unwrap();
+        expr.algorithms(dims).unwrap()
+    }
     use lamb_perfmodel::SimulatedExecutor;
 
     #[test]
     fn min_flops_picks_a_cheapest_algorithm() {
-        let algs = enumerate_chain_algorithms(&[100, 20, 300, 20, 500]).unwrap();
+        let algs = algorithms_of("A*B*C*D", &[100, 20, 300, 20, 500]);
         let mut exec = SimulatedExecutor::paper_like();
         let chosen = Strategy::MinFlops.select(&algs, &mut exec).unwrap();
         let min = algs.iter().map(Algorithm::flops).min().unwrap();
@@ -156,7 +162,7 @@ mod tests {
 
     #[test]
     fn oracle_never_has_regret() {
-        let algs = enumerate_aatb_algorithms(300, 700, 900);
+        let algs = algorithms_of("A*A^T*B", &[300, 700, 900]);
         let mut exec = SimulatedExecutor::paper_like();
         let outcome = evaluate_strategy(Strategy::Oracle, &algs, &mut exec);
         assert!(outcome.regret() < 1e-12);
@@ -166,7 +172,7 @@ mod tests {
     fn predicted_time_is_at_least_as_good_as_min_flops_on_anomalous_instances() {
         // Pick an instance where the SYRK/SYMM route is cheapest but slower:
         // d2 much larger than d1 makes the second (GEMM vs SYMM) product dominate.
-        let algs = enumerate_aatb_algorithms(400, 100, 1100);
+        let algs = algorithms_of("A*A^T*B", &[400, 100, 1100]);
         let mut exec = SimulatedExecutor::paper_like();
         let flops_outcome = evaluate_strategy(Strategy::MinFlops, &algs, &mut exec);
         let pred_outcome = evaluate_strategy(Strategy::MinPredictedTime, &algs, &mut exec);
@@ -175,7 +181,7 @@ mod tests {
 
     #[test]
     fn hybrid_with_zero_margin_reduces_to_min_flops_choice_set() {
-        let algs = enumerate_aatb_algorithms(200, 300, 400);
+        let algs = algorithms_of("A*A^T*B", &[200, 300, 400]);
         let mut exec = SimulatedExecutor::paper_like();
         let chosen = Strategy::Hybrid { flop_margin: 0.0 }
             .select(&algs, &mut exec)
@@ -194,7 +200,7 @@ mod tests {
         use lamb_matrix::Uplo;
         let l = Expr::tri_var("L", 72, Uplo::Lower);
         let b = Expr::var("B", 72, 700);
-        let algs = lamb_expr::enumerate_expr_algorithms(&l.mul(b)).unwrap();
+        let algs = lamb_expr::enumerate_expr_algorithms(&l.mul(b), None).unwrap();
         assert_eq!(algs.len(), 2);
         assert!(algs[0].kernel_summary().contains("trmm"));
         let mut exec = SimulatedExecutor::paper_like();
@@ -213,7 +219,7 @@ mod tests {
         // the anomaly disappears.
         let l_big = Expr::tri_var("L", 2000, Uplo::Lower);
         let b_big = Expr::var("B", 2000, 700);
-        let big = lamb_expr::enumerate_expr_algorithms(&l_big.mul(b_big)).unwrap();
+        let big = lamb_expr::enumerate_expr_algorithms(&l_big.mul(b_big), None).unwrap();
         let eval_big = evaluate_instance(&[2000, 700], &big, &mut exec);
         assert!(!eval_big.classify(0.10).is_anomaly);
     }
@@ -226,7 +232,7 @@ mod tests {
         use lamb_matrix::Uplo;
         let l = Expr::tri_var("L", 300, Uplo::Lower);
         let b = Expr::var("B", 300, 90);
-        let algs = lamb_expr::enumerate_expr_algorithms(&l.inv().mul(b)).unwrap();
+        let algs = lamb_expr::enumerate_expr_algorithms(&l.inv().mul(b), None).unwrap();
         assert_eq!(algs.len(), 1);
         assert_eq!(algs[0].kernel_summary(), "trsm");
         let mut exec = SimulatedExecutor::paper_like();
@@ -250,7 +256,8 @@ mod tests {
         use lamb_expr::expr::Expr;
         let s = Expr::spd_var("S", 80);
         let a = Expr::var("A", 80, 514);
-        let algs = lamb_expr::enumerate_expr_algorithms(&s.mul(a.clone().mul(a.t()))).unwrap();
+        let algs =
+            lamb_expr::enumerate_expr_algorithms(&s.mul(a.clone().mul(a.t())), None).unwrap();
         assert!(algs.len() > 2, "got {}", algs.len());
         assert!(algs.iter().any(|a| a.kernel_summary().contains("syrk")));
         assert!(algs.iter().any(|a| a.kernel_summary().contains("symm")));
@@ -288,7 +295,7 @@ mod tests {
         use lamb_expr::expr::Expr;
         let s = Expr::spd_var("S", 200);
         let b = Expr::var("B", 200, 60);
-        let algs = lamb_expr::enumerate_expr_algorithms(&s.clone().inv().mul(b)).unwrap();
+        let algs = lamb_expr::enumerate_expr_algorithms(&s.clone().inv().mul(b), None).unwrap();
         assert_eq!(algs.len(), 1);
         assert_eq!(algs[0].kernel_summary(), "potrf,trsm,trsm");
         let mut exec = SimulatedExecutor::paper_like();
@@ -304,7 +311,8 @@ mod tests {
         // A solve chain offers competing orders; selection never errors and
         // the oracle has no regret.
         let c = Expr::var("C", 60, 35);
-        let chain = lamb_expr::enumerate_expr_algorithms(&s.inv().mul(b2(200, 60)).mul(c)).unwrap();
+        let chain =
+            lamb_expr::enumerate_expr_algorithms(&s.inv().mul(b2(200, 60)).mul(c), None).unwrap();
         assert!(chain.len() >= 2);
         let outcome = evaluate_strategy(Strategy::Oracle, &chain, &mut exec);
         assert!(outcome.regret() < 1e-12);
@@ -323,7 +331,7 @@ mod tests {
 
     #[test]
     fn evaluate_instance_produces_one_measurement_per_algorithm() {
-        let algs = enumerate_chain_algorithms(&[50, 60, 70, 80, 90]).unwrap();
+        let algs = algorithms_of("A*B*C*D", &[50, 60, 70, 80, 90]);
         let mut exec = SimulatedExecutor::paper_like();
         let eval = evaluate_instance(&[50, 60, 70, 80, 90], &algs, &mut exec);
         assert_eq!(eval.measurements.len(), 6);

@@ -39,7 +39,7 @@
 //! let a = Expr::var("A", 60, 40);
 //! let b = Expr::var("B", 40, 50);
 //! let c = Expr::var("C", 50, 30);
-//! for alg in enumerate_expr_algorithms(&a.mul(b).mul(c)).unwrap() {
+//! for alg in enumerate_expr_algorithms(&a.mul(b).mul(c), None).unwrap() {
 //!     let report = alg.verify();
 //!     assert!(report.is_clean(), "{report}");
 //! }

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 /// and executes to the same result as the original.
 fn assert_cse_preserves_numerics(expr: &Expr, what: &str) -> Result<(), TestCaseError> {
     let executor = MeasuredExecutor::quick();
-    for alg in enumerate_expr_algorithms(expr).unwrap() {
+    for alg in enumerate_expr_algorithms(expr, None).unwrap() {
         let outcome = eliminate_common_subexpressions(&alg);
         let report = verify_algorithm(&outcome.algorithm);
         prop_assert!(

@@ -4,8 +4,8 @@
 //! so everything else about the IR stays legitimate.
 
 use lamb_expr::{
-    enumerate_aatb_algorithms, enumerate_chain_algorithms, enumerate_expr_algorithms, Algorithm,
-    Expr, KernelOp, OperandId, OperandInfo, OperandRole,
+    enumerate_expr_algorithms, Algorithm, Expr, Expression, KernelOp, OperandId, OperandInfo,
+    OperandRole, TreeExpression,
 };
 use lamb_matrix::{Side, Structure, Trans, Uplo};
 use lamb_perfmodel::calibrate::single_call_algorithm;
@@ -15,11 +15,8 @@ use lamb_verify::{verify_algorithm, verify_call_table, verify_timing_keys, PassI
 /// A four-matrix chain algorithm — pure GEMM, structurally trivial, ideal
 /// for mutations that should trip exactly one pass.
 fn chain_algorithm() -> Algorithm {
-    enumerate_chain_algorithms(&[60, 50, 40, 30, 20])
-        .unwrap()
-        .into_iter()
-        .next()
-        .unwrap()
+    let chain = TreeExpression::parse("A*B*C*D").unwrap();
+    chain.algorithms(&[60, 50, 40, 30, 20]).unwrap().remove(0)
 }
 
 #[test]
@@ -96,7 +93,7 @@ fn shape_flow_rejects_swapped_gemm_inputs() {
 fn structure_flow_rejects_wrong_trsm_uplo() {
     // A Cholesky solve: potrf, then two triangular solves against the factor.
     let expr = Expr::spd_var("S", 40).inv().mul(Expr::var("B", 40, 25));
-    let algs = enumerate_expr_algorithms(&expr).unwrap();
+    let algs = enumerate_expr_algorithms(&expr, None).unwrap();
     let mut alg = algs
         .into_iter()
         .find(|a| {
@@ -182,7 +179,8 @@ fn structure_flow_rejects_missing_triangle_copy() {
     // AATB algorithm 2 computes M := A·Aᵀ by SYRK (lower triangle only),
     // completes it with an in-place copy, then GEMMs. Deleting the copy
     // leaves GEMM reading a half-written matrix.
-    let algs = enumerate_aatb_algorithms(100, 80, 60);
+    let aatb = TreeExpression::parse("A*A^T*B").unwrap();
+    let algs = aatb.algorithms(&[100, 80, 60]).unwrap();
     let mut alg = algs
         .into_iter()
         .find(|a| {
@@ -303,7 +301,7 @@ fn verify_call_table_rejects_non_finite_times() {
 /// application, two solves.
 fn lu_solve_algorithm() -> Algorithm {
     let expr = Expr::var("A", 12, 12).inv().mul(Expr::var("B", 12, 5));
-    enumerate_expr_algorithms(&expr)
+    enumerate_expr_algorithms(&expr, None)
         .unwrap()
         .into_iter()
         .find(|a| {
@@ -386,7 +384,7 @@ fn cost_audit_rejects_forged_qr_dimensions() {
     // shape-flow stays silent — the cost audit sees the forged dimensions,
     // the forged FLOP count, and the forged written-element count.
     let expr = Expr::var("A", 34, 9).pinv().mul(Expr::var("b", 34, 2));
-    let mut alg = enumerate_expr_algorithms(&expr)
+    let mut alg = enumerate_expr_algorithms(&expr, None)
         .unwrap()
         .into_iter()
         .find(|a| a.calls.iter().any(|c| matches!(c.op, KernelOp::Qr { .. })))

@@ -1,12 +1,8 @@
-//! Positive-path coverage: every algorithm the repo's enumerators emit — the
-//! paper's hand-written reference tables, the general merge-search engine
-//! over representative expressions, and the isolated-call calibration
-//! fixtures — verifies clean.
+//! Positive-path coverage: every algorithm the repo's enumerator emits — the
+//! paper's two expressions, representative expression trees, and the
+//! isolated-call calibration fixtures — verifies clean.
 
-use lamb_expr::{
-    enumerate_aatb_algorithms, enumerate_chain_algorithms, enumerate_expr_algorithms, Expr,
-    KernelOp,
-};
+use lamb_expr::{enumerate_expr_algorithms, Expr, Expression, KernelOp, TreeExpression};
 use lamb_matrix::{Side, Trans, Uplo};
 use lamb_perfmodel::calibrate::single_call_algorithm;
 use lamb_verify::{verify_algorithm, VerifyExt};
@@ -24,20 +20,22 @@ fn assert_all_clean(algs: &[lamb_expr::Algorithm], what: &str) {
 }
 
 #[test]
-fn chain_reference_table_verifies_clean() {
+fn the_paper_chain_verifies_clean() {
     // Section 3.2.1: the six algorithms of X := A·B·C·D.
-    let algs = enumerate_chain_algorithms(&[100, 90, 80, 70, 60]).unwrap();
+    let chain = TreeExpression::parse("A*B*C*D").unwrap();
+    let algs = chain.algorithms(&[100, 90, 80, 70, 60]).unwrap();
     assert_eq!(algs.len(), 6);
-    assert_all_clean(&algs, "chain reference table");
+    assert_all_clean(&algs, "A*B*C*D");
 }
 
 #[test]
-fn aatb_reference_table_verifies_clean() {
+fn the_paper_gram_expression_verifies_clean() {
     // Section 3.2.2: the five algorithms of X := A·Aᵀ·B, mixing GEMM, SYRK,
     // SYMM and the triangle copy (both its in-place uses).
-    let algs = enumerate_aatb_algorithms(1000, 800, 600);
+    let aatb = TreeExpression::parse("A*A^T*B").unwrap();
+    let algs = aatb.algorithms(&[1000, 800, 600]).unwrap();
     assert_eq!(algs.len(), 5);
-    assert_all_clean(&algs, "aatb reference table");
+    assert_all_clean(&algs, "A*A^T*B");
 }
 
 #[test]
@@ -122,7 +120,7 @@ fn general_enumerator_output_verifies_clean() {
         ),
     ];
     for (what, expr) in cases {
-        let algs = enumerate_expr_algorithms(&expr).expect(what);
+        let algs = enumerate_expr_algorithms(&expr, None).expect(what);
         assert_all_clean(&algs, what);
     }
 }
@@ -197,23 +195,4 @@ fn calibration_fixtures_verify_clean() {
             "fixture for `{op}` failed verification:\n{report}"
         );
     }
-}
-
-#[test]
-fn engine_and_reference_tables_agree_under_verification() {
-    // The engine's AATB algorithms and the hand-written table describe the
-    // same five algorithms; both sides verify clean with identical FLOPs.
-    let reference = enumerate_aatb_algorithms(500, 400, 300);
-    let expr = Expr::var("A", 500, 400)
-        .mul(Expr::var("A", 500, 400).t())
-        .mul(Expr::var("B", 500, 300));
-    let engine = enumerate_expr_algorithms(&expr).unwrap();
-    assert_eq!(reference.len(), engine.len());
-    let mut ref_flops: Vec<u64> = reference.iter().map(lamb_expr::Algorithm::flops).collect();
-    let mut eng_flops: Vec<u64> = engine.iter().map(lamb_expr::Algorithm::flops).collect();
-    ref_flops.sort_unstable();
-    eng_flops.sort_unstable();
-    assert_eq!(ref_flops, eng_flops);
-    assert_all_clean(&reference, "aatb reference");
-    assert_all_clean(&engine, "aatb engine");
 }

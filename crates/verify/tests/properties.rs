@@ -57,7 +57,7 @@ proptest! {
     #[test]
     fn random_chains_verify_clean(dims in [1usize..50, 1usize..50, 1usize..50, 1usize..50, 1usize..50, 1usize..50], len in 4usize..7) {
         let expr = chain_expr(&dims[..len]);
-        for alg in enumerate_expr_algorithms(&expr).unwrap() {
+        for alg in enumerate_expr_algorithms(&expr, None).unwrap() {
             assert_clean(&alg, "random chain")?;
         }
     }
@@ -81,7 +81,7 @@ proptest! {
                 .mul(Expr::var("B", m, m))
                 .mul(Expr::var("A", m, k))
         };
-        for alg in enumerate_expr_algorithms(&expr).unwrap() {
+        for alg in enumerate_expr_algorithms(&expr, None).unwrap() {
             assert_clean(&alg, "transpose/gram")?;
         }
     }
@@ -98,7 +98,7 @@ proptest! {
         let tri = if transposed == 1 { tri.t() } else { tri };
         let tri = if solve == 1 { tri.inv() } else { tri };
         let expr = tri.mul(Expr::var("B", n, c));
-        for alg in enumerate_expr_algorithms(&expr).unwrap() {
+        for alg in enumerate_expr_algorithms(&expr, None).unwrap() {
             assert_clean(&alg, "triangular")?;
         }
     }
@@ -117,7 +117,7 @@ proptest! {
         } else {
             spd.mul(Expr::var("B", n, c))
         };
-        for alg in enumerate_expr_algorithms(&expr).unwrap() {
+        for alg in enumerate_expr_algorithms(&expr, None).unwrap() {
             assert_clean(&alg, "spd")?;
         }
     }
@@ -130,7 +130,7 @@ proptest! {
     ) {
         let dims = strictly_decreasing(&increments);
         let expr = chain_expr(&dims);
-        let algs = enumerate_expr_algorithms(&expr).unwrap();
+        let algs = enumerate_expr_algorithms(&expr, None).unwrap();
         prop_assert!(!algs.is_empty());
         let mut alg = algs[pick % algs.len()].clone();
         if alg.calls.len() < 2 {

@@ -49,7 +49,7 @@ fn expression_zoo() -> Vec<(&'static str, Expr)> {
 #[test]
 fn cse_transformed_algorithms_pass_all_five_passes() {
     for (what, expr) in expression_zoo() {
-        for alg in enumerate_expr_algorithms(&expr).unwrap() {
+        for alg in enumerate_expr_algorithms(&expr, None).unwrap() {
             let outcome = eliminate_common_subexpressions(&alg);
             let report = verify_algorithm(&outcome.algorithm);
             assert!(
@@ -65,7 +65,7 @@ fn cse_transformed_algorithms_pass_all_five_passes() {
 fn shared_flop_claims_are_confirmed_against_the_re_derivation() {
     let mut audited_a_real_merge = false;
     for (what, expr) in expression_zoo() {
-        for alg in enumerate_expr_algorithms(&expr).unwrap() {
+        for alg in enumerate_expr_algorithms(&expr, None).unwrap() {
             let claimed = shared_flops(&alg);
             let report = verify_shared_flop_claim(&alg, claimed);
             assert!(
@@ -89,7 +89,7 @@ fn forged_double_charges_are_caught() {
     // Pick an algorithm where CSE genuinely merges something, so the raw
     // total is a forged (double-charging) version of the shared claim.
     let (_, expr) = expression_zoo().remove(2); // repeated gram
-    let alg = enumerate_expr_algorithms(&expr)
+    let alg = enumerate_expr_algorithms(&expr, None)
         .unwrap()
         .into_iter()
         .find(|alg| shared_flops(alg) < alg.flops())

@@ -23,7 +23,7 @@ fn audited_algorithms_are_clean_with_no_blocking_input_anywhere() {
     // covers every tile variant a calibrated store might carry.
     let a = Expr::var("A", 24, 9);
     let expr = a.clone().mul(a.t()).mul(Expr::var("B", 24, 13));
-    let algorithms = enumerate_expr_algorithms(&expr).unwrap();
+    let algorithms = enumerate_expr_algorithms(&expr, None).unwrap();
     assert!(!algorithms.is_empty());
     for alg in &algorithms {
         let report = verify_algorithm(alg);

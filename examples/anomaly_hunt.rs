@@ -19,7 +19,7 @@ use lamb::prelude::*;
 
 fn main() {
     let measured = std::env::args().any(|a| a == "--measured");
-    let expr = AatbExpression::new();
+    let expr = TreeExpression::parse("A*A^T*B").unwrap();
 
     let mut executor: Box<dyn Executor> = if measured {
         Box::new(MeasuredExecutor::new(

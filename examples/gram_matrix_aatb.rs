@@ -21,7 +21,8 @@ fn main() {
     let (d0, d1, d2) = (192usize, 640usize, 768usize);
     println!("X := A*A^T*B with A {d0}x{d1}, B {d0}x{d2} (real kernels)\n");
 
-    let algorithms = enumerate_aatb_algorithms(d0, d1, d2);
+    let aatb = TreeExpression::parse("A*A^T*B").expect("well-formed text");
+    let algorithms = aatb.algorithms(&[d0, d1, d2]).expect("valid instance");
     let mut executor = MeasuredExecutor::new(
         MachineModel::generic_laptop(),
         BlockConfig::default(),

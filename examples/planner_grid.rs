@@ -10,7 +10,7 @@
 use lamb::prelude::*;
 
 fn main() {
-    let expr = AatbExpression::new();
+    let expr = TreeExpression::parse("A*A^T*B").unwrap();
 
     // A lattice over (d0, d1, d2): small symmetric orders against growing
     // right-hand sides — the regime where the paper finds abundant anomalies.

@@ -1,7 +1,6 @@
 //! Quickstart: from an expression to an algorithm choice.
 //!
-//! Builds the paper's two expressions symbolically, enumerates their
-//! algorithm sets, times them on the simulated machine model, and shows where
+//! Parses the paper's two expressions, enumerates their algorithm sets, times them on the simulated machine model, and shows where
 //! the minimum-FLOP-count discriminant goes wrong.
 //!
 //! ```text
@@ -15,16 +14,9 @@ fn main() {
     // X := A·B·C·D with the instance (331, 279, 338, 854, 427) — one of the
     // anomalies highlighted in the paper's Figure 8.
     let dims = [331, 279, 338, 854, 427];
-    let a = Expr::var("A", dims[0], dims[1]);
-    let b = Expr::var("B", dims[1], dims[2]);
-    let c = Expr::var("C", dims[2], dims[3]);
-    let d = Expr::var("D", dims[3], dims[4]);
-    let chain = Expr::product(vec![a, b, c, d]);
-    let (pattern, algorithms) = generate_algorithms(&chain).expect("well-shaped expression");
-    println!(
-        "expression {chain} recognised as {pattern:?}: {} algorithms",
-        algorithms.len()
-    );
+    let chain = TreeExpression::parse("A*B*C*D").expect("well-formed text");
+    let algorithms = chain.algorithms(&dims).expect("valid instance");
+    println!("expression {chain}: {} algorithms", algorithms.len());
 
     let mut executor = SimulatedExecutor::paper_like();
     let evaluation = evaluate_instance(&dims, &algorithms, &mut executor);
@@ -46,14 +38,9 @@ fn main() {
     // X := A·Aᵀ·B with a small symmetric order — the regime where the paper
     // finds abundant anomalies.
     let (d0, d1, d2) = (80, 514, 768);
-    let a = Expr::var("A", d0, d1);
-    let bmat = Expr::var("B", d0, d2);
-    let aatb = a.clone().mul(a.t()).mul(bmat);
-    let (pattern, algorithms) = generate_algorithms(&aatb).expect("well-shaped expression");
-    println!(
-        "\nexpression {aatb} recognised as {pattern:?}: {} algorithms",
-        algorithms.len()
-    );
+    let aatb = TreeExpression::parse("A*A^T*B").expect("well-formed text");
+    let algorithms = aatb.algorithms(&[d0, d1, d2]).expect("valid instance");
+    println!("\nexpression {aatb}: {} algorithms", algorithms.len());
 
     let evaluation = evaluate_instance(&[d0, d1, d2], &algorithms, &mut executor);
     println!("\n{:<38} {:>16} {:>12}", "algorithm", "FLOPs", "time [ms]");

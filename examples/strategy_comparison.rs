@@ -24,11 +24,13 @@ fn main() {
         Strategy::Oracle,
     ];
 
-    for (name, num_dims) in [("matrix chain ABCD", 5usize), ("A*A^T*B", 3usize)] {
+    for text in ["A*B*C*D", "A*A^T*B"] {
+        let expr = TreeExpression::parse(text).expect("well-formed text");
+        let num_dims = expr.num_dims();
         let sampled: Vec<Vec<usize>> = (0..instances)
             .map(|_| (0..num_dims).map(|_| rng.random_range(20..=1200)).collect())
             .collect();
-        println!("==== {name}: {instances} random instances in [20, 1200]^{num_dims} ====");
+        println!("==== {text}: {instances} random instances in [20, 1200]^{num_dims} ====");
         println!(
             "{:<26} {:>18} {:>16} {:>16}",
             "strategy", "mean slowdown", "worst slowdown", "optimal picks"
@@ -39,11 +41,7 @@ fn main() {
             let mut worst: f64 = 0.0;
             let mut optimal = 0usize;
             for dims in &sampled {
-                let algorithms = if num_dims == 5 {
-                    enumerate_chain_algorithms(dims).expect("valid chain")
-                } else {
-                    enumerate_aatb_algorithms(dims[0], dims[1], dims[2])
-                };
+                let algorithms = expr.algorithms(dims).expect("valid instance");
                 let outcome = evaluate_strategy(strategy, &algorithms, &mut executor);
                 total += outcome.regret();
                 worst = worst.max(outcome.regret());

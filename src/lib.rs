@@ -30,7 +30,7 @@
 //! use lamb::prelude::*;
 //!
 //! // The paper's second expression: X := A·Aᵀ·B with A 80x514 and B 80x768.
-//! let expr = AatbExpression::new();
+//! let expr = TreeExpression::parse("A*A^T*B").unwrap();
 //! let plan = Planner::for_expression(&expr)
 //!     .policy(MinPredictedTime)   // FLOPs + kernel performance profiles
 //!     .threshold(0.10)            // Experiment-1 anomaly threshold
@@ -56,10 +56,12 @@
 //! # assert!(plans.iter().all(|p| p.is_ok()));
 //! ```
 //!
-//! The lower-level pieces remain available: `enumerate_*_algorithms` for the
-//! raw algorithm sets, [`prelude::evaluate_instance`] for classification
-//! without selection, and [`prelude::Strategy`] as a `Copy`able constructor
-//! for the built-in [`prelude::SelectionPolicy`] implementations.
+//! The lower-level pieces remain available: [`prelude::Expression::algorithms`]
+//! for the raw algorithm set of an instance,
+//! [`prelude::enumerate_expr_algorithms`] for that of an expression tree,
+//! [`prelude::evaluate_instance`] for classification without selection, and
+//! [`prelude::Strategy`] as a `Copy`able constructor for the built-in
+//! [`prelude::SelectionPolicy`] implementations.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -82,12 +84,9 @@ pub mod prelude {
         run_full_pipeline, run_random_search, LineConfig, PredictConfig, SearchConfig,
     };
     pub use lamb_expr::expr::Expr;
-    pub use lamb_expr::generator::{generate_algorithms, GenerateError, RecognisedPattern};
     pub use lamb_expr::{
-        enumerate_aatb_algorithms, enumerate_chain_algorithms, enumerate_expr_algorithms,
-        enumerate_expr_algorithms_with, optimal_chain_order, AatbExpression, Algorithm,
-        EnumerateOptions, Expression, KernelCall, KernelOp, MatrixChainExpression, ParseError,
-        TreeExpression,
+        enumerate_expr_algorithms, Algorithm, Expression, GenerateError, KernelCall, KernelOp,
+        ParseError, TreeExpression,
     };
     pub use lamb_kernels::{
         gemm, solve_auto, solver_for, symm, syrk, Backend, BlockConfig, CholeskySolver, LuSolver,
@@ -118,7 +117,10 @@ mod tests {
 
     #[test]
     fn facade_re_exports_are_usable_together() {
-        let algs = enumerate_chain_algorithms(&[100, 40, 120, 30, 90]).expect("valid chain");
+        let chain = TreeExpression::parse("A*B*C*D").unwrap();
+        let algs = chain
+            .algorithms(&[100, 40, 120, 30, 90])
+            .expect("valid chain");
         let mut exec = SimulatedExecutor::paper_like();
         let eval = evaluate_instance(&[100, 40, 120, 30, 90], &algs, &mut exec);
         let class = eval.classify(0.10);
@@ -129,7 +131,7 @@ mod tests {
 
     #[test]
     fn the_planner_front_door_is_reachable_from_the_prelude() {
-        let expr = MatrixChainExpression::abcd();
+        let expr = TreeExpression::parse("A*B*C*D").unwrap();
         let plan = Planner::for_expression(&expr)
             .policy(MinFlops)
             .plan(&[100, 40, 120, 30, 90])

@@ -23,8 +23,8 @@ fn aatb_anomalies_are_abundant_and_chain_anomalies_are_rare() {
         max_samples: 1500,
         ..small_search(0, 0, 99)
     };
-    let aatb = run_random_search(&AatbExpression::new(), &mut exec, &cfg);
-    let chain = run_random_search(&MatrixChainExpression::abcd(), &mut exec, &cfg);
+    let aatb = run_random_search(&TreeExpression::parse("A*A^T*B").unwrap(), &mut exec, &cfg);
+    let chain = run_random_search(&TreeExpression::parse("A*B*C*D").unwrap(), &mut exec, &cfg);
     assert!(
         aatb.abundance() > 0.03,
         "A*A^T*B anomalies should be abundant, got {:.3}",
@@ -44,7 +44,7 @@ fn anomaly_severity_can_reach_the_paper_headline() {
     // that severe anomalies (time score >= 20%) exist in the search box.
     let mut exec = SimulatedExecutor::paper_like();
     let result = run_random_search(
-        &AatbExpression::new(),
+        &TreeExpression::parse("A*A^T*B").unwrap(),
         &mut exec,
         &small_search(60, 4000, 7),
     );
@@ -63,7 +63,7 @@ fn anomaly_severity_can_reach_the_paper_headline() {
 #[test]
 fn full_pipeline_produces_consistent_confusion_matrix() {
     let dir = std::env::temp_dir().join(format!("lamb-e2e-{}", std::process::id()));
-    let expr = AatbExpression::new();
+    let expr = TreeExpression::parse("A*A^T*B").unwrap();
     let mut exec = SimulatedExecutor::paper_like();
     let out = run_full_pipeline(
         &expr,
@@ -90,13 +90,13 @@ fn experiments_are_reproducible_for_a_fixed_seed() {
     let cfg = small_search(5, 3000, 1234);
     let mut e1 = SimulatedExecutor::paper_like();
     let mut e2 = SimulatedExecutor::paper_like();
-    let r1 = run_random_search(&AatbExpression::new(), &mut e1, &cfg);
-    let r2 = run_random_search(&AatbExpression::new(), &mut e2, &cfg);
+    let r1 = run_random_search(&TreeExpression::parse("A*A^T*B").unwrap(), &mut e1, &cfg);
+    let r2 = run_random_search(&TreeExpression::parse("A*A^T*B").unwrap(), &mut e2, &cfg);
     assert_eq!(r1, r2);
     // A different seed explores different instances.
     let mut e3 = SimulatedExecutor::paper_like();
     let r3 = run_random_search(
-        &AatbExpression::new(),
+        &TreeExpression::parse("A*A^T*B").unwrap(),
         &mut e3,
         &small_search(5, 3000, 4321),
     );
@@ -299,7 +299,7 @@ fn spd_solve_runs_end_to_end_and_matches_the_naive_solve() {
 fn anomalies_cluster_into_regions_with_positive_thickness() {
     // Experiment 2 on the simulator: most anomalies should sit inside a
     // region thicker than a single instance.
-    let expr = AatbExpression::new();
+    let expr = TreeExpression::parse("A*A^T*B").unwrap();
     let mut exec = SimulatedExecutor::paper_like();
     let search = run_random_search(&expr, &mut exec, &small_search(5, 4000, 3));
     let scans = lamb::experiments::scan_lines_around(
@@ -325,12 +325,13 @@ fn strategy_with_performance_profiles_beats_min_flops_on_average() {
     let mut predicted_regret = 0.0;
     let mut rng_dims = 20usize;
     let mut count = 0;
+    let aatb = TreeExpression::parse("A*A^T*B").unwrap();
     for seed in 0..40u64 {
         rng_dims = (rng_dims * 7 + seed as usize * 13) % 1180 + 20;
         let d0 = (seed as usize * 37) % 500 + 20;
         let d1 = (seed as usize * 91) % 1180 + 20;
         let d2 = rng_dims;
-        let algorithms = enumerate_aatb_algorithms(d0, d1, d2);
+        let algorithms = aatb.algorithms(&[d0, d1, d2]).unwrap();
         flops_regret += evaluate_strategy(Strategy::MinFlops, &algorithms, &mut exec).regret();
         predicted_regret +=
             evaluate_strategy(Strategy::MinPredictedTime, &algorithms, &mut exec).regret();

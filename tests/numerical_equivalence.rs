@@ -7,12 +7,13 @@
 //! (it walks the kernel-call IR directly), so it also cross-checks the IR's
 //! operand bookkeeping.
 
-use lamb::expr::aatb::aatb_flop_formulas;
-use lamb::expr::chain::abcd_flop_formulas;
+mod paper;
+
 use lamb::matrix::ops::max_abs_diff;
 use lamb::matrix::random::{random_seeded, random_spd, random_triangular};
 use lamb::matrix::Structure;
 use lamb::prelude::*;
+use paper::{aatb_flop_formulas, abcd_flop_formulas, algorithms_of, AATB, ABCD};
 use std::collections::HashMap;
 
 /// Execute an algorithm on concrete operands by interpreting its kernel-call
@@ -59,7 +60,7 @@ fn interpret(alg: &Algorithm, seed: u64) -> Matrix {
 #[test]
 fn all_six_chain_algorithms_compute_the_same_matrix() {
     let dims = [45, 28, 37, 22, 31];
-    let algorithms = enumerate_chain_algorithms(&dims).expect("valid chain");
+    let algorithms = algorithms_of(ABCD, &dims);
     assert_eq!(algorithms.len(), 6);
     let results: Vec<Matrix> = algorithms.iter().map(|a| interpret(a, 77)).collect();
     for (i, r) in results.iter().enumerate().skip(1) {
@@ -73,7 +74,7 @@ fn all_six_chain_algorithms_compute_the_same_matrix() {
 #[test]
 fn all_five_aatb_algorithms_compute_the_same_matrix() {
     let (d0, d1, d2) = (33, 26, 41);
-    let algorithms = enumerate_aatb_algorithms(d0, d1, d2);
+    let algorithms = algorithms_of(AATB, &[d0, d1, d2]);
     assert_eq!(algorithms.len(), 5);
     let results: Vec<Matrix> = algorithms.iter().map(|a| interpret(a, 13)).collect();
     for (i, r) in results.iter().enumerate().skip(1) {
@@ -84,21 +85,38 @@ fn all_five_aatb_algorithms_compute_the_same_matrix() {
 }
 
 #[test]
-fn generator_output_is_numerically_consistent_with_direct_enumeration() {
-    // Build A*A^T*B through the expression front end and check it produces
-    // the same algorithm set (and the same numbers) as the direct enumerator.
-    let (d0, d1, d2) = (24, 19, 29);
-    let a = Expr::var("A", d0, d1);
-    let b = Expr::var("B", d0, d2);
-    let expr = a.clone().mul(a.t()).mul(b);
-    let (pattern, from_generator) = generate_algorithms(&expr).unwrap();
-    assert_eq!(pattern, RecognisedPattern::Aatb);
-    let direct = enumerate_aatb_algorithms(d0, d1, d2);
-    assert_eq!(from_generator.len(), direct.len());
-    for (g, d) in from_generator.iter().zip(&direct) {
-        assert_eq!(g.flops(), d.flops());
-        let diff = max_abs_diff(&interpret(g, 5), &interpret(d, 5)).unwrap();
-        assert!(diff < 1e-10);
+fn the_paper_gram_expression_matches_a_naive_evaluation() {
+    // Every A*A^T*B algorithm against (A*A^T)*B by the naive GEMM, on the
+    // operands `interpret` seeds (A is operand 0, B operand 1).
+    use lamb::kernels::gemm_naive;
+    use lamb::matrix::Trans;
+    let (d0, d1, d2, seed) = (24, 19, 29, 5);
+    let a = random_seeded(d0, d1, seed);
+    let b = random_seeded(d0, d2, seed ^ 1);
+    let (mut gram, mut expected) = (Matrix::zeros(d0, d0), Matrix::zeros(d0, d2));
+    gemm_naive(
+        Trans::No,
+        Trans::Yes,
+        1.0,
+        &a.view(),
+        &a.view(),
+        0.0,
+        &mut gram.view_mut(),
+    )
+    .unwrap();
+    gemm_naive(
+        Trans::No,
+        Trans::No,
+        1.0,
+        &gram.view(),
+        &b.view(),
+        0.0,
+        &mut expected.view_mut(),
+    )
+    .unwrap();
+    for alg in algorithms_of(AATB, &[d0, d1, d2]) {
+        let diff = max_abs_diff(&interpret(&alg, seed), &expected).unwrap();
+        assert!(diff < 1e-10 * d1 as f64, "{} differs by {diff}", alg.name);
     }
 }
 
@@ -279,7 +297,7 @@ fn right_side_expressions_plan_and_execute_against_naive_references() {
 #[test]
 fn chain_flop_counts_match_section_321_formulas() {
     let dims = [331, 279, 338, 854, 427];
-    let algorithms = enumerate_chain_algorithms(&dims).expect("valid chain");
+    let algorithms = algorithms_of(ABCD, &dims);
     let formulas = abcd_flop_formulas(&dims);
     for (alg, expected) in algorithms.iter().zip(formulas) {
         assert_eq!(alg.flops(), expected, "{}", alg.name);
@@ -294,8 +312,8 @@ fn aatb_flop_counts_match_section_322_formulas() {
         (110, 301, 938),
         (1200, 20, 20),
     ] {
-        let algorithms = enumerate_aatb_algorithms(d0, d1, d2);
-        let formulas = aatb_flop_formulas(d0, d1, d2);
+        let algorithms = algorithms_of(AATB, &[d0, d1, d2]);
+        let formulas = aatb_flop_formulas(&[d0, d1, d2]);
         for (alg, expected) in algorithms.iter().zip(formulas) {
             assert_eq!(alg.flops(), expected, "{} at ({d0},{d1},{d2})", alg.name);
         }
@@ -307,7 +325,7 @@ fn measured_executor_classification_agrees_with_itself_on_repeat() {
     // The measured executor is noisy, but the FLOP side of the classification
     // and the structural invariants must be stable.
     let (d0, d1, d2) = (48, 40, 56);
-    let algorithms = enumerate_aatb_algorithms(d0, d1, d2);
+    let algorithms = algorithms_of(AATB, &[d0, d1, d2]);
     let mut exec = MeasuredExecutor::quick();
     let eval = evaluate_instance(&[d0, d1, d2], &algorithms, &mut exec);
     let c = eval.classify(0.10);

@@ -18,11 +18,8 @@ fn random_grid(num_dims: usize, instances: usize, seed: u64) -> Vec<Vec<usize>> 
         .collect()
 }
 
-fn expressions() -> Vec<Box<dyn Expression>> {
-    vec![
-        Box::new(MatrixChainExpression::abcd()),
-        Box::new(AatbExpression::new()),
-    ]
+fn expressions() -> [TreeExpression; 2] {
+    ["A*B*C*D", "A*A^T*B"].map(|text| TreeExpression::parse(text).unwrap())
 }
 
 #[test]
@@ -35,7 +32,7 @@ fn planner_reproduces_legacy_strategy_selection_on_both_paper_expressions() {
             Strategy::Hybrid { flop_margin: 0.5 },
             Strategy::Oracle,
         ] {
-            let planner = Planner::for_expression(expr.as_ref()).policy(strategy);
+            let planner = Planner::for_expression(&expr).policy(strategy);
             for dims in &grid {
                 // Legacy path: enumerate + Strategy::select on a fresh executor.
                 let algorithms = expr.algorithms(dims).expect("enumeration succeeds");
@@ -61,7 +58,7 @@ fn planner_reproduces_legacy_strategy_selection_on_both_paper_expressions() {
 
 #[test]
 fn planner_execution_matches_legacy_evaluate_instance() {
-    let expr = AatbExpression::new();
+    let expr = TreeExpression::parse("A*A^T*B").unwrap();
     let planner = Planner::for_expression(&expr).threshold(0.10);
     for dims in random_grid(3, 10, 7) {
         let algorithms = expr.algorithms(&dims).expect("enumeration succeeds");
@@ -78,7 +75,7 @@ fn planner_execution_matches_legacy_evaluate_instance() {
 #[test]
 fn cached_predictions_are_identical_to_uncached_predictions() {
     for expr in expressions() {
-        let planner = Planner::for_expression(expr.as_ref());
+        let planner = Planner::for_expression(&expr);
         let grid = random_grid(expr.num_dims(), 8, 99);
         for dims in &grid {
             let mut exec = SimulatedExecutor::paper_like();
@@ -110,7 +107,7 @@ fn cached_predictions_are_identical_to_uncached_predictions() {
 
 #[test]
 fn plan_grid_verdicts_are_deterministic_and_match_sequential_planning() {
-    let expr = AatbExpression::new();
+    let expr = TreeExpression::parse("A*A^T*B").unwrap();
     let grid = random_grid(3, 40, 4210);
 
     let run = || {
@@ -150,7 +147,7 @@ fn plan_grid_verdicts_are_deterministic_and_match_sequential_planning() {
 
 #[test]
 fn plan_grid_reports_per_instance_errors_without_failing_the_batch() {
-    let expr = AatbExpression::new();
+    let expr = TreeExpression::parse("A*A^T*B").unwrap();
     let planner = Planner::for_expression(&expr);
     let grid = vec![vec![100, 200, 300], vec![100, 200], vec![100, 0, 300]];
     let results = planner.plan_grid(&grid);

@@ -2,8 +2,11 @@
 //! the simulated time model, and the anomaly classification, over randomly
 //! drawn instances.
 
+mod paper;
+
 use lamb::matrix::ops::{max_abs, max_abs_diff};
 use lamb::prelude::*;
+use paper::{algorithms_of, chain_text, optimal_chain_flops, AATB, ABCD};
 use proptest::prelude::*;
 // Both preludes export a `Strategy` item (proptest's trait, lamb's selection
 // enum); name the one we mean explicitly.
@@ -113,9 +116,9 @@ proptest! {
 
     #[test]
     fn chain_enumeration_invariants(dims in dims5()) {
-        let algorithms = enumerate_chain_algorithms(&dims).expect("valid chain");
+        let algorithms = algorithms_of(ABCD, &dims);
         prop_assert_eq!(algorithms.len(), 6);
-        let (dp_flops, _) = optimal_chain_order(&dims).expect("valid chain");
+        let dp_flops = optimal_chain_flops(&dims);
         let min = algorithms.iter().map(|a| a.flops()).min().unwrap();
         prop_assert_eq!(dp_flops, min, "DP optimum must equal the cheapest enumerated algorithm");
         for alg in &algorithms {
@@ -131,7 +134,7 @@ proptest! {
     #[test]
     fn aatb_enumeration_invariants(dims in dims3()) {
         let [d0, d1, d2] = dims;
-        let algorithms = enumerate_aatb_algorithms(d0, d1, d2);
+        let algorithms = algorithms_of(AATB, &[d0, d1, d2]);
         prop_assert_eq!(algorithms.len(), 5);
         for alg in &algorithms {
             prop_assert!(alg.is_well_formed());
@@ -148,14 +151,14 @@ proptest! {
     fn simulated_times_are_positive_finite_and_flop_monotone(dims in dims3()) {
         let [d0, d1, d2] = dims;
         let mut exec = SimulatedExecutor::paper_like();
-        let algorithms = enumerate_aatb_algorithms(d0, d1, d2);
+        let algorithms = algorithms_of(AATB, &[d0, d1, d2]);
         for alg in &algorithms {
             let t = exec.execute_algorithm(alg);
             prop_assert!(t.seconds.is_finite() && t.seconds > 0.0);
             prop_assert_eq!(t.per_call.len(), alg.calls.len());
         }
         // Doubling every dimension increases the work and the time.
-        let bigger = enumerate_aatb_algorithms(d0 * 2, d1 * 2, d2 * 2);
+        let bigger = algorithms_of(AATB, &[d0 * 2, d1 * 2, d2 * 2]);
         let tb = exec.execute_algorithm(&bigger[0]);
         prop_assert!(tb.seconds > exec.execute_algorithm(&algorithms[0]).seconds);
     }
@@ -164,7 +167,7 @@ proptest! {
     fn classification_invariants_hold(dims in dims3(), threshold in 0.0f64..0.3) {
         let [d0, d1, d2] = dims;
         let mut exec = SimulatedExecutor::paper_like();
-        let algorithms = enumerate_aatb_algorithms(d0, d1, d2);
+        let algorithms = algorithms_of(AATB, &[d0, d1, d2]);
         let eval = evaluate_instance(&dims, &algorithms, &mut exec);
         let c = eval.classify(threshold);
         prop_assert!(!c.cheapest.is_empty());
@@ -194,7 +197,7 @@ proptest! {
         // sequence time — this is why it predicts most anomalies.
         let [d0, d1, d2] = dims;
         let mut exec = SimulatedExecutor::paper_like();
-        for alg in enumerate_aatb_algorithms(d0, d1, d2) {
+        for alg in algorithms_of(AATB, &[d0, d1, d2]) {
             let seq = exec.execute_algorithm(&alg).seconds;
             let pred = exec.predict_from_isolated_calls(&alg).seconds;
             let ratio = pred / seq;
@@ -210,9 +213,7 @@ proptest! {
         // Every multiplication order of a random chain, executed with the
         // real kernels through the measured executor, computes the same
         // matrix to within 1e-10 of its magnitude.
-        let expr = MatrixChainExpression::new(p);
-        let instance = &dims[..=p];
-        let algorithms = expr.algorithms(instance).expect("valid chain instance");
+        let algorithms = algorithms_of(&chain_text(p), &dims[..=p]);
         prop_assert_eq!(algorithms.len(), (1..p).product::<usize>());
         assert_numerically_identical(&algorithms)?;
     }
@@ -350,7 +351,7 @@ proptest! {
     fn oracle_strategy_is_never_beaten(dims in dims3()) {
         let [d0, d1, d2] = dims;
         let mut exec = SimulatedExecutor::paper_like();
-        let algorithms = enumerate_aatb_algorithms(d0, d1, d2);
+        let algorithms = algorithms_of(AATB, &[d0, d1, d2]);
         let oracle = evaluate_strategy(Strategy::Oracle, &algorithms, &mut exec);
         prop_assert!(oracle.regret() < 1e-9);
         for strategy in [Strategy::MinFlops, Strategy::MinPredictedTime, Strategy::Hybrid { flop_margin: 0.5 }] {

@@ -38,7 +38,8 @@ fn all_scenario_families_enumerate_verified_algorithms() {
 
 #[test]
 fn the_facade_exposes_the_verifier() {
-    let algs = enumerate_aatb_algorithms(80, 514, 768);
+    let aatb = TreeExpression::parse("A*A^T*B").unwrap();
+    let algs = aatb.algorithms(&[80, 514, 768]).unwrap();
     for alg in &algs {
         // Both spellings: free function and extension trait.
         assert!(verify_algorithm(alg).is_clean());
