@@ -50,13 +50,13 @@ impl OperandInfo {
     /// Number of elements of the operand.
     #[must_use]
     pub fn elements(&self) -> u64 {
-        self.rows as u64 * self.cols as u64
+        (self.rows as u64).saturating_mul(self.cols as u64)
     }
 
     /// Size in bytes assuming `f64` storage.
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        self.elements() * 8
+        self.elements().saturating_mul(8)
     }
 }
 
@@ -74,10 +74,10 @@ pub struct Algorithm {
 
 impl Algorithm {
     /// Total FLOP count: the sum of the per-call FLOP models (Section 3.1 of
-    /// the paper).
+    /// the paper), saturating at `u64::MAX` like each of them.
     #[must_use]
     pub fn flops(&self) -> u64 {
-        self.calls.iter().map(KernelCall::flops).sum()
+        saturating_sum(self.calls.iter().map(KernelCall::flops))
     }
 
     /// Look up an operand by id.
@@ -114,7 +114,7 @@ impl Algorithm {
     /// memory traffic, used by some time models).
     #[must_use]
     pub fn output_traffic_elements(&self) -> u64 {
-        self.calls.iter().map(|c| c.op.output_elements()).sum()
+        saturating_sum(self.calls.iter().map(|c| c.op.output_elements()))
     }
 
     /// Validate internal consistency: every call's inputs must be produced by
@@ -146,6 +146,11 @@ impl Algorithm {
             .count();
         outputs == 1
     }
+}
+
+/// The sum of `counts`, saturating at `u64::MAX`.
+pub(crate) fn saturating_sum(counts: impl Iterator<Item = u64>) -> u64 {
+    counts.fold(0, u64::saturating_add)
 }
 
 impl fmt::Display for Algorithm {

@@ -172,7 +172,7 @@ impl ValueNumbering {
                         None => self.repr.push((call.output(), value)),
                     }
                     self.eliminated_calls += 1;
-                    self.eliminated_flops += call.op().flops();
+                    self.eliminated_flops = self.eliminated_flops.saturating_add(call.op().flops());
                 }
                 _ => self.keep(index, start, call.output(), existing.is_none()),
             }
@@ -282,7 +282,28 @@ pub fn eliminate_shared_calls(alg: &Algorithm) -> Option<CseOutcome> {
 /// algorithm.
 #[must_use]
 pub fn shared_flops(alg: &Algorithm) -> u64 {
-    alg.flops() - number(alg).eliminated_flops
+    alg.flops().saturating_sub(number(alg).eliminated_flops)
+}
+
+/// The indices of the calls of `alg` that [`eliminate_shared_calls`]
+/// removes, ascending.
+pub(crate) fn eliminated_calls(alg: &Algorithm) -> Vec<usize> {
+    let numbering = number(alg);
+    let mut kept = numbering.kept.iter().map(|k| k.call).peekable();
+    (0..alg.calls.len())
+        .filter(|&i| kept.next_if_eq(&i).is_none())
+        .collect()
+}
+
+/// Each of `algorithms` in its shared form: what [`eliminate_shared_calls`]
+/// builds when it finds a duplicate, the algorithm itself otherwise.
+pub(crate) fn shared_forms(mut algorithms: Vec<Algorithm>) -> Vec<Algorithm> {
+    for alg in &mut algorithms {
+        if let Some(shared) = eliminate_shared_calls(alg) {
+            *alg = shared.algorithm;
+        }
+    }
+    algorithms
 }
 
 impl Algorithm {

@@ -21,6 +21,18 @@
 //! are cut, which keeps planning tractable for chains of length 8–10 where
 //! full enumeration is factorial.
 //!
+//! A parsed text does not run this search per request: its
+//! [`TreeExpression`](crate::TreeExpression) runs it once, untruncated, over
+//! dimension codes and keeps the completions as a template each request
+//! instantiates, ranks and cuts (the crate-private `template` module). The
+//! dimension-dependent conditions (shape checks, a pseudo-inverted operand
+//! being tall) are met in one place, `validate`, which either decides
+//! them at the bound sizes or defers them for the template's requests. The
+//! search stays the engine a template is derived from, the oracle the
+//! template parity tests hold it to, and the per-request path for texts
+//! whose completion count passes the template cap (the factorial chains of
+//! eight and more factors) or that the memo has no room for.
+//!
 //! The search moves operand ids, dimensions and kernel ops, never strings:
 //! a branch is a stack of calls whose labels stay as pieces (a literal, an
 //! operand, a node of the merge tree), and the `M{k}` names, parenthesised
@@ -40,9 +52,9 @@
 //! assert_eq!(algorithms.len(), 5); // the paper's five A*A^T*B algorithms
 //! ```
 
-use crate::algorithm::{Algorithm, OperandInfo, OperandRole};
+use crate::algorithm::{saturating_sum, Algorithm, OperandInfo, OperandRole};
 use crate::cse::{CallView, ValueNumbering};
-use crate::expr::{Expr, Factor, ShapeError};
+use crate::expr::{Expr, Factor, ShapeCheck, ShapeError};
 use crate::kernel_call::{KernelCall, KernelOp};
 use crate::operand::OperandId;
 use crate::rewrite::{variants, MergeKind, MergeOperand, Storage};
@@ -302,8 +314,135 @@ pub fn enumerate_expr_algorithms(
     expr: &Expr,
     top_k: Option<usize>,
 ) -> Result<Vec<Algorithm>, GenerateError> {
-    expr.shape()?;
     let factors = expr.factors();
+    let completions = complete(expr, &factors, &mut Conditions::Decide, top_k, usize::MAX)?;
+    Ok(completions
+        .unwrap_or_default()
+        .into_iter()
+        .enumerate()
+        .map(|(i, (mut alg, suffix))| {
+            alg.name = algorithm_name(i + 1, &suffix);
+            alg
+        })
+        .collect())
+}
+
+/// The name of the `number`-th algorithm whose name after its number is
+/// `suffix`: `Algorithm 2: ((A A^T) B) [syrk,symm]`.
+pub(crate) fn algorithm_name(number: usize, suffix: &str) -> String {
+    let mut name = String::with_capacity(32 + suffix.len());
+    let _ = write!(name, "Algorithm {number}{suffix}");
+    name
+}
+
+/// What a template is derived from: the search of a tree whose sizes are
+/// dimension codes, with every dimension-dependent condition deferred.
+pub(crate) struct Derivation {
+    /// The flattened factors (a [`Check::Tall`] names one of them).
+    pub(crate) factors: Vec<Factor>,
+    /// The conditions some instance may fail, in the order enumeration meets
+    /// them.
+    pub(crate) checks: Vec<Check>,
+    /// Every completion in enumeration order — the algorithm without its
+    /// name, and the name after `Algorithm {number}` — or the error of every
+    /// instance that meets `checks`.
+    pub(crate) outcome: Result<Vec<(Algorithm, String)>, GenerateError>,
+}
+
+/// The untruncated enumeration of `expr`, whose sizes are dimension codes;
+/// `None` when it has more than `limit` completions.
+pub(crate) fn derive(expr: &Expr, limit: usize) -> Option<Derivation> {
+    let factors = expr.factors();
+    let mut checks = Vec::new();
+    let outcome = complete(
+        expr,
+        &factors,
+        &mut Conditions::Defer(&mut checks),
+        None,
+        limit,
+    )
+    .transpose()?;
+    Some(Derivation {
+        factors,
+        checks,
+        outcome,
+    })
+}
+
+/// A condition on the dimension sizes that enumeration meets before its
+/// search; the first that fails is the instance's error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Check {
+    /// A shape condition of the tree, or the squareness of an inverted leaf.
+    Shape(ShapeCheck),
+    /// Pseudo-inverted factor `factor`, whose shape as used is `shape`, is
+    /// tall or square.
+    Tall {
+        shape: (usize, usize),
+        factor: usize,
+    },
+}
+
+impl Check {
+    /// Whether the check holds at every instance when its sizes are
+    /// dimension codes: both of its sides name the same code.
+    fn holds_everywhere(self) -> bool {
+        match self {
+            Check::Shape(check) => check.verdict().is_ok(),
+            Check::Tall { shape, .. } => shape.0 == shape.1,
+        }
+    }
+
+    /// The check at the sizes `size` reads its own through; `factors` are
+    /// the flattened factors it was met among.
+    pub(crate) fn verdict(
+        self,
+        size: impl Fn(usize) -> usize,
+        factors: &[Factor],
+    ) -> Result<(), GenerateError> {
+        match self {
+            Check::Shape(check) => Ok(check.at(size).verdict()?),
+            Check::Tall { shape, factor } if size(shape.0) < size(shape.1) => {
+                Err(GenerateError::PseudoInverseWide {
+                    name: factors[factor].var.name.clone(),
+                })
+            }
+            Check::Tall { .. } => Ok(()),
+        }
+    }
+}
+
+/// What enumeration does with a [`Check`].
+enum Conditions<'a> {
+    /// Decide it at the sizes bound into the tree.
+    Decide,
+    /// The sizes are dimension codes: keep every check some instance may
+    /// fail, for the instance to decide.
+    Defer(&'a mut Vec<Check>),
+}
+
+impl Conditions<'_> {
+    fn meet(&mut self, check: Check, factors: &[Factor]) -> Result<(), GenerateError> {
+        match self {
+            Conditions::Decide => check.verdict(|size| size, factors),
+            Conditions::Defer(kept) => {
+                if !check.holds_everywhere() {
+                    kept.push(check);
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Put every condition of `expr`, whose flattened factors are `factors`, to
+/// `conditions`, and reject the flag combinations no kernel realises.
+fn validate(
+    expr: &Expr,
+    factors: &[Factor],
+    conditions: &mut Conditions<'_>,
+) -> Result<(), GenerateError> {
+    expr.shape_checked(&mut |check| conditions.meet(Check::Shape(check), factors))?;
     if factors.is_empty() {
         return Err(GenerateError::Empty);
     }
@@ -311,69 +450,50 @@ pub fn enumerate_expr_algorithms(
     // POTRF + two TRSMs for SPD leaves, GETRF + pivot + two TRSMs for
     // general square leaves — but a handful of flag combinations remain
     // unrealisable and are diagnosed up front.
-    for f in &factors {
+    for (i, f) in factors.iter().enumerate() {
         if f.inv && f.pinv {
             // e.g. `(A^+)^-1`: the leaf's values are neither A nor A⁻¹.
             return Err(GenerateError::InversePseudoInverseMix {
                 name: f.var.name.clone(),
             });
         }
-        if f.inv && f.var.rows != f.var.cols {
+        if f.inv {
             // Flattening `(A·B)⁻¹` can push an inverse onto a non-square
             // leaf even when the product itself is square.
-            return Err(GenerateError::Shape(ShapeError::InverseNotSquare {
-                shape: (f.var.rows, f.var.cols),
-            }));
+            let shape = (f.var.rows, f.var.cols);
+            conditions.meet(Check::Shape(ShapeCheck::Square { shape }), factors)?;
         }
         if f.pinv {
             // The QR realisation factors the operand as used (after
             // transposition), which must be tall or square.
-            let (r, c) = if f.trans {
+            let shape = if f.trans {
                 (f.var.cols, f.var.rows)
             } else {
                 (f.var.rows, f.var.cols)
             };
-            if r < c {
-                return Err(GenerateError::PseudoInverseWide {
-                    name: f.var.name.clone(),
-                });
-            }
+            conditions.meet(Check::Tall { shape, factor: i }, factors)?;
         }
     }
-    let inputs = distinct_inputs(&factors)?;
+    Ok(())
+}
 
+/// Validate `expr`, whose flattened factors are `factors`, under
+/// `conditions`, and search it: the kept completions — each algorithm
+/// without its name, and the name after its number — the `top_k` best in
+/// rank order, else every one in enumeration order; `None` once more than
+/// `limit` are reached.
+fn complete(
+    expr: &Expr,
+    factors: &[Factor],
+    conditions: &mut Conditions<'_>,
+    top_k: Option<usize>,
+    limit: usize,
+) -> Result<Option<Vec<(Algorithm, String)>>, GenerateError> {
+    validate(expr, factors, conditions)?;
+    let inputs = distinct_inputs(factors)?;
     if factors.len() == 1 {
-        // A single leaf: a call-free algorithm whose output is the operand
-        // itself. A single *inverted* leaf cannot be represented (a solve
-        // needs a right-hand side), and neither can a single *transposed*
-        // one (no kernel performs a standalone transpose) — each is rejected
-        // with its own diagnosis rather than silently returning the plain
-        // operand.
-        let f = &factors[0];
-        if f.inv {
-            return Err(GenerateError::BareInverse {
-                name: f.var.name.clone(),
-            });
-        }
-        if f.pinv {
-            return Err(GenerateError::BarePseudoInverse {
-                name: f.var.name.clone(),
-            });
-        }
-        if f.trans {
-            return Err(GenerateError::BareTranspose {
-                name: f.var.name.clone(),
-            });
-        }
-        let mut operand = inputs[0].clone();
-        operand.role = OperandRole::Output;
-        return Ok(vec![Algorithm {
-            name: format!("Algorithm 1: {}", f.var.name),
-            operands: vec![operand],
-            calls: Vec::new(),
-        }]);
+        return lone_factor(&factors[0], inputs).map(|lone| Some(vec![lone]));
     }
-
     let mut segments: Vec<Segment> = factors
         .iter()
         .enumerate()
@@ -395,8 +515,8 @@ pub fn enumerate_expr_algorithms(
                 cols,
                 trans: if f.trans { Trans::Yes } else { Trans::No },
                 leaf: Some(leaf),
-                // SPD leaves are symmetric values stored in full, which is
-                // what unlocks the SYMM variants for plain products.
+                // SPD leaves are symmetric values stored in full, which
+                // is what unlocks the SYMM variants for plain products.
                 storage: if f.var.structure.is_spd() {
                     Storage::SymmetricFull
                 } else {
@@ -414,9 +534,10 @@ pub fn enumerate_expr_algorithms(
         .collect();
 
     // How often the most-repeated leaf appears. With repeated leaves the
-    // same subcomputation can occur up to this many times in one algorithm,
-    // so CSE can shrink an algorithm's *shared* cost by at most this factor
-    // — the scaling that keeps branch-and-bound pruning admissible below.
+    // same subcomputation can occur up to this many times in one
+    // algorithm, so CSE can shrink an algorithm's *shared* cost by at
+    // most this factor — the scaling that keeps branch-and-bound pruning
+    // admissible below.
     let max_leaf_multiplicity = factors
         .iter()
         .map(|f| factors.iter().filter(|g| g.var.name == f.var.name).count())
@@ -425,8 +546,9 @@ pub fn enumerate_expr_algorithms(
 
     let mut ctx = Ctx {
         top_k,
-        factors: &factors,
-        inputs: &inputs,
+        limit,
+        factors,
+        inputs,
         max_leaf_multiplicity,
         branch: Branch::default(),
         numbering: ValueNumbering::default(),
@@ -436,25 +558,66 @@ pub fn enumerate_expr_algorithms(
         survivors: Vec::new(),
     };
     recurse(&mut ctx, &mut segments, 0);
+    if ctx.completions > limit {
+        return Ok(None);
+    }
     if ctx.survivors.is_empty() {
-        // Every merge order hit a variant-free merge. Inverses realise from
-        // either side now (left- and right-side TRSM/Cholesky/LU lowerings),
-        // so the remaining dead ends are: a solve whose rectangular partner
-        // is transposed or triangle-stored in every order (`L^-1 * B^T`),
-        // two inverses meeting in one merge (`L^-1 * M^-1`), a transposed
-        // general inverse (`A^-T` — GETRF carries no transposition flag),
-        // or a pseudo-inverse on the right of every split (`b * A^+` —
-        // ORMQR applies Q₁ᵀ from the left only).
+        // Every merge order hit a variant-free merge. Inverses realise
+        // from either side now (left- and right-side TRSM/Cholesky/LU
+        // lowerings), so the remaining dead ends are: a solve whose
+        // rectangular partner is transposed or triangle-stored in every
+        // order (`L^-1 * B^T`), two inverses meeting in one merge
+        // (`L^-1 * M^-1`), a transposed general inverse (`A^-T` — GETRF
+        // carries no transposition flag), or a pseudo-inverse on the
+        // right of every split (`b * A^+` — ORMQR applies Q₁ᵀ from the
+        // left only).
         return Err(GenerateError::NoRealisation {
             expression: expr.to_string(),
         });
     }
-    Ok(ctx
-        .survivors
-        .iter()
-        .enumerate()
-        .map(|(idx, (_, branch))| ctx.build(branch, idx + 1))
-        .collect())
+    let mut text = String::new();
+    Ok(Some(
+        ctx.survivors
+            .iter()
+            .map(|(_, branch)| {
+                let alg = ctx.build(branch, &mut text);
+                text.clear();
+                ctx.write_suffix(branch, &mut text);
+                (alg, text.as_str().into())
+            })
+            .collect(),
+    ))
+}
+
+/// A product of one leaf: a call-free algorithm whose output is the operand
+/// itself. A single *inverted* leaf cannot be represented (a solve needs a
+/// right-hand side), and neither can a single *transposed* one (no kernel
+/// performs a standalone transpose) — each is rejected with its own
+/// diagnosis rather than silently returning the plain operand.
+fn lone_factor(f: &Factor, inputs: Vec<OperandInfo>) -> Result<(Algorithm, String), GenerateError> {
+    if f.inv {
+        return Err(GenerateError::BareInverse {
+            name: f.var.name.clone(),
+        });
+    }
+    if f.pinv {
+        return Err(GenerateError::BarePseudoInverse {
+            name: f.var.name.clone(),
+        });
+    }
+    if f.trans {
+        return Err(GenerateError::BareTranspose {
+            name: f.var.name.clone(),
+        });
+    }
+    let mut operands = inputs;
+    operands[0].role = OperandRole::Output;
+    let alg = Algorithm {
+        name: String::new(),
+        operands,
+        calls: Vec::new(),
+    };
+    Ok((alg, format!(": {}", f.var.name)))
 }
 
 /// Build the deduplicated input-operand table (one entry per distinct leaf
@@ -505,8 +668,10 @@ type Rank = (u64, u64, usize);
 struct Ctx<'a> {
     /// Keep only the `k` cheapest completions (`None`: keep all).
     top_k: Option<usize>,
+    /// Stop once more completions than this are reached.
+    limit: usize,
     factors: &'a [Factor],
-    inputs: &'a [OperandInfo],
+    inputs: Vec<OperandInfo>,
     /// Multiplicity of the most-repeated leaf (1 for all-distinct leaves).
     max_leaf_multiplicity: u64,
     branch: Branch,
@@ -527,15 +692,14 @@ struct Ctx<'a> {
 
 /// Rendering: what a returned algorithm is built from, once each.
 impl Ctx<'_> {
-    /// Completed `branch` as the `number`-th algorithm: named by number,
-    /// parenthesization and kernel composition (which disambiguates rewrite
-    /// variants that share a parenthesization, e.g. syrk,symm vs gemm,gemm
-    /// for (A A^T) B), with the last intermediate as the output `X`.
-    fn build(&self, branch: &Branch, number: usize) -> Algorithm {
+    /// Completed `branch` as an algorithm without a name, with the last
+    /// intermediate as the output `X`. Every string is rendered into `text`
+    /// and copied out at its exact length.
+    fn build(&self, branch: &Branch, text: &mut String) -> Algorithm {
         let n = self.inputs.len();
         let last = branch.intermediates.len() - 1;
         let mut operands = Vec::with_capacity(n + branch.intermediates.len());
-        operands.extend_from_slice(self.inputs);
+        operands.extend_from_slice(&self.inputs);
         operands.extend(branch.intermediates.iter().enumerate().map(|(i, m)| {
             let output = i == last;
             OperandInfo {
@@ -555,21 +719,18 @@ impl Ctx<'_> {
                 structure: m.structure,
             }
         }));
-        // Every string is rendered into one buffer and copied out at its
-        // exact length.
-        let mut text = String::new();
         let calls = branch
             .steps
             .iter()
             .map(|step| {
                 text.clear();
-                self.write_name(&mut text, step.output);
+                self.write_name(text, step.output);
                 text.push_str(" := ");
                 for piece in step.rhs {
                     match piece {
                         Lit(lit) => text.push_str(lit),
-                        Text(node) => self.write_text(branch, &mut text, node),
-                        Name(id) => self.write_name(&mut text, id),
+                        Text(node) => self.write_text(branch, text, node),
+                        Name(id) => self.write_name(text, id),
                     }
                 }
                 KernelCall {
@@ -580,26 +741,28 @@ impl Ctx<'_> {
                 }
             })
             .collect();
-        text.clear();
-        let _ = write!(text, "Algorithm {number}: ");
-        self.write_text(
-            branch,
-            &mut text,
-            self.factors.len() + branch.merges.len() - 1,
-        );
-        text.push_str(" [");
-        for (i, step) in branch.steps.iter().enumerate() {
-            if i > 0 {
-                text.push(',');
-            }
-            text.push_str(step.op.mnemonic());
-        }
-        text.push(']');
         Algorithm {
-            name: text.as_str().into(),
+            name: String::new(),
             operands,
             calls,
         }
+    }
+
+    /// What follows the number in the name of completed `branch`: its
+    /// parenthesization and kernel composition (which disambiguates rewrite
+    /// variants that share a parenthesization, e.g. syrk,symm vs gemm,gemm
+    /// for (A A^T) B), as in `: ((A A^T) B) [syrk,symm]`.
+    fn write_suffix(&self, branch: &Branch, out: &mut String) {
+        out.push_str(": ");
+        self.write_text(branch, out, self.factors.len() + branch.merges.len() - 1);
+        out.push_str(" [");
+        for (i, step) in branch.steps.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(step.op.mnemonic());
+        }
+        out.push(']');
     }
 
     fn write_name(&self, out: &mut String, id: OperandId) {
@@ -636,6 +799,9 @@ impl Ctx<'_> {
 }
 
 fn recurse(ctx: &mut Ctx<'_>, segments: &mut Vec<Segment>, partial_flops: u64) {
+    if ctx.completions > ctx.limit {
+        return;
+    }
     if segments.len() == 1 {
         ctx.complete(partial_flops);
         return;
@@ -646,8 +812,9 @@ fn recurse(ctx: &mut Ctx<'_>, segments: &mut Vec<Segment>, partial_flops: u64) {
         // most-repeated leaf), so the raw lower bound must be scaled down by
         // m to stay admissible against the shared-cost ranking. For m == 1
         // this is exactly the classic FLOP bound.
-        let bound = (partial_flops + lower_bound(&mut ctx.lb_memo, &mut ctx.lb_cost, segments))
-            / ctx.max_leaf_multiplicity;
+        let bound =
+            partial_flops.saturating_add(lower_bound(&mut ctx.lb_memo, &mut ctx.lb_cost, segments))
+                / ctx.max_leaf_multiplicity;
         if bound >= bar {
             return;
         }
@@ -671,17 +838,18 @@ fn recurse(ctx: &mut Ctx<'_>, segments: &mut Vec<Segment>, partial_flops: u64) {
                 variants.len() > 1,
                 node,
             );
-            let added_flops: u64 = ctx.branch.steps[steps_before..]
-                .iter()
-                .map(|s| s.op.flops())
-                .sum();
+            let added_flops = saturating_sum(
+                ctx.branch.steps[steps_before..]
+                    .iter()
+                    .map(|s| s.op.flops()),
+            );
             // The merged segment stands in for the pair during the recursion;
             // the pair, the branch's calls, intermediates and merge are
             // restored after it.
             ctx.branch.merges.push((left.node, right.node));
             segments[i] = merged;
             segments.remove(i + 1);
-            recurse(ctx, segments, partial_flops + added_flops);
+            recurse(ctx, segments, partial_flops.saturating_add(added_flops));
             segments.insert(i + 1, right);
             segments[i] = left;
             ctx.branch.merges.pop();
@@ -714,6 +882,9 @@ impl Ctx<'_> {
     fn complete(&mut self, flops: u64) {
         let order = self.completions;
         self.completions += 1;
+        if self.completions > self.limit {
+            return;
+        }
         let (at, rank) = match self.top_k {
             // Without `top_k` every completion is kept in order; its rank is
             // never compared.
@@ -750,7 +921,7 @@ impl Ctx<'_> {
             debug_assert_eq!(self.eliminated_flops(), 0, "distinct leaves share nothing");
             return flops;
         }
-        flops - self.eliminated_flops()
+        flops.saturating_sub(self.eliminated_flops())
     }
 
     fn eliminated_flops(&mut self) -> u64 {
@@ -1137,7 +1308,6 @@ fn build_qr_solve(e: &mut Emitter<'_>, left: &Segment, right: &Segment) {
     // The pinv-marked segment's logical shape is A⁺'s (cols × rows of the
     // stored operand): the factored matrix A itself is `mm × nn`.
     let (nn, mm, k) = (left.rows, left.cols, right.cols);
-    debug_assert!(mm >= nn, "validated before enumeration starts");
     let qr = KernelOp::Qr { m: mm, n: nn };
     let f = e.emit(
         qr,
@@ -1238,13 +1408,15 @@ fn lower_bound(memo: &mut HashMap<u128, u64>, cost: &mut Vec<u64>, segments: &[S
                 // (triangular operands are square, so order²·other equals
                 // the dimension product on whichever side the triangle is).
                 let merge = if structured(i) || structured(j) {
-                    d(i) * d(s + 1) * d(j + 1)
+                    product(&[d(i), d(s + 1), d(j + 1)])
                 } else if len == 2 && gram(i) {
-                    (d(i) + 1) * d(i) * d(i + 1)
+                    product(&[d(i).saturating_add(1), d(i), d(i + 1)])
                 } else {
-                    2 * d(i) * d(s + 1) * d(j + 1)
+                    product(&[2, d(i), d(s + 1), d(j + 1)])
                 };
-                best = best.min(cost[i * t + s] + cost[(s + 1) * t + j] + merge);
+                let split =
+                    saturating_sum([cost[i * t + s], cost[(s + 1) * t + j], merge].into_iter());
+                best = best.min(split);
             }
             cost[i * t + j] = best;
         }
@@ -1254,6 +1426,11 @@ fn lower_bound(memo: &mut HashMap<u128, u64>, cost: &mut Vec<u64>, segments: &[S
         memo.insert(key, bound);
     }
     bound
+}
+
+/// The product of `factors`, saturating at `u64::MAX` like the FLOP counts.
+fn product(factors: &[u64]) -> u64 {
+    factors.iter().fold(1, |acc, &f| acc.saturating_mul(f))
 }
 
 #[cfg(test)]

@@ -45,6 +45,45 @@ impl fmt::Display for ShapeError {
 
 impl std::error::Error for ShapeError {}
 
+/// A condition on the sizes of a tree that [`Expr::shape`] checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ShapeCheck {
+    /// The inner dimensions of a product agree.
+    Product {
+        left: (usize, usize),
+        right: (usize, usize),
+    },
+    /// An inverted operand is square.
+    Square { shape: (usize, usize) },
+}
+
+impl ShapeCheck {
+    /// The same condition with every size `s` read as `size(s)`.
+    pub(crate) fn at(self, size: impl Fn(usize) -> usize) -> ShapeCheck {
+        let pair = |(r, c): (usize, usize)| (size(r), size(c));
+        match self {
+            ShapeCheck::Product { left, right } => ShapeCheck::Product {
+                left: pair(left),
+                right: pair(right),
+            },
+            ShapeCheck::Square { shape } => ShapeCheck::Square { shape: pair(shape) },
+        }
+    }
+
+    /// The condition as a verdict: `Ok` when it holds.
+    pub(crate) fn verdict(self) -> Result<(), ShapeError> {
+        match self {
+            ShapeCheck::Product { left, right } if left.1 != right.0 => {
+                Err(ShapeError::IncompatibleProduct { left, right })
+            }
+            ShapeCheck::Square { shape } if shape.0 != shape.1 => {
+                Err(ShapeError::InverseNotSquare { shape })
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// A named symbolic matrix operand with a concrete shape and (optionally)
 /// known structure — triangular or symmetric positive definite.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -204,35 +243,36 @@ impl Expr {
     ///
     /// Returns [`ShapeError`] if a product has mismatched inner dimensions.
     pub fn shape(&self) -> Result<(usize, usize), ShapeError> {
+        self.shape_checked(&mut |check| check.verdict())
+    }
+
+    /// The shape of the expression, putting every [`ShapeCheck`] to `check`
+    /// in the order [`Expr::shape`] meets them (children before their node,
+    /// left before right) and stopping at the first error it returns. The
+    /// shape of a node follows from its children's whether or not its own
+    /// check holds.
+    pub(crate) fn shape_checked<E>(
+        &self,
+        check: &mut impl FnMut(ShapeCheck) -> Result<(), E>,
+    ) -> Result<(usize, usize), E> {
         match self {
             Expr::Operand(v) => Ok((v.rows, v.cols)),
-            Expr::Transpose(inner) => {
-                let (r, c) = inner.shape()?;
+            // A⁺ of an m×n matrix is n×m; no squareness requirement
+            // (tallness is a realisability question, not a shape one).
+            Expr::Transpose(inner) | Expr::PseudoInverse(inner) => {
+                let (r, c) = inner.shape_checked(check)?;
                 Ok((c, r))
             }
             Expr::Inverse(inner) => {
-                let shape = inner.shape()?;
-                if shape.0 != shape.1 {
-                    return Err(ShapeError::InverseNotSquare { shape });
-                }
+                let shape = inner.shape_checked(check)?;
+                check(ShapeCheck::Square { shape })?;
                 Ok(shape)
             }
-            Expr::PseudoInverse(inner) => {
-                // A⁺ of an m×n matrix is n×m; no squareness requirement
-                // (tallness is a realisability question, not a shape one).
-                let (r, c) = inner.shape()?;
-                Ok((c, r))
-            }
             Expr::Mul(l, r) => {
-                let ls = l.shape()?;
-                let rs = r.shape()?;
-                if ls.1 != rs.0 {
-                    return Err(ShapeError::IncompatibleProduct {
-                        left: ls,
-                        right: rs,
-                    });
-                }
-                Ok((ls.0, rs.1))
+                let left = l.shape_checked(check)?;
+                let right = r.shape_checked(check)?;
+                check(ShapeCheck::Product { left, right })?;
+                Ok((left.0, right.1))
             }
         }
     }

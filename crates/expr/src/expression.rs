@@ -5,11 +5,14 @@
 //! its set of mathematically equivalent algorithms. This is exactly the
 //! structure the paper's three experiments operate on. The implementation
 //! in this crate is the parsed [`TreeExpression`](crate::parse::TreeExpression),
-//! which binds the dimension tuple onto an [`Expr`](crate::expr::Expr) tree
-//! and runs [`enumerate_expr_algorithms`](crate::enumerate::enumerate_expr_algorithms);
-//! the paper's two expressions are the texts `"A*B*C*D"` and `"A*A^T*B"`.
+//! which derives its text's algorithm set once, as a template over the
+//! dimension tuple, and instantiates it per instance — what
+//! [`enumerate_expr_algorithms`](crate::enumerate::enumerate_expr_algorithms)
+//! returns for the bound [`Expr`](crate::expr::Expr) tree; the paper's two
+//! expressions are the texts `"A*B*C*D"` and `"A*A^T*B"`.
 
 use crate::algorithm::Algorithm;
+use crate::cse::shared_forms;
 use crate::enumerate::GenerateError;
 
 /// A linear-algebra expression whose instances are dimension-size tuples.
@@ -42,6 +45,28 @@ pub trait Expression: Send + Sync {
     /// See [`Expression::algorithms_pruned`].
     fn algorithms(&self, dims: &[usize]) -> Result<Vec<Algorithm>, GenerateError> {
         self.algorithms_pruned(dims, None)
+    }
+
+    /// The candidates a planner scores: [`Expression::algorithms_pruned`],
+    /// each algorithm in its shared form (every distinct computation once,
+    /// see [`eliminate_shared_calls`](crate::cse::eliminate_shared_calls))
+    /// when `shared`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Expression::algorithms_pruned`].
+    fn candidates(
+        &self,
+        dims: &[usize],
+        top_k: Option<usize>,
+        shared: bool,
+    ) -> Result<Vec<Algorithm>, GenerateError> {
+        let algorithms = self.algorithms_pruned(dims, top_k)?;
+        Ok(if shared {
+            shared_forms(algorithms)
+        } else {
+            algorithms
+        })
     }
 }
 

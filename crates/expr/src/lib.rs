@@ -51,6 +51,7 @@ pub mod kernel_call;
 pub mod operand;
 pub mod parse;
 pub mod rewrite;
+mod template;
 
 pub use algorithm::{Algorithm, OperandInfo, OperandRole};
 pub use cse::{

@@ -44,6 +44,18 @@
 //! (`L ∈ d0×d0`, `B ∈ d0×d1`). [`TreeExpression::num_dims`] reports the
 //! count; binding a tuple produces a concrete [`Expr`] for the enumerator.
 //!
+//! # Cost
+//!
+//! The parser indexes names as spans of the input and looks them up in a
+//! short list, keeps the tree as one list of nodes whose children are
+//! indices, and renders the normalised text into one buffer: a parse
+//! allocates a handful of buffers and one string per distinct operand name,
+//! not a string per token. What a text's requests enumerate is derived once
+//! per text, not per parse: [`Expression::algorithms_pruned`] instantiates
+//! the text's memoised template (see the crate-private `template` module),
+//! which a fresh `TreeExpression` of the same text finds without the caller
+//! keeping anything.
+//!
 //! ```
 //! use lamb_expr::parse::TreeExpression;
 //! use lamb_expr::Expression;
@@ -60,11 +72,11 @@
 //! ```
 
 use crate::algorithm::Algorithm;
-use crate::enumerate::{enumerate_expr_algorithms, GenerateError};
+use crate::enumerate::GenerateError;
 use crate::expr::Expr;
 use crate::expression::Expression;
+use crate::template;
 use lamb_matrix::{Structure, Uplo};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors produced while parsing an expression text.
@@ -140,70 +152,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A shape-less expression AST (shapes are bound later from a dims tuple).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Ast {
-    Var(String, Option<Structure>),
-    Transpose(Box<Ast>),
-    Inverse(Box<Ast>),
-    PseudoInverse(Box<Ast>),
-    Mul(Box<Ast>, Box<Ast>),
-}
-
-impl Ast {
-    /// Flatten into `(name, swapped)` factors, pushing transposes, inverses
-    /// and pseudo-inverses to the leaves: `(A·B)ᵀ = Bᵀ·Aᵀ`,
-    /// `(A·B)⁻¹ = B⁻¹·A⁻¹` and `(A·B)⁺ = B⁺·A⁺` all reverse the factor
-    /// order, so the order flips exactly when an odd number of accumulated
-    /// flags is outstanding (mirroring [`Expr::factors`]). Inversion does
-    /// not change a factor's logical shape; transposition and
-    /// pseudo-inversion each swap it, so the `swapped` flag used for
-    /// dimension walking is their XOR.
-    fn factors(&self) -> Vec<(String, bool)> {
-        fn go(ast: &Ast, trans: bool, inv: bool, pinv: bool, out: &mut Vec<(String, bool)>) {
-            match ast {
-                Ast::Var(name, _) => out.push((name.clone(), trans != pinv)),
-                Ast::Transpose(inner) => go(inner, !trans, inv, pinv, out),
-                Ast::Inverse(inner) => go(inner, trans, !inv, pinv, out),
-                Ast::PseudoInverse(inner) => go(inner, trans, inv, !pinv, out),
-                Ast::Mul(l, r) => {
-                    if trans ^ inv ^ pinv {
-                        go(r, trans, inv, pinv, out);
-                        go(l, trans, inv, pinv, out);
-                    } else {
-                        go(l, trans, inv, pinv, out);
-                        go(r, trans, inv, pinv, out);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        go(self, false, false, false, &mut out);
-        out
-    }
-
-    fn display(&self) -> String {
-        match self {
-            Ast::Var(name, None) => name.clone(),
-            Ast::Var(name, Some(Structure::Triangular(Uplo::Lower))) => format!("{name}[lower]"),
-            Ast::Var(name, Some(Structure::Triangular(Uplo::Upper))) => format!("{name}[upper]"),
-            Ast::Var(name, Some(Structure::Spd)) => format!("{name}[spd]"),
-            Ast::Var(name, Some(Structure::General)) => name.clone(),
-            Ast::Transpose(inner) => match inner.as_ref() {
-                Ast::Mul(..) => format!("({})^T", inner.display()),
-                _ => format!("{}^T", inner.display()),
-            },
-            Ast::Inverse(inner) => match inner.as_ref() {
-                Ast::Mul(..) => format!("({})^-1", inner.display()),
-                _ => format!("{}^-1", inner.display()),
-            },
-            Ast::PseudoInverse(inner) => match inner.as_ref() {
-                Ast::Mul(..) => format!("({})^+", inner.display()),
-                _ => format!("{}^+", inner.display()),
-            },
-            Ast::Mul(l, r) => format!("{}*{}", l.display(), r.display()),
-        }
-    }
+/// A node of the shape-less tree (shapes are bound later from a dims
+/// tuple). Children are indices into the node list; every child precedes
+/// its parent, so the root is the last node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Node {
+    /// Operand `i` of [`TreeExpression::operand_dims`], with the annotation
+    /// this occurrence carries.
+    Var(usize, Option<Structure>),
+    Transpose(usize),
+    Inverse(usize),
+    PseudoInverse(usize),
+    Mul(usize, usize),
 }
 
 /// A parsed, dimension-parameterised expression: the tree of a text such as
@@ -213,17 +173,19 @@ impl Ast {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeExpression {
     text: String,
-    ast: Ast,
+    nodes: Vec<Node>,
     /// Per distinct operand name: `(name, row dim index, col dim index)` in
-    /// stored (untransposed) orientation, in order of first appearance.
+    /// stored (untransposed) orientation, in order of first appearance in
+    /// the flattened factor list.
     var_dims: Vec<(String, usize, usize)>,
-    /// Structure annotations per operand name (triangular or SPD operands).
-    structures: HashMap<String, Structure>,
+    /// The declared structure of each operand of `var_dims` (`General`
+    /// where the text annotates none).
+    structures: Vec<Structure>,
     num_dims: usize,
 }
 
 /// Union-find over dimension symbols.
-fn find(parent: &mut Vec<usize>, x: usize) -> usize {
+fn find(parent: &mut [usize], x: usize) -> usize {
     if parent[x] != x {
         let root = find(parent, parent[x]);
         parent[x] = root;
@@ -231,10 +193,80 @@ fn find(parent: &mut Vec<usize>, x: usize) -> usize {
     parent[x]
 }
 
-fn union(parent: &mut Vec<usize>, a: usize, b: usize) {
+fn union(parent: &mut [usize], a: usize, b: usize) {
     let (ra, rb) = (find(parent, a), find(parent, b));
     if ra != rb {
         parent[rb] = ra;
+    }
+}
+
+/// One leaf of the flattened product: its operand, whether its logical
+/// shape is the stored one swapped, and whether it sits under an
+/// uncancelled inverse.
+#[derive(Debug, Clone, Copy)]
+struct Leaf {
+    operand: usize,
+    swapped: bool,
+    inverted: bool,
+}
+
+/// Flatten the tree below `node` into `out`, pushing transposes, inverses
+/// and pseudo-inverses to the leaves: `(A·B)ᵀ = Bᵀ·Aᵀ`, `(A·B)⁻¹ = B⁻¹·A⁻¹`
+/// and `(A·B)⁺ = B⁺·A⁺` all reverse the factor order, so the order flips
+/// exactly when an odd number of accumulated flags is outstanding
+/// (mirroring [`Expr::factors`]). Inversion does not change a factor's
+/// logical shape; transposition and pseudo-inversion each swap it, so
+/// `swapped` is their XOR.
+fn flatten(nodes: &[Node], node: usize, flags: (bool, bool, bool), out: &mut Vec<Leaf>) {
+    let (trans, inv, pinv) = flags;
+    match nodes[node] {
+        Node::Var(operand, _) => out.push(Leaf {
+            operand,
+            swapped: trans != pinv,
+            inverted: inv,
+        }),
+        Node::Transpose(inner) => flatten(nodes, inner, (!trans, inv, pinv), out),
+        Node::Inverse(inner) => flatten(nodes, inner, (trans, !inv, pinv), out),
+        Node::PseudoInverse(inner) => flatten(nodes, inner, (trans, inv, !pinv), out),
+        Node::Mul(l, r) => {
+            let (first, second) = if trans ^ inv ^ pinv { (r, l) } else { (l, r) };
+            flatten(nodes, first, flags, out);
+            flatten(nodes, second, flags, out);
+        }
+    }
+}
+
+/// Append the normalized text of the tree below `node` to `out`; `operands`
+/// names the operands the `Var` nodes index.
+fn write_text(nodes: &[Node], operands: &[(String, usize, usize)], node: usize, out: &mut String) {
+    let postfix = |inner: usize, op: &str, out: &mut String| {
+        if let Node::Mul(..) = nodes[inner] {
+            out.push('(');
+            write_text(nodes, operands, inner, out);
+            out.push(')');
+        } else {
+            write_text(nodes, operands, inner, out);
+        }
+        out.push_str(op);
+    };
+    match nodes[node] {
+        Node::Var(operand, structure) => {
+            out.push_str(&operands[operand].0);
+            out.push_str(match structure {
+                Some(Structure::Triangular(Uplo::Lower)) => "[lower]",
+                Some(Structure::Triangular(Uplo::Upper)) => "[upper]",
+                Some(Structure::Spd) => "[spd]",
+                Some(Structure::General) | None => "",
+            });
+        }
+        Node::Transpose(inner) => postfix(inner, "^T", out),
+        Node::Inverse(inner) => postfix(inner, "^-1", out),
+        Node::PseudoInverse(inner) => postfix(inner, "^+", out),
+        Node::Mul(l, r) => {
+            write_text(nodes, operands, l, out);
+            out.push('*');
+            write_text(nodes, operands, r, out);
+        }
     }
 }
 
@@ -283,72 +315,86 @@ impl TreeExpression {
     ///
     /// Returns [`ParseError`] on malformed input.
     pub fn parse(text: &str) -> Result<Self, ParseError> {
-        let ast = Parser::new(text).parse()?;
-        let factors = ast.factors();
-        let structures = collect_annotations(&ast)?;
-
-        // Two symbols (stored rows, stored cols) per distinct name.
-        let mut sym_of: HashMap<String, (usize, usize)> = HashMap::new();
-        let mut order: Vec<String> = Vec::new();
-        let mut next = 0;
-        for (name, _) in &factors {
-            sym_of.entry(name.clone()).or_insert_with(|| {
-                order.push(name.clone());
-                let pair = (next, next + 1);
-                next += 2;
-                pair
+        let Parsed {
+            mut nodes,
+            names,
+            conflict,
+        } = Parser::new(text).parse()?;
+        if let Some(name) = conflict {
+            return Err(ParseError::ConflictingStructure {
+                name: text[names[name].span.0..names[name].span.1].to_string(),
             });
         }
-        let mut parent: Vec<usize> = (0..next).collect();
+        let mut leaves = Vec::with_capacity(nodes.len());
+        flatten(&nodes, nodes.len() - 1, (false, false, false), &mut leaves);
+
+        // Operands are numbered in order of first appearance in the
+        // flattened list, two symbols each (stored rows, stored cols).
+        let mut order = vec![usize::MAX; names.len()];
+        let mut count = 0;
+        for leaf in &mut leaves {
+            if order[leaf.operand] == usize::MAX {
+                order[leaf.operand] = count;
+                count += 1;
+            }
+            leaf.operand = order[leaf.operand];
+        }
+        let mut structures = vec![Structure::General; names.len()];
+        for (name, &at) in names.iter().zip(&order) {
+            structures[at] = name.structure.unwrap_or(Structure::General);
+        }
+        let mut parent: Vec<usize> = (0..2 * names.len()).collect();
         // Structured (triangular or SPD) and inverted operands are square:
         // their row and column sizes unify.
-        for name in structures.keys().chain(collect_inverted_names(&ast).iter()) {
-            let (r, c) = sym_of[name];
-            union(&mut parent, r, c);
+        for (operand, structure) in structures.iter().enumerate() {
+            if *structure != Structure::General {
+                union(&mut parent, 2 * operand, 2 * operand + 1);
+            }
         }
-        let logical = |sym_of: &HashMap<String, (usize, usize)>, name: &str, t: bool| {
-            let (r, c) = sym_of[name];
-            if t {
+        for leaf in leaves.iter().filter(|leaf| leaf.inverted) {
+            union(&mut parent, 2 * leaf.operand, 2 * leaf.operand + 1);
+        }
+        let logical = |leaf: &Leaf| {
+            let (r, c) = (2 * leaf.operand, 2 * leaf.operand + 1);
+            if leaf.swapped {
                 (c, r)
             } else {
                 (r, c)
             }
         };
-        for pair in factors.windows(2) {
-            let (_, lc) = logical(&sym_of, &pair[0].0, pair[0].1);
-            let (rr, _) = logical(&sym_of, &pair[1].0, pair[1].1);
-            union(&mut parent, lc, rr);
+        for pair in leaves.windows(2) {
+            union(&mut parent, logical(&pair[0]).1, logical(&pair[1]).0);
         }
 
         // Assign dimension indices in boundary-walk order: rows of the first
         // factor, then the columns of each factor in turn.
-        let mut index_of_root: HashMap<usize, usize> = HashMap::new();
-        let mut assign = |parent: &mut Vec<usize>, sym: usize| {
-            let root = find(parent, sym);
-            let n = index_of_root.len();
-            *index_of_root.entry(root).or_insert(n)
-        };
-        let (first_row, _) = logical(&sym_of, &factors[0].0, factors[0].1);
-        let _ = assign(&mut parent, first_row);
-        for (name, t) in &factors {
-            let (_, c) = logical(&sym_of, name, *t);
-            let _ = assign(&mut parent, c);
+        let mut index_of_root = vec![usize::MAX; parent.len()];
+        let mut num_dims = 0;
+        let boundaries =
+            std::iter::once(logical(&leaves[0]).0).chain(leaves.iter().map(|leaf| logical(leaf).1));
+        for sym in boundaries {
+            let root = find(&mut parent, sym);
+            if index_of_root[root] == usize::MAX {
+                index_of_root[root] = num_dims;
+                num_dims += 1;
+            }
         }
-        let num_dims = index_of_root.len();
-        let var_dims = order
-            .iter()
-            .map(|name| {
-                let (r, c) = sym_of[name];
-                (
-                    name.clone(),
-                    index_of_root[&find(&mut parent, r)],
-                    index_of_root[&find(&mut parent, c)],
-                )
-            })
-            .collect();
+        let mut var_dims = vec![(String::new(), 0, 0); names.len()];
+        for (name, &at) in names.iter().zip(&order) {
+            let rows = index_of_root[find(&mut parent, 2 * at)];
+            let cols = index_of_root[find(&mut parent, 2 * at + 1)];
+            var_dims[at] = (text[name.span.0..name.span.1].to_string(), rows, cols);
+        }
+        for node in &mut nodes {
+            if let Node::Var(operand, _) = node {
+                *operand = order[*operand];
+            }
+        }
+        let mut rendered = String::with_capacity(text.len());
+        write_text(&nodes, &var_dims, nodes.len() - 1, &mut rendered);
         Ok(TreeExpression {
-            text: ast.display(),
-            ast,
+            text: rendered,
+            nodes,
             var_dims,
             structures,
             num_dims,
@@ -363,40 +409,44 @@ impl TreeExpression {
     /// (callers such as the `Planner` validate the tuple first).
     #[must_use]
     pub fn bind(&self, dims: &[usize]) -> Expr {
+        self.check_arity(dims);
+        self.build(self.nodes.len() - 1, dims)
+    }
+
+    /// Panic unless `dims` has one size per dimension.
+    pub(crate) fn check_arity(&self, dims: &[usize]) {
         assert_eq!(
             dims.len(),
             self.num_dims,
             "dimension tuple length mismatch for `{}`",
             self.text
         );
-        let shapes: HashMap<&str, (usize, usize)> = self
-            .var_dims
-            .iter()
-            .map(|(name, r, c)| (name.as_str(), (dims[*r], dims[*c])))
-            .collect();
-        fn build(
-            ast: &Ast,
-            shapes: &HashMap<&str, (usize, usize)>,
-            structures: &HashMap<String, Structure>,
-        ) -> Expr {
-            match ast {
-                Ast::Var(name, _) => {
-                    let (r, c) = shapes[name.as_str()];
-                    // The annotation attaches to the name, so an unannotated
-                    // reuse still builds the structured operand.
-                    match structures.get(name) {
-                        Some(&Structure::Triangular(uplo)) => Expr::tri_var(name, r, uplo),
-                        Some(&Structure::Spd) => Expr::spd_var(name, r),
-                        _ => Expr::var(name, r, c),
-                    }
+    }
+
+    fn build(&self, node: usize, dims: &[usize]) -> Expr {
+        match self.nodes[node] {
+            Node::Var(operand, _) => {
+                let (name, r, c) = &self.var_dims[operand];
+                let (r, c) = (dims[*r], dims[*c]);
+                // The annotation attaches to the name, so an unannotated
+                // reuse still builds the structured operand.
+                match self.structures[operand] {
+                    Structure::Triangular(uplo) => Expr::tri_var(name, r, uplo),
+                    Structure::Spd => Expr::spd_var(name, r),
+                    Structure::General => Expr::var(name, r, c),
                 }
-                Ast::Transpose(inner) => build(inner, shapes, structures).t(),
-                Ast::Inverse(inner) => build(inner, shapes, structures).inv(),
-                Ast::PseudoInverse(inner) => build(inner, shapes, structures).pinv(),
-                Ast::Mul(l, r) => build(l, shapes, structures).mul(build(r, shapes, structures)),
             }
+            Node::Transpose(inner) => self.build(inner, dims).t(),
+            Node::Inverse(inner) => self.build(inner, dims).inv(),
+            Node::PseudoInverse(inner) => self.build(inner, dims).pinv(),
+            Node::Mul(l, r) => self.build(l, dims).mul(self.build(r, dims)),
         }
-        build(&self.ast, &shapes, &self.structures)
+    }
+
+    /// The tree's nodes: texts that normalise alike but group differently
+    /// (`A*(B*C)` and `(A*B)*C`) differ here.
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// The normalized expression text.
@@ -423,63 +473,11 @@ impl TreeExpression {
     /// expression carries no annotation for it).
     #[must_use]
     pub fn structure_of(&self, name: &str) -> Structure {
-        self.structures
-            .get(name)
-            .copied()
-            .unwrap_or(Structure::General)
+        self.var_dims
+            .iter()
+            .position(|(n, _, _)| n == name)
+            .map_or(Structure::General, |i| self.structures[i])
     }
-}
-
-/// Names of operands that appear under an (uncancelled) inverse; inversion
-/// forces squareness during dimension unification.
-fn collect_inverted_names(ast: &Ast) -> Vec<String> {
-    fn go(ast: &Ast, inv: bool, out: &mut Vec<String>) {
-        match ast {
-            Ast::Var(name, _) => {
-                if inv && !out.contains(name) {
-                    out.push(name.clone());
-                }
-            }
-            Ast::Transpose(inner) => go(inner, inv, out),
-            Ast::Inverse(inner) => go(inner, !inv, out),
-            // Pseudo-inversion does NOT force squareness: `A^+` of a tall
-            // `A` is exactly the point of the least-squares form.
-            Ast::PseudoInverse(inner) => go(inner, inv, out),
-            Ast::Mul(l, r) => {
-                go(l, inv, out);
-                go(r, inv, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    go(ast, false, &mut out);
-    out
-}
-
-/// Collect the structure annotations of every `Var` occurrence, rejecting
-/// names annotated with two different structures.
-fn collect_annotations(ast: &Ast) -> Result<HashMap<String, Structure>, ParseError> {
-    fn go(ast: &Ast, out: &mut HashMap<String, Structure>) -> Result<(), ParseError> {
-        match ast {
-            Ast::Var(_, None) => Ok(()),
-            Ast::Var(name, Some(structure)) => match out.insert(name.clone(), *structure) {
-                Some(prev) if prev != *structure => {
-                    Err(ParseError::ConflictingStructure { name: name.clone() })
-                }
-                _ => Ok(()),
-            },
-            Ast::Transpose(inner) | Ast::Inverse(inner) | Ast::PseudoInverse(inner) => {
-                go(inner, out)
-            }
-            Ast::Mul(l, r) => {
-                go(l, out)?;
-                go(r, out)
-            }
-        }
-    }
-    let mut out = HashMap::new();
-    go(ast, &mut out)?;
-    Ok(out)
 }
 
 impl fmt::Display for TreeExpression {
@@ -502,96 +500,136 @@ impl Expression for TreeExpression {
         dims: &[usize],
         top_k: Option<usize>,
     ) -> Result<Vec<Algorithm>, GenerateError> {
-        enumerate_expr_algorithms(&self.bind(dims), top_k)
+        self.candidates(dims, top_k, false)
     }
+
+    /// Instantiated from the text's memoised template, or searched per
+    /// request past the memo's bounds.
+    fn candidates(
+        &self,
+        dims: &[usize],
+        top_k: Option<usize>,
+        shared: bool,
+    ) -> Result<Vec<Algorithm>, GenerateError> {
+        template::algorithms(self, dims, top_k, shared)
+    }
+}
+
+/// A distinct operand name as the parser meets it: its span in the input
+/// and the first structure annotation it carries.
+#[derive(Debug, Clone, Copy)]
+struct Name {
+    span: (usize, usize),
+    structure: Option<Structure>,
+}
+
+/// What the recursive descent produces.
+struct Parsed {
+    nodes: Vec<Node>,
+    /// Distinct names in order of first appearance in the text; `Var`
+    /// nodes index this list.
+    names: Vec<Name>,
+    /// The first name annotated unlike its first annotation, in text order.
+    conflict: Option<usize>,
 }
 
 /// Recursive-descent parser over the byte positions of the input.
 struct Parser<'a> {
     text: &'a str,
-    chars: Vec<(usize, char)>,
     pos: usize,
+    out: Parsed,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
             text,
-            chars: text.char_indices().collect(),
             pos: 0,
+            out: Parsed {
+                // A node takes at least one character of the text.
+                nodes: Vec::with_capacity(text.len().min(64)),
+                names: Vec::new(),
+                conflict: None,
+            },
         }
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.get(self.pos), Some((_, c)) if c.is_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
+    /// The next character that is not whitespace, and its byte offset.
     fn peek(&mut self) -> Option<(usize, char)> {
-        self.skip_ws();
-        self.chars.get(self.pos).copied()
+        loop {
+            let c = self.text[self.pos..].chars().next()?;
+            if !c.is_whitespace() {
+                return Some((self.pos, c));
+            }
+            self.pos += c.len_utf8();
+        }
     }
 
-    fn parse(mut self) -> Result<Ast, ParseError> {
+    fn push(&mut self, node: Node) -> usize {
+        self.out.nodes.push(node);
+        self.out.nodes.len() - 1
+    }
+
+    fn parse(mut self) -> Result<Parsed, ParseError> {
         if self.peek().is_none() {
             return Err(ParseError::Empty);
         }
-        let ast = self.expr()?;
+        self.expr()?;
         match self.peek() {
-            None => Ok(ast),
+            None => Ok(self.out),
             Some((position, found)) => Err(ParseError::UnexpectedChar { position, found }),
         }
     }
 
-    fn expr(&mut self) -> Result<Ast, ParseError> {
+    fn expr(&mut self) -> Result<usize, ParseError> {
         let mut lhs = self.factor()?;
         while let Some((_, '*')) = self.peek() {
             self.pos += 1;
             let rhs = self.factor()?;
-            lhs = Ast::Mul(Box::new(lhs), Box::new(rhs));
+            lhs = self.push(Node::Mul(lhs, rhs));
         }
         Ok(lhs)
     }
 
-    fn factor(&mut self) -> Result<Ast, ParseError> {
-        let mut ast = self.primary()?;
+    fn factor(&mut self) -> Result<usize, ParseError> {
+        let mut node = self.primary()?;
         loop {
-            match self.peek() {
+            let wrap: fn(usize) -> Node = match self.peek() {
                 Some((_, '\'')) => {
                     self.pos += 1;
-                    ast = Ast::Transpose(Box::new(ast));
+                    Node::Transpose
                 }
                 Some((position, '^')) => {
                     self.pos += 1;
                     match self.peek() {
                         Some((_, 'T' | 't')) => {
                             self.pos += 1;
-                            ast = Ast::Transpose(Box::new(ast));
+                            Node::Transpose
                         }
                         Some((_, '-')) => {
                             self.pos += 1;
                             match self.peek() {
                                 Some((_, '1')) => {
                                     self.pos += 1;
-                                    ast = Ast::Inverse(Box::new(ast));
+                                    Node::Inverse
                                 }
                                 _ => return Err(ParseError::BadTranspose { position }),
                             }
                         }
                         Some((_, '+')) => {
                             self.pos += 1;
-                            ast = Ast::PseudoInverse(Box::new(ast));
+                            Node::PseudoInverse
                         }
                         _ => return Err(ParseError::BadTranspose { position }),
                     }
                 }
-                _ => return Ok(ast),
-            }
+                _ => return Ok(node),
+            };
+            node = self.push(wrap(node));
         }
     }
 
-    fn primary(&mut self) -> Result<Ast, ParseError> {
+    fn primary(&mut self) -> Result<usize, ParseError> {
         match self.peek() {
             None => Err(ParseError::UnexpectedEnd),
             Some((_, '(')) => {
@@ -607,48 +645,73 @@ impl<'a> Parser<'a> {
                 }
             }
             Some((start, c)) if c.is_ascii_alphabetic() => {
-                let mut end = self.pos + 1;
-                while matches!(self.chars.get(end), Some((_, c)) if c.is_ascii_alphanumeric() || *c == '_')
+                let bytes = self.text.as_bytes();
+                let mut end = start + 1;
+                while bytes
+                    .get(end)
+                    .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
                 {
                     end += 1;
                 }
-                let stop = self
-                    .chars
-                    .get(end)
-                    .map_or(self.text.len(), |(offset, _)| *offset);
                 self.pos = end;
-                let name = self.text[start..stop].to_string();
-                let uplo = self.structure_annotation()?;
-                Ok(Ast::Var(name, uplo))
+                let structure = self.structure_annotation()?;
+                let text = self.text;
+                let name = &text[start..end];
+                let names = &mut self.out.names;
+                let operand = match names.iter().position(|n| &text[n.span.0..n.span.1] == name) {
+                    Some(i) => i,
+                    None => {
+                        names.push(Name {
+                            span: (start, end),
+                            structure: None,
+                        });
+                        names.len() - 1
+                    }
+                };
+                if let Some(structure) = structure {
+                    match names[operand].structure {
+                        None => names[operand].structure = Some(structure),
+                        Some(first) if first != structure => {
+                            self.out.conflict = self.out.conflict.or(Some(operand));
+                        }
+                        Some(_) => {}
+                    }
+                }
+                Ok(self.push(Node::Var(operand, structure)))
             }
             Some((position, found)) => Err(ParseError::UnexpectedChar { position, found }),
         }
     }
 
     /// Parse an optional `[lower]` / `[upper]` / `[spd]` structure
-    /// annotation.
+    /// annotation (letters case-insensitive, whitespace ignored).
     fn structure_annotation(&mut self) -> Result<Option<Structure>, ParseError> {
         let Some((position, '[')) = self.peek() else {
             return Ok(None);
         };
         self.pos += 1;
-        let mut word = String::new();
+        // The word, lowercased; only its first five letters are kept, and
+        // `letters` counts them all.
+        let mut word = [0u8; 5];
+        let mut letters = 0;
         while let Some((_, c)) = self.peek() {
-            if c.is_ascii_alphabetic() {
-                word.push(c.to_ascii_lowercase());
-                self.pos += 1;
-            } else {
+            if !c.is_ascii_alphabetic() {
                 break;
             }
+            if let Some(slot) = word.get_mut(letters) {
+                *slot = c.to_ascii_lowercase() as u8;
+            }
+            letters += 1;
+            self.pos += 1;
         }
         match self.peek() {
             Some((_, ']')) => self.pos += 1,
             _ => return Err(ParseError::BadStructure { position }),
         }
-        match word.as_str() {
-            "lower" => Ok(Some(Structure::Triangular(Uplo::Lower))),
-            "upper" => Ok(Some(Structure::Triangular(Uplo::Upper))),
-            "spd" => Ok(Some(Structure::Spd)),
+        match word.get(..letters) {
+            Some(b"lower") => Ok(Some(Structure::Triangular(Uplo::Lower))),
+            Some(b"upper") => Ok(Some(Structure::Triangular(Uplo::Upper))),
+            Some(b"spd") => Ok(Some(Structure::Spd)),
             _ => Err(ParseError::BadStructure { position }),
         }
     }
@@ -657,6 +720,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::enumerate_expr_algorithms;
 
     #[test]
     fn plain_chain_gets_the_paper_dimension_tuple() {
@@ -896,6 +960,34 @@ mod tests {
             TreeExpression::parse("A^*b"),
             Err(ParseError::BadTranspose { .. })
         ));
+    }
+
+    #[test]
+    fn flop_counts_saturate_at_dimensions_near_the_maximum() {
+        // `2·m·n·k` of a GEMM with m = usize::MAX used to wrap (release) or
+        // overflow (debug); every count now saturates, and ranking with it
+        // stays the search's ranking.
+        let big = usize::MAX;
+        let ab = TreeExpression::parse("A*B").unwrap();
+        let algs = ab.algorithms(&[big, 2, 3]).unwrap();
+        assert_eq!(algs[0].flops(), u64::MAX);
+        assert_eq!(algs[0].shared_flops(), u64::MAX);
+        for (text, dims) in [
+            ("A*B*C*D", vec![big, 2, big - 1, 3, big]),
+            ("A*A^T*B", vec![big, big, 7]),
+            ("A^-1*B*C", vec![big, 5, big]),
+            ("S[spd]^-1*S^-1*B", vec![big, 3]),
+            ("A^+*B*C", vec![big / 2, big, 4, big]),
+            ("L[lower]*A*B", vec![1 << 40, 1 << 30, big]),
+        ] {
+            let expr = TreeExpression::parse(text).unwrap();
+            for top_k in [None, Some(1), Some(3)] {
+                let got = expr.algorithms_pruned(&dims, top_k).unwrap();
+                let want = enumerate_expr_algorithms(&expr.bind(&dims), top_k).unwrap();
+                assert_eq!(got, want, "{text} top_k {top_k:?}");
+                assert!(got.iter().all(|alg| alg.shared_flops() <= alg.flops()));
+            }
+        }
     }
 
     #[test]

@@ -343,25 +343,8 @@ pub fn is_gram_pair(left: &MergeOperand, right: &MergeOperand) -> bool {
     }
 }
 
-/// The set of variants for the merge `left·right`, in the paper's
-/// presentation order.
-///
-/// `is_final` marks the merge that produces the expression's result, which
-/// must be stored in full (a SYRK-produced triangle is completed by a copy).
-///
-/// Inverse-marked sides realise from *either* side: `L⁻¹·B` lowers to a
-/// left-side TRSM and `B·L⁻¹` to a right-side TRSM (likewise the Cholesky
-/// and LU realisations mirror for `B·S⁻¹` and `B·A⁻¹`). The only remaining
-/// dead end in the inverse family is the pseudo-inverse on the right
-/// (`b·A⁺`): ORMQR applies `Q₁ᵀ` from the left only, so no kernel sequence
-/// realises it and the enumerator abandons such merge orders.
-#[must_use]
-pub fn merge_variants(left: &MergeOperand, right: &MergeOperand, is_final: bool) -> Vec<MergeKind> {
-    variants(left, right, is_final).to_vec()
-}
-
-/// At most four variants, held inline: what [`merge_variants`] returns
-/// without a heap allocation, for the enumerator's once-per-edge question.
+/// At most four merge variants, held inline: the enumerator asks once per
+/// edge of its search, without a heap allocation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Variants {
     kinds: [MergeKind; 4],
@@ -395,7 +378,18 @@ impl std::ops::Deref for Variants {
     }
 }
 
-/// [`merge_variants`], held inline.
+/// The set of variants for the merge `left·right`, in the paper's
+/// presentation order.
+///
+/// `is_final` marks the merge that produces the expression's result, which
+/// must be stored in full (a SYRK-produced triangle is completed by a copy).
+///
+/// Inverse-marked sides realise from *either* side: `L⁻¹·B` lowers to a
+/// left-side TRSM and `B·L⁻¹` to a right-side TRSM (likewise the Cholesky
+/// and LU realisations mirror for `B·S⁻¹` and `B·A⁻¹`). The only remaining
+/// dead end in the inverse family is the pseudo-inverse on the right
+/// (`b·A⁺`): ORMQR applies `Q₁ᵀ` from the left only, so no kernel sequence
+/// realises it and the enumerator abandons such merge orders.
 pub(crate) fn variants(left: &MergeOperand, right: &MergeOperand, is_final: bool) -> Variants {
     // The sided kernels read their rectangular operand as stored: a
     // transposed or triangle-stored partner side rules the structured
@@ -559,13 +553,13 @@ mod tests {
         let a = MergeOperand::leaf(0, Trans::No);
         let at = MergeOperand::leaf(0, Trans::Yes);
         assert_eq!(
-            merge_variants(&a, &at, false),
-            vec![MergeKind::SyrkTriangle, MergeKind::GemmSymmetric]
+            *variants(&a, &at, false),
+            [MergeKind::SyrkTriangle, MergeKind::GemmSymmetric]
         );
         // As the final result the triangle must be completed by a copy.
         assert_eq!(
-            merge_variants(&a, &at, true),
-            vec![MergeKind::SyrkThenCopy, MergeKind::Gemm]
+            *variants(&a, &at, true),
+            [MergeKind::SyrkThenCopy, MergeKind::Gemm]
         );
     }
 
@@ -575,12 +569,12 @@ mod tests {
         let full = MergeOperand::intermediate(Storage::SymmetricFull);
         let b = MergeOperand::leaf(1, Trans::No);
         assert_eq!(
-            merge_variants(&tri, &b, true),
-            vec![MergeKind::SymmLeft, MergeKind::CopyLeftThenGemm]
+            *variants(&tri, &b, true),
+            [MergeKind::SymmLeft, MergeKind::CopyLeftThenGemm]
         );
         assert_eq!(
-            merge_variants(&full, &b, true),
-            vec![MergeKind::SymmLeft, MergeKind::Gemm]
+            *variants(&full, &b, true),
+            [MergeKind::SymmLeft, MergeKind::Gemm]
         );
     }
 
@@ -589,8 +583,8 @@ mod tests {
         let tri = MergeOperand::intermediate(Storage::SymmetricTriangle);
         let b = MergeOperand::leaf(1, Trans::No);
         assert_eq!(
-            merge_variants(&b, &tri, true),
-            vec![MergeKind::SymmRight, MergeKind::CopyRightThenGemm]
+            *variants(&b, &tri, true),
+            [MergeKind::SymmRight, MergeKind::CopyRightThenGemm]
         );
     }
 
@@ -600,56 +594,47 @@ mod tests {
         let tri = MergeOperand::intermediate(Storage::SymmetricTriangle);
         let full = MergeOperand::intermediate(Storage::SymmetricFull);
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert_eq!(
-            merge_variants(&tri, &bt, true),
-            vec![MergeKind::CopyLeftThenGemm]
-        );
-        assert_eq!(merge_variants(&full, &bt, true), vec![MergeKind::Gemm]);
-        assert_eq!(
-            merge_variants(&bt, &tri, true),
-            vec![MergeKind::CopyRightThenGemm]
-        );
-        assert_eq!(merge_variants(&bt, &full, true), vec![MergeKind::Gemm]);
+        assert_eq!(*variants(&tri, &bt, true), [MergeKind::CopyLeftThenGemm]);
+        assert_eq!(*variants(&full, &bt, true), [MergeKind::Gemm]);
+        assert_eq!(*variants(&bt, &tri, true), [MergeKind::CopyRightThenGemm]);
+        assert_eq!(*variants(&bt, &full, true), [MergeKind::Gemm]);
     }
 
     #[test]
     fn two_triangles_require_at_least_one_copy() {
         let tri = MergeOperand::intermediate(Storage::SymmetricTriangle);
-        let variants = merge_variants(&tri, &tri, true);
-        assert_eq!(variants.len(), 3);
-        assert!(!variants.contains(&MergeKind::Gemm));
-        assert!(!variants.contains(&MergeKind::SymmLeft));
+        let kinds = variants(&tri, &tri, true);
+        assert_eq!(kinds.len(), 3);
+        assert!(!kinds.contains(&MergeKind::Gemm));
+        assert!(!kinds.contains(&MergeKind::SymmLeft));
     }
 
     #[test]
     fn triangular_left_side_offers_trmm_before_gemm() {
         let l = MergeOperand::tri_leaf(0, Trans::No, Uplo::Lower, false);
         let b = MergeOperand::leaf(1, Trans::No);
-        assert_eq!(
-            merge_variants(&l, &b, true),
-            vec![MergeKind::Trmm, MergeKind::Gemm]
-        );
+        assert_eq!(*variants(&l, &b, true), [MergeKind::Trmm, MergeKind::Gemm]);
         // A transposed triangular leaf still multiplies through TRMM (the
         // kernel carries the transposition flag)...
         let lt = MergeOperand::tri_leaf(0, Trans::Yes, Uplo::Upper, false);
         assert_eq!(
-            merge_variants(&lt, &b, false),
-            vec![MergeKind::Trmm, MergeKind::Gemm]
+            *variants(&lt, &b, false),
+            [MergeKind::Trmm, MergeKind::Gemm]
         );
         // ...but a transposed *right* side rules TRMM out (no transb flag),
         // while a triangular right side goes through the right-side TRMM.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert_eq!(merge_variants(&l, &bt, true), vec![MergeKind::Gemm]);
+        assert_eq!(*variants(&l, &bt, true), [MergeKind::Gemm]);
         assert_eq!(
-            merge_variants(&b, &l, true),
-            vec![MergeKind::TrmmRight, MergeKind::Gemm]
+            *variants(&b, &l, true),
+            [MergeKind::TrmmRight, MergeKind::Gemm]
         );
         // The triangular intermediate (a product of same-triangle factors)
         // behaves like the leaf.
         let tri_m = MergeOperand::tri_intermediate(Uplo::Lower);
         assert_eq!(
-            merge_variants(&tri_m, &b, true),
-            vec![MergeKind::Trmm, MergeKind::Gemm]
+            *variants(&tri_m, &b, true),
+            [MergeKind::Trmm, MergeKind::Gemm]
         );
     }
 
@@ -661,12 +646,12 @@ mod tests {
         let lt = MergeOperand::tri_leaf(0, Trans::Yes, Uplo::Upper, false);
         assert!(is_gram_pair(&l, &lt));
         assert_eq!(
-            merge_variants(&l, &lt, false),
-            vec![MergeKind::SyrkTriangle, MergeKind::GemmSymmetric]
+            *variants(&l, &lt, false),
+            [MergeKind::SyrkTriangle, MergeKind::GemmSymmetric]
         );
         assert_eq!(
-            merge_variants(&l, &lt, true),
-            vec![MergeKind::SyrkThenCopy, MergeKind::Gemm]
+            *variants(&l, &lt, true),
+            [MergeKind::SyrkThenCopy, MergeKind::Gemm]
         );
     }
 
@@ -674,10 +659,10 @@ mod tests {
     fn inverse_left_side_lowers_to_trsm_only() {
         let linv = MergeOperand::tri_leaf(0, Trans::No, Uplo::Lower, true);
         let b = MergeOperand::leaf(1, Trans::No);
-        assert_eq!(merge_variants(&linv, &b, true), vec![MergeKind::Trsm]);
+        assert_eq!(*variants(&linv, &b, true), [MergeKind::Trsm]);
         // A transposed right side has no kernel.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert!(merge_variants(&linv, &bt, true).is_empty());
+        assert!(variants(&linv, &bt, true).is_empty());
         // Inverses never form Gram pairs.
         let linv_t = MergeOperand::tri_leaf(0, Trans::Yes, Uplo::Upper, true);
         assert!(!is_gram_pair(&linv, &linv_t));
@@ -689,50 +674,41 @@ mod tests {
         let b = MergeOperand::leaf(1, Trans::No);
         // B·L⁻¹ realises directly as one right-side TRSM — no transpose
         // round-trip.
-        assert_eq!(merge_variants(&b, &linv, true), vec![MergeKind::TrsmRight]);
+        assert_eq!(*variants(&b, &linv, true), [MergeKind::TrsmRight]);
         // B·L⁻ᵀ realises too: the right TRSM carries the transposition flag.
         let linv_t = MergeOperand::tri_leaf(0, Trans::Yes, Uplo::Upper, true);
-        assert_eq!(
-            merge_variants(&b, &linv_t, true),
-            vec![MergeKind::TrsmRight]
-        );
+        assert_eq!(*variants(&b, &linv_t, true), [MergeKind::TrsmRight]);
         // A transposed or triangle-stored *left* partner has no kernel, and
         // two inverses in one merge stay unrealisable.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert!(merge_variants(&bt, &linv, true).is_empty());
-        assert!(merge_variants(&linv, &linv_t, true).is_empty());
+        assert!(variants(&bt, &linv, true).is_empty());
+        assert!(variants(&linv, &linv_t, true).is_empty());
     }
 
     #[test]
     fn inverse_right_spd_and_general_sides_mirror_the_left_realisations() {
         let b = MergeOperand::leaf(1, Trans::No);
         let sinv = MergeOperand::spd_leaf(0, Trans::No, true);
-        assert_eq!(
-            merge_variants(&b, &sinv, true),
-            vec![MergeKind::CholeskySolveRight]
-        );
+        assert_eq!(*variants(&b, &sinv, true), [MergeKind::CholeskySolveRight]);
         let ainv = MergeOperand::inv_leaf(0, Trans::No);
-        assert_eq!(
-            merge_variants(&b, &ainv, true),
-            vec![MergeKind::LuSolveRight]
-        );
+        assert_eq!(*variants(&b, &ainv, true), [MergeKind::LuSolveRight]);
         // GETRF carries no transposition flag: A⁻ᵀ on the right stays dead.
         let ainv_t = MergeOperand::inv_leaf(0, Trans::Yes);
-        assert!(merge_variants(&b, &ainv_t, true).is_empty());
+        assert!(variants(&b, &ainv_t, true).is_empty());
         // The pseudo-inverse on the right stays unrealisable (ORMQR applies
         // Q₁ᵀ from the left only).
         let apinv = MergeOperand::pinv_leaf(0, Trans::No);
-        assert!(merge_variants(&b, &apinv, true).is_empty());
+        assert!(variants(&b, &apinv, true).is_empty());
     }
 
     #[test]
     fn inverse_general_left_side_lowers_to_the_lu_realisation_only() {
         let ainv = MergeOperand::inv_leaf(0, Trans::No);
         let b = MergeOperand::leaf(1, Trans::No);
-        assert_eq!(merge_variants(&ainv, &b, true), vec![MergeKind::LuSolve]);
+        assert_eq!(*variants(&ainv, &b, true), [MergeKind::LuSolve]);
         // A transposed right-hand side has no kernel.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert!(merge_variants(&ainv, &bt, true).is_empty());
+        assert!(variants(&ainv, &bt, true).is_empty());
         // Inverses never form Gram pairs.
         let ainv_t = MergeOperand::inv_leaf(0, Trans::Yes);
         assert!(!is_gram_pair(&ainv, &ainv_t));
@@ -742,12 +718,12 @@ mod tests {
     fn pseudo_inverse_left_side_lowers_to_the_qr_realisation_only() {
         let apinv = MergeOperand::pinv_leaf(0, Trans::No);
         let b = MergeOperand::leaf(1, Trans::No);
-        assert_eq!(merge_variants(&apinv, &b, true), vec![MergeKind::QrSolve]);
+        assert_eq!(*variants(&apinv, &b, true), [MergeKind::QrSolve]);
         // A transposed right-hand side has no kernel; a pseudo-inverse on
         // the right is a dead end; pseudo-inverses never form Gram pairs.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert!(merge_variants(&apinv, &bt, true).is_empty());
-        assert!(merge_variants(&b, &apinv, true).is_empty());
+        assert!(variants(&apinv, &bt, true).is_empty());
+        assert!(variants(&b, &apinv, true).is_empty());
         let apinv_t = MergeOperand::pinv_leaf(0, Trans::Yes);
         assert!(!is_gram_pair(&apinv, &apinv_t));
     }
@@ -756,13 +732,10 @@ mod tests {
     fn inverse_spd_left_side_lowers_to_the_cholesky_realisation_only() {
         let sinv = MergeOperand::spd_leaf(0, Trans::No, true);
         let b = MergeOperand::leaf(1, Trans::No);
-        assert_eq!(
-            merge_variants(&sinv, &b, true),
-            vec![MergeKind::CholeskySolve]
-        );
+        assert_eq!(*variants(&sinv, &b, true), [MergeKind::CholeskySolve]);
         // A transposed right-hand side has no kernel.
         let bt = MergeOperand::leaf(1, Trans::Yes);
-        assert!(merge_variants(&sinv, &bt, true).is_empty());
+        assert!(variants(&sinv, &bt, true).is_empty());
     }
 
     #[test]
@@ -772,12 +745,12 @@ mod tests {
         let s = MergeOperand::spd_leaf(0, Trans::No, false);
         let b = MergeOperand::leaf(1, Trans::No);
         assert_eq!(
-            merge_variants(&s, &b, true),
-            vec![MergeKind::SymmLeft, MergeKind::Gemm]
+            *variants(&s, &b, true),
+            [MergeKind::SymmLeft, MergeKind::Gemm]
         );
         assert_eq!(
-            merge_variants(&b, &s, true),
-            vec![MergeKind::SymmRight, MergeKind::Gemm]
+            *variants(&b, &s, true),
+            [MergeKind::SymmRight, MergeKind::Gemm]
         );
     }
 

@@ -11,37 +11,56 @@
 //! The triangle-to-full copy used by Algorithm 2 of the `A·Aᵀ·B` expression
 //! performs no floating-point operations; it is still modelled (with zero
 //! FLOPs) so that executors can attribute time to it.
+//!
+//! Every count saturates at `u64::MAX`: it is evaluated exactly in `u128`
+//! (itself saturating) and clamped, so dimensions near `usize::MAX` rank as
+//! the most expensive calls instead of wrapping around to cheap ones.
+
+/// `x`, or `u64::MAX` when it does not fit.
+fn clamp(x: u128) -> u64 {
+    u64::try_from(x).unwrap_or(u64::MAX)
+}
+
+/// `x` widened to `u128`, where `x + 1`, `2·x` and `3·x` fit.
+fn wide(x: usize) -> u128 {
+    x as u128
+}
+
+/// The product of `factors`, saturating.
+fn product(factors: &[u128]) -> u128 {
+    factors.iter().fold(1, |acc, &f| acc.saturating_mul(f))
+}
 
 /// FLOP count of `GEMM`: `C := A·B` with `A ∈ R^{m×k}`, `B ∈ R^{k×n}`.
 #[must_use]
 pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
-    2 * (m as u64) * (n as u64) * (k as u64)
+    clamp(product(&[2, wide(m), wide(n), wide(k)]))
 }
 
 /// FLOP count of `SYRK`: one triangle of `A·Aᵀ` with `A ∈ R^{m×k}`.
 #[must_use]
 pub fn syrk_flops(m: usize, k: usize) -> u64 {
-    (m as u64 + 1) * (m as u64) * (k as u64)
+    clamp(product(&[wide(m) + 1, wide(m), wide(k)]))
 }
 
 /// FLOP count of `SYMM`: `A·B` with symmetric `A ∈ R^{m×m}`, `B ∈ R^{m×n}`.
 #[must_use]
 pub fn symm_flops(m: usize, n: usize) -> u64 {
-    2 * (m as u64) * (m as u64) * (n as u64)
+    clamp(product(&[2, wide(m), wide(m), wide(n)]))
 }
 
 /// FLOP count of `TRMM`: `op(L)·B` with triangular `L ∈ R^{m×m}`,
 /// `B ∈ R^{m×n}` — `m²·n`, half of the GEMM that ignores the structure.
 #[must_use]
 pub fn trmm_flops(m: usize, n: usize) -> u64 {
-    (m as u64) * (m as u64) * (n as u64)
+    clamp(product(&[wide(m), wide(m), wide(n)]))
 }
 
 /// FLOP count of `TRSM`: `op(L)⁻¹·B` with triangular `L ∈ R^{m×m}`,
 /// `B ∈ R^{m×n}` — `m²·n`, the same count as the multiplication it inverts.
 #[must_use]
 pub fn trsm_flops(m: usize, n: usize) -> u64 {
-    (m as u64) * (m as u64) * (n as u64)
+    clamp(product(&[wide(m), wide(m), wide(n)]))
 }
 
 /// FLOP count of `POTRF`: the Cholesky factorisation of an SPD `A ∈ R^{n×n}`
@@ -49,7 +68,7 @@ pub fn trsm_flops(m: usize, n: usize) -> u64 {
 /// equal-order GEMM.
 #[must_use]
 pub fn potrf_flops(n: usize) -> u64 {
-    (n as u64).pow(3) / 3
+    clamp(product(&[wide(n), wide(n), wide(n)]) / 3)
 }
 
 /// FLOP count of `GETRF`: the partially pivoted LU factorisation of a general
@@ -58,7 +77,7 @@ pub fn potrf_flops(n: usize) -> u64 {
 /// equal-order GEMM.
 #[must_use]
 pub fn getrf_flops(n: usize) -> u64 {
-    2 * (n as u64).pow(3) / 3
+    clamp(product(&[2, wide(n), wide(n), wide(n)]) / 3)
 }
 
 /// FLOP count of `QR` (Householder, `A ∈ R^{m×n}`, `m >= n`) — the
@@ -66,8 +85,8 @@ pub fn getrf_flops(n: usize) -> u64 {
 /// Saturates (to zero contribution) rather than underflowing if `m < n`.
 #[must_use]
 pub fn qr_flops(m: usize, n: usize) -> u64 {
-    let (m, n) = (m as u64, n as u64);
-    2 * n * n * (3 * m).saturating_sub(n) / 3
+    let (m, n) = (wide(m), wide(n));
+    clamp(product(&[2, n, n, (3 * m).saturating_sub(n)]) / 3)
 }
 
 /// FLOP count of `ORMQR`: applying `Qᵀ` from an `m x n` Householder QR factor
@@ -75,8 +94,8 @@ pub fn qr_flops(m: usize, n: usize) -> u64 {
 /// count `4mnk - 2n²k`, computed as `2nk(2m - n)`. Saturates if `m < n`.
 #[must_use]
 pub fn ormqr_flops(m: usize, n: usize, k: usize) -> u64 {
-    let (m, n, k) = (m as u64, n as u64, k as u64);
-    2 * n * k * (2 * m).saturating_sub(n)
+    let (m, n) = (wide(m), wide(n));
+    clamp(product(&[2, n, wide(k), (2 * m).saturating_sub(n)]))
 }
 
 /// FLOP count of extracting an explicit triangular factor from a packed
@@ -91,8 +110,7 @@ pub fn factor_triangle_flops(_n: usize) -> u64 {
 /// diagonal; the opposite triangle's zeros are calloc-free).
 #[must_use]
 pub fn factor_triangle_elements(n: usize) -> u64 {
-    let n = n as u64;
-    n * (n + 1) / 2
+    clamp(product(&[wide(n), wide(n) + 1]) / 2)
 }
 
 /// FLOP count of applying a recorded pivot permutation to `m x n` right-hand
@@ -106,7 +124,7 @@ pub fn pivot_apply_flops(_m: usize, _n: usize) -> u64 {
 /// `m x n` operand (every element is placed once).
 #[must_use]
 pub fn pivot_apply_elements(m: usize, n: usize) -> u64 {
-    (m as u64) * (n as u64)
+    clamp(product(&[wide(m), wide(n)]))
 }
 
 /// FLOP count of copying one triangle of an `n x n` matrix into the other
@@ -121,8 +139,7 @@ pub fn copy_triangle_flops(_n: usize) -> u64 {
 /// degenerate orders: `n == 0` moves nothing.
 #[must_use]
 pub fn copy_triangle_elements(n: usize) -> u64 {
-    let n = n as u64;
-    n * n.saturating_sub(1) / 2
+    clamp(product(&[wide(n), wide(n).saturating_sub(1)]) / 2)
 }
 
 #[cfg(test)]
@@ -232,6 +249,29 @@ mod tests {
         assert_eq!(pivot_apply_flops(9, 9), 0);
         assert_eq!(pivot_apply_elements(7, 3), 21);
         assert_eq!(pivot_apply_elements(0, 5), 0);
+    }
+
+    #[test]
+    fn counts_saturate_instead_of_wrapping() {
+        let max = usize::MAX;
+        assert_eq!(gemm_flops(max, 2, 3), u64::MAX);
+        assert_eq!(syrk_flops(max, 1), u64::MAX);
+        assert_eq!(symm_flops(max, 1), u64::MAX);
+        assert_eq!(trmm_flops(1 << 32, 1), u64::MAX);
+        assert_eq!(trsm_flops(max, max), u64::MAX);
+        assert_eq!(potrf_flops(max), u64::MAX);
+        assert_eq!(getrf_flops(max), u64::MAX);
+        assert_eq!(qr_flops(max, max), u64::MAX);
+        assert_eq!(ormqr_flops(max, max, max), u64::MAX);
+        assert_eq!(factor_triangle_elements(max), u64::MAX);
+        assert_eq!(pivot_apply_elements(max, 2), u64::MAX);
+        assert_eq!(copy_triangle_elements(max), u64::MAX);
+        // Exact below the ceiling, including a cube that only the division
+        // brings back into range.
+        let n = 3_000_000; // n³ > u64::MAX > n³ / 3
+        assert_eq!(potrf_flops(n), 9_000_000_000_000_000_000);
+        assert_eq!(gemm_flops(1 << 20, 1 << 20, 1 << 22), 1 << 63);
+        assert_eq!(gemm_flops(0, max, max), 0);
     }
 
     #[test]

@@ -179,10 +179,15 @@ pub struct OpField {
     pub keyed: bool,
 }
 
-/// A field type of the op enum: how it becomes a [`FieldValue`] and back.
+/// A field type of the op enum: how it becomes a [`FieldValue`] and back,
+/// and what [`KernelOp::map_dims`] does to it (flags stay as they are).
 trait Field: Copy {
     fn to_value(self) -> FieldValue;
     fn from_value(value: FieldValue) -> Option<Self>;
+
+    fn map_dim(self, _f: &impl Fn(usize) -> usize) -> Self {
+        self
+    }
 
     fn read(name: &str, value: Option<FieldValue>) -> Result<Self, String> {
         value
@@ -200,6 +205,9 @@ impl Field for usize {
             FieldValue::Dim(dim) => Some(dim),
             FieldValue::Flag(_) => None,
         }
+    }
+    fn map_dim(self, f: &impl Fn(usize) -> usize) -> Self {
+        f(self)
     }
 }
 
@@ -275,6 +283,17 @@ macro_rules! kernel_op_table {
                         )?,)*
                     }),)*
                     other => Err(format!("unknown kernel op `{other}`")),
+                }
+            }
+
+            /// The same operation with every dimension `d` replaced by
+            /// `f(d)`, every flag kept.
+            #[must_use]
+            pub fn map_dims(&self, f: impl Fn(usize) -> usize) -> KernelOp {
+                match *self {
+                    $(KernelOp::$variant { $($field),* } => KernelOp::$variant {
+                        $($field: $field.map_dim(&f),)*
+                    },)*
                 }
             }
 
@@ -365,8 +384,8 @@ impl KernelOp {
             | KernelOp::Trmm { m, n, .. }
             | KernelOp::Trsm { m, n, .. } => (m, n),
             KernelOp::Potrf { n, .. } | KernelOp::CopyTriangle { n, .. } => (n, n),
-            KernelOp::Getrf { n } => (n, n + 1),
-            KernelOp::Qr { m, n } => (m, n + 1),
+            KernelOp::Getrf { n } => (n, n.saturating_add(1)),
+            KernelOp::Qr { m, n } => (m, n.saturating_add(1)),
             KernelOp::Ormqr { n, k, .. } => (n, k),
             KernelOp::FactorTri { n, .. } => (n, n),
             KernelOp::PivotApply { m, n, .. } => (m, n),
@@ -387,7 +406,7 @@ impl KernelOp {
             KernelOp::CopyTriangle { n, .. } => flops::copy_triangle_elements(n),
             _ => {
                 let (rows, cols) = self.output_shape();
-                (rows as u64) * (cols as u64)
+                (rows as u64).saturating_mul(cols as u64)
             }
         }
     }
@@ -426,9 +445,11 @@ impl KernelOp {
             KernelOp::Potrf { n, .. } => ((n, n, Structure::Spd), None),
             KernelOp::CopyTriangle { n, .. } | KernelOp::Getrf { n } => ((n, n, g), None),
             KernelOp::Qr { m, n } => ((m, n, g), None),
-            KernelOp::Ormqr { m, n, k } => ((m, n + 1, g), Some((m, k, g))),
-            KernelOp::FactorTri { n, .. } => ((n, n + 1, g), None),
-            KernelOp::PivotApply { m, n, .. } => ((order, order + 1, g), Some((m, n, g))),
+            KernelOp::Ormqr { m, n, k } => ((m, n.saturating_add(1), g), Some((m, k, g))),
+            KernelOp::FactorTri { n, .. } => ((n, n.saturating_add(1), g), None),
+            KernelOp::PivotApply { m, n, .. } => {
+                ((order, order.saturating_add(1), g), Some((m, n, g)))
+            }
         };
         std::iter::once(first).chain(second)
     }
@@ -686,6 +707,30 @@ mod tests {
         assert_eq!(op.flops(), 0);
         assert!(!op.is_compute());
         assert_eq!(op.output_elements(), 100 * 99 / 2);
+    }
+
+    #[test]
+    fn map_dims_maps_every_dimension_and_keeps_every_flag() {
+        for op in KernelOp::examples(6) {
+            assert_eq!(op.map_dims(|d| d), op);
+            let doubled = op.map_dims(|d| 2 * d);
+            assert_eq!(doubled.mnemonic(), op.mnemonic());
+            for (before, after) in op.fields().iter().zip(doubled.fields()) {
+                let want = match before.value {
+                    FieldValue::Dim(d) => FieldValue::Dim(2 * d),
+                    flag => flag,
+                };
+                assert_eq!(after.value, want, "{op} field {}", before.name);
+            }
+        }
+    }
+
+    #[test]
+    fn packed_factor_shapes_saturate_at_the_largest_order() {
+        let getrf = KernelOp::Getrf { n: usize::MAX };
+        assert_eq!(getrf.output_shape(), (usize::MAX, usize::MAX));
+        assert_eq!(getrf.output_elements(), u64::MAX);
+        assert_eq!(getrf.flops(), u64::MAX);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::cache::{CachingExecutor, PredictionCache};
 use crate::factor_cache::{effective_flops, note_factors, FactorCache};
 use crate::plan::{AlgorithmScore, Plan, PlanError};
-use lamb_expr::{eliminate_shared_calls, Algorithm, Expression};
+use lamb_expr::{Algorithm, Expression};
 use lamb_perfmodel::{Executor, SimulatedExecutor};
 use lamb_select::{MinFlops, SelectError, SelectionPolicy};
 use rayon::prelude::*;
@@ -49,10 +49,11 @@ impl Settings {
         }
     }
 
-    /// Plan one instance of `expr`: enumerate (pruned) → CSE → deduplicate →
-    /// verify gate → score → select. `factors` is the factor cache to price
-    /// residency against and to register the chosen algorithm's factors in
-    /// (`None` plans the instance independently of every other).
+    /// Plan one instance of `expr`: enumerate (pruned, in shared form) →
+    /// deduplicate → verify gate → score → select. `factors` is the factor
+    /// cache to price residency against and to register the chosen
+    /// algorithm's factors in (`None` plans the instance independently of
+    /// every other).
     pub(crate) fn plan_with(
         &self,
         expr: &dyn Expression,
@@ -71,17 +72,9 @@ impl Settings {
                 got: dims.len(),
             });
         }
-        // With CSE on, every candidate is rewritten into its shared (DAG)
-        // form so each distinct node is computed — and charged — once; a
-        // candidate with nothing to share is already in that form.
-        let mut algorithms = expr.algorithms_pruned(dims, self.top_k)?;
-        if self.use_cse {
-            for alg in &mut algorithms {
-                if let Some(shared) = eliminate_shared_calls(alg) {
-                    *alg = shared.algorithm;
-                }
-            }
-        }
+        // With CSE on, every candidate comes in its shared (DAG) form, so
+        // each distinct node is computed — and charged — once.
+        let mut algorithms = expr.candidates(dims, self.top_k, self.use_cse)?;
         // Drop algorithms whose kernel-call signature duplicates an earlier
         // one, on the *post-CSE* canonical form: rewrites can derive
         // sequences that only become identical once their internal

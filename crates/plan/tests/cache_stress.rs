@@ -17,11 +17,17 @@
 //!   benchmark entry into several;
 //! * predictions and plans agree with a single-threaded reference run.
 //!
+//! The process-wide template memo of `lamb-expr`: threads whose first plan
+//! of a text is concurrent derive and share its template, and every plan
+//! equals the one the per-request search gives a single thread.
+//!
 //! Run under ThreadSanitizer (see the `concurrency` CI job) to turn data
 //! races into hard failures; under the normal test profile this still
 //! hammers the shard locks enough to catch logic races.
 
-use lamb_expr::{Expression, KernelOp, TreeExpression};
+use lamb_expr::{
+    enumerate_expr_algorithms, Algorithm, Expression, GenerateError, KernelOp, TreeExpression,
+};
 use lamb_matrix::{Matrix, Trans};
 use lamb_perfmodel::{CallTimeTable, SimulatedExecutor};
 use lamb_plan::{FactorCache, MinPredictedTime, Planner, PredictionCache};
@@ -235,5 +241,87 @@ fn factor_cache_survives_concurrent_notes_stores_and_lookups() {
     assert_eq!(cache.resident_bytes(), (KEYS / 2 * 64 * 8) as u64);
     for k in 0..KEYS {
         assert_eq!(cache.lookup(&key(k)).is_some(), k % 2 == 0, "key {k}");
+    }
+}
+
+/// `TreeExpression` planned through the per-request search on the bound
+/// tree, never through the text's memoised template.
+struct Searched(TreeExpression);
+
+impl Expression for Searched {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn num_dims(&self) -> usize {
+        self.0.num_dims()
+    }
+
+    fn algorithms_pruned(
+        &self,
+        dims: &[usize],
+        top_k: Option<usize>,
+    ) -> Result<Vec<Algorithm>, GenerateError> {
+        enumerate_expr_algorithms(&self.0.bind(dims), top_k)
+    }
+}
+
+/// Every plan of `expr` at a few instances, CSE on and off, as text.
+fn plans_of(expr: &dyn Expression) -> Vec<String> {
+    let mut out = Vec::new();
+    for (i, cse) in [(0, true), (1, true), (2, false)] {
+        let dims: Vec<usize> = (0..expr.num_dims())
+            .map(|d| 9 + 7 * ((d + i) % 3))
+            .collect();
+        let planned = Planner::for_expression(expr)
+            .policy(MinPredictedTime)
+            .top_k(3)
+            .cse(cse)
+            .plan(&dims)
+            .map(|p| (p.algorithms, p.scores, p.chosen, p.duplicates_removed));
+        out.push(format!("{planned:#?}"));
+    }
+    out
+}
+
+#[test]
+fn concurrent_first_uses_of_a_text_plan_like_the_search_on_one_thread() {
+    // Texts no other test of this binary plans: every template here is
+    // derived while eight threads ask for it at once.
+    const TEXTS: [&str; 5] = [
+        "P*P^T*Q",
+        "R[lower]^-1*U*V",
+        "W[spd]^-1*W^-1*Y",
+        "F*G*H*K*N",
+        "Z^+*J",
+    ];
+    const THREADS: usize = 8;
+    let barrier = Barrier::new(THREADS);
+    let per_thread: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    TEXTS
+                        .iter()
+                        .flat_map(|text| plans_of(&TreeExpression::parse(text).unwrap()))
+                        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a planning thread panicked"))
+            .collect()
+    });
+    let reference: Vec<String> = TEXTS
+        .iter()
+        .flat_map(|text| plans_of(&Searched(TreeExpression::parse(text).unwrap())))
+        .collect();
+    for (t, plans) in per_thread.iter().enumerate() {
+        for (i, (got, want)) in plans.iter().zip(&reference).enumerate() {
+            assert_eq!(got, want, "thread {t}, plan {i}");
+        }
     }
 }

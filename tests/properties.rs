@@ -2,6 +2,7 @@
 //! the simulated time model, and the anomaly classification, over randomly
 //! drawn instances.
 
+mod grammar;
 mod paper;
 
 use lamb::matrix::ops::{max_abs, max_abs_diff};
@@ -406,13 +407,6 @@ fn degenerate_scenarios_jointly_cover_every_kernel_op() {
     }
 }
 
-/// Factor spellings the random CSE expressions are drawn from: repeated and
-/// transposed leaves (so Gram products recur), a triangular leaf, an SPD
-/// leaf, inverses of all three kinds and a pseudo-inverse.
-const CSE_FACTORS: [&str; 12] = [
-    "A", "A^T", "A", "A^T", "B", "L[lower]", "L^T", "L^-1", "S[spd]", "S^-1", "C^-1", "D^+",
-];
-
 /// The relations between the value numbering's three faces, for one
 /// algorithm: `shared_flops` counts what `eliminate_common_subexpressions`
 /// builds, `eliminate_shared_calls` answers "found a duplicate" exactly when
@@ -451,7 +445,7 @@ proptest! {
     fn value_numbering_agrees_with_the_cse_transform(
         (len, picks, dims) in (2usize..=5, [0usize..12, 0usize..12, 0usize..12, 0usize..12, 0usize..12], small_dims7())
     ) {
-        let text = picks[..len].iter().map(|&i| CSE_FACTORS[i]).collect::<Vec<_>>().join("*");
+        let text = grammar::product_text(&picks[..len]);
         // Draws whose dimensions cannot unify, or that have no realisation,
         // are not expressions of interest here.
         let Ok(expr) = TreeExpression::parse(&text) else { return Ok(()) };
