@@ -150,10 +150,13 @@ pub fn parse(args: &[String]) -> Result<CommonOptions, String> {
                 i += 1;
             }
             "--scale" => {
-                opts.scale = value("--scale")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("invalid --scale: {e}"))?
-                    .clamp(1.0e-6, 1.0);
+                let s: f64 = value("--scale")?
+                    .parse()
+                    .map_err(|e| format!("invalid --scale: {e}"))?;
+                if !s.is_finite() {
+                    return Err("--scale must be a finite number".into());
+                }
+                opts.scale = s.clamp(1.0e-6, 1.0);
                 explicit_scale = true;
                 i += 1;
             }
@@ -502,6 +505,13 @@ mod tests {
         let err = parse(&strs(&["--backend", "quantum"])).unwrap_err();
         assert!(err.contains("unknown backend `quantum`"), "{err}");
         assert!(err.contains("native or reference"), "{err}");
+        // A non-finite scale is an error; a finite one is clamped into range.
+        for bad in ["NaN", "inf", "-inf"] {
+            let err = parse(&strs(&["aatb", "--scale", bad])).unwrap_err();
+            assert!(err.contains("--scale must be a finite number"), "{err}");
+        }
+        let opts = parse(&strs(&["aatb", "--scale", "5"])).unwrap();
+        assert!((opts.scale - 1.0).abs() < 1e-12);
         let opts = parse(&strs(&["chain", "10", "20"])).unwrap();
         assert!(opts.dims(5).is_err());
         let opts = parse(&strs(&["chain", "10", "0", "3", "4", "5"])).unwrap();

@@ -2,12 +2,13 @@
 //!
 //! Pure-Rust, blocked, packed, Rayon-parallel BLAS-3 kernels — GEMM, SYRK,
 //! SYMM, TRMM and TRSM — plus the blocked factorisations POTRF (Cholesky),
-//! GETRF (partially pivoted LU) and QR (Householder), unified behind the
-//! [`solver::Solver`] trait: the kernel vocabulary from which the algorithms
-//! studied in the paper *"FLOPs
-//! as a Discriminant for Dense Linear Algebra Algorithms"* (ICPP'22) and its
-//! triangular/SPD extensions are built — together with their FLOP-count
-//! models, cache-flushing and median-of-N timing utilities.
+//! GETRF (partially pivoted LU) and QR (Householder): the kernel vocabulary
+//! from which the algorithms studied in the paper *"FLOPs as a Discriminant
+//! for Dense Linear Algebra Algorithms"* (ICPP'22) and its triangular, SPD and
+//! general-solve extensions are built — together with their FLOP-count
+//! models, cache-flushing and median-of-N timing utilities. A solve is not a
+//! routine here: `lamb-expr` lowers each inverse into a sequence of these
+//! kernel calls ([`op::KernelOp`]).
 //!
 //! Every kernel is a thin specialisation of one engine, the
 //! [`driver::BlockedDriver`], in the classic GotoBLAS/BLIS structure: the
@@ -81,7 +82,6 @@ pub mod op;
 pub mod pack;
 pub mod potrf;
 pub mod qr;
-pub mod solver;
 pub mod symm;
 pub mod syrk;
 pub mod timing;
@@ -105,7 +105,6 @@ pub use microkernel::{microkernel, microkernel_dyn};
 pub use op::{FieldValue, KernelOp, OpField};
 pub use potrf::{potrf, potrf_naive};
 pub use qr::{ormqr, ormqr_naive, qr, qr_naive, qr_packed, qr_packed_into};
-pub use solver::{solve_auto, solver_for, CholeskySolver, LuSolver, QrSolver, Solver};
 pub use symm::symm;
 pub use syrk::syrk;
 pub use timing::{time_once, MedianTimer, TimingResult};

@@ -69,11 +69,11 @@ impl SimulatorConfig {
     }
 }
 
-/// A deterministic executor driven by an [`EfficiencyModel`].
+/// A deterministic executor driven by an [`AnalyticEfficiencyModel`].
 #[derive(Debug, Clone)]
-pub struct SimulatedExecutor<E: EfficiencyModel = AnalyticEfficiencyModel> {
+pub struct SimulatedExecutor {
     machine: MachineModel,
-    model: E,
+    model: AnalyticEfficiencyModel,
     config: SimulatorConfig,
     /// Surface standing in for the naive reference backend, so the simulator
     /// can attribute distinct times per backend like the measured executor.
@@ -82,7 +82,7 @@ pub struct SimulatedExecutor<E: EfficiencyModel = AnalyticEfficiencyModel> {
     backend_assignment: Vec<BackendId>,
 }
 
-impl SimulatedExecutor<AnalyticEfficiencyModel> {
+impl SimulatedExecutor {
     /// A simulator configured to resemble the paper's testbed: the Xeon Silver
     /// 4210 machine model and the default analytic efficiency surfaces.
     #[must_use]
@@ -104,12 +104,14 @@ impl SimulatedExecutor<AnalyticEfficiencyModel> {
             SimulatorConfig::default(),
         )
     }
-}
 
-impl<E: EfficiencyModel> SimulatedExecutor<E> {
     /// Build a simulator from its three ingredients.
     #[must_use]
-    pub fn new(machine: MachineModel, model: E, config: SimulatorConfig) -> Self {
+    pub fn new(
+        machine: MachineModel,
+        model: AnalyticEfficiencyModel,
+        config: SimulatorConfig,
+    ) -> Self {
         SimulatedExecutor {
             machine,
             model,
@@ -117,12 +119,6 @@ impl<E: EfficiencyModel> SimulatedExecutor<E> {
             reference: ReferenceEfficiencyModel::default(),
             backend_assignment: Vec::new(),
         }
-    }
-
-    /// The efficiency model driving the simulator.
-    #[must_use]
-    pub fn model(&self) -> &E {
-        &self.model
     }
 
     /// The simulator configuration.
@@ -235,7 +231,7 @@ impl<E: EfficiencyModel> SimulatedExecutor<E> {
     }
 }
 
-impl<E: EfficiencyModel> Executor for SimulatedExecutor<E> {
+impl Executor for SimulatedExecutor {
     fn name(&self) -> String {
         "simulated".into()
     }

@@ -16,7 +16,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`matrix`] | `lamb-matrix` | dense column-major matrices, views, triangular helpers |
-//! | [`kernels`] | `lamb-kernels` | one blocked, packed, Rayon-parallel engine driving GEMM / SYRK / SYMM / TRMM / TRSM + FLOP models |
+//! | [`kernels`] | `lamb-kernels` | one blocked, packed, Rayon-parallel engine driving GEMM / SYRK / SYMM / TRMM / TRSM, the POTRF / GETRF / QR factorisations + FLOP models |
 //! | [`expr`] | `lamb-expr` | expressions, kernel-call IR, algorithm enumeration (6 chain + 5 `A·Aᵀ·B` algorithms) |
 //! | [`perfmodel`] | `lamb-perfmodel` | machine models, measured & simulated executors, performance profiles |
 //! | [`select`] | `lamb-select` | FLOP/time scores, anomaly classification, selection policies |
@@ -66,8 +66,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod conformance;
-
 pub use lamb_experiments as experiments;
 pub use lamb_expr as expr;
 pub use lamb_kernels as kernels;
@@ -88,10 +86,7 @@ pub mod prelude {
         enumerate_expr_algorithms, Algorithm, Expression, GenerateError, KernelCall, KernelOp,
         ParseError, TreeExpression,
     };
-    pub use lamb_kernels::{
-        gemm, solve_auto, solver_for, symm, syrk, Backend, BlockConfig, CholeskySolver, LuSolver,
-        NativeBackend, QrSolver, Solver,
-    };
+    pub use lamb_kernels::{gemm, symm, syrk, Backend, BlockConfig, NativeBackend};
     pub use lamb_matrix::{Matrix, Side, Trans, Uplo};
     pub use lamb_perfmodel::{
         AlgorithmTiming, AnalyticEfficiencyModel, CalibrationStore, CallTimeTable, Executor,

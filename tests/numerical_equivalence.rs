@@ -5,7 +5,9 @@
 //!
 //! The interpreter here is written independently of the `MeasuredExecutor`
 //! (it walks the kernel-call IR directly), so it also cross-checks the IR's
-//! operand bookkeeping.
+//! operand bookkeeping; it seeds inputs as the executor does
+//! ([`seeded_input`]). The solve realisations are held to identity texts
+//! through the executor's own walk (`MeasuredExecutor::compute_result`).
 
 mod paper;
 
@@ -161,19 +163,14 @@ fn general_solve_and_least_squares_interpret_correctly() {
             .run_new(&op, &[a, x], &BlockConfig::default())
             .unwrap()
     };
-    // Rebuild an input operand exactly as `interpret` seeds it.
-    let operand = |alg: &Algorithm, name: &str, seed: u64| {
-        let info = alg.operands.iter().find(|o| o.name == name).unwrap();
-        random_seeded(info.rows, info.cols, seed ^ info.id.index() as u64)
-    };
 
     // A^-1*B lowers to the LU pipeline and solves the system it claims to.
     let expr = TreeExpression::parse("A^-1*B").unwrap();
     let algorithms = expr.algorithms(&[26, 7]).unwrap();
     assert_eq!(algorithms.len(), 1);
     let x = interpret(&algorithms[0], 17);
-    let a = operand(&algorithms[0], "A", 17);
-    let b = operand(&algorithms[0], "B", 17);
+    let a = seeded_input(&algorithms[0], "A", 17);
+    let b = seeded_input(&algorithms[0], "B", 17);
     let mut resid = product(Trans::No, &a, &x);
     axpy(-1.0, &b, &mut resid).unwrap();
     assert!(
@@ -188,8 +185,8 @@ fn general_solve_and_least_squares_interpret_correctly() {
     let algorithms = expr.algorithms(&[9, 34, 2]).unwrap();
     assert_eq!(algorithms.len(), 1);
     let x = interpret(&algorithms[0], 23);
-    let a = operand(&algorithms[0], "A", 23);
-    let b = operand(&algorithms[0], "b", 23);
+    let a = seeded_input(&algorithms[0], "A", 23);
+    let b = seeded_input(&algorithms[0], "b", 23);
     assert_eq!(a.shape(), (34, 9));
     assert_eq!(x.shape(), (9, 2));
     let mut resid = product(Trans::No, &a, &x);
@@ -212,6 +209,103 @@ fn general_solve_and_least_squares_interpret_correctly() {
     }
 }
 
+/// The solve realisations (POTRF, GETRF and QR lowerings of `^-1` / `^+`)
+/// held to one contract as data. Each text is an identity, so every
+/// enumerated algorithm must hand back the named input as the measured
+/// executor seeded it: a solve that cancels its own operand from either
+/// side, and `A*A^+*A = A` (Moore–Penrose reconstruction) for a tall `A`.
+/// At order 20 that holds to rounding, at zero sizes exactly; a second
+/// executor with the same seed reproduces every bit; and each algorithm's
+/// factorisation carries a kind-tagged cacheable identity that a second
+/// enumeration reproduces.
+#[test]
+fn solve_realisations_return_what_their_identity_texts_leave() {
+    use lamb::expr::cacheable_identities;
+    use lamb::matrix::ops::max_abs;
+    // (text, dims at order n with k right-hand sides, the input it returns,
+    // the factorisation, the number of algorithms at order 20)
+    type Dims = fn(usize, usize) -> Vec<usize>;
+    let square: Dims = |n, k| vec![n, k];
+    let mirror: Dims = |n, k| vec![k, n];
+    let rows: [(&str, Dims, &str, &str, usize); 8] = [
+        ("S[spd]^-1*S*X", square, "X", "potrf", 3),
+        ("A^-1*A*X", square, "X", "getrf", 2),
+        ("A^+*A*X", |n, k| vec![n, n + 3, k], "X", "qr", 2),
+        ("X*S[spd]*S^-1", mirror, "X", "potrf", 3),
+        ("X*S[spd]^-1*S", mirror, "X", "potrf", 3),
+        ("X*A*A^-1", mirror, "X", "getrf", 2),
+        ("X*A^-1*A", mirror, "X", "getrf", 2),
+        ("A*A^+*A", |n, _| vec![n + 3, n], "A", "qr", 1),
+    ];
+    let seed = 29;
+    for (text, dims_at, returns, factor, count) in rows {
+        for (n, k) in [(20, 4), (1, 1), (0, 2), (2, 0)] {
+            let dims = dims_at(n, k);
+            let expr = TreeExpression::parse(text).unwrap();
+            let algorithms = expr.algorithms(&dims).unwrap();
+            if n == 20 {
+                assert_eq!(algorithms.len(), count, "{text} at {dims:?}");
+            }
+            for alg in &algorithms {
+                let at = format!("{text} at {dims:?}: `{}`", alg.name);
+                let expected = seeded_input(alg, returns, seed);
+                let result = MeasuredExecutor::quick()
+                    .with_seed(seed)
+                    .compute_result(alg);
+                assert_eq!(result.shape(), expected.shape(), "{at}");
+                let diff = max_abs_diff(&result, &expected).unwrap();
+                // Exact at order zero, where every operand is empty.
+                let tol = 1e-13 * (n as f64) * max_abs(&expected).max(1.0);
+                assert!(diff <= tol, "{at} is off by {diff} (tol {tol})");
+                let again = MeasuredExecutor::quick()
+                    .with_seed(seed)
+                    .compute_result(alg);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&result), bits(&again), "{at} is not deterministic");
+            }
+            // The factor-cache key is a function of the text, tagged with
+            // the factorisation's kind so kinds can never alias.
+            let identities = |algorithms: &[Algorithm]| -> Vec<Vec<String>> {
+                algorithms
+                    .iter()
+                    .map(|alg| {
+                        cacheable_identities(alg)
+                            .into_iter()
+                            .filter(|(i, _, _)| alg.calls[*i].op.mnemonic() == factor)
+                            .map(|(_, _, identity)| identity)
+                            .collect()
+                    })
+                    .collect()
+            };
+            let first = identities(&algorithms);
+            for (alg, ids) in algorithms.iter().zip(&first) {
+                assert!(!ids.is_empty(), "{text}: `{}` caches no {factor}", alg.name);
+                for identity in ids {
+                    assert!(identity.starts_with(&format!("{factor}(")), "{identity}");
+                }
+            }
+            let reparsed = TreeExpression::parse(text).unwrap();
+            assert_eq!(
+                first,
+                identities(&reparsed.algorithms(&dims).unwrap()),
+                "{text}"
+            );
+        }
+    }
+}
+
+/// An input operand of `alg` exactly as the measured executor seeds it.
+fn seeded_input(alg: &Algorithm, name: &str, seed: u64) -> Matrix {
+    let info = alg.operands.iter().find(|o| o.name == name).unwrap();
+    let s = seed ^ info.id.index() as u64;
+    match info.structure {
+        Structure::Triangular(uplo) => random_triangular(info.rows, uplo, s),
+        Structure::Spd => random_spd(info.rows, s),
+        Structure::General => random_seeded(info.rows, info.cols, s),
+    }
+}
+
 #[test]
 fn right_side_expressions_plan_and_execute_against_naive_references() {
     // The right-side regression: `B*L^-1` (a TRSM from the right) and `A*S`
@@ -222,16 +316,7 @@ fn right_side_expressions_plan_and_execute_against_naive_references() {
     use lamb::matrix::ops::max_abs;
     use lamb::matrix::{Side, Trans, Uplo};
     let seed = 7u64;
-    // Rebuild an input operand exactly as the measured executor seeds it.
-    let operand = |alg: &Algorithm, name: &str| -> Matrix {
-        let info = alg.operands.iter().find(|o| o.name == name).unwrap();
-        let s = seed ^ info.id.index() as u64;
-        match info.structure {
-            Structure::Triangular(uplo) => random_triangular(info.rows, uplo, s),
-            Structure::Spd => random_spd(info.rows, s),
-            Structure::General => random_seeded(info.rows, info.cols, s),
-        }
-    };
+    let operand = |alg: &Algorithm, name: &str| seeded_input(alg, name, seed);
     let plan_and_execute = |text: &str, dims: &[usize], kernel: &str| -> (Algorithm, Matrix) {
         let expr = TreeExpression::parse(text).unwrap();
         let plan = Planner::for_expression(&expr)
