@@ -137,9 +137,11 @@ pub struct BlockConfig {
     pub kc: usize,
     /// Columns of `C` (and of `op(B)`) per outermost block.
     pub nc: usize,
-    /// Row-block size of the TRMM/TRSM recurrences: the triangular kernels
-    /// walk the triangular operand in diagonal blocks of this order, handling
+    /// Diagonal-block size of TRMM and of the POTRF / GETRF / QR
+    /// recurrences, and the widest ORMQR panel: these kernels walk their
+    /// triangular or factored operand in blocks of this order, handling
     /// everything off the diagonal block with the packed rectangular core.
+    /// (TRSM blocks its triangle by `kc` and `mc` and does not read it.)
     pub tri_block: usize,
     /// Register-tile shape of the micro-kernel. A tunable like the cache
     /// blocks: the autotuner sweeps it, and it participates in the
@@ -349,8 +351,8 @@ mod tests {
 
     #[test]
     fn fingerprint_covers_the_triangular_block_size() {
-        // Regression for the staleness contract: TRMM/TRSM timings depend on
-        // `tri_block`, so changing it must change the fingerprint (and thereby
+        // Regression for the staleness contract: TRMM, SYRK and factorisation
+        // timings depend on `tri_block`, so changing it must change the fingerprint (and thereby
         // flag existing calibration stores as stale).
         let default = BlockConfig::default();
         let retuned = BlockConfig {

@@ -17,9 +17,12 @@
 //! The per-kernel modules are thin specialisations: GEMM feeds plain (possibly
 //! transposed) [`Strided`](crate::pack::Strided) windows, SYMM a mirroring
 //! accessor for its symmetric operand, SYRK adds the triangle mask on the
-//! diagonal blocks of its panel closure, and TRMM/TRSM walk the triangular
+//! diagonal blocks of its panel closure, and TRMM walks the triangular
 //! operand in diagonal blocks of [`BlockConfig::tri_block`] rows, handling
 //! everything off the diagonal with the same packed core on offset windows.
+//! TRSM and QR's block reflector pack what they share across products once
+//! and call the micro-kernel on it themselves, handing out column panels
+//! through [`BlockedDriver::for_each_panel`].
 //! Presenting operands through one trait is what lets every kernel share one
 //! loop nest without materialising transposed, mirrored or masked copies,
 //! and without the dense ones paying for the accessors the others need.

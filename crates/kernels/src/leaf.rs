@@ -1,5 +1,5 @@
-//! Safe slice primitives shared by the leaf recurrences of TRSM, POTRF, GETRF
-//! and QR.
+//! Safe slice primitives shared by the leaf recurrences of POTRF, GETRF and
+//! QR.
 //!
 //! Everything below the packed engine — a diagonal block no wider than
 //! [`LEAF`], a pivot search, a Householder reflector applied inside its own

@@ -20,16 +20,24 @@
 //! a panel policy. Parallelism is extracted over disjoint column panels of `C`,
 //! which keeps the implementation free of `unsafe`.
 //!
-//! The factorisation tier — TRSM, POTRF, GETRF, QR and ORMQR — is recursive:
-//! a range of coupled unknowns splits off one [`BlockConfig::tri_block`]
-//! while it is wider than that and in half below, the first part is solved
-//! and folded into the rest on the packed engine, and the recursion ends at
-//! a leaf of eight unknowns that runs on contiguous column slices through
-//! the `dot` / `axpy` / two-disjoint-columns primitives of the private
-//! `leaf` module (a TRSM leaf copies its diagonal block once, in solve
-//! order, so `uplo` and `trans` are resolved per block, not per element).
-//! QR's trailing update and [`ormqr`] share one compact-WY block-reflector
-//! routine, `C -= V·Tᵀ·(Vᵀ·C)`, three products on the engine per panel.
+//! TRSM takes its triangle a block of [`BlockConfig::kc`] unknowns at a
+//! time, packed in `MR`-row panels, and solves `MR x NR` tiles of the
+//! right-hand sides in order: one micro-kernel call per tile for its update
+//! from the block, then a substitution against the diagonal block in
+//! registers (BLIS's fused solve); then it folds the solved block into the
+//! later panels [`BlockConfig::mc`] rows at a time, one more call per tile.
+//! Right-hand-side panels share each block's packed panels. The rest of
+//! the factorisation tier — POTRF, GETRF and QR — is recursive: a range of
+//! coupled unknowns splits off one [`BlockConfig::tri_block`] while it is
+//! wider than that and in half below, the first part is solved and folded
+//! into the rest on the packed engine, and the recursion ends at a leaf of
+//! eight unknowns that runs on contiguous column slices through the `dot` /
+//! `axpy` / two-disjoint-columns primitives of the private `leaf` module.
+//! QR's trailing update and [`ormqr`] share one compact-WY block reflector,
+//! `C -= V·Tᵀ·(Vᵀ·C)`, which reads the reflectors as storage (a
+//! materialised unit-lower top block, a strided window of the factor below
+//! it) and forms `VᵀV` and `VᵀC` in one product, so `T` costs one product
+//! plus a `kb³` recurrence.
 //!
 //! The kernel *vocabulary* lives here too: [`op::KernelOp`] names every
 //! operation with its logical dimensions and knows its arity, operand

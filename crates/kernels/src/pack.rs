@@ -22,8 +22,7 @@
 //!   SYRK, the dense sides of SYMM/TRMM/TRSM and the compact-WY products of
 //!   QR present these.
 //! * any `Fn(usize, usize) -> f64` — for operands that are not storage:
-//!   SYMM's mirrored triangle, TRMM's masked diagonal block, the unit-lower
-//!   reflector block of QR.
+//!   SYMM's mirrored triangle, TRMM's masked diagonal block.
 //!
 //! The panel heights/widths are *runtime* parameters — the packing loops are
 //! memory-bound, so unlike the micro-kernel they gain nothing from being

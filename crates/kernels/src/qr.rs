@@ -7,21 +7,23 @@
 //! the scalar coefficients `tau`, reflector `j` is `H_j = I - tau_j·v_j·v_jᵀ`
 //! and `Q = H_0·H_1⋯H_{n-1}`.
 //!
-//! Structure on the shared [`BlockedDriver`] engine: the classic **blocked
-//! compact-WY algorithm**. The matrix is walked in column panels of
-//! [`BlockConfig::tri_block`] columns; each step
+//! Structure: the classic **blocked compact-WY algorithm**. The matrix is
+//! walked in column panels of [`BlockConfig::tri_block`] columns; each step
 //!
 //! 1. factors the panel with the unblocked Householder recurrence, one dot
 //!    product and one axpy on column slices per reflector and column (an
 //!    exactly-zero column yields `tau = 0`, i.e. the identity reflector —
 //!    rank deficiency surfaces later as a zero on `R`'s diagonal, not here),
-//! 2. accumulates the panel's triangular factor `T` (LAPACK `larft`, forward
-//!    columnwise) so the panel's reflector product is `I - V·T·Vᵀ`, and
-//! 3. applies `Qₚᵀ = I - V·Tᵀ·Vᵀ` to the trailing columns through the one
-//!    block-reflector routine, three products on the packed engine:
-//!    `W := VᵀC`, `W := TᵀW`, `C -= V·W`.
+//!    and
+//! 2. applies `Qₚᵀ = I - V·Tᵀ·Vᵀ` to the trailing columns through the one
+//!    block-reflector routine: `[VᵀV W] := Vᵀ·[V C]` in one product, the
+//!    triangular factor `T` from `VᵀV` (LAPACK `larft`, forward columnwise),
+//!    then `W := TᵀW` and `C -= V·W` on the packed engine.
 //!
-//! Step 3 carries the `2mn² - 2n³/3` bulk of the work (see
+//! The reflectors are read as storage — a materialised unit-lower top block
+//! and a strided window of the factor below it — so every product packs at
+//! copy rates, and `Vᵀ` is packed once per panel for both `VᵀV` and `VᵀC`.
+//! Step 2 carries the `2mn² - 2n³/3` bulk of the work (see
 //! [`crate::flops::qr_flops`]) on the packed, cache-blocked, Rayon-capable
 //! engine.
 //!
@@ -32,12 +34,12 @@
 //! block-reflector routine — the least-squares pipeline is
 //! `x = R⁻¹·(Qᵀb)` via one ORMQR and one TRSM.
 
-use crate::config::BlockConfig;
+use crate::config::{BlockConfig, TileVariant, MAX_TILE_ACC};
 use crate::driver::BlockedDriver;
 use crate::leaf::{axpy, dot, two_cols, LEAF};
-use crate::pack::{Operand, Strided};
+use crate::microkernel::microkernel;
+use crate::pack::{pack_a, pack_b, Strided};
 use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Trans};
-use std::cmp::Ordering;
 
 /// Factor the `m x n` matrix `a` (`m >= n`) in place as `A = Q·R`. On return
 /// `tau` holds the `n` Householder coefficients.
@@ -51,6 +53,7 @@ pub fn qr(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, cfg: &BlockConfig) -> R
     tau.clear();
     tau.reserve(n);
     let tb = cfg.tri_block.max(1);
+    let mut reflector = BlockReflector::new(cfg);
     let mut k0 = 0;
     while k0 < n {
         let kb = tb.min(n - k0);
@@ -60,7 +63,7 @@ pub fn qr(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, cfg: &BlockConfig) -> R
         let (mut panel, mut trailing) = a.subview_mut(k0, k0, m - k0, n - k0).split_at_col_mut(kb);
         factor_panel(&mut panel, tau);
         if trailing.cols() > 0 {
-            apply_block_reflector(&panel.as_view(), &tau[k0..], &mut trailing, cfg);
+            reflector.apply(&panel.as_view(), &tau[k0..], &mut trailing);
         }
         k0 += kb;
     }
@@ -124,62 +127,243 @@ fn factor_panel(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>) {
     }
 }
 
-/// LAPACK `larft` (forward, columnwise): the upper-triangular `T` with
-/// `H_0·H_1⋯H_{kb-1} = I - V·T·Vᵀ`, for the `kb` reflectors stored below the
-/// diagonal of `v` (unit diagonal implicit) with coefficients `tau[..kb]`.
-fn larft(v: &MatrixView<'_>, tau: &[f64]) -> Matrix {
-    let kb = v.cols();
-    let mut t = Matrix::zeros(kb, kb);
-    let mut tj = vec![0.0; kb];
-    for j in 0..kb {
-        if tau[j] != 0.0 {
-            // T(0..j, j) := -tau_j · T(0..j, 0..j) · (V(:, 0..j)ᵀ · v_j); v_j
-            // is zero above row j and one on it.
-            let vj = &v.col(j)[j + 1..];
-            tj[..j].fill(0.0);
-            for p in 0..j {
-                let vp = &v.col(p)[j..];
-                let z = vp[0] + dot(&vp[1..], vj);
-                axpy(-tau[j] * z, &t.col(p)[..=p], &mut tj[..=p]);
-            }
-            t.col_mut(j)[..j].copy_from_slice(&tj[..j]);
-        }
-        t[(j, j)] = tau[j];
-    }
-    t
+/// The compact-WY block reflector: `C := (I - V·Tᵀ·Vᵀ)·C`, the transpose of
+/// `H_0⋯H_{kb-1} = I - V·T·Vᵀ`, applied panel after panel. The one routine
+/// behind [`qr`]'s trailing update and [`ormqr`].
+///
+/// The reflectors are read as storage: the unit-lower `kb x kb` top block
+/// `V₁` of a panel is materialised once, and the rows below it, `V₂`, are a
+/// plain [`Strided`] window of the factor. `T` comes from `VᵀV` and the
+/// `kb³` recurrence of LAPACK `larft` (forward, columnwise; Joffrain, Low,
+/// Quintana-Ortí, van de Geijn & Van Zee, *Accumulating Householder
+/// transformations, revisited*, ACM TOMS 2006). `VᵀV` and `W = VᵀC` are one
+/// product, `Vᵀ·[V C]`, on the engine's packing and micro-kernel: `Vᵀ` is
+/// packed once for both and, on a square register tile, is already the
+/// packed right operand `V` of `VᵀV`, of which only the tiles that reach
+/// above the diagonal are formed. The rest — `TᵀW` and `C -= V·TᵀW` — runs
+/// on the [`BlockedDriver`]. The work matrices belong to one [`qr`] or
+/// [`ormqr`] call and are reused by each of its panels.
+struct BlockReflector<'a> {
+    driver: BlockedDriver<'a>,
+    ws: Workspace,
 }
 
-/// `C := (I - V·Tᵀ·Vᵀ)·C`: apply the transpose of the compact-WY block
-/// `H_0⋯H_{kb-1} = I - V·T·Vᵀ` to `c`. `v` holds the `kb` reflectors below
-/// its diagonal (unit diagonal implicit, upper triangle ignored) and spans
-/// the same rows as `c`; `tau[..kb]` are their coefficients. The one routine
-/// behind [`qr`]'s trailing update and [`ormqr`].
-fn apply_block_reflector(
-    v: &MatrixView<'_>,
-    tau: &[f64],
-    c: &mut MatrixViewMut<'_>,
-    cfg: &BlockConfig,
-) {
-    let t = larft(v, tau);
-    let (rows, kb, nc) = (v.rows(), v.cols(), c.cols());
-    let (vd, ldv) = (v.as_slice(), v.ld());
-    let v_at = move |i: usize, j: usize| match i.cmp(&j) {
-        Ordering::Greater => vd[i + j * ldv],
-        Ordering::Equal => 1.0,
-        Ordering::Less => 0.0,
-    };
-    let driver = BlockedDriver::new(cfg);
-    let mut w = Matrix::zeros(kb, nc);
-    let c_in = Strided::new(&c.as_view(), Trans::No);
-    driver.accumulate(kb, nc, rows, 1.0, &v_at.t(), &c_in, &mut w.view_mut());
-    let mut tw = Matrix::zeros(kb, nc);
-    let (t_t, w) = (
-        Strided::new(&t.view(), Trans::Yes),
-        Strided::new(&w.view(), Trans::No),
-    );
-    driver.accumulate(kb, nc, kb, 1.0, &t_t, &w, &mut tw.view_mut());
-    let tw = Strided::new(&tw.view(), Trans::No);
-    driver.accumulate(rows, nc, kb, -1.0, &v_at, &tw, c);
+/// The work matrices of a [`BlockReflector`].
+#[derive(Default)]
+struct Workspace {
+    /// `V₁`, `kb x kb`.
+    top: Vec<f64>,
+    /// `VᵀV`, `kb x kb` (its strict upper triangle is what `T` reads).
+    gram: Vec<f64>,
+    /// The upper-triangular `T`, `kb x kb`, zero below the diagonal.
+    t: Vec<f64>,
+    /// `W = VᵀC`, `kb x nc`.
+    w: Vec<f64>,
+    /// `Tᵀ·W`, `kb x nc`.
+    tw: Vec<f64>,
+    /// `V` packed for `Vᵀ·[V C]`, split at row `kb`: `Vᵀ` in `MR`-row
+    /// panels, then `V` in `NR`-column panels unless the tile is square.
+    packed: [Vec<f64>; 4],
+}
+
+/// A column-major `rows x cols` window over the front of a work buffer,
+/// zeroed when `zero` (the engine accumulates into what it is given).
+fn window(buf: &mut Vec<f64>, rows: usize, cols: usize, zero: bool) -> MatrixViewMut<'_> {
+    buf.resize(buf.len().max(rows * cols), 0.0);
+    let data = &mut buf[..rows * cols];
+    if zero {
+        data.fill(0.0);
+    }
+    MatrixViewMut::new(data, rows, cols, rows.max(1)).expect("a work buffer holds rows * cols")
+}
+
+impl<'a> BlockReflector<'a> {
+    fn new(cfg: &'a BlockConfig) -> Self {
+        BlockReflector {
+            driver: BlockedDriver::new(cfg),
+            ws: Workspace::default(),
+        }
+    }
+
+    /// Apply the panel whose `kb` reflectors sit below the diagonal of `v`
+    /// (unit diagonal implicit, upper triangle ignored) with coefficients
+    /// `tau[..kb]` to `c`, which spans the same rows (`rows >= kb`).
+    fn apply(&mut self, v: &MatrixView<'_>, tau: &[f64], c: &mut MatrixViewMut<'_>) {
+        let (rows, kb, nc) = (v.rows(), v.cols(), c.cols());
+        let below = rows - kb;
+        let mut top = window(&mut self.ws.top, kb, kb, false);
+        for j in 0..kb {
+            let (dst, src) = (top.col_mut(j), &v.col(j)[..kb]);
+            dst[..j].fill(0.0);
+            dst[j] = 1.0;
+            dst[j + 1..].copy_from_slice(&src[j + 1..]);
+        }
+        let v_parts = [
+            Strided::new(&top.as_view(), Trans::No),
+            Strided::new(v, Trans::No).offset(kb, 0),
+        ];
+        let c_all = Strided::new(&c.as_view(), Trans::No);
+        let c_parts = [c_all, c_all.offset(kb, 0)];
+        let driver = self.driver;
+
+        let mut gram = window(&mut self.ws.gram, kb, kb, false);
+        let mut w = window(&mut self.ws.w, kb, nc, false);
+        let products = Products {
+            depths: [kb, below],
+            v: v_parts,
+            c: c_parts,
+        };
+        let packed = &mut self.ws.packed;
+        match driver.cfg().tile {
+            TileVariant::T8x4 => products.run::<8, 4>(driver, packed, &mut gram, &mut w),
+            TileVariant::T8x8 => products.run::<8, 8>(driver, packed, &mut gram, &mut w),
+            TileVariant::T4x8 => products.run::<4, 8>(driver, packed, &mut gram, &mut w),
+            TileVariant::T16x4 => products.run::<16, 4>(driver, packed, &mut gram, &mut w),
+            TileVariant::T8x12 => products.run::<8, 12>(driver, packed, &mut gram, &mut w),
+        }
+        let mut t = window(&mut self.ws.t, kb, kb, true);
+        larft(&gram.as_view(), tau, &mut t);
+
+        // W := TᵀW, then C -= V·W.
+        let mut tw = window(&mut self.ws.tw, kb, nc, true);
+        let (t_t, w) = (Strided::new(&t.as_view(), Trans::Yes), w.as_view());
+        driver.accumulate(kb, nc, kb, 1.0, &t_t, &Strided::new(&w, Trans::No), &mut tw);
+        let tw = Strided::new(&tw.as_view(), Trans::No);
+        let [v1, v2] = v_parts;
+        driver.accumulate(kb, nc, kb, -1.0, &v1, &tw, &mut c.subview_mut(0, 0, kb, nc));
+        driver.accumulate(
+            below,
+            nc,
+            kb,
+            -1.0,
+            &v2,
+            &tw,
+            &mut c.subview_mut(kb, 0, below, nc),
+        );
+    }
+}
+
+/// `Vᵀ·[V C]` of one panel, with `V` and `C` each given as their top `kb`
+/// rows and the rows below.
+struct Products<'v> {
+    depths: [usize; 2],
+    v: [Strided<'v>; 2],
+    c: [Strided<'v>; 2],
+}
+
+impl Products<'_> {
+    /// Write `VᵀV` into `gram` — every tile that reaches above the diagonal
+    /// — and `VᵀC` into `w`, `Vᵀ` packed once into `packed` for both. Like
+    /// the engine's loop nest, the depth is taken in blocks of
+    /// [`BlockConfig::kc`] rows; the columns of `W` go to the pool's workers
+    /// as the engine's would.
+    fn run<const MR: usize, const NR: usize>(
+        &self,
+        driver: BlockedDriver<'_>,
+        packed: &mut [Vec<f64>; 4],
+        gram: &mut MatrixViewMut<'_>,
+        w: &mut MatrixViewMut<'_>,
+    ) {
+        let (kb, cols) = (gram.rows(), w.cols());
+        let [vt_top, vt_low, v_top, v_low] = packed;
+        for (s, buf) in [&mut *vt_top, &mut *vt_low].into_iter().enumerate() {
+            pack_a(MR, kb, self.depths[s], self.v[s].t(), buf);
+        }
+        let vt: [&[f64]; 2] = [vt_top, vt_low];
+        let v: [&[f64]; 2] = if MR == NR {
+            vt
+        } else {
+            for (s, buf) in [&mut *v_top, &mut *v_low].into_iter().enumerate() {
+                pack_b(NR, self.depths[s], kb, self.v[s], buf);
+            }
+            [v_top, v_low]
+        };
+        // Depth blocks `(segment, first row, rows)`, in order.
+        let kc = driver.cfg().kc.max(1);
+        let chunks: Vec<(usize, usize, usize)> = (0..2)
+            .flat_map(|s| {
+                let d = self.depths[s];
+                (0..d).step_by(kc).map(move |p0| (s, p0, kc.min(d - p0)))
+            })
+            .collect();
+        for (first, &(s, p0, depth)) in chunks.iter().enumerate() {
+            let (left, right) = ((vt[s], self.depths[s]), (v[s], self.depths[s]));
+            Self::tiles::<MR, NR>(left, right, (p0, p0, depth), gram, true, first > 0);
+        }
+        let depth = self.depths[0] + self.depths[1];
+        let parallel = driver.cfg().should_parallelise(kb, cols, depth);
+        driver.for_each_panel(w.subview_mut(0, 0, kb, cols), parallel, |j0, mut panel| {
+            // One `NR`-column sliver of `C` at a time, read from L1 by every
+            // tile of `Vᵀ` it meets.
+            let mut sliver = Vec::new();
+            for (first, &(s, p0, depth)) in chunks.iter().enumerate() {
+                for jr in (0..panel.cols()).step_by(NR) {
+                    let nr = NR.min(panel.cols() - jr);
+                    pack_b(NR, depth, nr, self.c[s].offset(p0, j0 + jr), &mut sliver);
+                    let (left, right) = ((vt[s], self.depths[s]), (&sliver[..], depth));
+                    let mut out = panel.subview_mut(0, jr, kb, nr);
+                    Self::tiles::<MR, NR>(left, right, (p0, 0, depth), &mut out, false, first > 0);
+                }
+            }
+        });
+    }
+
+    /// `out (+)= Vᵀ·R` over one depth block: `left` is packed `Vᵀ` and
+    /// `right` the packed `R`, each with the depth it was packed at, and the
+    /// block is `depth` rows from `l0` in the one and `r0` in the other. With
+    /// `upper`, only the tiles that reach above the diagonal; with `add`, the
+    /// tiles accumulate into `out` instead of overwriting it.
+    fn tiles<const MR: usize, const NR: usize>(
+        left: (&[f64], usize),
+        right: (&[f64], usize),
+        (l0, r0, depth): (usize, usize, usize),
+        out: &mut MatrixViewMut<'_>,
+        upper: bool,
+        add: bool,
+    ) {
+        let (kb, cols) = (out.rows(), out.cols());
+        let mut acc = [0.0; MAX_TILE_ACC];
+        for j0 in (0..cols).step_by(NR) {
+            let b = &right.0[j0 * right.1 + r0 * NR..][..depth * NR];
+            for i0 in (0..kb).step_by(MR) {
+                if upper && i0 >= j0 + NR {
+                    break;
+                }
+                let a = &left.0[i0 * left.1 + l0 * MR..][..depth * MR];
+                microkernel::<MR, NR>(depth, a, b, &mut acc);
+                let (rows, width) = (MR.min(kb - i0), NR.min(cols - j0));
+                for jj in 0..width {
+                    let col = &mut out.col_mut(j0 + jj)[i0..i0 + rows];
+                    let tile = &acc[jj * MR..jj * MR + rows];
+                    if add {
+                        col.iter_mut().zip(tile).for_each(|(x, t)| *x += t);
+                    } else {
+                        col.copy_from_slice(tile);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// LAPACK `larft`'s recurrence (forward, columnwise): the upper-triangular
+/// `T` with `H_0⋯H_{kb-1} = I - V·T·Vᵀ`, into the zeroed `t`, from `VᵀV`
+/// and the coefficients `tau[..kb]`:
+/// `T(0..j, j) = -tau_j · T(0..j, 0..j) · (VᵀV)(0..j, j)`, `T(j, j) = tau_j`.
+fn larft(gram: &MatrixView<'_>, tau: &[f64], t: &mut MatrixViewMut<'_>) {
+    let kb = gram.cols();
+    let ld = t.ld();
+    let t = t.as_mut_slice();
+    for j in 0..kb {
+        let (done, rest) = t.split_at_mut(j * ld);
+        let tj = &mut rest[..kb];
+        if tau[j] != 0.0 {
+            for (p, &g) in gram.col(j)[..j].iter().enumerate() {
+                axpy(-tau[j] * g, &done[p * ld..p * ld + p + 1], &mut tj[..=p]);
+            }
+        }
+        tj[j] = tau[j];
+    }
 }
 
 /// Factor `a` out of place into the packed `m x (n+1)` operand the
@@ -222,8 +406,17 @@ pub fn qr_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Result<(
 /// Apply `Qᵀ` from a packed QR factor `f` (`m x (n+1)`, see [`qr_packed`]) to
 /// `b` (`m x k`) and write the *top `n` rows* of the product into `c`
 /// (`n x k`) — exactly the `Qᵀb` block the least-squares triangular solve
-/// `x = R⁻¹·(Qᵀb)` consumes. Blocked: one `T` factor and one block-reflector
-/// application per [`BlockConfig::tri_block`] reflectors.
+/// `x = R⁻¹·(Qᵀb)` consumes.
+///
+/// Blocked: one `T` factor and one block-reflector application per panel of
+/// `min(tri_block, max(k, 16))` reflectors ([`BlockConfig::tri_block`];
+/// 16 is twice the factorisation tier's leaf order). Forming `T` costs the
+/// upper half of `VᵀV`, about `kb / 4k` of the panel's update, so the panel
+/// width follows the width `k` of the right-hand side; below 16 reflectors
+/// the per-panel products are too thin to run at engine speed. Measured
+/// against 8 to 128 fixed reflectors at `(m, n) = (384, 256)` and
+/// `(576, 384)`, `k = 8, 32, 128`: within noise of the best fixed width at
+/// every shape.
 ///
 /// # Errors
 ///
@@ -237,14 +430,15 @@ pub fn ormqr(f: &Matrix, b: &Matrix, c: &mut Matrix, cfg: &BlockConfig) -> Resul
     // Qᵀ·B = H_{n-1}⋯H_0·B: apply the panels in factorisation order.
     let mut work = b.clone();
     let tau = &f.col(n)[..n];
-    let tb = cfg.tri_block.max(1).min(k.max(LEAF));
+    let tb = cfg.tri_block.max(1).min(k.max(2 * LEAF));
+    let mut reflector = BlockReflector::new(cfg);
     let mut k0 = 0;
     while k0 < n {
         let kb = tb.min(n - k0);
         let v = f.subview(k0, k0, m - k0, kb);
         let mut rows = work.view_mut();
         let mut below = rows.subview_mut(k0, 0, m - k0, k);
-        apply_block_reflector(&v, &tau[k0..], &mut below, cfg);
+        reflector.apply(&v, &tau[k0..], &mut below);
         k0 += kb;
     }
     for j in 0..k {
@@ -306,6 +500,7 @@ fn check_ormqr(f: &Matrix, b: &Matrix, c: &Matrix) -> Result<(usize, usize, usiz
 mod tests {
     use super::*;
     use crate::backend::{Backend, NativeBackend};
+    use crate::config::TileVariant;
     use crate::gemm::naive::gemm_naive;
     use crate::getrf::factor_triangle;
     use crate::op::KernelOp;
@@ -412,6 +607,73 @@ mod tests {
         ormqr_naive(&f, &b, &mut naive).unwrap();
         let diff = max_abs_diff(&blocked, &naive).unwrap();
         assert!(diff <= 1e-10 * (m as f64).max(1.0), "{m}x{n} k {k}: {diff}");
+    }
+
+    #[test]
+    fn ormqr_matches_naive_on_leaf_and_block_edges() {
+        // Right-hand-side columns are independent, so one reference of the
+        // widest `k` per factor serves every narrower one.
+        let widest = BlockConfig::default().tri_block + 1;
+        let mut references = std::collections::HashMap::new();
+        for (cfg, orders) in crate::leaf::tests::edge_grid() {
+            let tb = cfg.tri_block;
+            for n in orders {
+                // Square, and tall by half with a zero column: tau = 0.
+                for m in [n, n + n / 2] {
+                    let (f, b, naive) = references.entry((m, n)).or_insert_with(|| {
+                        let mut a = random_seeded(m, n, 90 + n as u64);
+                        if m > n {
+                            a.col_mut(n / 2).fill(0.0);
+                        }
+                        let f = qr_packed(&a, &BlockConfig::serial()).unwrap();
+                        assert!(m == n || f[(n / 2, n)] == 0.0, "{m}x{n}: tau");
+                        let b = random_seeded(m, widest, 91);
+                        let mut naive = Matrix::zeros(n, widest);
+                        ormqr_naive(&f, &b, &mut naive).unwrap();
+                        (f, b, naive)
+                    });
+                    for k in [1, LEAF - 1, LEAF, LEAF + 1, tb - 1, tb, tb + 1] {
+                        let b_k = Matrix::from_fn(m, k, |i, j| b[(i, j)]);
+                        let mut blocked = Matrix::filled(n, k, f64::NAN);
+                        ormqr(f, &b_k, &mut blocked, &cfg).unwrap();
+                        let expected = Matrix::from_fn(n, k, |i, j| naive[(i, j)]);
+                        let diff = max_abs_diff(&blocked, &expected).unwrap();
+                        assert!(diff <= 1e-10 * m as f64, "{m}x{n} k {k} {cfg:?}: {diff}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_reflector_blocks_its_depth_by_kc() {
+        // Depth blocks that split the top block, the rows below it and both,
+        // on every register tile, serial and with the columns of `W` spread
+        // over workers.
+        for tile in TileVariant::ALL {
+            for (kc, parallel) in [(5, false), (13, true)] {
+                let cfg = BlockConfig {
+                    kc,
+                    tri_block: 6,
+                    tile,
+                    parallel,
+                    parallel_flop_threshold: 1,
+                    ..BlockConfig::default()
+                };
+                for (m, n) in [(31, 31), (40, 25)] {
+                    let a = random_seeded(m, n, 95 + m as u64);
+                    let (mut blocked, mut naive) = (a.clone(), a.clone());
+                    let (mut tau_b, mut tau_n) = (Vec::new(), Vec::new());
+                    qr(&mut blocked.view_mut(), &mut tau_b, &cfg).unwrap();
+                    qr_naive(&mut naive.view_mut(), &mut tau_n).unwrap();
+                    let diff = max_abs_diff(&blocked, &naive).unwrap();
+                    assert!(diff <= 1e-10 * m as f64, "qr {m}x{n} {cfg:?}: {diff}");
+                    for k in [1, 20] {
+                        check_ormqr(m, n, k, &cfg);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

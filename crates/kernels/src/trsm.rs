@@ -9,26 +9,37 @@
 //! formed — making TRSM, like TRMM, a structured kernel whose FLOP savings
 //! need not translate into time savings.
 //!
-//! Structure on the shared [`BlockedDriver`]: one recursion over the coupled
-//! dimension (the rows of `X` on the left, its columns on the right). A range
-//! of unknowns is split into the part that is solved first — one
-//! [`BlockConfig::tri_block`] while the range is wider than that, half of it
-//! below — and the rest; the first part is solved, folded into the rest with
-//! the packed rectangular core, and the rest is solved. The recursion ends at
-//! a leaf: a diagonal block of at most eight unknowns (a private constant of
-//! the crate, not a [`BlockConfig`] field), which is copied once into a
-//! contiguous scratch *in solve order* — so `uplo` and `trans` are resolved
-//! per block, not per element — and substituted on column slices. On the left
-//! the right-hand-side columns are independent and are distributed as column
-//! panels; on the right the rows are independent and the solve runs serially.
+//! Structure: the BLIS-style fused solve, blocked like GEMM's loop nest.
+//! Both sides are one problem, `C·Y = Y` over the *coupled* index (the rows
+//! of `X` on the left, its columns on the right; `C` is `op(L)` or its
+//! transpose, `Y` is `X` or `Xᵀ`). The unknowns are taken in blocks of
+//! [`BlockConfig::kc`] (whole `MR`-row panels), in solve order. A block's own
+//! panels are packed once, each as its diagonal block (with the reciprocal
+//! pivots, which the substitution multiplies by, when every reciprocal is a
+//! normal number; with the pivots, which it divides by, otherwise) followed
+//! by the coefficients of the block's unknowns solved before it — the
+//! micro-kernel's packed-`A` layout. Then, `NR`-column sliver by sliver,
+//! each own panel's tile gets its update from one [`microkernel`] call, is
+//! substituted against the diagonal block in registers, and is written both
+//! to `X` and to the sliver's packed rows of the block. Last, the later
+//! panels are folded [`BlockConfig::mc`] rows at a time: their coefficients
+//! of the block are packed, and every sliver's tiles subtract the block with
+//! one more micro-kernel call each. So every FLOP outside a diagonal block
+//! runs in the micro-kernel at a depth of at most `kc`, and the scratch is
+//! one block's own panels, one `mc x kc` block and one block of solved rows.
+//! On the left the right-hand-side columns are independent and are
+//! distributed as column panels that share each block's packed own panels
+//! (the later panels each pack for themselves, as the engine's panels pack
+//! their `A`); on the right the rows are independent and the solve runs
+//! serially.
 
-use crate::config::BlockConfig;
+use crate::config::{BlockConfig, TileVariant, MAX_TILE_ACC};
 use crate::driver::BlockedDriver;
-use crate::leaf::{axpy, first_part, two_cols, LEAF};
-use crate::microkernel::fmadd;
+use crate::microkernel::{fmadd, microkernel};
 use crate::pack::{Operand, Strided};
 use crate::trmm::check_triangular_shapes;
 use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
+use std::ops::Range;
 
 /// `X := alpha * op(L)⁻¹ * B` (Left) or `X := alpha * B * op(L)⁻¹` (Right)
 /// where `op(L)` is `L` or `Lᵀ` and only the `uplo` triangle of `L` is
@@ -78,31 +89,23 @@ pub(crate) fn trsm_in_place(
     x: &mut MatrixViewMut<'_>,
     cfg: &BlockConfig,
 ) -> Result<()> {
-    let (m, n) = (x.rows(), x.cols());
     check_diagonal(l)?;
-    if m == 0 || n == 0 {
+    if x.rows() == 0 || x.cols() == 0 {
         return Ok(());
     }
-    // Lower solves forward on the left (top down) and backward on the right
-    // (right to left): column q of X·op(L) reads the X columns p with
-    // op(L)[p, q] nonzero.
-    let lower = uplo.under(trans) == Uplo::Lower;
-    let solve = Solve {
-        op_l: Strided::new(l, trans),
-        side,
-        forward: lower == (side == Side::Left),
-        driver: BlockedDriver::new(cfg),
-        tri_block: cfg.tri_block,
+    // The coupled unknowns run forward when `C` is lower triangular: on the
+    // left `C = op(L)`, on the right `C = op(L)ᵀ`.
+    let op_l = Strided::new(l, trans);
+    let (c, forward) = match side {
+        Side::Left => (op_l, uplo.under(trans) == Uplo::Lower),
+        Side::Right => (op_l.t(), uplo.under(trans) == Uplo::Upper),
     };
-    match side {
-        Side::Left => {
-            let parallel = cfg.should_parallelise(m, n, m);
-            let whole = x.subview_mut(0, 0, m, n);
-            (solve.driver).for_each_panel(whole, parallel, |_, mut panel| {
-                solve.left(&mut panel, 0, m, &mut Vec::new());
-            });
-        }
-        Side::Right => solve.right(x, 0, n),
+    match cfg.tile {
+        TileVariant::T8x4 => Triangle::<8>::new(c, forward, side, x, cfg.mc).solve::<4>(x, cfg),
+        TileVariant::T8x8 => Triangle::<8>::new(c, forward, side, x, cfg.mc).solve::<8>(x, cfg),
+        TileVariant::T4x8 => Triangle::<4>::new(c, forward, side, x, cfg.mc).solve::<8>(x, cfg),
+        TileVariant::T16x4 => Triangle::<16>::new(c, forward, side, x, cfg.mc).solve::<4>(x, cfg),
+        TileVariant::T8x12 => Triangle::<8>::new(c, forward, side, x, cfg.mc).solve::<12>(x, cfg),
     }
     Ok(())
 }
@@ -117,144 +120,291 @@ fn check_diagonal(l: &MatrixView<'_>) -> Result<()> {
     Ok(())
 }
 
-/// One in-place solve: `op(L)` ignoring the triangle mask, and the order in
-/// which the unknowns are eliminated.
-struct Solve<'a> {
-    op_l: Strided<'a>,
-    side: Side,
+/// The coefficient triangle `C` of one solve, walked in `MR`-row panels:
+/// panel `q` holds the coupled unknowns `q·MR..(q + 1)·MR`, the last one
+/// cut short by the order.
+struct Triangle<'c, const MR: usize> {
+    c: Strided<'c>,
+    order: usize,
     forward: bool,
-    driver: BlockedDriver<'a>,
-    tri_block: usize,
+    side: Side,
+    /// Rows of later panels folded per sweep of the slivers.
+    mc: usize,
+    /// Whether the pivots are packed as their reciprocals, which the
+    /// substitution multiplies by: only when every reciprocal is a normal
+    /// number, so a pivot too small or too large for that is divided by.
+    invert: bool,
 }
 
-impl Solve<'_> {
-    /// Split the unknowns `lo..lo + len` into `(start, len)` of the part
-    /// solved first and of the rest.
-    fn split(&self, lo: usize, len: usize) -> ((usize, usize), (usize, usize)) {
-        let first = first_part(len, self.tri_block);
-        if self.forward {
-            ((lo, first), (lo + first, len - first))
-        } else {
-            ((lo + len - first, first), (lo, len - first))
+/// One block of unknowns: its panels and the panels solved after it, both
+/// in solve order, and the unknowns it covers.
+struct Block<'p> {
+    own: &'p [usize],
+    later: &'p [usize],
+    unknowns: Range<usize>,
+}
+
+impl<'c, const MR: usize> Triangle<'c, MR> {
+    fn new(c: Strided<'c>, forward: bool, side: Side, x: &MatrixViewMut<'_>, mc: usize) -> Self {
+        let order = match side {
+            Side::Left => x.rows(),
+            Side::Right => x.cols(),
+        };
+        let invert = (0..order).all(|i| (1.0 / c.at(i, i)).is_normal());
+        Triangle {
+            c,
+            order,
+            forward,
+            side,
+            mc,
+            invert,
         }
     }
 
-    /// Offset within a leaf of `nb` unknowns of the one eliminated `s`-th.
-    fn nth(&self, s: usize, nb: usize) -> usize {
+    /// The valid rows of panel `q`.
+    fn rows(&self, q: usize) -> usize {
+        MR.min(self.order - q * MR)
+    }
+
+    /// The unknowns of `block` solved before panel `q` of it.
+    fn before(&self, q: usize, block: &Range<usize>) -> Range<usize> {
         if self.forward {
-            s
+            block.start..q * MR
         } else {
-            nb - 1 - s
+            ((q + 1) * MR).min(self.order)..block.end
         }
     }
 
-    /// The diagonal block `lo..lo + nb` of `op(L)` in solve order, padded to
-    /// the identity: `t[p][i]` (`i > p`) is the coefficient of unknown `p` in
-    /// equation `i`, `t[p][p]` its own pivot.
-    fn leaf_block(&self, lo: usize, nb: usize) -> [[f64; LEAF]; LEAF] {
-        let mut t = [[0.0; LEAF]; LEAF];
-        for (p, col) in t.iter_mut().enumerate() {
-            col[p] = 1.0;
-            for (i, v) in col.iter_mut().enumerate().take(nb).skip(p) {
-                let (eq, unknown) = (lo + self.nth(i, nb), lo + self.nth(p, nb));
-                *v = match self.side {
-                    Side::Left => self.op_l.at(eq, unknown),
-                    Side::Right => self.op_l.at(unknown, eq),
-                };
+    /// Solve for every column of `Y`, block by block.
+    fn solve<const NR: usize>(&self, x: &mut MatrixViewMut<'_>, cfg: &BlockConfig) {
+        let count = self.order.div_ceil(MR);
+        let panels: Vec<usize> = if self.forward {
+            (0..count).collect()
+        } else {
+            (0..count).rev().collect()
+        };
+        let (m, n) = (x.rows(), x.cols());
+        let parallel = self.side == Side::Left && cfg.should_parallelise(m, n, m);
+        let per_block = (cfg.kc / MR).max(1);
+        let mut packed = Vec::new();
+        for (b, own) in panels.chunks(per_block).enumerate() {
+            let (first, last) = (own[0], own[own.len() - 1]);
+            let (low, high) = if self.forward {
+                (first, last)
+            } else {
+                (last, first)
+            };
+            let block = Block {
+                own,
+                later: &panels[b * per_block + own.len()..],
+                unknowns: low * MR..((high + 1) * MR).min(self.order),
+            };
+            self.pack(&block, &mut packed);
+            match self.side {
+                Side::Left => {
+                    let whole = x.subview_mut(0, 0, m, n);
+                    BlockedDriver::new(cfg).for_each_panel(whole, parallel, |_, mut panel| {
+                        let (cols, ld) = (panel.cols(), panel.ld());
+                        let y = panel.as_mut_slice();
+                        self.solve_block::<NR>(&block, &packed, y, (1, ld), cols);
+                    });
+                }
+                // Y = Xᵀ: the coupled index walks the columns of X.
+                Side::Right => {
+                    let ld = x.ld();
+                    self.solve_block::<NR>(&block, &packed, x.as_mut_slice(), (ld, 1), m);
+                }
             }
         }
-        t
     }
 
-    /// Solve rows `lo..lo + len` of one column panel; every earlier row of
-    /// the solve order is already folded in. `solved` is scratch.
-    fn left(&self, panel: &mut MatrixViewMut<'_>, lo: usize, len: usize, solved: &mut Vec<f64>) {
-        let w = panel.cols();
-        if len <= LEAF {
-            let t = self.leaf_block(lo, len);
-            for j in 0..w {
-                let x = &mut panel.col_mut(j)[lo..lo + len];
-                let mut v = [0.0; LEAF];
-                for s in 0..len {
-                    v[s] = x[self.nth(s, len)];
+    /// Pack `block`'s own panels into `buf`, each as its `MR x MR` diagonal
+    /// block — the pivots (or their reciprocals), the coefficients of the
+    /// panel's earlier unknowns on one side of them, zeros on the other, the
+    /// identity past the order — followed by one `MR`-tall column per unknown
+    /// of the block solved before it, in ascending unknown order.
+    fn pack(&self, block: &Block<'_>, buf: &mut Vec<f64>) {
+        let unknowns = &block.unknowns;
+        let own: usize = (block.own.iter())
+            .map(|&q| (MR + self.before(q, unknowns).len()) * MR)
+            .sum();
+        // Every slot is overwritten: only growth needs initialising.
+        buf.resize(own, 0.0);
+        let mut rest = &mut buf[..own];
+        for &q in block.own {
+            let before = self.before(q, unknowns);
+            let (panel, tail) = std::mem::take(&mut rest).split_at_mut((MR + before.len()) * MR);
+            rest = tail;
+            let (diag, update) = panel.split_at_mut(MR * MR);
+            let (i0, rows) = (q * MR, self.rows(q));
+            for (p, col) in diag.chunks_exact_mut(MR).enumerate() {
+                for (r, slot) in col.iter_mut().enumerate() {
+                    let earlier = if self.forward { p < r } else { p > r };
+                    *slot = if r >= rows || p >= rows {
+                        f64::from(u8::from(r == p))
+                    } else if r == p && self.invert {
+                        1.0 / self.c.at(i0 + r, i0 + p)
+                    } else if r == p || earlier {
+                        self.c.at(i0 + r, i0 + p)
+                    } else {
+                        0.0
+                    };
                 }
-                for p in 0..LEAF {
-                    v[p] /= t[p][p];
-                    for i in p + 1..LEAF {
-                        v[i] = fmadd(v[i], -v[p], t[p][i]);
+            }
+            self.pack_columns(q, before, update);
+        }
+    }
+
+    /// The coefficients of the unknowns `cols` in the rows of panel `q`, as
+    /// `MR`-tall columns (zero past the order).
+    fn pack_columns(&self, q: usize, cols: Range<usize>, out: &mut [f64]) {
+        let (c, i0, rows) = (self.c, q * MR, self.rows(q));
+        if c.cs == 1 {
+            // Rows of `C` are contiguous: read them whole, spread them over
+            // the columns.
+            for r in 0..MR {
+                let row = (r < rows).then(|| &c.offset(i0 + r, cols.start).data[..cols.len()]);
+                for (s, col) in out.chunks_exact_mut(MR).enumerate() {
+                    col[r] = row.map_or(0.0, |row| row[s]);
+                }
+            }
+        } else {
+            for (v, col) in cols.zip(out.chunks_exact_mut(MR)) {
+                let src = &c.data[i0 * c.rs + v * c.cs..];
+                if c.rs == 1 && rows == MR {
+                    col.copy_from_slice(&src[..MR]);
+                } else {
+                    for (r, slot) in col.iter_mut().enumerate() {
+                        *slot = if r < rows { src[r * c.rs] } else { 0.0 };
                     }
                 }
-                for s in 0..len {
-                    x[self.nth(s, len)] = v[s];
-                }
             }
-            return;
         }
-        let ((h0, hn), (r0, rn)) = self.split(lo, len);
-        self.left(panel, h0, hn, solved);
-        // X[rest] -= op(L)[rest, first] · X[first]. The two row ranges are
-        // disjoint, which a column-major view cannot show the borrow
-        // checker, so the solved rows are read from a compact copy.
-        solved.clear();
-        for j in 0..w {
-            solved.extend_from_slice(&panel.col_mut(j)[h0..h0 + hn]);
-        }
-        self.driver.accumulate_serial(
-            rn,
-            w,
-            hn,
-            -1.0,
-            &self.op_l.offset(r0, h0),
-            &Strided {
-                data: solved,
-                rs: 1,
-                cs: hn,
-            },
-            &mut panel.subview_mut(r0, 0, rn, w),
-        );
-        self.left(panel, r0, rn, solved);
     }
 
-    /// Solve columns `lo..lo + len` of `X·op(L) = B`; every earlier column
-    /// of the solve order is already folded in.
-    fn right(&self, x: &mut MatrixViewMut<'_>, lo: usize, len: usize) {
-        if len <= LEAF {
-            let t = self.leaf_block(lo, len);
-            for i in 0..len {
-                let dst = lo + self.nth(i, len);
-                for (p, col) in t.iter().enumerate().take(i) {
-                    let (src, dst) = two_cols(x, lo + self.nth(p, len), dst);
-                    axpy(-col[i], src, dst);
+    /// Solve `block`'s unknowns in `cols` independent columns of `Y` and fold
+    /// them into the later unknowns, where `Y(u, j)` is
+    /// `y[u·strides.0 + j·strides.1]`.
+    fn solve_block<const NR: usize>(
+        &self,
+        block: &Block<'_>,
+        packed: &[f64],
+        y: &mut [f64],
+        strides: (usize, usize),
+        cols: usize,
+    ) {
+        // The block's solved unknowns, `NR` values per unknown per sliver:
+        // the packed right operand of every update from the block.
+        let per_sliver = block.unknowns.len().div_ceil(MR) * MR * NR;
+        let mut solved = vec![0.0; cols.div_ceil(NR) * per_sliver];
+        self.solve_own::<NR>(block, packed, y, strides, &mut solved, cols);
+        self.fold_later::<NR>(block, y, strides, &solved, cols);
+    }
+
+    /// Solve the tiles of `block`'s own panels, packed in `packed`, into `y`
+    /// and into the slivers of `solved`.
+    ///
+    /// Panel by panel, and within a panel sliver by sliver: consecutive tiles
+    /// are independent, so one tile's substitution overlaps the next one's
+    /// update, and the packed panel is read from L1 by every sliver.
+    fn solve_own<const NR: usize>(
+        &self,
+        block: &Block<'_>,
+        packed: &[f64],
+        y: &mut [f64],
+        (rs, cs): (usize, usize),
+        solved: &mut [f64],
+        cols: usize,
+    ) {
+        let unknowns = &block.unknowns;
+        let per_sliver = solved.len() / cols.div_ceil(NR);
+        let mut acc = [0.0; MAX_TILE_ACC];
+        let mut panel = packed;
+        for &q in block.own {
+            let (i0, rows, before) = (q * MR, self.rows(q), self.before(q, unknowns));
+            let (diag, rest) = panel.split_at(MR * MR);
+            let (update, rest) = rest.split_at(before.len() * MR);
+            panel = rest;
+            let (b0, b1) = (before.start - unknowns.start, before.end - unknowns.start);
+            for (j, sliver) in solved.chunks_exact_mut(per_sliver).enumerate() {
+                let (j0, width) = (j * NR, NR.min(cols - j * NR));
+                // The tile's update from the block's unknowns solved before it.
+                microkernel::<MR, NR>(before.len(), update, &sliver[b0 * NR..b1 * NR], &mut acc);
+                let mut z = [[0.0; NR]; MR];
+                for (c, upd) in acc.chunks_exact(MR).enumerate().take(width) {
+                    let at = i0 * rs + (j0 + c) * cs;
+                    for (r, (zr, u)) in z.iter_mut().zip(upd).enumerate().take(rows) {
+                        zr[c] = y[at + r * rs] - u;
+                    }
                 }
-                for v in x.col_mut(dst) {
-                    *v /= t[i][i];
+                // Substitute against the diagonal block, in solve order.
+                for s in 0..MR {
+                    let p = if self.forward { s } else { MR - 1 - s };
+                    let d = &diag[p * MR..(p + 1) * MR];
+                    let zp = if self.invert {
+                        z[p].map(|v| v * d[p])
+                    } else {
+                        z[p].map(|v| v / d[p])
+                    };
+                    z[p] = zp;
+                    let later = if self.forward { p + 1..MR } else { 0..p };
+                    for r in later {
+                        for c in 0..NR {
+                            z[r][c] = fmadd(z[r][c], -d[r], zp[c]);
+                        }
+                    }
+                }
+                for c in 0..width {
+                    let at = i0 * rs + (j0 + c) * cs;
+                    for (r, zr) in z.iter().enumerate().take(rows) {
+                        y[at + r * rs] = zr[c];
+                    }
+                }
+                let start = (i0 - unknowns.start) * NR;
+                let rows_out = sliver[start..start + MR * NR].chunks_exact_mut(NR);
+                for (dst, zr) in rows_out.zip(&z) {
+                    dst.copy_from_slice(zr);
                 }
             }
-            return;
         }
-        let ((h0, hn), (r0, rn)) = self.split(lo, len);
-        self.right(x, h0, hn);
-        // X[:, rest] -= X[:, first] · op(L)[first, rest]: disjoint column
-        // ranges, which the split proves.
-        let m = x.rows();
-        let (low, high) = x
-            .subview_mut(0, lo, m, len)
-            .split_at_col_mut(h0.max(r0) - lo);
-        let (first, mut rest) = if self.forward {
-            (low, high)
-        } else {
-            (high, low)
-        };
-        self.driver.accumulate_serial(
-            m,
-            rn,
-            hn,
-            -1.0,
-            &Strided::new(&first.as_view(), Trans::No),
-            &self.op_l.offset(h0, r0),
-            &mut rest,
-        );
-        self.right(x, r0, rn);
+    }
+
+    /// Subtract the solved block in `solved` from the tiles of every later
+    /// panel, `mc` rows of panels at a time: their coefficients of the block
+    /// are packed into an `mc x kc` block that, like the engine's packed `A`,
+    /// stays in L2 while every sliver meets it.
+    fn fold_later<const NR: usize>(
+        &self,
+        block: &Block<'_>,
+        y: &mut [f64],
+        (rs, cs): (usize, usize),
+        solved: &[f64],
+        cols: usize,
+    ) {
+        let (unknowns, depth) = (&block.unknowns, block.unknowns.len());
+        let per_sliver = solved.len() / cols.div_ceil(NR);
+        let mut acc = [0.0; MAX_TILE_ACC];
+        let mut packed = Vec::new();
+        for qs in block.later.chunks((self.mc / MR).max(1)) {
+            // Every slot is overwritten: only growth needs initialising.
+            packed.resize(qs.len() * depth * MR, 0.0);
+            for (&q, a) in qs.iter().zip(packed.chunks_exact_mut(depth * MR)) {
+                self.pack_columns(q, unknowns.clone(), a);
+            }
+            for (j, sliver) in solved.chunks_exact(per_sliver).enumerate() {
+                let (j0, width) = (j * NR, NR.min(cols - j * NR));
+                for (&q, a) in qs.iter().zip(packed.chunks_exact(depth * MR)) {
+                    let (i0, rows) = (q * MR, self.rows(q));
+                    microkernel::<MR, NR>(depth, a, sliver, &mut acc);
+                    for (c, upd) in acc.chunks_exact(MR).enumerate().take(width) {
+                        let at = i0 * rs + (j0 + c) * cs;
+                        for (r, u) in upd.iter().enumerate().take(rows) {
+                            y[at + r * rs] -= u;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -404,12 +554,102 @@ mod tests {
     #[test]
     fn every_variant_matches_naive_on_leaf_and_block_edges() {
         for (cfg, orders) in crate::leaf::tests::edge_grid() {
-            for order in orders {
+            let (mr, nr) = (cfg.tile.mr(), cfg.tile.nr());
+            // Around a row panel of the packed triangle too.
+            for order in orders.into_iter().chain([mr - 1, mr + 1]) {
                 for uplo in [Uplo::Lower, Uplo::Upper] {
                     for trans in [Trans::No, Trans::Yes] {
-                        // Wide enough on the left for two panels of any tile.
-                        check(Side::Left, uplo, trans, order, 29, 1.0, &cfg);
-                        check(Side::Right, uplo, trans, 13, order, -0.5, &cfg);
+                        // One column, a sliver either side of full, and
+                        // two slivers with a remainder: the thin in-place
+                        // path, the packed path and its panel split.
+                        for width in [1, nr - 1, nr, nr + 1, 2 * nr + 1] {
+                            check(Side::Left, uplo, trans, order, width, 1.0, &cfg);
+                            check(Side::Right, uplo, trans, width, order, -0.5, &cfg);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_variant_matches_naive_across_kc_blocks() {
+        // Blocks of one panel, of two panels with `kc` not a multiple of
+        // `MR`, and of three; orders on either side of a block boundary and
+        // over several blocks with a partial panel, which the backward solve
+        // takes first. The later panels are folded as many at a time as a
+        // block holds.
+        for tile in TileVariant::ALL {
+            let (mr, nr) = (tile.mr(), tile.nr());
+            for (kc, parallel) in [(mr, false), (2 * mr + 1, true), (3 * mr, false)] {
+                let cfg = BlockConfig {
+                    kc,
+                    mc: kc,
+                    tile,
+                    parallel,
+                    parallel_flop_threshold: 1,
+                    ..BlockConfig::default()
+                };
+                let block = (kc / mr) * mr;
+                for order in [block - 1, block + 1, 2 * block, 3 * block + mr / 2 + 1] {
+                    for uplo in [Uplo::Lower, Uplo::Upper] {
+                        for trans in [Trans::No, Trans::Yes] {
+                            for width in [1, nr + 1, 2 * nr + 1] {
+                                check(Side::Left, uplo, trans, order, width, 1.0, &cfg);
+                                check(Side::Right, uplo, trans, width, order, -0.5, &cfg);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pivots_whose_reciprocal_is_not_normal_are_divided_by() {
+        // A pivot below 1/f64::MAX has an infinite reciprocal, one above
+        // 1/f64::MIN_POSITIVE a subnormal one; x = b / d is finite and
+        // correctly rounded either way. A diagonal triangle makes every
+        // entry of X one division.
+        let cfg = BlockConfig::serial();
+        let order = 11;
+        for (pivot, scale) in [(1e-310, 1e-300), (1e308, 1.0)] {
+            for side in [Side::Left, Side::Right] {
+                for uplo in [Uplo::Lower, Uplo::Upper] {
+                    let mut l = random_triangular(order, uplo, 41);
+                    for i in 0..order {
+                        for j in (0..order).filter(|&j| j != i) {
+                            l[(i, j)] = 0.0;
+                        }
+                    }
+                    l[(4, 4)] = pivot;
+                    let (m, n) = match side {
+                        Side::Left => (order, 3),
+                        Side::Right => (3, order),
+                    };
+                    let b = Matrix::from_fn(m, n, |i, j| scale * (1 + i + j) as f64);
+                    let mut x = Matrix::zeros(m, n);
+                    let (lv, bv) = (l.view(), b.view());
+                    trsm(
+                        side,
+                        uplo,
+                        Trans::No,
+                        1.0,
+                        &lv,
+                        &bv,
+                        &mut x.view_mut(),
+                        &cfg,
+                    )
+                    .unwrap();
+                    for i in 0..m {
+                        for j in 0..n {
+                            let d = match side {
+                                Side::Left => l[(i, i)],
+                                Side::Right => l[(j, j)],
+                            };
+                            let at = format!("{pivot:e} {side:?} {uplo:?} ({i}, {j})");
+                            assert_eq!(x[(i, j)], b[(i, j)] / d, "{at}");
+                        }
                     }
                 }
             }

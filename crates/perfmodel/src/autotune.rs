@@ -146,9 +146,9 @@ pub fn coordinate_descent(
 /// The measured objective: wall-clock seconds for one GEMM, one SYRK and one
 /// TRSM of order `size` under `cfg` (best of `reps` repetitions each, so
 /// scheduler noise inflates no candidate). Lower is better. The three-kernel
-/// mix keeps the descent honest — `tri_block` only shows up in TRSM, and a
-/// tile that wins GEMM but loses the triangular recurrences should not win
-/// overall.
+/// mix keeps the descent honest — `tri_block` only shows up in SYRK's
+/// diagonal blocks, and a tile that wins GEMM but loses the triangular
+/// kernels should not win overall.
 #[must_use]
 pub fn measured_score(cfg: &BlockConfig, size: usize, reps: usize) -> f64 {
     let n = size.max(8);
