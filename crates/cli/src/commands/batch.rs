@@ -19,7 +19,7 @@ use lamb_experiments::all_scenarios;
 use lamb_perfmodel::store::now_unix;
 use lamb_perfmodel::CalibrationStore;
 use lamb_plan::{BatchOutcome, BatchPlanner, BatchRequest, FactorCache};
-use lamb_select::{assign_backends, pinned_backends, BackendAssignment, SelectionPolicy};
+use lamb_select::SelectionPolicy;
 use std::sync::Arc;
 
 /// Run the subcommand.
@@ -97,27 +97,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     let outcome = planner.plan_batch(&requests);
 
-    // Per-call backend assignments over the chosen algorithms: the
-    // benchmark-driven argmin, or every call pinned by `--backend <name>`.
-    let mut backend_exec = opts.build_executor();
-    let assignments: Vec<Option<BackendAssignment>> = outcome
-        .results
-        .iter()
-        .map(|result| {
-            result.as_ref().ok().map(|plan| match opts.backend {
-                Some(backend) => {
-                    pinned_backends(plan.chosen_algorithm(), backend_exec.as_mut(), backend)
-                }
-                None => assign_backends(plan.chosen_algorithm(), backend_exec.as_mut()),
-            })
-        })
-        .collect();
-
     // The CSV report.
     std::fs::create_dir_all(&opts.out_dir)
         .map_err(|e| format!("cannot create {}: {e}", opts.out_dir.display()))?;
     let report_path = opts.out_dir.join("batch_report.csv");
-    std::fs::write(&report_path, report_csv(&requests, &outcome, &assignments))
+    std::fs::write(&report_path, report_csv(&requests, &outcome))
         .map_err(|e| format!("cannot write {}: {e}", report_path.display()))?;
 
     // Optionally persist what this batch benchmarked. The new calls are
@@ -180,18 +164,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         stats.flop_optimal_predicted_seconds,
         stats.predicted_seconds_saved()
     );
-    let mixed = assignments
-        .iter()
-        .flatten()
-        .filter(|a| a.is_mixed())
-        .count();
-    match opts.backend {
-        Some(backend) => println!("backends: every call pinned to `{backend}` (--backend)"),
-        None => println!(
-            "backends: {mixed} of {} chosen algorithm(s) mix backends",
-            assignments.iter().flatten().count()
-        ),
-    }
     match &factor_cache {
         Some(fc) => println!(
             "factor cache: {} reusable factor identity(ies) across the batch",
@@ -219,16 +191,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One CSV row per request: what was planned, what it costs, whether the
-/// FLOP discriminant is predicted to be misled (at each plan's threshold),
-/// and which backends the chosen algorithm's calls were assigned.
-fn report_csv(
-    requests: &[BatchRequest],
-    outcome: &BatchOutcome,
-    assignments: &[Option<BackendAssignment>],
-) -> String {
+/// One CSV row per request: what was planned, what it costs, and whether
+/// the FLOP discriminant is predicted to be misled (at each plan's
+/// threshold).
+fn report_csv(requests: &[BatchRequest], outcome: &BatchOutcome) -> String {
     let mut rows: Vec<Vec<String>> = Vec::with_capacity(requests.len());
-    for ((req, result), assignment) in requests.iter().zip(&outcome.results).zip(assignments) {
+    for (req, result) in requests.iter().zip(&outcome.results) {
         let dims = req
             .dims
             .iter()
@@ -250,17 +218,12 @@ fn report_csv(
                     format_opt_seconds(chosen.predicted_seconds),
                     format_opt_seconds(flop_optimal.predicted_seconds),
                     plan.predicted_anomaly().unwrap_or(false).to_string(),
-                    assignment.as_ref().map_or(String::new(), |a| {
-                        let used: Vec<&str> = a.backends_used().iter().map(|b| b.name()).collect();
-                        used.join("+")
-                    }),
                 ]);
             }
             Err(e) => rows.push(vec![
                 req.text.clone(),
                 dims,
                 format!("error: {e}"),
-                String::new(),
                 String::new(),
                 String::new(),
                 String::new(),
@@ -283,7 +246,6 @@ fn report_csv(
             "chosen_predicted_s",
             "flop_optimal_predicted_s",
             "predicted_anomaly",
-            "backends",
         ],
         &rows,
     )
@@ -299,6 +261,26 @@ mod tests {
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The fields of one CSV line, split at the commas outside quotes, with
+    /// quoted fields unquoted (RFC 4180; no field of the report spans lines).
+    fn fields(line: &str) -> Vec<String> {
+        let (mut fields, mut field, mut quoted) = (Vec::new(), String::new(), false);
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    field.push('"');
+                    chars.next();
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields.push(std::mem::take(&mut field)),
+                c => field.push(c),
+            }
+        }
+        fields.push(field);
+        fields
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -326,11 +308,20 @@ mod tests {
         let report = std::fs::read_to_string(dir.join("batch_report.csv")).unwrap();
         assert_eq!(report.lines().count(), 3);
         assert!(report.starts_with("expression,dims,status,"));
-        // The Figure-11 instance is a predicted anomaly, and every ok row
-        // carries a backend assignment in the trailing column.
-        let row = report.lines().find(|l| l.starts_with("A*A^T*B")).unwrap();
-        assert_eq!(row.rsplit(',').nth(1), Some("true"), "{row}");
-        assert!(row.rsplit(',').next().unwrap().contains("native"), "{row}");
+        // Every row has the header's fields, although the chosen algorithms'
+        // names hold commas (their kernel summaries).
+        let rows: Vec<Vec<String>> = report.lines().map(fields).collect();
+        for row in &rows {
+            assert_eq!(row.len(), rows[0].len(), "{row:?}");
+        }
+        let chosen = rows[0].iter().position(|h| h == "chosen").unwrap();
+        assert!(
+            rows[1..].iter().all(|r| r[chosen].contains(',')),
+            "{rows:?}"
+        );
+        // The Figure-11 instance is a predicted anomaly.
+        let row = rows.iter().find(|r| r[0] == "A*A^T*B").unwrap();
+        assert_eq!(row.last().map(String::as_str), Some("true"), "{row:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -414,16 +405,11 @@ mod tests {
             run(&args).unwrap();
             std::fs::read_to_string(dir.join("batch_report.csv")).unwrap()
         };
-        // The chosen-algorithm name may itself contain commas (its kernel
-        // summary), so index the comma-free numeric columns from the end:
-        // ..., chosen_flops, min_flops, chosen_predicted_s,
-        // flop_optimal_predicted_s, predicted_anomaly, backends.
         let chosen_flops = |report: &str| -> Vec<u64> {
-            report
-                .lines()
-                .skip(1)
-                .map(|l| l.rsplit(',').nth(5).unwrap().parse().unwrap())
-                .collect()
+            let mut rows = report.lines().map(fields);
+            let header = rows.next().unwrap();
+            let column = header.iter().position(|h| h == "chosen_flops").unwrap();
+            rows.map(|r| r[column].parse().unwrap()).collect()
         };
         // Warm requests are discounted: the resident POTRF/TRSM factors make
         // later identical solves cheaper than the cold first one.

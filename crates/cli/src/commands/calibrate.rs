@@ -103,34 +103,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         store.profiles.push(profile);
     }
 
-    // Per-backend square sweeps: every backend beyond the default gets its
-    // own curves and call table in the store's v6 `backends` section (the
-    // default backend's data is the top-level sweep above), so the planner
-    // can compare implementations per call from a warm start.
-    for backend in executor.backends().into_iter().skip(1) {
-        println!("  sweeping backend `{backend}` ...");
-        let mut curves: Vec<(String, Vec<usize>, Vec<f64>)> = lamb_perfmodel::SQUARE_SWEEP_KERNELS
-            .iter()
-            .map(|name| ((*name).to_string(), Vec::new(), Vec::new()))
-            .collect();
-        let (profiles, calls) = store.backend_tables_mut(backend);
-        for &size in &sizes {
-            for (curve, op) in curves
-                .iter_mut()
-                .zip(lamb_perfmodel::calibrate::square_ops(size))
-            {
-                let alg = lamb_perfmodel::single_call_algorithm(op.clone());
-                let seconds = executor.time_isolated_call_on(&alg, 0, backend);
-                curve.1.push(size);
-                curve.2.push(machine.efficiency(op.flops(), seconds));
-                calls.insert(op, seconds);
-            }
-        }
-        for (name, sizes, effs) in curves {
-            profiles.push(SquareProfile::new(&name, sizes, effs));
-        }
-    }
-
     // Workload sweep: benchmark exactly the calls a request file needs.
     if let Some(path) = &opts.exprs_file {
         let contents = std::fs::read_to_string(path)
@@ -231,24 +203,6 @@ fn print_coverage(store: &CalibrationStore, opts: &CommonOptions, block_fingerpr
         store.calls.len(),
         per_kernel.join(", ")
     );
-    for name in store.backends().into_iter().skip(1) {
-        let coverage = store.backend_coverage(name);
-        let calls: usize = coverage.values().sum();
-        let per_kernel: Vec<String> = coverage
-            .iter()
-            .map(|(kernel, count)| format!("{kernel} {count}"))
-            .collect();
-        let missing = store.backend_missing_kernels(name);
-        let gaps = if missing.is_empty() {
-            String::new()
-        } else {
-            format!("; missing {}", missing.join(", "))
-        };
-        println!(
-            "  [{name}]: {calls} distinct ({}{gaps})",
-            per_kernel.join(", ")
-        );
-    }
     if let Some(tuned) = &store.tuned {
         println!(
             "  tuned  : {} ({:.2} GFLOP/s GEMM)",
@@ -289,7 +243,6 @@ fn print_coverage(store: &CalibrationStore, opts: &CommonOptions, block_fingerpr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamb_perfmodel::BackendId;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -309,22 +262,14 @@ mod tests {
         run(&strs(&["--store", &store_arg, "--sizes", "300"])).unwrap();
         let first = CalibrationStore::load(&store_path).unwrap();
         assert_eq!(first.meta.sweeps, 1);
+        let text = std::fs::read_to_string(&store_path).unwrap();
+        assert!(!text.contains("\"backends\""), "one sweep, one table");
         assert_eq!(first.calls.len(), 33); // 11 kernels x 3 sizes
         assert_eq!(first.profiles.len(), 11);
         assert!(
             first.missing_kernels().is_empty(),
             "sweep covers every kernel"
         );
-        // The simulated executor distinguishes two backends, so the sweep
-        // also fills a per-backend section with full coverage.
-        assert_eq!(
-            first.backends(),
-            vec![BackendId::Native, BackendId::Reference]
-        );
-        assert_eq!(first.backend_calls(BackendId::Reference).unwrap().len(), 33);
-        assert!(first
-            .backend_missing_kernels(BackendId::Reference)
-            .is_empty());
 
         // A second, larger sweep merges: coverage grows, sweeps accumulate.
         run(&strs(&["--store", &store_arg, "--sizes", "500"])).unwrap();
@@ -332,10 +277,6 @@ mod tests {
         assert_eq!(merged.meta.sweeps, 2);
         assert_eq!(merged.calls.len(), 55); // 11 kernels x 5 sizes
         assert_eq!(merged.profiles[0].sizes.len(), 5);
-        assert_eq!(
-            merged.backend_calls(BackendId::Reference).unwrap().len(),
-            55
-        );
 
         // --no-merge replaces instead.
         run(&strs(&[

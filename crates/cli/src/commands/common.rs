@@ -2,7 +2,7 @@
 
 use lamb_experiments::{LineConfig, SearchConfig};
 use lamb_expr::TreeExpression;
-use lamb_kernels::{BackendId, BlockConfig};
+use lamb_kernels::BlockConfig;
 use lamb_perfmodel::{
     CalibrationStore, Executor, MachineModel, MeasuredExecutor, SimulatedExecutor,
 };
@@ -95,9 +95,6 @@ pub struct CommonOptions {
     /// `--quick`: reduced problem size and repetition count for the
     /// autotuner (CI smoke mode).
     pub quick: bool,
-    /// `--backend <name>`: pin every kernel call to the named backend
-    /// instead of letting the planner assign backends per call (ablation).
-    pub backend: Option<BackendId>,
 }
 
 impl Default for CommonOptions {
@@ -124,7 +121,6 @@ impl Default for CommonOptions {
             cse_parity: false,
             autotune: false,
             quick: false,
-            backend: None,
         }
     }
 }
@@ -229,15 +225,6 @@ pub fn parse(args: &[String]) -> Result<CommonOptions, String> {
             }
             "--update-store" => {
                 opts.update_store = true;
-            }
-            "--backend" => {
-                let name = value("--backend")?;
-                let backend = BackendId::from_name(&name).ok_or_else(|| {
-                    let known: Vec<&str> = BackendId::ALL.iter().map(|id| id.name()).collect();
-                    format!("unknown backend `{name}` (expected {})", known.join(" or "))
-                })?;
-                opts.backend = Some(backend);
-                i += 1;
             }
             "--threshold" => {
                 let t: f64 = value("--threshold")?
@@ -499,12 +486,9 @@ mod tests {
     #[test]
     fn rejects_unknown_flags_and_bad_dims() {
         assert!(parse(&strs(&["--bogus"])).is_err());
-        // Backend names are checked where they enter, not by the executor.
-        let opts = parse(&strs(&["--backend", "reference"])).unwrap();
-        assert_eq!(opts.backend, Some(BackendId::Reference));
-        let err = parse(&strs(&["--backend", "quantum"])).unwrap_err();
-        assert!(err.contains("unknown backend `quantum`"), "{err}");
-        assert!(err.contains("native or reference"), "{err}");
+        // Every call runs on the native kernels: there is no backend to pick.
+        let err = parse(&strs(&["--backend", "reference"])).unwrap_err();
+        assert_eq!(err, "unknown flag `--backend`");
         // A non-finite scale is an error; a finite one is clamped into range.
         for bad in ["NaN", "inf", "-inf"] {
             let err = parse(&strs(&["aatb", "--scale", bad])).unwrap_err();
@@ -581,7 +565,7 @@ mod tests {
                 assert!(opts.build_executor().machine().peak_flops > 0.0);
             }
         }
-        // An unknown name is rejected where it enters, like `--backend`.
+        // An unknown name is rejected where it enters.
         let err = parse(&strs(&["chain", "--executor", "quantum"])).unwrap_err();
         assert!(err.contains("unknown executor `quantum`"), "{err}");
     }

@@ -16,7 +16,7 @@
 use super::common::{self, parse_strategy};
 use lamb_expr::Expression;
 use lamb_plan::{FactorCache, Planner};
-use lamb_select::{assign_backends, pinned_backends, Strategy};
+use lamb_select::Strategy;
 use std::sync::Arc;
 
 /// Run the subcommand.
@@ -99,34 +99,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
     println!("  kernels       : {}", chosen.kernel_summary());
     println!("  time          : {:.6} s", outcome.chosen_seconds);
 
-    // Per-call backend assignment over the chosen algorithm: either the
-    // benchmark-driven argmin or a `--backend <name>` pin (ablation).
-    let assignment = match opts.backend {
-        Some(backend) => {
-            println!("backend plan    : pinned to `{backend}` (--backend)");
-            pinned_backends(chosen, executor.as_mut(), backend)
-        }
-        None => {
-            let a = assign_backends(chosen, executor.as_mut());
-            let used: Vec<&str> = a.backends_used().iter().map(|b| b.name()).collect();
-            println!(
-                "backend plan    : {} ({})",
-                if a.is_mixed() { "mixed" } else { "uniform" },
-                used.join(", ")
-            );
-            a
-        }
-    };
-    for choice in &assignment.per_call {
-        println!(
-            "    [{}] {:<34} -> {:<10} {:9.6} s",
-            choice.call_index, choice.label, choice.backend, choice.seconds
-        );
-    }
-    executor.set_backend_assignment(&assignment.backends());
-    let assigned = executor.execute_algorithm(chosen);
-    executor.set_backend_assignment(&[]);
-    println!("  assigned time : {:.6} s", assigned.seconds);
     println!("best achievable : {:.6} s", outcome.best_seconds);
     println!("slowdown vs best: {:.2}%", 100.0 * outcome.regret());
     println!(
@@ -228,31 +200,6 @@ mod tests {
         let mut no_cache = strs(&base);
         no_cache.push("--no-factor-cache".into());
         assert!(run(&no_cache).is_ok());
-    }
-
-    #[test]
-    fn backend_pins_and_the_default_assignment_round_trip() {
-        // A chain whose calls straddle the native/reference crossover: the
-        // default path computes a per-call assignment, and both pins run the
-        // same instance end to end (the --backend ablation).
-        let base = [
-            "--strategy",
-            "predicted",
-            "--expr",
-            "A*B*C",
-            "--dims",
-            "300,300,8,8",
-        ];
-        assert!(run(&strs(&base)).is_ok());
-        for name in ["native", "reference"] {
-            let mut pinned = strs(&base);
-            pinned.extend(["--backend".to_string(), name.to_string()]);
-            assert!(run(&pinned).is_ok(), "--backend {name}");
-        }
-        let mut bogus = strs(&base);
-        bogus.extend(["--backend".to_string(), "quantum".to_string()]);
-        let err = run(&bogus).unwrap_err();
-        assert!(err.contains("unknown backend"), "{err}");
     }
 
     #[test]

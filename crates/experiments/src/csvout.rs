@@ -23,15 +23,33 @@ pub fn write_text(dir: &Path, name: &str, content: &str) -> io::Result<PathBuf> 
 }
 
 /// Build a CSV string from a header and rows of already-formatted cells.
+/// A cell holding a `,`, a `"` or a line break is quoted, its inner quotes
+/// doubled (RFC 4180); every other cell is written as is.
 #[must_use]
 pub fn csv_from_rows(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = header.join(",");
-    out.push('\n');
+    let mut out = String::new();
+    push_row(&mut out, header.iter().copied());
     for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
+        push_row(&mut out, row.iter().map(String::as_str));
     }
     out
+}
+
+/// Append one line of cells to `out`.
+fn push_row<'a>(out: &mut String, cells: impl Iterator<Item = &'a str>) {
+    for (i, cell) in cells.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if cell.contains([',', '"', '\n', '\r']) {
+            out.push('"');
+            out.push_str(&cell.replace('"', "\"\""));
+            out.push('"');
+        } else {
+            out.push_str(cell);
+        }
+    }
+    out.push('\n');
 }
 
 #[cfg(test)]
@@ -45,6 +63,25 @@ mod tests {
             &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
         );
         assert_eq!(csv, "a,b\n1,2\n3,4\n");
+    }
+
+    #[test]
+    fn cells_with_separators_quotes_or_line_breaks_are_quoted() {
+        let csv = csv_from_rows(
+            &["name", "n"],
+            &[
+                vec!["Algorithm 2: ((A B) C) [gemm,gemm]".into(), "3".into()],
+                vec!["say \"hi\"".into(), "two\nlines".into()],
+                vec!["plain text".into(), String::new()],
+            ],
+        );
+        assert_eq!(
+            csv,
+            "name,n\n\
+             \"Algorithm 2: ((A B) C) [gemm,gemm]\",3\n\
+             \"say \"\"hi\"\"\",\"two\nlines\"\n\
+             plain text,\n"
+        );
     }
 
     #[test]

@@ -1,22 +1,20 @@
-//! Kernel backends: interchangeable implementations of the kernel vocabulary
-//! ([`KernelOp`]) the planner can choose between *per call*.
-//!
-//! The paper's discriminant question — "which algorithm is fastest?" — has a
-//! second axis in any real library: which *implementation* of each kernel
-//! runs. A [`Backend`] binds a [`KernelOp`] plus its input matrices to one
-//! concrete implementation:
+//! Kernel backends: implementations of the kernel vocabulary ([`KernelOp`])
+//! on owned matrices. A [`Backend`] binds an op plus its input matrices to
+//! one concrete implementation:
 //!
 //! * [`NativeBackend`] is the one `match` from an op to the blocked, packed,
-//!   Rayon-parallel view-level kernels of this crate;
+//!   Rayon-parallel view-level kernels of this crate. Every plan runs on it:
+//!   which *algorithm* is fastest is the only choice the planner makes.
 //! * [`ReferenceBackend`] runs straight-loop naive kernels for the BLAS-3
 //!   multiplication family — no packing, no blocking, no parallel runtime —
-//!   and is the oracle the native kernels are tested against.
+//!   and is the oracle the native kernels are tested against. Nothing plans
+//!   on it: it is 8–17× slower at every measured order
+//!   (`BENCH_kernels.json`).
 //!
 //! Factorisations (POTRF/GETRF/QR), reflector application and the zero-FLOP
 //! packed-factor movers have a single shared implementation: the reference
-//! backend delegates them to the native one, so *every* backend supports the
-//! full vocabulary and a `--backend` pin can execute any algorithm
-//! end-to-end.
+//! backend delegates them to the native one, so both backends execute the
+//! full vocabulary and a whole algorithm can be run on the oracle.
 //!
 //! Both backends check a call's operands against the op's claimed
 //! dimensions ([`KernelOp::input_shapes`], [`KernelOp::output_shape`]) before
@@ -35,79 +33,13 @@ use crate::syrk::syrk;
 use crate::trmm::{trmm, trmm_naive};
 use crate::trsm::{trsm, trsm_naive};
 use lamb_matrix::{Matrix, MatrixError, Result, Side, Trans, Uplo};
-use std::sync::Arc;
 
-/// Name of the default blocked-driver backend.
-pub const NATIVE_BACKEND_NAME: &str = "native";
-
-/// Name of the naive straight-loop backend.
-pub const REFERENCE_BACKEND_NAME: &str = "reference";
-
-/// Identifies one of the backends this build ships — what a plan carries per
-/// call. The string form ([`BackendId::name`]) is the key calibration data is
-/// stored under and what `lamb select --backend <name>` parses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum BackendId {
-    /// [`NativeBackend`].
-    Native,
-    /// [`ReferenceBackend`].
-    Reference,
-}
-
-impl BackendId {
-    /// Every backend this build ships, native first.
-    pub const ALL: [BackendId; 2] = [BackendId::Native, BackendId::Reference];
-
-    /// The backend's stable name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendId::Native => NATIVE_BACKEND_NAME,
-            BackendId::Reference => REFERENCE_BACKEND_NAME,
-        }
-    }
-
-    /// The backend with this stable name, if this build ships one.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<BackendId> {
-        BackendId::ALL.into_iter().find(|id| id.name() == name)
-    }
-
-    /// The implementation this id names.
-    #[must_use]
-    pub fn backend(self) -> Arc<dyn Backend> {
-        match self {
-            BackendId::Native => Arc::new(NativeBackend),
-            BackendId::Reference => Arc::new(ReferenceBackend),
-        }
-    }
-}
-
-impl std::fmt::Display for BackendId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.pad(self.name())
-    }
-}
-
-/// An interchangeable implementation of the kernel vocabulary.
+/// An implementation of the kernel vocabulary.
 ///
 /// Object safe: the measured executor holds an `Arc<dyn Backend>` and runs
-/// whichever backend the plan chose for each call.
+/// every call through it — [`NativeBackend`] unless the executor was built
+/// around the [`ReferenceBackend`] oracle.
 pub trait Backend: Send + Sync + std::fmt::Debug {
-    /// Which registered backend this is.
-    fn id(&self) -> BackendId;
-
-    /// Stable name of this backend — the key its calibration data is stored
-    /// under and what `lamb select --backend <name>` pins.
-    fn name(&self) -> &'static str {
-        self.id().name()
-    }
-
-    /// Whether this backend can execute the given operation. Honest by
-    /// contract: `supports(op)` implies [`Backend::run_into`] succeeds on
-    /// well-shaped operands.
-    fn supports(&self, op: &KernelOp) -> bool;
-
     /// Execute `op` over `inputs` into `out` (already allocated at the op's
     /// output shape). Input order follows [`KernelOp::input_shapes`]: the
     /// structured operand (triangle, symmetric operand, packed factor)
@@ -178,20 +110,12 @@ fn check_operands(op: &KernelOp, inputs: &[&Matrix], out: &Matrix) -> Result<()>
     Ok(())
 }
 
-/// The blocked, packed, Rayon-parallel kernels of this crate — the default
-/// backend, and the one the store's top-level calibration tables describe.
+/// The blocked, packed, Rayon-parallel kernels of this crate — the backend
+/// every plan runs on and every calibration table describes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NativeBackend;
 
 impl Backend for NativeBackend {
-    fn id(&self) -> BackendId {
-        BackendId::Native
-    }
-
-    fn supports(&self, _op: &KernelOp) -> bool {
-        true
-    }
-
     fn run_into(
         &self,
         op: &KernelOp,
@@ -281,22 +205,11 @@ impl Backend for NativeBackend {
 ///
 /// Deliberately *not* a slowed-down copy of the native backend: the naive
 /// loops skip packing, blocking and the parallel runtime entirely, which
-/// makes them an independent oracle for the blocked kernels. They are also
-/// the slower implementation at every measured order (8–17× at n = 16–64,
-/// `BENCH_kernels.json`), so per-call backend selection settles on `native`
-/// in practice.
+/// makes them an independent oracle for the blocked kernels.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReferenceBackend;
 
 impl Backend for ReferenceBackend {
-    fn id(&self) -> BackendId {
-        BackendId::Reference
-    }
-
-    fn supports(&self, _op: &KernelOp) -> bool {
-        true
-    }
-
     fn run_into(
         &self,
         op: &KernelOp,
@@ -437,23 +350,14 @@ fn symm_reference(
     Ok(())
 }
 
-/// Look up a backend by its stable name.
-#[must_use]
-pub fn backend_by_name(name: &str) -> Option<Arc<dyn Backend>> {
-    BackendId::from_name(name).map(BackendId::backend)
-}
-
-/// Every backend this build ships, native first.
-#[must_use]
-pub fn all_backends() -> Vec<Arc<dyn Backend>> {
-    BackendId::ALL.into_iter().map(BackendId::backend).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lamb_matrix::ops::max_abs_diff;
     use lamb_matrix::random::{random_seeded, random_spd, random_triangular};
+    use lamb_matrix::Structure;
+
+    const BOTH: [&dyn Backend; 2] = [&NativeBackend, &ReferenceBackend];
 
     fn run(backend: &dyn Backend, op: &KernelOp, inputs: &[&Matrix]) -> Matrix {
         backend
@@ -584,38 +488,28 @@ mod tests {
 
     #[test]
     fn both_backends_support_the_full_vocabulary() {
-        let ops = [
-            KernelOp::Gemm {
-                transa: Trans::No,
-                transb: Trans::No,
-                m: 4,
-                n: 4,
-                k: 4,
-            },
-            KernelOp::Trsm {
-                side: Side::Right,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m: 4,
-                n: 4,
-            },
-            KernelOp::PivotApply {
-                side: Side::Right,
-                m: 4,
-                n: 4,
-            },
-            KernelOp::Qr { m: 6, n: 4 },
-        ];
-        for op in &ops {
-            assert!(NativeBackend.supports(op));
-            assert!(ReferenceBackend.supports(op));
+        // Every op, on operands built from its own declared input shapes,
+        // runs on both backends, and the two agree.
+        let cfg = BlockConfig::default();
+        for op in KernelOp::examples(6) {
+            let inputs: Vec<Matrix> = op
+                .input_shapes()
+                .enumerate()
+                .map(|(i, (rows, cols, structure))| {
+                    let seed = 20 + i as u64;
+                    match structure {
+                        Structure::Triangular(uplo) => random_triangular(rows, uplo, seed),
+                        Structure::Spd => random_spd(rows, seed),
+                        Structure::General => random_seeded(rows, cols, seed),
+                    }
+                })
+                .collect();
+            let refs: Vec<&Matrix> = inputs.iter().collect();
+            let native = NativeBackend.run_new(&op, &refs, &cfg).unwrap();
+            let reference = ReferenceBackend.run_new(&op, &refs, &cfg).unwrap();
+            assert_eq!(native.shape(), op.output_shape(), "{op}");
+            assert!(max_abs_diff(&native, &reference).unwrap() <= 1e-10, "{op}");
         }
-        assert_eq!(NativeBackend.name(), "native");
-        assert_eq!(ReferenceBackend.name(), "reference");
-        assert!(backend_by_name("native").is_some());
-        assert!(backend_by_name("reference").is_some());
-        assert!(backend_by_name("mkl").is_none());
-        assert_eq!(all_backends().len(), 2);
     }
 
     #[test]
@@ -629,8 +523,8 @@ mod tests {
             m: 0,
             n: 5,
         };
-        for backend in all_backends() {
-            let out = run(backend.as_ref(), &op, &[&empty, &b]);
+        for backend in BOTH {
+            let out = run(backend, &op, &[&empty, &b]);
             assert_eq!(out.shape(), (0, 5));
         }
     }
@@ -649,7 +543,7 @@ mod tests {
         let cfg = BlockConfig::default();
         let mut out = Matrix::zeros(4, 5);
         let mut small_out = Matrix::zeros(2, 2);
-        for backend in all_backends() {
+        for backend in BOTH {
             // Operands that disagree with each other.
             assert!(backend.run_into(&op, &[&bad, &b], &mut out, &cfg).is_err());
             // Operands that conform with each other but not with the op's

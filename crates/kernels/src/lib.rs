@@ -96,10 +96,7 @@ pub mod timing;
 pub mod trmm;
 pub mod trsm;
 
-pub use backend::{
-    all_backends, backend_by_name, Backend, BackendId, NativeBackend, ReferenceBackend,
-    NATIVE_BACKEND_NAME, REFERENCE_BACKEND_NAME,
-};
+pub use backend::{Backend, NativeBackend, ReferenceBackend};
 pub use cache::CacheFlusher;
 pub use config::{BlockConfig, TileVariant, MAX_TILE_ACC};
 pub use driver::{pack_buffer_growth_events, BlockedDriver};

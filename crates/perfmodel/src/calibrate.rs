@@ -136,13 +136,11 @@ pub fn measure_square_profiles(executor: &mut dyn Executor, sizes: &[usize]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::efficiency::{AnalyticEfficiencyModel, EfficiencyModel};
+    use crate::efficiency::AnalyticEfficiencyModel;
     use crate::machine::MachineModel;
     use crate::simulate::SimulatedExecutor;
     use crate::store::{CalibrationStore, StoreMeta, TunedConfig};
-    use lamb_kernels::{
-        Backend, BackendId, FieldValue, NativeBackend, ReferenceBackend, TileVariant,
-    };
+    use lamb_kernels::{Backend, FieldValue, NativeBackend, ReferenceBackend, TileVariant};
     use lamb_matrix::ops::{is_triangular, max_abs_diff};
     use lamb_matrix::random::{random_spd, random_triangular};
     use lamb_matrix::{Matrix, Side, Structure, Trans, Uplo};
@@ -309,8 +307,8 @@ mod tests {
     }
 
     /// A store touching every section of the v6 document: every op of
-    /// `vocabulary_ops(7)` in the native table, fixed timestamps, a profile,
-    /// a tuned configuration and a `reference` backend section.
+    /// `vocabulary_ops(7)` in the call table, fixed timestamps, a profile and
+    /// a tuned configuration.
     fn golden_store() -> CalibrationStore {
         let mut store = CalibrationStore::new(MachineModel::paper_xeon_silver_4210(), "simulated");
         store.meta = StoreMeta {
@@ -339,35 +337,165 @@ mod tests {
             },
             gflops: 100.0 / 7.0,
         });
-        let (profiles, calls) = store.backend_tables_mut(BackendId::Reference);
-        profiles.push(SquareProfile::new("trsm_r", vec![50], vec![0.125]));
-        for (i, op) in KernelOp::examples(5).into_iter().enumerate() {
-            calls.insert(op, 1.0 / (i + 41) as f64);
-        }
         store
     }
+
+    /// The `backends` member a v6 document carried while stores kept
+    /// per-backend tables: the golden document had it last, after `tuned`.
+    const RETIRED_BACKENDS_MEMBER: &str = r#"  "backends": [
+    {
+      "name": "reference",
+      "profiles": [
+        {
+          "kernel": "trsm_r",
+          "sizes": [
+            50
+          ],
+          "efficiencies": [
+            0.125
+          ]
+        }
+      ],
+      "calls": [
+        {
+          "op": "copy",
+          "uplo": "L",
+          "n": 5,
+          "seconds": 0.022727272727272728
+        },
+        {
+          "op": "factortri",
+          "uplo": "L",
+          "n": 5,
+          "seconds": 0.020833333333333332
+        },
+        {
+          "op": "gemm",
+          "m": 5,
+          "n": 5,
+          "k": 5,
+          "seconds": 0.024390243902439025
+        },
+        {
+          "op": "getrf",
+          "n": 5,
+          "seconds": 0.022222222222222223
+        },
+        {
+          "op": "laswp",
+          "side": "L",
+          "m": 5,
+          "n": 5,
+          "seconds": 0.019230769230769232
+        },
+        {
+          "op": "laswp",
+          "side": "R",
+          "m": 5,
+          "n": 5,
+          "seconds": 0.017857142857142856
+        },
+        {
+          "op": "ormqr",
+          "m": 5,
+          "n": 5,
+          "k": 1,
+          "seconds": 0.02127659574468085
+        },
+        {
+          "op": "potrf",
+          "uplo": "L",
+          "n": 5,
+          "seconds": 0.023255813953488372
+        },
+        {
+          "op": "qr",
+          "m": 5,
+          "n": 5,
+          "seconds": 0.021739130434782608
+        },
+        {
+          "op": "symm",
+          "side": "L",
+          "uplo": "L",
+          "m": 5,
+          "n": 5,
+          "seconds": 0.02040816326530612
+        },
+        {
+          "op": "symm",
+          "side": "R",
+          "uplo": "L",
+          "m": 5,
+          "n": 5,
+          "seconds": 0.018867924528301886
+        },
+        {
+          "op": "syrk",
+          "uplo": "L",
+          "trans": "N",
+          "n": 5,
+          "k": 5,
+          "seconds": 0.023809523809523808
+        },
+        {
+          "op": "trmm",
+          "side": "L",
+          "uplo": "L",
+          "m": 5,
+          "n": 5,
+          "seconds": 0.02
+        },
+        {
+          "op": "trmm",
+          "side": "R",
+          "uplo": "L",
+          "m": 5,
+          "n": 5,
+          "seconds": 0.018518518518518517
+        },
+        {
+          "op": "trsm",
+          "side": "L",
+          "uplo": "L",
+          "m": 5,
+          "n": 5,
+          "seconds": 0.0196078431372549
+        },
+        {
+          "op": "trsm",
+          "side": "R",
+          "uplo": "L",
+          "m": 5,
+          "n": 5,
+          "seconds": 0.01818181818181818
+        }
+      ]
+    }
+  ]"#;
 
     #[test]
     fn the_v6_document_is_byte_identical_to_the_golden_fixture() {
         // Recorded at 51b8032, before the per-op JSON arms became one generic
         // writer and reader over `KernelOp::fields`: the format must not move.
+        // Its `backends` member has since been retired; a document that still
+        // carries it is the golden text with the member spliced back in, and
+        // it must read to the same store and write back as the golden text.
         let golden = include_str!("../tests/fixtures/store_v6_all_ops.json");
         let store = golden_store();
         assert_eq!(store.to_json(), golden);
-        let back = CalibrationStore::from_json(golden).unwrap();
-        assert_eq!(back.to_json(), golden);
-        assert_eq!(back.meta, store.meta);
-        assert_eq!(back.machine, store.machine);
-        assert_eq!(back.tuned, store.tuned);
-        for backend in [BackendId::Native, BackendId::Reference] {
-            let (written, read) = (
-                store.backend_calls(backend).unwrap(),
-                back.backend_calls(backend).unwrap(),
-            );
-            assert_eq!(written.len(), read.len());
-            for (op, seconds) in written.entries() {
+        let body = golden.strip_suffix("\n}\n").unwrap();
+        let with_backends = format!("{body},\n{RETIRED_BACKENDS_MEMBER}\n}}\n");
+        for text in [golden, with_backends.as_str()] {
+            let back = CalibrationStore::from_json(text).unwrap();
+            assert_eq!(back.to_json(), golden);
+            assert_eq!(back.meta, store.meta);
+            assert_eq!(back.machine, store.machine);
+            assert_eq!(back.tuned, store.tuned);
+            assert_eq!(back.calls.len(), store.calls.len());
+            for (op, seconds) in store.calls.entries() {
                 assert_eq!(
-                    read.get(op).map(f64::to_bits),
+                    back.calls.get(op).map(f64::to_bits),
                     Some(seconds.to_bits()),
                     "{op}"
                 );

@@ -28,25 +28,6 @@ fn ramp(x: usize, half: f64) -> f64 {
     x / (x + half)
 }
 
-/// A kernel-efficiency model: maps a kernel call (with its dimensions) to an
-/// efficiency in `(0, 1]`.
-pub trait EfficiencyModel: Send + Sync {
-    /// Efficiency of the given operation.
-    fn efficiency(&self, op: &KernelOp) -> f64;
-
-    /// Efficiency of GEMM on square operands of the given order — the curve
-    /// plotted in the paper's Figure 1.
-    fn square_gemm_efficiency(&self, size: usize) -> f64 {
-        self.efficiency(&KernelOp::Gemm {
-            transa: lamb_matrix::Trans::No,
-            transb: lamb_matrix::Trans::No,
-            m: size,
-            n: size,
-            k: size,
-        })
-    }
-}
-
 /// Parameters of the analytic ramp/plateau efficiency surfaces.
 ///
 /// GEMM has its own absolute surface; every other compute kernel is one
@@ -140,6 +121,19 @@ impl AnalyticEfficiencyModel {
         }
     }
 
+    /// Efficiency of GEMM on square operands of the given order — the curve
+    /// plotted in the paper's Figure 1.
+    #[must_use]
+    pub fn square_gemm_efficiency(&self, size: usize) -> f64 {
+        self.efficiency(&KernelOp::Gemm {
+            transa: lamb_matrix::Trans::No,
+            transb: lamb_matrix::Trans::No,
+            m: size,
+            n: size,
+            k: size,
+        })
+    }
+
     /// The GEMM efficiency surface (including variant switches).
     #[must_use]
     pub fn gemm_efficiency(&self, m: usize, n: usize, k: usize) -> f64 {
@@ -194,10 +188,10 @@ impl AnalyticEfficiencyModel {
         }
         self.gemm_efficiency(m, n, k) * (base + gain * ramp(order, half)) * variant
     }
-}
 
-impl EfficiencyModel for AnalyticEfficiencyModel {
-    fn efficiency(&self, op: &KernelOp) -> f64 {
+    /// Efficiency of the given operation, in `(0, 1]`.
+    #[must_use]
+    pub fn efficiency(&self, op: &KernelOp) -> f64 {
         // The sided kernels depend on the structured order and the width of
         // the rectangular operand, whichever side the structured operand
         // multiplies from: the right-side surfaces mirror the left ones.
@@ -222,62 +216,6 @@ impl EfficiencyModel for AnalyticEfficiencyModel {
             | KernelOp::PivotApply { .. } => 1.0,
         };
         e.clamp(1.0e-4, 1.0)
-    }
-}
-
-/// Efficiency surface of the *reference* backend
-/// ([`crate::ReferenceBackend`]): unblocked scalar loops for the BLAS-3
-/// multiplication family, everything else delegated to the native blocked
-/// kernels.
-///
-/// The naive loops have no packing, no dispatch and no threading overhead, so
-/// at very small operands they *beat* the blocked path (whose efficiency
-/// collapses under its fixed costs there) — but they never block for cache,
-/// so their rate decays towards a low memory-bound floor as the operands
-/// outgrow it. That real crossover is what per-call backend selection
-/// exploits: a plan can route a tiny triangular update through the reference
-/// loops while the large trailing GEMM stays on the native backend.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReferenceEfficiencyModel {
-    /// The native surface used for the delegated kernels (factorisations and
-    /// data movement, which the reference backend runs natively anyway).
-    pub native: AnalyticEfficiencyModel,
-    /// Asymptotic (cache-thrashing) efficiency of the scalar loops.
-    pub floor: f64,
-    /// Extra efficiency at vanishing size, where the absence of packing and
-    /// dispatch overhead dominates.
-    pub small_gain: f64,
-    /// Half-decay work order of the small-size advantage.
-    pub half: f64,
-}
-
-impl Default for ReferenceEfficiencyModel {
-    fn default() -> Self {
-        ReferenceEfficiencyModel {
-            native: AnalyticEfficiencyModel::default(),
-            floor: 0.008,
-            small_gain: 0.052,
-            half: 200.0,
-        }
-    }
-}
-
-impl EfficiencyModel for ReferenceEfficiencyModel {
-    fn efficiency(&self, op: &KernelOp) -> f64 {
-        match op {
-            KernelOp::Gemm { .. }
-            | KernelOp::Syrk { .. }
-            | KernelOp::Symm { .. }
-            | KernelOp::Trmm { .. }
-            | KernelOp::Trsm { .. } => {
-                // One flat surface in the *work order* (the cube root of the
-                // multiply-add count): scalar loops have no shape-dependent
-                // blocking, so only the total volume of work matters.
-                let order = ((op.flops().max(2) as f64) / 2.0).cbrt();
-                (self.floor + self.small_gain * self.half / (order + self.half)).clamp(1.0e-4, 1.0)
-            }
-            _ => self.native.efficiency(op),
-        }
     }
 }
 
@@ -639,33 +577,5 @@ mod tests {
             alg4 < alg1 * 0.9,
             "alg4 should be >10% faster: alg1 {alg1}, alg4 {alg4}"
         );
-    }
-
-    #[test]
-    fn reference_surface_crosses_the_native_surface_at_small_sizes() {
-        // The backend-selection premise: the scalar reference loops win on
-        // tiny operands (no packing/dispatch overhead) and lose decisively on
-        // large ones (no cache blocking). Time ∝ flops/eff at equal FLOPs, so
-        // comparing efficiencies compares times.
-        let native = AnalyticEfficiencyModel::default();
-        let reference = ReferenceEfficiencyModel::default();
-        assert!(
-            reference.efficiency(&gemm_op(12, 12, 12)) > native.efficiency(&gemm_op(12, 12, 12))
-        );
-        assert!(
-            native.efficiency(&gemm_op(400, 400, 400))
-                > 4.0 * reference.efficiency(&gemm_op(400, 400, 400))
-        );
-        // The delegated family is priced exactly like the native backend.
-        let potrf = KernelOp::Potrf {
-            uplo: Uplo::Lower,
-            n: 90,
-        };
-        assert_eq!(reference.efficiency(&potrf), native.efficiency(&potrf));
-        // Bounded everywhere.
-        for order in [1usize, 8, 64, 512, 4096] {
-            let e = reference.efficiency(&gemm_op(order, order, order));
-            assert!(e > 0.0 && e <= 1.0);
-        }
     }
 }

@@ -5,7 +5,6 @@
 use crate::machine::MachineModel;
 use crate::reuse::{FactorCache, ReuseReport};
 use lamb_expr::{Algorithm, KernelCall};
-use lamb_kernels::BackendId;
 
 /// The time attributed to one kernel call of an algorithm.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,36 +105,6 @@ pub trait Executor: Send {
     /// Time a single call of the algorithm in isolation with a cold cache
     /// (the paper's Experiment 3 benchmarks).
     fn time_isolated_call(&mut self, alg: &Algorithm, call_index: usize) -> f64;
-
-    /// The kernel-implementation backends this executor can attribute
-    /// distinct times to. The first is the default backend; executors with a
-    /// single implementation report just `[Native]`.
-    fn backends(&self) -> Vec<BackendId> {
-        vec![BackendId::Native]
-    }
-
-    /// Time a single call in isolation under the given backend. Executors
-    /// that cannot distinguish backends report the default backend's time,
-    /// so callers can probe every id from [`Executor::backends`] uniformly.
-    fn time_isolated_call_on(
-        &mut self,
-        alg: &Algorithm,
-        call_index: usize,
-        backend: BackendId,
-    ) -> f64 {
-        let _ = backend;
-        self.time_isolated_call(alg, call_index)
-    }
-
-    /// Install a per-call backend assignment — one id per call of the next
-    /// executed algorithm, in call order — that subsequent whole-algorithm
-    /// executions should honour: how a plan's backend choices reach the
-    /// kernels. Calls beyond the slice run on the default backend, so an
-    /// empty slice clears the assignment. Executors with a single
-    /// implementation ignore it.
-    fn set_backend_assignment(&mut self, assignment: &[BackendId]) {
-        let _ = assignment;
-    }
 
     /// Execute the algorithm against a store of already-computed factors:
     /// calls whose result is resident in `store` may be skipped (their value

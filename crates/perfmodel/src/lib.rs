@@ -45,18 +45,15 @@ pub use autotune::{
 pub use calibrate::{
     estimate_peak_flops, measure_square_profiles, single_call_algorithm, SQUARE_SWEEP_KERNELS,
 };
-pub use efficiency::{AnalyticEfficiencyModel, EfficiencyModel, ReferenceEfficiencyModel};
+pub use efficiency::AnalyticEfficiencyModel;
 pub use executor::{AlgorithmTiming, CallTiming, Executor};
-pub use lamb_kernels::backend::{
-    all_backends, backend_by_name, Backend, BackendId, NativeBackend, ReferenceBackend,
-    NATIVE_BACKEND_NAME, REFERENCE_BACKEND_NAME,
-};
+pub use lamb_kernels::backend::{Backend, NativeBackend, ReferenceBackend};
 pub use machine::MachineModel;
 pub use measured::MeasuredExecutor;
 pub use profile::{CallTimeTable, SquareProfile};
 pub use reuse::{FactorCache, ReuseReport};
 pub use simulate::{SimulatedExecutor, SimulatorConfig};
 pub use store::{
-    kernel_coverage_key, BackendCalibration, CalibrationStore, StalenessWarning, StoreError,
-    StoreMeta, TunedConfig, EXPECTED_KERNELS, STORE_FORMAT_VERSION,
+    kernel_coverage_key, CalibrationStore, StalenessWarning, StoreError, StoreMeta, TunedConfig,
+    EXPECTED_KERNELS, STORE_FORMAT_VERSION,
 };

@@ -7,7 +7,7 @@ use crate::executor::{AlgorithmTiming, Executor};
 use crate::machine::MachineModel;
 use crate::reuse::{cacheable_keys, FactorCache, ReuseReport};
 use lamb_expr::{Algorithm, KernelCall, KernelOp, OperandId, OperandInfo, OperandRole};
-use lamb_kernels::{Backend, BackendId, BlockConfig, CacheFlusher, NativeBackend, TimingResult};
+use lamb_kernels::{Backend, BlockConfig, CacheFlusher, NativeBackend, TimingResult};
 use lamb_matrix::ops::{is_symmetric, is_triangular};
 use lamb_matrix::random::{random_seeded, random_spd, random_triangular};
 use lamb_matrix::{Matrix, Structure};
@@ -33,9 +33,6 @@ pub struct MeasuredExecutor {
     flusher: Option<CacheFlusher>,
     seed: u64,
     backend: Arc<dyn Backend>,
-    /// Per-call overrides of `backend`, in call order (see
-    /// [`Executor::set_backend_assignment`]).
-    call_backends: Vec<BackendId>,
 }
 
 impl MeasuredExecutor {
@@ -56,7 +53,6 @@ impl MeasuredExecutor {
             },
             seed: 42,
             backend: Arc::new(NativeBackend),
-            call_backends: Vec::new(),
         }
     }
 
@@ -79,18 +75,13 @@ impl MeasuredExecutor {
         self
     }
 
-    /// Run every kernel call through the given backend (the default is the
-    /// blocked native backend) — what a `--backend <name>` pin constructs.
+    /// Run every kernel call through the given backend instead of the
+    /// blocked native one — how a result is recomputed on the
+    /// [`lamb_kernels::ReferenceBackend`] oracle.
     #[must_use]
     pub fn with_backend(mut self, backend: Arc<dyn Backend>) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// The backend calls run through when no per-call override applies.
-    #[must_use]
-    pub fn backend(&self) -> &Arc<dyn Backend> {
-        &self.backend
     }
 
     /// Number of repetitions per measurement.
@@ -153,7 +144,7 @@ impl MeasuredExecutor {
     ///
     /// Panics if the algorithm references operands it does not declare or if
     /// kernel shape checks fail — both indicate a malformed algorithm.
-    fn run_call(&self, index: usize, call: &KernelCall, operands: &mut Operands) {
+    fn run_call(&self, call: &KernelCall, operands: &mut Operands) {
         let mut shared_out = operands
             .remove(&call.output)
             .expect("output operand must be allocated");
@@ -183,9 +174,7 @@ impl MeasuredExecutor {
                 "SPD operand of potrf is not exactly symmetric"
             );
         }
-        let assigned = self.call_backends.get(index).map(|id| id.backend());
-        let backend = assigned.as_ref().unwrap_or(&self.backend);
-        backend
+        self.backend
             .run_into(&call.op, &inputs, out, &self.cfg)
             .expect("kernel shapes consistent (TRSM nonsingular, POTRF positive definite)");
         operands.insert(call.output, shared_out);
@@ -218,7 +207,7 @@ impl MeasuredExecutor {
             }
             Self::allocate_missing(alg, call, operands, |info| self.fresh_operand(alg, info));
             let start = Instant::now();
-            self.run_call(i, call, operands);
+            self.run_call(call, operands);
             let seconds = start.elapsed().as_secs_f64();
             if let Some((store, key)) = key {
                 // The deposit is a snapshot: a later in-place copy writes to
@@ -364,37 +353,10 @@ impl Executor for MeasuredExecutor {
                 flusher.flush();
             }
             let start = Instant::now();
-            self.run_call(call_index, call, &mut operands);
+            self.run_call(call, &mut operands);
             samples.push(start.elapsed().as_secs_f64());
         }
         TimingResult { samples }.median()
-    }
-
-    fn backends(&self) -> Vec<BackendId> {
-        // Default backend first, then every other registered backend.
-        let default = self.backend.id();
-        let others = BackendId::ALL.into_iter().filter(|&id| id != default);
-        std::iter::once(default).chain(others).collect()
-    }
-
-    fn time_isolated_call_on(
-        &mut self,
-        alg: &Algorithm,
-        call_index: usize,
-        backend: BackendId,
-    ) -> f64 {
-        // Swap in the requested backend (and suspend per-call overrides, which
-        // would shadow it) for the duration of the measurement.
-        let saved_backend = std::mem::replace(&mut self.backend, backend.backend());
-        let saved_overrides = std::mem::take(&mut self.call_backends);
-        let seconds = self.time_isolated_call(alg, call_index);
-        self.backend = saved_backend;
-        self.call_backends = saved_overrides;
-        seconds
-    }
-
-    fn set_backend_assignment(&mut self, assignment: &[BackendId]) {
-        self.call_backends = assignment.to_vec();
     }
 }
 
@@ -802,24 +764,10 @@ mod tests {
         let algs = expr.algorithms(&[20, 14, 9]).unwrap();
         let native = tiny_executor();
         let reference = tiny_executor().with_backend(Arc::new(ReferenceBackend));
-        assert_eq!(reference.backend().name(), "reference");
         for alg in &algs {
             let a = native.compute_result(alg);
             let b = reference.compute_result(alg);
             assert!(max_abs_diff(&a, &b).unwrap() < 1e-9, "{}", alg.name);
         }
-    }
-
-    #[test]
-    fn per_call_backend_overrides_execute_and_preserve_numerics() {
-        let alg = &algorithms_of("A*B*C*D", &[18, 14, 10, 8, 6])[0];
-        let expected = tiny_executor().compute_result(alg);
-        let mut mixed = tiny_executor();
-        // Route only the first call through the reference backend.
-        mixed.set_backend_assignment(&[BackendId::Reference]);
-        let got = mixed.compute_result(alg);
-        assert!(max_abs_diff(&expected, &got).unwrap() < 1e-9);
-        let timing = mixed.execute_algorithm(alg);
-        assert!(timing.seconds > 0.0);
     }
 }

@@ -20,12 +20,11 @@
 //! run and instance-to-instance measurement variability without breaking
 //! reproducibility.
 
-use crate::efficiency::{AnalyticEfficiencyModel, EfficiencyModel, ReferenceEfficiencyModel};
+use crate::efficiency::AnalyticEfficiencyModel;
 use crate::executor::{AlgorithmTiming, Executor};
 use crate::machine::MachineModel;
 use crate::reuse::{cacheable_keys, FactorCache, ReuseReport};
 use lamb_expr::{Algorithm, KernelCall, KernelOp};
-use lamb_kernels::BackendId;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -75,11 +74,6 @@ pub struct SimulatedExecutor {
     machine: MachineModel,
     model: AnalyticEfficiencyModel,
     config: SimulatorConfig,
-    /// Surface standing in for the naive reference backend, so the simulator
-    /// can attribute distinct times per backend like the measured executor.
-    reference: ReferenceEfficiencyModel,
-    /// Per-call backend assignment honoured by whole-algorithm execution.
-    backend_assignment: Vec<BackendId>,
 }
 
 impl SimulatedExecutor {
@@ -116,8 +110,6 @@ impl SimulatedExecutor {
             machine,
             model,
             config,
-            reference: ReferenceEfficiencyModel::default(),
-            backend_assignment: Vec::new(),
         }
     }
 
@@ -127,9 +119,8 @@ impl SimulatedExecutor {
         &self.config
     }
 
-    /// Base (noise-free, isolation) time of a single call under a given
-    /// efficiency surface.
-    fn base_call_time_for(&self, call: &KernelCall, model: &dyn EfficiencyModel) -> f64 {
+    /// Base (noise-free, isolation) time of a single call.
+    fn base_call_time(&self, call: &KernelCall) -> f64 {
         let t = match call.op {
             KernelOp::CopyTriangle { n, .. } => {
                 // Read one triangle, write the other: n(n-1)/2 elements each way.
@@ -138,26 +129,11 @@ impl SimulatedExecutor {
                 bytes / self.machine.mem_bandwidth
             }
             _ => {
-                let eff = model.efficiency(&call.op);
+                let eff = self.model.efficiency(&call.op);
                 self.machine.time_at_efficiency(call.flops(), eff)
             }
         };
         t + self.config.per_call_overhead
-    }
-
-    /// Base (noise-free, isolation) time of a single call under the default
-    /// (native) surface.
-    fn base_call_time(&self, call: &KernelCall) -> f64 {
-        self.base_call_time_for(call, &self.model)
-    }
-
-    /// The efficiency surface attributed to call `index` by the current
-    /// backend assignment.
-    fn call_model(&self, index: usize) -> &dyn EfficiencyModel {
-        match self.backend_assignment.get(index) {
-            Some(BackendId::Reference) => &self.reference,
-            _ => &self.model,
-        }
     }
 
     /// Deterministic multiplicative noise in `[1 - 2σ, 1 + 2σ]`, keyed by an
@@ -200,8 +176,8 @@ impl SimulatedExecutor {
     }
 
     /// The one walk over an algorithm's calls as a sequence: each call costs
-    /// its base time under its assigned backend's surface, scaled by the
-    /// inter-kernel cache effect and the sequence noise. With a factor store,
+    /// its base time, scaled by the inter-kernel cache effect and the
+    /// sequence noise. With a factor store,
     /// a call whose [cacheable](lamb_expr::is_cacheable_op) result is
     /// resident costs zero seconds (the value would be injected, not
     /// recomputed) and every cacheable result the walk produces is *noted* —
@@ -224,7 +200,7 @@ impl SimulatedExecutor {
             if let Some((store, key)) = key {
                 store.note(key);
             }
-            self.base_call_time_for(call, self.call_model(i))
+            self.base_call_time(call)
                 * self.cache_reuse_factor(alg, i)
                 * self.noise_factor(&call.op, i, "sequence")
         })
@@ -268,30 +244,6 @@ impl Executor for SimulatedExecutor {
         // identical isolated times.
         let call = &alg.calls[call_index];
         self.base_call_time(call) * self.noise_factor(&call.op.timing_key(), 0, "isolated")
-    }
-
-    fn backends(&self) -> Vec<BackendId> {
-        BackendId::ALL.to_vec()
-    }
-
-    fn time_isolated_call_on(
-        &mut self,
-        alg: &Algorithm,
-        call_index: usize,
-        backend: BackendId,
-    ) -> f64 {
-        if backend != BackendId::Reference {
-            return self.time_isolated_call(alg, call_index);
-        }
-        // Same memoisability contract as the native isolated benchmark, under
-        // the reference surface and a backend-distinguishing noise context.
-        let call = &alg.calls[call_index];
-        self.base_call_time_for(call, &self.reference)
-            * self.noise_factor(&call.op.timing_key(), 0, "isolated:reference")
-    }
-
-    fn set_backend_assignment(&mut self, assignment: &[BackendId]) {
-        self.backend_assignment = assignment.to_vec();
     }
 }
 
@@ -433,50 +385,6 @@ mod tests {
         );
         // Reused calls are attributed exactly zero seconds.
         assert!(warm_t.per_call.iter().any(|c| c.seconds == 0.0));
-    }
-
-    #[test]
-    fn backend_timings_cross_over_and_assignments_are_honoured() {
-        use crate::calibrate::single_call_algorithm;
-        use lamb_matrix::Trans;
-        let mut sim = SimulatedExecutor::paper_like();
-        let (native, reference) = (BackendId::Native, BackendId::Reference);
-        assert_eq!(sim.backends(), vec![native, reference]);
-        let square = |n: usize| {
-            single_call_algorithm(KernelOp::Gemm {
-                transa: Trans::No,
-                transb: Trans::No,
-                m: n,
-                n,
-                k: n,
-            })
-        };
-        // Crossover: at tiny sizes the reference (lower overhead per call in
-        // relative efficiency terms) wins; at large sizes native wins big.
-        let small = square(12);
-        assert!(
-            sim.time_isolated_call_on(&small, 0, reference)
-                < sim.time_isolated_call_on(&small, 0, native)
-        );
-        let large = square(400);
-        assert!(
-            sim.time_isolated_call_on(&large, 0, native) * 4.0
-                < sim.time_isolated_call_on(&large, 0, reference)
-        );
-        // The default backend's time is the plain isolated benchmark.
-        assert_eq!(
-            sim.time_isolated_call_on(&large, 0, native),
-            sim.time_isolated_call(&large, 0)
-        );
-        // A per-call assignment changes sequence execution deterministically.
-        let alg = &algorithms_of("A*B*C*D", &[200, 200, 200, 200, 200])[0];
-        let native_t = sim.execute_algorithm(alg);
-        sim.set_backend_assignment(&[reference]);
-        let mixed_t = sim.execute_algorithm(alg);
-        assert!(mixed_t.per_call[0].seconds > native_t.per_call[0].seconds);
-        assert_eq!(mixed_t.per_call[1].seconds, native_t.per_call[1].seconds);
-        sim.set_backend_assignment(&[]);
-        assert_eq!(sim.execute_algorithm(alg), native_t);
     }
 
     #[test]

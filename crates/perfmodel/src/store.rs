@@ -46,7 +46,7 @@ use crate::json::{Json, JsonError};
 use crate::machine::MachineModel;
 use crate::profile::{CallTimeTable, SquareProfile};
 use lamb_expr::KernelOp;
-use lamb_kernels::{BackendId, BlockConfig, FieldValue, TileVariant};
+use lamb_kernels::{BlockConfig, FieldValue, TileVariant};
 use lamb_matrix::Side;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -61,9 +61,10 @@ use std::time::{SystemTime, UNIX_EPOCH};
 /// GETRF/QR/ORMQR/FACTORTRI/LASWP tier, v5 the optional `tuned` section); v6
 /// makes the kernel *side* explicit — SYMM/TRMM/TRSM and LASWP call entries
 /// carry a `side` tag, the sweep covers the right-side variants
-/// `symm_r`/`trmm_r`/`trsm_r` — and adds the optional `backends` section
-/// holding per-backend call tables and profiles for non-default kernel
-/// backends (the top-level `profiles`/`calls` are the `native` backend's).
+/// `symm_r`/`trmm_r`/`trsm_r`. Stores written before the per-call backend
+/// choice was retired may carry an optional `backends` section of
+/// per-backend tables; the reader looks fields up by name, so it loads them
+/// with that section ignored, and this build never writes one.
 pub const STORE_FORMAT_VERSION: u64 = 6;
 
 /// Magic string identifying a calibration-store document.
@@ -197,21 +198,6 @@ pub struct TunedConfig {
     pub gflops: f64,
 }
 
-/// Calibration data for one non-default kernel backend (format v6): the
-/// same profile curves and isolated-call table the store keeps at top level
-/// for the `native` backend, attributed to another [`crate::Backend`]
-/// implementation so per-call backend selection can compare measured times.
-#[derive(Debug, Clone)]
-pub struct BackendCalibration {
-    /// The backend (written to disk by name); the `native` backend's data
-    /// lives in the store's top-level `profiles`/`calls` instead.
-    pub backend: BackendId,
-    /// Square-operand efficiency curves measured through this backend.
-    pub profiles: Vec<SquareProfile>,
-    /// Isolated-call benchmark times measured through this backend.
-    pub calls: CallTimeTable,
-}
-
 /// Persistent calibration data for one machine + executor + block
 /// configuration. See the [module docs](self) for the format contract.
 #[derive(Debug, Clone)]
@@ -220,17 +206,12 @@ pub struct CalibrationStore {
     pub meta: StoreMeta,
     /// The machine the times were measured (or simulated) on.
     pub machine: MachineModel,
-    /// Square-operand efficiency curves, one per kernel (Figure 1 data),
-    /// measured through the default (`native`) backend.
+    /// Square-operand efficiency curves, one per kernel (Figure 1 data).
     pub profiles: Vec<SquareProfile>,
-    /// Isolated-call benchmark times keyed by canonical timing key,
-    /// measured through the default (`native`) backend.
+    /// Isolated-call benchmark times keyed by canonical timing key.
     pub calls: CallTimeTable,
     /// The autotuned block configuration, when a `--autotune` sweep has run.
     pub tuned: Option<TunedConfig>,
-    /// Per-backend tables for non-default backends (empty for
-    /// single-backend sweeps).
-    pub backends: Vec<BackendCalibration>,
 }
 
 /// Current Unix time in seconds (0 if the clock is before the epoch).
@@ -260,94 +241,7 @@ impl CalibrationStore {
             profiles: Vec::new(),
             calls: CallTimeTable::new(),
             tuned: None,
-            backends: Vec::new(),
         }
-    }
-
-    /// The isolated-call table of a backend: the top-level table for
-    /// `native`, the matching `backends` section otherwise.
-    #[must_use]
-    pub fn backend_calls(&self, backend: BackendId) -> Option<&CallTimeTable> {
-        if backend == BackendId::Native {
-            Some(&self.calls)
-        } else {
-            self.backends
-                .iter()
-                .find(|b| b.backend == backend)
-                .map(|b| &b.calls)
-        }
-    }
-
-    /// The square-profile curves of a backend.
-    #[must_use]
-    pub fn backend_profiles(&self, backend: BackendId) -> Option<&[SquareProfile]> {
-        if backend == BackendId::Native {
-            Some(&self.profiles)
-        } else {
-            self.backends
-                .iter()
-                .find(|b| b.backend == backend)
-                .map(|b| b.profiles.as_slice())
-        }
-    }
-
-    /// Mutable per-backend tables, creating the backend's section on first
-    /// use; `native` aliases the store's top-level tables. This is what a
-    /// calibration sweep writes through.
-    pub fn backend_tables_mut(
-        &mut self,
-        backend: BackendId,
-    ) -> (&mut Vec<SquareProfile>, &mut CallTimeTable) {
-        if backend == BackendId::Native {
-            return (&mut self.profiles, &mut self.calls);
-        }
-        let at = match self.backends.iter().position(|b| b.backend == backend) {
-            Some(at) => at,
-            None => {
-                self.backends.push(BackendCalibration {
-                    backend,
-                    profiles: Vec::new(),
-                    calls: CallTimeTable::new(),
-                });
-                self.backends.len() - 1
-            }
-        };
-        let section = &mut self.backends[at];
-        (&mut section.profiles, &mut section.calls)
-    }
-
-    /// Every backend this store has calibration data for, `native` first.
-    #[must_use]
-    pub fn backends(&self) -> Vec<BackendId> {
-        let mut ids = vec![BackendId::Native];
-        let mut extra: Vec<BackendId> = self.backends.iter().map(|b| b.backend).collect();
-        extra.sort();
-        ids.extend(extra);
-        ids
-    }
-
-    /// Distinct benchmarked calls per coverage key for one backend —
-    /// [`CalibrationStore::coverage`], per backend.
-    #[must_use]
-    pub fn backend_coverage(&self, backend: BackendId) -> BTreeMap<String, usize> {
-        let mut counts = BTreeMap::new();
-        if let Some(calls) = self.backend_calls(backend) {
-            for (op, _) in calls.entries() {
-                *counts.entry(kernel_coverage_key(op)).or_insert(0) += 1;
-            }
-        }
-        counts
-    }
-
-    /// Sweep kernels a backend has no benchmark entry for.
-    #[must_use]
-    pub fn backend_missing_kernels(&self, backend: BackendId) -> Vec<&'static str> {
-        let coverage = self.backend_coverage(backend);
-        EXPECTED_KERNELS
-            .iter()
-            .copied()
-            .filter(|kernel| !coverage.contains_key(*kernel))
-            .collect()
     }
 
     /// The autotuned block configuration this store carries, if any — what
@@ -391,28 +285,6 @@ impl CalibrationStore {
             {
                 Some(mine) => *mine = merge_profiles(mine, profile),
                 None => self.profiles.push(profile.clone()),
-            }
-        }
-        for theirs in &other.backends {
-            match self
-                .backends
-                .iter_mut()
-                .find(|b| b.backend == theirs.backend)
-            {
-                Some(mine) => {
-                    mine.calls.merge_from(&theirs.calls);
-                    for profile in &theirs.profiles {
-                        match mine
-                            .profiles
-                            .iter_mut()
-                            .find(|p| p.kernel == profile.kernel)
-                        {
-                            Some(p) => *p = merge_profiles(p, profile),
-                            None => mine.profiles.push(profile.clone()),
-                        }
-                    }
-                }
-                None => self.backends.push(theirs.clone()),
             }
         }
         self.machine = other.machine.clone();
@@ -544,25 +416,6 @@ impl CalibrationStore {
                 ]),
             ));
         }
-        if !self.backends.is_empty() {
-            let mut sections: Vec<&BackendCalibration> = self.backends.iter().collect();
-            sections.sort_by_key(|b| b.backend.name());
-            fields.push((
-                "backends".into(),
-                Json::Arr(
-                    sections
-                        .into_iter()
-                        .map(|b| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::Str(b.backend.name().into())),
-                                ("profiles".into(), profiles_to_json(&b.profiles)),
-                                ("calls".into(), calls_to_json(&b.calls)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
         Json::Obj(fields).pretty()
     }
 
@@ -613,19 +466,6 @@ impl CalibrationStore {
         }
         let profiles = profiles_from_json(field_array(&doc, "profiles")?)?;
         let calls = calls_from_json(field_array(&doc, "calls")?)?;
-        let mut backends = Vec::new();
-        if let Some(sections) = doc.get("backends").and_then(Json::as_array) {
-            for section in sections {
-                let name = field_str(section, "name")?;
-                let backend = BackendId::from_name(&name)
-                    .ok_or_else(|| StoreError::Format(format!("unknown backend `{name}`")))?;
-                backends.push(BackendCalibration {
-                    backend,
-                    profiles: profiles_from_json(field_array(section, "profiles")?)?,
-                    calls: calls_from_json(field_array(section, "calls")?)?,
-                });
-            }
-        }
         let tuned = match doc.get("tuned") {
             None | Some(Json::Null) => None,
             Some(t) => {
@@ -657,7 +497,6 @@ impl CalibrationStore {
             profiles,
             calls,
             tuned,
-            backends,
         })
     }
 
@@ -1371,112 +1210,5 @@ mod tests {
         sweep.meta.block_fingerprint = base.meta.block_fingerprint.clone();
         base.merge_from(&sweep).unwrap();
         assert_eq!(base.tuned, Some(sample_tuned()));
-    }
-
-    #[test]
-    fn backends_section_round_trips_and_is_omitted_when_empty() {
-        let plain = sample_store();
-        assert!(!plain.to_json().contains("\"backends\""));
-        let reloaded = CalibrationStore::from_json(&plain.to_json()).unwrap();
-        assert!(reloaded.backends.is_empty());
-        assert_eq!(reloaded.backends(), vec![BackendId::Native]);
-        let mut store = sample_store();
-        {
-            let (profiles, calls) = store.backend_tables_mut(BackendId::Reference);
-            profiles.push(SquareProfile::new("gemm", vec![50, 150], vec![0.11, 0.21]));
-            calls.insert(
-                KernelOp::Gemm {
-                    transa: Trans::No,
-                    transb: Trans::No,
-                    m: 50,
-                    n: 50,
-                    k: 50,
-                },
-                1.0 / 53.0, // not exactly representable: a real bit-identity test
-            );
-            calls.insert(
-                KernelOp::Trsm {
-                    side: Side::Right,
-                    uplo: Uplo::Lower,
-                    trans: Trans::No,
-                    m: 20,
-                    n: 50,
-                },
-                1.0 / 59.0,
-            );
-        }
-        let text = store.to_json();
-        assert!(text.contains("\"backends\""));
-        let back = CalibrationStore::from_json(&text).unwrap();
-        assert_eq!(
-            back.backends(),
-            vec![BackendId::Native, BackendId::Reference]
-        );
-        let reference = back.backend_calls(BackendId::Reference).unwrap().clone();
-        let mut reference = reference;
-        assert_eq!(
-            reference
-                .lookup(&KernelOp::Gemm {
-                    transa: Trans::No,
-                    transb: Trans::No,
-                    m: 50,
-                    n: 50,
-                    k: 50,
-                })
-                .unwrap()
-                .to_bits(),
-            (1.0f64 / 53.0).to_bits()
-        );
-        // The native tables are reachable through the same accessor.
-        assert_eq!(
-            back.backend_calls(BackendId::Native).unwrap().len(),
-            sample_store().calls.len()
-        );
-        // Per-backend coverage distinguishes the sides.
-        let cov = back.backend_coverage(BackendId::Reference);
-        assert_eq!(cov.get("trsm_r"), Some(&1));
-        assert!(back
-            .backend_missing_kernels(BackendId::Reference)
-            .contains(&"trsm"));
-        // Deterministic bytes.
-        assert_eq!(back.to_json(), text);
-        // A section for a backend this build does not ship is refused at
-        // load rather than carried along under a name nothing can run.
-        let foreign = text.replace("\"name\": \"reference\"", "\"name\": \"mkl\"");
-        let err = CalibrationStore::from_json(&foreign).unwrap_err();
-        assert!(err.to_string().contains("unknown backend `mkl`"), "{err}");
-    }
-
-    #[test]
-    fn merging_stores_unions_backend_sections() {
-        let mut base = sample_store();
-        {
-            let (profiles, calls) = base.backend_tables_mut(BackendId::Reference);
-            profiles.push(SquareProfile::new("gemm", vec![100], vec![0.1]));
-            calls.insert(KernelOp::Getrf { n: 32 }, 4.0e-4);
-        }
-        let mut sweep = CalibrationStore::new(MachineModel::paper_xeon_silver_4210(), "simulated");
-        sweep.meta.block_fingerprint = base.meta.block_fingerprint.clone();
-        {
-            let (profiles, calls) = sweep.backend_tables_mut(BackendId::Reference);
-            profiles.push(SquareProfile::new("gemm", vec![100, 200], vec![0.15, 0.2]));
-            calls.insert(KernelOp::Getrf { n: 32 }, 3.5e-4); // fresher wins
-            calls.insert(KernelOp::Getrf { n: 64 }, 9.0e-4);
-        }
-        base.merge_from(&sweep).unwrap();
-        let mut merged = base.backend_calls(BackendId::Reference).unwrap().clone();
-        assert_eq!(merged.lookup(&KernelOp::Getrf { n: 32 }), Some(3.5e-4));
-        assert_eq!(merged.lookup(&KernelOp::Getrf { n: 64 }), Some(9.0e-4));
-        let profile = &base.backend_profiles(BackendId::Reference).unwrap()[0];
-        assert_eq!(profile.sizes, vec![100, 200]);
-        assert_eq!(profile.efficiencies, vec![0.15, 0.2]);
-        // A store without the section gains it, native tables untouched.
-        let mut fresh = sample_store();
-        fresh.merge_from(&sweep).unwrap();
-        assert_eq!(fresh.calls.len(), sample_store().calls.len());
-        assert_eq!(
-            fresh.backends(),
-            vec![BackendId::Native, BackendId::Reference]
-        );
     }
 }
