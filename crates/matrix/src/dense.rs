@@ -73,6 +73,50 @@ impl Matrix {
         Ok(Matrix { data, rows, cols })
     }
 
+    /// Create a `rows x cols` matrix on the allocation of `storage`, for a
+    /// caller that overwrites every element next: the elements are whatever
+    /// `storage` held, and only those past its old length are written
+    /// (zeros). A buffer with capacity for `rows * cols` elements is never
+    /// reallocated.
+    #[must_use]
+    pub fn from_storage(rows: usize, cols: usize, mut storage: Vec<f64>) -> Self {
+        storage.truncate(rows * cols);
+        storage.resize(rows * cols, 0.0);
+        Matrix {
+            data: storage,
+            rows,
+            cols,
+        }
+    }
+
+    /// A `rows x cols` matrix whose storage is allocated but holds no
+    /// element yet: only for [`Matrix::overwrite`] to fill before the matrix
+    /// is used.
+    pub(crate) fn unfilled(rows: usize, cols: usize) -> Self {
+        Matrix {
+            data: Vec::with_capacity(rows * cols),
+            rows,
+            cols,
+        }
+    }
+
+    /// Rewrite every element by pushing them, in column-major order, onto the
+    /// emptied storage: each element is written once, and the allocation is
+    /// kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `push` does not push exactly `rows * cols` elements.
+    pub(crate) fn overwrite(&mut self, push: impl FnOnce(&mut Vec<f64>)) {
+        self.data.clear();
+        push(&mut self.data);
+        assert_eq!(
+            self.data.len(),
+            self.rows * self.cols,
+            "every element pushed once"
+        );
+    }
+
     /// Create a matrix by evaluating `f(i, j)` for every element.
     #[must_use]
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
@@ -123,6 +167,13 @@ impl Matrix {
     #[must_use]
     pub fn len(&self) -> usize {
         self.data.len()
+    }
+
+    /// Number of elements the storage holds room for: [`Matrix::len`] unless
+    /// the matrix was built [from a larger buffer](Matrix::from_storage).
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Whether the matrix has zero elements.
@@ -526,5 +577,28 @@ mod tests {
         let v = m.clone().into_vec();
         let m2 = Matrix::from_vec(2, 2, v).unwrap();
         assert_eq!(m, m2);
+    }
+
+    #[test]
+    fn from_storage_keeps_the_allocation_and_writes_only_new_elements() {
+        let mut big = vec![7.0; 12];
+        big.reserve(8);
+        let cap = big.capacity();
+        let ptr = big.as_ptr();
+        let m = Matrix::from_storage(2, 3, big);
+        assert_eq!((m.shape(), m.len(), m.capacity()), ((2, 3), 6, cap));
+        assert!(
+            m.as_slice().iter().all(|&x| x == 7.0),
+            "stale contents stay"
+        );
+        let grown = Matrix::from_storage(4, 4, m.into_vec());
+        assert_eq!(
+            grown.as_slice().as_ptr(),
+            ptr,
+            "no reallocation within capacity"
+        );
+        assert_eq!(&grown.as_slice()[..6], &[7.0; 6]);
+        assert!(grown.as_slice()[6..].iter().all(|&x| x == 0.0));
+        assert_eq!(Matrix::zeros(3, 5).capacity(), 15);
     }
 }

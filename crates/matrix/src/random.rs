@@ -1,15 +1,85 @@
 //! Deterministic random matrix generation.
 //!
 //! The paper's operands are "dense and unstructured", so only their sizes (not
-//! their elements) affect performance; nonetheless all executors fill operands
-//! with reproducible pseudo-random values so that numerical validation across
-//! algorithm variants is meaningful.
+//! their elements) affect performance. The measured executor, the calibration
+//! sweeps and the test suites still fill operands with reproducible
+//! pseudo-random values, so that numerical validation across algorithm
+//! variants is meaningful; the simulated executors fill nothing.
+//!
+//! The seeded operands ([`random_seeded`], [`random_spd`],
+//! [`random_triangular`]) are counter-based (Salmon, Moraes, Dror & Shaw,
+//! *Parallel random numbers: as easy as 1, 2, 3*, SC 2011): element `(i, j)`
+//! is a pure function of `(seed, shape, i, j)` — the SplitMix64 finaliser of
+//! the element's counter, mapped to `[-1, 1)`. No element depends on another,
+//! so a fill runs in eight independent lanes that vectorise, and symmetry
+//! costs nothing: an SPD operand hashes `(max(i, j), min(i, j))`. Each has an
+//! in-place form (`*_into`) that overwrites a matrix's storage without
+//! zeroing it first; the allocating forms wrap it.
 
 use crate::dense::Matrix;
 use crate::types::Uplo;
 use rand::distr::{Distribution, Uniform};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
+
+/// Elements a seeded fill computes side by side.
+const LANES: usize = 8;
+
+/// SplitMix64's state increment: counter `c` of a stream is the state after
+/// `c` steps.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output finaliser (Steele, Lea & Flood, OOPSLA 2014).
+#[inline(always)]
+fn finalise(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The stream of a seeded `rows x cols` operand: different seeds and
+/// different shapes decorrelate.
+fn stream_of(seed: u64, rows: usize, cols: usize) -> u64 {
+    finalise(seed ^ finalise((rows as u64).wrapping_mul(GAMMA) ^ cols as u64))
+}
+
+/// A hash mapped to `[-1, 1)`: its top 52 bits are the mantissa of a value
+/// in `[2, 4)`, and subtracting 3 is exact.
+#[inline(always)]
+fn unit(bits: u64) -> f64 {
+    f64::from_bits(0x4000_0000_0000_0000 | (bits >> 12)) - 3.0
+}
+
+/// Element `counter` of `stream`: the SplitMix64 output `counter` steps in.
+fn element(stream: u64, counter: u64) -> f64 {
+    unit(finalise(stream.wrapping_add(counter.wrapping_mul(GAMMA))))
+}
+
+/// Push elements `start, start + step, …` (`len` of them) of `stream`: one
+/// SplitMix64 state per lane, each advanced [`LANES`] counters per block.
+fn push_elements(data: &mut Vec<f64>, stream: u64, start: u64, step: u64, len: usize) {
+    let base = stream.wrapping_add(start.wrapping_mul(GAMMA));
+    let inc = step.wrapping_mul(GAMMA);
+    let jump = inc.wrapping_mul(LANES as u64);
+    let mut state: [u64; LANES] =
+        std::array::from_fn(|l| base.wrapping_add((l as u64).wrapping_mul(inc)));
+    data.reserve(len);
+    for _ in 0..len / LANES {
+        let block: [f64; LANES] = std::array::from_fn(|l| unit(finalise(state[l])));
+        data.extend_from_slice(&block);
+        for s in &mut state {
+            *s = s.wrapping_add(jump);
+        }
+    }
+    data.extend(state[..len % LANES].iter().map(|&s| unit(finalise(s))));
+}
+
+/// A triangular operand's diagonal element: `±(2 + |v|)`, at least 2 in
+/// magnitude.
+fn lift(v: f64) -> f64 {
+    v.signum() * (2.0 + v.abs())
+}
 
 /// Fill an existing matrix with uniform values in `[-1, 1)`.
 pub fn fill_uniform<R: Rng + ?Sized>(m: &mut Matrix, rng: &mut R) {
@@ -27,12 +97,53 @@ pub fn random_uniform<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) ->
     m
 }
 
+/// Overwrite `m` with the seeded matrix of its shape (see
+/// [`random_seeded`]). Element `(i, j)` is counter `i + j·rows` of the
+/// stream of `(seed, rows, cols)`, so the whole matrix is one sequential
+/// pass.
+pub fn random_seeded_into(m: &mut Matrix, seed: u64) {
+    let (rows, cols) = m.shape();
+    m.overwrite(|data| push_elements(data, stream_of(seed, rows, cols), 0, 1, rows * cols));
+}
+
 /// Create a `rows x cols` matrix seeded deterministically: the same
-/// `(rows, cols, seed)` triple always yields the same matrix.
+/// `(rows, cols, seed)` triple always yields the same matrix, with values in
+/// `[-1, 1)`.
 #[must_use]
 pub fn random_seeded(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = StdRng::seed_from_u64(seed ^ mix(rows as u64, cols as u64));
-    random_uniform(rows, cols, &mut rng)
+    let mut m = Matrix::unfilled(rows, cols);
+    random_seeded_into(&mut m, seed);
+    m
+}
+
+/// Overwrite the square `m` with the triangular operand of its order (see
+/// [`random_triangular`]): only the `uplo` triangle is generated, one column
+/// at a time, each element the one [`random_seeded_into`] puts there.
+///
+/// # Panics
+///
+/// Panics if `m` is not square.
+pub fn random_triangular_into(m: &mut Matrix, uplo: Uplo, seed: u64) {
+    assert!(m.is_square(), "a triangular operand is square");
+    let n = m.rows();
+    let s = stream_of(seed, n, n);
+    m.overwrite(|data| {
+        for j in 0..n {
+            let diagonal = (j + j * n) as u64;
+            match uplo {
+                Uplo::Lower => {
+                    data.resize(data.len() + j, 0.0);
+                    data.push(lift(element(s, diagonal)));
+                    push_elements(data, s, diagonal + 1, 1, n - j - 1);
+                }
+                Uplo::Upper => {
+                    push_elements(data, s, (j * n) as u64, 1, j);
+                    data.push(lift(element(s, diagonal)));
+                    data.resize(data.len() + n - j - 1, 0.0);
+                }
+            }
+        }
+    });
 }
 
 /// Create a random `n x n` triangular matrix: uniform values in `[-1, 1)` on
@@ -44,26 +155,38 @@ pub fn random_seeded(rows: usize, cols: usize, seed: u64) -> Matrix {
 ///
 /// The same `(n, uplo, seed)` triple always yields the same matrix, so two
 /// algorithms of the same expression see identical triangular operands.
-///
-/// Built in place on the one [`random_seeded`] buffer, a column slice at a
-/// time: the dead triangle is zeroed and the diagonal lifted where it lies.
 #[must_use]
 pub fn random_triangular(n: usize, uplo: Uplo, seed: u64) -> Matrix {
-    let mut m = random_seeded(n, n, seed);
-    for j in 0..n {
-        let col = m.col_mut(j);
-        let v = col[j];
-        col[j] = v.signum() * (2.0 + v.abs());
-        match uplo {
-            Uplo::Lower => col[..j].fill(0.0),
-            Uplo::Upper => col[j + 1..].fill(0.0),
-        }
-    }
+    let mut m = Matrix::unfilled(n, n);
+    random_triangular_into(&mut m, uplo, seed);
     m
 }
 
+/// Overwrite the square `m` with the SPD operand of its order (see
+/// [`random_spd`]) in one sequential column pass: element `(i, j)` off the
+/// diagonal is counter `max(i, j) + min(i, j)·n` of the stream, so the
+/// part of column `j` above the diagonal reads its counters `n` apart and
+/// the part below reads them in a row — and `(i, j)` and `(j, i)` hash the
+/// same counter, which makes the matrix exactly symmetric.
+///
+/// # Panics
+///
+/// Panics if `m` is not square.
+pub fn random_spd_into(m: &mut Matrix, seed: u64) {
+    assert!(m.is_square(), "an SPD operand is square");
+    let n = m.rows();
+    let s = stream_of(seed, n, n);
+    m.overwrite(|data| {
+        for j in 0..n {
+            push_elements(data, s, j as u64, n as u64, j);
+            data.push(n as f64 + 1.0);
+            push_elements(data, s, (j + j * n + 1) as u64, 1, n - j - 1);
+        }
+    });
+}
+
 /// Create a random symmetric positive-definite `n x n` matrix: exactly
-/// symmetric off-diagonal values in `(-1, 1)` with the diagonal lifted to
+/// symmetric off-diagonal values in `[-1, 1)` with the diagonal lifted to
 /// `n + 1`, which makes the matrix strictly diagonally dominant with a
 /// positive diagonal — a sufficient condition for positive definiteness.
 /// Dominance keeps the Cholesky factorisation and the subsequent triangular
@@ -73,42 +196,10 @@ pub fn random_triangular(n: usize, uplo: Uplo, seed: u64) -> Matrix {
 ///
 /// The same `(n, seed)` pair always yields the same matrix, so two algorithms
 /// of the same expression see identical SPD operands.
-///
-/// Built in place on the one [`random_seeded`] buffer: each strictly-lower
-/// element is averaged with its mirror image and the one result written to
-/// both (`0.5·(a + b)` is commutative, so the two halves hold the same bits
-/// whichever is computed). The walk is tiled so the mirror elements, which
-/// lie along a row, stay in cache while a tile is swept by columns.
 #[must_use]
 pub fn random_spd(n: usize, seed: u64) -> Matrix {
-    const TILE: usize = 32;
-    let mut m = random_seeded(n, n, seed);
-    let data = m.as_mut_slice();
-    for j0 in (0..n).step_by(TILE) {
-        for i0 in (j0..n).step_by(TILE) {
-            let i1 = (i0 + TILE).min(n);
-            for j in j0..(j0 + TILE).min(n) {
-                // Rows of column j in this tile, strictly below the diagonal.
-                let first = i0.max(j + 1);
-                if first >= i1 {
-                    continue;
-                }
-                // Column j ends before column `first` starts, where the
-                // mirror elements (j, first..i1) sit one per column.
-                let (left, right) = data.split_at_mut(first * n);
-                let below = &mut left[j * n + first..j * n + i1];
-                let across = right[j..].iter_mut().step_by(n);
-                for (x, y) in below.iter_mut().zip(across) {
-                    let avg = 0.5 * (*x + *y);
-                    *x = avg;
-                    *y = avg;
-                }
-            }
-        }
-    }
-    for j in 0..n {
-        data[j + j * n] = n as f64 + 1.0;
-    }
+    let mut m = Matrix::unfilled(n, n);
+    random_spd_into(&mut m, seed);
     m
 }
 
@@ -119,22 +210,13 @@ pub fn random_symmetric<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Matrix {
     Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]))
 }
 
-fn mix(a: u64, b: u64) -> u64 {
-    // SplitMix64-style mixing so that different shapes decorrelate.
-    let mut x = a
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::is_symmetric;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::time::Instant;
 
     #[test]
     fn random_seeded_is_deterministic() {
@@ -196,29 +278,38 @@ mod tests {
         assert!(crate::ops::is_spd(&random_spd(1, 1), 1e-12).unwrap());
     }
 
-    /// The element-at-a-time formulations the in-place fills replaced, kept
-    /// as the definition of what they must produce.
-    fn triangular_by_elements(n: usize, uplo: Uplo, seed: u64) -> Matrix {
-        let dense = random_seeded(n, n, seed);
-        Matrix::from_fn(n, n, |i, j| {
-            if i == j {
-                let v = dense[(i, j)];
-                v.signum() * (2.0 + v.abs())
-            } else if uplo.contains(i, j) {
-                dense[(i, j)]
-            } else {
-                0.0
-            }
-        })
+    /// The definition the fills implement, one element at a time: element
+    /// `(i, j)` of a seeded `rows x cols` operand is counter `i + j·rows` of
+    /// the stream of `(seed, rows, cols)`.
+    fn seeded_by_elements(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let s = stream_of(seed, rows, cols);
+        Matrix::from_fn(rows, cols, |i, j| element(s, (i + j * rows) as u64))
     }
 
+    /// An SPD operand hashes `(max(i, j), min(i, j))`; its diagonal is `n + 1`.
     fn spd_by_elements(n: usize, seed: u64) -> Matrix {
-        let dense = random_seeded(n, n, seed);
+        let s = stream_of(seed, n, n);
         Matrix::from_fn(n, n, |i, j| {
             if i == j {
                 n as f64 + 1.0
             } else {
-                0.5 * (dense[(i, j)] + dense[(j, i)])
+                element(s, (i.max(j) + i.min(j) * n) as u64)
+            }
+        })
+    }
+
+    /// A triangular operand is the seeded one on its live triangle, lifted on
+    /// the diagonal and zero elsewhere.
+    fn triangular_by_elements(n: usize, uplo: Uplo, seed: u64) -> Matrix {
+        let s = stream_of(seed, n, n);
+        Matrix::from_fn(n, n, |i, j| {
+            let v = element(s, (i + j * n) as u64);
+            if i == j {
+                v.signum() * (2.0 + v.abs())
+            } else if uplo.contains(i, j) {
+                v
+            } else {
+                0.0
             }
         })
     }
@@ -226,23 +317,116 @@ mod tests {
     #[test]
     fn in_place_fills_are_bit_identical_to_the_element_formulations() {
         let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for n in [0, 1, 7, 32, 33, 100] {
+        // Orders on both sides of a lane block, and rectangular shapes.
+        for (rows, cols) in [
+            (0, 0),
+            (1, 1),
+            (7, 7),
+            (8, 3),
+            (9, 17),
+            (32, 32),
+            (33, 33),
+            (100, 100),
+        ] {
             for seed in [1, 17, 2022] {
+                let general = seeded_by_elements(rows, cols, seed);
+                assert_eq!(bits(&random_seeded(rows, cols, seed)), bits(&general));
+                // The in-place form ignores whatever the storage held.
+                let mut stale = Matrix::filled(rows, cols, f64::NAN);
+                random_seeded_into(&mut stale, seed);
+                assert_eq!(bits(&stale), bits(&general), "{rows}x{cols} seed={seed}");
+                if rows != cols {
+                    continue;
+                }
+                let n = rows;
+                let spd = spd_by_elements(n, seed);
                 assert_eq!(
                     bits(&random_spd(n, seed)),
-                    bits(&spd_by_elements(n, seed)),
+                    bits(&spd),
                     "spd n={n} seed={seed}"
                 );
+                random_spd_into(&mut stale, seed);
+                assert_eq!(bits(&stale), bits(&spd), "spd n={n} seed={seed}");
                 for uplo in [Uplo::Lower, Uplo::Upper] {
+                    let tri = triangular_by_elements(n, uplo, seed);
                     assert_eq!(
                         bits(&random_triangular(n, uplo, seed)),
-                        bits(&triangular_by_elements(n, uplo, seed)),
+                        bits(&tri),
                         "triangular n={n} {uplo:?} seed={seed}"
                     );
+                    stale.fill(f64::NAN);
+                    random_triangular_into(&mut stale, uplo, seed);
+                    assert_eq!(bits(&stale), bits(&tri), "triangular n={n} {uplo:?}");
                 }
             }
         }
     }
+
+    #[test]
+    fn allocating_forms_hold_exactly_their_elements() {
+        let m = random_seeded(13, 9, 4);
+        assert_eq!(m.as_slice().len(), 13 * 9);
+        assert_eq!(m.clone().into_vec().capacity(), 13 * 9);
+        assert_eq!(random_spd(21, 4).into_vec().capacity(), 21 * 21);
+        assert_eq!(
+            random_triangular(21, Uplo::Upper, 4).into_vec().capacity(),
+            21 * 21
+        );
+    }
+
+    #[test]
+    fn the_unit_map_covers_minus_one_to_one() {
+        assert_eq!(unit(0), -1.0);
+        assert_eq!(unit(u64::MAX), 1.0 - 2.0 * f64::EPSILON);
+        assert!((-1.0..1.0).contains(&unit(0x8000_0000_0000_0000)));
+    }
+
+    /// Guard against the fill becoming a serial chain again (one generator
+    /// state threaded through every element): minima of the seeded fill
+    /// against a plain `fill` of the same 256 x 256 buffer, taken in one
+    /// process, so a slow runner slows both sides alike. Release mode only
+    /// (CI runs it with `--release -- --ignored`).
+    #[test]
+    #[ignore = "timing ratio: run in release mode"]
+    fn operand_fill_is_not_a_serial_chain() {
+        let mut m = random_seeded(256, 256, 1);
+        let time = |pass: &mut dyn FnMut()| {
+            let start = Instant::now();
+            pass();
+            start.elapsed().as_secs_f64()
+        };
+        // Interleaved, so a burst of interference slows both sides alike.
+        let (mut seeded, mut plain) = (f64::INFINITY, f64::INFINITY);
+        for seed in 0..2000 {
+            seeded = seeded.min(time(&mut || {
+                random_seeded_into(&mut m, seed);
+                std::hint::black_box(&m);
+            }));
+            plain = plain.min(time(&mut || {
+                m.fill(std::hint::black_box(0.5));
+                std::hint::black_box(&m);
+            }));
+        }
+        let ratio = seeded / plain;
+        println!(
+            "seeded fill {:.1} us, plain fill {:.1} us: {ratio:.2}x",
+            seeded * 1e6,
+            plain * 1e6
+        );
+        assert!(
+            ratio <= MAX_FILL_OVER_PLAIN,
+            "seeded fill {:.1} us against a plain fill's {:.1} us: {ratio:.2}x, over {MAX_FILL_OVER_PLAIN}x",
+            seeded * 1e6,
+            plain * 1e6
+        );
+    }
+
+    /// The bound of `operand_fill_is_not_a_serial_chain`, a fifth above the
+    /// slowest recorded laned fill. On a 2-vCPU AVX-512 Xeon the laned fill
+    /// read 3.3–4.2x a plain fill built for the host and 4.5–5.4x built for
+    /// AVX2 (`-C target-cpu=haswell`, no 64-bit vector multiply); a `StdRng`
+    /// + `Uniform` loop through the same storage read 7.8–8.8x.
+    const MAX_FILL_OVER_PLAIN: f64 = 6.5;
 
     #[test]
     fn random_symmetric_is_symmetric() {

@@ -9,10 +9,10 @@ use crate::reuse::{cacheable_keys, FactorCache, ReuseReport};
 use lamb_expr::{Algorithm, KernelCall, KernelOp, OperandId, OperandInfo, OperandRole};
 use lamb_kernels::{Backend, BlockConfig, CacheFlusher, NativeBackend, TimingResult};
 use lamb_matrix::ops::{is_symmetric, is_triangular};
-use lamb_matrix::random::{random_seeded, random_spd, random_triangular};
+use lamb_matrix::random::{random_seeded_into, random_spd_into, random_triangular_into};
 use lamb_matrix::{Matrix, Structure};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// The operands of one execution, by id. An operand is either owned by the
@@ -24,6 +24,273 @@ use std::time::Instant;
 /// operands up front, so filling it late never grows it.
 type Operands = HashMap<OperandId, Arc<Matrix>>;
 
+/// Operand storage recycled from one walk to the next, so that steady-state
+/// requests neither fault in fresh pages nor zero what the fill overwrites.
+/// A walk draws each operand that dies with it from here (best fit by
+/// capacity) and hands it back once no later call reads it, or when the walk
+/// ends — unless a factor cache or the caller still holds it. The buffers
+/// idle between walks never exceed the bound: the most any one walk has
+/// held at once so far. A walk that finds no buffer to fit first evicts idle
+/// ones (smallest first) until the idle buffers and its own leave room under
+/// the bound for the fresh one.
+#[derive(Debug, Default)]
+struct OperandPool(Mutex<PoolState>);
+
+#[derive(Debug, Default)]
+struct PoolState {
+    idle: Vec<Vec<f64>>,
+    /// Bytes of capacity the idle buffers hold.
+    idle_bytes: usize,
+    /// The most bytes of capacity one walk has held at once so far.
+    bound: usize,
+}
+
+/// What one walk holds of the pool's storage, in bytes of capacity.
+#[derive(Debug, Default, Clone, Copy)]
+struct Draw {
+    held: usize,
+    peak: usize,
+}
+
+/// Bytes of capacity a buffer holds.
+fn capacity_bytes(buf: &Vec<f64>) -> usize {
+    buf.capacity() * std::mem::size_of::<f64>()
+}
+
+impl PoolState {
+    /// Drop the smallest idle buffer.
+    fn evict_smallest(&mut self) {
+        if let Some(k) = (0..self.idle.len()).min_by_key(|&k| self.idle[k].capacity()) {
+            let evicted = self.idle.swap_remove(k);
+            self.idle_bytes -= capacity_bytes(&evicted);
+        }
+    }
+}
+
+impl OperandPool {
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.0.lock().expect("operand pool poisoned")
+    }
+
+    /// Storage for `len` elements: the smallest idle buffer that fits, else
+    /// a fresh one of exactly `len`.
+    fn take(&self, len: usize, draw: &mut Draw) -> Vec<f64> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let mut state = self.state();
+        let fit = (0..state.idle.len())
+            .filter(|&k| state.idle[k].capacity() >= len)
+            .min_by_key(|&k| state.idle[k].capacity());
+        let buf = match fit {
+            Some(k) => {
+                let buf = state.idle.swap_remove(k);
+                state.idle_bytes -= capacity_bytes(&buf);
+                buf
+            }
+            None => {
+                let need = len * std::mem::size_of::<f64>();
+                while !state.idle.is_empty() && state.idle_bytes + draw.held + need > state.bound {
+                    state.evict_smallest();
+                }
+                Vec::with_capacity(len)
+            }
+        };
+        draw.held += capacity_bytes(&buf);
+        draw.peak = draw.peak.max(draw.held);
+        buf
+    }
+
+    /// Hand back a buffer the walk no longer needs: idle again, for the
+    /// walk's own later operands too.
+    fn put(&self, buf: Vec<f64>, draw: &mut Draw) {
+        let bytes = capacity_bytes(&buf);
+        if bytes > 0 {
+            draw.held = draw.held.saturating_sub(bytes);
+            let mut state = self.state();
+            state.idle_bytes += bytes;
+            state.idle.push(buf);
+        }
+    }
+
+    /// The end of a walk: raise the bound to what it held at its peak, then
+    /// evict the smallest idle buffers until they fit under the bound.
+    fn end(&self, draw: Draw) {
+        let mut state = self.state();
+        state.bound = state.bound.max(draw.peak);
+        while state.idle_bytes > state.bound {
+            state.evict_smallest();
+        }
+    }
+}
+
+/// One walk over an algorithm: its operands and what it holds of the
+/// executor's [`OperandPool`]. Dropping the walk hands back every operand it
+/// alone holds — whatever a factor cache or the caller keeps is not.
+struct Walk<'e> {
+    exec: &'e MeasuredExecutor,
+    alg: &'e Algorithm,
+    operands: Operands,
+    /// Whether the caller receives the output operand: then it outlives the
+    /// walk and is allocated at its exact size, never drawn from the pool.
+    returns_output: bool,
+    /// Whether an operand is handed back after the last call that touches
+    /// it; a walk that runs its calls more than once keeps all of them.
+    release_dead: bool,
+    draw: Draw,
+}
+
+impl<'e> Walk<'e> {
+    fn new(exec: &'e MeasuredExecutor, alg: &'e Algorithm, returns_output: bool) -> Self {
+        Walk {
+            exec,
+            alg,
+            operands: Operands::with_capacity(alg.operands.len()),
+            returns_output,
+            release_dead: true,
+            draw: Draw::default(),
+        }
+    }
+
+    /// A walk whose calls run more than once over the same operands.
+    fn repeated(exec: &'e MeasuredExecutor, alg: &'e Algorithm) -> Self {
+        let mut walk = Walk::new(exec, alg, false);
+        walk.release_dead = false;
+        walk
+    }
+
+    /// One operand as the walk first sees it: an operand some call writes
+    /// starts as zeros; every other one is an input — the lone leaf of a
+    /// call-free algorithm too, whatever its role — and is filled with
+    /// reproducible random values, as is every operand of an isolated call
+    /// (`all_inputs`). An operand that `escapes` the walk is allocated at
+    /// its exact size; any other is drawn from the pool and overwritten
+    /// (the fill or the zeroing writes every element).
+    fn materialise(&mut self, info: &OperandInfo, escapes: bool, all_inputs: bool) -> Matrix {
+        let (rows, cols) = (info.rows, info.cols);
+        let mut m = if escapes {
+            Matrix::zeros(rows, cols)
+        } else {
+            let storage = self.exec.pool.take(rows * cols, &mut self.draw);
+            Matrix::from_storage(rows, cols, storage)
+        };
+        let written = self.alg.calls.iter().any(|call| call.output == info.id);
+        if all_inputs || info.role == OperandRole::Input || !written {
+            self.exec.fill_input(&mut m, info);
+        } else if !escapes {
+            m.fill(0.0);
+        }
+        m
+    }
+
+    /// Allocate the operands `call` touches that the map does not hold yet.
+    /// A walk does this before a call that actually runs, so an operand
+    /// whose only readers were served from a factor store (the matrix behind
+    /// a resident factorisation) is never generated. `deposited` lists the
+    /// operands the walk will hand to a factor store.
+    fn allocate(&mut self, call: &KernelCall, deposited: &[OperandId], all_inputs: bool) {
+        for id in call.inputs.iter().copied().chain([call.output]) {
+            if !self.operands.contains_key(&id) {
+                let info = self.alg.operand(id).expect("operand declared");
+                let returned = self.returns_output && self.output_id() == Some(id);
+                let m = self.materialise(info, returned || deposited.contains(&id), all_inputs);
+                self.operands.insert(id, Arc::new(m));
+            }
+        }
+    }
+
+    fn output_id(&self) -> Option<OperandId> {
+        self.alg.output().map(|o| o.id)
+    }
+
+    /// Hand `m` back to the pool if the walk alone holds it.
+    fn recycle(&mut self, m: Arc<Matrix>) {
+        if let Ok(m) = Arc::try_unwrap(m) {
+            self.exec.pool.put(m.into_vec(), &mut self.draw);
+        }
+    }
+
+    /// Run each call, in order, against the operands and report it to
+    /// `observe` with the seconds it took. With a factor store, a call whose
+    /// [cacheable](lamb_expr::is_cacheable_op) result is resident is not run
+    /// — the resident matrix itself becomes the operand and `observe` sees
+    /// `None` — and every cacheable result the walk does compute is
+    /// deposited, shared rather than copied (see [`Operands`]). Without a
+    /// store no node identity is derived at all. Either way the operands of
+    /// a call are allocated when the first call that runs touches them,
+    /// outside its timed seconds, so the walk may start with none; unless
+    /// the walk is [repeated](Walk::repeated), each is recycled after the
+    /// last call that touches it (the output never is).
+    fn run(
+        &mut self,
+        store: Option<&FactorCache>,
+        mut observe: impl FnMut(usize, &KernelCall, Option<f64>),
+    ) {
+        let alg = self.alg;
+        let cacheable = cacheable_keys(alg, store);
+        let deposited: Vec<OperandId> = cacheable.keys().map(|&i| alg.calls[i].output).collect();
+        let mut dead_after = vec![Vec::new(); alg.calls.len()];
+        if self.release_dead {
+            let mut last_use = HashMap::with_capacity(alg.operands.len());
+            for (i, call) in alg.calls.iter().enumerate() {
+                for &id in call.inputs.iter().chain([&call.output]) {
+                    last_use.insert(id, i);
+                }
+            }
+            last_use.remove(&self.output_id().expect("algorithm declares an output"));
+            for (id, i) in last_use {
+                dead_after[i].push(id);
+            }
+        }
+        for (i, call) in alg.calls.iter().enumerate() {
+            let key = store.zip(cacheable.get(&i));
+            if let Some(resident) = key.and_then(|(store, key)| store.lookup(key)) {
+                if let Some(displaced) = self.operands.insert(call.output, resident) {
+                    self.recycle(displaced);
+                }
+                observe(i, call, None);
+            } else {
+                self.allocate(call, &deposited, false);
+                let start = Instant::now();
+                self.exec.run_call(call, &mut self.operands);
+                let seconds = start.elapsed().as_secs_f64();
+                if let Some((store, key)) = key {
+                    // The deposit is a snapshot: a later in-place copy writes
+                    // to a copy of its own (and the identity of the copied
+                    // operand advances, so it can never alias this key).
+                    store.store(key, Arc::clone(&self.operands[&call.output]));
+                }
+                observe(i, call, Some(seconds));
+            }
+            for id in &dead_after[i] {
+                if let Some(m) = self.operands.remove(id) {
+                    self.recycle(m);
+                }
+            }
+        }
+    }
+
+    /// The output operand after the walk, as the caller's own matrix:
+    /// copied if a factor store shares it, allocated now if no call ran
+    /// against it (a call-free algorithm walked from an empty map).
+    fn take_output(mut self) -> Matrix {
+        let info = self.alg.output().expect("algorithm declares an output");
+        match self.operands.remove(&info.id) {
+            Some(out) => Arc::try_unwrap(out).unwrap_or_else(|shared| (*shared).clone()),
+            None => self.materialise(info, true, false),
+        }
+    }
+}
+
+impl Drop for Walk<'_> {
+    fn drop(&mut self) {
+        for (_, m) in std::mem::take(&mut self.operands) {
+            self.recycle(m);
+        }
+        self.exec.pool.end(self.draw);
+    }
+}
+
 /// Executes algorithms with the real kernels and wall-clock timing.
 #[derive(Debug)]
 pub struct MeasuredExecutor {
@@ -33,6 +300,7 @@ pub struct MeasuredExecutor {
     flusher: Option<CacheFlusher>,
     seed: u64,
     backend: Arc<dyn Backend>,
+    pool: OperandPool,
 }
 
 impl MeasuredExecutor {
@@ -53,6 +321,7 @@ impl MeasuredExecutor {
             },
             seed: 42,
             backend: Arc::new(NativeBackend),
+            pool: OperandPool::default(),
         }
     }
 
@@ -90,51 +359,21 @@ impl MeasuredExecutor {
         self.reps
     }
 
-    /// Materialise one input operand. Triangular inputs are genuinely
-    /// triangular (zeros outside the stored triangle) and diagonally
-    /// dominant, so a TRMM that reads only the triangle, a GEMM that reads
-    /// the whole matrix and a TRSM that inverts the triangle all see the
-    /// same, well-conditioned mathematical operand. SPD inputs are exactly
-    /// symmetric and diagonally dominant with a positive diagonal, so a SYMM
-    /// that reads one triangle, a GEMM that reads everything and a POTRF
-    /// that factors the matrix all agree — and the factorisation is well
-    /// conditioned.
-    fn input_matrix(&self, info: &OperandInfo) -> Matrix {
+    /// Overwrite `m` with the input operand `info`. Triangular inputs are
+    /// genuinely triangular (zeros outside the stored triangle) and
+    /// diagonally dominant, so a TRMM that reads only the triangle, a GEMM
+    /// that reads the whole matrix and a TRSM that inverts the triangle all
+    /// see the same, well-conditioned mathematical operand. SPD inputs are
+    /// exactly symmetric and diagonally dominant with a positive diagonal, so
+    /// a SYMM that reads one triangle, a GEMM that reads everything and a
+    /// POTRF that factors the matrix all agree — and the factorisation is
+    /// well conditioned.
+    fn fill_input(&self, m: &mut Matrix, info: &OperandInfo) {
         let seed = self.seed ^ (info.id.index() as u64);
         match info.structure {
-            Structure::Triangular(uplo) => random_triangular(info.rows, uplo, seed),
-            Structure::Spd => random_spd(info.rows, seed),
-            Structure::General => random_seeded(info.rows, info.cols, seed),
-        }
-    }
-
-    /// One operand as a walk first sees it: an operand some call writes
-    /// starts as zeros; every other one is an input — the lone leaf of a
-    /// call-free algorithm too, whatever its role — and is filled with
-    /// reproducible random values.
-    fn fresh_operand(&self, alg: &Algorithm, info: &OperandInfo) -> Matrix {
-        let written = alg.calls.iter().any(|call| call.output == info.id);
-        if info.role == OperandRole::Input || !written {
-            self.input_matrix(info)
-        } else {
-            Matrix::zeros(info.rows, info.cols)
-        }
-    }
-
-    /// Allocate, through `fill`, the operands `call` touches that the map
-    /// does not hold yet. A walk does this before a call that actually runs,
-    /// so an operand whose only readers were served from a factor store (the
-    /// matrix behind a resident factorisation) is never generated.
-    fn allocate_missing(
-        alg: &Algorithm,
-        call: &KernelCall,
-        operands: &mut Operands,
-        fill: impl Fn(&OperandInfo) -> Matrix,
-    ) {
-        for id in call.inputs.iter().copied().chain([call.output]) {
-            operands
-                .entry(id)
-                .or_insert_with(|| Arc::new(fill(alg.operand(id).expect("operand declared"))));
+            Structure::Triangular(uplo) => random_triangular_into(m, uplo, seed),
+            Structure::Spd => random_spd_into(m, seed),
+            Structure::General => random_seeded_into(m, seed),
         }
     }
 
@@ -180,56 +419,6 @@ impl MeasuredExecutor {
         operands.insert(call.output, shared_out);
     }
 
-    /// The one walk over an algorithm's calls: run each call, in order,
-    /// against `operands` and report it to `observe` with the seconds it
-    /// took. With a factor store, a call whose
-    /// [cacheable](lamb_expr::is_cacheable_op) result is resident is not run
-    /// — the resident matrix itself becomes the operand and `observe` sees
-    /// `None` — every cacheable result the walk does compute is deposited,
-    /// shared rather than copied (see [`Operands`]). Without a store no node
-    /// identity is derived at all. Either way the operands of a call are
-    /// allocated when the first call that runs touches them, outside its
-    /// timed seconds, so `operands` may start empty.
-    fn walk_calls(
-        &self,
-        alg: &Algorithm,
-        operands: &mut Operands,
-        store: Option<&FactorCache>,
-        mut observe: impl FnMut(usize, &KernelCall, Option<f64>),
-    ) {
-        let cacheable = cacheable_keys(alg, store);
-        for (i, call) in alg.calls.iter().enumerate() {
-            let key = store.zip(cacheable.get(&i));
-            if let Some(resident) = key.and_then(|(store, key)| store.lookup(key)) {
-                operands.insert(call.output, resident);
-                observe(i, call, None);
-                continue;
-            }
-            Self::allocate_missing(alg, call, operands, |info| self.fresh_operand(alg, info));
-            let start = Instant::now();
-            self.run_call(call, operands);
-            let seconds = start.elapsed().as_secs_f64();
-            if let Some((store, key)) = key {
-                // The deposit is a snapshot: a later in-place copy writes to
-                // a copy of its own (and the identity of the copied operand
-                // advances, so it can never alias this key).
-                store.store(key, Arc::clone(&operands[&call.output]));
-            }
-            observe(i, call, Some(seconds));
-        }
-    }
-
-    /// The output operand of `alg` after a walk, as the caller's own matrix:
-    /// copied if a factor store shares it, allocated now if no call ran
-    /// against it (a call-free algorithm walked from an empty map).
-    fn take_output(&self, alg: &Algorithm, mut operands: Operands) -> Matrix {
-        let info = alg.output().expect("algorithm declares an output");
-        match operands.remove(&info.id) {
-            Some(out) => Arc::try_unwrap(out).unwrap_or_else(|shared| (*shared).clone()),
-            None => self.fresh_operand(alg, info),
-        }
-    }
-
     /// Execute the algorithm once (untimed) with the real kernels and return
     /// the final result matrix. Inputs are filled from the executor's seed,
     /// so two algorithms of the same expression see identical operands —
@@ -242,9 +431,9 @@ impl MeasuredExecutor {
     /// inconsistent kernel shapes).
     #[must_use]
     pub fn compute_result(&self, alg: &Algorithm) -> Matrix {
-        let mut operands = Operands::with_capacity(alg.operands.len());
-        self.walk_calls(alg, &mut operands, None, |_, _, _| {});
-        self.take_output(alg, operands)
+        let mut walk = Walk::new(self, alg, true);
+        walk.run(None, |_, _, _| {});
+        walk.take_output()
     }
 
     /// Execute the algorithm once (untimed) against a factor store — the
@@ -253,7 +442,7 @@ impl MeasuredExecutor {
     /// are injected instead of recomputed, newly computed cacheable results
     /// are deposited, and the final result matrix is returned together with
     /// the reuse accounting. Operands are allocated as calls that run reach
-    /// them (see `walk_calls`), so a request served from resident factors
+    /// them (see `Walk::run`), so a request served from resident factors
     /// never fills the matrix that was factored.
     ///
     /// # Panics
@@ -266,12 +455,12 @@ impl MeasuredExecutor {
         alg: &Algorithm,
         store: &FactorCache,
     ) -> (Matrix, ReuseReport) {
-        let mut operands = Operands::with_capacity(alg.operands.len());
+        let mut walk = Walk::new(self, alg, true);
         let mut report = ReuseReport::default();
-        self.walk_calls(alg, &mut operands, Some(store), |_, call, seconds| {
+        walk.run(Some(store), |_, call, seconds| {
             report.record(call, seconds.is_none());
         });
-        (self.take_output(alg, operands), report)
+        (walk.take_output(), report)
     }
 }
 
@@ -285,28 +474,31 @@ impl Executor for MeasuredExecutor {
     }
 
     fn execute_algorithm(&mut self, alg: &Algorithm) -> AlgorithmTiming {
+        // The walk borrows the executor, so the flusher is held aside.
+        let mut flusher = self.flusher.take();
         // Every operand is filled before the first flush, so each timed
-        // repetition starts from operands the flush evicted.
-        let mut operands = Operands::with_capacity(alg.operands.len());
+        // repetition starts from operands the flush evicted. Nothing the
+        // walk computes leaves it.
+        let mut walk = Walk::repeated(self, alg);
         for call in &alg.calls {
-            Self::allocate_missing(alg, call, &mut operands, |info| {
-                self.fresh_operand(alg, info)
-            });
+            walk.allocate(call, &[], false);
         }
         let mut total_samples = Vec::with_capacity(self.reps);
         let mut call_samples = vec![Vec::with_capacity(self.reps); alg.calls.len()];
         for _ in 0..self.reps {
-            if let Some(flusher) = &mut self.flusher {
+            if let Some(flusher) = &mut flusher {
                 flusher.flush();
             }
             let mut total = 0.0;
-            self.walk_calls(alg, &mut operands, None, |i, _, seconds| {
+            walk.run(None, |i, _, seconds| {
                 let dt = seconds.expect("without a store every call runs");
                 call_samples[i].push(dt);
                 total += dt;
             });
             total_samples.push(total);
         }
+        drop(walk);
+        self.flusher = flusher;
         let median = |samples: &mut Vec<f64>| {
             let samples = std::mem::take(samples);
             TimingResult { samples }.median()
@@ -327,10 +519,10 @@ impl Executor for MeasuredExecutor {
         alg: &Algorithm,
         store: &FactorCache,
     ) -> (AlgorithmTiming, ReuseReport) {
-        let mut operands = Operands::with_capacity(alg.operands.len());
+        let mut walk = Walk::new(self, alg, false);
         let mut report = ReuseReport::default();
         let mut seconds_of = vec![0.0; alg.calls.len()];
-        self.walk_calls(alg, &mut operands, Some(store), |i, call, seconds| {
+        walk.run(Some(store), |i, call, seconds| {
             report.record(call, seconds.is_none());
             seconds_of[i] = seconds.unwrap_or(0.0);
         });
@@ -345,17 +537,20 @@ impl Executor for MeasuredExecutor {
         // intermediates elsewhere are simply random here — except triangular
         // operands, which must be genuinely triangular and nonsingular (a
         // TRSM against a random dense matrix could overflow mid-benchmark).
-        let mut operands = Operands::new();
-        Self::allocate_missing(alg, call, &mut operands, |info| self.input_matrix(info));
+        let mut flusher = self.flusher.take();
+        let mut walk = Walk::repeated(self, alg);
+        walk.allocate(call, &[], true);
         let mut samples = Vec::with_capacity(self.reps);
         for _ in 0..self.reps {
-            if let Some(flusher) = &mut self.flusher {
+            if let Some(flusher) = &mut flusher {
                 flusher.flush();
             }
             let start = Instant::now();
-            self.run_call(call, &mut operands);
+            self.run_call(call, &mut walk.operands);
             samples.push(start.elapsed().as_secs_f64());
         }
+        drop(walk);
+        self.flusher = flusher;
         TimingResult { samples }.median()
     }
 }
@@ -572,13 +767,16 @@ mod tests {
         let store = FactorCache::new();
         store.store(&keys[&potrf], cold.lookup(&keys[&potrf]).unwrap());
 
-        let mut operands = Operands::new();
+        // A walk that keeps its operands, so the map can be inspected.
+        let mut walk = Walk::new(&exec, solve, true);
+        walk.release_dead = false;
         let mut ran = Vec::new();
-        exec.walk_calls(solve, &mut operands, Some(&store), |i, _, seconds| {
+        walk.run(Some(&store), |i, _, seconds| {
             if seconds.is_some() {
                 ran.push(i);
             }
         });
+        let operands = &walk.operands;
         assert!(!ran.contains(&potrf) && !ran.is_empty());
         let s = solve.inputs().find(|o| o.name == "S").unwrap();
         let b = solve.inputs().find(|o| o.name == "B").unwrap();
@@ -587,7 +785,7 @@ mod tests {
         // The factor in the map is the cache's own matrix, not a copy.
         let factor = &operands[&solve.calls[potrf].output];
         assert!(Arc::ptr_eq(factor, &store.lookup(&keys[&potrf]).unwrap()));
-        let result = exec.take_output(solve, operands);
+        let result = walk.take_output();
         assert_eq!(bits(&result), bits(&exec.compute_result(solve)));
     }
 
@@ -680,13 +878,14 @@ mod tests {
 
         let store = FactorCache::new();
         let key = &cacheable_keys(&alg, Some(&store))[&0];
-        let mut operands = Operands::new();
+        let mut walk = Walk::new(&exec, &alg, true);
         let mut snapshot = None;
-        exec.walk_calls(&alg, &mut operands, Some(&store), |i, _, _| {
+        walk.run(Some(&store), |i, _, _| {
             if i == 0 {
                 snapshot = Some(bits(&store.lookup(key).expect("syrk deposited")));
             }
         });
+        let operands = &walk.operands;
         let cached = store.lookup(key).unwrap();
         let snapshot = snapshot.unwrap();
         // The copy wrote to a matrix of its own: the deposit is still the
@@ -696,7 +895,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&cached, &operands[&m]));
         assert_eq!(Arc::strong_count(&cached), 2, "the store and this handle");
         assert_eq!(bits(&operands[&m]), bits(&reference));
-        drop(operands);
+        drop(walk);
 
         // Warm: the deposit is injected, and the copy again leaves it alone.
         let (mut warm, report) = exec.compute_result_reusing(&alg, &store);
@@ -739,7 +938,9 @@ mod tests {
         assert_eq!(bits(&late), bits(&direct));
         // The result is the leaf itself, seeded like any input operand.
         let operand = &leaf.operands[0];
-        assert_eq!(bits(&direct), bits(&exec.input_matrix(operand)));
+        let mut seeded = Matrix::zeros(5, 3);
+        exec.fill_input(&mut seeded, operand);
+        assert_eq!(bits(&direct), bits(&seeded));
         assert!(direct.as_slice().iter().any(|&v| v != 0.0));
         assert_eq!(report, ReuseReport::default());
         assert!(store.is_empty());
@@ -754,6 +955,157 @@ mod tests {
         let t = exec.execute_algorithm(alg);
         assert!(t.seconds > 0.0);
         assert!(exec.machine().peak_flops > 0.0);
+    }
+
+    /// Nine texts covering every kernel family, both sides and all three
+    /// solvers, and the four repeated-solve texts.
+    const CORE_TEXTS: [&str; 9] = [
+        "A*B*C*D",
+        "A*A^T*B",
+        "L[lower]*A*B",
+        "S[spd]*A*A^T",
+        "A*S[spd]*B",
+        "S[spd]^-1*A*B",
+        "A^-1*B*C",
+        "A*B*L[lower]^-1",
+        "A^+*B*C",
+    ];
+    const REUSE_TEXTS: [&str; 4] = ["S[spd]^-1*B", "A^-1*B", "A^+*b", "S[spd]^-1*A*B"];
+
+    /// The algorithms of `text` at `dims` cut to its dimension count
+    /// (increasing, so a pseudo-inverse's operand is tall).
+    fn algorithms_at(text: &str, dims: &[usize]) -> Vec<Algorithm> {
+        use lamb_expr::{Expression, TreeExpression};
+        let expr = TreeExpression::parse(text).unwrap();
+        expr.algorithms(&dims[..expr.num_dims()]).unwrap()
+    }
+
+    /// Replace `exec`'s idle storage with NaN-filled buffers, one for each
+    /// operand of `alg`, one element longer than it: a recycled buffer that
+    /// reached the caller or a cache would show as `capacity > len`.
+    fn poison(exec: &MeasuredExecutor, alg: &Algorithm) {
+        let mut state = exec.pool.state();
+        state.idle = alg
+            .operands
+            .iter()
+            .map(|o| vec![f64::NAN; o.rows * o.cols + 1])
+            .collect();
+        state.idle_bytes = state.idle.iter().map(capacity_bytes).sum();
+        state.bound = state.bound.max(state.idle_bytes);
+    }
+
+    /// The store's deposits for `alg`, each its own exact-size allocation.
+    fn assert_deposits_exact(store: &FactorCache, alg: &Algorithm, what: &str) {
+        for key in cacheable_keys(alg, Some(store)).values() {
+            if let Some(m) = store.lookup(key) {
+                assert_eq!(m.capacity(), m.len(), "{what}: deposit {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_storage_is_invisible() {
+        let dims = [21, 29, 37, 45, 33];
+        let fresh = || tiny_executor();
+        for text in CORE_TEXTS.iter().chain(&REUSE_TEXTS) {
+            let recycled = tiny_executor();
+            for alg in &algorithms_at(text, &dims) {
+                let what = format!("{text}: {}", alg.name);
+                let reference = bits(&fresh().compute_result(alg));
+                poison(&recycled, alg);
+                let storeless = recycled.compute_result(alg);
+                assert_eq!(bits(&storeless), reference, "{what} storeless");
+                assert_eq!(storeless.capacity(), storeless.len(), "{what}");
+                // No operand keeps a stale element, not even in a triangle
+                // no kernel writes.
+                poison(&recycled, alg);
+                let mut walk = Walk::new(&recycled, alg, true);
+                walk.release_dead = false;
+                walk.run(None, |_, _, _| {});
+                for (id, m) in &walk.operands {
+                    assert!(!m.as_slice().iter().any(|x| x.is_nan()), "{what}: {id:?}");
+                }
+                drop(walk);
+
+                let store = FactorCache::new();
+                for pass in ["cold", "warm"] {
+                    poison(&recycled, alg);
+                    let (result, _) = recycled.compute_result_reusing(alg, &store);
+                    assert_eq!(bits(&result), reference, "{what} {pass}");
+                    assert_eq!(result.capacity(), result.len(), "{what} {pass}");
+                    assert_deposits_exact(&store, alg, &what);
+                }
+                // The timed walks draw from the same pool and leave real,
+                // stale results in it; what follows them is unchanged too.
+                let mut timed = tiny_executor();
+                poison(&timed, alg);
+                let _ = timed.execute_algorithm(alg);
+                let _ = timed.execute_algorithm_reusing(alg, &store);
+                for i in 0..alg.calls.len() {
+                    let _ = timed.time_isolated_call(alg, i);
+                }
+                assert_eq!(
+                    bits(&timed.compute_result(alg)),
+                    reference,
+                    "{what} after timing"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn retained_storage_stays_under_the_largest_walk() {
+        let exec = tiny_executor();
+        let mut timed = tiny_executor();
+        let check = |exec: &MeasuredExecutor, what: &str| {
+            let state = exec.pool.state();
+            let held: usize = state.idle.iter().map(capacity_bytes).sum();
+            assert_eq!(held, state.idle_bytes, "{what}");
+            assert!(
+                state.idle_bytes <= state.bound,
+                "{what}: {} > {}",
+                state.idle_bytes,
+                state.bound
+            );
+            state.bound
+        };
+        // The most any one algorithm's operands occupy.
+        let mut largest = 0;
+        for (k, dims) in [
+            [40, 12, 70, 9, 33],
+            [8, 9, 10, 11, 12],
+            [65, 33, 90, 70, 48],
+            [5, 70, 6, 80, 7],
+        ]
+        .iter()
+        .cycle()
+        .take(8)
+        .enumerate()
+        {
+            for text in CORE_TEXTS.iter().chain(&REUSE_TEXTS) {
+                let mut dims = *dims;
+                dims.sort_unstable(); // a pseudo-inverse's operand is tall
+                let store = FactorCache::new();
+                for alg in &algorithms_at(text, &dims) {
+                    let bytes: usize = alg.operands.iter().map(|o| o.rows * o.cols * 8).sum();
+                    largest = largest.max(bytes);
+                    let what = format!("round {k}, {text} {dims:?}: {}", alg.name);
+                    let _ = exec.compute_result(alg);
+                    let _ = exec.compute_result_reusing(alg, &store);
+                    check(&exec, &what);
+                    let _ = timed.execute_algorithm(alg);
+                    let _ = timed.time_isolated_call(alg, 0);
+                    check(&timed, &what);
+                }
+            }
+        }
+        for exec in [&exec, &timed] {
+            let bound = check(exec, "end");
+            assert!(
+                bound > 0 && bound <= 2 * largest,
+                "bound {bound} against {largest}"
+            );
+        }
     }
 
     #[test]
