@@ -83,7 +83,7 @@ impl Algorithm {
     /// Look up an operand by id.
     #[must_use]
     pub fn operand(&self, id: OperandId) -> Option<&OperandInfo> {
-        self.operands.iter().find(|o| o.id == id)
+        self.operands.get(id.index()).filter(|o| o.id == id)
     }
 
     /// The operands that are inputs of the expression.
@@ -117,11 +117,17 @@ impl Algorithm {
         saturating_sum(self.calls.iter().map(|c| c.op.output_elements()))
     }
 
-    /// Validate internal consistency: every call's inputs must be produced by
-    /// an earlier call or be expression inputs, every call's output must be in
+    /// Validate internal consistency: the operand ids are dense (operand `i`
+    /// of the table has id `i`, which is what lets [`Algorithm::operand`] and
+    /// the executors index by id), every call's inputs must be produced by an
+    /// earlier call or be expression inputs, every call's output must be in
     /// the operand table, and exactly one operand must be the output.
     #[must_use]
     pub fn is_well_formed(&self) -> bool {
+        let dense = (self.operands.iter().enumerate()).all(|(i, o)| o.id == OperandId(i));
+        if !dense {
+            return false;
+        }
         let mut produced: HashSet<OperandId> = self
             .operands
             .iter()
@@ -267,6 +273,27 @@ mod tests {
         // Reading an operand that is never produced breaks well-formedness.
         alg.calls[0].inputs[0] = OperandId(99);
         assert!(!alg.is_well_formed());
+    }
+
+    #[test]
+    fn well_formedness_requires_dense_operand_ids() {
+        // Renumbering M1 from #3 to #7 keeps the dataflow intact but leaves
+        // a hole in the ids: the table can no longer be indexed by id.
+        let mut alg = toy_algorithm();
+        alg.operands[3].id = OperandId(7);
+        alg.calls[0].output = OperandId(7);
+        alg.calls[1].inputs[0] = OperandId(7);
+        assert!(!alg.is_well_formed());
+        assert!(alg.operand(OperandId(3)).is_none());
+        assert!(
+            alg.operand(OperandId(7)).is_none(),
+            "the slot holds a different id"
+        );
+        // Out of table order is sparse too: ids must match positions.
+        let mut swapped = toy_algorithm();
+        swapped.operands.swap(0, 1);
+        assert!(!swapped.is_well_formed());
+        assert!(swapped.operand(OperandId(0)).is_none());
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! values under the deterministic executors, which is exactly the keying the
 //! cross-request factor cache needs.
 
-use crate::algorithm::{Algorithm, OperandRole};
+use crate::algorithm::{Algorithm, OperandInfo, OperandRole};
 use crate::kernel_call::{KernelCall, KernelOp};
 use crate::operand::OperandId;
 use std::collections::HashMap;
@@ -212,17 +212,26 @@ impl ValueNumbering {
 
     /// The CSE of `alg`, which must be the call list last numbered: the kept
     /// calls in their original order, rewired to representatives, and the
-    /// operand table without the merged-away operands.
+    /// operand table without the merged-away operands — renumbered, so its
+    /// ids stay dense (operand `i` has id `i`). Merged-away operands are
+    /// computed ones, and the enumerator lists every leaf first, so the
+    /// leaves keep their ids (and the contents seeded from them).
     fn outcome(&self, alg: &Algorithm) -> CseOutcome {
+        let merged = |id: OperandId| self.repr.iter().any(|(from, _)| *from == id);
+        // The new id of a surviving operand: its position among survivors.
+        let renumber = |id: OperandId| {
+            OperandId(id.index() - (self.repr.iter()).filter(|(from, _)| *from < id).count())
+        };
         let calls = self
             .kept
             .iter()
             .map(|k| {
                 let call = &alg.calls[k.call];
+                let inputs = &self.resolved[k.inputs.0..k.inputs.0 + k.inputs.1];
                 KernelCall {
                     op: call.op.clone(),
-                    inputs: self.resolved[k.inputs.0..k.inputs.0 + k.inputs.1].to_vec(),
-                    output: k.output,
+                    inputs: inputs.iter().map(|&id| renumber(id)).collect(),
+                    output: renumber(k.output),
                     label: call.label.clone(),
                 }
             })
@@ -230,8 +239,18 @@ impl ValueNumbering {
         let operands = alg
             .operands
             .iter()
-            .filter(|o| !self.repr.iter().any(|(from, _)| *from == o.id))
-            .cloned()
+            .filter(|o| !merged(o.id))
+            .map(|o| {
+                debug_assert!(
+                    o.role != OperandRole::Input || renumber(o.id) == o.id,
+                    "leaf {} listed after a computed operand",
+                    o.id
+                );
+                OperandInfo {
+                    id: renumber(o.id),
+                    ..o.clone()
+                }
+            })
             .collect();
         CseOutcome {
             algorithm: Algorithm {
@@ -496,8 +515,11 @@ mod tests {
             vec![OperandId(2), OperandId(2)],
             "{alg}"
         );
-        // The merged-away operand left the table; the algorithm verifies as a DAG.
-        assert!(alg.operand(OperandId(3)).is_none());
+        // The merged-away operand left the table, and the output moved up
+        // into its id so the ids stay dense; the algorithm verifies as a DAG.
+        assert_eq!(alg.operands.len(), doubled_product().operands.len() - 1);
+        assert_eq!(alg.output().unwrap().id, OperandId(3));
+        assert_eq!(alg.calls[1].output, OperandId(3));
         assert!(alg.is_well_formed());
         assert_eq!(alg.flops(), doubled_product().shared_flops());
     }

@@ -35,6 +35,15 @@
 //! the macro-kernel, the partial-tile edge handling and the micro-kernel all
 //! see compile-time `MR`/`NR`.
 //!
+//! ## Small calls
+//!
+//! A product under the small-call rule (the private `leaf` module's one size
+//! test) skips all of the above: no thread-local scratch, no parallel check,
+//! and for column-major `op(A)` no packing of its full `MR`-row slivers,
+//! which the micro-kernel reads in place; `op(B)` is copied one `NR`-column
+//! sliver at a time onto the stack. SYRK's triangle goes the same way with a
+//! mask on the write-back.
+//!
 //! ## Packing-buffer reuse
 //!
 //! The packed-panel buffers are thread-local scratch, taken at the start of a
@@ -48,9 +57,10 @@
 //! to grow, which tests use to assert the steady state allocates nothing.
 
 use crate::config::{BlockConfig, TileVariant, MAX_TILE_ACC};
-use crate::microkernel::microkernel;
-use crate::pack::{pack_a, pack_b, packed_a_len, packed_b_len, Operand};
-use lamb_matrix::MatrixViewMut;
+use crate::leaf::{is_small, on_stack, SMALL_MAX};
+use crate::microkernel::{microkernel, microkernel_strided};
+use crate::pack::{pack_a, pack_a_into, pack_b, packed_a_len, packed_b_len, Operand};
+use lamb_matrix::{MatrixViewMut, Uplo};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,6 +148,10 @@ impl<'a> BlockedDriver<'a> {
         FA: Operand,
         FB: Operand,
     {
+        if is_small(m, n, k, self.cfg) {
+            self.accumulate_small(m, n, k, alpha, (load_a, load_b), c, None);
+            return;
+        }
         match self.cfg.tile {
             TileVariant::T8x4 => self.serial_core::<8, 4, _, _>(m, n, k, alpha, load_a, load_b, c),
             TileVariant::T8x8 => self.serial_core::<8, 8, _, _>(m, n, k, alpha, load_a, load_b, c),
@@ -148,6 +162,35 @@ impl<'a> BlockedDriver<'a> {
             TileVariant::T8x12 => {
                 self.serial_core::<8, 12, _, _>(m, n, k, alpha, load_a, load_b, c)
             }
+        }
+    }
+
+    /// The small-call tier of [`BlockedDriver::accumulate_serial`], for a
+    /// product under the rule ([`is_small`]): `C += alpha * OpA * OpB`
+    /// straight from storage, into the `mask` triangle of `C` only when one
+    /// is given (SYRK's output). Dispatches once on the tile, like the
+    /// packed core.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn accumulate_small<FA, FB>(
+        &self,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        (load_a, load_b): (&FA, &FB),
+        c: &mut MatrixViewMut<'_>,
+        mask: Option<Uplo>,
+    ) where
+        FA: Operand,
+        FB: Operand,
+    {
+        let ops = (load_a, load_b);
+        match self.cfg.tile {
+            TileVariant::T8x4 => small_core::<8, 4, _, _>(m, n, k, alpha, ops, c, mask),
+            TileVariant::T8x8 => small_core::<8, 8, _, _>(m, n, k, alpha, ops, c, mask),
+            TileVariant::T4x8 => small_core::<4, 8, _, _>(m, n, k, alpha, ops, c, mask),
+            TileVariant::T16x4 => small_core::<16, 4, _, _>(m, n, k, alpha, ops, c, mask),
+            TileVariant::T8x12 => small_core::<8, 12, _, _>(m, n, k, alpha, ops, c, mask),
         }
     }
 
@@ -237,7 +280,7 @@ impl<'a> BlockedDriver<'a> {
         FA: Operand + Sync,
         FB: Operand + Sync,
     {
-        if self.cfg.should_parallelise(m, n, k) {
+        if !is_small(m, n, k, self.cfg) && self.cfg.should_parallelise(m, n, k) {
             self.for_each_panel(c.subview_mut(0, 0, m, n), true, |j0, mut panel| {
                 let ncols = panel.cols();
                 let shifted_b = load_b.offset(0, j0);
@@ -258,11 +301,13 @@ impl<'a> BlockedDriver<'a> {
         F: Fn(usize, MatrixViewMut<'_>) + Sync,
     {
         let n = c.cols();
-        let width = if parallel {
-            self.cfg.parallel_panel_width(n)
-        } else {
-            n.max(1)
-        };
+        if !parallel {
+            if n > 0 {
+                f(0, c);
+            }
+            return;
+        }
+        let width = self.cfg.parallel_panel_width(n);
         let ends: Vec<usize> = (1..=n.div_ceil(width))
             .map(|panel| (panel * width).min(n))
             .collect();
@@ -280,6 +325,9 @@ impl<'a> BlockedDriver<'a> {
     where
         F: Fn(usize, MatrixViewMut<'_>) + Sync,
     {
+        if let [_] = ends {
+            return f(0, c);
+        }
         let mut panels = Vec::with_capacity(ends.len());
         let (mut rest, mut j0) = (c, 0);
         for &end in ends {
@@ -291,6 +339,163 @@ impl<'a> BlockedDriver<'a> {
             panels.into_par_iter().for_each(|(j0, panel)| f(j0, panel));
         } else {
             panels.into_iter().for_each(|(j0, panel)| f(j0, panel));
+        }
+    }
+}
+
+/// The small-call core: `C += alpha * OpA * OpB` with no packed scratch
+/// beyond the stack. `op(A)`'s full `MR`-row slivers are read where they are
+/// stored when it is column-major storage, and the rest of it is packed once;
+/// `op(B)` is copied one `NR`-column sliver at a time, once per panel. Every
+/// tile accumulates in a monomorphic micro-kernel, as in the packed core —
+/// the write-back below indexes at run time, and a tile kept in the same
+/// function would not stay in registers. With `mask`, only the tiles that
+/// reach into that triangle of `C` are formed, and only its elements are
+/// written.
+#[allow(clippy::too_many_arguments)]
+fn small_core<const MR: usize, const NR: usize, FA, FB>(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    (load_a, load_b): (&FA, &FB),
+    c: &mut MatrixViewMut<'_>,
+    mask: Option<Uplo>,
+) where
+    FA: Operand,
+    FB: Operand,
+{
+    debug_assert_eq!((c.rows(), c.cols()), (m, n));
+    if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
+        return;
+    }
+    let (stored, lda, in_place) = match load_a.columns() {
+        Some((data, ld)) => (data, ld, m / MR * MR),
+        None => (&[][..], 0, 0),
+    };
+    let a_len = packed_a_len(MR, m - in_place, k);
+    on_stack(a_len + k * NR, &mut |buf| {
+        let (a_pack, b_pack) = buf.split_at_mut(a_len);
+        if load_a.t().columns().is_some() {
+            // Rows of `op(A)` are stored: an `MR`-row sliver of `op(A)` is an
+            // `MR`-column sliver of `op(A)ᵀ`.
+            let (a_rows, _) = a_pack.as_chunks_mut::<MR>();
+            for (q, panel) in a_rows.chunks_exact_mut(k).enumerate() {
+                let i0 = in_place + q * MR;
+                copy_sliver(&load_a.t(), i0, MR.min(m - i0), panel);
+            }
+        } else {
+            pack_a_into(MR, m - in_place, k, load_a.offset(in_place, 0), a_pack);
+        }
+        let (sliver, _) = b_pack.as_chunks_mut::<NR>();
+        let mut acc = [0.0f64; MAX_TILE_ACC];
+        for jr in (0..n).step_by(NR) {
+            let nrb = NR.min(n - jr);
+            copy_sliver(load_b, jr, nrb, sliver);
+            let b_sliver = sliver.as_flattened();
+            for ir in (0..m).step_by(MR) {
+                let mrb = MR.min(m - ir);
+                let outside = match mask {
+                    Some(Uplo::Lower) => ir + mrb <= jr,
+                    Some(Uplo::Upper) => ir >= jr + nrb,
+                    None => false,
+                };
+                if outside {
+                    continue;
+                }
+                if ir < in_place {
+                    microkernel_strided::<MR, NR>(k, &stored[ir..], lda, b_sliver, &mut acc);
+                } else {
+                    let panel = (ir - in_place) * k;
+                    microkernel::<MR, NR>(k, &a_pack[panel..panel + MR * k], b_sliver, &mut acc);
+                }
+                let whole = mrb == MR && nrb == NR;
+                let inside = match mask {
+                    Some(Uplo::Lower) => ir >= jr + NR - 1,
+                    Some(Uplo::Upper) => ir + MR <= jr + 1,
+                    None => true,
+                };
+                if whole && inside {
+                    add_tile::<MR, NR>(alpha, &acc, c, ir, jr);
+                    continue;
+                }
+                for jj in 0..nrb {
+                    // The tile's rows of column `j` inside the mask.
+                    let j = jr + jj;
+                    let rows = match mask {
+                        Some(Uplo::Lower) => j.saturating_sub(ir).min(mrb)..mrb,
+                        Some(Uplo::Upper) => 0..(j + 1).saturating_sub(ir).min(mrb),
+                        None => 0..mrb,
+                    };
+                    let col = &mut c.col_mut(j)[ir..ir + mrb];
+                    let tile = &acc[jj * MR..jj * MR + mrb];
+                    for (x, &t) in col[rows.clone()].iter_mut().zip(&tile[rows]) {
+                        *x += alpha * t;
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// Copy `op(B)`'s columns `j0..j0 + width` into `sliver` — row `p` holds
+/// their `NR` values at depth `p`, zero past `width` — the micro-kernel's
+/// packed-`B` layout (and, for `op(B) = op(A)ᵀ`, its packed-`A` layout).
+/// Storage is copied a stored column or row at a time.
+fn copy_sliver<const NR: usize, FB: Operand>(
+    load_b: &FB,
+    j0: usize,
+    width: usize,
+    sliver: &mut [[f64; NR]],
+) {
+    let k = sliver.len();
+    if let Some((data, ld)) = load_b.columns() {
+        const ZEROS: [f64; SMALL_MAX] = [0.0; SMALL_MAX];
+        let cols: [&[f64]; NR] = std::array::from_fn(|lane| {
+            if lane < width {
+                &data[(j0 + lane) * ld..][..k]
+            } else {
+                &ZEROS[..k]
+            }
+        });
+        for (p, row) in sliver.iter_mut().enumerate() {
+            for (slot, col) in row.iter_mut().zip(&cols) {
+                *slot = col[p];
+            }
+        }
+    } else if let Some((data, ld)) = load_b.t().columns() {
+        for (p, row) in sliver.iter_mut().enumerate() {
+            let (live, pad) = row.split_at_mut(width);
+            live.copy_from_slice(&data[p * ld + j0..][..width]);
+            pad.fill(0.0);
+        }
+    } else {
+        pack_a_into(
+            NR,
+            width,
+            k,
+            load_b.offset(0, j0).t(),
+            sliver.as_flattened_mut(),
+        );
+    }
+}
+
+/// `C[i0.., j0..] += alpha * acc` for one whole `MR x NR` tile.
+fn add_tile<const MR: usize, const NR: usize>(
+    alpha: f64,
+    acc: &[f64],
+    c: &mut MatrixViewMut<'_>,
+    i0: usize,
+    j0: usize,
+) {
+    let ld = c.ld();
+    let data = c.as_mut_slice();
+    for (jj, tile) in acc[..MR * NR].chunks_exact(MR).enumerate() {
+        let col: &mut [f64; MR] = (&mut data[i0 + (j0 + jj) * ld..][..MR])
+            .try_into()
+            .expect("MR rows");
+        for (x, &t) in col.iter_mut().zip(tile) {
+            *x += alpha * t;
         }
     }
 }
@@ -423,6 +628,90 @@ mod tests {
     }
 
     #[test]
+    fn small_tier_matches_naive_for_every_kind_of_operand() {
+        // Column-major `op(A)` read in place (with an edge sliver), a
+        // transposed one copied by rows, and an accessor packed element by
+        // element; SYRK's triangle mask keeps the other triangle untouched.
+        for tile in TileVariant::ALL {
+            let cfg = BlockConfig::serial().with_tile(tile);
+            let driver = BlockedDriver::new(&cfg);
+            let (mr, nr) = (tile.mr(), tile.nr());
+            for (m, n, k) in [(mr + 3, nr + 1, 5), (2 * mr, nr - 1, 1), (47, 45, 48)] {
+                let a = random_seeded(m, k, 3);
+                let at = a.transposed();
+                let b = random_seeded(k, n, 4);
+                let op_b = Strided::new(&b.view(), Trans::No);
+                let a_s = a.as_slice();
+                let expected = reference(&a, &b, 1.0);
+                let stored = Strided::new(&a.view(), Trans::No);
+                let by_rows = Strided::new(&at.view(), Trans::Yes);
+                let accessor = |i: usize, p: usize| a_s[i + p * m];
+                for kind in ["stored", "by rows", "accessor"] {
+                    let mut c = Matrix::zeros(m, n);
+                    let cv = &mut c.view_mut();
+                    match kind {
+                        "stored" => {
+                            driver.accumulate_small(m, n, k, 1.0, (&stored, &op_b), cv, None)
+                        }
+                        "by rows" => {
+                            driver.accumulate_small(m, n, k, 1.0, (&by_rows, &op_b), cv, None)
+                        }
+                        _ => driver.accumulate_small(m, n, k, 1.0, (&accessor, &op_b), cv, None),
+                    }
+                    let diff = max_abs_diff(&c, &expected).unwrap();
+                    assert!(diff < 1e-12, "{tile} {m}x{n}x{k} {kind}: {diff}");
+                }
+            }
+            // The masked form writes the selected triangle only.
+            let n = 2 * nr + 3;
+            let a = random_seeded(n, 7, 5);
+            let op_a = Strided::new(&a.view(), Trans::No);
+            let full = {
+                let mut f = Matrix::zeros(n, n);
+                gemm_naive(
+                    Trans::No,
+                    Trans::Yes,
+                    1.0,
+                    &a.view(),
+                    &a.view(),
+                    0.0,
+                    &mut f.view_mut(),
+                )
+                .unwrap();
+                f
+            };
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                let mut c = Matrix::filled(n, n, f64::NAN);
+                for j in 0..n {
+                    for i in 0..n {
+                        if uplo.contains(i, j) {
+                            c[(i, j)] = 0.0;
+                        }
+                    }
+                }
+                driver.accumulate_small(
+                    n,
+                    n,
+                    7,
+                    1.0,
+                    (&op_a, &op_a.t()),
+                    &mut c.view_mut(),
+                    Some(uplo),
+                );
+                for j in 0..n {
+                    for i in 0..n {
+                        if uplo.contains(i, j) {
+                            assert!((c[(i, j)] - full[(i, j)]).abs() < 1e-12, "{tile} {uplo:?}");
+                        } else {
+                            assert!(c[(i, j)].is_nan(), "{tile} {uplo:?} wrote ({i}, {j})");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn accumulation_adds_to_existing_contents() {
         let m = 6;
         let n = 6;
@@ -530,8 +819,9 @@ mod tests {
     #[test]
     fn pack_scratch_is_reused_after_warmup() {
         // Two identical calls: the first may grow the thread-local scratch,
-        // the second must not allocate at all.
-        let (m, n, k) = (48, 48, 48);
+        // the second must not allocate at all. (Above the small-call rule,
+        // which packs nothing.)
+        let (m, n, k) = (64, 64, 64);
         let a = random_seeded(m, k, 31);
         let b = random_seeded(k, n, 32);
         let a_s = a.as_slice();
@@ -566,7 +856,7 @@ mod tests {
         // repeat grows nothing. With workers spawned per call, every call's
         // workers would start from empty scratch and no window could be
         // quiet.
-        let (m, n, k) = (48, 96, 48);
+        let (m, n, k) = (64, 96, 64);
         let a = random_seeded(m, k, 33);
         let b = random_seeded(k, n, 34);
         let a_s = a.as_slice();

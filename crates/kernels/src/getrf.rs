@@ -13,9 +13,9 @@
 //! column ranges. A range wider than [`BlockConfig::tri_block`] splits off
 //! one such panel, a narrower one splits in half, and each step
 //!
-//! 1. factors the left columns (by the same recursion, down to a leaf of at
-//!    most eight columns — the leaf order the factorisation tier shares —
-//!    that runs the unblocked partial-pivot recurrence on column slices,
+//! 1. factors the left columns (by the same recursion, down to the
+//!    small-call rule the factorisation tier shares, below which the
+//!    unblocked partial-pivot recurrence runs in place on column slices,
 //!    reporting [`MatrixError::SingularDiagonal`] on an exactly-zero pivot
 //!    column) and replays their row swaps on the right columns,
 //! 2. computes the row panel `U₁₂ := L₁₁⁻¹·A₁₂` with one
@@ -27,7 +27,9 @@
 //!
 //! Steps 2 and 3 carry the `2n³/3` bulk of the work (see
 //! [`crate::flops::getrf_flops`]) and both run on the packed, cache-blocked,
-//! Rayon-capable engine; the leaves' share is `O(n²)`. Row swaps
+//! Rayon-capable engine. A matrix under the rule is factored by the
+//! unblocked recurrence alone, in place, each pivot written straight into
+//! the packed operand's pivot column. Row swaps
 //! are applied a column range at a time, so each touches one contiguous
 //! column after another.
 //!
@@ -37,7 +39,7 @@
 
 use crate::config::BlockConfig;
 use crate::gemm::gemm;
-use crate::leaf::{axpy, compact, first_part, two_cols, LEAF};
+use crate::leaf::{axpy, column_and_later, compact, first_part, is_small, two_cols};
 use crate::trsm::trsm;
 use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Side, Trans, Uplo};
 
@@ -63,8 +65,8 @@ pub fn getrf(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>, cfg: &BlockConfig)
 /// pivot index per column and swapping rows within the window only.
 fn factor_columns(mut a: MatrixViewMut<'_>, piv: &mut Vec<usize>, cfg: &BlockConfig) -> Result<()> {
     let (m, nc, base) = (a.rows(), a.cols(), piv.len());
-    if nc <= LEAF {
-        return factor_unblocked(&mut a, piv);
+    if is_small(nc, nc, nc, cfg) {
+        return factor_unblocked(&mut a, base, |p| piv.push(p));
     }
     let kb = first_part(nc, cfg.tri_block);
     let (below, rest) = (m - kb, nc - kb);
@@ -127,7 +129,7 @@ fn factor_columns(mut a: MatrixViewMut<'_>, piv: &mut Vec<usize>, cfg: &BlockCon
 pub fn getrf_naive(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>) -> Result<()> {
     check_square(a)?;
     piv.clear();
-    factor_unblocked(a, piv)
+    factor_unblocked(a, 0, |p| piv.push(p))
 }
 
 fn check_square(a: &MatrixViewMut<'_>) -> Result<usize> {
@@ -141,11 +143,15 @@ fn check_square(a: &MatrixViewMut<'_>) -> Result<usize> {
 }
 
 /// Unblocked right-looking partial-pivot LU of every column of the window
-/// `a` (whose `(0, 0)` is the diagonal element of absolute index
-/// `piv.len()`), one axpy per column pair. Swaps rows within the window and
-/// records them in `piv`; pivot failures report the *absolute* column index.
-fn factor_unblocked(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>) -> Result<()> {
-    let base = piv.len();
+/// `a` (whose `(0, 0)` is the diagonal element of absolute index `base`) in
+/// place, one axpy per column pair: the small tier, the end of the
+/// recursion, and the reference. Swaps rows within the window and hands each step's absolute
+/// pivot row to `record`; pivot failures report the *absolute* column index.
+fn factor_unblocked(
+    a: &mut MatrixViewMut<'_>,
+    base: usize,
+    mut record: impl FnMut(usize),
+) -> Result<()> {
     for j in 0..a.cols() {
         // Partial pivot: the first largest magnitude on or below the diagonal.
         let col = a.col_mut(j);
@@ -158,18 +164,20 @@ fn factor_unblocked(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>) -> Result<(
         if col[p] == 0.0 || col[p].is_nan() {
             return Err(MatrixError::SingularDiagonal { index: base + j });
         }
-        piv.push(base + p);
-        for c in 0..a.cols() {
-            a.col_mut(c).swap(j, p);
+        record(base + p);
+        if p != j {
+            let (rows, ld, cols) = (a.rows(), a.ld(), a.cols());
+            for col in a.as_mut_slice().chunks_mut(ld).take(cols) {
+                col[..rows].swap(j, p);
+            }
         }
         // Eliminate below the pivot and fold into the remaining columns.
-        let col = a.col_mut(j);
-        let d = col[j];
-        for v in &mut col[j + 1..] {
+        let (l, later) = column_and_later(a, j);
+        let d = l[j];
+        for v in &mut l[j + 1..] {
             *v /= d;
         }
-        for q in j + 1..a.cols() {
-            let (l, next) = two_cols(a, j, q);
+        for next in later {
             if next[j] != 0.0 {
                 axpy(-next[j], &l[j + 1..], &mut next[j + 1..]);
             }
@@ -220,9 +228,20 @@ pub fn getrf_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Resul
         });
     }
     f.as_mut_slice()[..m * n].copy_from_slice(a.as_slice());
+    let (mut lu, mut last) = f.view_mut().split_at_col_mut(n);
+    if is_small(n, n, n, cfg) {
+        // In place, each pivot written straight into its slot.
+        check_square(&lu)?;
+        let slots = last.col_mut(0);
+        let mut step = 0;
+        return factor_unblocked(&mut lu, 0, |p| {
+            slots[step] = p as f64;
+            step += 1;
+        });
+    }
     let mut piv = Vec::new();
-    getrf(&mut f.view_mut().subview_mut(0, 0, m, n), &mut piv, cfg)?;
-    for (dst, &p) in f.col_mut(n).iter_mut().zip(&piv) {
+    getrf(&mut lu, &mut piv, cfg)?;
+    for (dst, &p) in last.col_mut(0).iter_mut().zip(&piv) {
         *dst = p as f64;
     }
     Ok(())

@@ -30,14 +30,22 @@
 //! the factorisation tier — POTRF, GETRF and QR — is recursive: a range of
 //! coupled unknowns splits off one [`BlockConfig::tri_block`] while it is
 //! wider than that and in half below, the first part is solved and folded
-//! into the rest on the packed engine, and the recursion ends at a leaf of
-//! eight unknowns that runs on contiguous column slices through the `dot` /
-//! `axpy` / two-disjoint-columns primitives of the private `leaf` module.
-//! QR's trailing update and [`ormqr`] share one compact-WY block reflector,
-//! `C -= V·Tᵀ·(Vᵀ·C)`, which reads the reflectors as storage (a
-//! materialised unit-lower top block, a strided window of the factor below
-//! it) and forms `VᵀV` and `VᵀC` in one product, so `T` costs one product
-//! plus a `kb³` recurrence.
+//! into the rest on the packed engine, and the recursion ends at the
+//! small-call rule. QR's trailing update and [`ormqr`] share one compact-WY
+//! block reflector, `C -= V·Tᵀ·(Vᵀ·C)`, which reads the reflectors as
+//! storage (a materialised unit-lower top block, a strided window of the
+//! factor below it) and forms `VᵀV` and `VᵀC` in one product, so `T` costs
+//! one product plus a `kb³` recurrence.
+//!
+//! A call whose operands fit a few register tiles — no extent above six
+//! tiles along the tile's longer side, one `kc` block, or 48 — takes the
+//! small tier behind that one rule (the private `leaf` module): products
+//! run straight from storage with no thread-local scratch and no parallel
+//! check, reading `op(A)`'s `MR`-row slivers in place and copying `op(B)`
+//! one `NR`-column sliver at a time; TRSM substitutes against its triangle
+//! where it is stored; ORMQR applies its reflectors one by one without
+//! forming `T`; POTRF, GETRF and QR factor in place on contiguous column
+//! slices, with no copies and no per-level scratch matrices.
 //!
 //! The kernel *vocabulary* lives here too: [`op::KernelOp`] names every
 //! operation with its logical dimensions and knows its arity, operand

@@ -61,18 +61,45 @@ pub fn microkernel<const MR: usize, const NR: usize>(
     let a_steps = ap[..kb * MR].chunks_exact(MR);
     let b_steps = bp[..kb * NR].chunks_exact(NR);
     for (a, b) in a_steps.zip(b_steps) {
-        let a: &[f64; MR] = a.try_into().expect("chunk is MR long");
-        let b: &[f64; NR] = b.try_into().expect("chunk is NR long");
-        for c in 0..NR {
-            let bv = b[c];
-            let col = &mut tile[c];
-            for r in 0..MR {
-                col[r] = fmadd(col[r], a[r], bv);
-            }
-        }
+        rank_one(&mut tile, a, b);
     }
     for (c, col) in tile.iter().enumerate() {
         acc[c * MR..(c + 1) * MR].copy_from_slice(col);
+    }
+}
+
+/// [`microkernel`] reading `op(A)` in place: `a[p * lda + r]` holds
+/// `op(A)[r, p]` — an `MR`-row sliver of column-major storage, which the
+/// small-call tier hands over instead of a packed panel.
+#[inline]
+pub(crate) fn microkernel_strided<const MR: usize, const NR: usize>(
+    kb: usize,
+    a: &[f64],
+    lda: usize,
+    bp: &[f64],
+    acc: &mut [f64],
+) {
+    let mut tile = [[0.0f64; MR]; NR];
+    for (p, b) in bp[..kb * NR].chunks_exact(NR).enumerate() {
+        rank_one(&mut tile, &a[p * lda..p * lda + MR], b);
+    }
+    for (c, col) in tile.iter().enumerate() {
+        acc[c * MR..(c + 1) * MR].copy_from_slice(col);
+    }
+}
+
+/// `tile += a·bᵀ` for one step of the depth: `MR` values of `op(A)`'s
+/// column, `NR` of `op(B)`'s row.
+#[inline(always)]
+fn rank_one<const MR: usize, const NR: usize>(tile: &mut [[f64; MR]; NR], a: &[f64], b: &[f64]) {
+    let a: &[f64; MR] = a.try_into().expect("chunk is MR long");
+    let b: &[f64; NR] = b.try_into().expect("chunk is NR long");
+    for c in 0..NR {
+        let bv = b[c];
+        let col = &mut tile[c];
+        for r in 0..MR {
+            col[r] = fmadd(col[r], a[r], bv);
+        }
     }
 }
 

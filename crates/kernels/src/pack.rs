@@ -43,6 +43,13 @@ pub trait Operand {
 
     /// The transposed operand.
     fn t(&self) -> impl Operand;
+
+    /// The operand as column-major storage — its elements `(i, j)` at
+    /// `data[i + j * ld]` — when it is one: what the small-call tier reads
+    /// in place instead of packing.
+    fn columns(&self) -> Option<(&[f64], usize)> {
+        None
+    }
 }
 
 impl<F: Fn(usize, usize) -> f64> Operand for F {
@@ -122,6 +129,10 @@ impl Operand for Strided<'_> {
     fn t(&self) -> impl Operand {
         Strided::t(*self)
     }
+
+    fn columns(&self) -> Option<(&[f64], usize)> {
+        (self.rs == 1).then_some((self.data, self.cs))
+    }
 }
 
 /// Number of `f64` slots required to pack an `mb x kb` block of `op(A)` into
@@ -146,6 +157,12 @@ pub fn packed_b_len(nr: usize, kb: usize, nb: usize) -> usize {
 /// packed.
 pub fn pack_a<L: Operand>(mr: usize, mb: usize, kb: usize, load: L, buf: &mut Vec<f64>) {
     buf.resize(packed_a_len(mr, mb, kb), 0.0);
+    pack_a_into(mr, mb, kb, load, buf);
+}
+
+/// [`pack_a`] into the first [`packed_a_len`] elements of `buf`.
+pub(crate) fn pack_a_into<L: Operand>(mr: usize, mb: usize, kb: usize, load: L, buf: &mut [f64]) {
+    let buf = &mut buf[..packed_a_len(mr, mb, kb)];
     if buf.is_empty() {
         return;
     }

@@ -7,14 +7,14 @@
 //! only the stored triangle in, which is exactly what the out-of-place
 //! [`crate::backend::NativeBackend`] realisation of `KernelOp::Potrf` does).
 //!
-//! Structure on the shared [`BlockedDriver`](crate::driver::BlockedDriver)
+//! Structure on the shared [`BlockedDriver`]
 //! engine: the **right-looking blocked algorithm**, applied recursively. A
 //! matrix wider than [`BlockConfig::tri_block`] splits off one such block, a
 //! narrower one splits in half, and each step
 //!
-//! 1. factors the leading block (by the same recursion, down to a leaf of at
-//!    most eight rows — the leaf order the factorisation tier shares — that
-//!    runs the unblocked recurrence on column slices, reporting
+//! 1. factors the leading block (by the same recursion, down to the
+//!    small-call rule the factorisation tier shares, below which the block
+//!    is factored in place on column slices, reporting
 //!    [`MatrixError::NotPositiveDefinite`] on a non-positive pivot),
 //! 2. computes the panel below/right of it with one in-place triangular
 //!    solve (see [`crate::trsm::trsm`]) against the freshly factored block,
@@ -24,8 +24,11 @@
 //!    factored in turn.
 //!
 //! Steps 2 and 3 are where the `n³/3` bulk of the work happens, and both run
-//! on the packed, cache-blocked, Rayon-capable engine — the leaves' share is
-//! `O(n)`.
+//! on the packed, cache-blocked, Rayon-capable engine. A matrix under the
+//! rule is factored in place without them: the lower triangle left-looking
+//! in panels of eight columns, each panel updated by one product on the
+//! small tier and then factored column by column; the upper triangle
+//! left-looking by columns.
 //!
 //! The Section-3.1-style FLOP model attributes `n³/3` FLOPs to the
 //! factorisation (see [`crate::flops::potrf_flops`]): one sixth of the
@@ -34,7 +37,11 @@
 //! anomalies.
 
 use crate::config::BlockConfig;
-use crate::leaf::{axpy, compact, first_part, LEAF};
+use crate::driver::BlockedDriver;
+use crate::leaf::{
+    axpy, column_and_later, compact, dot, earlier_and_column, first_part, is_small, PANEL,
+};
+use crate::pack::Strided;
 use crate::syrk::syrk;
 use crate::trsm::trsm_in_place;
 use lamb_matrix::{MatrixError, MatrixViewMut, Result, Side, Trans, Uplo};
@@ -57,8 +64,8 @@ pub fn potrf(uplo: Uplo, a: &mut MatrixViewMut<'_>, cfg: &BlockConfig) -> Result
 /// [`potrf`] on a trailing window whose first pivot has absolute index `k0`.
 fn factor(uplo: Uplo, a: &mut MatrixViewMut<'_>, k0: usize, cfg: &BlockConfig) -> Result<()> {
     let n = a.rows();
-    if n <= LEAF {
-        return factor_unblocked(uplo, a, k0);
+    if is_small(n, n, n, cfg) {
+        return factor_in_place(uplo, a, k0, cfg);
     }
     let kb = first_part(n, cfg.tri_block);
     let rest = n - kb;
@@ -89,6 +96,83 @@ fn factor(uplo: Uplo, a: &mut MatrixViewMut<'_>, k0: usize, cfg: &BlockConfig) -
         }
     }
     factor(uplo, &mut a.subview_mut(kb, kb, rest, rest), k0 + kb, cfg)
+}
+
+/// Cholesky of the whole window in place, on its `uplo` triangle: the small
+/// tier, and the end of the recursion. Lower runs left-looking in panels of
+/// [`PANEL`] columns (one panel up to twice that order) — every earlier
+/// column folded into a panel by one product on the small tier, then the
+/// panel factored column by column, one axpy per column pair; Upper runs
+/// left-looking by columns, one dot product per element of the factor. Both stay on contiguous column slices. Pivot
+/// failures report the *absolute* index `k0 + j`.
+fn factor_in_place(
+    uplo: Uplo,
+    a: &mut MatrixViewMut<'_>,
+    k0: usize,
+    cfg: &BlockConfig,
+) -> Result<()> {
+    let n = a.rows();
+    match uplo {
+        Uplo::Lower => {
+            let driver = BlockedDriver::new(cfg);
+            // Up to two panels' worth, one panel is faster.
+            let width = if n <= 2 * PANEL { n } else { PANEL };
+            for j0 in (0..n).step_by(width.max(1)) {
+                let jb = width.min(n - j0);
+                let (done, mut rest) = a.subview_mut(0, 0, n, n).split_at_col_mut(j0);
+                let mut panel = rest.subview_mut(j0, 0, n - j0, jb);
+                if j0 > 0 {
+                    // The panel's rows of L, and their transpose on its top.
+                    let done = done.as_view();
+                    let l = Strided::new(&done.subview(j0, 0, n - j0, j0), Trans::No);
+                    let lt = Strided::new(&done.subview(j0, 0, jb, j0), Trans::Yes);
+                    let ops = (&l, &lt);
+                    driver.accumulate_small(n - j0, jb, j0, -1.0, ops, &mut panel, Some(uplo));
+                }
+                factor_lower_panel(&mut panel, k0 + j0)?;
+            }
+        }
+        Uplo::Upper => {
+            for j in 0..n {
+                let (earlier, uj) = earlier_and_column(a, j);
+                for (i, ui) in earlier.enumerate() {
+                    uj[i] = (uj[i] - dot(&ui[..i], &uj[..i])) / ui[i];
+                }
+                uj[j] = pivot(uj[j] - dot(&uj[..j], &uj[..j]), k0 + j)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Right-looking Cholesky of the columns of a tall window whose `(0, 0)` is
+/// the diagonal element of absolute index `k0`: the panel's diagonal block
+/// is factored and the rows below it solved against it.
+fn factor_lower_panel(a: &mut MatrixViewMut<'_>, k0: usize) -> Result<()> {
+    for j in 0..a.cols() {
+        let (l, later) = column_and_later(a, j);
+        let d = pivot(l[j], k0 + j)?;
+        l[j] = d;
+        for v in &mut l[j + 1..] {
+            *v /= d;
+        }
+        for (q, next) in (j + 1..).zip(later) {
+            axpy(-l[q], &l[q..], &mut next[q..]);
+        }
+    }
+    Ok(())
+}
+
+/// The factor's diagonal element from its reduced pivot `d`, or the
+/// failure at absolute index `index`. The NaN check also rejects poisoned
+/// pivots (e.g. inf - inf upstream), which would otherwise propagate
+/// silently through sqrt.
+fn pivot(d: f64, index: usize) -> Result<f64> {
+    if d <= 0.0 || d.is_nan() {
+        Err(MatrixError::NotPositiveDefinite { index })
+    } else {
+        Ok(d.sqrt())
+    }
 }
 
 /// Reference POTRF: the unblocked Cholesky recurrence over the whole matrix.

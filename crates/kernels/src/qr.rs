@@ -25,19 +25,21 @@
 //! copy rates, and `Vᵀ` is packed once per panel for both `VᵀV` and `VᵀC`.
 //! Step 2 carries the `2mn² - 2n³/3` bulk of the work (see
 //! [`crate::flops::qr_flops`]) on the packed, cache-blocked, Rayon-capable
-//! engine.
+//! engine. Under the small-call rule the whole matrix is one panel, factored
+//! in place, its `tau` written straight into the packed operand.
 //!
 //! [`qr_packed`] produces the single-operand packed form the kernel-call IR
 //! uses: an `m x (n+1)` matrix with the factors in columns `0..n` and the
 //! `tau` coefficients in the first `n` rows of column `n`. [`ormqr`] applies
 //! `Qᵀ` from such a packed factor, panel by panel through the same
-//! block-reflector routine — the least-squares pipeline is
-//! `x = R⁻¹·(Qᵀb)` via one ORMQR and one TRSM.
+//! block-reflector routine — or, under the rule, reflector by reflector
+//! without `T` — and the least-squares pipeline is `x = R⁻¹·(Qᵀb)` via one
+//! ORMQR and one TRSM.
 
 use crate::config::{BlockConfig, TileVariant, MAX_TILE_ACC};
 use crate::driver::BlockedDriver;
-use crate::leaf::{axpy, dot, two_cols, LEAF};
-use crate::microkernel::microkernel;
+use crate::leaf::{axpy, column_and_later, dot, is_small, SMALL_MAX};
+use crate::microkernel::{fmadd, microkernel};
 use crate::pack::{pack_a, pack_b, Strided};
 use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Trans};
 
@@ -49,9 +51,21 @@ use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Trans}
 /// Returns [`MatrixError::DimensionMismatch`] when `m < n` (the wide case
 /// needs an LQ factorisation this crate does not provide).
 pub fn qr(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, cfg: &BlockConfig) -> Result<()> {
-    let (m, n) = check_tall(a)?;
+    let (_, n) = check_tall(a)?;
     tau.clear();
-    tau.reserve(n);
+    tau.resize(n, 0.0);
+    factor(a, tau, cfg);
+    Ok(())
+}
+
+/// [`qr`] of a tall window into `tau` (one slot per column). Under the
+/// small-call rule the whole window is one panel, factored in place.
+fn factor(a: &mut MatrixViewMut<'_>, tau: &mut [f64], cfg: &BlockConfig) {
+    let (m, n) = (a.rows(), a.cols());
+    if is_small(m, n, n, cfg) {
+        factor_panel(a, tau);
+        return;
+    }
     let tb = cfg.tri_block.max(1);
     let mut reflector = BlockReflector::new(cfg);
     let mut k0 = 0;
@@ -61,13 +75,12 @@ pub fn qr(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, cfg: &BlockConfig) -> R
         // the reflectors are read in place while the trailing block is
         // updated.
         let (mut panel, mut trailing) = a.subview_mut(k0, k0, m - k0, n - k0).split_at_col_mut(kb);
-        factor_panel(&mut panel, tau);
+        factor_panel(&mut panel, &mut tau[k0..k0 + kb]);
         if trailing.cols() > 0 {
             reflector.apply(&panel.as_view(), &tau[k0..], &mut trailing);
         }
         k0 += kb;
     }
-    Ok(())
 }
 
 /// Reference QR: the unblocked Householder recurrence over the whole matrix.
@@ -79,6 +92,7 @@ pub fn qr(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, cfg: &BlockConfig) -> R
 pub fn qr_naive(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>) -> Result<()> {
     check_tall(a)?;
     tau.clear();
+    tau.resize(a.cols(), 0.0);
     factor_panel(a, tau);
     Ok(())
 }
@@ -95,34 +109,34 @@ fn check_tall(a: &MatrixViewMut<'_>) -> Result<(usize, usize)> {
 }
 
 /// Unblocked Householder QR of every column of the window `a` (whose
-/// `(0, 0)` is a diagonal element), pushing one `tau` per column and applying
-/// each reflector to the remaining columns as it is formed.
-fn factor_panel(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>) {
+/// `(0, 0)` is a diagonal element) in place, writing one `tau` per column
+/// and applying each reflector to the remaining columns as it is formed.
+fn factor_panel(a: &mut MatrixViewMut<'_>, tau: &mut [f64]) {
     for j in 0..a.cols() {
         // Householder vector annihilating a[j+1.., j] into a[j, j].
-        let col = a.col_mut(j);
+        let (col, later) = column_and_later(a, j);
         let alpha = col[j];
         let normsq = dot(&col[j + 1..], &col[j + 1..]);
         if normsq == 0.0 {
             // Already triangular in this column: the identity reflector.
-            tau.push(0.0);
+            tau[j] = 0.0;
             continue;
         }
         let norm = (alpha * alpha + normsq).sqrt();
         let beta = if alpha >= 0.0 { -norm } else { norm };
         let t = (beta - alpha) / beta;
-        tau.push(t);
+        tau[j] = t;
         let scale = 1.0 / (alpha - beta);
         for v in &mut col[j + 1..] {
             *v *= scale;
         }
         col[j] = beta;
         // Apply H = I - tau·v·vᵀ to the remaining columns.
-        for q in j + 1..a.cols() {
-            let (v, c) = two_cols(a, j, q);
-            let tw = t * (c[j] + dot(&v[j + 1..], &c[j + 1..]));
+        let v = &col[j + 1..];
+        for c in later {
+            let tw = t * (c[j] + dot(v, &c[j + 1..]));
             c[j] -= tw;
-            axpy(-tw, &v[j + 1..], &mut c[j + 1..]);
+            axpy(-tw, v, &mut c[j + 1..]);
         }
     }
 }
@@ -395,11 +409,11 @@ pub fn qr_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Result<(
         });
     }
     f.as_mut_slice()[..m * n].copy_from_slice(a.as_slice());
-    let mut tau = Vec::new();
-    qr(&mut f.view_mut().subview_mut(0, 0, m, n), &mut tau, cfg)?;
-    let last = f.col_mut(n);
+    let (mut factors, mut last) = f.view_mut().split_at_col_mut(n);
+    check_tall(&factors)?;
+    let last = last.col_mut(0);
     last.fill(0.0);
-    last[..n].copy_from_slice(&tau);
+    factor(&mut factors, &mut last[..n], cfg);
     Ok(())
 }
 
@@ -408,9 +422,10 @@ pub fn qr_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Result<(
 /// (`n x k`) — exactly the `Qᵀb` block the least-squares triangular solve
 /// `x = R⁻¹·(Qᵀb)` consumes.
 ///
-/// Blocked: one `T` factor and one block-reflector application per panel of
-/// `min(tri_block, max(k, 16))` reflectors ([`BlockConfig::tri_block`];
-/// 16 is twice the factorisation tier's leaf order). Forming `T` costs the
+/// Under the small-call rule the reflectors are applied one by one. Above
+/// it, blocked: one `T` factor and one block-reflector application per panel
+/// of `min(tri_block, max(k, 16))` reflectors ([`BlockConfig::tri_block`]).
+/// Forming `T` costs the
 /// upper half of `VᵀV`, about `kb / 4k` of the panel's update, so the panel
 /// width follows the width `k` of the right-hand side; below 16 reflectors
 /// the per-panel products are too thin to run at engine speed. Measured
@@ -427,10 +442,18 @@ pub fn ormqr(f: &Matrix, b: &Matrix, c: &mut Matrix, cfg: &BlockConfig) -> Resul
     if k == 0 {
         return Ok(());
     }
+    let tau = &f.col(n)[..n];
+    if is_small(m, k, n, cfg) {
+        match cfg.tile.nr() {
+            4 => apply_one_by_one::<4>(f, tau, b, c),
+            8 => apply_one_by_one::<8>(f, tau, b, c),
+            _ => apply_one_by_one::<12>(f, tau, b, c),
+        }
+        return Ok(());
+    }
     // Qᵀ·B = H_{n-1}⋯H_0·B: apply the panels in factorisation order.
     let mut work = b.clone();
-    let tau = &f.col(n)[..n];
-    let tb = cfg.tri_block.max(1).min(k.max(2 * LEAF));
+    let tb = cfg.tri_block.max(1).min(k.max(16));
     let mut reflector = BlockReflector::new(cfg);
     let mut k0 = 0;
     while k0 < n {
@@ -445,6 +468,55 @@ pub fn ormqr(f: &Matrix, b: &Matrix, c: &mut Matrix, cfg: &BlockConfig) -> Resul
         c.col_mut(j).copy_from_slice(&work.col(j)[..n]);
     }
     Ok(())
+}
+
+/// [`ormqr`] under the small-call rule: `b` is taken `NR` columns at a time,
+/// copied into rows of `NR` values, and the reflectors are applied to them
+/// one by one — `w := tau·(y_i + vᵀY)`, then `Y -= v·w` — in one vector step
+/// per element of `v`, with no `T`; the top `n` rows go to `c`.
+fn apply_one_by_one<const NR: usize>(f: &Matrix, tau: &[f64], b: &Matrix, c: &mut Matrix) {
+    let (m, n) = (b.rows(), tau.len());
+    let mut rows = [[0.0f64; NR]; SMALL_MAX];
+    let rows = &mut rows[..m];
+    for j0 in (0..b.cols()).step_by(NR) {
+        let width = NR.min(b.cols() - j0);
+        for lane in 0..NR {
+            if lane < width {
+                for (row, &v) in rows.iter_mut().zip(b.col(j0 + lane)) {
+                    row[lane] = v;
+                }
+            } else {
+                rows.iter_mut().for_each(|row| row[lane] = 0.0);
+            }
+        }
+        for (i, &t) in tau.iter().enumerate() {
+            if t == 0.0 {
+                continue;
+            }
+            let v = &f.col(i)[i + 1..];
+            let (head, below) = rows[i..].split_first_mut().expect("i < m");
+            let mut w = *head;
+            for (&vr, row) in v.iter().zip(below.iter()) {
+                for (wl, &yl) in w.iter_mut().zip(row) {
+                    *wl = fmadd(*wl, vr, yl);
+                }
+            }
+            let w = w.map(|wl| t * wl);
+            for (yl, wl) in head.iter_mut().zip(&w) {
+                *yl -= wl;
+            }
+            for (&vr, row) in v.iter().zip(below.iter_mut()) {
+                for (yl, &wl) in row.iter_mut().zip(&w) {
+                    *yl = fmadd(*yl, -vr, wl);
+                }
+            }
+        }
+        for lane in 0..width {
+            for (dst, row) in c.col_mut(j0 + lane).iter_mut().zip(&rows[..n]) {
+                *dst = row[lane];
+            }
+        }
+    }
 }
 
 /// Reference ORMQR: the reflectors applied one by one. Used by the unit and
@@ -632,7 +704,8 @@ mod tests {
                         ormqr_naive(&f, &b, &mut naive).unwrap();
                         (f, b, naive)
                     });
-                    for k in [1, LEAF - 1, LEAF, LEAF + 1, tb - 1, tb, tb + 1] {
+                    let rule = crate::leaf::small_order(&cfg);
+                    for k in [1, 7, 8, 9, rule - 1, rule, rule + 1, tb - 1, tb, tb + 1] {
                         let b_k = Matrix::from_fn(m, k, |i, j| b[(i, j)]);
                         let mut blocked = Matrix::filled(n, k, f64::NAN);
                         ormqr(f, &b_k, &mut blocked, &cfg).unwrap();

@@ -9,6 +9,7 @@
 
 use crate::config::BlockConfig;
 use crate::driver::BlockedDriver;
+use crate::leaf::is_small;
 use crate::pack::Strided;
 use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Trans, Uplo};
 
@@ -48,6 +49,11 @@ pub fn syrk(
     let op_a = Strided::new(a, trans);
 
     let driver = BlockedDriver::new(cfg);
+    if is_small(n, n, k, cfg) {
+        // Only the tiles that reach into the triangle, written masked.
+        driver.accumulate_small(n, n, k, alpha, (&op_a, &op_a.t()), c, Some(uplo));
+        return Ok(());
+    }
     let panels = if cfg.should_parallelise(n, n, k) {
         rayon::current_num_threads()
     } else {

@@ -32,9 +32,13 @@
 //! (the later panels each pack for themselves, as the engine's panels pack
 //! their `A`); on the right the rows are independent and the solve runs
 //! serially.
+//!
+//! A solve under the small-call rule packs nothing: it substitutes against
+//! `C` where it is stored, `NR` right-hand sides at a time.
 
 use crate::config::{BlockConfig, TileVariant, MAX_TILE_ACC};
 use crate::driver::BlockedDriver;
+use crate::leaf::{is_small, SMALL_MAX};
 use crate::microkernel::{fmadd, microkernel};
 use crate::pack::{Operand, Strided};
 use crate::trmm::check_triangular_shapes;
@@ -100,6 +104,14 @@ pub(crate) fn trsm_in_place(
         Side::Left => (op_l, uplo.under(trans) == Uplo::Lower),
         Side::Right => (op_l.t(), uplo.under(trans) == Uplo::Upper),
     };
+    let (order, others) = match side {
+        Side::Left => (x.rows(), x.cols()),
+        Side::Right => (x.cols(), x.rows()),
+    };
+    if is_small(order, others, order, cfg) {
+        substitute(c, forward, side, order, x, cfg.tile.nr());
+        return Ok(());
+    }
     match cfg.tile {
         TileVariant::T8x4 => Triangle::<8>::new(c, forward, side, x, cfg.mc).solve::<4>(x, cfg),
         TileVariant::T8x8 => Triangle::<8>::new(c, forward, side, x, cfg.mc).solve::<8>(x, cfg),
@@ -119,6 +131,162 @@ fn check_diagonal(l: &MatrixView<'_>) -> Result<()> {
     }
     Ok(())
 }
+
+/// [`trsm_in_place`] under the small-call rule: substitution against `C`
+/// where it is stored, nothing packed. The independent right-hand sides are
+/// taken `NR` at a time — columns of `X` on the left, rows on the right — and
+/// copied into one row of `NR` values per unknown; the unknowns are solved a
+/// few at a time and subtracted from each later row in one pass. Pivots
+/// are multiplied by as reciprocals when every reciprocal is a normal number,
+/// and divided by otherwise, as in the packed solve.
+fn substitute(
+    c: Strided<'_>,
+    forward: bool,
+    side: Side,
+    order: usize,
+    x: &mut MatrixViewMut<'_>,
+    nr: usize,
+) {
+    let invert = (0..order).all(|i| (1.0 / c.at(i, i)).is_normal());
+    let mut pivots = [0.0; SMALL_MAX];
+    for (i, d) in pivots[..order].iter_mut().enumerate() {
+        let pivot = c.at(i, i);
+        *d = if invert { 1.0 / pivot } else { pivot };
+    }
+    let sub = Substitution {
+        c,
+        forward,
+        pivots: &pivots[..order],
+        invert,
+    };
+    match nr {
+        4 => sub.solve_all::<4>(side, x),
+        8 => sub.solve_all::<8>(side, x),
+        _ => sub.solve_all::<12>(side, x),
+    }
+}
+
+/// One small solve `C·Y = Y`: the coefficients, the direction and the
+/// pivots (or their reciprocals).
+struct Substitution<'c> {
+    c: Strided<'c>,
+    forward: bool,
+    pivots: &'c [f64],
+    invert: bool,
+}
+
+impl Substitution<'_> {
+    /// Solve every right-hand side of `X`, `NR` at a time: on the left the
+    /// unknowns of one are a column of `X`, on the right a row.
+    fn solve_all<const NR: usize>(&self, side: Side, x: &mut MatrixViewMut<'_>) {
+        let order = self.pivots.len();
+        let others = match side {
+            Side::Left => x.cols(),
+            Side::Right => x.rows(),
+        };
+        let mut rows = [[0.0f64; NR]; SMALL_MAX];
+        let rows = &mut rows[..order];
+        for r0 in (0..others).step_by(NR) {
+            let width = NR.min(others - r0);
+            match side {
+                Side::Left => {
+                    for lane in 0..NR {
+                        if lane < width {
+                            let col = x.col_mut(r0 + lane);
+                            for (row, &v) in rows.iter_mut().zip(col.iter()) {
+                                row[lane] = v;
+                            }
+                        } else {
+                            rows.iter_mut().for_each(|row| row[lane] = 0.0);
+                        }
+                    }
+                }
+                Side::Right => {
+                    for (p, row) in rows.iter_mut().enumerate() {
+                        let (live, pad) = row.split_at_mut(width);
+                        live.copy_from_slice(&x.col_mut(p)[r0..r0 + width]);
+                        pad.fill(0.0);
+                    }
+                }
+            }
+            self.solve_rows(rows);
+            match side {
+                Side::Left => {
+                    for lane in 0..width {
+                        let col = x.col_mut(r0 + lane);
+                        col.iter_mut()
+                            .zip(rows.iter())
+                            .for_each(|(v, row)| *v = row[lane]);
+                    }
+                }
+                Side::Right => {
+                    for (p, row) in rows.iter().enumerate() {
+                        x.col_mut(p)[r0..r0 + width].copy_from_slice(&row[..width]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `C·Y = Y` on `NR` right-hand sides, row `u` of `rows` holding
+    /// unknown `u` of each. The unknowns are taken [`GROUP`] at a time in
+    /// solve order: the group is solved against its own diagonal block, then
+    /// folded into every later row in one pass, so each later row is read
+    /// and written once per group rather than once per unknown.
+    fn solve_rows<const NR: usize>(&self, rows: &mut [[f64; NR]]) {
+        let order = rows.len();
+        let (c, forward) = (self.c, self.forward);
+        let coef = |i: usize, p: usize| c.data[i * c.rs + p * c.cs];
+        for s0 in (0..order).step_by(GROUP) {
+            let width = GROUP.min(order - s0);
+            let unknown = |q: usize| {
+                let s = s0 + q.min(width - 1);
+                if forward {
+                    s
+                } else {
+                    order - 1 - s
+                }
+            };
+            let mut solved = [[0.0; NR]; GROUP];
+            for q in 0..width {
+                let p = unknown(q);
+                let mut y = rows[p];
+                for (r, earlier) in solved.iter().enumerate().take(q) {
+                    let cr = coef(p, unknown(r));
+                    for (v, &e) in y.iter_mut().zip(earlier) {
+                        *v = fmadd(*v, -cr, e);
+                    }
+                }
+                solved[q] = y.map(|v| {
+                    if self.invert {
+                        v * self.pivots[p]
+                    } else {
+                        v / self.pivots[p]
+                    }
+                });
+                rows[p] = solved[q];
+            }
+            let last = unknown(width - 1);
+            let later = if forward { last + 1..order } else { 0..last };
+            for i in later {
+                // Zero past the group's width: those slots of `solved` are zero.
+                let cs: [f64; GROUP] =
+                    std::array::from_fn(|q| if q < width { coef(i, unknown(q)) } else { 0.0 });
+                for (l, y) in rows[i].iter_mut().enumerate() {
+                    let mut v = *y;
+                    for (q, &cq) in cs.iter().enumerate() {
+                        v = fmadd(v, -cq, solved[q][l]);
+                    }
+                    *y = v;
+                }
+            }
+        }
+    }
+}
+
+/// Unknowns a small solve takes at a time: each later row of the right-hand
+/// sides is updated by all of them in one pass.
+const GROUP: usize = 4;
 
 /// The coefficient triangle `C` of one solve, walked in `MR`-row panels:
 /// panel `q` holds the coupled unknowns `q·MR..(q + 1)·MR`, the last one

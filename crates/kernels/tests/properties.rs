@@ -4,13 +4,13 @@
 
 use lamb_kernels::pack::{pack_a, pack_b, packed_a_len, packed_b_len, Strided};
 use lamb_kernels::{
-    factor_triangle, gemm, gemm_naive, getrf, getrf_naive, ormqr, pivot_apply, qr, qr_naive,
-    qr_packed, symm, syrk, trmm, trmm_naive, trsm, trsm_naive, Backend, BlockConfig, KernelOp,
-    NativeBackend, TileVariant,
+    factor_triangle, gemm, gemm_naive, getrf, getrf_naive, ormqr, ormqr_naive, pivot_apply, potrf,
+    potrf_naive, qr, qr_naive, qr_packed, symm, syrk, trmm, trmm_naive, trsm, trsm_naive, Backend,
+    BlockConfig, KernelOp, NativeBackend, TileVariant,
 };
 use lamb_matrix::ops::{frobenius_norm, max_abs_diff, zero_opposite_triangle};
 use lamb_matrix::random::{random_seeded, random_symmetric, random_triangular};
-use lamb_matrix::{Matrix, Side, Trans, Uplo};
+use lamb_matrix::{Matrix, MatrixError, Side, Trans, Uplo};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -398,5 +398,211 @@ proptest! {
         prop_assert!(max_abs_diff(&left, &right).unwrap() < tol);
         prop_assert!(max_abs_diff(&left, &mid).unwrap() < tol);
         prop_assert!(max_abs_diff(&left, &inner).unwrap() < tol);
+    }
+}
+
+/// The small-call rule's order under the default and serial blocking, for
+/// every register tile: six tiles along the tile's longer side, at most 48.
+const RULE: usize = 48;
+
+/// The orders that sit on the edges of the small tier for `tile`: empty,
+/// one, around a register tile in either direction, and around the rule.
+fn small_orders(tile: TileVariant) -> Vec<usize> {
+    let (mr, nr) = (tile.mr(), tile.nr());
+    let mut orders = vec![0, 1, mr - 1, mr, mr + 1, nr - 1, nr, nr + 1];
+    orders.extend([RULE - 1, RULE, RULE + 1]);
+    orders.sort_unstable();
+    orders.dedup();
+    orders
+}
+
+/// Every register tile, serial and with the parallel split forced on.
+fn small_tier_configs() -> Vec<BlockConfig> {
+    let forced = BlockConfig {
+        parallel_flop_threshold: 1,
+        ..BlockConfig::default()
+    };
+    (TileVariant::ALL.iter())
+        .flat_map(|&tile| {
+            [
+                BlockConfig::serial().with_tile(tile),
+                forced.clone().with_tile(tile),
+            ]
+        })
+        .collect()
+}
+
+/// `x` copied into the interior of a larger matrix: the window starts at
+/// `(1, 2)` and its leading dimension exceeds its rows by three, so a kernel
+/// that reads storage in place sees a stride it must honour.
+fn windowed(x: &Matrix) -> Matrix {
+    let (rows, cols) = x.shape();
+    Matrix::from_fn(rows + 3, cols + 2, |i, j| {
+        if (1..=rows).contains(&i) && (2..cols + 2).contains(&j) {
+            x[(i - 1, j - 2)]
+        } else {
+            f64::NAN
+        }
+    })
+}
+
+/// The `rows x cols` window of a [`windowed`] matrix.
+fn window(w: &Matrix, rows: usize, cols: usize) -> lamb_matrix::MatrixView<'_> {
+    w.view().subview(1, 2, rows, cols)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn small_tier_products_match_naive_in_windows(
+        tile_index in 0usize..TileVariant::ALL.len(),
+        parallel in 0usize..2,
+        picks in (0usize..16, 0usize..16, 0usize..16),
+        transa in trans_strategy(),
+        transb in trans_strategy(),
+        uplo in uplo_strategy(),
+        seed in 0u64..10_000,
+    ) {
+        let tile = TileVariant::ALL[tile_index];
+        let cfg = small_tier_configs()[2 * tile_index + parallel].clone();
+        let orders = small_orders(tile);
+        let pick = |i: usize| orders[i % orders.len()];
+        let (m, n, k) = (pick(picks.0), pick(picks.1), pick(picks.2));
+        let (ar, ac) = transa.apply((m, k));
+        let (br, bc) = transb.apply((k, n));
+        let (a, b) = (random_seeded(ar, ac, seed), random_seeded(br, bc, seed + 1));
+        let (wa, wb) = (windowed(&a), windowed(&b));
+        let c0 = random_seeded(m, n, seed + 2);
+        let mut wc = windowed(&c0);
+        let mut full = wc.view_mut();
+        let mut c = full.subview_mut(1, 2, m, n);
+        gemm(transa, transb, 1.5, &window(&wa, ar, ac), &window(&wb, br, bc), -0.5, &mut c, &cfg).unwrap();
+        let mut expected = c0.clone();
+        gemm_naive(transa, transb, 1.5, &a.view(), &b.view(), -0.5, &mut expected.view_mut()).unwrap();
+        let got = Matrix::from_fn(m, n, |i, j| wc[(i + 1, j + 2)]);
+        prop_assert!(max_abs_diff(&got, &expected).unwrap() <= 1e-11 * k.max(1) as f64, "gemm {m}x{n}x{k} {tile}");
+        // Outside the window nothing is written.
+        prop_assert!(wc[(0, 0)].is_nan() && wc[(m + 1, n + 1)].is_nan());
+
+        // SYRK writes one triangle of the window, from a window.
+        let mut ws = windowed(&Matrix::zeros(m, m));
+        let mut full = ws.view_mut();
+        syrk(uplo, transa, 1.0, &window(&wa, ar, ac), 0.0, &mut full.subview_mut(1, 2, m, m), &cfg).unwrap();
+        let mut sq = Matrix::zeros(m, m);
+        gemm_naive(transa, transa.flip(), 1.0, &a.view(), &a.view(), 0.0, &mut sq.view_mut()).unwrap();
+        for i in 0..m {
+            for j in 0..m {
+                let got = ws[(i + 1, j + 2)];
+                if uplo.contains(i, j) {
+                    prop_assert!((got - sq[(i, j)]).abs() <= 1e-11 * k.max(1) as f64, "syrk {m}x{k} {tile}");
+                } else {
+                    prop_assert_eq!(got, 0.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_tier_solves_match_naive_in_windows(
+        tile_index in 0usize..TileVariant::ALL.len(),
+        parallel in 0usize..2,
+        picks in (0usize..16, 0usize..16),
+        side in side_strategy(),
+        uplo in uplo_strategy(),
+        trans in trans_strategy(),
+        seed in 0u64..10_000,
+    ) {
+        let tile = TileVariant::ALL[tile_index];
+        let cfg = small_tier_configs()[2 * tile_index + parallel].clone();
+        let orders = small_orders(tile);
+        let (m, n) = (orders[picks.0 % orders.len()], orders[picks.1 % orders.len()]);
+        let order = match side { Side::Left => m, Side::Right => n };
+        let l = random_triangular(order, uplo, seed);
+        let b = random_seeded(m, n, seed + 7);
+        let (wl, wb) = (windowed(&l), windowed(&b));
+        let mut wx = windowed(&Matrix::zeros(m, n));
+        let mut full = wx.view_mut();
+        let (lv, bv) = (window(&wl, order, order), window(&wb, m, n));
+        trsm(side, uplo, trans, -0.5, &lv, &bv, &mut full.subview_mut(1, 2, m, n), &cfg).unwrap();
+        let mut reference = Matrix::zeros(m, n);
+        trsm_naive(side, uplo, trans, -0.5, &l.view(), &b.view(), &mut reference.view_mut()).unwrap();
+        let got = Matrix::from_fn(m, n, |i, j| wx[(i + 1, j + 2)]);
+        let norm = frobenius_norm(&reference).max(1.0);
+        prop_assert!(max_abs_diff(&got, &reference).unwrap() < 1e-10 * norm, "trsm {side:?} {m}x{n} {tile}");
+    }
+}
+
+/// POTRF, GETRF, QR and ORMQR at every order up to two past the rule, on
+/// every tile, serial and forced-parallel, against their references — with
+/// a bad pivot placed mid-matrix reported at its absolute index, and a zero
+/// column giving `tau = 0`.
+#[test]
+fn small_tier_factorisations_match_naive_up_to_past_the_rule() {
+    for cfg in small_tier_configs() {
+        for n in 1..=RULE + 2 {
+            let tol = 1e-10 * n as f64;
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                let a = lamb_matrix::random::random_spd(n, 40 + n as u64);
+                let (mut fast, mut naive) = (a.clone(), a.clone());
+                potrf(uplo, &mut fast.view_mut(), &cfg).unwrap();
+                potrf_naive(uplo, &mut naive.view_mut()).unwrap();
+                assert!(
+                    max_abs_diff(&fast, &naive).unwrap() <= tol,
+                    "potrf {uplo:?} {n} {cfg:?}"
+                );
+                let mut bad = a.clone();
+                bad[(n / 2, n / 2)] = -1e6;
+                let expected = Err(MatrixError::NotPositiveDefinite { index: n / 2 });
+                assert_eq!(
+                    potrf(uplo, &mut bad.view_mut(), &cfg),
+                    expected,
+                    "{n} {cfg:?}"
+                );
+            }
+
+            let a = random_seeded(n, n, 60 + n as u64);
+            let (mut fast, mut naive) = (a.clone(), a.clone());
+            let (mut piv_fast, mut piv_naive) = (Vec::new(), Vec::new());
+            getrf(&mut fast.view_mut(), &mut piv_fast, &cfg).unwrap();
+            getrf_naive(&mut naive.view_mut(), &mut piv_naive).unwrap();
+            assert_eq!(piv_fast, piv_naive, "getrf pivots {n} {cfg:?}");
+            assert!(
+                max_abs_diff(&fast, &naive).unwrap() <= tol,
+                "getrf {n} {cfg:?}"
+            );
+            let mut singular = a.clone();
+            singular.col_mut(n / 2).fill(0.0);
+            let expected = Err(MatrixError::SingularDiagonal { index: n / 2 });
+            assert_eq!(
+                getrf(&mut singular.view_mut(), &mut Vec::new(), &cfg),
+                expected
+            );
+
+            // Square, and tall by half; a zero column is the identity
+            // reflector.
+            for m in [n, n + n / 2] {
+                let mut a = random_seeded(m, n, 70 + n as u64);
+                a.col_mut(n / 2).fill(0.0);
+                let (mut fast, mut naive) = (a.clone(), a.clone());
+                let (mut tau_fast, mut tau_naive) = (Vec::new(), Vec::new());
+                qr(&mut fast.view_mut(), &mut tau_fast, &cfg).unwrap();
+                qr_naive(&mut naive.view_mut(), &mut tau_naive).unwrap();
+                assert_eq!(tau_fast[n / 2], 0.0, "qr {m}x{n}: tau");
+                assert!(
+                    max_abs_diff(&fast, &naive).unwrap() <= tol * 2.0,
+                    "qr {m}x{n} {cfg:?}"
+                );
+                let f = qr_packed(&a, &cfg).unwrap();
+                for k in [1, n] {
+                    let b = random_seeded(m, k, 80 + k as u64);
+                    let (mut c_fast, mut c_naive) = (Matrix::zeros(n, k), Matrix::zeros(n, k));
+                    ormqr(&f, &b, &mut c_fast, &cfg).unwrap();
+                    ormqr_naive(&f, &b, &mut c_naive).unwrap();
+                    let diff = max_abs_diff(&c_fast, &c_naive).unwrap();
+                    assert!(diff <= tol * 2.0, "ormqr {m}x{n} k {k} {cfg:?}: {diff}");
+                }
+            }
+        }
     }
 }

@@ -11,18 +11,19 @@ use lamb_kernels::{Backend, BlockConfig, CacheFlusher, NativeBackend, TimingResu
 use lamb_matrix::ops::{is_symmetric, is_triangular};
 use lamb_matrix::random::{random_seeded_into, random_spd_into, random_triangular_into};
 use lamb_matrix::{Matrix, Structure};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// The operands of one execution, by id. An operand is either owned by the
-/// walk (the only handle) or shared with a [`FactorCache`] — a resident
-/// factor injected on a hit, or a result the walk computed and deposited —
-/// and whoever writes one goes through [`Arc::make_mut`]: a sole owner is
-/// mutated in place, a shared operand is copied first, so bytes the cache
-/// holds never change. A walk's map is sized for all of its algorithm's
-/// operands up front, so filling it late never grows it.
-type Operands = HashMap<OperandId, Arc<Matrix>>;
+/// The operands of one execution, indexed by their dense [`OperandId`] (a
+/// well-formed algorithm numbers its operands `0..n` in table order), `None`
+/// until the walk allocates one and after it hands one back. An operand is
+/// either owned by the walk (the only handle) or shared with a
+/// [`FactorCache`] — a resident factor injected on a hit, or a result the
+/// walk computed and deposited — and whoever writes one goes through
+/// [`Arc::make_mut`]: a sole owner is mutated in place, a shared operand is
+/// copied first, so bytes the cache holds never change. A walk's slots are
+/// sized for all of its algorithm's operands up front.
+type Operands = Vec<Option<Arc<Matrix>>>;
 
 /// Operand storage recycled from one walk to the next, so that steady-state
 /// requests neither fault in fresh pages nor zero what the fill overwrites.
@@ -145,7 +146,7 @@ impl<'e> Walk<'e> {
         Walk {
             exec,
             alg,
-            operands: Operands::with_capacity(alg.operands.len()),
+            operands: vec![None; alg.operands.len()],
             returns_output,
             release_dead: true,
             draw: Draw::default(),
@@ -190,13 +191,18 @@ impl<'e> Walk<'e> {
     /// operands the walk will hand to a factor store.
     fn allocate(&mut self, call: &KernelCall, deposited: &[OperandId], all_inputs: bool) {
         for id in call.inputs.iter().copied().chain([call.output]) {
-            if !self.operands.contains_key(&id) {
+            if self.held(id).is_none() {
                 let info = self.alg.operand(id).expect("operand declared");
                 let returned = self.returns_output && self.output_id() == Some(id);
                 let m = self.materialise(info, returned || deposited.contains(&id), all_inputs);
-                self.operands.insert(id, Arc::new(m));
+                self.operands[id.index()] = Some(Arc::new(m));
             }
         }
+    }
+
+    /// The operand `id`, if the walk holds it.
+    fn held(&self, id: OperandId) -> Option<&Arc<Matrix>> {
+        self.operands.get(id.index()).and_then(Option::as_ref)
     }
 
     fn output_id(&self) -> Option<OperandId> {
@@ -229,23 +235,23 @@ impl<'e> Walk<'e> {
         let alg = self.alg;
         let cacheable = cacheable_keys(alg, store);
         let deposited: Vec<OperandId> = cacheable.keys().map(|&i| alg.calls[i].output).collect();
-        let mut dead_after = vec![Vec::new(); alg.calls.len()];
+        // The last call that touches each operand (none for the output,
+        // which is never recycled, nor for any when nothing is released).
+        let mut last_use = vec![usize::MAX; self.operands.len()];
         if self.release_dead {
-            let mut last_use = HashMap::with_capacity(alg.operands.len());
             for (i, call) in alg.calls.iter().enumerate() {
-                for &id in call.inputs.iter().chain([&call.output]) {
-                    last_use.insert(id, i);
+                for id in call.inputs.iter().chain([&call.output]) {
+                    last_use[id.index()] = i;
                 }
             }
-            last_use.remove(&self.output_id().expect("algorithm declares an output"));
-            for (id, i) in last_use {
-                dead_after[i].push(id);
-            }
+            let output = self.output_id().expect("algorithm declares an output");
+            last_use[output.index()] = usize::MAX;
         }
         for (i, call) in alg.calls.iter().enumerate() {
             let key = store.zip(cacheable.get(&i));
             if let Some(resident) = key.and_then(|(store, key)| store.lookup(key)) {
-                if let Some(displaced) = self.operands.insert(call.output, resident) {
+                let slot = &mut self.operands[call.output.index()];
+                if let Some(displaced) = slot.replace(resident) {
                     self.recycle(displaced);
                 }
                 observe(i, call, None);
@@ -258,13 +264,16 @@ impl<'e> Walk<'e> {
                     // The deposit is a snapshot: a later in-place copy writes
                     // to a copy of its own (and the identity of the copied
                     // operand advances, so it can never alias this key).
-                    store.store(key, Arc::clone(&self.operands[&call.output]));
+                    let computed = self.held(call.output).expect("output allocated");
+                    store.store(key, Arc::clone(computed));
                 }
                 observe(i, call, Some(seconds));
             }
-            for id in &dead_after[i] {
-                if let Some(m) = self.operands.remove(id) {
-                    self.recycle(m);
+            for id in call.inputs.iter().chain([&call.output]) {
+                if last_use[id.index()] == i {
+                    if let Some(m) = self.operands[id.index()].take() {
+                        self.recycle(m);
+                    }
                 }
             }
         }
@@ -275,7 +284,7 @@ impl<'e> Walk<'e> {
     /// against it (a call-free algorithm walked from an empty map).
     fn take_output(mut self) -> Matrix {
         let info = self.alg.output().expect("algorithm declares an output");
-        match self.operands.remove(&info.id) {
+        match self.operands[info.id.index()].take() {
             Some(out) => Arc::try_unwrap(out).unwrap_or_else(|shared| (*shared).clone()),
             None => self.materialise(info, true, false),
         }
@@ -284,7 +293,7 @@ impl<'e> Walk<'e> {
 
 impl Drop for Walk<'_> {
     fn drop(&mut self) {
-        for (_, m) in std::mem::take(&mut self.operands) {
+        for m in std::mem::take(&mut self.operands).into_iter().flatten() {
             self.recycle(m);
         }
         self.exec.pool.end(self.draw);
@@ -384,20 +393,36 @@ impl MeasuredExecutor {
     /// Panics if the algorithm references operands it does not declare or if
     /// kernel shape checks fail — both indicate a malformed algorithm.
     fn run_call(&self, call: &KernelCall, operands: &mut Operands) {
-        let mut shared_out = operands
-            .remove(&call.output)
+        let slot = call.output.index();
+        let mut shared_out = operands[slot]
+            .take()
             .expect("output operand must be allocated");
         // Copy on write: only the in-place triangle copy ever finds its
         // output shared (with the cache its producer deposited it in).
         let out = Arc::make_mut(&mut shared_out);
         // An input that is also the output (the in-place triangle copy)
         // reaches the backend through `out`, not through the input list.
-        let inputs: Vec<&Matrix> = call
-            .inputs
-            .iter()
+        // No op reads more than two operands, so the list lives on the
+        // stack.
+        let mut read = (call.inputs.iter())
             .filter(|&&id| id != call.output)
-            .map(|id| &*operands[id])
-            .collect();
+            .map(|id| &**operands[id.index()].as_ref().expect("input allocated"));
+        let pair: [&Matrix; 2];
+        let inputs: &[&Matrix] = match (read.next(), read.next()) {
+            (Some(a), Some(b)) => {
+                assert!(
+                    read.next().is_none(),
+                    "a kernel call reads at most two operands"
+                );
+                pair = [a, b];
+                &pair
+            }
+            (Some(a), None) => {
+                pair = [a, a];
+                &pair[..1]
+            }
+            _ => &[],
+        };
         if let KernelOp::Trmm { uplo, .. } | KernelOp::Trsm { uplo, .. } = call.op {
             debug_assert!(
                 is_triangular(inputs[0], uplo).unwrap_or(false),
@@ -414,9 +439,9 @@ impl MeasuredExecutor {
             );
         }
         self.backend
-            .run_into(&call.op, &inputs, out, &self.cfg)
+            .run_into(&call.op, inputs, out, &self.cfg)
             .expect("kernel shapes consistent (TRSM nonsingular, POTRF positive definite)");
-        operands.insert(call.output, shared_out);
+        operands[slot] = Some(shared_out);
     }
 
     /// Execute the algorithm once (untimed) with the real kernels and return
@@ -776,14 +801,13 @@ mod tests {
                 ran.push(i);
             }
         });
-        let operands = &walk.operands;
         assert!(!ran.contains(&potrf) && !ran.is_empty());
         let s = solve.inputs().find(|o| o.name == "S").unwrap();
         let b = solve.inputs().find(|o| o.name == "B").unwrap();
-        assert!(!operands.contains_key(&s.id), "S is read by the POTRF only");
-        assert!(operands.contains_key(&b.id));
-        // The factor in the map is the cache's own matrix, not a copy.
-        let factor = &operands[&solve.calls[potrf].output];
+        assert!(walk.held(s.id).is_none(), "S is read by the POTRF only");
+        assert!(walk.held(b.id).is_some());
+        // The factor in the walk is the cache's own matrix, not a copy.
+        let factor = walk.held(solve.calls[potrf].output).unwrap();
         assert!(Arc::ptr_eq(factor, &store.lookup(&keys[&potrf]).unwrap()));
         let result = walk.take_output();
         assert_eq!(bits(&result), bits(&exec.compute_result(solve)));
@@ -885,16 +909,16 @@ mod tests {
                 snapshot = Some(bits(&store.lookup(key).expect("syrk deposited")));
             }
         });
-        let operands = &walk.operands;
+        let copied = walk.held(m).unwrap();
         let cached = store.lookup(key).unwrap();
         let snapshot = snapshot.unwrap();
         // The copy wrote to a matrix of its own: the deposit is still the
         // one-triangle SYRK result, and nothing but the store holds it.
         assert_eq!(bits(&cached), snapshot);
         assert!(!is_symmetric(&cached, 0.0).unwrap());
-        assert!(!Arc::ptr_eq(&cached, &operands[&m]));
+        assert!(!Arc::ptr_eq(&cached, copied));
         assert_eq!(Arc::strong_count(&cached), 2, "the store and this handle");
-        assert_eq!(bits(&operands[&m]), bits(&reference));
+        assert_eq!(bits(copied), bits(&reference));
         drop(walk);
 
         // Warm: the deposit is injected, and the copy again leaves it alone.
@@ -1022,8 +1046,10 @@ mod tests {
                 let mut walk = Walk::new(&recycled, alg, true);
                 walk.release_dead = false;
                 walk.run(None, |_, _, _| {});
-                for (id, m) in &walk.operands {
-                    assert!(!m.as_slice().iter().any(|x| x.is_nan()), "{what}: {id:?}");
+                for (id, m) in walk.operands.iter().enumerate() {
+                    if let Some(m) = m {
+                        assert!(!m.as_slice().iter().any(|x| x.is_nan()), "{what}: #{id}");
+                    }
                 }
                 drop(walk);
 
