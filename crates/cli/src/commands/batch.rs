@@ -26,7 +26,8 @@ use std::sync::Arc;
 pub fn run(args: &[String]) -> Result<(), String> {
     let opts = common::parse(args)?;
     let executor_label = opts.executor.name();
-    let strategy = parse_strategy(opts.strategy.as_deref().unwrap_or("predicted"))?;
+    let policy = parse_strategy(opts.strategy.as_deref().unwrap_or("predicted"))?;
+    let policy_name = policy.name();
     let threshold = opts.threshold.unwrap_or(0.10);
 
     // The workload: a request file, or a generated scenario batch.
@@ -51,7 +52,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     let factory_opts = opts.clone();
     let mut planner = BatchPlanner::new()
-        .policy(strategy)
+        .policy(policy)
         .threshold(threshold)
         .cse(!opts.no_cse)
         .executor_factory(move || factory_opts.build_executor());
@@ -149,7 +150,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         stats.requests,
         stats.elapsed_seconds,
         stats.expressions_per_second(),
-        strategy.name(),
+        policy_name,
     );
     println!(
         "cache: {} hit(s), {} miss(es) ({:.1}% hit rate), {} distinct call(s)",

@@ -6,6 +6,7 @@ use lamb_kernels::BlockConfig;
 use lamb_perfmodel::{
     CalibrationStore, Executor, MachineModel, MeasuredExecutor, SimulatedExecutor,
 };
+use lamb_select::{Hybrid, MinFlops, MinPredictedTime, Oracle, SelectionPolicy};
 use std::path::PathBuf;
 
 /// Which executor back end `--executor` selects.
@@ -269,14 +270,14 @@ pub const MEASURED_REPS: usize = 10;
 /// Cache-flush buffer size of the CLI's measured executor.
 pub const MEASURED_FLUSH_BYTES: usize = 64 * 1024 * 1024;
 
-/// Parse the `--strategy` flag value, shared by `select` and `batch`.
-pub fn parse_strategy(name: &str) -> Result<lamb_select::Strategy, String> {
-    use lamb_select::Strategy;
+/// Parse the `--strategy` flag value into the policy it names, shared by
+/// `select` and `batch`.
+pub fn parse_strategy(name: &str) -> Result<Box<dyn SelectionPolicy>, String> {
     match name {
-        "min-flops" | "flops" => Ok(Strategy::MinFlops),
-        "predicted" | "min-predicted-time" => Ok(Strategy::MinPredictedTime),
-        "hybrid" => Ok(Strategy::Hybrid { flop_margin: 0.5 }),
-        "oracle" | "exhaustive" => Ok(Strategy::Oracle),
+        "min-flops" | "flops" => Ok(Box::new(MinFlops)),
+        "predicted" | "min-predicted-time" => Ok(Box::new(MinPredictedTime)),
+        "hybrid" => Ok(Box::new(Hybrid { flop_margin: 0.5 })),
+        "oracle" | "exhaustive" => Ok(Box::new(Oracle)),
         other => Err(format!(
             "unknown strategy `{other}` (expected min-flops, predicted, hybrid or oracle)"
         )),

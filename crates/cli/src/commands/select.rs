@@ -16,7 +16,6 @@
 use super::common::{self, parse_strategy};
 use lamb_expr::Expression;
 use lamb_plan::{FactorCache, Planner};
-use lamb_select::Strategy;
 use std::sync::Arc;
 
 /// Run the subcommand.
@@ -24,18 +23,15 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let opts = common::parse(args)?;
     let (_, expr) = opts.expression()?;
     let dims = opts.dims(expr.num_dims())?;
-    let strategy = parse_strategy(opts.strategy.as_deref().unwrap_or("min-flops"))?;
+    let policy = parse_strategy(opts.strategy.as_deref().unwrap_or("min-flops"))?;
     let mut executor = opts.build_executor();
 
     // Only benchmark predicted-time scores when the policy consults them:
     // with a measured executor, filling the column for min-flops/oracle would
     // run real isolated-call benchmarks the selection never uses.
-    let wants_predictions = matches!(
-        strategy,
-        Strategy::MinPredictedTime | Strategy::Hybrid { .. }
-    );
+    let wants_predictions = !matches!(policy.name().as_str(), "min-flops" | "oracle");
     let mut planner = Planner::for_expression(&expr)
-        .policy(strategy)
+        .policy(policy)
         .score_predictions(wants_predictions)
         .cse(!opts.no_cse);
     let factor_cache = (!opts.no_factor_cache).then(|| Arc::new(FactorCache::new()));

@@ -142,6 +142,10 @@ impl EfficiencyLine {
 /// Figures 8 and 11: efficiencies of every algorithm (and of their individual
 /// kernel calls) along the axis-aligned line through `base_dims` in dimension
 /// `dim`, traversed across the whole search box.
+///
+/// Each point is the Experiment-2 traversal's one execution of the planned
+/// candidates: names, per-call timings and the cheapest/fastest markers all
+/// come from that execution, so they index the same algorithm list.
 pub fn efficiency_along_line(
     expr: &dyn Expression,
     executor: &mut dyn Executor,
@@ -149,39 +153,36 @@ pub fn efficiency_along_line(
     dim: usize,
     config: &crate::config::LineConfig,
 ) -> EfficiencyLine {
-    // Reuse the Experiment-2 traversal machinery but keep every point's
-    // per-algorithm timings to convert them into efficiencies.
     let scan = scan_line(expr, executor, base_dims, dim, config);
-    let machine = executor.machine().clone();
-    let mut points = Vec::with_capacity(scan.points.len());
-    for point in &scan.points {
-        // A scan holds only planned points, so this enumerates; should it
-        // not, the point is skipped rather than the line aborted.
-        let Ok(algorithms) = expr.algorithms(&point.dims) else {
-            continue;
-        };
-        let mut entries = Vec::with_capacity(algorithms.len());
-        for (i, alg) in algorithms.iter().enumerate() {
-            // Re-execute to recover the per-call breakdown (the classification
-            // in `point` only stores totals).
-            let timing = executor.execute_algorithm(alg);
-            let per_call = (0..timing.per_call.len())
-                .map(|c| timing.call_efficiency(c, &machine))
+    let machine = executor.machine();
+    let points = scan
+        .points
+        .iter()
+        .map(|point| {
+            let execution = &point.execution;
+            let verdict = &execution.verdict;
+            let algorithms = execution
+                .evaluation
+                .measurements
+                .iter()
+                .zip(&execution.timings)
+                .map(|(m, timing)| AlgorithmEfficiencyPoint {
+                    name: m.name.clone(),
+                    total: timing.efficiency(machine),
+                    per_call: (0..timing.per_call.len())
+                        .map(|c| timing.call_efficiency(c, machine))
+                        .collect(),
+                    is_cheapest: verdict.cheapest.contains(&m.index),
+                    is_fastest: verdict.fastest.contains(&m.index),
+                })
                 .collect();
-            entries.push(AlgorithmEfficiencyPoint {
-                name: alg.name.clone(),
-                total: timing.efficiency(&machine),
-                per_call,
-                is_cheapest: point.classification.cheapest.contains(&i),
-                is_fastest: point.classification.fastest.contains(&i),
-            });
-        }
-        points.push(EfficiencyLinePoint {
-            value: point.value,
-            algorithms: entries,
-            is_anomaly: point.classification.is_anomaly,
-        });
-    }
+            EfficiencyLinePoint {
+                value: point.value,
+                algorithms,
+                is_anomaly: verdict.is_anomaly,
+            }
+        })
+        .collect();
     EfficiencyLine {
         base_dims: base_dims.to_vec(),
         dimension: dim,
@@ -244,6 +245,62 @@ mod tests {
         }
         let csv = line.to_csv();
         assert!(csv.lines().count() > 5);
+    }
+
+    /// A simulator that counts whole-algorithm executions.
+    struct Counting {
+        inner: SimulatedExecutor,
+        executions: usize,
+    }
+
+    impl Executor for Counting {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn machine(&self) -> &lamb_perfmodel::MachineModel {
+            self.inner.machine()
+        }
+        fn execute_algorithm(
+            &mut self,
+            alg: &lamb_expr::Algorithm,
+        ) -> lamb_perfmodel::AlgorithmTiming {
+            self.executions += 1;
+            self.inner.execute_algorithm(alg)
+        }
+        fn time_isolated_call(&mut self, alg: &lamb_expr::Algorithm, call_index: usize) -> f64 {
+            self.inner.time_isolated_call(alg, call_index)
+        }
+    }
+
+    #[test]
+    fn an_efficiency_line_executes_each_point_once() {
+        let expr = TreeExpression::parse("A*A^T*B").unwrap();
+        let mut cfg = LineConfig::paper();
+        cfg.box_min = 450;
+        cfg.box_max = 600;
+        let counting = || Counting {
+            inner: SimulatedExecutor::paper_like(),
+            executions: 0,
+        };
+        let mut scan_exec = counting();
+        let scan = scan_line(&expr, &mut scan_exec, &[80, 514, 768], 1, &cfg);
+        let mut line_exec = counting();
+        let line = efficiency_along_line(&expr, &mut line_exec, &[80, 514, 768], 1, &cfg);
+        assert!(scan_exec.executions > 0);
+        assert_eq!(line_exec.executions, scan_exec.executions);
+        // Every plotted name is the executed candidate at the same index.
+        assert_eq!(line.points.len(), scan.points.len());
+        for (plotted, executed) in line.points.iter().zip(&scan.points) {
+            let plotted: Vec<&str> = plotted.algorithms.iter().map(|a| a.name.as_str()).collect();
+            let executed: Vec<&str> = executed
+                .execution
+                .evaluation
+                .measurements
+                .iter()
+                .map(|m| m.name.as_str())
+                .collect();
+            assert_eq!(plotted, executed);
+        }
     }
 
     #[test]

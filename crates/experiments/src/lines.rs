@@ -13,8 +13,7 @@ use crate::region::{find_boundary, RegionExtent};
 use crate::search::{classify, pipeline, AnomalyRecord};
 use lamb_expr::Expression;
 use lamb_perfmodel::Executor;
-use lamb_plan::Planner;
-use lamb_select::{Classification, InstanceEvaluation};
+use lamb_plan::{PlanExecution, Planner};
 
 /// One instance visited during a line traversal.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,10 +22,10 @@ pub struct LinePoint {
     pub dims: Vec<usize>,
     /// Value of the traversed dimension at this point.
     pub value: usize,
-    /// The per-algorithm measurements on this instance.
-    pub evaluation: InstanceEvaluation,
-    /// The classification of this instance (threshold from [`LineConfig`]).
-    pub classification: Classification,
+    /// The one execution of the instance's planned algorithms: per-algorithm
+    /// measurements and per-call timings, in the plan's candidate order, and
+    /// the verdict at the threshold from [`LineConfig`].
+    pub execution: PlanExecution,
 }
 
 /// The traversal of one line (one anomaly, one dimension).
@@ -76,12 +75,11 @@ fn classify_at(
 ) -> Option<LinePoint> {
     let mut dims = base.to_vec();
     dims[dim] = value;
-    let executed = classify(planner, executor, &dims)?;
+    let execution = classify(planner, executor, &dims)?;
     Some(LinePoint {
         dims,
         value,
-        evaluation: executed.evaluation,
-        classification: executed.verdict,
+        execution,
     })
 }
 
@@ -124,7 +122,7 @@ pub fn scan_line(
             let Some(point) = classify_at(&planner, executor, anomaly, dim, value) else {
                 break;
             };
-            let is_anomaly = point.classification.is_anomaly;
+            let is_anomaly = point.execution.is_anomaly();
             flags.push((value, is_anomaly));
             points.push(point);
             if is_anomaly {
@@ -221,7 +219,7 @@ mod tests {
             .iter()
             .find(|p| p.value == anomaly.dims[0])
             .expect("centre present");
-        assert!(centre.classification.is_anomaly);
+        assert!(centre.execution.is_anomaly());
         // The region extent brackets the centre.
         assert!(scan.region.lower <= anomaly.dims[0]);
         assert!(scan.region.upper >= anomaly.dims[0]);

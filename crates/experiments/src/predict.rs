@@ -159,6 +159,7 @@ pub fn predict_from_benchmarks(
             };
             instances += 1;
             let actual = point
+                .execution
                 .evaluation
                 .classify(config.time_score_threshold)
                 .is_anomaly;

@@ -88,6 +88,4 @@ pub use planner::Planner;
 
 // The selection vocabulary the planner builds on, re-exported so that
 // `lamb_plan` alone suffices for most call sites.
-pub use lamb_select::{
-    Hybrid, MinFlops, MinPredictedTime, Oracle, SelectError, SelectionPolicy, Strategy,
-};
+pub use lamb_select::{Hybrid, MinFlops, MinPredictedTime, Oracle, SelectError, SelectionPolicy};

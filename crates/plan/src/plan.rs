@@ -217,7 +217,7 @@ impl Plan {
 
 /// The result of executing a [`Plan`]: timings for every algorithm, the
 /// anomaly verdict, and how the policy's choice fared.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanExecution {
     /// Execution times of every algorithm, as an anomaly-classification
     /// input.
@@ -257,6 +257,7 @@ impl PlanExecution {
 mod tests {
     use super::*;
     use lamb_perfmodel::SimulatedExecutor;
+    use lamb_select::{Hybrid, MinFlops, MinPredictedTime, Oracle};
     use std::sync::Arc;
 
     /// A plan over placeholder algorithms whose scores are the given
@@ -316,6 +317,117 @@ mod tests {
             plan_with_scores(0.09, &[(100, 1.105), (150, 1.0)]).predicted_anomaly(),
             Some(true)
         );
+    }
+
+    /// Plan `text` at `dims` under `policy` on the paper-like simulator and
+    /// execute every algorithm.
+    fn judge(
+        text: &str,
+        dims: &[usize],
+        policy: impl lamb_select::SelectionPolicy + 'static,
+    ) -> (Plan, PlanExecution) {
+        let expr = lamb_expr::TreeExpression::parse(text).unwrap();
+        let plan = crate::Planner::for_expression(&expr)
+            .policy(policy)
+            .plan(dims)
+            .unwrap();
+        let outcome = plan.execute();
+        assert_eq!(outcome.evaluation.measurements.len(), plan.algorithms.len());
+        assert!(outcome
+            .evaluation
+            .measurements
+            .iter()
+            .all(|m| m.seconds > 0.0));
+        (plan, outcome)
+    }
+
+    /// Whether the plan's algorithm `i` calls `kernel`.
+    fn calls(plan: &Plan, i: usize, kernel: &str) -> bool {
+        plan.algorithms[i].kernel_summary().contains(kernel)
+    }
+
+    #[test]
+    fn triangular_anomalies_are_classified_like_the_paper_families() {
+        // Small triangular order, wide right-hand side: the FLOP-minimal
+        // TRMM algorithm's FLOP rate trails GEMM by more than 2x, so the
+        // cheapest and fastest sets separate — a paper-style anomaly over
+        // the enlarged (TRMM-bearing) algorithm set.
+        let (plan, flops) = judge("L[lower]*B", &[72, 700], MinFlops);
+        assert_eq!(plan.algorithms.len(), 2);
+        assert!(calls(&plan, 0, "trmm"));
+        let c = &flops.verdict;
+        assert_eq!(c.cheapest, vec![0], "TRMM is the FLOP-minimal algorithm");
+        assert_eq!(c.fastest, vec![1], "GEMM is simulated fastest");
+        assert!(c.is_anomaly, "time score {} too small", c.time_score);
+        assert!(c.flop_score > 0.4, "the fastest does ~2x the FLOPs");
+        // The prediction-driven policy dodges the anomaly; FLOPs do not.
+        assert!(flops.regret() > 0.10);
+        let (_, predicted) = judge("L[lower]*B", &[72, 700], MinPredictedTime);
+        assert!(predicted.regret() < 1e-9);
+        // At large triangular orders the structured kernel is fastest and
+        // the anomaly disappears.
+        let (_, big) = judge("L[lower]*B", &[2000, 700], MinFlops);
+        assert!(!big.is_anomaly());
+    }
+
+    #[test]
+    fn spd_gram_anomalies_are_classified_over_the_enlarged_algorithm_set() {
+        // The SPD analogue of the paper's A*A^T*B regime: S[spd]*A*A^T at a
+        // small symmetric order enumerates SYRK/SYMM-based algorithms
+        // (FLOP-minimal) alongside GEMM-based ones (fastest), and classifies
+        // exactly like the paper's.
+        let (plan, flops) = judge("S[spd]*A*A^T", &[80, 514], MinFlops);
+        assert!(plan.algorithms.len() > 2, "got {}", plan.algorithms.len());
+        assert!((0..plan.algorithms.len()).any(|i| calls(&plan, i, "syrk")));
+        assert!((0..plan.algorithms.len()).any(|i| calls(&plan, i, "symm")));
+        let c = &flops.verdict;
+        assert!(c.is_anomaly, "time score {} too small", c.time_score);
+        // The FLOP-minimal set is SYRK-based; the fastest is not.
+        assert!(c.cheapest.iter().all(|&i| calls(&plan, i, "syrk")));
+        assert!(c.fastest.iter().all(|&i| !calls(&plan, i, "syrk")));
+        assert!(flops.regret() > 0.10);
+        let (_, predicted) = judge("S[spd]*A*A^T", &[80, 514], MinPredictedTime);
+        assert!(predicted.regret() < 1e-9);
+    }
+
+    #[test]
+    fn single_realisation_solves_agree_under_every_policy() {
+        // A triangular solve and an SPD solve each have one realisation:
+        // every policy picks it, with no regret, and the classification
+        // degenerates gracefully.
+        for (text, dims, kernels) in [
+            ("L[lower]^-1*B", [300, 90], "trsm"),
+            ("S[spd]^-1*B", [200, 60], "potrf,trsm,trsm"),
+        ] {
+            let policies: [Box<dyn lamb_select::SelectionPolicy>; 4] = [
+                Box::new(MinFlops),
+                Box::new(MinPredictedTime),
+                Box::new(Hybrid { flop_margin: 0.5 }),
+                Box::new(Oracle),
+            ];
+            for policy in policies {
+                let (plan, outcome) = judge(text, &dims, policy);
+                assert_eq!(plan.algorithms.len(), 1, "{text}");
+                assert_eq!(plan.algorithms[0].kernel_summary(), kernels);
+                assert_eq!(plan.chosen, 0);
+                assert_eq!(outcome.regret(), 0.0);
+                assert!(!outcome.is_anomaly());
+            }
+        }
+    }
+
+    #[test]
+    fn the_oracle_has_no_regret_and_prediction_beats_flops() {
+        // A solve chain offers competing orders; the oracle picks a fastest.
+        let (plan, oracle) = judge("S[spd]^-1*B*C", &[200, 60, 35], Oracle);
+        assert!(plan.algorithms.len() >= 2);
+        assert!(oracle.regret() < 1e-12);
+        // Where the SYRK/SYMM route is cheapest but slower (d2 much larger
+        // than d1), the predicted-time policy does at least as well as FLOPs.
+        let dims = [400, 100, 1100];
+        let (_, flops) = judge("A*A^T*B", &dims, MinFlops);
+        let (_, predicted) = judge("A*A^T*B", &dims, MinPredictedTime);
+        assert!(predicted.regret() <= flops.regret() + 1e-9);
     }
 
     #[test]

@@ -178,8 +178,9 @@ macro_rules! impl_settings_builder {
     ([$($generics:tt)*] $ty:ty) => {
         impl<$($generics)*> $ty {
             /// Use `policy` to choose among the enumerated algorithms: any
-            /// [`SelectionPolicy`](lamb_select::SelectionPolicy), the
-            /// [`Strategy`](lamb_select::Strategy) enum included.
+            /// [`SelectionPolicy`](lamb_select::SelectionPolicy) — a built-in
+            /// policy struct, a custom implementation, or a boxed one chosen
+            /// at run time.
             #[must_use]
             pub fn policy(
                 mut self,
@@ -430,7 +431,7 @@ fn same_calls(a: &Algorithm, b: &Algorithm) -> bool {
 mod tests {
     use super::*;
     use lamb_expr::{GenerateError, TreeExpression};
-    use lamb_select::{MinPredictedTime, Oracle, Strategy};
+    use lamb_select::{MinPredictedTime, Oracle};
 
     #[test]
     fn planning_validates_dimensions() {
@@ -476,19 +477,20 @@ mod tests {
     }
 
     #[test]
-    fn policy_and_strategy_builders_agree() {
+    fn a_boxed_policy_plans_like_the_policy_it_holds() {
         let expr = TreeExpression::parse("A*A^T*B").unwrap();
         let dims = [400usize, 100, 1100];
-        let via_policy = Planner::for_expression(&expr)
+        let direct = Planner::for_expression(&expr)
             .policy(MinPredictedTime)
             .plan(&dims)
             .unwrap();
-        let via_strategy = Planner::for_expression(&expr)
-            .policy(Strategy::MinPredictedTime)
+        let boxed: Box<dyn SelectionPolicy> = Box::new(MinPredictedTime);
+        let via_box = Planner::for_expression(&expr)
+            .policy(boxed)
             .plan(&dims)
             .unwrap();
-        assert_eq!(via_policy.chosen, via_strategy.chosen);
-        assert_eq!(via_policy.policy, via_strategy.policy);
+        assert_eq!(direct.chosen, via_box.chosen);
+        assert_eq!(direct.policy, via_box.policy);
     }
 
     #[test]

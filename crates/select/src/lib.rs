@@ -8,14 +8,15 @@
 //!   counts and execution times ([`anomaly`]), and
 //! * **selection policies** — minimum FLOP count (the discriminant under
 //!   study), performance-profile-based prediction, a hybrid of the two, and
-//!   an empirical oracle, behind the object-safe [`SelectionPolicy`] trait
-//!   ([`policy`]), with the closed [`Strategy`] enum kept as a thin
-//!   constructor ([`strategy`]).
+//!   an empirical oracle, each a plain struct implementing the object-safe
+//!   [`SelectionPolicy`] trait ([`policy`]).
 //!
 //! Selection is over algorithms only: every kernel call of the chosen
 //! algorithm runs on the native kernels, so there is no per-call
-//! implementation to choose. The `lamb-plan` crate builds the user-facing
-//! `Planner` pipeline on top of these pieces.
+//! implementation to choose. A policy only chooses: the `lamb-plan` crate
+//! builds the user-facing `Planner` pipeline on top of these pieces, and its
+//! `Plan::execute_with` is where a choice is judged — every algorithm timed,
+//! the instance classified, the regret against the empirical optimum taken.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -23,17 +24,15 @@
 pub mod anomaly;
 pub mod policy;
 pub mod scores;
-pub mod strategy;
 
 pub use anomaly::{AlgorithmMeasurement, Classification, InstanceEvaluation};
 pub use policy::{Hybrid, MinFlops, MinPredictedTime, Oracle, SelectError, SelectionPolicy};
 pub use scores::{flop_score, time_score};
-pub use strategy::{evaluate_instance, evaluate_strategy, Strategy, StrategyOutcome};
 
 /// The algorithm's predicted time as the sum of its isolated-call
 /// benchmarks. Kept only under the name the repository benchmark's
 /// `select.assign_backends_us` row times; the benchmark's scheduled refresh
-/// (ROADMAP item 3(a)) drops that row, and this function with it.
+/// drops that row, and this function with it.
 #[doc(hidden)]
 pub fn assign_backends(
     alg: &lamb_expr::Algorithm,

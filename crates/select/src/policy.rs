@@ -8,8 +8,9 @@
 //! the trait to plug new policies into the `lamb-plan` `Planner` without
 //! touching this crate.
 //!
-//! `select` reports failure through [`SelectError`] rather than panicking; the
-//! closed [`Strategy`](crate::Strategy) enum is one more implementation.
+//! `select` reports failure through [`SelectError`] rather than panicking. A
+//! boxed policy is a policy too, so a choice made at run time (the CLI's
+//! `--strategy`) reaches the planner like any other.
 
 use lamb_expr::Algorithm;
 use lamb_perfmodel::Executor;
@@ -54,6 +55,20 @@ pub trait SelectionPolicy: Send + Sync {
         algorithms: &[Algorithm],
         executor: &mut dyn Executor,
     ) -> Result<usize, SelectError>;
+}
+
+impl<P: SelectionPolicy + ?Sized> SelectionPolicy for Box<P> {
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    fn select(
+        &self,
+        algorithms: &[Algorithm],
+        executor: &mut dyn Executor,
+    ) -> Result<usize, SelectError> {
+        (**self).select(algorithms, executor)
+    }
 }
 
 /// Index of the algorithm minimising `key`, or an error on an empty set.
@@ -191,10 +206,20 @@ mod tests {
             Box::new(Hybrid { flop_margin: 0.5 }),
             Box::new(Oracle),
         ];
+        // The names reach `Plan::policy`, `lamb select` output and reports.
+        let names: Vec<String> = policies.iter().map(|p| p.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "min-flops",
+                "min-predicted-time",
+                "hybrid(margin=0.5)",
+                "oracle"
+            ]
+        );
         let algs = algorithms_of("A*B*C*D", &[60, 70, 80, 90, 100]);
         let mut exec = SimulatedExecutor::paper_like();
         for p in &policies {
-            assert!(!p.name().is_empty());
             let chosen = p.select(&algs, &mut exec).unwrap();
             assert!(chosen < algs.len());
         }
@@ -224,6 +249,17 @@ mod tests {
         let algs = algorithms_of("A*A^T*B", &[150, 300, 450]);
         let mut exec = SimulatedExecutor::paper_like();
         let chosen = MinFlops.select(&algs, &mut exec).unwrap();
+        let min = algs.iter().map(Algorithm::flops).min().unwrap();
+        assert_eq!(algs[chosen].flops(), min);
+    }
+
+    #[test]
+    fn hybrid_with_zero_margin_picks_a_cheapest_algorithm() {
+        let algs = algorithms_of("A*A^T*B", &[200, 300, 400]);
+        let mut exec = SimulatedExecutor::paper_like();
+        let chosen = Hybrid { flop_margin: 0.0 }
+            .select(&algs, &mut exec)
+            .unwrap();
         let min = algs.iter().map(Algorithm::flops).min().unwrap();
         assert_eq!(algs[chosen].flops(), min);
     }

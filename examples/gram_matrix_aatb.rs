@@ -22,7 +22,6 @@ fn main() {
     println!("X := A*A^T*B with A {d0}x{d1}, B {d0}x{d2} (real kernels)\n");
 
     let aatb = TreeExpression::parse("A*A^T*B").expect("well-formed text");
-    let algorithms = aatb.algorithms(&[d0, d1, d2]).expect("valid instance");
     let mut executor = MeasuredExecutor::new(
         MachineModel::generic_laptop(),
         BlockConfig::default(),
@@ -30,26 +29,28 @@ fn main() {
         32 * 1024 * 1024,
     );
 
-    // Time each algorithm with the paper's measurement protocol.
+    // Time each algorithm once with the paper's measurement protocol; the
+    // table and the verdict both read that one execution.
+    let outcome = Planner::for_expression(&aatb)
+        .score_predictions(false)
+        .plan_with(&[d0, d1, d2], &mut executor)
+        .expect("valid instance")
+        .execute_with(&mut executor);
     println!(
         "{:<42} {:>14} {:>12} {:>8}",
         "algorithm", "FLOPs", "time [ms]", "eff"
     );
-    let machine = executor.machine().clone();
-    let mut timings = Vec::new();
-    for alg in &algorithms {
-        let t = executor.execute_algorithm(alg);
+    let machine = executor.machine();
+    for (m, t) in outcome.evaluation.measurements.iter().zip(&outcome.timings) {
         println!(
             "{:<42} {:>14} {:>12.2} {:>8.2}",
-            alg.name,
+            m.name,
             t.flops,
             t.seconds * 1e3,
-            t.efficiency(&machine)
+            t.efficiency(machine)
         );
-        timings.push(t.seconds);
     }
-    let evaluation = evaluate_instance(&[d0, d1, d2], &algorithms, &mut executor);
-    let verdict = evaluation.classify(0.10);
+    let verdict = &outcome.verdict;
     println!(
         "\ncheapest algorithms: {:?}   fastest algorithms: {:?}   anomaly at 10%: {}",
         verdict.cheapest, verdict.fastest, verdict.is_anomaly

@@ -15,11 +15,14 @@ fn main() {
     // anomalies highlighted in the paper's Figure 8.
     let dims = [331, 279, 338, 854, 427];
     let chain = TreeExpression::parse("A*B*C*D").expect("well-formed text");
-    let algorithms = chain.algorithms(&dims).expect("valid instance");
-    println!("expression {chain}: {} algorithms", algorithms.len());
-
     let mut executor = SimulatedExecutor::paper_like();
-    let evaluation = evaluate_instance(&dims, &algorithms, &mut executor);
+    let plan = Planner::for_expression(&chain)
+        .plan_with(&dims, &mut executor)
+        .expect("valid instance");
+    println!("expression {chain}: {} algorithms", plan.algorithms.len());
+
+    // Execute every algorithm: the measurements and the verdict of one run.
+    let evaluation = plan.execute_with(&mut executor).evaluation;
     println!("\n{:<38} {:>16} {:>12}", "algorithm", "FLOPs", "time [ms]");
     for m in &evaluation.measurements {
         println!("{:<38} {:>16} {:>12.2}", m.name, m.flops, m.seconds * 1e3);
@@ -39,10 +42,12 @@ fn main() {
     // finds abundant anomalies.
     let (d0, d1, d2) = (80, 514, 768);
     let aatb = TreeExpression::parse("A*A^T*B").expect("well-formed text");
-    let algorithms = aatb.algorithms(&[d0, d1, d2]).expect("valid instance");
-    println!("\nexpression {aatb}: {} algorithms", algorithms.len());
+    let plan = Planner::for_expression(&aatb)
+        .plan_with(&[d0, d1, d2], &mut executor)
+        .expect("valid instance");
+    println!("\nexpression {aatb}: {} algorithms", plan.algorithms.len());
 
-    let evaluation = evaluate_instance(&[d0, d1, d2], &algorithms, &mut executor);
+    let evaluation = plan.execute_with(&mut executor).evaluation;
     println!("\n{:<38} {:>16} {:>12}", "algorithm", "FLOPs", "time [ms]");
     for m in &evaluation.measurements {
         println!("{:<38} {:>16} {:>12.2}", m.name, m.flops, m.seconds * 1e3);
@@ -58,16 +63,21 @@ fn main() {
     );
 
     // ------------------------------------------------------------ selection
-    // What would the different selection strategies pick?
-    for strategy in [
-        Strategy::MinFlops,
-        Strategy::MinPredictedTime,
-        Strategy::Oracle,
-    ] {
-        let outcome = evaluate_strategy(strategy, &algorithms, &mut executor);
+    // What would the different selection policies pick?
+    let policies: [Box<dyn SelectionPolicy>; 3] = [
+        Box::new(MinFlops),
+        Box::new(MinPredictedTime),
+        Box::new(Oracle),
+    ];
+    for policy in policies {
+        let plan = Planner::for_expression(&aatb)
+            .policy(policy)
+            .plan_with(&[d0, d1, d2], &mut executor)
+            .expect("valid instance");
+        let outcome = plan.execute_with(&mut executor);
         println!(
             "strategy {:<22} picks algorithm {} ({:.2} ms, {:.1}% slower than optimal)",
-            outcome.strategy,
+            plan.policy,
             outcome.chosen + 1,
             outcome.chosen_seconds * 1e3,
             100.0 * outcome.regret()

@@ -21,10 +21,12 @@ fn main() {
     println!("operator chain A*B*C*D with dimensions {dims:?}\n");
 
     let chain = TreeExpression::parse("A*B*C*D").expect("well-formed text");
-    let algorithms = chain.algorithms(&dims).expect("valid chain");
-
     let mut executor = SimulatedExecutor::paper_like();
-    let evaluation = evaluate_instance(&dims, &algorithms, &mut executor);
+    let evaluation = Planner::for_expression(&chain)
+        .plan_with(&dims, &mut executor)
+        .expect("valid chain")
+        .execute_with(&mut executor)
+        .evaluation;
     let cheapest_flops = evaluation
         .measurements
         .iter()
@@ -51,7 +53,7 @@ fn main() {
         verdict.cheapest, verdict.fastest, verdict.is_anomaly
     );
 
-    // Compare what the different selection strategies would pick across a
+    // Compare what the different selection policies would pick across a
     // sweep of the unknown readout width d4 (the "symbolic size" scenario of
     // the paper's conclusions).
     println!("\nsweep of the readout width d4 (selection under a symbolic size):");
@@ -62,14 +64,18 @@ fn main() {
     for d4 in [64usize, 128, 256, 512, 1024, 2048] {
         let mut dims = dims;
         dims[4] = d4;
-        let algorithms = chain.algorithms(&dims).expect("valid chain");
+        let policies: [Box<dyn SelectionPolicy>; 3] = [
+            Box::new(MinFlops),
+            Box::new(MinPredictedTime),
+            Box::new(Oracle),
+        ];
         let mut row = Vec::new();
-        for strategy in [
-            Strategy::MinFlops,
-            Strategy::MinPredictedTime,
-            Strategy::Oracle,
-        ] {
-            let outcome = evaluate_strategy(strategy, &algorithms, &mut executor);
+        for policy in policies {
+            let outcome = Planner::for_expression(&chain)
+                .policy(policy)
+                .plan_with(&dims, &mut executor)
+                .expect("valid chain")
+                .execute_with(&mut executor);
             row.push(format!(
                 "alg{} ({:.0}ms)",
                 outcome.chosen + 1,

@@ -3,7 +3,7 @@
 //!
 //! This example quantifies the paper's concluding conjecture: combining FLOP
 //! counts with kernel performance profiles (the `MinPredictedTime` and
-//! `Hybrid` strategies) should recover most of the loss that the pure
+//! `Hybrid` policies) should recover most of the loss that the pure
 //! `MinFlops` discriminant incurs on anomalous instances.
 //!
 //! ```text
@@ -17,12 +17,6 @@ use rand::{Rng, SeedableRng};
 fn main() {
     let instances = 200;
     let mut rng = StdRng::seed_from_u64(4210);
-    let strategies = [
-        Strategy::MinFlops,
-        Strategy::MinPredictedTime,
-        Strategy::Hybrid { flop_margin: 0.5 },
-        Strategy::Oracle,
-    ];
 
     for text in ["A*B*C*D", "A*A^T*B"] {
         let expr = TreeExpression::parse(text).expect("well-formed text");
@@ -35,14 +29,24 @@ fn main() {
             "{:<26} {:>18} {:>16} {:>16}",
             "strategy", "mean slowdown", "worst slowdown", "optimal picks"
         );
-        for strategy in strategies {
+        let policies: [Box<dyn SelectionPolicy>; 4] = [
+            Box::new(MinFlops),
+            Box::new(MinPredictedTime),
+            Box::new(Hybrid { flop_margin: 0.5 }),
+            Box::new(Oracle),
+        ];
+        for policy in policies {
+            let name = policy.name();
+            let planner = Planner::for_expression(&expr).policy(policy);
             let mut executor = SimulatedExecutor::paper_like();
             let mut total = 0.0;
             let mut worst: f64 = 0.0;
             let mut optimal = 0usize;
             for dims in &sampled {
-                let algorithms = expr.algorithms(dims).expect("valid instance");
-                let outcome = evaluate_strategy(strategy, &algorithms, &mut executor);
+                let outcome = planner
+                    .plan_with(dims, &mut executor)
+                    .expect("valid instance")
+                    .execute_with(&mut executor);
                 total += outcome.regret();
                 worst = worst.max(outcome.regret());
                 if outcome.regret() < 1e-9 {
@@ -51,7 +55,7 @@ fn main() {
             }
             println!(
                 "{:<26} {:>17.2}% {:>15.2}% {:>15.1}%",
-                strategy.name(),
+                name,
                 100.0 * total / instances as f64,
                 100.0 * worst,
                 100.0 * optimal as f64 / instances as f64

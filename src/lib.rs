@@ -58,10 +58,12 @@
 //!
 //! The lower-level pieces remain available: [`prelude::Expression::algorithms`]
 //! for the raw algorithm set of an instance,
-//! [`prelude::enumerate_expr_algorithms`] for that of an expression tree,
-//! [`prelude::evaluate_instance`] for classification without selection, and
-//! [`prelude::Strategy`] as a `Copy`able constructor for the built-in
-//! [`prelude::SelectionPolicy`] implementations.
+//! [`prelude::enumerate_expr_algorithms`] for that of an expression tree, and
+//! the policy structs ([`prelude::MinFlops`], [`prelude::MinPredictedTime`],
+//! [`prelude::Hybrid`], [`prelude::Oracle`]) whose
+//! [`prelude::SelectionPolicy::select`] picks from a raw algorithm set. A
+//! choice is judged in one place: [`prelude::Plan::execute_with`] times every
+//! algorithm, classifies the instance and reports the regret.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -98,8 +100,8 @@ pub mod prelude {
         Plan, PlanError, PlanExecution, Planner, PredictionCache,
     };
     pub use lamb_select::{
-        evaluate_instance, evaluate_strategy, Classification, Hybrid, InstanceEvaluation, MinFlops,
-        MinPredictedTime, Oracle, SelectError, SelectionPolicy, Strategy,
+        Classification, Hybrid, InstanceEvaluation, MinFlops, MinPredictedTime, Oracle,
+        SelectError, SelectionPolicy,
     };
     pub use lamb_verify::{
         verify_algorithm, verify_call_table, Diagnostic, PassId, Report, Severity, VerifyExt,
@@ -117,7 +119,12 @@ mod tests {
             .algorithms(&[100, 40, 120, 30, 90])
             .expect("valid chain");
         let mut exec = SimulatedExecutor::paper_like();
-        let eval = evaluate_instance(&[100, 40, 120, 30, 90], &algs, &mut exec);
+        assert!(MinFlops.select(&algs, &mut exec).unwrap() < algs.len());
+        let eval: InstanceEvaluation = Planner::for_expression(&chain)
+            .plan_with(&[100, 40, 120, 30, 90], &mut exec)
+            .unwrap()
+            .execute_with(&mut exec)
+            .evaluation;
         let class = eval.classify(0.10);
         assert_eq!(eval.measurements.len(), 6);
         assert!(!class.cheapest.is_empty());

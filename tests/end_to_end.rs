@@ -331,10 +331,16 @@ fn strategy_with_performance_profiles_beats_min_flops_on_average() {
         let d0 = (seed as usize * 37) % 500 + 20;
         let d1 = (seed as usize * 91) % 1180 + 20;
         let d2 = rng_dims;
-        let algorithms = aatb.algorithms(&[d0, d1, d2]).unwrap();
-        flops_regret += evaluate_strategy(Strategy::MinFlops, &algorithms, &mut exec).regret();
-        predicted_regret +=
-            evaluate_strategy(Strategy::MinPredictedTime, &algorithms, &mut exec).regret();
+        let regret = |policy: Box<dyn SelectionPolicy>, exec: &mut SimulatedExecutor| {
+            Planner::for_expression(&aatb)
+                .policy(policy)
+                .plan_with(&[d0, d1, d2], exec)
+                .unwrap()
+                .execute_with(exec)
+                .regret()
+        };
+        flops_regret += regret(Box::new(MinFlops), &mut exec);
+        predicted_regret += regret(Box::new(MinPredictedTime), &mut exec);
         count += 1;
     }
     assert!(count > 0);

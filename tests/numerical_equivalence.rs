@@ -320,7 +320,7 @@ fn right_side_expressions_plan_and_execute_against_naive_references() {
     let plan_and_execute = |text: &str, dims: &[usize], kernel: &str| -> (Algorithm, Matrix) {
         let expr = TreeExpression::parse(text).unwrap();
         let plan = Planner::for_expression(&expr)
-            .policy(Strategy::MinFlops)
+            .policy(MinFlops)
             .plan(dims)
             .unwrap_or_else(|e| panic!("{text}: {e}"));
         let chosen = plan.chosen_algorithm().clone();
@@ -409,11 +409,14 @@ fn aatb_flop_counts_match_section_322_formulas() {
 fn measured_executor_classification_agrees_with_itself_on_repeat() {
     // The measured executor is noisy, but the FLOP side of the classification
     // and the structural invariants must be stable.
-    let (d0, d1, d2) = (48, 40, 56);
-    let algorithms = algorithms_of(AATB, &[d0, d1, d2]);
+    let expr = TreeExpression::parse(AATB).unwrap();
     let mut exec = MeasuredExecutor::quick();
-    let eval = evaluate_instance(&[d0, d1, d2], &algorithms, &mut exec);
-    let c = eval.classify(0.10);
+    let c = Planner::for_expression(&expr)
+        .score_predictions(false)
+        .plan_with(&[48, 40, 56], &mut exec)
+        .unwrap()
+        .execute_with(&mut exec)
+        .verdict;
     // Algorithms 1 and 2 share the minimum FLOP count on every instance.
     assert!(c.cheapest.contains(&0));
     assert!(c.cheapest.contains(&1));

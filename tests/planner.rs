@@ -1,13 +1,15 @@
 //! Facade-level tests of the unified `Planner` pipeline:
 //!
-//! * **parity** — the planner reproduces the legacy `Strategy::select`
-//!   choices for every built-in policy on both paper expressions,
+//! * **parity** — the planner reproduces `SelectionPolicy::select` on the
+//!   raw algorithm set for every built-in policy on both paper expressions,
+//!   and its execution matches a plain per-algorithm execution loop,
 //! * **cache** — predictions served through the shared cache are identical
 //!   to uncached `predict_from_isolated_calls` timings,
 //! * **determinism** — `plan_grid` fan-out yields the same choices and
 //!   verdicts as planning the same instances one by one, on every run.
 
 use lamb::prelude::*;
+use lamb::select::AlgorithmMeasurement;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,35 +24,40 @@ fn expressions() -> [TreeExpression; 2] {
     ["A*B*C*D", "A*A^T*B"].map(|text| TreeExpression::parse(text).unwrap())
 }
 
+/// The four built-in policies.
+fn policies() -> [Box<dyn SelectionPolicy>; 4] {
+    [
+        Box::new(MinFlops),
+        Box::new(MinPredictedTime),
+        Box::new(Hybrid { flop_margin: 0.5 }),
+        Box::new(Oracle),
+    ]
+}
+
 #[test]
 fn planner_reproduces_legacy_strategy_selection_on_both_paper_expressions() {
     for expr in expressions() {
         let grid = random_grid(expr.num_dims(), 25, 20220829);
-        for strategy in [
-            Strategy::MinFlops,
-            Strategy::MinPredictedTime,
-            Strategy::Hybrid { flop_margin: 0.5 },
-            Strategy::Oracle,
-        ] {
-            let planner = Planner::for_expression(&expr).policy(strategy);
+        for (policy, owned) in policies().iter().zip(policies()) {
+            let planner = Planner::for_expression(&expr).policy(owned);
             for dims in &grid {
-                // Legacy path: enumerate + Strategy::select on a fresh executor.
+                // Direct path: enumerate + select on a fresh executor.
                 let algorithms = expr.algorithms(dims).expect("enumeration succeeds");
-                let mut legacy_exec = SimulatedExecutor::paper_like();
-                let legacy = strategy
-                    .select(&algorithms, &mut legacy_exec)
+                let mut direct_exec = SimulatedExecutor::paper_like();
+                let direct = policy
+                    .select(&algorithms, &mut direct_exec)
                     .expect("non-empty algorithm set");
-                // New pipeline.
+                // The pipeline.
                 let plan = planner.plan(dims).expect("planning succeeds");
                 assert_eq!(
                     plan.chosen,
-                    legacy,
+                    direct,
                     "{} with {} on {:?}",
                     expr.name(),
-                    strategy.name(),
+                    policy.name(),
                     dims
                 );
-                assert_eq!(plan.policy, strategy.name());
+                assert_eq!(plan.policy, policy.name());
             }
         }
     }
@@ -61,14 +68,30 @@ fn planner_execution_matches_legacy_evaluate_instance() {
     let expr = TreeExpression::parse("A*A^T*B").unwrap();
     let planner = Planner::for_expression(&expr).threshold(0.10);
     for dims in random_grid(3, 10, 7) {
+        // Direct path: execute every enumerated algorithm in order.
         let algorithms = expr.algorithms(&dims).expect("enumeration succeeds");
-        let mut legacy_exec = SimulatedExecutor::paper_like();
-        let legacy_eval = evaluate_instance(&dims, &algorithms, &mut legacy_exec);
-        let legacy_verdict = legacy_eval.classify(0.10);
+        let mut direct_exec = SimulatedExecutor::paper_like();
+        let direct_eval = InstanceEvaluation {
+            dims: dims.clone(),
+            measurements: algorithms
+                .iter()
+                .enumerate()
+                .map(|(index, alg)| {
+                    let timing = direct_exec.execute_algorithm(alg);
+                    AlgorithmMeasurement {
+                        index,
+                        name: alg.name.clone(),
+                        flops: timing.flops,
+                        seconds: timing.seconds,
+                    }
+                })
+                .collect(),
+        };
+        let direct_verdict = direct_eval.classify(0.10);
 
         let outcome = planner.plan(&dims).unwrap().execute();
-        assert_eq!(outcome.evaluation, legacy_eval, "on {dims:?}");
-        assert_eq!(outcome.verdict, legacy_verdict, "on {dims:?}");
+        assert_eq!(outcome.evaluation, direct_eval, "on {dims:?}");
+        assert_eq!(outcome.verdict, direct_verdict, "on {dims:?}");
     }
 }
 

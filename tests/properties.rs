@@ -9,11 +9,8 @@ use lamb::matrix::ops::{max_abs, max_abs_diff};
 use lamb::prelude::*;
 use paper::{algorithms_of, chain_text, optimal_chain_flops, AATB, ABCD};
 use proptest::prelude::*;
-// Both preludes export a `Strategy` item (proptest's trait, lamb's selection
-// enum); name the one we mean explicitly.
-use lamb::select::Strategy;
 
-fn dims5() -> impl proptest::strategy::Strategy<Value = [usize; 5]> {
+fn dims5() -> impl Strategy<Value = [usize; 5]> {
     [
         20usize..1200,
         20usize..1200,
@@ -23,11 +20,11 @@ fn dims5() -> impl proptest::strategy::Strategy<Value = [usize; 5]> {
     ]
 }
 
-fn dims3() -> impl proptest::strategy::Strategy<Value = [usize; 3]> {
+fn dims3() -> impl Strategy<Value = [usize; 3]> {
     [20usize..1200, 20usize..1200, 20usize..1200]
 }
 
-fn small_dims7() -> impl proptest::strategy::Strategy<Value = [usize; 7]> {
+fn small_dims7() -> impl Strategy<Value = [usize; 7]> {
     [
         2usize..=12,
         2usize..=12,
@@ -41,11 +38,11 @@ fn small_dims7() -> impl proptest::strategy::Strategy<Value = [usize; 7]> {
 
 /// A dimension that is degenerate with high probability: zero or one half of
 /// the time, otherwise tiny.
-fn degenerate_dim() -> impl proptest::strategy::Strategy<Value = usize> {
+fn degenerate_dim() -> impl Strategy<Value = usize> {
     0usize..=3
 }
 
-fn degenerate_dims4() -> impl proptest::strategy::Strategy<Value = [usize; 4]> {
+fn degenerate_dims4() -> impl Strategy<Value = [usize; 4]> {
     [
         degenerate_dim(),
         degenerate_dim(),
@@ -166,10 +163,12 @@ proptest! {
 
     #[test]
     fn classification_invariants_hold(dims in dims3(), threshold in 0.0f64..0.3) {
-        let [d0, d1, d2] = dims;
-        let mut exec = SimulatedExecutor::paper_like();
-        let algorithms = algorithms_of(AATB, &[d0, d1, d2]);
-        let eval = evaluate_instance(&dims, &algorithms, &mut exec);
+        let expr = TreeExpression::parse(AATB).unwrap();
+        let eval = Planner::for_expression(&expr)
+            .plan(&dims)
+            .unwrap()
+            .execute()
+            .evaluation;
         let c = eval.classify(threshold);
         prop_assert!(!c.cheapest.is_empty());
         prop_assert!(!c.fastest.is_empty());
@@ -270,7 +269,7 @@ proptest! {
             MeasuredExecutor::new(MachineModel::generic_laptop(), BlockConfig::default(), 1, 0)
                 .with_seed(20260728);
         let plan = Planner::for_expression(&expr)
-            .policy(Strategy::MinFlops)
+            .policy(MinFlops)
             .plan_with(instance, &mut executor)
             .expect("degenerate instance plans");
         let out = plan.chosen_algorithm().output().expect("output declared");
@@ -315,7 +314,7 @@ proptest! {
             MeasuredExecutor::new(MachineModel::generic_laptop(), BlockConfig::default(), 1, 0)
                 .with_seed(20220829);
         let plan = Planner::for_expression(&expr)
-            .policy(Strategy::MinFlops)
+            .policy(MinFlops)
             .plan_with(&instance, &mut executor)
             .expect("solve instance plans");
         let out = plan.chosen_algorithm().output().expect("output declared");
@@ -350,13 +349,16 @@ proptest! {
 
     #[test]
     fn oracle_strategy_is_never_beaten(dims in dims3()) {
-        let [d0, d1, d2] = dims;
-        let mut exec = SimulatedExecutor::paper_like();
-        let algorithms = algorithms_of(AATB, &[d0, d1, d2]);
-        let oracle = evaluate_strategy(Strategy::Oracle, &algorithms, &mut exec);
+        let expr = TreeExpression::parse(AATB).unwrap();
+        let execute = |policy: Box<dyn SelectionPolicy>| {
+            Planner::for_expression(&expr).policy(policy).plan(&dims).unwrap().execute()
+        };
+        let oracle = execute(Box::new(Oracle));
         prop_assert!(oracle.regret() < 1e-9);
-        for strategy in [Strategy::MinFlops, Strategy::MinPredictedTime, Strategy::Hybrid { flop_margin: 0.5 }] {
-            let outcome = evaluate_strategy(strategy, &algorithms, &mut exec);
+        let others: [Box<dyn SelectionPolicy>; 3] =
+            [Box::new(MinFlops), Box::new(MinPredictedTime), Box::new(Hybrid { flop_margin: 0.5 })];
+        for policy in others {
+            let outcome = execute(policy);
             prop_assert!(outcome.chosen_seconds + 1e-15 >= oracle.chosen_seconds);
         }
     }
