@@ -213,7 +213,7 @@ fn report_csv(requests: &[BatchRequest], outcome: &BatchOutcome) -> String {
                     dims,
                     "ok".into(),
                     plan.algorithms.len().to_string(),
-                    plan.chosen_algorithm().name.clone(),
+                    plan.chosen_algorithm().name.to_string(),
                     chosen.flops.to_string(),
                     flop_optimal.flops.to_string(),
                     format_opt_seconds(chosen.predicted_seconds),

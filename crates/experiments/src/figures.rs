@@ -167,7 +167,7 @@ pub fn efficiency_along_line(
                 .iter()
                 .zip(&execution.timings)
                 .map(|(m, timing)| AlgorithmEfficiencyPoint {
-                    name: m.name.clone(),
+                    name: m.name.to_string(),
                     total: timing.efficiency(machine),
                     per_call: (0..timing.per_call.len())
                         .map(|c| timing.call_efficiency(c, machine))

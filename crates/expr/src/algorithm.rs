@@ -2,6 +2,7 @@
 
 use crate::kernel_call::KernelCall;
 use crate::operand::OperandId;
+use crate::shared_str::SharedStr;
 use lamb_matrix::{Structure, Uplo};
 use std::collections::HashSet;
 use std::fmt;
@@ -29,7 +30,7 @@ pub struct OperandInfo {
     /// Whether the operand is an input, an intermediate, or the output.
     pub role: OperandRole,
     /// Human-readable name (`"A"`, `"M1"`, ...).
-    pub name: String,
+    pub name: SharedStr,
     /// The operand's known structure: triangular (elements outside the
     /// stored triangle are structurally zero), symmetric positive definite
     /// (stored in full), or general. Executors use this to materialise
@@ -65,7 +66,7 @@ impl OperandInfo {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Algorithm {
     /// Human-readable name, e.g. `"Chain alg 1: ((AB)C)D"`.
-    pub name: String,
+    pub name: SharedStr,
     /// All operands referenced by the calls.
     pub operands: Vec<OperandInfo>,
     /// The kernel calls in execution order.
@@ -230,7 +231,7 @@ mod tests {
                         n: 4,
                         k: 3,
                     },
-                    inputs: vec![OperandId(0), OperandId(1)],
+                    inputs: [OperandId(0), OperandId(1)].into(),
                     output: OperandId(3),
                     label: "M1 := A*B".into(),
                 },
@@ -242,7 +243,7 @@ mod tests {
                         n: 5,
                         k: 4,
                     },
-                    inputs: vec![OperandId(3), OperandId(2)],
+                    inputs: [OperandId(3), OperandId(2)].into(),
                     output: OperandId(4),
                     label: "X := M1*C".into(),
                 },

@@ -482,19 +482,19 @@ mod tests {
             calls: vec![
                 KernelCall {
                     op: op_gemm(8, 8, 8),
-                    inputs: vec![OperandId(0), OperandId(1)],
+                    inputs: [OperandId(0), OperandId(1)].into(),
                     output: OperandId(2),
                     label: "M1 := A*B".into(),
                 },
                 KernelCall {
                     op: op_gemm(8, 8, 8),
-                    inputs: vec![OperandId(0), OperandId(1)],
+                    inputs: [OperandId(0), OperandId(1)].into(),
                     output: OperandId(3),
                     label: "M2 := A*B".into(),
                 },
                 KernelCall {
                     op: op_gemm(8, 8, 8),
-                    inputs: vec![OperandId(2), OperandId(3)],
+                    inputs: [OperandId(2), OperandId(3)].into(),
                     output: OperandId(4),
                     label: "X := M1*M2".into(),
                 },
@@ -510,11 +510,7 @@ mod tests {
         let alg = &outcome.algorithm;
         assert_eq!(alg.calls.len(), 2);
         // The final call now reads the surviving representative twice.
-        assert_eq!(
-            alg.calls[1].inputs,
-            vec![OperandId(2), OperandId(2)],
-            "{alg}"
-        );
+        assert_eq!(*alg.calls[1].inputs, [OperandId(2), OperandId(2)], "{alg}");
         // The merged-away operand left the table, and the output moved up
         // into its id so the ids stay dense; the algorithm verifies as a DAG.
         assert_eq!(alg.operands.len(), doubled_product().operands.len() - 1);
@@ -543,7 +539,7 @@ mod tests {
             ],
             calls: vec![KernelCall {
                 op: op_gemm(4, 4, 4),
-                inputs: vec![OperandId(0), OperandId(1)],
+                inputs: [OperandId(0), OperandId(1)].into(),
                 output: OperandId(2),
                 label: "X := A*B".into(),
             }],
@@ -570,13 +566,13 @@ mod tests {
             calls: vec![
                 KernelCall {
                     op: op_gemm(4, 4, 4),
-                    inputs: vec![OperandId(0), OperandId(1)],
+                    inputs: [OperandId(0), OperandId(1)].into(),
                     output: OperandId(2),
                     label: "M1 := A*B".into(),
                 },
                 KernelCall {
                     op: op_gemm(4, 4, 4),
-                    inputs: vec![OperandId(2), OperandId(2)],
+                    inputs: [OperandId(2), OperandId(2)].into(),
                     output: OperandId(3),
                     label: "X := M1*M1".into(),
                 },
@@ -621,31 +617,31 @@ mod tests {
             calls: vec![
                 KernelCall {
                     op: syrk.clone(),
-                    inputs: vec![OperandId(0)],
+                    inputs: [OperandId(0)].into(),
                     output: OperandId(1),
                     label: "M1 := A*A^T".into(),
                 },
                 KernelCall {
                     op: copy.clone(),
-                    inputs: vec![OperandId(1)],
+                    inputs: [OperandId(1)].into(),
                     output: OperandId(1),
                     label: "M1 full".into(),
                 },
                 KernelCall {
                     op: syrk.clone(),
-                    inputs: vec![OperandId(0)],
+                    inputs: [OperandId(0)].into(),
                     output: OperandId(2),
                     label: "M2 := A*A^T".into(),
                 },
                 KernelCall {
                     op: copy.clone(),
-                    inputs: vec![OperandId(2)],
+                    inputs: [OperandId(2)].into(),
                     output: OperandId(2),
                     label: "M2 full".into(),
                 },
                 KernelCall {
                     op: op_gemm(6, 6, 6),
-                    inputs: vec![OperandId(1), OperandId(2)],
+                    inputs: [OperandId(1), OperandId(2)].into(),
                     output: OperandId(3),
                     label: "X := M1*M2".into(),
                 },
@@ -657,8 +653,8 @@ mod tests {
         assert_eq!(outcome.algorithm.calls.len(), 3);
         assert!(outcome.algorithm.is_well_formed());
         assert_eq!(
-            outcome.algorithm.calls[2].inputs,
-            vec![OperandId(1), OperandId(1)]
+            *outcome.algorithm.calls[2].inputs,
+            [OperandId(1), OperandId(1)]
         );
     }
 
@@ -690,13 +686,13 @@ mod tests {
             calls: vec![
                 KernelCall {
                     op: syrk,
-                    inputs: vec![OperandId(0)],
+                    inputs: [OperandId(0)].into(),
                     output: OperandId(1),
                     label: "X := A*A^T".into(),
                 },
                 KernelCall {
                     op: copy,
-                    inputs: vec![OperandId(1)],
+                    inputs: [OperandId(1)].into(),
                     output: OperandId(1),
                     label: "X full".into(),
                 },
@@ -750,13 +746,13 @@ mod tests {
             calls: vec![
                 KernelCall {
                     op: potrf,
-                    inputs: vec![OperandId(0)],
+                    inputs: [OperandId(0)].into(),
                     output: OperandId(2),
                     label: "L := chol(S)".into(),
                 },
                 KernelCall {
                     op: trsm,
-                    inputs: vec![OperandId(2), OperandId(1)],
+                    inputs: [OperandId(2), OperandId(1)].into(),
                     output: OperandId(3),
                     label: "X := L\\B".into(),
                 },

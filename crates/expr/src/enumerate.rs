@@ -58,6 +58,7 @@ use crate::expr::{Expr, Factor, ShapeCheck, ShapeError};
 use crate::kernel_call::{KernelCall, KernelOp};
 use crate::operand::OperandId;
 use crate::rewrite::{variants, MergeKind, MergeOperand, Storage};
+use crate::shared_str::SharedStr;
 use lamb_matrix::{Side, Structure, Trans, Uplo};
 use std::collections::HashMap;
 use std::fmt::{self, Write};
@@ -329,10 +330,10 @@ pub fn enumerate_expr_algorithms(
 
 /// The name of the `number`-th algorithm whose name after its number is
 /// `suffix`: `Algorithm 2: ((A A^T) B) [syrk,symm]`.
-pub(crate) fn algorithm_name(number: usize, suffix: &str) -> String {
+pub(crate) fn algorithm_name(number: usize, suffix: &str) -> SharedStr {
     let mut name = String::with_capacity(32 + suffix.len());
     let _ = write!(name, "Algorithm {number}{suffix}");
-    name
+    name.into()
 }
 
 /// What a template is derived from: the search of a tree whose sizes are
@@ -613,7 +614,7 @@ fn lone_factor(f: &Factor, inputs: Vec<OperandInfo>) -> Result<(Algorithm, Strin
     let mut operands = inputs;
     operands[0].role = OperandRole::Output;
     let alg = Algorithm {
-        name: String::new(),
+        name: SharedStr::default(),
         operands,
         calls: Vec::new(),
     };
@@ -642,7 +643,7 @@ fn distinct_inputs(factors: &[Factor]) -> Result<Vec<OperandInfo>, GenerateError
                 cols: v.cols,
                 role: OperandRole::Input,
                 structure: v.structure,
-                name: v.name.clone(),
+                name: v.name.as_str().into(),
             });
         }
     }
@@ -714,7 +715,7 @@ impl Ctx<'_> {
                 name: if output {
                     "X".into()
                 } else {
-                    format!("M{}", i + 1)
+                    format!("M{}", i + 1).into()
                 },
                 structure: m.structure,
             }
@@ -735,14 +736,14 @@ impl Ctx<'_> {
                 }
                 KernelCall {
                     op: step.op.clone(),
-                    inputs: step.inputs().to_vec(),
+                    inputs: step.inputs().into(),
                     output: step.output,
                     label: text.as_str().into(),
                 }
             })
             .collect();
         Algorithm {
-            name: String::new(),
+            name: SharedStr::default(),
             operands,
             calls,
         }
@@ -1608,7 +1609,7 @@ mod tests {
         assert_eq!(algs[0].kernel_summary(), "gemm");
         assert_eq!(algs[0].flops(), 2 * 8 * 8 * 8);
         // The single input operand is referenced twice by the call.
-        assert_eq!(algs[0].calls[0].inputs, vec![OperandId(0), OperandId(0)]);
+        assert_eq!(*algs[0].calls[0].inputs, [OperandId(0), OperandId(0)]);
         assert_eq!(algs[0].inputs().count(), 1);
     }
 

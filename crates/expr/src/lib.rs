@@ -51,6 +51,7 @@ pub mod kernel_call;
 pub mod operand;
 pub mod parse;
 pub mod rewrite;
+pub mod shared_str;
 mod template;
 
 pub use algorithm::{Algorithm, OperandInfo, OperandRole};
@@ -61,6 +62,7 @@ pub use cse::{
 pub use enumerate::{enumerate_expr_algorithms, GenerateError};
 pub use expr::{Expr, Factor, ShapeError, Var};
 pub use expression::Expression;
-pub use kernel_call::{KernelCall, KernelOp};
+pub use kernel_call::{CallInputs, KernelCall, KernelOp};
 pub use operand::OperandId;
 pub use parse::{ParseError, TreeExpression};
+pub use shared_str::SharedStr;

@@ -50,11 +50,15 @@
 //! short list, keeps the tree as one list of nodes whose children are
 //! indices, and renders the normalised text into one buffer: a parse
 //! allocates a handful of buffers and one string per distinct operand name,
-//! not a string per token. What a text's requests enumerate is derived once
-//! per text, not per parse: [`Expression::algorithms_pruned`] instantiates
-//! the text's memoised template (see the crate-private `template` module),
-//! which a fresh `TreeExpression` of the same text finds without the caller
-//! keeping anything.
+//! not a string per token — and a text parsed before is not parsed again:
+//! [`TreeExpression::parse`] consults a process-wide memo keyed by the raw
+//! text (successes only, the first [`PARSE_MEMO_TEXTS`] texts), and a hit
+//! is a handle that shares the earlier parse, allocating nothing. What a
+//! text's requests enumerate is derived once per text, not per parse:
+//! [`Expression::algorithms_pruned`] instantiates the text's memoised
+//! template (see the crate-private `template` module), which a fresh
+//! `TreeExpression` of the same text finds without the caller keeping
+//! anything, and which the parsed tree keeps once found.
 //!
 //! ```
 //! use lamb_expr::parse::TreeExpression;
@@ -75,9 +79,26 @@ use crate::algorithm::Algorithm;
 use crate::enumerate::GenerateError;
 use crate::expr::Expr;
 use crate::expression::Expression;
-use crate::template;
+use crate::shared_str::SharedStr;
+use crate::template::{self, Template};
 use lamb_matrix::{Structure, Uplo};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+
+/// The most raw texts the parse memo holds: twice the 33 distinct texts
+/// the benchmark's six workloads send together (75 % to 99.5 % of a pass's
+/// parses repeat a text), and the template memo's bound, past which a text
+/// has no template to share. A parsed tree takes a few hundred bytes.
+///
+/// What the memo costs traffic that does not repeat, measured on the 33
+/// scenario texts with renamed operands against a parse without a memo, on
+/// a shared 2-vCPU x86-64 virtual machine (medians of 20 processes): a
+/// first parse below the bound pays 0.9 µs more (1.5 → 2.4 µs; the tree is
+/// kept), and past the bound every parse of a new text pays a lookup that
+/// misses, a read lock and a hash, 1.04 → 1.22 µs. A repeat costs 0.07 µs
+/// where a parse costs 1.03 µs.
+pub const PARSE_MEMO_TEXTS: usize = template::MEMO_TEXTS;
 
 /// Errors produced while parsing an expression text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,9 +191,17 @@ pub(crate) enum Node {
 /// `"A*A^T*B"` plus the mapping from operand shapes to the dimension tuple
 /// `d0..d{n-1}`. Implements [`Expression`], so it plugs directly into the
 /// `Planner` and the experiment drivers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A handle: clones, and parses of a text parsed before, share one tree.
+/// Two expressions are `==` when their trees are, whoever parsed them.
+#[derive(Clone)]
 pub struct TreeExpression {
-    text: String,
+    tree: Arc<Tree>,
+}
+
+/// What every handle of one parse shares.
+struct Tree {
+    text: SharedStr,
     nodes: Vec<Node>,
     /// Per distinct operand name: `(name, row dim index, col dim index)` in
     /// stored (untransposed) orientation, in order of first appearance in
@@ -182,6 +211,51 @@ pub struct TreeExpression {
     /// where the text annotates none).
     structures: Vec<Structure>,
     num_dims: usize,
+    /// The template this tree's requests are instantiated from, resolved on
+    /// first use (`None`: they are searched).
+    template: OnceLock<Option<Arc<Template>>>,
+}
+
+impl Tree {
+    fn parsed_as(&self) -> impl PartialEq + '_ {
+        (
+            &self.text,
+            &self.nodes,
+            &self.var_dims,
+            &self.structures,
+            self.num_dims,
+        )
+    }
+}
+
+impl PartialEq for TreeExpression {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.tree, &other.tree) || self.tree.parsed_as() == other.tree.parsed_as()
+    }
+}
+
+impl Eq for TreeExpression {}
+
+impl fmt::Debug for TreeExpression {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let tree = &self.tree;
+        f.debug_struct("TreeExpression")
+            .field("text", &tree.text)
+            .field("nodes", &tree.nodes)
+            .field("var_dims", &tree.var_dims)
+            .field("structures", &tree.structures)
+            .field("num_dims", &tree.num_dims)
+            .finish()
+    }
+}
+
+/// Parsed texts by raw text. Its one update is a single insert, so a lock
+/// poisoned by a panicking thread still guards a valid map.
+type ParseMemo = RwLock<HashMap<Box<str>, TreeExpression>>;
+
+fn parse_memo() -> &'static ParseMemo {
+    static MEMO: OnceLock<ParseMemo> = OnceLock::new();
+    MEMO.get_or_init(|| RwLock::new(HashMap::with_capacity(PARSE_MEMO_TEXTS)))
 }
 
 /// Union-find over dimension symbols.
@@ -311,10 +385,36 @@ impl TreeExpression {
     /// assert!(TreeExpression::parse("A*(B").is_err());
     /// ```
     ///
+    /// A text parsed before in this process (one of the first
+    /// [`PARSE_MEMO_TEXTS`] distinct texts that parsed) is answered from a
+    /// memo: the handle shares that parse's tree, and with it the template
+    /// its first enumeration resolved. Errors are not memoised.
+    ///
     /// # Errors
     ///
     /// Returns [`ParseError`] on malformed input.
     pub fn parse(text: &str) -> Result<Self, ParseError> {
+        let memo = parse_memo();
+        {
+            let held = memo.read().unwrap_or_else(PoisonError::into_inner);
+            if let Some(parsed) = held.get(text) {
+                return Ok(parsed.clone());
+            }
+            if held.len() >= PARSE_MEMO_TEXTS {
+                drop(held);
+                return TreeExpression::parse_text(text);
+            }
+        }
+        let parsed = TreeExpression::parse_text(text)?;
+        let mut held = memo.write().unwrap_or_else(PoisonError::into_inner);
+        if held.len() >= PARSE_MEMO_TEXTS {
+            return Ok(parsed);
+        }
+        Ok(held.entry(text.into()).or_insert(parsed).clone())
+    }
+
+    /// Parse `text` without the memo.
+    fn parse_text(text: &str) -> Result<Self, ParseError> {
         let Parsed {
             mut nodes,
             names,
@@ -393,11 +493,14 @@ impl TreeExpression {
         let mut rendered = String::with_capacity(text.len());
         write_text(&nodes, &var_dims, nodes.len() - 1, &mut rendered);
         Ok(TreeExpression {
-            text: rendered,
-            nodes,
-            var_dims,
-            structures,
-            num_dims,
+            tree: Arc::new(Tree {
+                text: rendered.into(),
+                nodes,
+                var_dims,
+                structures,
+                num_dims,
+                template: OnceLock::new(),
+            }),
         })
     }
 
@@ -410,27 +513,28 @@ impl TreeExpression {
     #[must_use]
     pub fn bind(&self, dims: &[usize]) -> Expr {
         self.check_arity(dims);
-        self.build(self.nodes.len() - 1, dims)
+        self.build(self.tree.nodes.len() - 1, dims)
     }
 
     /// Panic unless `dims` has one size per dimension.
     pub(crate) fn check_arity(&self, dims: &[usize]) {
         assert_eq!(
             dims.len(),
-            self.num_dims,
+            self.tree.num_dims,
             "dimension tuple length mismatch for `{}`",
-            self.text
+            self.tree.text
         );
     }
 
     fn build(&self, node: usize, dims: &[usize]) -> Expr {
-        match self.nodes[node] {
+        let tree = &self.tree;
+        match tree.nodes[node] {
             Node::Var(operand, _) => {
-                let (name, r, c) = &self.var_dims[operand];
+                let (name, r, c) = &tree.var_dims[operand];
                 let (r, c) = (dims[*r], dims[*c]);
                 // The annotation attaches to the name, so an unannotated
                 // reuse still builds the structured operand.
-                match self.structures[operand] {
+                match tree.structures[operand] {
                     Structure::Triangular(uplo) => Expr::tri_var(name, r, uplo),
                     Structure::Spd => Expr::spd_var(name, r),
                     Structure::General => Expr::var(name, r, c),
@@ -446,20 +550,36 @@ impl TreeExpression {
     /// The tree's nodes: texts that normalise alike but group differently
     /// (`A*(B*C)` and `(A*B)*C`) differ here.
     pub(crate) fn nodes(&self) -> &[Node] {
-        &self.nodes
+        &self.tree.nodes
+    }
+
+    /// The template this tree's requests are instantiated from (`None`:
+    /// they are searched), looked up on the tree's first use and kept.
+    pub(crate) fn template(&self) -> Option<&Template> {
+        self.tree
+            .template
+            .get_or_init(|| template::of(self))
+            .as_deref()
     }
 
     /// The normalized expression text.
     #[must_use]
     pub fn text(&self) -> &str {
-        &self.text
+        &self.tree.text
+    }
+
+    /// The normalized expression text, shared: cloning it allocates
+    /// nothing.
+    #[must_use]
+    pub fn shared_text(&self) -> &SharedStr {
+        &self.tree.text
     }
 
     /// The `(name, row dim index, col dim index)` of every distinct operand,
     /// in order of first appearance.
     #[must_use]
     pub fn operand_dims(&self) -> &[(String, usize, usize)] {
-        &self.var_dims
+        &self.tree.var_dims
     }
 
     /// The declared triangle of `name`, if the expression annotates it as
@@ -473,26 +593,27 @@ impl TreeExpression {
     /// expression carries no annotation for it).
     #[must_use]
     pub fn structure_of(&self, name: &str) -> Structure {
-        self.var_dims
+        self.tree
+            .var_dims
             .iter()
             .position(|(n, _, _)| n == name)
-            .map_or(Structure::General, |i| self.structures[i])
+            .map_or(Structure::General, |i| self.tree.structures[i])
     }
 }
 
 impl fmt::Display for TreeExpression {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.text)
+        write!(f, "{}", self.tree.text)
     }
 }
 
 impl Expression for TreeExpression {
     fn name(&self) -> String {
-        self.text.clone()
+        self.tree.text.to_string()
     }
 
     fn num_dims(&self) -> usize {
-        self.num_dims
+        self.tree.num_dims
     }
 
     fn algorithms_pruned(

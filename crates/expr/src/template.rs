@@ -34,7 +34,9 @@
 //! The templates live in one process-wide memo keyed by the normalised text
 //! ([`TreeExpression::text`], annotations included), so every caller — a
 //! planner built per request, a batch that re-parses every line, `lamb
-//! paper` — shares them without holding anything. A text past the memo's
+//! paper` — shares them without holding anything. A parsed tree looks its
+//! template up once and keeps it, so the requests of a text parsed from the
+//! parse memo neither lock nor hash to find it. A text past the memo's
 //! bound of [`MEMO_TEXTS`] texts, a text with more than [`MAX_COMPLETIONS`]
 //! completions (chains of eight and more factors), and a tree that groups
 //! unlike the one its text's template was derived from (`A*(B*C)` versus
@@ -47,6 +49,7 @@ use crate::expr::Factor;
 use crate::expression::Expression;
 use crate::kernel_call::{KernelCall, KernelOp};
 use crate::parse::{Node, TreeExpression};
+use crate::shared_str::SharedStr;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
@@ -140,7 +143,7 @@ struct Instantiable {
 
 /// The memo's entry for a text.
 #[derive(Debug)]
-struct Template {
+pub(crate) struct Template {
     /// The tree the template was derived from.
     nodes: Vec<Node>,
     /// `None` for a text over [`MAX_COMPLETIONS`].
@@ -174,9 +177,16 @@ fn memo() -> &'static Memo {
     MEMO.get_or_init(Memo::default)
 }
 
-/// The template of `expr`, derived on its text's first use; `None` when the
-/// memo is full and holds no template for the text.
-fn template(expr: &TreeExpression) -> Option<Arc<Template>> {
+/// The template `expr`'s requests are instantiated from: its text's,
+/// derived on the text's first use. `None` when the memo is full and holds
+/// no template for the text, or when `expr` groups unlike the tree the
+/// template was derived from.
+pub(crate) fn of(expr: &TreeExpression) -> Option<Arc<Template>> {
+    memoised_for(expr).filter(|t| t.nodes == expr.nodes())
+}
+
+/// The memo's template for `expr`'s text, derived on the text's first use.
+fn memoised_for(expr: &TreeExpression) -> Option<Arc<Template>> {
     let memo = memo();
     {
         let held = memo.read().unwrap_or_else(PoisonError::into_inner);
@@ -222,10 +232,8 @@ pub(crate) fn algorithms(
     shared: bool,
 ) -> Result<Vec<Algorithm>, GenerateError> {
     expr.check_arity(dims);
-    if let Some(template) = template(expr).filter(|t| t.nodes == expr.nodes()) {
-        if let Some(instantiable) = &template.instantiable {
-            return instantiable.instantiate(dims, top_k, shared);
-        }
+    if let Some(instantiable) = expr.template().and_then(|t| t.instantiable.as_ref()) {
+        return instantiable.instantiate(dims, top_k, shared);
     }
     let algorithms = enumerate_expr_algorithms(&expr.bind(dims), top_k)?;
     Ok(if shared {
@@ -293,7 +301,7 @@ impl Instantiable {
 }
 
 /// `alg`, whose sizes are codes, named `name` at the sizes `size` reads.
-fn with_sizes(alg: &Algorithm, name: String, size: impl Fn(usize) -> usize) -> Algorithm {
+fn with_sizes(alg: &Algorithm, name: SharedStr, size: impl Fn(usize) -> usize) -> Algorithm {
     Algorithm {
         name,
         operands: alg
@@ -310,7 +318,7 @@ fn with_sizes(alg: &Algorithm, name: String, size: impl Fn(usize) -> usize) -> A
             .iter()
             .map(|call| KernelCall {
                 op: call.op.map_dims(&size),
-                inputs: call.inputs.clone(),
+                inputs: call.inputs,
                 output: call.output,
                 label: call.label.clone(),
             })

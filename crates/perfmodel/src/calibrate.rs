@@ -34,7 +34,7 @@ pub fn single_call_algorithm(op: KernelOp) -> Algorithm {
             name: name.into(),
         })
         .collect();
-    let inputs: Vec<OperandId> = operands.iter().map(|o| o.id).collect();
+    let inputs = operands.iter().map(|o| o.id).collect();
     let output = OperandId(operands.len());
     let (rows, cols) = op.output_shape();
     operands.push(OperandInfo {
@@ -45,9 +45,9 @@ pub fn single_call_algorithm(op: KernelOp) -> Algorithm {
         structure: op.output_structure(),
         name: "X".into(),
     });
-    let label = format!("X := {op}");
+    let label = format!("X := {op}").into();
     Algorithm {
-        name: format!("single call {}", op.mnemonic()),
+        name: format!("single call {}", op.mnemonic()).into(),
         operands,
         calls: vec![KernelCall {
             op,

@@ -50,7 +50,7 @@ pub use executor::{AlgorithmTiming, CallTiming, Executor};
 pub use lamb_kernels::backend::{Backend, NativeBackend, ReferenceBackend};
 pub use machine::MachineModel;
 pub use measured::MeasuredExecutor;
-pub use profile::{CallTimeTable, SquareProfile};
+pub use profile::{CallTimeTable, SquareProfile, TimingKey};
 pub use reuse::{FactorCache, ReuseReport};
 pub use simulate::{SimulatedExecutor, SimulatorConfig};
 pub use store::{

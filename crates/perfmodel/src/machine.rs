@@ -1,5 +1,7 @@
 //! Machine models: the handful of hardware parameters the time models need.
 
+use std::sync::OnceLock;
+
 /// A coarse description of the machine executing (or simulated to execute)
 /// the kernels.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,9 +38,16 @@ impl MachineModel {
     /// A small generic model for the machine running the tests: the absolute
     /// values only matter for converting between time and efficiency, so the
     /// defaults are deliberately conservative.
+    ///
+    /// The core count is asked of the operating system once per process:
+    /// `available_parallelism` reads cgroup files, tens of microseconds per
+    /// call, and a batch planner builds a model with every worker's
+    /// executor.
     #[must_use]
     pub fn generic_laptop() -> Self {
-        let cores = std::thread::available_parallelism().map_or(4, usize::from);
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(4, usize::from));
         MachineModel {
             name: format!("generic machine ({cores} cores)"),
             // 8 DP FLOP/cycle/core at 3 GHz is a conservative FMA+AVX2 estimate.
@@ -96,6 +105,22 @@ mod tests {
         let t = m.time_at_efficiency(flops, 0.8);
         let e = m.efficiency(flops, t);
         assert!((e - 0.8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn repeated_generic_models_agree_with_the_machine() {
+        let first = MachineModel::generic_laptop();
+        let cores = std::thread::available_parallelism().map_or(4, usize::from);
+        assert_eq!(first.cores, cores);
+        let again: Vec<MachineModel> = (0..4).map(|_| MachineModel::generic_laptop()).collect();
+        assert!(again.iter().all(|m| *m == first));
+        let from_threads: Vec<MachineModel> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| scope.spawn(MachineModel::generic_laptop))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(from_threads.iter().all(|m| *m == first));
     }
 
     #[test]

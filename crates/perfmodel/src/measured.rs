@@ -883,13 +883,13 @@ mod tests {
             calls: vec![
                 KernelCall {
                     op: KernelOp::Syrk { uplo, trans, n, k },
-                    inputs: vec![OperandId(0)],
+                    inputs: [OperandId(0)].into(),
                     output: m,
                     label: "M := A*A^T".into(),
                 },
                 KernelCall {
                     op: KernelOp::CopyTriangle { uplo, n },
-                    inputs: vec![m],
+                    inputs: [m].into(),
                     output: m,
                     label: "M := full(M)".into(),
                 },

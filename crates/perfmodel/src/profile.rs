@@ -12,7 +12,10 @@
 //!   along each line; memoising them mirrors that deduplication.
 
 use lamb_expr::KernelOp;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Efficiency-versus-size curve for one kernel on square operands.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,16 +88,81 @@ impl SquareProfile {
     }
 }
 
+/// A kernel call's *timing key* ([`KernelOp::timing_key`]) with its hash,
+/// each computed once: [`CallTimeTable`] files an entry under this hash, and
+/// a sharded cache routes the key to a shard by it, so one lookup
+/// canonicalises and hashes the call once. The hash is the standard
+/// library's keyed hash under one key per process, so a calibration store
+/// read from disk cannot be crafted to make its keys collide.
+#[derive(Debug, Clone)]
+pub struct TimingKey {
+    hash: u64,
+    op: KernelOp,
+}
+
+impl TimingKey {
+    /// The timing key of `op`.
+    #[must_use]
+    pub fn of(op: &KernelOp) -> Self {
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        let op = op.timing_key();
+        TimingKey {
+            hash: KEYS.get_or_init(RandomState::new).hash_one(&op),
+            op,
+        }
+    }
+
+    /// The key's hash.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl PartialEq for TimingKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.op == other.op
+    }
+}
+
+impl Eq for TimingKey {}
+
+impl Hash for TimingKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Hands a [`TimingKey`]'s precomputed hash to the table unchanged.
+#[derive(Default)]
+struct Precomputed(u64);
+
+impl Hasher for Precomputed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a timing key hashes as one u64");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Memo table of isolated-call benchmark times keyed by the operation's
 /// *timing key* ([`KernelOp::timing_key`]).
 ///
 /// Keys are canonicalised on every access: a GEMM's transposition flags do
 /// not change its isolated-call time (the logical `m×n×k` work is the same),
 /// so `gemm(NN m×n×k)` and `gemm(TN m×n×k)` share one entry instead of being
-/// benchmarked twice.
+/// benchmarked twice. A caller holding a [`TimingKey`] already
+/// ([`CallTimeTable::lookup_key`], [`CallTimeTable::insert_key`]) skips the
+/// canonicalisation and the hash.
 #[derive(Debug, Default, Clone)]
 pub struct CallTimeTable {
-    times: HashMap<KernelOp, f64>,
+    times: HashMap<TimingKey, f64, BuildHasherDefault<Precomputed>>,
     hits: usize,
     misses: usize,
 }
@@ -121,13 +189,12 @@ impl CallTimeTable {
     /// Return the memoised time for `op`, computing and storing it with
     /// `compute` on first use.
     pub fn get_or_insert_with(&mut self, op: &KernelOp, compute: impl FnOnce() -> f64) -> f64 {
-        if let Some(&t) = self.times.get(&op.timing_key()) {
-            self.hits += 1;
+        let key = TimingKey::of(op);
+        if let Some(t) = self.lookup_key(&key) {
             return t;
         }
-        self.misses += 1;
         let t = compute();
-        self.times.insert(op.timing_key(), t);
+        self.insert_key(key, t);
         t
     }
 
@@ -137,7 +204,12 @@ impl CallTimeTable {
     /// planner's shared prediction cache) that must not hold a lock on the
     /// table while the benchmark itself runs.
     pub fn lookup(&mut self, op: &KernelOp) -> Option<f64> {
-        match self.times.get(&op.timing_key()) {
+        self.lookup_key(&TimingKey::of(op))
+    }
+
+    /// [`CallTimeTable::lookup`] of a key canonicalised and hashed already.
+    pub fn lookup_key(&mut self, key: &TimingKey) -> Option<f64> {
+        match self.times.get(key) {
             Some(&t) => {
                 self.hits += 1;
                 Some(t)
@@ -152,19 +224,25 @@ impl CallTimeTable {
     /// Store the benchmark time for `op` (overwriting any previous value
     /// under the same timing key).
     pub fn insert(&mut self, op: KernelOp, seconds: f64) {
-        self.times.insert(op.timing_key(), seconds);
+        self.insert_key(TimingKey::of(&op), seconds);
+    }
+
+    /// [`CallTimeTable::insert`] under a key canonicalised and hashed
+    /// already.
+    pub fn insert_key(&mut self, key: TimingKey, seconds: f64) {
+        self.times.insert(key, seconds);
     }
 
     /// The memoised time for `op` without touching the hit/miss counters
     /// (for reporting and store round-trip checks).
     #[must_use]
     pub fn get(&self, op: &KernelOp) -> Option<f64> {
-        self.times.get(&op.timing_key()).copied()
+        self.times.get(&TimingKey::of(op)).copied()
     }
 
     /// Iterate over the `(timing key, seconds)` entries in unspecified order.
     pub fn entries(&self) -> impl Iterator<Item = (&KernelOp, f64)> {
-        self.times.iter().map(|(op, &t)| (op, t))
+        self.times.iter().map(|(key, &t)| (&key.op, t))
     }
 
     /// Absorb every entry of `other` into this table (`other` wins on
@@ -178,7 +256,7 @@ impl CallTimeTable {
     /// canonicalise their query.
     pub fn merge_from(&mut self, other: &CallTimeTable) {
         for (op, t) in other.entries() {
-            self.times.insert(op.timing_key(), t);
+            self.insert(op.clone(), t);
         }
     }
 

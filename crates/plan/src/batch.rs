@@ -30,9 +30,8 @@
 
 use crate::factor_cache::{note_factors, resident_calls, FactorCache};
 use crate::plan::{Plan, PlanError};
-use crate::planner::{impl_settings_builder, Settings};
+use crate::planner::{impl_settings_builder, NamedPolicy, Settings};
 use lamb_expr::{ParseError, TreeExpression};
-use lamb_select::MinPredictedTime;
 use std::fmt;
 use std::time::Instant;
 
@@ -154,7 +153,10 @@ pub struct BatchStats {
     /// ([`Plan::predicted_anomaly`]): the paper's Section 3.3 classification
     /// applied to the predicted times.
     pub predicted_anomalies: usize,
-    /// Prediction-cache hits during this batch.
+    /// Prediction-cache hits during this batch. A plan looks each distinct
+    /// non-resident timing key of its candidates up once (its
+    /// [`CachingExecutor`](crate::CachingExecutor) answers the repeats), so
+    /// this counts distinct keys per request, not priced calls.
     pub cache_hits: usize,
     /// Prediction-cache misses (fresh benchmarks) during this batch.
     pub cache_misses: usize,
@@ -255,7 +257,7 @@ impl BatchPlanner {
     #[must_use]
     pub fn new() -> Self {
         BatchPlanner {
-            settings: Settings::new(MinPredictedTime),
+            settings: Settings::new(NamedPolicy::min_predicted_time()),
         }
     }
 
@@ -272,17 +274,18 @@ impl BatchPlanner {
     pub fn plan_batch(&self, requests: &[BatchRequest]) -> BatchOutcome {
         let settings = &self.settings;
         let start = Instant::now();
-        let (hits_before, misses_before) = settings.cache.stats();
+        let cache = settings.cache();
+        let (hits_before, misses_before) = cache.stats();
         // Every request plans independently here; factor residency is an
         // order-dependent matter and is applied afterwards, in input order.
         let mut results = settings.fan_out(requests, |req, executor| {
-            settings.plan_with(&req.expr, &req.dims, executor, None)
+            settings.plan_with(&req.expr, req.expr.shared_text(), &req.dims, executor, None)
         });
         if let Some(fc) = &settings.factor_cache {
             self.rescore_with_factor_reuse(fc, &mut results);
         }
         let elapsed_seconds = start.elapsed().as_secs_f64();
-        let (hits_after, misses_after) = settings.cache.stats();
+        let (hits_after, misses_after) = cache.stats();
 
         let mut stats = BatchStats {
             requests: requests.len(),
@@ -291,7 +294,7 @@ impl BatchPlanner {
             predicted_anomalies: 0,
             cache_hits: hits_after - hits_before,
             cache_misses: misses_after - misses_before,
-            distinct_calls: settings.cache.len(),
+            distinct_calls: cache.len(),
             chosen_predicted_seconds: 0.0,
             flop_optimal_predicted_seconds: 0.0,
             elapsed_seconds,

@@ -14,17 +14,23 @@
 //! The table is **sharded**: entries are distributed over a fixed set of
 //! independently locked shards by the hash of their timing key, so the many
 //! worker threads of a batched planning run ([`crate::BatchPlanner`],
-//! [`crate::Planner::plan_grid`]) do not serialise on a single mutex. A cache
+//! [`crate::Planner::plan_grid`]) do not serialise on a single mutex. A
+//! lookup canonicalises and hashes the call once ([`TimingKey`]): the hash
+//! picks the shard and files the entry within it.
+//!
+//! A plan reaches the shared cache once per *distinct* timing key of its
+//! candidates: its [`CachingExecutor`] keeps what it has priced in a small
+//! per-plan memo, so the policy's pass over the candidates the planner has
+//! just scored, and every call an algorithm shares with an earlier one,
+//! costs neither a hash nor a lock. A cache
 //! can be **warm-started** from a persisted
 //! [`CalibrationStore`](lamb_perfmodel::CalibrationStore) via
 //! [`PredictionCache::preload`] and exported back with
 //! [`PredictionCache::snapshot`].
 
 use crate::factor_cache::{resident_calls, FactorCache};
-use lamb_expr::{Algorithm, KernelOp};
-use lamb_perfmodel::{AlgorithmTiming, CallTimeTable, Executor, MachineModel};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use lamb_expr::Algorithm;
+use lamb_perfmodel::{AlgorithmTiming, CallTimeTable, Executor, MachineModel, TimingKey};
 use std::sync::Mutex;
 
 /// Number of independently locked shards; a small power of two well above
@@ -61,11 +67,10 @@ impl PredictionCache {
         cache
     }
 
-    /// The shard responsible for `key` (which must already be a timing key).
-    fn shard(&self, key: &KernelOp) -> &Mutex<CallTimeTable> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARD_COUNT]
+    /// The shard responsible for `key`: read from the high half of its
+    /// digest, since a shard's table files entries by the low bits.
+    fn shard(&self, key: &TimingKey) -> &Mutex<CallTimeTable> {
+        &self.shards[((key.digest() >> 32) as usize) % SHARD_COUNT]
     }
 
     /// Insert every entry of `table` (later entries win over earlier ones
@@ -79,11 +84,11 @@ impl PredictionCache {
     /// every warm start into a cold re-benchmark.
     pub fn preload(&self, table: &CallTimeTable) {
         for (op, seconds) in table.entries() {
-            let key = op.timing_key();
+            let key = TimingKey::of(op);
             self.shard(&key)
                 .lock()
                 .expect("cache poisoned")
-                .insert(key, seconds);
+                .insert_key(key, seconds);
         }
     }
 
@@ -112,13 +117,22 @@ impl PredictionCache {
         alg: &Algorithm,
         index: usize,
     ) -> f64 {
-        let key = alg.calls[index].op.timing_key();
-        let shard = self.shard(&key);
-        if let Some(t) = shard.lock().expect("cache poisoned").lookup(&key) {
+        let key = TimingKey::of(&alg.calls[index].op);
+        self.seconds_of(&key, || executor.time_isolated_call(alg, index))
+    }
+
+    /// The memoised seconds of `key`, or those `benchmark` measures (stored
+    /// for the next lookup). One hit or one miss either way.
+    fn seconds_of(&self, key: &TimingKey, benchmark: impl FnOnce() -> f64) -> f64 {
+        let shard = self.shard(key);
+        if let Some(t) = shard.lock().expect("cache poisoned").lookup_key(key) {
             return t;
         }
-        let t = executor.time_isolated_call(alg, index);
-        shard.lock().expect("cache poisoned").insert(key, t);
+        let t = benchmark();
+        shard
+            .lock()
+            .expect("cache poisoned")
+            .insert_key(key.clone(), t);
         t
     }
 
@@ -145,7 +159,9 @@ impl PredictionCache {
     }
 
     /// `(hits, misses)` counters summed over the shards: how much
-    /// benchmarking the memoisation avoided.
+    /// benchmarking the memoisation avoided. A plan counts one lookup per
+    /// distinct non-resident timing key of its candidates (its
+    /// [`CachingExecutor`] answers the repeats), not one per call it prices.
     #[must_use]
     pub fn stats(&self) -> (usize, usize) {
         self.shards
@@ -154,6 +170,13 @@ impl PredictionCache {
             .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
     }
 }
+
+/// Most distinct timing keys a [`CachingExecutor`] remembers. The
+/// candidates of a top-8 plan share a handful (five or six on the
+/// benchmark's texts); past the cap, further keys go to the shared cache on
+/// every use, so an adapter that is kept for many plans stays cheap to
+/// search.
+const MEMO_KEYS: usize = 64;
 
 /// An [`Executor`] adapter that routes isolated-call benchmarks through a
 /// [`PredictionCache`] and passes whole-algorithm executions straight
@@ -166,16 +189,22 @@ impl PredictionCache {
 /// timing runs, and for the anomaly classification every instance must be
 /// executed.
 ///
+/// The adapter remembers the seconds of every timing key it has priced (up
+/// to 64 of them), so within one plan each distinct key reaches
+/// the shared cache once: the planner's scores and the policy's choice read
+/// the same per-call seconds, summed in the same order.
+///
 /// Given a [`FactorCache`] ([`CachingExecutor::with_factor_cache`]) the
 /// adapter is also *residency aware*: a call whose cacheable result is
 /// resident costs zero seconds (it would be injected, not recomputed) and
-/// never reaches the prediction cache. Executions still pass through
-/// untouched — selection-time execution must not deposit factors the batch
-/// never actually computes.
+/// never reaches the prediction cache or the memo. Executions still pass
+/// through untouched — selection-time execution must not deposit factors
+/// the batch never actually computes.
 pub struct CachingExecutor<'a> {
     inner: &'a mut dyn Executor,
     cache: &'a PredictionCache,
     factors: Option<&'a FactorCache>,
+    memo: Vec<(TimingKey, f64)>,
 }
 
 impl<'a> CachingExecutor<'a> {
@@ -185,6 +214,7 @@ impl<'a> CachingExecutor<'a> {
             inner,
             cache,
             factors: None,
+            memo: Vec::new(),
         }
     }
 
@@ -194,6 +224,40 @@ impl<'a> CachingExecutor<'a> {
     pub fn with_factor_cache(mut self, factors: Option<&'a FactorCache>) -> Self {
         self.factors = factors;
         self
+    }
+
+    /// The isolated-call seconds of call `index` of `alg`: zero when it is
+    /// one of the `resident` calls, else from the memo, else from the shared
+    /// cache (benchmarked by the inner executor on a miss) and remembered.
+    fn call_seconds(&mut self, alg: &Algorithm, resident: &[usize], index: usize) -> f64 {
+        if resident.contains(&index) {
+            return 0.0;
+        }
+        let key = TimingKey::of(&alg.calls[index].op);
+        if let Some(&(_, t)) = self.memo.iter().find(|(known, _)| *known == key) {
+            return t;
+        }
+        let inner = &mut *self.inner;
+        let t = self
+            .cache
+            .seconds_of(&key, || inner.time_isolated_call(alg, index));
+        if self.memo.len() < MEMO_KEYS {
+            // One allocation holds the keys of a typical plan.
+            if self.memo.capacity() == 0 {
+                self.memo.reserve(16);
+            }
+            self.memo.push((key, t));
+        }
+        t
+    }
+
+    /// `alg`'s predicted seconds: what
+    /// [`predict_from_isolated_calls`](Executor::predict_from_isolated_calls)
+    /// reports, bit for bit (the same per-call seconds summed in call
+    /// order), without building the per-call breakdown.
+    pub(crate) fn predicted_seconds(&mut self, alg: &Algorithm) -> f64 {
+        let resident = resident_calls(alg, self.factors);
+        (0..alg.calls.len()).fold(0.0, |total, i| total + self.call_seconds(alg, &resident, i))
     }
 }
 
@@ -211,24 +275,15 @@ impl Executor for CachingExecutor<'_> {
     }
 
     fn time_isolated_call(&mut self, alg: &Algorithm, call_index: usize) -> f64 {
-        if resident_calls(alg, self.factors).contains(&call_index) {
-            0.0
-        } else {
-            self.cache.cached_isolated_call(self.inner, alg, call_index)
-        }
+        let resident = resident_calls(alg, self.factors);
+        self.call_seconds(alg, &resident, call_index)
     }
 
     /// The sum of the isolated-call times, with the resident calls resolved
     /// once for the whole algorithm instead of once per call.
     fn predict_from_isolated_calls(&mut self, alg: &Algorithm) -> AlgorithmTiming {
         let resident = resident_calls(alg, self.factors);
-        AlgorithmTiming::from_calls(alg, |i, _| {
-            if resident.contains(&i) {
-                0.0
-            } else {
-                self.cache.cached_isolated_call(self.inner, alg, i)
-            }
-        })
+        AlgorithmTiming::from_calls(alg, |i, _| self.call_seconds(alg, &resident, i))
     }
 }
 

@@ -2,7 +2,7 @@
 //! executed and judged.
 
 use crate::planner::ExecutorFactory;
-use lamb_expr::{Algorithm, GenerateError};
+use lamb_expr::{Algorithm, GenerateError, SharedStr};
 use lamb_perfmodel::{AlgorithmTiming, Executor};
 use lamb_select::{AlgorithmMeasurement, Classification, InstanceEvaluation, SelectError};
 use std::fmt;
@@ -59,7 +59,7 @@ pub struct AlgorithmScore {
     /// Index of the algorithm in the plan's algorithm list.
     pub index: usize,
     /// Algorithm name.
-    pub name: String,
+    pub name: SharedStr,
     /// FLOP count on this instance (Section 3.1 models).
     pub flops: u64,
     /// Time predicted from (cached) isolated-call benchmarks, when the
@@ -76,7 +76,7 @@ pub struct Plan {
     /// The instance's dimension tuple.
     pub dims: Vec<usize>,
     /// Name of the expression that was planned.
-    pub expression: String,
+    pub expression: SharedStr,
     /// Every mathematically equivalent algorithm for this instance.
     pub algorithms: Vec<Algorithm>,
     /// One score entry per algorithm.
@@ -84,7 +84,7 @@ pub struct Plan {
     /// Index (into `algorithms`) of the algorithm the policy selected.
     pub chosen: usize,
     /// Name of the policy that made the choice.
-    pub policy: String,
+    pub policy: SharedStr,
     /// How many enumerated algorithms were dropped because their kernel-call
     /// signature duplicated an earlier one (rewrites can derive the same
     /// call sequence along different paths).
@@ -274,7 +274,7 @@ mod tests {
                 .enumerate()
                 .map(|(index, &(flops, seconds))| AlgorithmScore {
                     index,
-                    name: format!("alg {index}"),
+                    name: format!("alg {index}").into(),
                     flops,
                     predicted_seconds: Some(seconds),
                 })

@@ -9,24 +9,65 @@
 use crate::cache::{CachingExecutor, PredictionCache};
 use crate::factor_cache::{effective_flops, note_factors, FactorCache};
 use crate::plan::{AlgorithmScore, Plan, PlanError};
-use lamb_expr::{Algorithm, Expression};
+use lamb_expr::{Algorithm, Expression, SharedStr};
 use lamb_perfmodel::{Executor, SimulatedExecutor};
-use lamb_select::{MinFlops, SelectError, SelectionPolicy};
+use lamb_select::{MinFlops, MinPredictedTime, SelectError, SelectionPolicy};
 use rayon::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Builds the executors a planner times algorithms with.
 pub(crate) type ExecutorFactory = Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>;
 
+/// A selection policy and its name, resolved once: every plan it makes
+/// shares the name.
+#[derive(Clone)]
+pub(crate) struct NamedPolicy {
+    pub(crate) policy: Arc<dyn SelectionPolicy>,
+    pub(crate) name: SharedStr,
+}
+
+impl NamedPolicy {
+    pub(crate) fn new(policy: impl SelectionPolicy + 'static) -> Self {
+        NamedPolicy {
+            name: policy.name().into(),
+            policy: Arc::new(policy),
+        }
+    }
+
+    /// The default of [`Planner`]: [`MinFlops`], built once per process.
+    pub(crate) fn min_flops() -> Self {
+        static DEFAULT: OnceLock<NamedPolicy> = OnceLock::new();
+        DEFAULT.get_or_init(|| NamedPolicy::new(MinFlops)).clone()
+    }
+
+    /// The default of [`BatchPlanner`](crate::BatchPlanner):
+    /// [`MinPredictedTime`], built once per process.
+    pub(crate) fn min_predicted_time() -> Self {
+        static DEFAULT: OnceLock<NamedPolicy> = OnceLock::new();
+        DEFAULT
+            .get_or_init(|| NamedPolicy::new(MinPredictedTime))
+            .clone()
+    }
+}
+
+/// The default executor factory (the paper-like simulator), built once per
+/// process.
+fn simulated_factory() -> ExecutorFactory {
+    static DEFAULT: OnceLock<ExecutorFactory> = OnceLock::new();
+    Arc::clone(DEFAULT.get_or_init(|| Arc::new(|| Box::new(SimulatedExecutor::paper_like()))))
+}
+
 /// The expression-independent configuration of a planner, and the pipeline
 /// it drives.
 pub(crate) struct Settings {
-    pub(crate) policy: Arc<dyn SelectionPolicy>,
+    pub(crate) policy: NamedPolicy,
     pub(crate) factory: ExecutorFactory,
     pub(crate) threshold: f64,
     pub(crate) score_predictions: bool,
     pub(crate) top_k: Option<usize>,
-    pub(crate) cache: Arc<PredictionCache>,
+    /// Created on first use, so a planner that is handed a shared cache
+    /// never builds one of its own.
+    cache: OnceLock<Arc<PredictionCache>>,
     pub(crate) use_cse: bool,
     pub(crate) factor_cache: Option<Arc<FactorCache>>,
 }
@@ -36,27 +77,39 @@ impl Settings {
     /// predicted-time scoring enabled, the 10% anomaly threshold of
     /// Experiment 1, a cold prediction cache, CSE enabled, no factor cache
     /// and no enumeration cap.
-    pub(crate) fn new(policy: impl SelectionPolicy + 'static) -> Self {
+    pub(crate) fn new(policy: NamedPolicy) -> Self {
         Settings {
-            policy: Arc::new(policy),
-            factory: Arc::new(|| Box::new(SimulatedExecutor::paper_like())),
+            policy,
+            factory: simulated_factory(),
             threshold: 0.10,
             score_predictions: true,
             top_k: None,
-            cache: Arc::new(PredictionCache::new()),
+            cache: OnceLock::new(),
             use_cse: true,
             factor_cache: None,
         }
     }
 
-    /// Plan one instance of `expr`: enumerate (pruned, in shared form) →
-    /// deduplicate → verify gate → score → select. `factors` is the factor
-    /// cache to price residency against and to register the chosen
-    /// algorithm's factors in (`None` plans the instance independently of
-    /// every other).
+    /// The prediction cache: the shared one, or a cold one of this
+    /// planner's own.
+    pub(crate) fn cache(&self) -> &Arc<PredictionCache> {
+        self.cache.get_or_init(|| Arc::new(PredictionCache::new()))
+    }
+
+    /// Use `cache` from now on.
+    pub(crate) fn set_cache(&mut self, cache: Arc<PredictionCache>) {
+        self.cache = OnceLock::from(cache);
+    }
+
+    /// Plan one instance of `expr`, named `name` in the plan: enumerate
+    /// (pruned, in shared form) → deduplicate → verify gate → score →
+    /// select. `factors` is the factor cache to price residency against and
+    /// to register the chosen algorithm's factors in (`None` plans the
+    /// instance independently of every other).
     pub(crate) fn plan_with(
         &self,
         expr: &dyn Expression,
+        name: &SharedStr,
         dims: &[usize],
         executor: &mut dyn Executor,
         factors: Option<&FactorCache>,
@@ -109,11 +162,11 @@ impl Settings {
         }
         Ok(Plan {
             dims: dims.to_vec(),
-            expression: expr.name(),
+            expression: name.clone(),
             algorithms,
             scores,
             chosen,
-            policy: self.policy.name(),
+            policy: self.policy.name.clone(),
             duplicates_removed,
             threshold: self.threshold,
             factory: Arc::clone(&self.factory),
@@ -123,14 +176,16 @@ impl Settings {
     /// Score every algorithm — FLOPs, and predicted seconds through the
     /// shared prediction cache when prediction scoring is on — and let the
     /// policy choose. Factors resident in `factors` are priced at zero FLOPs
-    /// and zero seconds, for the scores and for the policy alike.
+    /// and zero seconds, for the scores and for the policy alike. Scores and
+    /// policy share one [`CachingExecutor`], so each distinct timing key is
+    /// looked up in the shared cache once per plan.
     pub(crate) fn score(
         &self,
         algorithms: &[Algorithm],
         executor: &mut dyn Executor,
         factors: Option<&FactorCache>,
     ) -> Result<(Vec<AlgorithmScore>, usize), SelectError> {
-        let mut caching = CachingExecutor::new(executor, &self.cache).with_factor_cache(factors);
+        let mut caching = CachingExecutor::new(executor, self.cache()).with_factor_cache(factors);
         let scores = algorithms
             .iter()
             .enumerate()
@@ -140,10 +195,10 @@ impl Settings {
                 flops: factors.map_or_else(|| alg.flops(), |fc| effective_flops(alg, fc)),
                 predicted_seconds: self
                     .score_predictions
-                    .then(|| caching.predict_from_isolated_calls(alg).seconds),
+                    .then(|| caching.predicted_seconds(alg)),
             })
             .collect();
-        let chosen = self.policy.select(algorithms, &mut caching)?;
+        let chosen = self.policy.policy.select(algorithms, &mut caching)?;
         Ok((scores, chosen))
     }
 
@@ -186,7 +241,7 @@ macro_rules! impl_settings_builder {
                 mut self,
                 policy: impl lamb_select::SelectionPolicy + 'static,
             ) -> Self {
-                self.settings.policy = std::sync::Arc::new(policy);
+                self.settings.policy = crate::planner::NamedPolicy::new(policy);
                 self
             }
 
@@ -257,7 +312,7 @@ macro_rules! impl_settings_builder {
                 mut self,
                 cache: std::sync::Arc<crate::PredictionCache>,
             ) -> Self {
-                self.settings.cache = cache;
+                self.settings.set_cache(cache);
                 self
             }
 
@@ -275,7 +330,7 @@ macro_rules! impl_settings_builder {
             /// executor factory does this).
             #[must_use]
             pub fn with_store(self, store: &lamb_perfmodel::CalibrationStore) -> Self {
-                self.settings.cache.preload(&store.calls);
+                self.settings.cache().preload(&store.calls);
                 self
             }
 
@@ -285,13 +340,13 @@ macro_rules! impl_settings_builder {
             /// back into a calibration store.
             #[must_use]
             pub fn snapshot_cache(&self) -> lamb_perfmodel::CallTimeTable {
-                self.settings.cache.snapshot()
+                self.settings.cache().snapshot()
             }
 
             /// `(hits, misses)` of the shared prediction cache.
             #[must_use]
             pub fn cache_stats(&self) -> (usize, usize) {
-                self.settings.cache.stats()
+                self.settings.cache().stats()
             }
         }
     };
@@ -317,6 +372,8 @@ pub(crate) use impl_settings_builder;
 /// ```
 pub struct Planner<'e> {
     expr: &'e dyn Expression,
+    /// The expression's name, shared by every plan of this planner.
+    name: SharedStr,
     settings: Settings,
 }
 
@@ -331,7 +388,8 @@ impl<'e> Planner<'e> {
     pub fn for_expression(expr: &'e dyn Expression) -> Self {
         Planner {
             expr,
-            settings: Settings::new(MinFlops),
+            name: expr.name().into(),
+            settings: Settings::new(NamedPolicy::min_flops()),
         }
     }
 
@@ -353,7 +411,7 @@ impl<'e> Planner<'e> {
     /// The shared prediction cache: distinct kernel calls benchmarked so far.
     #[must_use]
     pub fn cache_len(&self) -> usize {
-        self.settings.cache.len()
+        self.settings.cache().len()
     }
 
     /// Plan one instance with a fresh executor from the factory.
@@ -398,7 +456,8 @@ impl<'e> Planner<'e> {
         executor: &mut dyn Executor,
     ) -> Result<Plan, PlanError> {
         let factors = self.settings.factor_cache.as_deref();
-        self.settings.plan_with(self.expr, dims, executor, factors)
+        self.settings
+            .plan_with(self.expr, &self.name, dims, executor, factors)
     }
 
     /// Plan a batch of instances, fanning out across worker threads: the
@@ -582,7 +641,7 @@ mod tests {
                 let mut twin = algs[0].clone();
                 twin.name = "the same algorithm again".into();
                 for call in &mut twin.calls {
-                    call.label = format!("{} (relabelled)", call.label);
+                    call.label = format!("{} (relabelled)", call.label).into();
                 }
                 algs.push(twin);
                 Ok(algs)
@@ -631,7 +690,7 @@ mod tests {
                     rows: s,
                     cols: s,
                     role,
-                    name: name.to_string(),
+                    name: name.into(),
                     structure: Structure::General,
                 };
                 let gemm = |a: usize, b: usize, out: usize, label: &str| KernelCall {
@@ -642,9 +701,9 @@ mod tests {
                         n: s,
                         k: s,
                     },
-                    inputs: vec![OperandId(a), OperandId(b)],
+                    inputs: [OperandId(a), OperandId(b)].into(),
                     output: OperandId(out),
-                    label: label.to_string(),
+                    label: label.into(),
                 };
                 let shared = Algorithm {
                     name: "share the product".into(),
@@ -777,5 +836,98 @@ mod tests {
         let after_second = planner.cache_stats();
         assert_eq!(after_first.1, after_second.1, "no new benchmarks");
         assert!(after_second.0 > after_first.0, "cache hits increased");
+    }
+
+    /// The distinct timing keys of the calls of `algorithms` that are not
+    /// resident in `factors`.
+    fn distinct_keys(algorithms: &[Algorithm], factors: Option<&FactorCache>) -> usize {
+        let mut keys: Vec<lamb_expr::KernelOp> = Vec::new();
+        for alg in algorithms {
+            let resident = crate::factor_cache::resident_calls(alg, factors);
+            for (i, call) in alg.calls.iter().enumerate() {
+                let key = call.op.timing_key();
+                if !resident.contains(&i) && !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+        }
+        keys.len()
+    }
+
+    #[test]
+    fn a_plan_reaches_the_shared_cache_once_per_distinct_timing_key() {
+        let instances: [(&str, &[usize]); 5] = [
+            ("A*A^T*B", &[80, 514, 768]),
+            ("A*B*C*D", &[100, 20, 300, 20, 500]),
+            ("S[spd]^-1*A*B", &[60, 30, 20]),
+            ("A^T*B*A", &[40, 70]),
+            ("A^+*B*C", &[40, 90, 30, 20]),
+        ];
+        for (text, dims) in instances {
+            let expr = TreeExpression::parse(text).unwrap();
+            let planner = Planner::for_expression(&expr).policy(MinPredictedTime);
+            let cold = planner.plan(dims).unwrap();
+            let keys = distinct_keys(&cold.algorithms, None);
+            assert!(keys < cold.algorithms.iter().map(|a| a.calls.len()).sum());
+            assert_eq!(planner.cache_stats(), (0, keys), "{text}: cold");
+            planner.plan(dims).unwrap();
+            assert_eq!(planner.cache_stats(), (keys, keys), "{text}: warm");
+        }
+        // Resident calls price at zero without a lookup.
+        let expr = TreeExpression::parse("S[spd]^-1*B").unwrap();
+        let factors = Arc::new(crate::FactorCache::new());
+        let planner = Planner::for_expression(&expr)
+            .policy(MinPredictedTime)
+            .factor_cache(Arc::clone(&factors));
+        planner.plan(&[120, 16]).unwrap();
+        let (hits, misses) = planner.cache_stats();
+        let warm = planner.plan(&[120, 16]).unwrap();
+        let keys = distinct_keys(&warm.algorithms, Some(&factors));
+        assert!(keys < distinct_keys(&warm.algorithms, None));
+        let (hits_after, misses_after) = planner.cache_stats();
+        assert_eq!(hits_after + misses_after - hits - misses, keys);
+    }
+
+    #[test]
+    fn min_predicted_time_chooses_the_argmin_of_the_plans_own_scores() {
+        let instances: [(&str, &[usize]); 6] = [
+            ("A*A^T*B", &[80, 514, 768]),
+            ("A*A^T*B", &[400, 100, 1100]),
+            ("A*B*C*D", &[331, 279, 338, 854, 427]),
+            ("S[spd]*A*A^T", &[200, 90]),
+            ("A*B*L[lower]^-1", &[70, 110, 40]),
+            ("A^-1*B*C", &[120, 60, 90]),
+        ];
+        for (text, dims) in instances {
+            let expr = TreeExpression::parse(text).unwrap();
+            let plan = Planner::for_expression(&expr)
+                .policy(MinPredictedTime)
+                .plan(dims)
+                .unwrap();
+            let seconds: Vec<f64> = plan
+                .scores
+                .iter()
+                .map(|s| s.predicted_seconds.unwrap())
+                .collect();
+            // The scores are the uncached prediction, bit for bit.
+            let mut reference = SimulatedExecutor::paper_like();
+            for (alg, s) in plan.algorithms.iter().zip(&seconds) {
+                let want = reference.predict_from_isolated_calls(alg).seconds;
+                assert_eq!(s.to_bits(), want.to_bits(), "{text}: {}", alg.name);
+            }
+            // The first of the minima, as the policy breaks ties.
+            let argmin =
+                (0..seconds.len()).fold(
+                    0,
+                    |best, i| {
+                        if seconds[i] < seconds[best] {
+                            i
+                        } else {
+                            best
+                        }
+                    },
+                );
+            assert_eq!(plan.chosen, argmin, "{text} {dims:?}");
+        }
     }
 }

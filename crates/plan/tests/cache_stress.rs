@@ -21,6 +21,10 @@
 //! of a text is concurrent derive and share its template, and every plan
 //! equals the one the per-request search gives a single thread.
 //!
+//! The process-wide parse memo of `lamb-expr`: threads whose first parse of
+//! a text is concurrent end up sharing one parse (and the template it
+//! resolves), and plan exactly as the search does on one thread.
+//!
 //! Run under ThreadSanitizer (see the `concurrency` CI job) to turn data
 //! races into hard failures; under the normal test profile this still
 //! hammers the shard locks enough to catch logic races.
@@ -324,4 +328,82 @@ fn concurrent_first_uses_of_a_text_plan_like_the_search_on_one_thread() {
             assert_eq!(got, want, "thread {t}, plan {i}");
         }
     }
+}
+
+#[test]
+fn concurrent_first_parses_share_one_tree_and_plan_like_the_search() {
+    // Texts no other test of this binary parses, in spellings that are
+    // distinct memo entries: whitespace variants of one tree, and two
+    // groupings of one normalised text.
+    const TEXTS: [&str; 6] = [
+        "E1*E1^T*E2",
+        "E1 * E1^T * E2",
+        "(G1*G2)*G3[lower]^-1",
+        "G1*(G2*G3[lower]^-1)",
+        "H[spd]^-1*H2*H3",
+        "K^+*K2",
+    ];
+    const THREADS: usize = 8;
+    let cache = Arc::new(PredictionCache::new());
+    let barrier = Barrier::new(THREADS);
+    let per_thread: Vec<(Vec<TreeExpression>, Vec<String>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (barrier, cache) = (&barrier, &cache);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let parsed: Vec<TreeExpression> = TEXTS
+                        .iter()
+                        .map(|text| TreeExpression::parse(text).unwrap())
+                        .collect();
+                    let plans = parsed
+                        .iter()
+                        .map(|expr| {
+                            let dims: Vec<usize> =
+                                (0..expr.num_dims()).map(|d| 12 + 5 * d).collect();
+                            let plan = Planner::for_expression(expr)
+                                .policy(MinPredictedTime)
+                                .shared_cache(Arc::clone(cache))
+                                .plan(&dims)
+                                .map(|p| (p.algorithms, p.scores, p.chosen));
+                            format!("{plan:#?}")
+                        })
+                        .collect();
+                    (parsed, plans)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a parsing thread panicked"))
+            .collect()
+    });
+    let (first, first_plans) = &per_thread[0];
+    for (t, (parsed, plans)) in per_thread.iter().enumerate() {
+        for (i, expr) in parsed.iter().enumerate() {
+            assert!(
+                std::ptr::eq(expr.shared_text().as_str(), first[i].shared_text().as_str()),
+                "thread {t}, text {i}: one parse per text"
+            );
+        }
+        assert_eq!(plans, first_plans, "thread {t}");
+    }
+    assert_eq!(first[0], first[1], "whitespace variants parse alike");
+    assert_ne!(first[2], first[3], "groupings parse apart");
+    let reference: Vec<String> = first
+        .iter()
+        .map(|expr| {
+            let dims: Vec<usize> = (0..expr.num_dims()).map(|d| 12 + 5 * d).collect();
+            let plan = Planner::for_expression(&Searched(expr.clone()))
+                .policy(MinPredictedTime)
+                .plan(&dims)
+                .map(|p| (p.algorithms, p.scores, p.chosen));
+            format!("{plan:#?}")
+        })
+        .collect();
+    assert_eq!(first_plans, &reference);
+    assert!(
+        first_plans.iter().all(|p| p.starts_with("Ok(")),
+        "{first_plans:#?}"
+    );
 }

@@ -5,6 +5,7 @@
 //! threshold (10% in Experiment 1, 5% in Experiments 2 and 3).
 
 use crate::scores::{flop_score, time_score};
+use lamb_expr::SharedStr;
 
 /// FLOP count and execution time of one algorithm on one instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,7 +13,7 @@ pub struct AlgorithmMeasurement {
     /// Index of the algorithm in the expression's algorithm list.
     pub index: usize,
     /// Algorithm name.
-    pub name: String,
+    pub name: SharedStr,
     /// FLOP count on this instance.
     pub flops: u64,
     /// Execution (or predicted) time in seconds on this instance.
@@ -146,7 +147,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &(flops, seconds))| AlgorithmMeasurement {
                     index: i,
-                    name: format!("alg {i}"),
+                    name: format!("alg {i}").into(),
                     flops,
                     seconds,
                 })

@@ -123,7 +123,12 @@ fn assert_matches(alg: &Algorithm, table: &[Call], inputs: &[(&str, usize, usize
         } else {
             (format!("M{}", i + 1 - n), OperandRole::Intermediate)
         };
-        assert_eq!((&info.name, info.role), (&name, role), "{}", alg.name);
+        assert_eq!(
+            (info.name.as_str(), info.role),
+            (name.as_str(), role),
+            "{}",
+            alg.name
+        );
     }
 }
 
