@@ -10,10 +10,15 @@
 //!   warm `PredictionCache`), the planner built outside the count;
 //! * `request` — building that planner and `plan_with`, what a server that
 //!   builds one planner per request pays;
-//! * `plan_batch` — `BatchPlanner::plan_batch` of a 264-line batch (33 texts
-//!   x 8 dimension tuples) on two workers;
+//! * `parse_file` — `BatchRequest::parse_file` of that 264-line batch;
+//! * `plan_batch` — `BatchPlanner::plan_batch` of the batch (33 texts x 8
+//!   dimension tuples) on two workers;
 //! * `compute_result` — `MeasuredExecutor::compute_result` of the chosen
-//!   algorithm.
+//!   algorithm;
+//! * `compute_result_reusing` — `MeasuredExecutor::compute_result_reusing`
+//!   of the chosen algorithm against a warm `FactorCache`, for the four
+//!   texts of the benchmark's reuse workload (`reuse4`), each at two
+//!   right-hand-side widths against one operand, planned against that cache.
 //!
 //! The samples are the nine texts of the benchmark's solve workloads
 //! (`core9`) and the 33 scenario texts (`scenario33`), each at two dimension
@@ -31,6 +36,7 @@
 //! recorded it, and CI runs the gate on that toolchain.
 
 use lamb::experiments::all_scenarios;
+use lamb::plan::FactorCache;
 use lamb::prelude::*;
 use lamb_alloc_gate::{count, CountingAllocator};
 use std::fmt::Write as _;
@@ -196,7 +202,7 @@ fn planning_phases(out: &mut String, name: &str, requests: &[Request]) {
 }
 
 /// The 264-line batch: the 33 scenario texts at eight dimension tuples.
-fn batch() -> Vec<BatchRequest> {
+fn batch() -> String {
     let palette = [48, 40, 32, 24, 16, 12, 8];
     let mut lines = String::new();
     for j in 0..8 {
@@ -208,7 +214,28 @@ fn batch() -> Vec<BatchRequest> {
             let _ = writeln!(lines, "{text} {}", dims.join(" "));
         }
     }
-    BatchRequest::parse_file(&lines).unwrap()
+    lines
+}
+
+/// The texts of the benchmark's reuse workload, each at two right-hand-side
+/// widths against one operand of order 24.
+fn reuse4() -> Vec<Request> {
+    let n = 24;
+    let mut out = Vec::new();
+    for w in [8, 16] {
+        for (text, dims) in [
+            ("S[spd]^-1*B", vec![n, w]),
+            ("A^-1*B", vec![n, w]),
+            ("A^+*b", vec![n, n + n / 2, w]),
+            ("S[spd]^-1*A*B", vec![n, 16, w]),
+        ] {
+            out.push(Request {
+                text: text.to_string(),
+                dims,
+            });
+        }
+    }
+    out
 }
 
 fn render() -> String {
@@ -216,7 +243,16 @@ fn render() -> String {
     planning_phases(&mut out, "core9", &core9());
     planning_phases(&mut out, "scenario33", &scenario33());
 
-    let requests = batch();
+    let lines = batch();
+    let requests = BatchRequest::parse_file(&lines).unwrap();
+    let (_, allocations) = steady(|| BatchRequest::parse_file(&lines).unwrap());
+    line(
+        &mut out,
+        "parse_file",
+        "batch264",
+        requests.len(),
+        allocations,
+    );
     let batch_planner = BatchPlanner::new().top_k(TOP_K);
     let warm = batch_planner.plan_batch(&requests);
     assert_eq!(warm.results.len(), 264);
@@ -257,6 +293,35 @@ fn render() -> String {
         &mut out,
         "compute_result",
         "core9",
+        chosen.len(),
+        allocations,
+    );
+
+    let factors = Arc::new(FactorCache::new());
+    let chosen: Vec<Algorithm> = reuse4()
+        .iter()
+        .map(|req| {
+            let expr = TreeExpression::parse(&req.text).unwrap();
+            let plan = planner(&expr, &cache)
+                .factor_cache(Arc::clone(&factors))
+                .plan_with(&req.dims, &mut sim)
+                .unwrap();
+            plan.chosen_algorithm().clone()
+        })
+        .collect();
+    // The warm pass computes and deposits every cacheable factor.
+    for alg in &chosen {
+        std::hint::black_box(exec.compute_result_reusing(alg, &factors));
+    }
+    let (_, allocations) = steady(|| {
+        for alg in &chosen {
+            std::hint::black_box(exec.compute_result_reusing(alg, &factors));
+        }
+    });
+    line(
+        &mut out,
+        "compute_result_reusing",
+        "reuse4",
         chosen.len(),
         allocations,
     );

@@ -209,7 +209,7 @@ fn report_csv(requests: &[BatchRequest], outcome: &BatchOutcome) -> String {
                 let chosen = plan.chosen_score();
                 let flop_optimal = plan.flop_optimal_score();
                 rows.push(vec![
-                    req.text.clone(),
+                    req.expr.text().to_string(),
                     dims,
                     "ok".into(),
                     plan.algorithms.len().to_string(),
@@ -222,7 +222,7 @@ fn report_csv(requests: &[BatchRequest], outcome: &BatchOutcome) -> String {
                 ]);
             }
             Err(e) => rows.push(vec![
-                req.text.clone(),
+                req.expr.text().to_string(),
                 dims,
                 format!("error: {e}"),
                 String::new(),

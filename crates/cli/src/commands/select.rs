@@ -93,9 +93,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let chosen = plan.chosen_algorithm();
     println!("chosen algorithm: {}", chosen.name);
     println!("  kernels       : {}", chosen.kernel_summary());
-    println!("  time          : {:.6} s", outcome.chosen_seconds);
+    println!("  time          : {:.6} s", outcome.chosen_seconds());
 
-    println!("best achievable : {:.6} s", outcome.best_seconds);
+    println!("best achievable : {:.6} s", outcome.best_seconds());
     println!("slowdown vs best: {:.2}%", 100.0 * outcome.regret());
     println!(
         "anomaly verdict : {} (time score {:.1}%, FLOP score {:.1}%)",

@@ -74,8 +74,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let algorithms = req
             .expr
             .algorithms_pruned(&req.dims, opts.top_k)
-            .map_err(|e| format!("enumeration failed for `{}`: {e}", req.text))?;
-        collected.push((format!("{} {:?}", req.text, req.dims), algorithms));
+            .map_err(|e| format!("enumeration failed for `{}`: {e}", req.expr.text()))?;
+        collected.push((format!("{} {:?}", req.expr.text(), req.dims), algorithms));
     }
     finish(verify_instances(collected.into_iter(), &opts)?)
 }

@@ -144,8 +144,9 @@ impl EfficiencyLine {
 /// `dim`, traversed across the whole search box.
 ///
 /// Each point is the Experiment-2 traversal's one execution of the planned
-/// candidates: names, per-call timings and the cheapest/fastest markers all
-/// come from that execution, so they index the same algorithm list.
+/// candidates: the names are the plan's, the per-call timings and the
+/// cheapest/fastest markers come from that execution, and all three index
+/// the same algorithm list.
 pub fn efficiency_along_line(
     expr: &dyn Expression,
     executor: &mut dyn Executor,
@@ -161,19 +162,19 @@ pub fn efficiency_along_line(
         .map(|point| {
             let execution = &point.execution;
             let verdict = &execution.verdict;
-            let algorithms = execution
-                .evaluation
-                .measurements
+            let algorithms = point
+                .names
                 .iter()
                 .zip(&execution.timings)
-                .map(|(m, timing)| AlgorithmEfficiencyPoint {
-                    name: m.name.to_string(),
+                .enumerate()
+                .map(|(i, (name, timing))| AlgorithmEfficiencyPoint {
+                    name: name.to_string(),
                     total: timing.efficiency(machine),
                     per_call: (0..timing.per_call.len())
                         .map(|c| timing.call_efficiency(c, machine))
                         .collect(),
-                    is_cheapest: verdict.cheapest.contains(&m.index),
-                    is_fastest: verdict.fastest.contains(&m.index),
+                    is_cheapest: verdict.cheapest.contains(&i),
+                    is_fastest: verdict.fastest.contains(&i),
                 })
                 .collect();
             EfficiencyLinePoint {
@@ -292,13 +293,7 @@ mod tests {
         assert_eq!(line.points.len(), scan.points.len());
         for (plotted, executed) in line.points.iter().zip(&scan.points) {
             let plotted: Vec<&str> = plotted.algorithms.iter().map(|a| a.name.as_str()).collect();
-            let executed: Vec<&str> = executed
-                .execution
-                .evaluation
-                .measurements
-                .iter()
-                .map(|m| m.name.as_str())
-                .collect();
+            let executed: Vec<&str> = executed.names.iter().map(|name| &**name).collect();
             assert_eq!(plotted, executed);
         }
     }

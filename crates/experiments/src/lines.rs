@@ -10,8 +10,8 @@
 
 use crate::config::LineConfig;
 use crate::region::{find_boundary, RegionExtent};
-use crate::search::{classify, pipeline, AnomalyRecord};
-use lamb_expr::Expression;
+use crate::search::{judge, pipeline, AnomalyRecord};
+use lamb_expr::{Expression, SharedStr};
 use lamb_perfmodel::Executor;
 use lamb_plan::{PlanExecution, Planner};
 
@@ -22,9 +22,11 @@ pub struct LinePoint {
     pub dims: Vec<usize>,
     /// Value of the traversed dimension at this point.
     pub value: usize,
-    /// The one execution of the instance's planned algorithms: per-algorithm
-    /// measurements and per-call timings, in the plan's candidate order, and
-    /// the verdict at the threshold from [`LineConfig`].
+    /// The names of the instance's planned algorithms, in the plan's
+    /// candidate order.
+    pub names: Vec<SharedStr>,
+    /// The one execution of those algorithms: whole and per-call timings in
+    /// the same order, and the verdict at the threshold from [`LineConfig`].
     pub execution: PlanExecution,
 }
 
@@ -75,10 +77,11 @@ fn classify_at(
 ) -> Option<LinePoint> {
     let mut dims = base.to_vec();
     dims[dim] = value;
-    let execution = classify(planner, executor, &dims)?;
+    let (plan, execution) = judge(planner, executor, &dims)?;
     Some(LinePoint {
         dims,
         value,
+        names: plan.algorithms.into_iter().map(|alg| alg.name).collect(),
         execution,
     })
 }

@@ -12,7 +12,7 @@ use crate::config::PredictConfig;
 use crate::lines::LineScan;
 use lamb_expr::Expression;
 use lamb_perfmodel::Executor;
-use lamb_plan::Planner;
+use lamb_plan::{classify, Planner};
 use std::fmt;
 
 /// A 2x2 confusion matrix over (actual anomaly, predicted anomaly).
@@ -131,11 +131,12 @@ pub struct PredictionResult {
 
 /// Run Experiment 3 over the instances visited by Experiment 2.
 ///
-/// The ground-truth classification is re-derived from the stored Experiment-2
-/// measurements at the Experiment-3 threshold; the predicted classification
-/// comes from the predicted times each [`Plan`](lamb_plan::Plan) carries
-/// ([`Plan::predicted_evaluation`](lamb_plan::Plan::predicted_evaluation)),
-/// whose shared cache memoises the isolated-call benchmarks by kernel-call
+/// Both sides are the one Section 3.3 judge at the Experiment-3 threshold:
+/// the ground truth classifies the stored Experiment-2 timings again, the
+/// prediction is each [`Plan`](lamb_plan::Plan)'s own verdict over its
+/// predicted scores
+/// ([`Plan::predicted_anomaly`](lamb_plan::Plan::predicted_anomaly)), whose
+/// shared cache memoises the isolated-call benchmarks by kernel-call
 /// signature — identical calls are benchmarked once across all scans.
 pub fn predict_from_benchmarks(
     expr: &dyn Expression,
@@ -143,27 +144,24 @@ pub fn predict_from_benchmarks(
     scans: &[LineScan],
     config: &PredictConfig,
 ) -> PredictionResult {
-    let planner = Planner::for_expression(expr);
+    let threshold = config.time_score_threshold;
+    let planner = Planner::for_expression(expr).threshold(threshold);
     let mut confusion = ConfusionMatrix::default();
     let mut instances = 0;
     for scan in scans {
         for point in &scan.points {
             // Every point of a scan was planned once; one that no longer
             // plans has no prediction to compare and is left out.
-            let Some(prediction) = planner
+            let Some(predicted) = planner
                 .plan_with(&point.dims, executor)
                 .ok()
-                .and_then(|plan| plan.predicted_evaluation())
+                .and_then(|plan| plan.predicted_anomaly())
             else {
                 continue;
             };
             instances += 1;
-            let actual = point
-                .execution
-                .evaluation
-                .classify(config.time_score_threshold)
-                .is_anomaly;
-            let predicted = prediction.classify(config.time_score_threshold).is_anomaly;
+            let timings = point.execution.timings.iter();
+            let actual = classify(timings.map(|t| (t.flops, t.seconds)), threshold).is_anomaly;
             confusion.record(actual, predicted);
         }
     }

@@ -535,7 +535,7 @@ mod tests {
             assert!(
                 req.expr.algorithms(&req.dims).is_ok(),
                 "`{}` {:?} fails to enumerate",
-                req.text,
+                req.expr,
                 req.dims
             );
         }
@@ -592,7 +592,7 @@ mod tests {
         let b = scenario_batch_requests(&scenarios, 4, 99, 50, 400);
         assert_eq!(a.len(), scenarios.len() * 4);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.text, y.text);
+            assert_eq!(x.expr.text(), y.expr.text());
             assert_eq!(x.dims, y.dims);
             assert!(x.dims.iter().all(|&d| (50..=400).contains(&d)));
         }

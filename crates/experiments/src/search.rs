@@ -10,7 +10,7 @@
 use crate::config::SearchConfig;
 use lamb_expr::Expression;
 use lamb_perfmodel::Executor;
-use lamb_plan::{PlanExecution, Planner};
+use lamb_plan::{Plan, PlanExecution, Planner};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -101,16 +101,18 @@ pub(crate) fn pipeline(expr: &dyn Expression, threshold: f64) -> Planner<'_> {
         .score_predictions(false)
 }
 
-/// Plan `dims` and time every algorithm with `executor`. `None` when the
-/// instance cannot be planned: it lies outside the expression's domain, which
-/// a uniform sampler or a line walk can reach and has to step over.
-pub(crate) fn classify(
+/// Plan `dims` and time every algorithm with `executor`: the plan and its
+/// judged execution. `None` when the instance cannot be planned: it lies
+/// outside the expression's domain, which a uniform sampler or a line walk
+/// can reach and has to step over.
+pub(crate) fn judge(
     planner: &Planner<'_>,
     executor: &mut dyn Executor,
     dims: &[usize],
-) -> Option<PlanExecution> {
+) -> Option<(Plan, PlanExecution)> {
     let plan = planner.plan_with(dims, executor).ok()?;
-    Some(plan.execute_with(executor))
+    let execution = plan.execute_with(executor);
+    Some((plan, execution))
 }
 
 /// Run Experiment 1.
@@ -134,7 +136,7 @@ pub fn run_random_search(
         && rejected_run < config.max_samples
     {
         let dims = sample_dims(&mut rng, expr.num_dims(), config);
-        let Some(executed) = classify(&planner, executor, &dims) else {
+        let Some((_, executed)) = judge(&planner, executor, &dims) else {
             samples_rejected += 1;
             rejected_run += 1;
             continue;
@@ -321,11 +323,9 @@ mod tests {
         );
         let planner = pipeline(&expr, search.threshold);
         let survives = |a: &&AnomalyRecord| {
-            let executed = classify(&planner, &mut no_cache, &a.dims);
-            executed
-                .expect("a recorded instance plans")
-                .verdict
-                .is_anomaly
+            let (_, executed) =
+                judge(&planner, &mut no_cache, &a.dims).expect("a recorded instance plans");
+            executed.is_anomaly()
         };
         let survived = search.anomalies.iter().filter(survives).count();
         assert!(2 * survived > 20, "only {survived} of 20 anomalies survive");

@@ -126,6 +126,14 @@ pub trait Executor: Send {
     fn predict_from_isolated_calls(&mut self, alg: &Algorithm) -> AlgorithmTiming {
         AlgorithmTiming::from_calls(alg, |i, _| self.time_isolated_call(alg, i))
     }
+
+    /// The `seconds` of
+    /// [`predict_from_isolated_calls`](Executor::predict_from_isolated_calls),
+    /// bit for bit, without building the per-call breakdown: the
+    /// isolated-call times folded from `0.0` in call order.
+    fn predicted_seconds(&mut self, alg: &Algorithm) -> f64 {
+        (0..alg.calls.len()).fold(0.0, |total, i| total + self.time_isolated_call(alg, i))
+    }
 }
 
 #[cfg(test)]

@@ -250,15 +250,6 @@ impl<'a> CachingExecutor<'a> {
         }
         t
     }
-
-    /// `alg`'s predicted seconds: what
-    /// [`predict_from_isolated_calls`](Executor::predict_from_isolated_calls)
-    /// reports, bit for bit (the same per-call seconds summed in call
-    /// order), without building the per-call breakdown.
-    pub(crate) fn predicted_seconds(&mut self, alg: &Algorithm) -> f64 {
-        let resident = resident_calls(alg, self.factors);
-        (0..alg.calls.len()).fold(0.0, |total, i| total + self.call_seconds(alg, &resident, i))
-    }
 }
 
 impl Executor for CachingExecutor<'_> {
@@ -284,6 +275,13 @@ impl Executor for CachingExecutor<'_> {
     fn predict_from_isolated_calls(&mut self, alg: &Algorithm) -> AlgorithmTiming {
         let resident = resident_calls(alg, self.factors);
         AlgorithmTiming::from_calls(alg, |i, _| self.call_seconds(alg, &resident, i))
+    }
+
+    /// The same sum without the per-call breakdown, the resident calls
+    /// again resolved once.
+    fn predicted_seconds(&mut self, alg: &Algorithm) -> f64 {
+        let resident = resident_calls(alg, self.factors);
+        (0..alg.calls.len()).fold(0.0, |total, i| total + self.call_seconds(alg, &resident, i))
     }
 }
 

@@ -40,10 +40,10 @@
 //! * [`Plan`] — the enumerated algorithm set with per-algorithm
 //!   [`AlgorithmScore`]s and the policy's chosen index;
 //!   [`Plan::execute`] / [`Plan::execute_with`] time every algorithm and
-//!   produce a [`PlanExecution`] carrying the [`Classification`] verdict,
-//!   and [`Plan::predicted_evaluation`] / [`Plan::predicted_anomaly`] give
-//!   the Experiment-3-style verdict from the predicted times the plan
-//!   already carries (the same Section 3.3 classification, on predictions).
+//!   produce a [`PlanExecution`]: the timings and the [`Classification`]
+//!   [`classify`] makes of them. [`Plan::predicted_anomaly`] runs the same
+//!   judge over the predicted times the plan's scores already carry (the
+//!   Experiment-3-style verdict).
 //! * [`PredictionCache`] / [`CachingExecutor`] — a sharded memo table of
 //!   isolated-call benchmark times keyed by the call's timing key
 //!   (operation and dimensions, with timing-irrelevant GEMM transposition
@@ -69,7 +69,6 @@
 //!   time, anomaly count). "Calibrate once, plan many."
 //!
 //! [`Executor`]: lamb_perfmodel::Executor
-//! [`Classification`]: lamb_select::Classification
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -88,4 +87,7 @@ pub use planner::Planner;
 
 // The selection vocabulary the planner builds on, re-exported so that
 // `lamb_plan` alone suffices for most call sites.
-pub use lamb_select::{Hybrid, MinFlops, MinPredictedTime, Oracle, SelectError, SelectionPolicy};
+pub use lamb_select::{
+    classify, Classification, Hybrid, MinFlops, MinPredictedTime, Oracle, SelectError,
+    SelectionPolicy,
+};

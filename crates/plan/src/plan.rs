@@ -4,7 +4,7 @@
 use crate::planner::ExecutorFactory;
 use lamb_expr::{Algorithm, GenerateError, SharedStr};
 use lamb_perfmodel::{AlgorithmTiming, Executor};
-use lamb_select::{AlgorithmMeasurement, Classification, InstanceEvaluation, SelectError};
+use lamb_select::{classify, Classification, SelectError};
 use std::fmt;
 
 /// Why a planner could not produce a [`Plan`].
@@ -129,40 +129,21 @@ impl Plan {
             .expect("a plan has at least one algorithm")
     }
 
-    /// The *predicted* evaluation of the instance: one measurement per
-    /// algorithm whose time is the plan's predicted score — the sum of
-    /// (cached) isolated-call benchmarks, the predictor of the paper's
-    /// Experiment 3. Classify it to get the predicted anomaly verdict. `None`
+    /// Whether the instance is *predicted* to be an anomaly: the Section 3.3
+    /// classification of the plan's scores — FLOPs and predicted seconds,
+    /// the sum of (cached) isolated-call benchmarks that is the predictor of
+    /// the paper's Experiment 3 — at the plan's threshold. None of the
+    /// FLOP-minimal algorithms is predicted fastest, and the best of them
+    /// trails the fastest by more than the threshold in time score. `None`
     /// when the plan was made without prediction scoring.
     #[must_use]
-    pub fn predicted_evaluation(&self) -> Option<InstanceEvaluation> {
-        let measurements = self
+    pub fn predicted_anomaly(&self) -> Option<bool> {
+        let rows = self
             .scores
             .iter()
-            .map(|s| {
-                Some(AlgorithmMeasurement {
-                    index: s.index,
-                    name: s.name.clone(),
-                    flops: s.flops,
-                    seconds: s.predicted_seconds?,
-                })
-            })
-            .collect::<Option<_>>()?;
-        Some(InstanceEvaluation {
-            dims: self.dims.clone(),
-            measurements,
-        })
-    }
-
-    /// Whether the instance is *predicted* to be an anomaly: the Section 3.3
-    /// classification of [`Plan::predicted_evaluation`] at the plan's
-    /// threshold — none of the FLOP-minimal algorithms is predicted fastest,
-    /// and the best of them trails the fastest by more than the threshold in
-    /// time score. `None` when the plan was made without prediction scoring.
-    #[must_use]
-    pub fn predicted_anomaly(&self) -> Option<bool> {
-        let evaluation = self.predicted_evaluation()?;
-        Some(evaluation.classify(self.threshold).is_anomaly)
+            .filter_map(|s| Some((s.flops, s.predicted_seconds?)));
+        (rows.clone().count() == self.scores.len())
+            .then(|| classify(rows, self.threshold).is_anomaly)
     }
 
     /// Execute every algorithm with a fresh executor from the planner's
@@ -183,66 +164,52 @@ impl Plan {
             .iter()
             .map(|alg| executor.execute_algorithm(alg))
             .collect();
-        let measurements = timings
-            .iter()
-            .zip(&self.algorithms)
-            .enumerate()
-            .map(|(i, (t, alg))| AlgorithmMeasurement {
-                index: i,
-                name: alg.name.clone(),
-                flops: t.flops,
-                seconds: t.seconds,
-            })
-            .collect();
-        let evaluation = InstanceEvaluation {
-            dims: self.dims.clone(),
-            measurements,
-        };
-        let verdict = evaluation.classify(self.threshold);
-        let chosen_seconds = timings[self.chosen].seconds;
-        let best_seconds = timings
-            .iter()
-            .map(|t| t.seconds)
-            .fold(f64::INFINITY, f64::min);
         PlanExecution {
-            evaluation,
-            verdict,
+            verdict: classify(timings.iter().map(|t| (t.flops, t.seconds)), self.threshold),
             timings,
             chosen: self.chosen,
-            chosen_seconds,
-            best_seconds,
         }
     }
 }
 
-/// The result of executing a [`Plan`]: timings for every algorithm, the
-/// anomaly verdict, and how the policy's choice fared.
+/// The result of executing a [`Plan`]: timings for every algorithm, in the
+/// plan's algorithm order, the anomaly verdict over them, and the policy's
+/// choice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanExecution {
-    /// Execution times of every algorithm, as an anomaly-classification
-    /// input.
-    pub evaluation: InstanceEvaluation,
-    /// The anomaly classification at the planner's threshold.
-    pub verdict: Classification,
-    /// Full per-call timings of every algorithm.
+    /// Timings of every algorithm, whole and per call.
     pub timings: Vec<AlgorithmTiming>,
+    /// The anomaly classification of `timings` at the planner's threshold.
+    pub verdict: Classification,
     /// Index of the algorithm the policy selected.
     pub chosen: usize,
-    /// Actual execution time of the chosen algorithm (seconds).
-    pub chosen_seconds: f64,
-    /// Actual execution time of the best algorithm (seconds).
-    pub best_seconds: f64,
 }
 
 impl PlanExecution {
+    /// Actual execution time of the chosen algorithm (seconds).
+    #[must_use]
+    pub fn chosen_seconds(&self) -> f64 {
+        self.timings[self.chosen].seconds
+    }
+
+    /// Actual execution time of the best algorithm (seconds).
+    #[must_use]
+    pub fn best_seconds(&self) -> f64 {
+        self.timings
+            .iter()
+            .map(|t| t.seconds)
+            .fold(f64::INFINITY, f64::min)
+    }
+
     /// Relative slowdown of the chosen algorithm versus the empirical optimum
     /// (0 means the policy picked a fastest algorithm).
     #[must_use]
     pub fn regret(&self) -> f64 {
-        if self.best_seconds <= 0.0 {
+        let best = self.best_seconds();
+        if best <= 0.0 {
             return 0.0;
         }
-        (self.chosen_seconds - self.best_seconds).max(0.0) / self.best_seconds
+        (self.chosen_seconds() - best).max(0.0) / best
     }
 
     /// Whether the instance is an anomaly (the minimum-FLOPs algorithms are
@@ -287,6 +254,14 @@ mod tests {
         }
     }
 
+    /// The `(flops, predicted seconds)` rows of a fully scored plan.
+    fn predicted_rows(plan: &Plan) -> Vec<(u64, f64)> {
+        plan.scores
+            .iter()
+            .map(|s| (s.flops, s.predicted_seconds.unwrap()))
+            .collect()
+    }
+
     #[test]
     fn a_flop_tie_is_judged_by_the_fastest_of_the_tied_algorithms() {
         // Algorithms 0 and 1 tie on FLOPs; the second of them is the
@@ -299,7 +274,7 @@ mod tests {
         // With the expensive algorithm fastest, the time score is taken from
         // the *better* of the tied pair: (2.0 - 1.0) / 2.0.
         let plan = plan_with_scores(0.10, &[(100, 3.0), (100, 2.0), (400, 1.0)]);
-        let verdict = plan.predicted_evaluation().unwrap().classify(0.10);
+        let verdict = classify(predicted_rows(&plan), 0.10);
         assert!((verdict.time_score - 0.5).abs() < 1e-12);
         assert_eq!(plan.predicted_anomaly(), Some(true));
     }
@@ -310,7 +285,7 @@ mod tests {
         // fastest: a ratio above 1.10, but a time score of 0.105 / 1.105 =
         // 0.095, which the 10% threshold does not reach.
         let plan = plan_with_scores(0.10, &[(100, 1.105), (150, 1.0)]);
-        let verdict = plan.predicted_evaluation().unwrap().classify(0.10);
+        let verdict = classify(predicted_rows(&plan), 0.10);
         assert!((verdict.time_score - 0.105 / 1.105).abs() < 1e-12);
         assert_eq!(plan.predicted_anomaly(), Some(false));
         assert_eq!(
@@ -332,12 +307,8 @@ mod tests {
             .plan(dims)
             .unwrap();
         let outcome = plan.execute();
-        assert_eq!(outcome.evaluation.measurements.len(), plan.algorithms.len());
-        assert!(outcome
-            .evaluation
-            .measurements
-            .iter()
-            .all(|m| m.seconds > 0.0));
+        assert_eq!(outcome.timings.len(), plan.algorithms.len());
+        assert!(outcome.timings.iter().all(|t| t.seconds > 0.0));
         (plan, outcome)
     }
 
@@ -435,7 +406,6 @@ mod tests {
         let mut plan = plan_with_scores(0.10, &[(100, 2.0), (150, 1.0)]);
         assert_eq!(plan.predicted_anomaly(), Some(true));
         plan.scores[1].predicted_seconds = None;
-        assert!(plan.predicted_evaluation().is_none());
         assert_eq!(plan.predicted_anomaly(), None);
     }
 }

@@ -445,7 +445,7 @@ impl<'e> Planner<'e> {
     /// Plan one instance, consulting `executor` (through the shared
     /// prediction cache) for predicted times. The per-algorithm predicted
     /// times of the paper's Experiment 3 are the plan's scores:
-    /// [`Plan::predicted_evaluation`] classifies them.
+    /// [`Plan::predicted_anomaly`] classifies them in place.
     ///
     /// # Errors
     ///
@@ -559,7 +559,7 @@ mod tests {
         let outcome = oracle.plan(&[300, 700, 900]).unwrap().execute();
         assert!(outcome.regret() < 1e-12, "the oracle has no regret");
         assert_eq!(outcome.timings.len(), 5);
-        assert!(outcome.best_seconds > 0.0);
+        assert!(outcome.best_seconds() > 0.0);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! * the **time score** and **FLOP score** of Section 3.3 of the paper
 //!   ([`scores`]),
-//! * **anomaly classification** of an instance from the per-algorithm FLOP
-//!   counts and execution times ([`anomaly`]), and
+//! * **anomaly classification** of an instance from its per-algorithm
+//!   `(flops, seconds)` rows — one judge, [`classify`], that reads the rows
+//!   where the caller already keeps them ([`anomaly`]), and
 //! * **selection policies** — minimum FLOP count (the discriminant under
 //!   study), performance-profile-based prediction, a hybrid of the two, and
 //!   an empirical oracle, each a plain struct implementing the object-safe
@@ -16,7 +17,9 @@
 //! implementation to choose. A policy only chooses: the `lamb-plan` crate
 //! builds the user-facing `Planner` pipeline on top of these pieces, and its
 //! `Plan::execute_with` is where a choice is judged — every algorithm timed,
-//! the instance classified, the regret against the empirical optimum taken.
+//! the timings classified by [`classify`], the regret against the empirical
+//! optimum taken. `Plan::predicted_anomaly` runs the same judge over the
+//! plan's predicted scores.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -25,7 +28,7 @@ pub mod anomaly;
 pub mod policy;
 pub mod scores;
 
-pub use anomaly::{AlgorithmMeasurement, Classification, InstanceEvaluation};
+pub use anomaly::{classify, Classification};
 pub use policy::{Hybrid, MinFlops, MinPredictedTime, Oracle, SelectError, SelectionPolicy};
 pub use scores::{flop_score, time_score};
 

@@ -122,9 +122,7 @@ impl SelectionPolicy for MinPredictedTime {
         algorithms: &[Algorithm],
         executor: &mut dyn Executor,
     ) -> Result<usize, SelectError> {
-        argmin_by_key(algorithms, |a| {
-            executor.predict_from_isolated_calls(a).seconds
-        })
+        argmin_by_key(algorithms, |a| executor.predicted_seconds(a))
     }
 }
 
@@ -156,7 +154,7 @@ impl SelectionPolicy for Hybrid {
         let mut best_time = f64::INFINITY;
         for (i, alg) in algorithms.iter().enumerate() {
             if alg.flops() as f64 <= limit {
-                let t = executor.predict_from_isolated_calls(alg).seconds;
+                let t = executor.predicted_seconds(alg);
                 if t < best_time {
                     best_time = t;
                     best = Some(i);

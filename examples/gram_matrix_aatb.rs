@@ -31,20 +31,20 @@ fn main() {
 
     // Time each algorithm once with the paper's measurement protocol; the
     // table and the verdict both read that one execution.
-    let outcome = Planner::for_expression(&aatb)
+    let plan = Planner::for_expression(&aatb)
         .score_predictions(false)
         .plan_with(&[d0, d1, d2], &mut executor)
-        .expect("valid instance")
-        .execute_with(&mut executor);
+        .expect("valid instance");
+    let outcome = plan.execute_with(&mut executor);
     println!(
         "{:<42} {:>14} {:>12} {:>8}",
         "algorithm", "FLOPs", "time [ms]", "eff"
     );
     let machine = executor.machine();
-    for (m, t) in outcome.evaluation.measurements.iter().zip(&outcome.timings) {
+    for (alg, t) in plan.algorithms.iter().zip(&outcome.timings) {
         println!(
             "{:<42} {:>14} {:>12.2} {:>8.2}",
-            m.name,
+            alg.name,
             t.flops,
             t.seconds * 1e3,
             t.efficiency(machine)

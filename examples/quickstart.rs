@@ -21,13 +21,14 @@ fn main() {
         .expect("valid instance");
     println!("expression {chain}: {} algorithms", plan.algorithms.len());
 
-    // Execute every algorithm: the measurements and the verdict of one run.
-    let evaluation = plan.execute_with(&mut executor).evaluation;
+    // Execute every algorithm: the timings and the verdict (at the planner's
+    // default 10% threshold) of one run.
+    let outcome = plan.execute_with(&mut executor);
     println!("\n{:<38} {:>16} {:>12}", "algorithm", "FLOPs", "time [ms]");
-    for m in &evaluation.measurements {
-        println!("{:<38} {:>16} {:>12.2}", m.name, m.flops, m.seconds * 1e3);
+    for (alg, t) in plan.algorithms.iter().zip(&outcome.timings) {
+        println!("{:<38} {:>16} {:>12.2}", alg.name, t.flops, t.seconds * 1e3);
     }
-    let verdict = evaluation.classify(0.10);
+    let verdict = outcome.verdict;
     println!(
         "cheapest: {:?}  fastest: {:?}  anomaly: {}  (time score {:.1}%, FLOP score {:.1}%)",
         verdict.cheapest,
@@ -47,12 +48,12 @@ fn main() {
         .expect("valid instance");
     println!("\nexpression {aatb}: {} algorithms", plan.algorithms.len());
 
-    let evaluation = plan.execute_with(&mut executor).evaluation;
+    let outcome = plan.execute_with(&mut executor);
     println!("\n{:<38} {:>16} {:>12}", "algorithm", "FLOPs", "time [ms]");
-    for m in &evaluation.measurements {
-        println!("{:<38} {:>16} {:>12.2}", m.name, m.flops, m.seconds * 1e3);
+    for (alg, t) in plan.algorithms.iter().zip(&outcome.timings) {
+        println!("{:<38} {:>16} {:>12.2}", alg.name, t.flops, t.seconds * 1e3);
     }
-    let verdict = evaluation.classify(0.10);
+    let verdict = outcome.verdict;
     println!(
         "cheapest: {:?}  fastest: {:?}  anomaly: {}  (time score {:.1}%, FLOP score {:.1}%)",
         verdict.cheapest,
@@ -79,7 +80,7 @@ fn main() {
             "strategy {:<22} picks algorithm {} ({:.2} ms, {:.1}% slower than optimal)",
             plan.policy,
             outcome.chosen + 1,
-            outcome.chosen_seconds * 1e3,
+            outcome.chosen_seconds() * 1e3,
             100.0 * outcome.regret()
         );
     }

@@ -22,32 +22,27 @@ fn main() {
 
     let chain = TreeExpression::parse("A*B*C*D").expect("well-formed text");
     let mut executor = SimulatedExecutor::paper_like();
-    let evaluation = Planner::for_expression(&chain)
+    let plan = Planner::for_expression(&chain)
+        .threshold(0.05)
         .plan_with(&dims, &mut executor)
-        .expect("valid chain")
-        .execute_with(&mut executor)
-        .evaluation;
-    let cheapest_flops = evaluation
-        .measurements
-        .iter()
-        .map(|m| m.flops)
-        .min()
-        .unwrap();
+        .expect("valid chain");
+    let outcome = plan.execute_with(&mut executor);
+    let cheapest_flops = outcome.timings.iter().map(|t| t.flops).min().unwrap();
     println!(
         "{:<44} {:>16} {:>12} {:>10}",
         "algorithm", "FLOPs", "time [ms]", "vs cheapest"
     );
-    for m in &evaluation.measurements {
+    for (alg, t) in plan.algorithms.iter().zip(&outcome.timings) {
         println!(
             "{:<44} {:>16} {:>12.2} {:>9.2}x",
-            m.name,
-            m.flops,
-            m.seconds * 1e3,
-            m.flops as f64 / cheapest_flops as f64
+            alg.name,
+            t.flops,
+            t.seconds * 1e3,
+            t.flops as f64 / cheapest_flops as f64
         );
     }
 
-    let verdict = evaluation.classify(0.05);
+    let verdict = &outcome.verdict;
     println!(
         "\ncheapest: {:?}  fastest: {:?}  anomaly at 5%: {}",
         verdict.cheapest, verdict.fastest, verdict.is_anomaly
@@ -79,7 +74,7 @@ fn main() {
             row.push(format!(
                 "alg{} ({:.0}ms)",
                 outcome.chosen + 1,
-                outcome.chosen_seconds * 1e3
+                outcome.chosen_seconds() * 1e3
             ));
         }
         println!("{:>6} {:>12} {:>14} {:>12}", d4, row[0], row[1], row[2]);

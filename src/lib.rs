@@ -48,6 +48,13 @@
 //! assert!(outcome.verdict.time_score > 0.10);
 //! assert!(outcome.regret() < 0.05);
 //!
+//! // One judge, `classify`, reads `(flops, seconds)` rows where they are
+//! // kept: the verdict is its reading of the timings, and the plan's own
+//! // predicted scores foresee the anomaly (the paper's Experiment 3).
+//! let rows = outcome.timings.iter().map(|t| (t.flops, t.seconds));
+//! assert_eq!(classify(rows, 0.10), outcome.verdict);
+//! assert_eq!(plan.predicted_anomaly(), Some(true));
+//!
 //! // Batched sweeps fan out across worker threads with a shared
 //! // prediction cache:
 //! let grid: Vec<Vec<usize>> = (1..=4).map(|i| vec![80 * i, 514, 768]).collect();
@@ -63,7 +70,8 @@
 //! [`prelude::Hybrid`], [`prelude::Oracle`]) whose
 //! [`prelude::SelectionPolicy::select`] picks from a raw algorithm set. A
 //! choice is judged in one place: [`prelude::Plan::execute_with`] times every
-//! algorithm, classifies the instance and reports the regret.
+//! algorithm, classifies the timings with [`prelude::classify`] and reports
+//! the regret.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -100,8 +108,8 @@ pub mod prelude {
         Plan, PlanError, PlanExecution, Planner, PredictionCache,
     };
     pub use lamb_select::{
-        Classification, Hybrid, InstanceEvaluation, MinFlops, MinPredictedTime, Oracle,
-        SelectError, SelectionPolicy,
+        classify, Classification, Hybrid, MinFlops, MinPredictedTime, Oracle, SelectError,
+        SelectionPolicy,
     };
     pub use lamb_verify::{
         verify_algorithm, verify_call_table, Diagnostic, PassId, Report, Severity, VerifyExt,
@@ -120,13 +128,13 @@ mod tests {
             .expect("valid chain");
         let mut exec = SimulatedExecutor::paper_like();
         assert!(MinFlops.select(&algs, &mut exec).unwrap() < algs.len());
-        let eval: InstanceEvaluation = Planner::for_expression(&chain)
+        let timings: Vec<AlgorithmTiming> = Planner::for_expression(&chain)
             .plan_with(&[100, 40, 120, 30, 90], &mut exec)
             .unwrap()
             .execute_with(&mut exec)
-            .evaluation;
-        let class = eval.classify(0.10);
-        assert_eq!(eval.measurements.len(), 6);
+            .timings;
+        let class: Classification = classify(timings.iter().map(|t| (t.flops, t.seconds)), 0.10);
+        assert_eq!(timings.len(), 6);
         assert!(!class.cheapest.is_empty());
         assert!(!class.fastest.is_empty());
     }
@@ -141,6 +149,6 @@ mod tests {
         assert_eq!(plan.algorithms.len(), 6);
         let outcome = plan.execute();
         assert_eq!(outcome.timings.len(), 6);
-        assert!(outcome.best_seconds > 0.0);
+        assert!(outcome.best_seconds() > 0.0);
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! * **parity** — the planner reproduces `SelectionPolicy::select` on the
 //!   raw algorithm set for every built-in policy on both paper expressions,
-//!   and its execution matches a plain per-algorithm execution loop,
+//!   and its execution's verdict is `classify` over a plain per-algorithm
+//!   execution loop,
 //! * **cache** — predictions served through the shared cache are identical
 //!   to uncached `predict_from_isolated_calls` timings,
 //! * **determinism** — `plan_grid` fan-out yields the same choices and
 //!   verdicts as planning the same instances one by one, on every run.
 
 use lamb::prelude::*;
-use lamb::select::AlgorithmMeasurement;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,33 +64,21 @@ fn planner_reproduces_legacy_strategy_selection_on_both_paper_expressions() {
 }
 
 #[test]
-fn planner_execution_matches_legacy_evaluate_instance() {
+fn planner_execution_verdict_is_classify_over_a_plain_execution_loop() {
     let expr = TreeExpression::parse("A*A^T*B").unwrap();
     let planner = Planner::for_expression(&expr).threshold(0.10);
     for dims in random_grid(3, 10, 7) {
         // Direct path: execute every enumerated algorithm in order.
         let algorithms = expr.algorithms(&dims).expect("enumeration succeeds");
         let mut direct_exec = SimulatedExecutor::paper_like();
-        let direct_eval = InstanceEvaluation {
-            dims: dims.clone(),
-            measurements: algorithms
-                .iter()
-                .enumerate()
-                .map(|(index, alg)| {
-                    let timing = direct_exec.execute_algorithm(alg);
-                    AlgorithmMeasurement {
-                        index,
-                        name: alg.name.clone(),
-                        flops: timing.flops,
-                        seconds: timing.seconds,
-                    }
-                })
-                .collect(),
-        };
-        let direct_verdict = direct_eval.classify(0.10);
+        let timings: Vec<AlgorithmTiming> = algorithms
+            .iter()
+            .map(|alg| direct_exec.execute_algorithm(alg))
+            .collect();
+        let direct_verdict = classify(timings.iter().map(|t| (t.flops, t.seconds)), 0.10);
 
         let outcome = planner.plan(&dims).unwrap().execute();
-        assert_eq!(outcome.evaluation, direct_eval, "on {dims:?}");
+        assert_eq!(outcome.timings, timings, "on {dims:?}");
         assert_eq!(outcome.verdict, direct_verdict, "on {dims:?}");
     }
 }
@@ -103,16 +91,21 @@ fn cached_predictions_are_identical_to_uncached_predictions() {
         for dims in &grid {
             let mut exec = SimulatedExecutor::paper_like();
             let plan = planner.plan_with(dims, &mut exec).unwrap();
-            let predicted = plan.predicted_evaluation().unwrap();
             let mut plain_exec = SimulatedExecutor::paper_like();
-            for (m, alg) in predicted
-                .measurements
+            for (score, alg) in plan
+                .scores
                 .iter()
                 .zip(expr.algorithms(dims).expect("enumeration succeeds"))
             {
                 let plain = plain_exec.predict_from_isolated_calls(&alg);
-                assert_eq!(m.seconds, plain.seconds, "{} on {:?}", alg.name, dims);
-                assert_eq!(m.flops, plain.flops);
+                assert_eq!(
+                    score.predicted_seconds,
+                    Some(plain.seconds),
+                    "{} on {:?}",
+                    alg.name,
+                    dims
+                );
+                assert_eq!(score.flops, plain.flops);
             }
         }
         // The cache must actually have been shared: repeated predictions on

@@ -164,12 +164,13 @@ proptest! {
     #[test]
     fn classification_invariants_hold(dims in dims3(), threshold in 0.0f64..0.3) {
         let expr = TreeExpression::parse(AATB).unwrap();
-        let eval = Planner::for_expression(&expr)
+        let timings = Planner::for_expression(&expr)
             .plan(&dims)
             .unwrap()
             .execute()
-            .evaluation;
-        let c = eval.classify(threshold);
+            .timings;
+        let rows = timings.iter().map(|t| (t.flops, t.seconds));
+        let c = classify(rows.clone(), threshold);
         prop_assert!(!c.cheapest.is_empty());
         prop_assert!(!c.fastest.is_empty());
         prop_assert!((0.0..=1.0).contains(&c.time_score));
@@ -184,7 +185,7 @@ proptest! {
             prop_assert!(c.time_score == 0.0);
         }
         // Raising the threshold can only remove anomalies.
-        let stricter = eval.classify(threshold + 0.2);
+        let stricter = classify(rows, threshold + 0.2);
         if stricter.is_anomaly {
             prop_assert!(c.is_anomaly);
         }
@@ -359,7 +360,7 @@ proptest! {
             [Box::new(MinFlops), Box::new(MinPredictedTime), Box::new(Hybrid { flop_margin: 0.5 })];
         for policy in others {
             let outcome = execute(policy);
-            prop_assert!(outcome.chosen_seconds + 1e-15 >= oracle.chosen_seconds);
+            prop_assert!(outcome.chosen_seconds() + 1e-15 >= oracle.chosen_seconds());
         }
     }
 }

@@ -134,7 +134,7 @@ fn batch_planning_agrees_with_single_expression_planning() {
             .top_k(8)
             .plan(&req.dims)
             .unwrap();
-        assert_eq!(batch_plan.chosen, solo_plan.chosen, "{}", req.text);
+        assert_eq!(batch_plan.chosen, solo_plan.chosen, "{}", req.expr);
         for (b, s) in batch_plan.scores.iter().zip(&solo_plan.scores) {
             assert_eq!(b.flops, s.flops);
             assert_eq!(
@@ -166,19 +166,19 @@ fn batch_and_single_planners_agree_request_for_request_on_every_scenario() {
             .threshold(0.05)
             .plan_with(&req.dims, &mut exec)
             .unwrap();
-        assert_eq!(batch_plan.chosen, solo_plan.chosen, "{}", req.text);
-        assert_eq!(batch_plan.scores, solo_plan.scores, "{}", req.text);
+        assert_eq!(batch_plan.chosen, solo_plan.chosen, "{}", req.expr);
+        assert_eq!(batch_plan.scores, solo_plan.scores, "{}", req.expr);
         assert_eq!(
             batch_plan.duplicates_removed, solo_plan.duplicates_removed,
             "{}",
-            req.text
+            req.expr,
         );
         assert_eq!(batch_plan.policy, solo_plan.policy);
         assert_eq!(
             batch_plan.predicted_anomaly(),
             solo_plan.predicted_anomaly(),
             "{}: the threshold reaches both plans",
-            req.text
+            req.expr,
         );
     }
     // The CSE ablation reaches the batch pipeline the same way.
@@ -190,8 +190,8 @@ fn batch_and_single_planners_agree_request_for_request_on_every_scenario() {
             .plan_with(&req.dims, &mut exec)
             .unwrap();
         let batch_plan = result.as_ref().unwrap();
-        assert_eq!(batch_plan.chosen, solo_plan.chosen, "{}", req.text);
-        assert_eq!(batch_plan.scores, solo_plan.scores, "{}", req.text);
+        assert_eq!(batch_plan.chosen, solo_plan.chosen, "{}", req.expr);
+        assert_eq!(batch_plan.scores, solo_plan.scores, "{}", req.expr);
     }
 }
 

@@ -17,13 +17,13 @@ fn all_scenario_families_enumerate_verified_algorithms() {
         let algorithms = req
             .expr
             .algorithms_pruned(&req.dims, None)
-            .unwrap_or_else(|e| panic!("enumeration failed for `{}`: {e}", req.text));
+            .unwrap_or_else(|e| panic!("enumeration failed for `{}`: {e}", req.expr));
         for alg in &algorithms {
             let report = verify_algorithm(alg);
             assert!(
                 !report.has_errors(),
                 "`{}` {:?} algorithm `{}` failed verification:\n{report}",
-                req.text,
+                req.expr,
                 req.dims,
                 alg.name
             );
