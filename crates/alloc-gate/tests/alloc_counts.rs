@@ -18,7 +18,10 @@
 //! * `compute_result_reusing` — `MeasuredExecutor::compute_result_reusing`
 //!   of the chosen algorithm against a warm `FactorCache`, for the four
 //!   texts of the benchmark's reuse workload (`reuse4`), each at two
-//!   right-hand-side widths against one operand, planned against that cache.
+//!   right-hand-side widths against one operand, planned against that cache;
+//! * `plan_with reuse4` — `Planner::plan_with` of those requests against
+//!   the same warm `FactorCache`, where scoring asks the cache which calls
+//!   are resident.
 //!
 //! The samples are the nine texts of the benchmark's solve workloads
 //! (`core9`) and the 33 scenario texts (`scenario33`), each at two dimension
@@ -325,6 +328,23 @@ fn render() -> String {
         chosen.len(),
         allocations,
     );
+
+    // Planning against that warm cache: every residency question is asked.
+    let requests = reuse4();
+    let exprs: Vec<TreeExpression> = requests
+        .iter()
+        .map(|r| TreeExpression::parse(&r.text).unwrap())
+        .collect();
+    let planners: Vec<Planner<'_>> = exprs
+        .iter()
+        .map(|e| planner(e, &cache).factor_cache(Arc::clone(&factors)))
+        .collect();
+    let (_, allocations) = steady(|| {
+        for (req, p) in requests.iter().zip(&planners) {
+            std::hint::black_box(p.plan_with(&req.dims, &mut sim).unwrap());
+        }
+    });
+    line(&mut out, "plan_with", "reuse4", requests.len(), allocations);
     out
 }
 

@@ -35,19 +35,23 @@
 //! enumerator runs the same numbering over its search stack to rank
 //! completions by what they cost under sharing.
 //!
-//! [`node_identities`] assigns every operand a *canonical identity string*
-//! that is stable across algorithms and across planner requests: leaves are
-//! identified by name, id, shape and structure (executors seed input contents
-//! from the operand id, so the id is part of the bytes-level identity), and
-//! computed operands by their operation applied to the identities of its
-//! inputs. Two operands with equal identity strings hold bit-identical
-//! values under the deterministic executors, which is exactly the keying the
-//! cross-request factor cache needs.
+//! [`factor_keys`] gives every cacheable value the *structural key* the
+//! cross-request factor cache files it under, stable across algorithms and
+//! requests: a leaf is keyed on its name, raw id (executors seed input
+//! contents from it), shape and structure, a call's result on its operation
+//! (kernel, flags, logical dimensions) and its inputs' keys, and an in-place
+//! triangle copy re-keys its operand. Equal keys mean bit-identical contents
+//! under the deterministic executors. A key is 128 bits from two
+//! process-keyed standard hashers, so no text can be crafted to collide, and
+//! two of 2³² distinct values collide with probability about 2⁻⁶⁵. Keys are
+//! derived on demand, never stored on an [`Algorithm`].
 
 use crate::algorithm::{Algorithm, OperandInfo, OperandRole};
-use crate::kernel_call::{KernelCall, KernelOp};
+use crate::kernel_call::{CallInputs, KernelCall, KernelOp};
 use crate::operand::OperandId;
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::hash::{BuildHasher, Hash, RandomState};
+use std::sync::OnceLock;
 
 /// The result of [`eliminate_common_subexpressions`].
 #[derive(Debug, Clone)]
@@ -333,51 +337,6 @@ impl Algorithm {
     }
 }
 
-/// Canonical identity strings for every operand of `alg`, keyed by operand
-/// id. Leaves are identified by `name # raw-id shape structure` — the raw id
-/// participates because the deterministic executors seed an input's contents
-/// from its id, so equal names with different ids hold different bytes.
-/// Computed operands are identified by their producing operation applied to
-/// the identities of its inputs; an in-place triangle copy *advances* the
-/// identity of its operand (completed storage holds different bytes than the
-/// triangle-only value it came from).
-#[must_use]
-pub fn node_identities(alg: &Algorithm) -> HashMap<OperandId, String> {
-    let mut ids: HashMap<OperandId, String> = alg
-        .operands
-        .iter()
-        .filter(|o| o.role == OperandRole::Input)
-        .map(|o| {
-            (
-                o.id,
-                format!(
-                    "leaf:{}#{}:{}x{}:{:?}",
-                    o.name,
-                    o.id.index(),
-                    o.rows,
-                    o.cols,
-                    o.structure
-                ),
-            )
-        })
-        .collect();
-    for call in &alg.calls {
-        let inputs: Vec<String> = call
-            .inputs
-            .iter()
-            .map(|id| {
-                ids.get(id)
-                    .cloned()
-                    .unwrap_or_else(|| format!("raw:{}", id.index()))
-            })
-            .collect();
-        // The op Display carries the kernel, its flags and its logical
-        // dimensions, so the identity pins down the exact computation.
-        ids.insert(call.output, format!("{}({})", call.op, inputs.join(",")));
-    }
-    ids
-}
-
 /// Whether a kernel operation produces a *reusable factor*: a value worth
 /// caching across requests because later algorithms can skip recomputing it.
 /// Cholesky/LU/QR factors, Gram products and triangular half-solves are the
@@ -394,50 +353,57 @@ pub fn is_cacheable_op(op: &KernelOp) -> bool {
     )
 }
 
-/// The cacheable values `alg` produces: `(call index, operand id, identity)`
-/// for every call whose operation is [cacheable](is_cacheable_op) and whose
-/// result is *final* — not mutated afterwards by an in-place triangle copy
-/// (a later copy advances the operand's identity, so caching the pre-copy
-/// snapshot under the pre-copy identity stays correct; the tuple reports the
-/// identity at production time).
-#[must_use]
-pub fn cacheable_identities(alg: &Algorithm) -> Vec<(usize, OperandId, String)> {
-    let mut ids: HashMap<OperandId, String> = alg
-        .operands
-        .iter()
-        .filter(|o| o.role == OperandRole::Input)
-        .map(|o| {
-            (
-                o.id,
-                format!(
-                    "leaf:{}#{}:{}x{}:{:?}",
-                    o.name,
-                    o.id.index(),
-                    o.rows,
-                    o.cols,
-                    o.structure
-                ),
-            )
-        })
-        .collect();
-    let mut out = Vec::new();
-    for (i, call) in alg.calls.iter().enumerate() {
-        let inputs: Vec<String> = call
-            .inputs
-            .iter()
-            .map(|id| {
-                ids.get(id)
-                    .cloned()
-                    .unwrap_or_else(|| format!("raw:{}", id.index()))
-            })
-            .collect();
-        let identity = format!("{}({})", call.op, inputs.join(","));
-        ids.insert(call.output, identity.clone());
+/// The structural key of a value an algorithm computes (see the module
+/// documentation): equal keys mean bit-identical contents, across
+/// algorithms and requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FactorKey(u128);
+
+impl FactorKey {
+    /// The key of `value`: two 64-bit halves from two standard hashers keyed
+    /// once per process, like a timing key's.
+    fn of(value: &impl Hash) -> Self {
+        static KEYS: OnceLock<[RandomState; 2]> = OnceLock::new();
+        let [high, low] = KEYS.get_or_init(Default::default).each_ref();
+        FactorKey(u128::from(high.hash_one(value)) << 64 | u128::from(low.hash_one(value)))
+    }
+}
+
+/// Visit `(call index, key of its result)` for every
+/// [cacheable](is_cacheable_op) call of `alg`, in call order. The key is the
+/// result's at production time: a later in-place triangle copy re-keys the
+/// operand, so a snapshot filed under the pre-copy key stays correct. The
+/// table of operand keys is kept per thread between derivations, so a warm
+/// derivation allocates nothing.
+pub fn factor_keys(alg: &Algorithm, mut visit: impl FnMut(usize, FactorKey)) {
+    thread_local! {
+        static OPERANDS: Cell<Vec<FactorKey>> = const { Cell::new(Vec::new()) };
+    }
+    // Until something defines it (only in a malformed algorithm), an
+    // operand is keyed on its raw id.
+    let raw = |id: usize| FactorKey(id as u128);
+    let mut keys = OPERANDS.take();
+    keys.clear();
+    let define = |keys: &mut Vec<FactorKey>, id: OperandId, key| {
+        keys.extend((keys.len()..=id.index()).map(raw));
+        keys[id.index()] = key;
+    };
+    for o in alg.inputs() {
+        let leaf = (0u8, &o.name, o.id.index(), o.rows, o.cols, o.structure);
+        define(&mut keys, o.id, FactorKey::of(&leaf));
+    }
+    for (index, call) in alg.calls.iter().enumerate() {
+        let inputs: [Option<FactorKey>; CallInputs::CAPACITY] = std::array::from_fn(|i| {
+            let id = call.inputs.get(i)?.index();
+            Some(keys.get(id).copied().unwrap_or_else(|| raw(id)))
+        });
+        let key = FactorKey::of(&(1u8, &call.op, inputs));
+        define(&mut keys, call.output, key);
         if is_cacheable_op(&call.op) {
-            out.push((i, call.output, identity));
+            visit(index, key);
         }
     }
-    out
+    OPERANDS.set(keys);
 }
 
 #[cfg(test)]
@@ -658,15 +624,15 @@ mod tests {
         );
     }
 
+    /// The keys [`factor_keys`] reports for `alg`.
+    fn keys_of(alg: &Algorithm) -> Vec<(usize, FactorKey)> {
+        let mut keys = Vec::new();
+        factor_keys(alg, |index, key| keys.push((index, key)));
+        keys
+    }
+
     #[test]
-    fn node_identities_distinguish_leaves_by_id_and_advance_on_copy() {
-        let alg = doubled_product();
-        let ids = node_identities(&alg);
-        // Duplicate computations share an identity string.
-        assert_eq!(ids[&OperandId(2)], ids[&OperandId(3)]);
-        // Different leaves never share one.
-        assert_ne!(ids[&OperandId(0)], ids[&OperandId(1)]);
-        // The in-place copy advances the identity.
+    fn factor_keys_match_duplicates_distinguish_leaves_and_advance_on_copy() {
         let syrk = KernelOp::Syrk {
             uplo: Uplo::Lower,
             trans: Trans::No,
@@ -677,39 +643,52 @@ mod tests {
             uplo: Uplo::Lower,
             n: 4,
         };
-        let gram = Algorithm {
-            name: "gram".into(),
+        let potrf = KernelOp::Potrf {
+            uplo: Uplo::Lower,
+            n: 4,
+        };
+        let call = |op: &KernelOp, input: usize, output: usize| KernelCall {
+            op: op.clone(),
+            inputs: [OperandId(input)].into(),
+            output: OperandId(output),
+            label: "".into(),
+        };
+        // M1 := A*A^T, M2 := A*A^T, M3 := B*B^T, L := chol(full(M1)).
+        let alg = Algorithm {
+            name: "grams".into(),
             operands: vec![
                 operand(0, 4, 2, OperandRole::Input, "A"),
-                operand(1, 4, 4, OperandRole::Output, "X"),
+                operand(1, 4, 2, OperandRole::Input, "B"),
+                operand(2, 4, 4, OperandRole::Intermediate, "M1"),
+                operand(3, 4, 4, OperandRole::Intermediate, "M2"),
+                operand(4, 4, 4, OperandRole::Intermediate, "M3"),
+                operand(5, 4, 4, OperandRole::Output, "L"),
             ],
             calls: vec![
-                KernelCall {
-                    op: syrk,
-                    inputs: [OperandId(0)].into(),
-                    output: OperandId(1),
-                    label: "X := A*A^T".into(),
-                },
-                KernelCall {
-                    op: copy,
-                    inputs: [OperandId(1)].into(),
-                    output: OperandId(1),
-                    label: "X full".into(),
-                },
+                call(&syrk, 0, 2),
+                call(&syrk, 0, 3),
+                call(&syrk, 1, 4),
+                call(&copy, 2, 2),
+                call(&potrf, 2, 5),
             ],
         };
-        let before = {
-            let mut partial = gram.clone();
-            partial.calls.truncate(1);
-            node_identities(&partial)[&OperandId(1)].clone()
-        };
-        let after = node_identities(&gram)[&OperandId(1)].clone();
-        assert_ne!(before, after, "completion must advance the identity");
-        assert!(after.contains("copy"));
+        let keys = keys_of(&alg);
+        let indices: Vec<usize> = keys.iter().map(|&(i, _)| i).collect();
+        assert_eq!(indices, [0, 1, 2, 4], "the copy is not cacheable");
+        // Duplicate computations share a key; different leaves never do.
+        assert_eq!(keys[0].1, keys[1].1);
+        assert_ne!(keys[0].1, keys[2].1);
+        // The in-place copy re-keys its operand: a factorisation of the
+        // completed Gram matrix is not one of the one-triangle value.
+        let mut uncopied = alg.clone();
+        uncopied.calls.remove(3);
+        assert_ne!(keys_of(&uncopied)[3].1, keys[3].1);
+        // The key is a function of the algorithm alone.
+        assert_eq!(keys_of(&alg.clone()), keys);
     }
 
     #[test]
-    fn cacheable_identities_report_factor_producing_calls() {
+    fn factor_keys_report_factor_producing_calls() {
         let potrf = KernelOp::Potrf {
             uplo: Uplo::Lower,
             n: 5,
@@ -758,14 +737,18 @@ mod tests {
                 },
             ],
         };
-        let cacheable = cacheable_identities(&alg);
+        let cacheable = keys_of(&alg);
         assert_eq!(cacheable.len(), 2);
-        assert_eq!(cacheable[0].1, OperandId(2));
-        assert!(cacheable[0].2.contains("potrf"));
-        assert!(cacheable[1].2.contains("trsm"));
-        // The TRSM identity nests the POTRF identity: reuse keys are
-        // whole-subtree canonical.
-        assert!(cacheable[1].2.contains(&cacheable[0].2));
+        assert_eq!((cacheable[0].0, cacheable[1].0), (0, 1));
+        assert_ne!(cacheable[0].1, cacheable[1].1);
+        // Keys are whole-subtree canonical: another right-hand side moves
+        // the TRSM's key and leaves the POTRF's alone.
+        let mut other = alg.clone();
+        other.operands[1].id = OperandId(4);
+        other.calls[1].inputs = [OperandId(2), OperandId(4)].into();
+        let moved = keys_of(&other);
+        assert_eq!(moved[0].1, cacheable[0].1);
+        assert_ne!(moved[1].1, cacheable[1].1);
         // GEMM is not a factor-producing op.
         assert!(!is_cacheable_op(&op_gemm(3, 3, 3)));
     }

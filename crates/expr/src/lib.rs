@@ -56,8 +56,8 @@ mod template;
 
 pub use algorithm::{Algorithm, OperandInfo, OperandRole};
 pub use cse::{
-    cacheable_identities, eliminate_common_subexpressions, eliminate_shared_calls, is_cacheable_op,
-    node_identities, shared_flops, CseOutcome,
+    eliminate_common_subexpressions, eliminate_shared_calls, factor_keys, is_cacheable_op,
+    shared_flops, CseOutcome, FactorKey,
 };
 pub use enumerate::{enumerate_expr_algorithms, GenerateError};
 pub use expr::{Expr, Factor, ShapeError, Var};

@@ -238,6 +238,10 @@ macro_rules! kernel_op_table {
     (@keyed $cleared:expr) => { false };
     ($($variant:ident $mnemonic:literal { $($field:ident $(= $cleared:expr)?),* })*) => {
         impl KernelOp {
+            /// Every variant's [mnemonic](KernelOp::mnemonic), in declaration
+            /// order: [`KernelOp::ordinal`] is a position in it.
+            pub const MNEMONICS: &'static [&'static str] = &[$($mnemonic),*];
+
             /// Short BLAS/LAPACK-style mnemonic (`gemm`, `syrk`, `symm`,
             /// `trmm`, `trsm`, `potrf`, `copy`, `getrf`, `qr`, `ormqr`,
             /// `factortri`, `laswp`).
@@ -245,6 +249,16 @@ macro_rules! kernel_op_table {
             pub fn mnemonic(&self) -> &'static str {
                 match self {
                     $(KernelOp::$variant { .. } => $mnemonic,)*
+                }
+            }
+
+            /// The position of this op's variant in declaration order:
+            /// `KernelOp::MNEMONICS[op.ordinal()] == op.mnemonic()`.
+            #[must_use]
+            pub fn ordinal(&self) -> usize {
+                enum Variant { $($variant),* }
+                match self {
+                    $(KernelOp::$variant { .. } => Variant::$variant as usize,)*
                 }
             }
 
@@ -1150,5 +1164,12 @@ mod tests {
         assert!(s.contains("syrk"));
         assert!(s.contains('U'));
         assert!(s.contains('T'));
+        // Every variant has its own ordinal, the position of its mnemonic.
+        let mut seen = vec![false; KernelOp::MNEMONICS.len()];
+        for op in KernelOp::examples(4) {
+            assert_eq!(KernelOp::MNEMONICS[op.ordinal()], op.mnemonic());
+            seen[op.ordinal()] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "examples cover every variant");
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::executor::{AlgorithmTiming, Executor};
 use crate::machine::MachineModel;
-use crate::reuse::{cacheable_keys, FactorCache, ReuseReport};
+use crate::reuse::{FactorCache, ReuseReport};
 use lamb_expr::{Algorithm, KernelCall, KernelOp, OperandId, OperandInfo, OperandRole};
 use lamb_kernels::{Backend, BlockConfig, CacheFlusher, NativeBackend, TimingResult};
 use lamb_matrix::ops::{is_symmetric, is_triangular};
@@ -222,7 +222,7 @@ impl<'e> Walk<'e> {
     /// — the resident matrix itself becomes the operand and `observe` sees
     /// `None` — and every cacheable result the walk does compute is
     /// deposited, shared rather than copied (see [`Operands`]). Without a
-    /// store no node identity is derived at all. Either way the operands of
+    /// store no factor key is derived at all. Either way the operands of
     /// a call are allocated when the first call that runs touches them,
     /// outside its timed seconds, so the walk may start with none; unless
     /// the walk is [repeated](Walk::repeated), each is recycled after the
@@ -233,7 +233,7 @@ impl<'e> Walk<'e> {
         mut observe: impl FnMut(usize, &KernelCall, Option<f64>),
     ) {
         let alg = self.alg;
-        let cacheable = cacheable_keys(alg, store);
+        let cacheable = store.map(|store| store.keys(alg)).unwrap_or_default();
         let deposited: Vec<OperandId> = cacheable.keys().map(|&i| alg.calls[i].output).collect();
         // The last call that touches each operand (none for the output,
         // which is never recycled, nor for any when nothing is released).
@@ -262,10 +262,10 @@ impl<'e> Walk<'e> {
                 let seconds = start.elapsed().as_secs_f64();
                 if let Some((store, key)) = key {
                     // The deposit is a snapshot: a later in-place copy writes
-                    // to a copy of its own (and the identity of the copied
-                    // operand advances, so it can never alias this key).
+                    // to a copy of its own (and re-keys the copied operand,
+                    // so it can never alias this key).
                     let computed = self.held(call.output).expect("output allocated");
-                    store.store(key, Arc::clone(computed));
+                    store.store(*key, Arc::clone(computed));
                 }
                 observe(i, call, Some(seconds));
             }
@@ -536,7 +536,7 @@ impl Executor for MeasuredExecutor {
     /// Serving-style execution against a factor store: a *single* timed pass
     /// (no repetitions, no cache flush — a warm cache is the point of reuse)
     /// in which injected factors are attributed zero seconds. The injected
-    /// bytes are exactly what the call would have produced (node identities
+    /// bytes are exactly what the call would have produced (factor keys
     /// pin the computation to the seeded leaf contents), so downstream
     /// numerics are unchanged.
     fn execute_algorithm_reusing(
@@ -788,9 +788,9 @@ mod tests {
             .iter()
             .position(|c| c.op.mnemonic() == "potrf")
             .unwrap();
-        let keys = cacheable_keys(solve, Some(&cold));
+        let keys = cold.keys(solve);
         let store = FactorCache::new();
-        store.store(&keys[&potrf], cold.lookup(&keys[&potrf]).unwrap());
+        store.store(keys[&potrf], cold.lookup(&keys[&potrf]).unwrap());
 
         // A walk that keeps its operands, so the map can be inspected.
         let mut walk = Walk::new(&exec, solve, true);
@@ -828,7 +828,7 @@ mod tests {
             for dims in sizes {
                 let mut exec = tiny_executor();
                 for alg in &algorithms_of(text, dims) {
-                    let cacheable = cacheable_keys(alg, Some(&FactorCache::new())).len();
+                    let cacheable = FactorCache::new().keys(alg).len();
                     let reference = bits(&exec.compute_result(alg));
                     let store = FactorCache::new();
                     let (cold, cold_report) = exec.compute_result_reusing(alg, &store);
@@ -901,7 +901,7 @@ mod tests {
         assert!(is_symmetric(&reference, 0.0).unwrap());
 
         let store = FactorCache::new();
-        let key = &cacheable_keys(&alg, Some(&store))[&0];
+        let key = &store.keys(&alg)[&0];
         let mut walk = Walk::new(&exec, &alg, true);
         let mut snapshot = None;
         walk.run(Some(&store), |i, _, _| {
@@ -939,7 +939,7 @@ mod tests {
         let exec = tiny_executor();
         let store = FactorCache::new();
         let last = solve.calls.len() - 1;
-        let key = &cacheable_keys(solve, Some(&store))[&last];
+        let key = &store.keys(solve)[&last];
         for pass in ["cold", "warm"] {
             let (mut result, _) = exec.compute_result_reusing(solve, &store);
             let cached = store.lookup(key).expect("final solve deposited");
@@ -1020,9 +1020,9 @@ mod tests {
 
     /// The store's deposits for `alg`, each its own exact-size allocation.
     fn assert_deposits_exact(store: &FactorCache, alg: &Algorithm, what: &str) {
-        for key in cacheable_keys(alg, Some(store)).values() {
+        for key in store.keys(alg).values() {
             if let Some(m) = store.lookup(key) {
-                assert_eq!(m.capacity(), m.len(), "{what}: deposit {key}");
+                assert_eq!(m.capacity(), m.len(), "{what}: deposit {key:?}");
             }
         }
     }

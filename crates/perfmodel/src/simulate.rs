@@ -23,7 +23,7 @@
 use crate::efficiency::AnalyticEfficiencyModel;
 use crate::executor::{AlgorithmTiming, Executor};
 use crate::machine::MachineModel;
-use crate::reuse::{cacheable_keys, FactorCache, ReuseReport};
+use crate::reuse::{FactorCache, ReuseReport};
 use lamb_expr::{Algorithm, KernelCall, KernelOp};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -189,7 +189,7 @@ impl SimulatedExecutor {
         store: Option<&FactorCache>,
         mut observe: impl FnMut(&KernelCall, bool),
     ) -> AlgorithmTiming {
-        let cacheable = cacheable_keys(alg, store);
+        let cacheable = store.map(|store| store.keys(alg)).unwrap_or_default();
         AlgorithmTiming::from_calls(alg, |i, call| {
             let key = store.zip(cacheable.get(&i));
             let reused = key.is_some_and(|(store, key)| store.contains(key));
@@ -197,7 +197,7 @@ impl SimulatedExecutor {
             if reused {
                 return 0.0;
             }
-            if let Some((store, key)) = key {
+            if let Some((store, &key)) = key {
                 store.note(key);
             }
             self.base_call_time(call)
@@ -367,13 +367,7 @@ mod tests {
         let (cold_t, cold) = sim.execute_algorithm_reusing(solve, &store);
         assert_eq!(cold.reused_calls, 0);
         assert_eq!(cold.executed("potrf"), 1);
-        assert!(store.contains(
-            &lamb_expr::cacheable_identities(solve)
-                .first()
-                .unwrap()
-                .2
-                .clone()
-        ));
+        assert!(store.contains(&store.keys(solve)[&0]));
         let (warm_t, warm) = sim.execute_algorithm_reusing(solve, &store);
         assert_eq!(warm.executed("potrf"), 0);
         assert!(warm.reused_flops > 0);

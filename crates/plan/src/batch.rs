@@ -28,10 +28,10 @@
 //!
 //! [`Planner`]: crate::Planner
 
-use crate::factor_cache::{note_factors, resident_calls, FactorCache};
 use crate::plan::{Plan, PlanError};
 use crate::planner::{impl_settings_builder, NamedPolicy, Settings};
 use lamb_expr::{ParseError, TreeExpression};
+use lamb_perfmodel::FactorCache;
 use std::fmt;
 use std::time::Instant;
 
@@ -327,14 +327,14 @@ impl BatchPlanner {
             let any_resident = plan
                 .algorithms
                 .iter()
-                .any(|alg| !resident_calls(alg, Some(fc)).is_empty());
+                .any(|alg| !fc.resident_calls(alg).is_empty());
             if any_resident {
                 let rescored = settings.score(&plan.algorithms, executor.as_mut(), Some(fc));
                 if let Ok(rescored) = rescored {
                     (plan.scores, plan.chosen) = rescored;
                 }
             }
-            note_factors(plan.chosen_algorithm(), fc);
+            fc.note_factors(plan.chosen_algorithm());
         }
     }
 }
@@ -581,9 +581,8 @@ mod tests {
 
     #[test]
     fn mixed_spd_and_general_factor_identities_never_collide() {
-        use lamb_expr::cacheable_identities;
         use lamb_perfmodel::{Executor as _, MeasuredExecutor};
-        use std::collections::HashSet;
+        use std::collections::HashMap;
         // Same operand name, same dims: only the declared structure (and so
         // the factorisation kind) distinguishes the two families.
         let reqs = BatchRequest::parse_file(
@@ -598,18 +597,19 @@ mod tests {
         let outcome = planner.plan_batch(&reqs);
         assert_eq!(outcome.stats.planned, 4);
         let plans: Vec<&Plan> = outcome.plans().collect();
-        let identities = |plan: &Plan| -> HashSet<String> {
-            cacheable_identities(plan.chosen_algorithm())
-                .into_iter()
-                .map(|(_, _, id)| id)
+        // Each cacheable value's key, with the kernel that produces it.
+        let identities = |plan: &Plan| -> HashMap<_, &str> {
+            let alg = plan.chosen_algorithm();
+            (fc.keys(alg).into_iter())
+                .map(|(i, key)| (key, alg.calls[i].op.mnemonic()))
                 .collect()
         };
         let lu = identities(plans[0]);
         let chol = identities(plans[2]);
-        assert!(lu.iter().any(|i| i.starts_with("getrf(")), "{lu:?}");
-        assert!(chol.iter().any(|i| i.starts_with("potrf(")), "{chol:?}");
+        assert!(lu.values().any(|&kernel| kernel == "getrf"), "{lu:?}");
+        assert!(chol.values().any(|&kernel| kernel == "potrf"), "{chol:?}");
         assert!(
-            lu.is_disjoint(&chol),
+            lu.keys().all(|key| !chol.contains_key(key)),
             "LU and Cholesky factor identities must never collide: {lu:?} vs {chol:?}"
         );
         // And under one shared store, each family factors exactly once.

@@ -18,6 +18,10 @@
 //! lookup canonicalises and hashes the call once ([`TimingKey`]): the hash
 //! picks the shard and files the entry within it.
 //!
+//! A miss is **single flight**: the worker that misses a key claims it, and
+//! a worker that misses it meanwhile waits for that value (a hit) instead of
+//! timing the kernel again; a benchmark that panics releases its claim.
+//!
 //! A plan reaches the shared cache once per *distinct* timing key of its
 //! candidates: its [`CachingExecutor`] keeps what it has priced in a small
 //! per-plan memo, so the policy's pass over the candidates the planner has
@@ -28,26 +32,60 @@
 //! [`PredictionCache::preload`] and exported back with
 //! [`PredictionCache::snapshot`].
 
-use crate::factor_cache::{resident_calls, FactorCache};
 use lamb_expr::Algorithm;
-use lamb_perfmodel::{AlgorithmTiming, CallTimeTable, Executor, MachineModel, TimingKey};
-use std::sync::Mutex;
+use lamb_perfmodel::{
+    AlgorithmTiming, CallTimeTable, Executor, FactorCache, MachineModel, TimingKey,
+};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Number of independently locked shards; a small power of two well above
 /// the worker counts rayon uses on typical machines.
 const SHARD_COUNT: usize = 16;
 
 /// A thread-safe, sharded memo table of isolated-call benchmark times.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PredictionCache {
-    shards: [Mutex<CallTimeTable>; SHARD_COUNT],
+    shards: [Shard; SHARD_COUNT],
 }
 
-impl Default for PredictionCache {
-    fn default() -> Self {
-        PredictionCache {
-            shards: std::array::from_fn(|_| Mutex::new(CallTimeTable::new())),
+/// One shard: its part of the table, the keys being benchmarked now, and
+/// the signal that a claim was released.
+#[derive(Debug, Default)]
+struct Shard {
+    state: Mutex<ShardState>,
+    released: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct ShardState {
+    times: CallTimeTable,
+    claimed: Vec<TimingKey>,
+}
+
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, ShardState> {
+        self.state.lock().expect("cache poisoned")
+    }
+}
+
+/// A key a worker is benchmarking. Dropping it files the measured seconds,
+/// if any, releases the key and wakes the waiters — also when the benchmark
+/// panics, so they retry instead of hanging.
+struct Claim<'a> {
+    shard: &'a Shard,
+    key: &'a TimingKey,
+    seconds: Option<f64>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut state = (self.shard.state.lock()).unwrap_or_else(PoisonError::into_inner);
+        if let Some(seconds) = self.seconds {
+            state.times.insert_key(self.key.clone(), seconds);
         }
+        state.claimed.retain(|key| key != self.key);
+        drop(state);
+        self.shard.released.notify_all();
     }
 }
 
@@ -69,7 +107,7 @@ impl PredictionCache {
 
     /// The shard responsible for `key`: read from the high half of its
     /// digest, since a shard's table files entries by the low bits.
-    fn shard(&self, key: &TimingKey) -> &Mutex<CallTimeTable> {
+    fn shard(&self, key: &TimingKey) -> &Shard {
         &self.shards[((key.digest() >> 32) as usize) % SHARD_COUNT]
     }
 
@@ -85,10 +123,7 @@ impl PredictionCache {
     pub fn preload(&self, table: &CallTimeTable) {
         for (op, seconds) in table.entries() {
             let key = TimingKey::of(op);
-            self.shard(&key)
-                .lock()
-                .expect("cache poisoned")
-                .insert_key(key, seconds);
+            self.shard(&key).lock().times.insert_key(key, seconds);
         }
     }
 
@@ -99,7 +134,7 @@ impl PredictionCache {
     pub fn snapshot(&self) -> CallTimeTable {
         let mut merged = CallTimeTable::new();
         for shard in &self.shards {
-            merged.merge_from(&shard.lock().expect("cache poisoned"));
+            merged.merge_from(&shard.lock().times);
         }
         merged
     }
@@ -108,9 +143,9 @@ impl PredictionCache {
     /// when a call with the same timing key has been benchmarked before.
     ///
     /// The shard lock is *not* held while the executor runs, so concurrent
-    /// workers never serialise on a slow benchmark; two threads may race to
-    /// benchmark the same call, in which case both results are identical for
-    /// the deterministic executors and the last write wins.
+    /// workers never serialise on a slow benchmark of another key; a worker
+    /// that misses a key another one is benchmarking waits for that value
+    /// instead of benchmarking it again (see the module documentation).
     pub fn cached_isolated_call(
         &self,
         executor: &mut dyn Executor,
@@ -122,17 +157,25 @@ impl PredictionCache {
     }
 
     /// The memoised seconds of `key`, or those `benchmark` measures (stored
-    /// for the next lookup). One hit or one miss either way.
+    /// for the next lookup). One hit or one miss either way: a key another
+    /// worker is benchmarking is waited for and counts a hit.
     fn seconds_of(&self, key: &TimingKey, benchmark: impl FnOnce() -> f64) -> f64 {
         let shard = self.shard(key);
-        if let Some(t) = shard.lock().expect("cache poisoned").lookup_key(key) {
+        let mut state = (shard.released)
+            .wait_while(shard.lock(), |state| state.claimed.contains(key))
+            .expect("cache poisoned");
+        if let Some(t) = state.times.lookup_key(key) {
             return t;
         }
+        state.claimed.push(key.clone());
+        drop(state);
+        let mut claim = Claim {
+            shard,
+            key,
+            seconds: None,
+        };
         let t = benchmark();
-        shard
-            .lock()
-            .expect("cache poisoned")
-            .insert_key(key.clone(), t);
+        claim.seconds = Some(t);
         t
     }
 
@@ -146,10 +189,7 @@ impl PredictionCache {
     /// Number of distinct timing keys benchmarked (or preloaded) so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache poisoned").len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().times.len()).sum()
     }
 
     /// Whether nothing has been benchmarked yet.
@@ -166,7 +206,7 @@ impl PredictionCache {
     pub fn stats(&self) -> (usize, usize) {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache poisoned").stats())
+            .map(|s| s.lock().times.stats())
             .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
     }
 }
@@ -266,21 +306,27 @@ impl Executor for CachingExecutor<'_> {
     }
 
     fn time_isolated_call(&mut self, alg: &Algorithm, call_index: usize) -> f64 {
-        let resident = resident_calls(alg, self.factors);
+        let resident = self
+            .factors
+            .map_or_else(Vec::new, |fc| fc.resident_calls(alg));
         self.call_seconds(alg, &resident, call_index)
     }
 
     /// The sum of the isolated-call times, with the resident calls resolved
     /// once for the whole algorithm instead of once per call.
     fn predict_from_isolated_calls(&mut self, alg: &Algorithm) -> AlgorithmTiming {
-        let resident = resident_calls(alg, self.factors);
+        let resident = self
+            .factors
+            .map_or_else(Vec::new, |fc| fc.resident_calls(alg));
         AlgorithmTiming::from_calls(alg, |i, _| self.call_seconds(alg, &resident, i))
     }
 
     /// The same sum without the per-call breakdown, the resident calls
     /// again resolved once.
     fn predicted_seconds(&mut self, alg: &Algorithm) -> f64 {
-        let resident = resident_calls(alg, self.factors);
+        let resident = self
+            .factors
+            .map_or_else(Vec::new, |fc| fc.resident_calls(alg));
         (0..alg.calls.len()).fold(0.0, |total, i| total + self.call_seconds(alg, &resident, i))
     }
 }
@@ -483,5 +529,59 @@ mod tests {
         assert!(cache.is_empty(), "execution must not touch the cache");
         let _ = wrapped.predict_from_isolated_calls(alg);
         assert_eq!(cache.len(), alg.calls.len());
+    }
+
+    fn solve_algorithm() -> Algorithm {
+        let expr = TreeExpression::parse("S[spd]^-1*B").unwrap();
+        expr.algorithms(&[64, 8])
+            .unwrap()
+            .into_iter()
+            .find(|a| a.kernel_summary().contains("potrf"))
+            .unwrap()
+    }
+
+    #[test]
+    fn resident_factors_zero_their_isolated_times_and_discount_flops() {
+        let alg = solve_algorithm();
+        let factors = FactorCache::new();
+        let predictions = PredictionCache::new();
+        let mut sim = SimulatedExecutor::paper_like();
+        let mut reuse =
+            CachingExecutor::new(&mut sim, &predictions).with_factor_cache(Some(&factors));
+        let per_call = |reuse: &mut CachingExecutor| -> Vec<f64> {
+            (0..alg.calls.len())
+                .map(|i| reuse.time_isolated_call(&alg, i))
+                .collect()
+        };
+        let cold = per_call(&mut reuse);
+        assert!(cold.iter().all(|&t| t > 0.0));
+        // One resolution of the resident calls per prediction gives exactly
+        // the per-call sum it replaces.
+        let predicted = reuse.predict_from_isolated_calls(&alg);
+        assert_eq!(predicted.seconds, cold.iter().sum::<f64>());
+        assert_eq!(factors.effective_flops(&alg), alg.flops());
+        assert!(factors.resident_calls(&alg).is_empty());
+
+        // Mark every cacheable node resident, as a batch would after planning
+        // an identical earlier request.
+        factors.note_factors(&alg);
+        let potrf_index = alg
+            .calls
+            .iter()
+            .position(|c| c.op.mnemonic() == "potrf")
+            .unwrap();
+        assert!(factors.resident_calls(&alg).contains(&potrf_index));
+        let warm = per_call(&mut reuse);
+        assert_eq!(warm[potrf_index], 0.0);
+        let predicted = reuse.predict_from_isolated_calls(&alg);
+        assert_eq!(predicted.seconds, warm.iter().sum::<f64>());
+        let by_call: Vec<f64> = predicted.per_call.iter().map(|c| c.seconds).collect();
+        assert_eq!(by_call, warm);
+        assert!(predicted.seconds < cold.iter().sum::<f64>());
+        assert!(factors.effective_flops(&alg) < alg.flops());
+        // Executions pass through untouched (no store mutation on selection).
+        let before = factors.len();
+        let _ = reuse.execute_algorithm(&alg);
+        assert_eq!(factors.len(), before);
     }
 }

@@ -55,12 +55,12 @@
 //!   ([`Planner::snapshot_cache`]).
 //! * [`FactorCache`] — the factor store (defined beside the executors in
 //!   `lamb_perfmodel::reuse`, re-exported here): computed factors (Cholesky
-//!   and LU factors, Gram products, half-solves) keyed by canonical node
-//!   identity, shared across the plans of a planner or the requests of a
-//!   batch. Given one, scoring prices resident factors at zero —
-//!   [`effective_flops`] for the FLOP score, the same [`CachingExecutor`]
-//!   for the predicted seconds — so `MinPredictedTime` prefers
-//!   shared-factor algorithms.
+//!   and LU factors, Gram products, half-solves) filed by structural key,
+//!   shared across the plans of a planner or the requests of a batch, and
+//!   the one place residency is answered. Given one, scoring prices
+//!   resident factors at zero — [`FactorCache::effective_flops`] for the
+//!   FLOP score, the same [`CachingExecutor`] for the predicted seconds —
+//!   so `MinPredictedTime` prefers shared-factor algorithms.
 //! * [`BatchPlanner`] / [`BatchRequest`] — the batch-serving front end: the
 //!   same settings and setters as [`Planner`] without the expression. It
 //!   parses a whole file of expression instances, fans them out across rayon
@@ -75,13 +75,12 @@
 
 pub mod batch;
 pub mod cache;
-pub mod factor_cache;
 mod plan;
 mod planner;
 
 pub use batch::{BatchOutcome, BatchParseError, BatchPlanner, BatchRequest, BatchStats};
 pub use cache::{CachingExecutor, PredictionCache};
-pub use factor_cache::{effective_flops, FactorCache};
+pub use lamb_perfmodel::FactorCache;
 pub use plan::{AlgorithmScore, Plan, PlanError, PlanExecution};
 pub use planner::Planner;
 

@@ -7,10 +7,9 @@
 //! `Settings::plan_with`, so a request plans identically through either.
 
 use crate::cache::{CachingExecutor, PredictionCache};
-use crate::factor_cache::{effective_flops, note_factors, FactorCache};
 use crate::plan::{AlgorithmScore, Plan, PlanError};
 use lamb_expr::{Algorithm, Expression, SharedStr};
-use lamb_perfmodel::{Executor, SimulatedExecutor};
+use lamb_perfmodel::{Executor, FactorCache, SimulatedExecutor};
 use lamb_select::{MinFlops, MinPredictedTime, SelectError, SelectionPolicy};
 use rayon::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -158,7 +157,7 @@ impl Settings {
             // The chosen algorithm's factors become resident for later
             // instances planned against the same cache (bytes arrive when an
             // execution actually computes them).
-            note_factors(&algorithms[chosen], fc);
+            fc.note_factors(&algorithms[chosen]);
         }
         Ok(Plan {
             dims: dims.to_vec(),
@@ -192,7 +191,7 @@ impl Settings {
             .map(|(index, alg)| AlgorithmScore {
                 index,
                 name: alg.name.clone(),
-                flops: factors.map_or_else(|| alg.flops(), |fc| effective_flops(alg, fc)),
+                flops: factors.map_or_else(|| alg.flops(), |fc| fc.effective_flops(alg)),
                 predicted_seconds: self
                     .score_predictions
                     .then(|| caching.predicted_seconds(alg)),
@@ -843,7 +842,7 @@ mod tests {
     fn distinct_keys(algorithms: &[Algorithm], factors: Option<&FactorCache>) -> usize {
         let mut keys: Vec<lamb_expr::KernelOp> = Vec::new();
         for alg in algorithms {
-            let resident = crate::factor_cache::resident_calls(alg, factors);
+            let resident = factors.map(|fc| fc.resident_calls(alg)).unwrap_or_default();
             for (i, call) in alg.calls.iter().enumerate() {
                 let key = call.op.timing_key();
                 if !resident.contains(&i) && !keys.contains(&key) {

@@ -4,6 +4,10 @@
 //! up and probing overlapping keys; afterwards the entry count, the hit
 //! counter and "a note never evicts bytes" all hold.
 //!
+//! The single-flight miss of the [`PredictionCache`]: eight workers that
+//! miss every key at once benchmark each key exactly once, and a benchmark
+//! that panics leaves no worker waiting.
+//!
 //! The sharded [`PredictionCache`]: many threads
 //! preloading calibration tables (with non-canonical keys), taking
 //! snapshots, predicting algorithm times and running whole plans against one
@@ -32,12 +36,16 @@
 use lamb_expr::{
     enumerate_expr_algorithms, Algorithm, Expression, GenerateError, KernelOp, TreeExpression,
 };
-use lamb_matrix::{Matrix, Trans};
-use lamb_perfmodel::{CallTimeTable, SimulatedExecutor};
+use lamb_matrix::{Matrix, Trans, Uplo};
+use lamb_perfmodel::{
+    single_call_algorithm, AlgorithmTiming, CallTimeTable, Executor, MachineModel,
+    SimulatedExecutor,
+};
 use lamb_plan::{FactorCache, MinPredictedTime, Planner, PredictionCache};
 use lamb_verify::verify_call_table;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::Duration;
 
 /// A small calibration table whose keys are deliberately *non-canonical*
 /// spellings (transposed GEMMs): every ingest path must canonicalise them.
@@ -186,17 +194,126 @@ fn concurrent_preloads_of_equivalent_keys_collapse_to_one_entry() {
     assert!(verify_call_table(&snapshot).is_clean());
 }
 
+/// Times every isolated call at one millisecond after a pause long enough
+/// for the other workers to miss the same key meanwhile, and records each
+/// benchmark's timing key in a list its clones share. With `fail_first`
+/// set, the first benchmark any clone runs panics.
+#[derive(Clone)]
+struct CountingExecutor {
+    machine: MachineModel,
+    benchmarked: Arc<Mutex<Vec<KernelOp>>>,
+    fail_first: Arc<AtomicBool>,
+}
+
+impl Executor for CountingExecutor {
+    fn name(&self) -> String {
+        "counting".into()
+    }
+
+    fn machine(&self) -> &MachineModel {
+        &self.machine
+    }
+
+    fn execute_algorithm(&mut self, _: &Algorithm) -> AlgorithmTiming {
+        unreachable!("the single-flight stress only benchmarks isolated calls")
+    }
+
+    fn time_isolated_call(&mut self, alg: &Algorithm, call_index: usize) -> f64 {
+        let key = alg.calls[call_index].op.timing_key();
+        self.benchmarked.lock().unwrap().push(key.clone());
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            !self.fail_first.swap(false, Ordering::SeqCst),
+            "the benchmark of {key} failed"
+        );
+        1e-3
+    }
+}
+
+#[test]
+fn every_missed_key_is_benchmarked_once_and_a_failed_benchmark_hangs_no_one() {
+    const THREADS: usize = 8;
+    let algorithms: Vec<Algorithm> = (0..6)
+        .map(|i| {
+            single_call_algorithm(KernelOp::Gemm {
+                transa: Trans::No,
+                transb: Trans::No,
+                m: 16 + i,
+                n: 16,
+                k: 16,
+            })
+        })
+        .collect();
+    let executor = CountingExecutor {
+        machine: MachineModel::generic_laptop(),
+        benchmarked: Arc::default(),
+        fail_first: Arc::default(),
+    };
+    // Every worker misses every key at once, in the same order.
+    let cache = PredictionCache::new();
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            let (cache, barrier, algorithms) = (&cache, &barrier, &algorithms);
+            let mut executor = executor.clone();
+            scope.spawn(move || {
+                barrier.wait();
+                for alg in algorithms {
+                    assert_eq!(cache.cached_isolated_call(&mut executor, alg, 0), 1e-3);
+                }
+            });
+        }
+    });
+    let mut benchmarked = std::mem::take(&mut *executor.benchmarked.lock().unwrap());
+    let benchmarks = benchmarked.len();
+    benchmarked.dedup();
+    assert_eq!(benchmarks, algorithms.len(), "each key benchmarked once");
+    assert_eq!(benchmarked.len(), algorithms.len());
+    let keys = algorithms.len();
+    assert_eq!(cache.stats(), (THREADS * keys - keys, keys));
+
+    // The first benchmark panics: its claim is released, one waiter
+    // benchmarks the key itself and the others read that value.
+    let cache = PredictionCache::new();
+    executor.fail_first.store(true, Ordering::SeqCst);
+    let outcomes: Vec<Result<f64, _>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (cache, barrier, alg) = (&cache, &barrier, &algorithms[0]);
+                let mut executor = executor.clone();
+                scope.spawn(move || {
+                    barrier.wait();
+                    cache.cached_isolated_call(&mut executor, alg, 0)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join()).collect()
+    });
+    assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 1);
+    assert!(outcomes.iter().flatten().all(|&t| t == 1e-3));
+    assert_eq!(executor.benchmarked.lock().unwrap().len(), 2);
+    assert_eq!(cache.stats(), (THREADS - 2, 2));
+    assert_eq!(cache.len(), 1);
+}
+
 #[test]
 fn factor_cache_survives_concurrent_notes_stores_and_lookups() {
     const THREADS: usize = 8;
     const KEYS: usize = 24;
     const ROUNDS: usize = 40;
     let cache = FactorCache::new();
-    let key = |k: usize| format!("potrf(leaf:S#{k}:8x8:Spd)");
+    // The key of a POTRF of order `8 + k`.
+    let key = |k: usize| {
+        let alg = single_call_algorithm(KernelOp::Potrf {
+            uplo: Uplo::Lower,
+            n: 8 + k,
+        });
+        cache.keys(&alg)[&0]
+    };
     // Bytes are held for the even keys up front; the odd keys only ever get
     // noted, so no lookup of them may ever serve bytes.
     for k in (0..KEYS).step_by(2) {
-        cache.store(&key(k), Arc::new(Matrix::identity(8)));
+        cache.store(key(k), Arc::new(Matrix::identity(8)));
     }
     let served = AtomicUsize::new(0);
     let violated = AtomicBool::new(false);
@@ -211,8 +328,8 @@ fn factor_cache_survives_concurrent_notes_stores_and_lookups() {
                     for k in 0..KEYS {
                         let key = key(k);
                         match (t + round + k) % 4 {
-                            0 => cache.note(&key),
-                            1 if k % 2 == 0 => cache.store(&key, Arc::new(Matrix::identity(8))),
+                            0 => cache.note(key),
+                            1 if k % 2 == 0 => cache.store(key, Arc::new(Matrix::identity(8))),
                             2 => {
                                 let found = cache.lookup(&key);
                                 if found.is_some() != (k % 2 == 0) {

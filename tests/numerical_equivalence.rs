@@ -216,11 +216,11 @@ fn general_solve_and_least_squares_interpret_correctly() {
 /// side, and `A*A^+*A = A` (Moore–Penrose reconstruction) for a tall `A`.
 /// At order 20 that holds to rounding, at zero sizes exactly; a second
 /// executor with the same seed reproduces every bit; and each algorithm's
-/// factorisation carries a kind-tagged cacheable identity that a second
-/// enumeration reproduces.
+/// factorisation carries a factor key that no other cacheable call of it
+/// shares and that a second enumeration reproduces.
 #[test]
 fn solve_realisations_return_what_their_identity_texts_leave() {
-    use lamb::expr::cacheable_identities;
+    use lamb::expr::{factor_keys, FactorKey};
     use lamb::matrix::ops::max_abs;
     // (text, dims at order n with k right-hand sides, the input it returns,
     // the factorisation, the number of algorithms at order 20)
@@ -264,26 +264,28 @@ fn solve_realisations_return_what_their_identity_texts_leave() {
                     |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&result), bits(&again), "{at} is not deterministic");
             }
-            // The factor-cache key is a function of the text, tagged with
-            // the factorisation's kind so kinds can never alias.
-            let identities = |algorithms: &[Algorithm]| -> Vec<Vec<String>> {
-                algorithms
-                    .iter()
-                    .map(|alg| {
-                        cacheable_identities(alg)
-                            .into_iter()
-                            .filter(|(i, _, _)| alg.calls[*i].op.mnemonic() == factor)
-                            .map(|(_, _, identity)| identity)
-                            .collect()
-                    })
-                    .collect()
+            // The factor-cache key is a function of the text, and the
+            // factorisation's kind is part of it, so kinds can never alias.
+            // Each algorithm's keys, split by whether `factor` produces them.
+            let keys = |alg: &Algorithm| -> (Vec<FactorKey>, Vec<FactorKey>) {
+                let mut split = (Vec::new(), Vec::new());
+                factor_keys(alg, |i, key| {
+                    if alg.calls[i].op.mnemonic() == factor {
+                        split.0.push(key);
+                    } else {
+                        split.1.push(key);
+                    }
+                });
+                split
+            };
+            let identities = |algorithms: &[Algorithm]| -> Vec<Vec<FactorKey>> {
+                algorithms.iter().map(|alg| keys(alg).0).collect()
             };
             let first = identities(&algorithms);
-            for (alg, ids) in algorithms.iter().zip(&first) {
+            for alg in &algorithms {
+                let (ids, others) = keys(alg);
                 assert!(!ids.is_empty(), "{text}: `{}` caches no {factor}", alg.name);
-                for identity in ids {
-                    assert!(identity.starts_with(&format!("{factor}(")), "{identity}");
-                }
+                assert!(ids.iter().all(|id| !others.contains(id)), "{text}");
             }
             let reparsed = TreeExpression::parse(text).unwrap();
             assert_eq!(

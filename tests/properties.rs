@@ -483,3 +483,81 @@ fn value_numbering_relations_hold_where_sharing_happens() {
     }
     assert!(merged >= 10, "only {merged} algorithms merged a duplicate");
 }
+
+/// The string identities factor keys replaced, kept as the reference the
+/// keys are held to: `(call index, identity)` of every cacheable call of
+/// `alg`. A leaf renders as `leaf:{name}#{raw id}:{rows}x{cols}:{structure}`,
+/// a call's result as `{op}({input identities})`, and an operand read before
+/// anything defines it as `raw:{id}`.
+fn rendered_identities(alg: &Algorithm) -> Vec<(usize, String)> {
+    use std::collections::HashMap;
+    let mut ids: HashMap<lamb::expr::OperandId, String> = alg
+        .inputs()
+        .map(|o| {
+            let (name, id, rows, cols) = (&o.name, o.id.index(), o.rows, o.cols);
+            (
+                o.id,
+                format!("leaf:{name}#{id}:{rows}x{cols}:{:?}", o.structure),
+            )
+        })
+        .collect();
+    let mut out = Vec::new();
+    for (i, call) in alg.calls.iter().enumerate() {
+        let inputs: Vec<String> = (call.inputs.iter())
+            .map(|id| (ids.get(id).cloned()).unwrap_or_else(|| format!("raw:{}", id.index())))
+            .collect();
+        let identity = format!("{}({})", call.op, inputs.join(","));
+        ids.insert(call.output, identity.clone());
+        if lamb::expr::is_cacheable_op(&call.op) {
+            out.push((i, identity));
+        }
+    }
+    out
+}
+
+#[test]
+fn factor_keys_are_equal_exactly_when_the_rendered_identities_are() {
+    use lamb::expr::{eliminate_common_subexpressions, factor_keys, FactorKey};
+    use std::collections::HashMap;
+    // Every cacheable value of every scenario family at two dimension
+    // tuples, in tree and in shared form, within and across algorithms.
+    let (mut by_text, mut by_key) = (HashMap::new(), HashMap::<FactorKey, String>::new());
+    let mut values = 0;
+    for scenario in lamb::experiments::all_scenarios() {
+        let expr = &scenario.expression;
+        let mut planned = 0;
+        for (start, step) in [(61, 7), (19, 5)] {
+            let dims: Vec<usize> = (0..expr.num_dims()).map(|i| start + step * i).collect();
+            let Ok(algorithms) = expr.algorithms(&dims) else {
+                continue;
+            };
+            planned += 1;
+            for tree in algorithms {
+                let shared = eliminate_common_subexpressions(&tree).algorithm;
+                for alg in [tree, shared] {
+                    let mut keys = Vec::new();
+                    factor_keys(&alg, |index, key| keys.push((index, key)));
+                    let texts = rendered_identities(&alg);
+                    assert_eq!(keys.len(), texts.len(), "{}", alg.name);
+                    for ((i, key), (j, text)) in keys.into_iter().zip(texts) {
+                        assert_eq!(i, j, "{}", alg.name);
+                        let known = by_text.entry(text.clone()).or_insert(key);
+                        assert_eq!(*known, key, "one identity, two keys: {text}");
+                        let known = by_key.entry(key).or_insert_with(|| text.clone());
+                        assert_eq!(*known, text, "one key, two identities");
+                        values += 1;
+                    }
+                }
+            }
+        }
+        assert!(planned > 0, "{} plans at neither tuple", scenario.name);
+    }
+    // Values repeat (the tree forms duplicate what the shared forms merge),
+    // so the equivalence is tested in both directions.
+    assert!(
+        by_key.len() >= 50,
+        "{} distinct values of {values}",
+        by_key.len()
+    );
+    assert!(values > 2 * by_key.len(), "{values} values");
+}
