@@ -369,41 +369,73 @@ impl FactorKey {
     }
 }
 
-/// Visit `(call index, key of its result)` for every
-/// [cacheable](is_cacheable_op) call of `alg`, in call order. The key is the
-/// result's at production time: a later in-place triangle copy re-keys the
-/// operand, so a snapshot filed under the pre-copy key stays correct. The
-/// table of operand keys is kept per thread between derivations, so a warm
-/// derivation allocates nothing.
-pub fn factor_keys(alg: &Algorithm, mut visit: impl FnMut(usize, FactorKey)) {
-    thread_local! {
-        static OPERANDS: Cell<Vec<FactorKey>> = const { Cell::new(Vec::new()) };
-    }
-    // Until something defines it (only in a malformed algorithm), an
-    // operand is keyed on its raw id.
-    let raw = |id: usize| FactorKey(id as u128);
-    let mut keys = OPERANDS.take();
-    keys.clear();
-    let define = |keys: &mut Vec<FactorKey>, id: OperandId, key| {
-        keys.extend((keys.len()..=id.index()).map(raw));
-        keys[id.index()] = key;
+thread_local! {
+    /// The operand-key table [`factor_keys`] derives into, kept per thread
+    /// between derivations.
+    static OPERANDS: Cell<Vec<FactorKey>> = const { Cell::new(Vec::new()) };
+}
+
+/// `(call index, key of its result)` for every [cacheable](is_cacheable_op)
+/// call of `alg`, in call order, each derived when the stream reaches it.
+/// The key is the result's at production time: a later in-place triangle
+/// copy re-keys the operand, so a snapshot filed under the pre-copy key
+/// stays correct. The table of operand keys is kept per thread between
+/// streams, so a warm derivation allocates nothing.
+pub fn factor_keys(alg: &Algorithm) -> impl Iterator<Item = (usize, FactorKey)> + '_ {
+    let mut stream = FactorKeys {
+        calls: alg.calls.iter().enumerate(),
+        keys: OPERANDS.take(),
     };
+    stream.keys.clear();
     for o in alg.inputs() {
         let leaf = (0u8, &o.name, o.id.index(), o.rows, o.cols, o.structure);
-        define(&mut keys, o.id, FactorKey::of(&leaf));
+        FactorKeys::define(&mut stream.keys, o.id, FactorKey::of(&leaf));
     }
-    for (index, call) in alg.calls.iter().enumerate() {
-        let inputs: [Option<FactorKey>; CallInputs::CAPACITY] = std::array::from_fn(|i| {
-            let id = call.inputs.get(i)?.index();
-            Some(keys.get(id).copied().unwrap_or_else(|| raw(id)))
-        });
-        let key = FactorKey::of(&(1u8, &call.op, inputs));
-        define(&mut keys, call.output, key);
-        if is_cacheable_op(&call.op) {
-            visit(index, key);
-        }
+    stream
+}
+
+/// The stream [`factor_keys`] returns: the calls still to key, and every
+/// operand's current key by id. Dropping it hands the table back to the
+/// thread.
+struct FactorKeys<'a> {
+    calls: std::iter::Enumerate<std::slice::Iter<'a, KernelCall>>,
+    keys: Vec<FactorKey>,
+}
+
+impl FactorKeys<'_> {
+    /// Until something defines it (only in a malformed algorithm), an
+    /// operand is keyed on its raw id.
+    fn raw(id: usize) -> FactorKey {
+        FactorKey(id as u128)
     }
-    OPERANDS.set(keys);
+
+    fn define(keys: &mut Vec<FactorKey>, id: OperandId, key: FactorKey) {
+        keys.extend((keys.len()..=id.index()).map(Self::raw));
+        keys[id.index()] = key;
+    }
+}
+
+impl Iterator for FactorKeys<'_> {
+    type Item = (usize, FactorKey);
+
+    fn next(&mut self) -> Option<(usize, FactorKey)> {
+        let keys = &mut self.keys;
+        self.calls.find_map(|(index, call)| {
+            let inputs: [Option<FactorKey>; CallInputs::CAPACITY] = std::array::from_fn(|i| {
+                let id = call.inputs.get(i)?.index();
+                Some(keys.get(id).copied().unwrap_or_else(|| Self::raw(id)))
+            });
+            let key = FactorKey::of(&(1u8, &call.op, inputs));
+            Self::define(keys, call.output, key);
+            is_cacheable_op(&call.op).then_some((index, key))
+        })
+    }
+}
+
+impl Drop for FactorKeys<'_> {
+    fn drop(&mut self) {
+        OPERANDS.set(std::mem::take(&mut self.keys));
+    }
 }
 
 #[cfg(test)]
@@ -624,11 +656,9 @@ mod tests {
         );
     }
 
-    /// The keys [`factor_keys`] reports for `alg`.
+    /// The keys [`factor_keys`] streams for `alg`.
     fn keys_of(alg: &Algorithm) -> Vec<(usize, FactorKey)> {
-        let mut keys = Vec::new();
-        factor_keys(alg, |index, key| keys.push((index, key)));
-        keys
+        factor_keys(alg).collect()
     }
 
     #[test]

@@ -6,7 +6,10 @@
 use crate::executor::{AlgorithmTiming, Executor};
 use crate::machine::MachineModel;
 use crate::reuse::{FactorCache, ReuseReport};
-use lamb_expr::{Algorithm, KernelCall, KernelOp, OperandId, OperandInfo, OperandRole};
+use lamb_expr::{
+    factor_keys, is_cacheable_op, Algorithm, KernelCall, KernelOp, OperandId, OperandInfo,
+    OperandRole,
+};
 use lamb_kernels::{Backend, BlockConfig, CacheFlusher, NativeBackend, TimingResult};
 use lamb_matrix::ops::{is_symmetric, is_triangular};
 use lamb_matrix::random::{random_seeded_into, random_spd_into, random_triangular_into};
@@ -187,14 +190,17 @@ impl<'e> Walk<'e> {
     /// Allocate the operands `call` touches that the map does not hold yet.
     /// A walk does this before a call that actually runs, so an operand
     /// whose only readers were served from a factor store (the matrix behind
-    /// a resident factorisation) is never generated. `deposited` lists the
-    /// operands the walk will hand to a factor store.
-    fn allocate(&mut self, call: &KernelCall, deposited: &[OperandId], all_inputs: bool) {
+    /// a resident factorisation) is never generated. With `deposits` set
+    /// (the walk has a factor store), the operands a cacheable call writes
+    /// are handed to it.
+    fn allocate(&mut self, call: &KernelCall, deposits: bool, all_inputs: bool) {
         for id in call.inputs.iter().copied().chain([call.output]) {
             if self.held(id).is_none() {
                 let info = self.alg.operand(id).expect("operand declared");
                 let returned = self.returns_output && self.output_id() == Some(id);
-                let m = self.materialise(info, returned || deposited.contains(&id), all_inputs);
+                let deposited = deposits
+                    && (self.alg.calls.iter()).any(|c| c.output == id && is_cacheable_op(&c.op));
+                let m = self.materialise(info, returned || deposited, all_inputs);
                 self.operands[id.index()] = Some(Arc::new(m));
             }
         }
@@ -233,8 +239,7 @@ impl<'e> Walk<'e> {
         mut observe: impl FnMut(usize, &KernelCall, Option<f64>),
     ) {
         let alg = self.alg;
-        let cacheable = store.map(|store| store.keys(alg)).unwrap_or_default();
-        let deposited: Vec<OperandId> = cacheable.keys().map(|&i| alg.calls[i].output).collect();
+        let mut keys = store.map(|_| factor_keys(alg).peekable());
         // The last call that touches each operand (none for the output,
         // which is never recycled, nor for any when nothing is released).
         let mut last_use = vec![usize::MAX; self.operands.len()];
@@ -248,15 +253,18 @@ impl<'e> Walk<'e> {
             last_use[output.index()] = usize::MAX;
         }
         for (i, call) in alg.calls.iter().enumerate() {
-            let key = store.zip(cacheable.get(&i));
-            if let Some(resident) = key.and_then(|(store, key)| store.lookup(key)) {
+            let key = keys
+                .as_mut()
+                .and_then(|keys| keys.next_if(|&(j, _)| j == i));
+            let key = store.zip(key.map(|(_, key)| key));
+            if let Some(resident) = key.and_then(|(store, key)| store.lookup(&key)) {
                 let slot = &mut self.operands[call.output.index()];
                 if let Some(displaced) = slot.replace(resident) {
                     self.recycle(displaced);
                 }
                 observe(i, call, None);
             } else {
-                self.allocate(call, &deposited, false);
+                self.allocate(call, store.is_some(), false);
                 let start = Instant::now();
                 self.exec.run_call(call, &mut self.operands);
                 let seconds = start.elapsed().as_secs_f64();
@@ -265,7 +273,7 @@ impl<'e> Walk<'e> {
                     // to a copy of its own (and re-keys the copied operand,
                     // so it can never alias this key).
                     let computed = self.held(call.output).expect("output allocated");
-                    store.store(*key, Arc::clone(computed));
+                    store.store(key, Arc::clone(computed));
                 }
                 observe(i, call, Some(seconds));
             }
@@ -506,7 +514,7 @@ impl Executor for MeasuredExecutor {
         // walk computes leaves it.
         let mut walk = Walk::repeated(self, alg);
         for call in &alg.calls {
-            walk.allocate(call, &[], false);
+            walk.allocate(call, false, false);
         }
         let mut total_samples = Vec::with_capacity(self.reps);
         let mut call_samples = vec![Vec::with_capacity(self.reps); alg.calls.len()];
@@ -564,7 +572,7 @@ impl Executor for MeasuredExecutor {
         // TRSM against a random dense matrix could overflow mid-benchmark).
         let mut flusher = self.flusher.take();
         let mut walk = Walk::repeated(self, alg);
-        walk.allocate(call, &[], true);
+        walk.allocate(call, false, true);
         let mut samples = Vec::with_capacity(self.reps);
         for _ in 0..self.reps {
             if let Some(flusher) = &mut flusher {
@@ -587,6 +595,12 @@ mod tests {
 
     fn tiny_executor() -> MeasuredExecutor {
         MeasuredExecutor::new(MachineModel::generic_laptop(), BlockConfig::default(), 2, 0)
+    }
+
+    /// The factor key of call `index` of `alg`.
+    fn key_of(alg: &Algorithm, index: usize) -> lamb_expr::FactorKey {
+        let mut keys = factor_keys(alg);
+        keys.find(|&(i, _)| i == index).expect("a cacheable call").1
     }
 
     #[test]
@@ -788,9 +802,9 @@ mod tests {
             .iter()
             .position(|c| c.op.mnemonic() == "potrf")
             .unwrap();
-        let keys = cold.keys(solve);
+        let key = key_of(solve, potrf);
         let store = FactorCache::new();
-        store.store(keys[&potrf], cold.lookup(&keys[&potrf]).unwrap());
+        store.store(key, cold.lookup(&key).unwrap());
 
         // A walk that keeps its operands, so the map can be inspected.
         let mut walk = Walk::new(&exec, solve, true);
@@ -808,7 +822,7 @@ mod tests {
         assert!(walk.held(b.id).is_some());
         // The factor in the walk is the cache's own matrix, not a copy.
         let factor = walk.held(solve.calls[potrf].output).unwrap();
-        assert!(Arc::ptr_eq(factor, &store.lookup(&keys[&potrf]).unwrap()));
+        assert!(Arc::ptr_eq(factor, &store.lookup(&key).unwrap()));
         let result = walk.take_output();
         assert_eq!(bits(&result), bits(&exec.compute_result(solve)));
     }
@@ -828,7 +842,7 @@ mod tests {
             for dims in sizes {
                 let mut exec = tiny_executor();
                 for alg in &algorithms_of(text, dims) {
-                    let cacheable = FactorCache::new().keys(alg).len();
+                    let cacheable = factor_keys(alg).count();
                     let reference = bits(&exec.compute_result(alg));
                     let store = FactorCache::new();
                     let (cold, cold_report) = exec.compute_result_reusing(alg, &store);
@@ -901,7 +915,7 @@ mod tests {
         assert!(is_symmetric(&reference, 0.0).unwrap());
 
         let store = FactorCache::new();
-        let key = &store.keys(&alg)[&0];
+        let key = &key_of(&alg, 0);
         let mut walk = Walk::new(&exec, &alg, true);
         let mut snapshot = None;
         walk.run(Some(&store), |i, _, _| {
@@ -939,7 +953,7 @@ mod tests {
         let exec = tiny_executor();
         let store = FactorCache::new();
         let last = solve.calls.len() - 1;
-        let key = &store.keys(solve)[&last];
+        let key = &key_of(solve, last);
         for pass in ["cold", "warm"] {
             let (mut result, _) = exec.compute_result_reusing(solve, &store);
             let cached = store.lookup(key).expect("final solve deposited");
@@ -1020,8 +1034,8 @@ mod tests {
 
     /// The store's deposits for `alg`, each its own exact-size allocation.
     fn assert_deposits_exact(store: &FactorCache, alg: &Algorithm, what: &str) {
-        for key in store.keys(alg).values() {
-            if let Some(m) = store.lookup(key) {
+        for (_, key) in factor_keys(alg) {
+            if let Some(m) = store.lookup(&key) {
                 assert_eq!(m.capacity(), m.len(), "{what}: deposit {key:?}");
             }
         }

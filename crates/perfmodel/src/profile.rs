@@ -186,18 +186,6 @@ impl CallTimeTable {
         table
     }
 
-    /// Return the memoised time for `op`, computing and storing it with
-    /// `compute` on first use.
-    pub fn get_or_insert_with(&mut self, op: &KernelOp, compute: impl FnOnce() -> f64) -> f64 {
-        let key = TimingKey::of(op);
-        if let Some(t) = self.lookup_key(&key) {
-            return t;
-        }
-        let t = compute();
-        self.insert_key(key, t);
-        t
-    }
-
     /// Return the memoised time for `op` if present, recording a hit or miss.
     ///
     /// Together with [`CallTimeTable::insert`] this supports callers (like the
@@ -322,12 +310,23 @@ mod tests {
         assert!(csv.contains("20,0.300000"));
     }
 
+    /// The time `table` memoises for `op`, computed by `compute` and filed
+    /// on a miss: a lookup and an insert under one key.
+    fn memoised(table: &mut CallTimeTable, op: &KernelOp, compute: impl FnOnce() -> f64) -> f64 {
+        let key = TimingKey::of(op);
+        table.lookup_key(&key).unwrap_or_else(|| {
+            let t = compute();
+            table.insert_key(key, t);
+            t
+        })
+    }
+
     #[test]
     fn call_table_memoises() {
         let mut table = CallTimeTable::new();
         let mut evaluations = 0;
         for _ in 0..3 {
-            let t = table.get_or_insert_with(&gemm_op(50), || {
+            let t = memoised(&mut table, &gemm_op(50), || {
                 evaluations += 1;
                 1.25
             });
@@ -338,7 +337,7 @@ mod tests {
         assert!(!table.is_empty());
         assert_eq!(table.stats(), (2, 1));
         // A different k is a different call.
-        table.get_or_insert_with(&gemm_op(51), || 2.0);
+        memoised(&mut table, &gemm_op(51), || 2.0);
         assert_eq!(table.len(), 2);
     }
 
@@ -358,7 +357,7 @@ mod tests {
         assert_eq!(table.lookup(&transposed), Some(1.5));
         assert_eq!(table.len(), 1);
         let mut benchmarked = false;
-        let t = table.get_or_insert_with(&transposed, || {
+        let t = memoised(&mut table, &transposed, || {
             benchmarked = true;
             9.9
         });

@@ -1,7 +1,6 @@
 //! Cross-execution factor reuse: the [`FactorCache`] that holds computed
-//! factors between executions and answers every residency question, and
-//! the [`ReuseReport`] accounting executors produce when they run an
-//! algorithm against it.
+//! factors between executions, and the [`ReuseReport`] accounting executors
+//! produce when they run an algorithm against it.
 //!
 //! The cache files a factor under its structural key
 //! ([`lamb_expr::factor_keys`]): a 128-bit value that pins down the exact
@@ -14,12 +13,15 @@
 //!
 //! An entry holds actual bytes (measured execution) or is merely *noted* as
 //! resident (planning and simulated execution, where only the time model
-//! needs to know a factor would be warm). [`FactorCache`] is the one store
-//! and the one place residency is answered: the executors' walks read an
-//! algorithm's keys from it, and `lamb-plan` (which re-exports it) asks it
-//! which calls are resident and what FLOPs remain. A single mutex-guarded
-//! map: every caller walks one algorithm at a time, so nothing contends for
-//! it.
+//! needs to know a factor would be warm). Residency is asked one key at a
+//! time: every consumer — the executors' walks here, `lamb-plan`'s scoring
+//! and prediction (which re-exports the cache) — streams an algorithm's
+//! keys from [`lamb_expr::factor_keys`] once, in call order, inside its own
+//! call loop, and asks [`FactorCache::contains`] / [`FactorCache::lookup`]
+//! (or files with [`FactorCache::store`] / [`FactorCache::note`]) as each
+//! key arrives. Nothing collects the keys or the resident calls. A single
+//! mutex-guarded map: every caller walks one algorithm at a time, so
+//! nothing contends for it.
 
 use lamb_expr::{factor_keys, Algorithm, FactorKey, KernelCall, KernelOp};
 use lamb_matrix::Matrix;
@@ -81,18 +83,6 @@ impl FactorCache {
             .sum()
     }
 
-    /// The key of every [cacheable](lamb_expr::is_cacheable_op) call of
-    /// `alg`, by call index: what an executor's walk consults the cache
-    /// under.
-    #[must_use]
-    pub fn keys(&self, alg: &Algorithm) -> HashMap<usize, FactorKey> {
-        let mut keys = HashMap::new();
-        factor_keys(alg, |index, key| {
-            keys.insert(index, key);
-        });
-        keys
-    }
-
     /// The resident matrix for `key`, if its bytes are held.
     #[must_use]
     pub fn lookup(&self, key: &FactorKey) -> Option<Arc<Matrix>> {
@@ -122,43 +112,13 @@ impl FactorCache {
         self.entries().factors.entry(key).or_insert(None);
     }
 
-    /// Indices of the calls of `alg` whose cacheable result is resident,
-    /// ascending.
-    #[must_use]
-    pub fn resident_calls(&self, alg: &Algorithm) -> Vec<usize> {
-        let entries = self.entries();
-        let mut resident = Vec::new();
-        factor_keys(alg, |index, key| {
-            if entries.factors.contains_key(&key) {
-                resident.push(index);
-            }
-        });
-        resident
-    }
-
-    /// The FLOPs `alg` actually pays given the residency here: its (already
-    /// DAG-deduplicated) total minus the calls whose cacheable result is
-    /// resident. This is the batch-level FLOP discriminant — a shared-factor
-    /// algorithm gets cheaper as the cache warms.
-    #[must_use]
-    pub fn effective_flops(&self, alg: &Algorithm) -> u64 {
-        let entries = self.entries();
-        let mut saved = 0;
-        factor_keys(alg, |index, key| {
-            if entries.factors.contains_key(&key) {
-                saved += alg.calls[index].flops();
-            }
-        });
-        alg.flops().saturating_sub(saved)
-    }
-
     /// Note every cacheable result `alg` computes as resident (the planner
     /// registers a chosen algorithm's factors for the requests after it).
     pub fn note_factors(&self, alg: &Algorithm) {
         let mut entries = self.entries();
-        factor_keys(alg, |_, key| {
+        for (_, key) in factor_keys(alg) {
             entries.factors.entry(key).or_insert(None);
-        });
+        }
     }
 }
 
@@ -220,7 +180,8 @@ mod tests {
             uplo: Uplo::Lower,
             n,
         });
-        FactorCache::new().keys(&alg)[&0]
+        let (_, key) = factor_keys(&alg).next().expect("POTRF is cacheable");
+        key
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::efficiency::AnalyticEfficiencyModel;
 use crate::executor::{AlgorithmTiming, Executor};
 use crate::machine::MachineModel;
 use crate::reuse::{FactorCache, ReuseReport};
-use lamb_expr::{Algorithm, KernelCall, KernelOp};
+use lamb_expr::{factor_keys, Algorithm, KernelCall, KernelOp};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -189,15 +189,18 @@ impl SimulatedExecutor {
         store: Option<&FactorCache>,
         mut observe: impl FnMut(&KernelCall, bool),
     ) -> AlgorithmTiming {
-        let cacheable = store.map(|store| store.keys(alg)).unwrap_or_default();
+        let mut keys = store.map(|_| factor_keys(alg).peekable());
         AlgorithmTiming::from_calls(alg, |i, call| {
-            let key = store.zip(cacheable.get(&i));
-            let reused = key.is_some_and(|(store, key)| store.contains(key));
+            let key = keys
+                .as_mut()
+                .and_then(|keys| keys.next_if(|&(j, _)| j == i));
+            let key = store.zip(key.map(|(_, key)| key));
+            let reused = key.is_some_and(|(store, key)| store.contains(&key));
             observe(call, reused);
             if reused {
                 return 0.0;
             }
-            if let Some((store, &key)) = key {
+            if let Some((store, key)) = key {
                 store.note(key);
             }
             self.base_call_time(call)
@@ -367,7 +370,7 @@ mod tests {
         let (cold_t, cold) = sim.execute_algorithm_reusing(solve, &store);
         assert_eq!(cold.reused_calls, 0);
         assert_eq!(cold.executed("potrf"), 1);
-        assert!(store.contains(&store.keys(solve)[&0]));
+        assert!(store.contains(&factor_keys(solve).next().unwrap().1));
         let (warm_t, warm) = sim.execute_algorithm_reusing(solve, &store);
         assert_eq!(warm.executed("potrf"), 0);
         assert!(warm.reused_flops > 0);

@@ -28,6 +28,7 @@
 //!
 //! [`Planner`]: crate::Planner
 
+use crate::cache::residency;
 use crate::plan::{Plan, PlanError};
 use crate::planner::{impl_settings_builder, NamedPolicy, Settings};
 use lamb_expr::{ParseError, TreeExpression};
@@ -324,10 +325,8 @@ impl BatchPlanner {
         for plan in results.iter_mut().flatten() {
             // Fast path: a plan none of whose candidates can reuse anything
             // resident keeps its phase-one scores untouched.
-            let any_resident = plan
-                .algorithms
-                .iter()
-                .any(|alg| !fc.resident_calls(alg).is_empty());
+            let any_resident = (plan.algorithms.iter())
+                .any(|alg| residency(Some(fc), alg).any(|resident| resident));
             if any_resident {
                 let rescored = settings.score(&plan.algorithms, executor.as_mut(), Some(fc));
                 if let Ok(rescored) = rescored {
@@ -581,6 +580,7 @@ mod tests {
 
     #[test]
     fn mixed_spd_and_general_factor_identities_never_collide() {
+        use lamb_expr::factor_keys;
         use lamb_perfmodel::{Executor as _, MeasuredExecutor};
         use std::collections::HashMap;
         // Same operand name, same dims: only the declared structure (and so
@@ -600,7 +600,7 @@ mod tests {
         // Each cacheable value's key, with the kernel that produces it.
         let identities = |plan: &Plan| -> HashMap<_, &str> {
             let alg = plan.chosen_algorithm();
-            (fc.keys(alg).into_iter())
+            (factor_keys(alg))
                 .map(|(i, key)| (key, alg.calls[i].op.mnemonic()))
                 .collect()
         };

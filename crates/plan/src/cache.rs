@@ -32,7 +32,7 @@
 //! [`PredictionCache::preload`] and exported back with
 //! [`PredictionCache::snapshot`].
 
-use lamb_expr::Algorithm;
+use lamb_expr::{factor_keys, Algorithm};
 use lamb_perfmodel::{
     AlgorithmTiming, CallTimeTable, Executor, FactorCache, MachineModel, TimingKey,
 };
@@ -115,11 +115,10 @@ impl PredictionCache {
     /// with the same timing key). Hit/miss counters are unaffected.
     ///
     /// Entries are canonicalised to their timing key *before* shard routing:
-    /// [`cached_isolated_call`](PredictionCache::cached_isolated_call) hashes
-    /// the canonical key to pick a shard, so a non-canonical key in a loaded
-    /// or merged calibration store (e.g. a transposed GEMM variant) would
-    /// otherwise land in a shard the lookups never consult — silently turning
-    /// every warm start into a cold re-benchmark.
+    /// a lookup hashes the canonical key to pick a shard, so a non-canonical
+    /// key in a loaded or merged calibration store (e.g. a transposed GEMM
+    /// variant) would otherwise land in a shard the lookups never consult —
+    /// silently turning every warm start into a cold re-benchmark.
     pub fn preload(&self, table: &CallTimeTable) {
         for (op, seconds) in table.entries() {
             let key = TimingKey::of(op);
@@ -137,23 +136,6 @@ impl PredictionCache {
             merged.merge_from(&shard.lock().times);
         }
         merged
-    }
-
-    /// Time call `index` of `alg` in isolation, reusing the memoised result
-    /// when a call with the same timing key has been benchmarked before.
-    ///
-    /// The shard lock is *not* held while the executor runs, so concurrent
-    /// workers never serialise on a slow benchmark of another key; a worker
-    /// that misses a key another one is benchmarking waits for that value
-    /// instead of benchmarking it again (see the module documentation).
-    pub fn cached_isolated_call(
-        &self,
-        executor: &mut dyn Executor,
-        alg: &Algorithm,
-        index: usize,
-    ) -> f64 {
-        let key = TimingKey::of(&alg.calls[index].op);
-        self.seconds_of(&key, || executor.time_isolated_call(alg, index))
     }
 
     /// The memoised seconds of `key`, or those `benchmark` measures (stored
@@ -177,13 +159,6 @@ impl PredictionCache {
         let t = benchmark();
         claim.seconds = Some(t);
         t
-    }
-
-    /// Predict `alg`'s time as the sum of its (cached) isolated-call
-    /// benchmarks — what [`Executor::predict_from_isolated_calls`] returns
-    /// through a [`CachingExecutor`] over this cache.
-    pub fn predict(&self, executor: &mut dyn Executor, alg: &Algorithm) -> AlgorithmTiming {
-        AlgorithmTiming::from_calls(alg, |i, _| self.cached_isolated_call(executor, alg, i))
     }
 
     /// Number of distinct timing keys benchmarked (or preloaded) so far.
@@ -218,9 +193,25 @@ impl PredictionCache {
 /// search.
 const MEMO_KEYS: usize = 64;
 
+/// Whether each call of `alg` is resident in `factors`, in call order: the
+/// one residency pass. It streams `alg`'s factor keys once and asks the
+/// cache about each as its call comes up; without a cache every call is
+/// non-resident and no key is derived.
+pub(crate) fn residency<'k>(
+    factors: Option<&'k FactorCache>,
+    alg: &'k Algorithm,
+) -> impl Iterator<Item = bool> + 'k {
+    let mut keys = factors.map(|fc| (fc, factor_keys(alg).peekable()));
+    (0..alg.calls.len()).map(move |i| {
+        keys.as_mut().is_some_and(|(fc, keys)| {
+            (keys.next_if(|&(j, _)| j == i)).is_some_and(|(_, key)| fc.contains(&key))
+        })
+    })
+}
+
 /// An [`Executor`] adapter that routes isolated-call benchmarks through a
 /// [`PredictionCache`] and passes whole-algorithm executions straight
-/// through.
+/// through: the only way into the shared cache.
 ///
 /// Selection policies receive this adapter from the planner, so
 /// `MinPredictedTime` and `Hybrid` transparently share profile benchmarks
@@ -237,9 +228,12 @@ const MEMO_KEYS: usize = 64;
 /// Given a [`FactorCache`] ([`CachingExecutor::with_factor_cache`]) the
 /// adapter is also *residency aware*: a call whose cacheable result is
 /// resident costs zero seconds (it would be injected, not recomputed) and
-/// never reaches the prediction cache or the memo. Executions still pass
-/// through untouched — selection-time execution must not deposit factors
-/// the batch never actually computes.
+/// never reaches the prediction cache or the memo. Every price it gives —
+/// one call's, an algorithm's per-call breakdown, its sum, and the
+/// planner's FLOP score — reads residency from one pass over the
+/// algorithm's factor keys, so they agree bit for bit. Executions still
+/// pass through untouched — selection-time execution must not deposit
+/// factors the batch never actually computes.
 pub struct CachingExecutor<'a> {
     inner: &'a mut dyn Executor,
     cache: &'a PredictionCache,
@@ -267,10 +261,10 @@ impl<'a> CachingExecutor<'a> {
     }
 
     /// The isolated-call seconds of call `index` of `alg`: zero when it is
-    /// one of the `resident` calls, else from the memo, else from the shared
-    /// cache (benchmarked by the inner executor on a miss) and remembered.
-    fn call_seconds(&mut self, alg: &Algorithm, resident: &[usize], index: usize) -> f64 {
-        if resident.contains(&index) {
+    /// `resident`, else from the memo, else from the shared cache
+    /// (benchmarked by the inner executor on a miss) and remembered.
+    fn call_seconds(&mut self, alg: &Algorithm, index: usize, resident: bool) -> f64 {
+        if resident {
             return 0.0;
         }
         let key = TimingKey::of(&alg.calls[index].op);
@@ -290,6 +284,23 @@ impl<'a> CachingExecutor<'a> {
         }
         t
     }
+
+    /// `alg`'s FLOPs and, with `seconds` set, its predicted seconds, both
+    /// priced in one pass over its calls: the resident ones cost zero FLOPs
+    /// and zero seconds, and the seconds are folded from `0.0` in call
+    /// order, as [`Executor::predicted_seconds`] documents.
+    pub(crate) fn price(&mut self, alg: &Algorithm, seconds: bool) -> (u64, Option<f64>) {
+        let (mut saved, mut total) = (0, 0.0);
+        for (i, resident) in residency(self.factors, alg).enumerate() {
+            if resident {
+                saved += alg.calls[i].flops();
+            }
+            if seconds {
+                total += self.call_seconds(alg, i, resident);
+            }
+        }
+        (alg.flops().saturating_sub(saved), seconds.then_some(total))
+    }
 }
 
 impl Executor for CachingExecutor<'_> {
@@ -306,28 +317,19 @@ impl Executor for CachingExecutor<'_> {
     }
 
     fn time_isolated_call(&mut self, alg: &Algorithm, call_index: usize) -> f64 {
-        let resident = self
-            .factors
-            .map_or_else(Vec::new, |fc| fc.resident_calls(alg));
-        self.call_seconds(alg, &resident, call_index)
+        let resident = residency(self.factors, alg).nth(call_index);
+        self.call_seconds(alg, call_index, resident == Some(true))
     }
 
-    /// The sum of the isolated-call times, with the resident calls resolved
-    /// once for the whole algorithm instead of once per call.
     fn predict_from_isolated_calls(&mut self, alg: &Algorithm) -> AlgorithmTiming {
-        let resident = self
-            .factors
-            .map_or_else(Vec::new, |fc| fc.resident_calls(alg));
-        AlgorithmTiming::from_calls(alg, |i, _| self.call_seconds(alg, &resident, i))
+        let mut resident = residency(self.factors, alg);
+        AlgorithmTiming::from_calls(alg, |i, _| {
+            self.call_seconds(alg, i, resident.next() == Some(true))
+        })
     }
 
-    /// The same sum without the per-call breakdown, the resident calls
-    /// again resolved once.
     fn predicted_seconds(&mut self, alg: &Algorithm) -> f64 {
-        let resident = self
-            .factors
-            .map_or_else(Vec::new, |fc| fc.resident_calls(alg));
-        (0..alg.calls.len()).fold(0.0, |total, i| total + self.call_seconds(alg, &resident, i))
+        self.price(alg, true).1.unwrap_or_default()
     }
 }
 
@@ -347,13 +349,24 @@ mod tests {
     fn cached_prediction_equals_uncached_prediction() {
         let cache = PredictionCache::new();
         let mut cached_exec = SimulatedExecutor::paper_like();
+        let mut caching = CachingExecutor::new(&mut cached_exec, &cache);
         let mut plain_exec = SimulatedExecutor::paper_like();
         for alg in algorithms_of("A*A^T*B", &[80, 514, 768]) {
-            let cached = cache.predict(&mut cached_exec, &alg);
+            let cached = caching.predict_from_isolated_calls(&alg);
             let plain = plain_exec.predict_from_isolated_calls(&alg);
             assert_eq!(cached.seconds, plain.seconds, "{}", alg.name);
             assert_eq!(cached.per_call, plain.per_call, "{}", alg.name);
         }
+    }
+
+    /// `alg`'s prediction through a fresh adapter over `cache`, as one
+    /// plan would price it.
+    fn predict(
+        cache: &PredictionCache,
+        exec: &mut dyn Executor,
+        alg: &Algorithm,
+    ) -> AlgorithmTiming {
+        CachingExecutor::new(exec, cache).predict_from_isolated_calls(alg)
     }
 
     #[test]
@@ -362,11 +375,11 @@ mod tests {
         let mut exec = SimulatedExecutor::paper_like();
         let algs = algorithms_of("A*A^T*B", &[100, 200, 300]);
         for alg in &algs {
-            cache.predict(&mut exec, alg);
+            predict(&cache, &mut exec, alg);
         }
         let (_, misses_first) = cache.stats();
         for alg in &algs {
-            cache.predict(&mut exec, alg);
+            predict(&cache, &mut exec, alg);
         }
         let (hits, misses) = cache.stats();
         assert_eq!(misses, misses_first, "second pass must not re-benchmark");
@@ -383,7 +396,7 @@ mod tests {
         let algs = algorithms_of("A*A^T*B", &[120, 340, 560]);
         let baseline: Vec<f64> = algs
             .iter()
-            .map(|a| first.predict(&mut exec, a).seconds)
+            .map(|a| predict(&first, &mut exec, a).seconds)
             .collect();
         let snapshot = first.snapshot();
         assert_eq!(snapshot.len(), first.len());
@@ -392,7 +405,7 @@ mod tests {
         assert_eq!(warmed.len(), first.len());
         let warm_predictions: Vec<f64> = algs
             .iter()
-            .map(|a| warmed.predict(&mut exec, a).seconds)
+            .map(|a| predict(&warmed, &mut exec, a).seconds)
             .collect();
         for (cold, warm) in baseline.iter().zip(&warm_predictions) {
             assert_eq!(cold.to_bits(), warm.to_bits());
@@ -408,7 +421,7 @@ mod tests {
         // transposed kernel variants must warm-start the cache so that
         // *every* spelling of the same timing key hits. `preload` used to
         // route entries to shards by the raw key's hash while
-        // `cached_isolated_call` routes lookups by the canonical key's hash
+        // lookups are routed by the canonical key's hash
         // — safe only because every `CallTimeTable` mutation path happens to
         // canonicalise on insert. `preload` (and `merge_from`) now enforce
         // the invariant locally, so a non-canonical producer (an older or
@@ -469,6 +482,10 @@ mod tests {
             "left- and right-side entries of equal dimensions must not alias"
         );
         let mut exec = SimulatedExecutor::paper_like();
+        // One lookup per adapter, so every lookup reaches the shared cache.
+        let mut seconds = |cache: &PredictionCache, alg: &Algorithm| {
+            CachingExecutor::new(&mut exec, cache).time_isolated_call(alg, 0)
+        };
         for (transa, transb) in variants {
             let alg = single_call_algorithm(KernelOp::Gemm {
                 transa,
@@ -478,7 +495,7 @@ mod tests {
                 k: 32,
             });
             assert_eq!(
-                cache.cached_isolated_call(&mut exec, &alg, 0),
+                seconds(&cache, &alg),
                 1.5e-3,
                 "{transa:?}{transb:?} must hit the preloaded entry"
             );
@@ -491,7 +508,7 @@ mod tests {
             m: 40,
             n: 24,
         });
-        assert_eq!(cache.cached_isolated_call(&mut exec, &trmm, 0), 2.5e-4);
+        assert_eq!(seconds(&cache, &trmm), 2.5e-4);
         // The right-side entry hits under *its* canonical spelling and stays
         // distinct from the left-side entry of identical dimensions.
         let trmm_r = single_call_algorithm(KernelOp::Trmm {
@@ -501,7 +518,7 @@ mod tests {
             m: 40,
             n: 24,
         });
-        assert_eq!(cache.cached_isolated_call(&mut exec, &trmm_r, 0), 7.5e-4);
+        assert_eq!(seconds(&cache, &trmm_r), 7.5e-4);
         let (hits, misses) = cache.stats();
         assert_eq!(misses, 0, "a warm-started cache must never re-benchmark");
         assert_eq!(hits, variants.len() + 2);
@@ -509,8 +526,8 @@ mod tests {
         let snapshot = cache.snapshot();
         assert_eq!(snapshot.len(), 3);
         let rewarmed = PredictionCache::from_table(&snapshot);
-        assert_eq!(rewarmed.cached_isolated_call(&mut exec, &trmm, 0), 2.5e-4);
-        assert_eq!(rewarmed.cached_isolated_call(&mut exec, &trmm_r, 0), 7.5e-4);
+        assert_eq!(seconds(&rewarmed, &trmm), 2.5e-4);
+        assert_eq!(seconds(&rewarmed, &trmm_r), 7.5e-4);
         assert_eq!(rewarmed.stats().1, 0);
     }
 
@@ -559,8 +576,8 @@ mod tests {
         // the per-call sum it replaces.
         let predicted = reuse.predict_from_isolated_calls(&alg);
         assert_eq!(predicted.seconds, cold.iter().sum::<f64>());
-        assert_eq!(factors.effective_flops(&alg), alg.flops());
-        assert!(factors.resident_calls(&alg).is_empty());
+        assert_eq!(reuse.price(&alg, false), (alg.flops(), None));
+        assert!(!residency(Some(&factors), &alg).any(|resident| resident));
 
         // Mark every cacheable node resident, as a batch would after planning
         // an identical earlier request.
@@ -570,7 +587,7 @@ mod tests {
             .iter()
             .position(|c| c.op.mnemonic() == "potrf")
             .unwrap();
-        assert!(factors.resident_calls(&alg).contains(&potrf_index));
+        assert_eq!(residency(Some(&factors), &alg).nth(potrf_index), Some(true));
         let warm = per_call(&mut reuse);
         assert_eq!(warm[potrf_index], 0.0);
         let predicted = reuse.predict_from_isolated_calls(&alg);
@@ -578,7 +595,9 @@ mod tests {
         let by_call: Vec<f64> = predicted.per_call.iter().map(|c| c.seconds).collect();
         assert_eq!(by_call, warm);
         assert!(predicted.seconds < cold.iter().sum::<f64>());
-        assert!(factors.effective_flops(&alg) < alg.flops());
+        let (flops, seconds) = reuse.price(&alg, true);
+        assert!(flops < alg.flops());
+        assert_eq!(seconds, Some(predicted.seconds));
         // Executions pass through untouched (no store mutation on selection).
         let before = factors.len();
         let _ = reuse.execute_algorithm(&alg);

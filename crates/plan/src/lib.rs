@@ -56,11 +56,12 @@
 //! * [`FactorCache`] — the factor store (defined beside the executors in
 //!   `lamb_perfmodel::reuse`, re-exported here): computed factors (Cholesky
 //!   and LU factors, Gram products, half-solves) filed by structural key,
-//!   shared across the plans of a planner or the requests of a batch, and
-//!   the one place residency is answered. Given one, scoring prices
-//!   resident factors at zero — [`FactorCache::effective_flops`] for the
-//!   FLOP score, the same [`CachingExecutor`] for the predicted seconds —
-//!   so `MinPredictedTime` prefers shared-factor algorithms.
+//!   shared across the plans of a planner or the requests of a batch. Given
+//!   one, scoring prices resident factors at zero FLOPs and zero seconds:
+//!   the [`CachingExecutor`] streams each candidate's factor keys once, in
+//!   call order, and asks [`FactorCache::contains`] per key while it prices
+//!   the FLOP score and the predicted seconds together, so
+//!   `MinPredictedTime` prefers shared-factor algorithms.
 //! * [`BatchPlanner`] / [`BatchRequest`] — the batch-serving front end: the
 //!   same settings and setters as [`Planner`] without the expression. It
 //!   parses a whole file of expression instances, fans them out across rayon

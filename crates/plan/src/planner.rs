@@ -175,9 +175,10 @@ impl Settings {
     /// Score every algorithm — FLOPs, and predicted seconds through the
     /// shared prediction cache when prediction scoring is on — and let the
     /// policy choose. Factors resident in `factors` are priced at zero FLOPs
-    /// and zero seconds, for the scores and for the policy alike. Scores and
-    /// policy share one [`CachingExecutor`], so each distinct timing key is
-    /// looked up in the shared cache once per plan.
+    /// and zero seconds, for the scores and for the policy alike; a
+    /// candidate's FLOPs and seconds are priced in one pass over its calls.
+    /// Scores and policy share one [`CachingExecutor`], so each distinct
+    /// timing key is looked up in the shared cache once per plan.
     pub(crate) fn score(
         &self,
         algorithms: &[Algorithm],
@@ -188,13 +189,14 @@ impl Settings {
         let scores = algorithms
             .iter()
             .enumerate()
-            .map(|(index, alg)| AlgorithmScore {
-                index,
-                name: alg.name.clone(),
-                flops: factors.map_or_else(|| alg.flops(), |fc| fc.effective_flops(alg)),
-                predicted_seconds: self
-                    .score_predictions
-                    .then(|| caching.predicted_seconds(alg)),
+            .map(|(index, alg)| {
+                let (flops, predicted_seconds) = caching.price(alg, self.score_predictions);
+                AlgorithmScore {
+                    index,
+                    name: alg.name.clone(),
+                    flops,
+                    predicted_seconds,
+                }
             })
             .collect();
         let chosen = self.policy.policy.select(algorithms, &mut caching)?;
@@ -488,6 +490,7 @@ fn same_calls(a: &Algorithm, b: &Algorithm) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::residency;
     use lamb_expr::{GenerateError, TreeExpression};
     use lamb_select::{MinPredictedTime, Oracle};
 
@@ -842,10 +845,9 @@ mod tests {
     fn distinct_keys(algorithms: &[Algorithm], factors: Option<&FactorCache>) -> usize {
         let mut keys: Vec<lamb_expr::KernelOp> = Vec::new();
         for alg in algorithms {
-            let resident = factors.map(|fc| fc.resident_calls(alg)).unwrap_or_default();
-            for (i, call) in alg.calls.iter().enumerate() {
+            for (call, resident) in alg.calls.iter().zip(residency(factors, alg)) {
                 let key = call.op.timing_key();
-                if !resident.contains(&i) && !keys.contains(&key) {
+                if !resident && !keys.contains(&key) {
                     keys.push(key);
                 }
             }

@@ -4,9 +4,10 @@
 //! up and probing overlapping keys; afterwards the entry count, the hit
 //! counter and "a note never evicts bytes" all hold.
 //!
-//! The single-flight miss of the [`PredictionCache`]: eight workers that
-//! miss every key at once benchmark each key exactly once, and a benchmark
-//! that panics leaves no worker waiting.
+//! The single-flight miss of the [`PredictionCache`]: eight workers, each
+//! with its own [`CachingExecutor`], that miss every key at once benchmark
+//! each key exactly once, and a benchmark that panics leaves no worker
+//! waiting.
 //!
 //! The sharded [`PredictionCache`]: many threads
 //! preloading calibration tables (with non-canonical keys), taking
@@ -34,14 +35,15 @@
 //! hammers the shard locks enough to catch logic races.
 
 use lamb_expr::{
-    enumerate_expr_algorithms, Algorithm, Expression, GenerateError, KernelOp, TreeExpression,
+    enumerate_expr_algorithms, factor_keys, Algorithm, Expression, GenerateError, KernelOp,
+    TreeExpression,
 };
 use lamb_matrix::{Matrix, Trans, Uplo};
 use lamb_perfmodel::{
     single_call_algorithm, AlgorithmTiming, CallTimeTable, Executor, MachineModel,
     SimulatedExecutor,
 };
-use lamb_plan::{FactorCache, MinPredictedTime, Planner, PredictionCache};
+use lamb_plan::{CachingExecutor, FactorCache, MinPredictedTime, Planner, PredictionCache};
 use lamb_verify::verify_call_table;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -91,6 +93,7 @@ fn sharded_cache_survives_concurrent_preload_snapshot_and_planning() {
             let failed = Arc::clone(&failed);
             scope.spawn(move || {
                 let mut executor = SimulatedExecutor::paper_like();
+                let mut caching = CachingExecutor::new(&mut executor, &cache);
                 for round in 0..20 {
                     match (t + round) % 4 {
                         // Preloaders: hammer every shard with canonicalised
@@ -109,7 +112,7 @@ fn sharded_cache_survives_concurrent_preload_snapshot_and_planning() {
                         2 => {
                             let dims = [40 + round, 60 + t, 80];
                             for alg in aatb.algorithms(&dims).unwrap() {
-                                let timing = cache.predict(&mut executor, &alg);
+                                let timing = caching.predict_from_isolated_calls(&alg);
                                 if !timing.seconds.is_finite() || timing.seconds < 0.0 {
                                     failed.store(true, Ordering::Relaxed);
                                 }
@@ -149,8 +152,12 @@ fn sharded_cache_survives_concurrent_preload_snapshot_and_planning() {
     let reference = PredictionCache::new();
     let dims = [40, 60, 80];
     for alg in aatb.algorithms(&dims).unwrap() {
-        let fresh = reference.predict(&mut executor, &alg).seconds;
-        let stressed = cache.predict(&mut executor, &alg).seconds;
+        let fresh = (CachingExecutor::new(&mut executor, &reference))
+            .predict_from_isolated_calls(&alg)
+            .seconds;
+        let stressed = (CachingExecutor::new(&mut executor, &cache))
+            .predict_from_isolated_calls(&alg)
+            .seconds;
         assert!(
             (fresh - stressed).abs() <= 1e-12 * fresh.max(1.0),
             "stressed cache diverged: {stressed} vs {fresh}"
@@ -257,9 +264,10 @@ fn every_missed_key_is_benchmarked_once_and_a_failed_benchmark_hangs_no_one() {
             let (cache, barrier, algorithms) = (&cache, &barrier, &algorithms);
             let mut executor = executor.clone();
             scope.spawn(move || {
+                let mut caching = CachingExecutor::new(&mut executor, cache);
                 barrier.wait();
                 for alg in algorithms {
-                    assert_eq!(cache.cached_isolated_call(&mut executor, alg, 0), 1e-3);
+                    assert_eq!(caching.time_isolated_call(alg, 0), 1e-3);
                 }
             });
         }
@@ -282,8 +290,9 @@ fn every_missed_key_is_benchmarked_once_and_a_failed_benchmark_hangs_no_one() {
                 let (cache, barrier, alg) = (&cache, &barrier, &algorithms[0]);
                 let mut executor = executor.clone();
                 scope.spawn(move || {
+                    let mut caching = CachingExecutor::new(&mut executor, cache);
                     barrier.wait();
-                    cache.cached_isolated_call(&mut executor, alg, 0)
+                    caching.time_isolated_call(alg, 0)
                 })
             })
             .collect();
@@ -308,7 +317,8 @@ fn factor_cache_survives_concurrent_notes_stores_and_lookups() {
             uplo: Uplo::Lower,
             n: 8 + k,
         });
-        cache.keys(&alg)[&0]
+        let (_, key) = factor_keys(&alg).next().expect("POTRF is cacheable");
+        key
     };
     // Bytes are held for the even keys up front; the odd keys only ever get
     // noted, so no lookup of them may ever serve bytes.

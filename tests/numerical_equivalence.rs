@@ -269,13 +269,13 @@ fn solve_realisations_return_what_their_identity_texts_leave() {
             // Each algorithm's keys, split by whether `factor` produces them.
             let keys = |alg: &Algorithm| -> (Vec<FactorKey>, Vec<FactorKey>) {
                 let mut split = (Vec::new(), Vec::new());
-                factor_keys(alg, |i, key| {
+                for (i, key) in factor_keys(alg) {
                     if alg.calls[i].op.mnemonic() == factor {
                         split.0.push(key);
                     } else {
                         split.1.push(key);
                     }
-                });
+                }
                 split
             };
             let identities = |algorithms: &[Algorithm]| -> Vec<Vec<FactorKey>> {

@@ -535,8 +535,7 @@ fn factor_keys_are_equal_exactly_when_the_rendered_identities_are() {
             for tree in algorithms {
                 let shared = eliminate_common_subexpressions(&tree).algorithm;
                 for alg in [tree, shared] {
-                    let mut keys = Vec::new();
-                    factor_keys(&alg, |index, key| keys.push((index, key)));
+                    let keys: Vec<_> = factor_keys(&alg).collect();
                     let texts = rendered_identities(&alg);
                     assert_eq!(keys.len(), texts.len(), "{}", alg.name);
                     for ((i, key), (j, text)) in keys.into_iter().zip(texts) {
@@ -560,4 +559,107 @@ fn factor_keys_are_equal_exactly_when_the_rendered_identities_are() {
         by_key.len()
     );
     assert!(values > 2 * by_key.len(), "{values} values");
+}
+
+/// The calls of `alg` whose cacheable result `factors` holds, ascending:
+/// the reference the residency pass of scoring and prediction is held to
+/// (what a cache-side `resident_calls` collected before each consumer
+/// asked residency in its own call loop).
+fn resident_calls(factors: &lamb::plan::FactorCache, alg: &Algorithm) -> Vec<usize> {
+    (lamb::expr::factor_keys(alg))
+        .filter(|(_, key)| factors.contains(key))
+        .map(|(index, _)| index)
+        .collect()
+}
+
+#[test]
+fn factor_aware_scores_price_exactly_the_resident_calls_at_zero() {
+    use lamb::plan::FactorCache;
+    use std::sync::Arc;
+    // One factor cache across every scenario family, warmed by noting each
+    // plan's chosen factors, as a serving loop does.
+    let factors = Arc::new(FactorCache::new());
+    let predictions = Arc::new(PredictionCache::new());
+    let tuples = [(61, 7), (19, 5)];
+    let scenarios = lamb::experiments::all_scenarios();
+    // A planner over the shared prediction cache, and over the factor
+    // cache too when `factored` is set.
+    fn planner<'e>(
+        expr: &'e TreeExpression,
+        predictions: &Arc<PredictionCache>,
+        factors: Option<&Arc<FactorCache>>,
+    ) -> Planner<'e> {
+        let planner = (Planner::for_expression(expr))
+            .policy(MinPredictedTime)
+            .shared_cache(Arc::clone(predictions));
+        match factors {
+            Some(factors) => planner.factor_cache(Arc::clone(factors)),
+            None => planner,
+        }
+    }
+    let planner = |expr, factored: bool| planner(expr, &predictions, factored.then_some(&factors));
+    let dims_of = |expr: &TreeExpression, (start, step): (usize, usize)| -> Vec<usize> {
+        (0..expr.num_dims()).map(|i| start + step * i).collect()
+    };
+    for scenario in &scenarios {
+        for tuple in tuples {
+            let _ = planner(&scenario.expression, true).plan(&dims_of(&scenario.expression, tuple));
+        }
+    }
+    assert!(!factors.is_empty());
+    let mut sim = SimulatedExecutor::paper_like();
+    let (mut candidates, mut partly_resident) = (0, 0);
+    for scenario in &scenarios {
+        let expr = &scenario.expression;
+        for tuple in tuples {
+            let dims = dims_of(expr, tuple);
+            let Ok(plain) = planner(expr, false).plan(&dims) else {
+                continue;
+            };
+            // Residency as the warm plan's scoring sees it: the plan notes
+            // its own choice only after scoring.
+            let resident: Vec<Vec<usize>> = (plain.algorithms.iter())
+                .map(|alg| resident_calls(&factors, alg))
+                .collect();
+            let plan = planner(expr, true).plan(&dims).unwrap();
+            assert_eq!(plan.algorithms, plain.algorithms, "{}", scenario.name);
+            for ((alg, score), resident) in plan.algorithms.iter().zip(&plan.scores).zip(&resident)
+            {
+                let at = format!("{} at {dims:?}: `{}`", scenario.name, alg.name);
+                let saved: u64 = resident.iter().map(|&i| alg.calls[i].flops()).sum();
+                assert_eq!(score.flops, alg.flops() - saved, "{at}");
+                let folded = (0..alg.calls.len()).fold(0.0, |total, i| {
+                    let seconds = if resident.contains(&i) {
+                        0.0
+                    } else {
+                        sim.time_isolated_call(alg, i)
+                    };
+                    total + seconds
+                });
+                let predicted = score.predicted_seconds.unwrap();
+                assert_eq!(predicted.to_bits(), folded.to_bits(), "{at}");
+                candidates += 1;
+                if !resident.is_empty() && resident.len() < alg.calls.len() {
+                    partly_resident += 1;
+                }
+            }
+            // The adapter's three prices agree bit for bit on the warm cache.
+            let mut caching =
+                CachingExecutor::new(&mut sim, &predictions).with_factor_cache(Some(&factors));
+            for alg in &plan.algorithms {
+                let timing = caching.predict_from_isolated_calls(alg);
+                let seconds = caching.predicted_seconds(alg);
+                assert_eq!(seconds.to_bits(), timing.seconds.to_bits(), "{}", alg.name);
+                for call in &timing.per_call {
+                    let isolated = caching.time_isolated_call(alg, call.index);
+                    assert_eq!(isolated.to_bits(), call.seconds.to_bits(), "{}", alg.name);
+                }
+            }
+        }
+    }
+    assert!(candidates >= 100, "{candidates} candidates");
+    assert!(
+        partly_resident >= 10,
+        "{partly_resident} of {candidates} partly resident"
+    );
 }
