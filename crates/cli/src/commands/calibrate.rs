@@ -21,7 +21,7 @@
 
 use super::common::{self, CommonOptions};
 use lamb_perfmodel::store::now_unix;
-use lamb_perfmodel::{CalibrationStore, SquareProfile};
+use lamb_perfmodel::{measure_square_profiles, CalibrationStore};
 use lamb_plan::{BatchPlanner, BatchRequest};
 
 /// Run the subcommand.
@@ -76,27 +76,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
         sizes.first().copied().unwrap_or(0),
         sizes.last().copied().unwrap_or(0)
     );
-    let machine = executor.machine().clone();
-    let mut curves: Vec<(String, Vec<usize>, Vec<f64>)> = lamb_perfmodel::SQUARE_SWEEP_KERNELS
-        .iter()
-        .map(|name| ((*name).to_string(), Vec::new(), Vec::new()))
-        .collect();
-    for &size in &sizes {
-        for (curve, op) in curves
-            .iter_mut()
-            .zip(lamb_perfmodel::calibrate::square_ops(size))
-        {
-            let alg = lamb_perfmodel::single_call_algorithm(op.clone());
-            let seconds = executor.time_isolated_call(&alg, 0);
-            curve.1.push(size);
-            curve.2.push(machine.efficiency(op.flops(), seconds));
-            store.calls.insert(op, seconds);
-        }
-    }
-    for (name, sizes, effs) in curves {
-        let profile = SquareProfile::new(&name, sizes, effs);
+    for profile in measure_square_profiles(executor.as_mut(), &sizes, &mut store.calls) {
         println!(
-            "  {name:<5}: {} sizes, peak efficiency {:.2}",
+            "  {:<5}: {} sizes, peak efficiency {:.2}",
+            profile.kernel,
             profile.sizes.len(),
             profile.max_efficiency()
         );

@@ -2,6 +2,7 @@
 
 use lamb_experiments::{LineConfig, SearchConfig};
 use lamb_expr::TreeExpression;
+use lamb_kernels::cache::DEFAULT_FLUSH_BYTES;
 use lamb_kernels::BlockConfig;
 use lamb_perfmodel::{
     CalibrationStore, Executor, MachineModel, MeasuredExecutor, SimulatedExecutor,
@@ -267,9 +268,6 @@ pub fn parse(args: &[String]) -> Result<CommonOptions, String> {
 /// `meta.reps` provenance recorded in calibration stores.
 pub const MEASURED_REPS: usize = 10;
 
-/// Cache-flush buffer size of the CLI's measured executor.
-pub const MEASURED_FLUSH_BYTES: usize = 64 * 1024 * 1024;
-
 /// Parse the `--strategy` flag value into the policy it names, shared by
 /// `select` and `batch`.
 pub fn parse_strategy(name: &str) -> Result<Box<dyn SelectionPolicy>, String> {
@@ -321,7 +319,7 @@ impl CommonOptions {
                 MachineModel::generic_laptop(),
                 cfg,
                 MEASURED_REPS,
-                MEASURED_FLUSH_BYTES,
+                DEFAULT_FLUSH_BYTES,
             )),
         }
     }

@@ -10,7 +10,7 @@
 use crate::lines::{scan_line, LineScan};
 use crate::search::SearchResult;
 use lamb_expr::Expression;
-use lamb_perfmodel::{measure_square_profiles, Executor, SquareProfile};
+use lamb_perfmodel::{measure_square_profiles, CallTimeTable, Executor, SquareProfile};
 use std::fmt::Write as _;
 
 /// Figure 1: efficiency of the kernels on square operands of growing size
@@ -19,7 +19,7 @@ pub fn figure1_kernel_efficiency(
     executor: &mut dyn Executor,
     sizes: &[usize],
 ) -> Vec<SquareProfile> {
-    measure_square_profiles(executor, sizes)
+    measure_square_profiles(executor, sizes, &mut CallTimeTable::new())
 }
 
 /// Merge the Figure-1 profiles into one CSV (`size,gemm,syrk,symm,trmm,trsm`).

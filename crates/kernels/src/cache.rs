@@ -19,8 +19,9 @@
 
 use std::hint::black_box;
 
-/// Default flush buffer size: 64 MiB, comfortably larger than the LLC of the
-/// Xeon Silver 4210 used in the paper (14 MiB) and of most desktop parts.
+/// Flush buffer size of the full measurement protocol (the `lamb` CLI's
+/// measured executor): 64 MiB, comfortably larger than the LLC of the Xeon
+/// Silver 4210 used in the paper (14 MiB) and of most desktop parts.
 pub const DEFAULT_FLUSH_BYTES: usize = 64 * 1024 * 1024;
 
 /// Independent partial sums a flush accumulates into: enough that the
@@ -49,12 +50,6 @@ impl CacheFlusher {
             buf: Vec::new(),
             counter: 0,
         }
-    }
-
-    /// Create a flusher with the default 64 MiB buffer.
-    #[must_use]
-    pub fn with_default_size() -> Self {
-        CacheFlusher::new(DEFAULT_FLUSH_BYTES)
     }
 
     /// Size of the flush buffer in bytes (as configured: the buffer itself

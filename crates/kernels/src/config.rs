@@ -2,37 +2,112 @@
 
 use std::fmt;
 
-/// A register-tile shape of the micro-kernel: the `MR x NR` block of `C` one
-/// micro-kernel invocation accumulates.
+/// The register-tile table: one row per tile, `Variant = MR x NR`, each
+/// with its doc comment.
 ///
-/// Each variant names a dedicated, monomorphised instantiation of
-/// [`crate::microkernel::microkernel`] (see
-/// [`crate::microkernel::microkernel_dyn`] for the runtime dispatch), so the
-/// compiler sees fixed `MR`/`NR` and reliably unrolls and auto-vectorises the
-/// accumulator columns. Which variant is fastest depends on the machine's
-/// vector width and register file — that is exactly what
-/// `lamb calibrate --autotune` measures.
+/// The rows stamp everything a tile is: the [`TileVariant`] enum,
+/// [`TileVariant::ALL`] (in row order, the autotune candidate order),
+/// [`TileVariant::mr`] / [`TileVariant::nr`], the tag `"MRxNR"`
+/// ([`TileVariant::tag`]), and the crate-private `with_tile!` that every
+/// kernel dispatches through:
 ///
-/// [`TileVariant::default`] is chosen from the compile target, the way
-/// [`mod@crate::microkernel`] chooses fusion: the tile whose accumulator fills
-/// the vector register file without spilling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TileVariant {
+/// ```text
+/// with_tile!(cfg.tile, MR, NR => microkernel::<MR, NR>(kb, ap, bp, acc))
+/// ```
+///
+/// expands to one `match` arm per row in which `MR` and `NR` are `const`s
+/// of that row, so each tile names exactly one monomorphisation of every
+/// `const`-generic kernel and a dispatch site never spells a variant.
+/// Adding a tile is adding a row; deleting one is deleting its row.
+///
+/// The leading `$` is passed in so the nested `macro_rules!` can spell its
+/// own metavariables.
+macro_rules! tile_table {
+    ($d:tt $($(#[$doc:meta])* $variant:ident = $mr:literal x $nr:literal;)+) => {
+        /// A register-tile shape of the micro-kernel: the `MR x NR` block of
+        /// `C` one micro-kernel invocation accumulates.
+        ///
+        /// Each variant is one row of the tile table in this module and
+        /// names a dedicated, monomorphised instantiation of
+        /// [`crate::microkernel::microkernel`] (and of every kernel generic
+        /// over the tile), so the compiler sees fixed `MR`/`NR` and reliably
+        /// unrolls and auto-vectorises the accumulator columns. Which
+        /// variant is fastest depends on the machine's vector width and
+        /// register file — that is exactly what `lamb calibrate --autotune`
+        /// measures.
+        ///
+        /// [`TileVariant::default`] is chosen from the compile target, the
+        /// way [`mod@crate::microkernel`] chooses fusion: the tile whose
+        /// accumulator fills the vector register file without spilling.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum TileVariant {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl TileVariant {
+            /// Every supported variant, in autotune candidate order.
+            pub const ALL: [TileVariant; [$(TileVariant::$variant),+].len()] =
+                [$(TileVariant::$variant),+];
+
+            /// Register-tile height (rows of `C` per micro-tile).
+            #[must_use]
+            pub const fn mr(self) -> usize {
+                match self {
+                    $(TileVariant::$variant => $mr,)+
+                }
+            }
+
+            /// Register-tile width (columns of `C` per micro-tile).
+            #[must_use]
+            pub const fn nr(self) -> usize {
+                match self {
+                    $(TileVariant::$variant => $nr,)+
+                }
+            }
+
+            /// Stable textual tag (`"8x4"`, ...), used in fingerprints and in
+            /// the calibration-store document.
+            #[must_use]
+            pub const fn tag(self) -> &'static str {
+                match self {
+                    $(TileVariant::$variant => concat!($mr, "x", $nr),)+
+                }
+            }
+        }
+
+        /// `with_tile!(tile, MR, NR => expr)`: evaluate `expr` with `MR` and
+        /// `NR` bound as `const`s to the register tile `tile` names.
+        macro_rules! with_tile {
+            ($d tile:expr, $d mr:ident, $d nr:ident => $d body:expr) => {
+                match $d tile {
+                    $($crate::config::TileVariant::$variant => {
+                        const $d mr: usize = $mr;
+                        const $d nr: usize = $nr;
+                        $d body
+                    })+
+                }
+            };
+        }
+        pub(crate) use with_tile;
+    };
+}
+
+tile_table! {$
     /// 8 rows x 4 columns — four accumulator columns: modest register
     /// pressure, the default wherever the target has 16 vector registers
     /// (AVX2: the 16 `ymm` accumulators of an 8 x 8 tile would spill).
-    T8x4,
+    T8x4 = 8 x 4;
     /// 8 x 8 — double the B-reuse per packed A load, and eight independent
     /// accumulator columns to hide the FMA latency that four cannot. The
     /// default under AVX-512, where the tile is 8 of the 32 `zmm` registers.
-    T8x8,
+    T8x8 = 8 x 8;
     /// 4 x 8 — the transpose of 8 x 4; favours wide-`n` outputs.
-    T4x8,
+    T4x8 = 4 x 8;
     /// 16 x 4 — tall tile, maximises A-panel throughput per B element.
-    T16x4,
+    T16x4 = 16 x 4;
     /// 8 x 12 — the classic BLIS-style wide tile for machines with many
     /// vector registers.
-    T8x12,
+    T8x12 = 8 x 12;
 }
 
 impl Default for TileVariant {
@@ -48,52 +123,10 @@ impl Default for TileVariant {
 }
 
 impl TileVariant {
-    /// Every supported variant, in autotune candidate order.
-    pub const ALL: [TileVariant; 5] = [
-        TileVariant::T8x4,
-        TileVariant::T8x8,
-        TileVariant::T4x8,
-        TileVariant::T16x4,
-        TileVariant::T8x12,
-    ];
-
-    /// Register-tile height (rows of `C` per micro-tile).
-    #[must_use]
-    pub const fn mr(self) -> usize {
-        match self {
-            TileVariant::T8x4 | TileVariant::T8x8 | TileVariant::T8x12 => 8,
-            TileVariant::T4x8 => 4,
-            TileVariant::T16x4 => 16,
-        }
-    }
-
-    /// Register-tile width (columns of `C` per micro-tile).
-    #[must_use]
-    pub const fn nr(self) -> usize {
-        match self {
-            TileVariant::T8x4 | TileVariant::T16x4 => 4,
-            TileVariant::T8x8 | TileVariant::T4x8 => 8,
-            TileVariant::T8x12 => 12,
-        }
-    }
-
     /// Accumulator length (`mr * nr`) of this variant.
     #[must_use]
     pub const fn acc_len(self) -> usize {
         self.mr() * self.nr()
-    }
-
-    /// Stable textual tag (`"8x4"`, ...), used in fingerprints and in the
-    /// calibration-store document.
-    #[must_use]
-    pub const fn tag(self) -> &'static str {
-        match self {
-            TileVariant::T8x4 => "8x4",
-            TileVariant::T8x8 => "8x8",
-            TileVariant::T4x8 => "4x8",
-            TileVariant::T16x4 => "16x4",
-            TileVariant::T8x12 => "8x12",
-        }
     }
 
     /// Parse a [`TileVariant::tag`] back into the variant.
@@ -275,12 +308,18 @@ mod tests {
 
     #[test]
     fn tile_variants_expose_consistent_dimensions() {
+        let mut tags = std::collections::HashSet::new();
         for tile in TileVariant::ALL {
+            // The dispatch instantiates exactly the row's shape.
+            let (mr, nr) = with_tile!(tile, MR, NR => (MR, NR));
+            assert_eq!((mr, nr), (tile.mr(), tile.nr()), "{tile}");
             assert_eq!(tile.acc_len(), tile.mr() * tile.nr());
-            assert!(tile.acc_len() <= MAX_TILE_ACC);
+            assert!(tags.insert(tile.tag()), "duplicate tag {tile}");
             assert_eq!(TileVariant::parse(tile.tag()), Some(tile), "{tile}");
             assert_eq!(tile.tag(), format!("{}x{}", tile.mr(), tile.nr()));
         }
+        let largest = TileVariant::ALL.map(TileVariant::acc_len).into_iter().max();
+        assert_eq!(largest, Some(MAX_TILE_ACC));
         assert_eq!(TileVariant::parse("3x3"), None);
         // The default follows the compile target's register file.
         let expected = if cfg!(target_feature = "avx512f") {

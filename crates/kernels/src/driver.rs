@@ -30,10 +30,11 @@
 //! ## Tile dispatch
 //!
 //! The register tile is chosen at runtime ([`BlockConfig::tile`]) but the hot
-//! loop nest is monomorphic: [`BlockedDriver::accumulate_serial`] matches the
-//! [`TileVariant`] exactly once per call and enters a `const`-generic core, so
-//! the macro-kernel, the partial-tile edge handling and the micro-kernel all
-//! see compile-time `MR`/`NR`.
+//! loop nest is monomorphic: [`BlockedDriver::accumulate_serial`] dispatches
+//! on the [`TileVariant`](crate::config::TileVariant) exactly once per call,
+//! through the tile table in [`crate::config`], and enters a `const`-generic
+//! core, so the macro-kernel, the partial-tile edge handling and the
+//! micro-kernel all see compile-time `MR`/`NR`.
 //!
 //! ## Small calls
 //!
@@ -56,7 +57,7 @@
 //! call. [`pack_buffer_growth_events`] counts how often a buffer actually had
 //! to grow, which tests use to assert the steady state allocates nothing.
 
-use crate::config::{BlockConfig, TileVariant, MAX_TILE_ACC};
+use crate::config::{with_tile, BlockConfig, MAX_TILE_ACC};
 use crate::leaf::{is_small, on_stack, SMALL_MAX};
 use crate::microkernel::{microkernel, microkernel_strided};
 use crate::pack::{pack_a, pack_a_into, pack_b, packed_a_len, packed_b_len, Operand};
@@ -152,17 +153,9 @@ impl<'a> BlockedDriver<'a> {
             self.accumulate_small(m, n, k, alpha, (load_a, load_b), c, None);
             return;
         }
-        match self.cfg.tile {
-            TileVariant::T8x4 => self.serial_core::<8, 4, _, _>(m, n, k, alpha, load_a, load_b, c),
-            TileVariant::T8x8 => self.serial_core::<8, 8, _, _>(m, n, k, alpha, load_a, load_b, c),
-            TileVariant::T4x8 => self.serial_core::<4, 8, _, _>(m, n, k, alpha, load_a, load_b, c),
-            TileVariant::T16x4 => {
-                self.serial_core::<16, 4, _, _>(m, n, k, alpha, load_a, load_b, c)
-            }
-            TileVariant::T8x12 => {
-                self.serial_core::<8, 12, _, _>(m, n, k, alpha, load_a, load_b, c)
-            }
-        }
+        with_tile!(self.cfg.tile, MR, NR => {
+            self.serial_core::<MR, NR, _, _>(m, n, k, alpha, load_a, load_b, c);
+        });
     }
 
     /// The small-call tier of [`BlockedDriver::accumulate_serial`], for a
@@ -185,13 +178,9 @@ impl<'a> BlockedDriver<'a> {
         FB: Operand,
     {
         let ops = (load_a, load_b);
-        match self.cfg.tile {
-            TileVariant::T8x4 => small_core::<8, 4, _, _>(m, n, k, alpha, ops, c, mask),
-            TileVariant::T8x8 => small_core::<8, 8, _, _>(m, n, k, alpha, ops, c, mask),
-            TileVariant::T4x8 => small_core::<4, 8, _, _>(m, n, k, alpha, ops, c, mask),
-            TileVariant::T16x4 => small_core::<16, 4, _, _>(m, n, k, alpha, ops, c, mask),
-            TileVariant::T8x12 => small_core::<8, 12, _, _>(m, n, k, alpha, ops, c, mask),
-        }
+        with_tile!(self.cfg.tile, MR, NR => {
+            small_core::<MR, NR, _, _>(m, n, k, alpha, ops, c, mask);
+        });
     }
 
     /// The monomorphic serial core behind [`BlockedDriver::accumulate_serial`].
@@ -540,6 +529,7 @@ fn macro_kernel<const MR: usize, const NR: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TileVariant;
     use crate::gemm::naive::gemm_naive;
     use crate::pack::Strided;
     use lamb_matrix::ops::max_abs_diff;

@@ -33,9 +33,10 @@
 //! are applied a column range at a time, so each touches one contiguous
 //! column after another.
 //!
-//! [`getrf_packed`] produces the single-operand packed form the kernel-call
-//! IR uses: an `n x (n+1)` matrix with the LU factors in columns `0..n` and
-//! the pivot indices, stored as `f64`, in column `n`.
+//! [`KernelOp::Getrf`](crate::op::KernelOp::Getrf) produces the
+//! single-operand packed form the kernel-call IR uses: an `n x (n+1)` matrix
+//! with the LU factors in columns `0..n` and the pivot indices, stored as
+//! `f64`, in column `n` (the private `getrf_packed_into`).
 
 use crate::config::BlockConfig;
 use crate::gemm::gemm;
@@ -198,27 +199,17 @@ fn swap_rows(a: &mut MatrixViewMut<'_>, piv: &[usize], first: usize) {
     }
 }
 
-/// Factor `a` out of place into the packed `n x (n+1)` operand the
-/// kernel-call IR uses: LU factors in columns `0..n` (unit-lower `L` strictly
-/// below the diagonal, `U` on and above) and the pivot vector, stored as
-/// `f64` row indices, in column `n`.
-///
-/// # Errors
-///
-/// Same checks as [`getrf`].
-pub fn getrf_packed(a: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
-    let mut f = Matrix::zeros(a.rows(), a.cols() + 1);
-    getrf_packed_into(a, &mut f, cfg)?;
-    Ok(f)
-}
-
-/// [`getrf_packed`] into an existing `n x (n+1)` operand.
+/// Factor `a` out of place into the packed `n x (n+1)` operand `f` the
+/// kernel-call IR uses ([`KernelOp::Getrf`](crate::op::KernelOp::Getrf)):
+/// LU factors in columns `0..n` (unit-lower `L` strictly below the diagonal,
+/// `U` on and above) and the pivot vector, stored as `f64` row indices, in
+/// column `n`.
 ///
 /// # Errors
 ///
 /// Same checks as [`getrf`], plus [`MatrixError::DimensionMismatch`] for a
 /// mis-sized `f`.
-pub fn getrf_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Result<()> {
+pub(crate) fn getrf_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Result<()> {
     let (m, n) = a.shape();
     if f.shape() != (m, n + 1) {
         return Err(MatrixError::DimensionMismatch {
@@ -248,23 +239,17 @@ pub fn getrf_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Resul
 }
 
 /// Apply the forward row swaps recorded in the pivot column of a packed LU
-/// factor `f` (`m x (m+1)`, see [`getrf_packed`]) to a fresh copy of `b`:
-/// `Bp := P·B`. Pivot entries are rounded and clamped to the legal range
-/// `[j, m-1]`, so a factor operand filled with arbitrary data (as the
-/// isolated-call benchmark harness does) still applies a valid permutation.
+/// factor `f` (`m x (m+1)`, see [`getrf_packed_into`]) to `b`, into `out`
+/// (`b`'s shape): `Bp := P·B`. Each column of `b` is copied once and every
+/// swap is replayed on that contiguous column. Pivot entries are rounded and
+/// clamped to the legal range `[j, m-1]`, so a factor operand filled with
+/// arbitrary data (as the isolated-call benchmark harness does) still
+/// applies a valid permutation.
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] when `f` is not `m x (m+1)`
-/// for `b`'s row count `m`.
-pub fn pivot_apply(f: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let mut out = Matrix::zeros(b.rows(), b.cols());
-    pivot_apply_into(f, b, &mut out)?;
-    Ok(out)
-}
-
-/// [`pivot_apply`] into `out` (`b`'s shape): each column of `b` is copied
-/// once and every swap is replayed on that contiguous column.
+/// for `b`'s row count `m`, or `out` is not `b`'s shape.
 pub(crate) fn pivot_apply_into(f: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<()> {
     let m = b.rows();
     if f.rows() != m || f.cols() != m + 1 || out.shape() != b.shape() {
@@ -299,24 +284,18 @@ fn recorded_swaps(f: &Matrix, n: usize) -> Vec<(usize, usize)> {
 }
 
 /// Apply the permutation recorded in the pivot column of a packed LU factor
-/// `f` (`n x (n+1)`, see [`getrf_packed`]) to the *columns* of a fresh copy
-/// of `b`: `Bp := B·P`. With `P = Pₙ₋₁···P₀` (the forward row swaps of
-/// [`pivot_apply`]), right-multiplication applies the same transpositions as
-/// column swaps in *reverse* order, `j = n-1` down to `0` — this is the last
-/// step of the right-side LU solve `B·A⁻¹ = ((B·U⁻¹)·L⁻¹)·P`. Pivot entries
-/// are rounded and clamped to the legal range like the left-side apply.
+/// `f` (`n x (n+1)`, see [`getrf_packed_into`]) to the *columns* of `b`,
+/// into `out` (`b`'s shape): `Bp := B·P`. With `P = Pₙ₋₁···P₀` (the forward
+/// row swaps of [`pivot_apply_into`]), right-multiplication applies the same
+/// transpositions as column swaps in *reverse* order, `j = n-1` down to `0`
+/// — this is the last step of the right-side LU solve
+/// `B·A⁻¹ = ((B·U⁻¹)·L⁻¹)·P`. Pivot entries are rounded and clamped to the
+/// legal range like the left-side apply.
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] when `f` is not `n x (n+1)`
-/// for `b`'s column count `n`.
-pub fn pivot_apply_right(f: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let mut out = Matrix::zeros(b.rows(), b.cols());
-    pivot_apply_right_into(f, b, &mut out)?;
-    Ok(out)
-}
-
-/// [`pivot_apply_right`] into `out` (`b`'s shape).
+/// for `b`'s column count `n`, or `out` is not `b`'s shape.
 pub(crate) fn pivot_apply_right_into(f: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<()> {
     let n = b.cols();
     if f.rows() != n || f.cols() != n + 1 || out.shape() != b.shape() {
@@ -336,25 +315,17 @@ pub(crate) fn pivot_apply_right_into(f: &Matrix, b: &Matrix, out: &mut Matrix) -
 }
 
 /// Extract an explicit triangular factor from a packed factor operand `f`
-/// (`r x (n+1)`, `n = cols - 1`; see [`getrf_packed`] and
-/// [`crate::qr::qr_packed`]): [`Uplo::Lower`] materialises the unit-lower
-/// factor (implicit unit diagonal written out), [`Uplo::Upper`] the upper
-/// factor including its stored diagonal. Entries outside the extracted
-/// triangle are exact zeros. Performs no floating-point arithmetic.
+/// (`r x (n+1)`, `n = cols - 1`; see [`getrf_packed_into`] and
+/// [`crate::qr::qr_packed_into`]) into the `n x n` operand `out`, column
+/// slice by column slice: [`Uplo::Lower`] materialises the unit-lower factor
+/// (implicit unit diagonal written out), [`Uplo::Upper`] the upper factor
+/// including its stored diagonal. Entries outside the extracted triangle are
+/// exact zeros. Performs no floating-point arithmetic.
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] when `f` has no pivot/tau
-/// column (`cols == 0`) or fewer than `n` rows.
-pub fn factor_triangle(uplo: Uplo, f: &Matrix) -> Result<Matrix> {
-    let n = f.cols().saturating_sub(1);
-    let mut out = Matrix::zeros(n, n);
-    factor_triangle_into(uplo, f, &mut out)?;
-    Ok(out)
-}
-
-/// [`factor_triangle`] into the `n x n` operand `out`, column slice by
-/// column slice.
+/// column (`cols == 0`), fewer than `n` rows, or `out` is not `n x n`.
 pub(crate) fn factor_triangle_into(uplo: Uplo, f: &Matrix, out: &mut Matrix) -> Result<()> {
     let Some(n) = f.cols().checked_sub(1) else {
         return Err(MatrixError::DimensionMismatch {
@@ -390,7 +361,9 @@ pub(crate) fn factor_triangle_into(uplo: Uplo, f: &Matrix, out: &mut Matrix) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, NativeBackend};
     use crate::gemm::naive::gemm_naive;
+    use crate::op::KernelOp;
     use crate::trsm::trsm_naive;
     use lamb_matrix::ops::max_abs_diff;
     use lamb_matrix::random::random_seeded;
@@ -414,8 +387,27 @@ mod tests {
         let mut piv = Vec::new();
         getrf(&mut f.view_mut(), &mut piv, cfg).unwrap();
         assert_eq!(piv.len(), n);
-        let l = factor_triangle(Uplo::Lower, &pad_pivot(&f, &piv)).unwrap();
-        let u = factor_triangle(Uplo::Upper, &pad_pivot(&f, &piv)).unwrap();
+        let packed = pad_pivot(&f, &piv);
+        let l = NativeBackend
+            .run_new(
+                &KernelOp::FactorTri {
+                    uplo: Uplo::Lower,
+                    n,
+                },
+                &[&packed],
+                cfg,
+            )
+            .unwrap();
+        let u = NativeBackend
+            .run_new(
+                &KernelOp::FactorTri {
+                    uplo: Uplo::Upper,
+                    n,
+                },
+                &[&packed],
+                cfg,
+            )
+            .unwrap();
         // L·U must reproduce P·A.
         let mut back = Matrix::zeros(n, n);
         gemm_naive(
@@ -536,10 +528,35 @@ mod tests {
         let n = 31;
         let a = random_seeded(n, n, 9);
         let b = random_seeded(n, 6, 10);
-        let f = getrf_packed(&a, &cfg).unwrap();
-        let l = factor_triangle(Uplo::Lower, &f).unwrap();
-        let u = factor_triangle(Uplo::Upper, &f).unwrap();
-        let bp = pivot_apply(&f, &b).unwrap();
+        let f = NativeBackend
+            .run_new(&KernelOp::Getrf { n }, &[&a], &cfg)
+            .unwrap();
+        let l = NativeBackend
+            .run_new(
+                &KernelOp::FactorTri {
+                    uplo: Uplo::Lower,
+                    n,
+                },
+                &[&f],
+                &cfg,
+            )
+            .unwrap();
+        let u = NativeBackend
+            .run_new(
+                &KernelOp::FactorTri {
+                    uplo: Uplo::Upper,
+                    n,
+                },
+                &[&f],
+                &cfg,
+            )
+            .unwrap();
+        let left = KernelOp::PivotApply {
+            side: Side::Left,
+            m: n,
+            n: 6,
+        };
+        let bp = NativeBackend.run_new(&left, &[&f, &b], &cfg).unwrap();
         let mut y = Matrix::zeros(n, 6);
         trsm_naive(
             Side::Left,
@@ -608,7 +625,9 @@ mod tests {
         getrf(&mut empty.view_mut(), &mut piv, &cfg).unwrap();
         assert!(piv.is_empty());
         getrf_naive(&mut empty.view_mut(), &mut piv).unwrap();
-        let f = getrf_packed(&Matrix::zeros(0, 0), &cfg).unwrap();
+        let f = NativeBackend
+            .run_new(&KernelOp::Getrf { n: 0 }, &[&Matrix::zeros(0, 0)], &cfg)
+            .unwrap();
         assert_eq!(f.shape(), (0, 1));
         // n = 1 is the identity pivot.
         let mut one = Matrix::filled(1, 1, 4.0);
@@ -621,7 +640,9 @@ mod tests {
             getrf(&mut rect.view_mut(), &mut piv, &cfg),
             Err(MatrixError::NotSquare { .. })
         ));
-        assert!(getrf_packed(&Matrix::zeros(2, 5), &cfg).is_err());
+        assert!(NativeBackend
+            .run_new(&KernelOp::Getrf { n: 2 }, &[&Matrix::zeros(2, 5)], &cfg)
+            .is_err());
     }
 
     #[test]
@@ -633,9 +654,29 @@ mod tests {
         let (m, n) = (6, 23);
         let a = random_seeded(n, n, 11);
         let b = random_seeded(m, n, 12);
-        let f = getrf_packed(&a, &cfg).unwrap();
-        let l = factor_triangle(Uplo::Lower, &f).unwrap();
-        let u = factor_triangle(Uplo::Upper, &f).unwrap();
+        let f = NativeBackend
+            .run_new(&KernelOp::Getrf { n }, &[&a], &cfg)
+            .unwrap();
+        let l = NativeBackend
+            .run_new(
+                &KernelOp::FactorTri {
+                    uplo: Uplo::Lower,
+                    n,
+                },
+                &[&f],
+                &cfg,
+            )
+            .unwrap();
+        let u = NativeBackend
+            .run_new(
+                &KernelOp::FactorTri {
+                    uplo: Uplo::Upper,
+                    n,
+                },
+                &[&f],
+                &cfg,
+            )
+            .unwrap();
         let mut y = Matrix::zeros(m, n);
         trsm_naive(
             Side::Right,
@@ -658,7 +699,12 @@ mod tests {
             &mut z.view_mut(),
         )
         .unwrap();
-        let x = pivot_apply_right(&f, &z).unwrap();
+        let right = KernelOp::PivotApply {
+            side: Side::Right,
+            m,
+            n,
+        };
+        let x = NativeBackend.run_new(&right, &[&f, &z], &cfg).unwrap();
         let mut xa = Matrix::zeros(m, n);
         gemm_naive(
             Trans::No,
@@ -675,8 +721,17 @@ mod tests {
         // Equivalently, (P·C)ᵀ = Cᵀ·Pᵀ, so applying the right swap order
         // to rows would undo the left apply; check via the simpler
         // identity-permutation and shape-error paths instead.
-        assert!(pivot_apply_right(&Matrix::zeros(n, n), &b).is_err());
-        let empty = pivot_apply_right(&Matrix::zeros(0, 1), &Matrix::zeros(4, 0)).unwrap();
+        assert!(NativeBackend
+            .run_new(&right, &[&Matrix::zeros(n, n), &b], &cfg)
+            .is_err());
+        let none = KernelOp::PivotApply {
+            side: Side::Right,
+            m: 4,
+            n: 0,
+        };
+        let empty = NativeBackend
+            .run_new(&none, &[&Matrix::zeros(0, 1), &Matrix::zeros(4, 0)], &cfg)
+            .unwrap();
         assert_eq!(empty.shape(), (4, 0));
     }
 
@@ -688,9 +743,18 @@ mod tests {
         let cfg = BlockConfig::serial();
         let n = 9;
         let a = random_seeded(n, n, 13);
-        let f = getrf_packed(&a, &cfg).unwrap();
+        let f = NativeBackend
+            .run_new(&KernelOp::Getrf { n }, &[&a], &cfg)
+            .unwrap();
         // P·I gives the permutation matrix; then B·P via plain GEMM.
-        let p = pivot_apply(&f, &Matrix::identity(n)).unwrap();
+        let left = KernelOp::PivotApply {
+            side: Side::Left,
+            m: n,
+            n,
+        };
+        let p = NativeBackend
+            .run_new(&left, &[&f, &Matrix::identity(n)], &cfg)
+            .unwrap();
         let b = random_seeded(4, n, 14);
         let mut expect = Matrix::zeros(4, n);
         gemm_naive(
@@ -703,7 +767,12 @@ mod tests {
             &mut expect.view_mut(),
         )
         .unwrap();
-        let got = pivot_apply_right(&f, &b).unwrap();
+        let right = KernelOp::PivotApply {
+            side: Side::Right,
+            m: 4,
+            n,
+        };
+        let got = NativeBackend.run_new(&right, &[&f, &b], &cfg).unwrap();
         assert!(max_abs_diff(&got, &expect).unwrap() < 1e-12);
     }
 
@@ -719,13 +788,28 @@ mod tests {
                 0.0
             }
         });
-        let out = pivot_apply(&f, &b).unwrap();
+        let cfg = BlockConfig::serial();
+        let left = KernelOp::PivotApply {
+            side: Side::Left,
+            m: 5,
+            n: 3,
+        };
+        let out = NativeBackend.run_new(&left, &[&f, &b], &cfg).unwrap();
         assert_eq!(out.shape(), (5, 3));
         assert!(out.as_slice().iter().all(|v| v.is_finite()));
         // Shape mismatches are rejected.
-        assert!(pivot_apply(&Matrix::zeros(5, 5), &b).is_err());
+        assert!(NativeBackend
+            .run_new(&left, &[&Matrix::zeros(5, 5), &b], &cfg)
+            .is_err());
         // Degenerate: no rows, nothing to swap.
-        let empty = pivot_apply(&Matrix::zeros(0, 1), &Matrix::zeros(0, 4)).unwrap();
+        let none = KernelOp::PivotApply {
+            side: Side::Left,
+            m: 0,
+            n: 4,
+        };
+        let empty = NativeBackend
+            .run_new(&none, &[&Matrix::zeros(0, 1), &Matrix::zeros(0, 4)], &cfg)
+            .unwrap();
         assert_eq!(empty.shape(), (0, 4));
     }
 
@@ -733,9 +817,14 @@ mod tests {
     fn factor_triangle_extracts_unit_lower_and_upper() {
         let cfg = BlockConfig::serial();
         let a = random_seeded(8, 8, 5);
-        let f = getrf_packed(&a, &cfg).unwrap();
-        let l = factor_triangle(Uplo::Lower, &f).unwrap();
-        let u = factor_triangle(Uplo::Upper, &f).unwrap();
+        let f = NativeBackend
+            .run_new(&KernelOp::Getrf { n: 8 }, &[&a], &cfg)
+            .unwrap();
+        let tri = |uplo, n, f: &Matrix| {
+            NativeBackend.run_new(&KernelOp::FactorTri { uplo, n }, &[f], &cfg)
+        };
+        let l = tri(Uplo::Lower, 8, &f).unwrap();
+        let u = tri(Uplo::Upper, 8, &f).unwrap();
         assert!(lamb_matrix::ops::is_triangular(&l, Uplo::Lower).unwrap());
         assert!(lamb_matrix::ops::is_triangular(&u, Uplo::Upper).unwrap());
         for i in 0..8 {
@@ -743,19 +832,15 @@ mod tests {
         }
         // Degenerate and malformed inputs.
         assert_eq!(
-            factor_triangle(Uplo::Lower, &Matrix::zeros(0, 1))
-                .unwrap()
-                .shape(),
+            tri(Uplo::Lower, 0, &Matrix::zeros(0, 1)).unwrap().shape(),
             (0, 0)
         );
-        assert!(factor_triangle(Uplo::Lower, &Matrix::zeros(3, 0)).is_err());
-        assert!(factor_triangle(Uplo::Upper, &Matrix::zeros(2, 4)).is_err());
+        assert!(tri(Uplo::Lower, 0, &Matrix::zeros(3, 0)).is_err());
+        assert!(tri(Uplo::Upper, 3, &Matrix::zeros(2, 4)).is_err());
     }
 
     #[test]
     fn the_data_movers_write_exactly_the_element_wise_definitions() {
-        use crate::backend::{Backend, NativeBackend};
-        use crate::op::KernelOp;
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (n, extra_rows, cols) in [(0, 0, 3), (1, 0, 1), (7, 0, 5), (9, 4, 2), (33, 0, 17)] {
             // Arbitrary factor data, with a pivot column of in-range,

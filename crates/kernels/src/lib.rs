@@ -6,9 +6,9 @@
 //! from which the algorithms studied in the paper *"FLOPs as a Discriminant
 //! for Dense Linear Algebra Algorithms"* (ICPP'22) and its triangular, SPD and
 //! general-solve extensions are built — together with their FLOP-count
-//! models, cache-flushing and median-of-N timing utilities. A solve is not a
-//! routine here: `lamb-expr` lowers each inverse into a sequence of these
-//! kernel calls ([`op::KernelOp`]).
+//! models, the cache flusher and the median the measurement protocol
+//! records. A solve is not a routine here: `lamb-expr` lowers each inverse
+//! into a sequence of these kernel calls ([`op::KernelOp`]).
 //!
 //! Every kernel is a thin specialisation of one engine, the
 //! [`driver::BlockedDriver`], in the classic GotoBLAS/BLIS structure: the
@@ -110,16 +110,13 @@ pub use config::{BlockConfig, TileVariant, MAX_TILE_ACC};
 pub use driver::{pack_buffer_growth_events, BlockedDriver};
 pub use gemm::gemm;
 pub use gemm::naive::gemm_naive;
-pub use getrf::{
-    factor_triangle, getrf, getrf_naive, getrf_packed, getrf_packed_into, pivot_apply,
-    pivot_apply_right,
-};
+pub use getrf::{getrf, getrf_naive};
 pub use microkernel::{microkernel, microkernel_dyn};
 pub use op::{FieldValue, KernelOp, OpField};
 pub use potrf::{potrf, potrf_naive};
-pub use qr::{ormqr, ormqr_naive, qr, qr_naive, qr_packed, qr_packed_into};
+pub use qr::{ormqr, ormqr_naive, qr, qr_naive};
 pub use symm::symm;
 pub use syrk::syrk;
-pub use timing::{time_once, MedianTimer, TimingResult};
+pub use timing::TimingResult;
 pub use trmm::{trmm, trmm_naive};
 pub use trsm::{trsm, trsm_naive};

@@ -7,9 +7,10 @@
 //! column update is a fully unrolled loop of constant trip count — the shape
 //! rustc's auto-vectoriser turns into vector FMAs without any `unsafe` or
 //! explicit intrinsics. Runtime tile selection happens once per kernel call
-//! (see [`crate::driver::BlockedDriver`]) or through [`microkernel_dyn`].
+//! (see [`crate::driver::BlockedDriver`]) or through [`microkernel_dyn`],
+//! either way through the tile table in [`crate::config`].
 
-use crate::config::TileVariant;
+use crate::config::{with_tile, TileVariant};
 
 /// One accumulator update `acc + a * b`, fused when the compile target
 /// guarantees hardware FMA.
@@ -105,20 +106,15 @@ fn rank_one<const MR: usize, const NR: usize>(tile: &mut [[f64; MR]; NR], a: &[f
 
 /// Run [`microkernel`] for the monomorphisation named by `tile`.
 ///
-/// This is the one place the [`TileVariant`] enum meets the `const`-generic
-/// instantiations; callers that dispatch per micro-tile (tests, one-off
-/// products) use this, while the hot path in
+/// Like every kernel, it dispatches through the tile table in
+/// [`crate::config`], the one place the [`TileVariant`] rows meet the
+/// `const`-generic instantiations. Callers that dispatch per micro-tile
+/// (tests, one-off products, probes) use this, while the hot path in
 /// [`crate::driver::BlockedDriver`] dispatches once per kernel call and stays
 /// monomorphic through the whole blocked loop nest.
 #[inline]
 pub fn microkernel_dyn(tile: TileVariant, kb: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
-    match tile {
-        TileVariant::T8x4 => microkernel::<8, 4>(kb, ap, bp, acc),
-        TileVariant::T8x8 => microkernel::<8, 8>(kb, ap, bp, acc),
-        TileVariant::T4x8 => microkernel::<4, 8>(kb, ap, bp, acc),
-        TileVariant::T16x4 => microkernel::<16, 4>(kb, ap, bp, acc),
-        TileVariant::T8x12 => microkernel::<8, 12>(kb, ap, bp, acc),
-    }
+    with_tile!(tile, MR, NR => microkernel::<MR, NR>(kb, ap, bp, acc));
 }
 
 #[cfg(test)]

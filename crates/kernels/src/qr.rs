@@ -28,15 +28,16 @@
 //! engine. Under the small-call rule the whole matrix is one panel, factored
 //! in place, its `tau` written straight into the packed operand.
 //!
-//! [`qr_packed`] produces the single-operand packed form the kernel-call IR
-//! uses: an `m x (n+1)` matrix with the factors in columns `0..n` and the
-//! `tau` coefficients in the first `n` rows of column `n`. [`ormqr`] applies
+//! [`KernelOp::Qr`](crate::op::KernelOp::Qr) produces the single-operand
+//! packed form the kernel-call IR uses: an `m x (n+1)` matrix with the
+//! factors in columns `0..n` and the `tau` coefficients in the first `n` rows
+//! of column `n` (the private `qr_packed_into`). [`ormqr`] applies
 //! `Qᵀ` from such a packed factor, panel by panel through the same
 //! block-reflector routine — or, under the rule, reflector by reflector
 //! without `T` — and the least-squares pipeline is `x = R⁻¹·(Qᵀb)` via one
 //! ORMQR and one TRSM.
 
-use crate::config::{BlockConfig, TileVariant, MAX_TILE_ACC};
+use crate::config::{with_tile, BlockConfig, MAX_TILE_ACC};
 use crate::driver::BlockedDriver;
 use crate::leaf::{axpy, column_and_later, dot, is_small, SMALL_MAX};
 use crate::microkernel::{fmadd, microkernel};
@@ -228,13 +229,9 @@ impl<'a> BlockReflector<'a> {
             c: c_parts,
         };
         let packed = &mut self.ws.packed;
-        match driver.cfg().tile {
-            TileVariant::T8x4 => products.run::<8, 4>(driver, packed, &mut gram, &mut w),
-            TileVariant::T8x8 => products.run::<8, 8>(driver, packed, &mut gram, &mut w),
-            TileVariant::T4x8 => products.run::<4, 8>(driver, packed, &mut gram, &mut w),
-            TileVariant::T16x4 => products.run::<16, 4>(driver, packed, &mut gram, &mut w),
-            TileVariant::T8x12 => products.run::<8, 12>(driver, packed, &mut gram, &mut w),
-        }
+        with_tile!(driver.cfg().tile, MR, NR => {
+            products.run::<MR, NR>(driver, packed, &mut gram, &mut w);
+        });
         let mut t = window(&mut self.ws.t, kb, kb, true);
         larft(&gram.as_view(), tau, &mut t);
 
@@ -380,26 +377,16 @@ fn larft(gram: &MatrixView<'_>, tau: &[f64], t: &mut MatrixViewMut<'_>) {
     }
 }
 
-/// Factor `a` out of place into the packed `m x (n+1)` operand the
-/// kernel-call IR uses: Householder vectors and `R` in columns `0..n` and the
-/// `tau` coefficients, one per reflector, in the first `n` rows of column `n`.
-///
-/// # Errors
-///
-/// Same checks as [`qr`].
-pub fn qr_packed(a: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
-    let mut f = Matrix::zeros(a.rows(), a.cols() + 1);
-    qr_packed_into(a, &mut f, cfg)?;
-    Ok(f)
-}
-
-/// [`qr_packed`] into an existing `m x (n+1)` operand.
+/// Factor `a` out of place into the packed `m x (n+1)` operand `f` the
+/// kernel-call IR uses ([`KernelOp::Qr`](crate::op::KernelOp::Qr)):
+/// Householder vectors and `R` in columns `0..n` and the `tau`
+/// coefficients, one per reflector, in the first `n` rows of column `n`.
 ///
 /// # Errors
 ///
 /// Same checks as [`qr`], plus [`MatrixError::DimensionMismatch`] for a
 /// mis-sized `f`.
-pub fn qr_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Result<()> {
+pub(crate) fn qr_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Result<()> {
     let (m, n) = a.shape();
     if f.shape() != (m, n + 1) {
         return Err(MatrixError::DimensionMismatch {
@@ -417,10 +404,10 @@ pub fn qr_packed_into(a: &Matrix, f: &mut Matrix, cfg: &BlockConfig) -> Result<(
     Ok(())
 }
 
-/// Apply `Qᵀ` from a packed QR factor `f` (`m x (n+1)`, see [`qr_packed`]) to
-/// `b` (`m x k`) and write the *top `n` rows* of the product into `c`
-/// (`n x k`) — exactly the `Qᵀb` block the least-squares triangular solve
-/// `x = R⁻¹·(Qᵀb)` consumes.
+/// Apply `Qᵀ` from a packed QR factor `f` (`m x (n+1)`, the output of
+/// [`KernelOp::Qr`](crate::op::KernelOp::Qr)) to `b` (`m x k`) and write the
+/// *top `n` rows* of the product into `c` (`n x k`) — exactly the `Qᵀb`
+/// block the least-squares triangular solve `x = R⁻¹·(Qᵀb)` consumes.
 ///
 /// Under the small-call rule the reflectors are applied one by one. Above
 /// it, blocked: one `T` factor and one block-reflector application per panel
@@ -444,11 +431,7 @@ pub fn ormqr(f: &Matrix, b: &Matrix, c: &mut Matrix, cfg: &BlockConfig) -> Resul
     }
     let tau = &f.col(n)[..n];
     if is_small(m, k, n, cfg) {
-        match cfg.tile.nr() {
-            4 => apply_one_by_one::<4>(f, tau, b, c),
-            8 => apply_one_by_one::<8>(f, tau, b, c),
-            _ => apply_one_by_one::<12>(f, tau, b, c),
-        }
+        with_tile!(cfg.tile, _MR, NR => apply_one_by_one::<NR>(f, tau, b, c));
         return Ok(());
     }
     // Qᵀ·B = H_{n-1}⋯H_0·B: apply the panels in factorisation order.
@@ -574,7 +557,6 @@ mod tests {
     use crate::backend::{Backend, NativeBackend};
     use crate::config::TileVariant;
     use crate::gemm::naive::gemm_naive;
-    use crate::getrf::factor_triangle;
     use crate::op::KernelOp;
     use crate::trsm::trsm_naive;
     use lamb_matrix::ops::max_abs_diff;
@@ -587,6 +569,25 @@ mod tests {
         let mut c = Matrix::zeros(f.cols().saturating_sub(1), b.cols());
         ormqr(f, b, &mut c, cfg)?;
         Ok(c)
+    }
+
+    /// The packed factor of `a` and its `R`, both through the backend.
+    fn factor_and_r(a: &Matrix, cfg: &BlockConfig) -> (Matrix, Matrix) {
+        let (m, n) = a.shape();
+        let f = NativeBackend
+            .run_new(&KernelOp::Qr { m, n }, &[a], cfg)
+            .unwrap();
+        let r = NativeBackend
+            .run_new(
+                &KernelOp::FactorTri {
+                    uplo: Uplo::Upper,
+                    n,
+                },
+                &[&f],
+                cfg,
+            )
+            .unwrap();
+        (f, r)
     }
 
     /// `Q·B` from a packed factor: apply the reflectors in reverse order.
@@ -617,10 +618,9 @@ mod tests {
 
     fn check_reconstruction(m: usize, n: usize, seed: u64, cfg: &BlockConfig) {
         let a = random_seeded(m, n, seed);
-        let f = qr_packed(&a, cfg).unwrap();
+        let (f, r) = factor_and_r(&a, cfg);
         assert_eq!(f.shape(), (m, n + 1));
         // Q · [R; 0] must reproduce A.
-        let r = factor_triangle(Uplo::Upper, &f).unwrap();
         let r_padded = Matrix::from_fn(m, n, |i, j| if i < n { r[(i, j)] } else { 0.0 });
         let back = apply_q(&f, &r_padded);
         let diff = max_abs_diff(&back, &a).unwrap();
@@ -669,7 +669,10 @@ mod tests {
     /// Blocked and reference ORMQR on a fresh factor of a random `m x n`
     /// matrix, applied to `k` right-hand sides.
     fn check_ormqr(m: usize, n: usize, k: usize, cfg: &BlockConfig) {
-        let f = qr_packed(&random_seeded(m, n, 80 + m as u64), cfg).unwrap();
+        let a = random_seeded(m, n, 80 + m as u64);
+        let f = NativeBackend
+            .run_new(&KernelOp::Qr { m, n }, &[&a], cfg)
+            .unwrap();
         let b = random_seeded(m, k, 81 + k as u64);
         let mut blocked = Matrix::filled(n, k, f64::NAN);
         NativeBackend
@@ -697,7 +700,9 @@ mod tests {
                         if m > n {
                             a.col_mut(n / 2).fill(0.0);
                         }
-                        let f = qr_packed(&a, &BlockConfig::serial()).unwrap();
+                        let f = NativeBackend
+                            .run_new(&KernelOp::Qr { m, n }, &[&a], &BlockConfig::serial())
+                            .unwrap();
                         assert!(m == n || f[(n / 2, n)] == 0.0, "{m}x{n}: tau");
                         let b = random_seeded(m, widest, 91);
                         let mut naive = Matrix::zeros(n, widest);
@@ -773,7 +778,14 @@ mod tests {
     fn ormqr_blocks_by_the_configuration_it_is_given() {
         // Different panel widths round differently: if the dispatcher
         // dropped `cfg`, the two runs would be bit-identical.
-        let f = qr_packed(&random_seeded(90, 60, 5), &BlockConfig::default()).unwrap();
+        let a = random_seeded(90, 60, 5);
+        let f = NativeBackend
+            .run_new(
+                &KernelOp::Qr { m: 90, n: 60 },
+                &[&a],
+                &BlockConfig::default(),
+            )
+            .unwrap();
         let b = random_seeded(90, 70, 6);
         let op = KernelOp::Ormqr {
             m: 90,
@@ -825,8 +837,7 @@ mod tests {
         let (m, n, k) = (37, 13, 4);
         let a = random_seeded(m, n, 9);
         let b = random_seeded(m, k, 10);
-        let f = qr_packed(&a, &cfg).unwrap();
-        let r = factor_triangle(Uplo::Upper, &f).unwrap();
+        let (f, r) = factor_and_r(&a, &cfg);
         let c = ormqr_alloc(&f, &b, &cfg).unwrap();
         let mut x = Matrix::zeros(n, k);
         trsm_naive(
@@ -874,8 +885,7 @@ mod tests {
         for i in 0..9 {
             a[(i, 2)] = 0.0;
         }
-        let f = qr_packed(&a, &cfg).unwrap();
-        let r = factor_triangle(Uplo::Upper, &f).unwrap();
+        let (f, r) = factor_and_r(&a, &cfg);
         let r_padded = Matrix::from_fn(9, 5, |i, j| if i < 5 { r[(i, j)] } else { 0.0 });
         let back = apply_q(&f, &r_padded);
         assert!(max_abs_diff(&back, &a).unwrap() < 1e-10 * 9.0);
@@ -885,13 +895,14 @@ mod tests {
     fn degenerate_and_wide_inputs() {
         let cfg = BlockConfig::default();
         // n = 0 factors to an empty R and a bare tau column.
-        let f = qr_packed(&Matrix::zeros(3, 0), &cfg).unwrap();
+        let packed = |m, n, a: &Matrix| NativeBackend.run_new(&KernelOp::Qr { m, n }, &[a], &cfg);
+        let f = packed(3, 0, &Matrix::zeros(3, 0)).unwrap();
         assert_eq!(f.shape(), (3, 1));
-        let f0 = qr_packed(&Matrix::zeros(0, 0), &cfg).unwrap();
+        let f0 = packed(0, 0, &Matrix::zeros(0, 0)).unwrap();
         assert_eq!(f0.shape(), (0, 1));
         // 1 x 1 is a single (possibly identity) reflector.
         let one = Matrix::filled(1, 1, -3.0);
-        let f1 = qr_packed(&one, &cfg).unwrap();
+        let f1 = packed(1, 1, &one).unwrap();
         assert!((f1[(0, 0)].abs() - 3.0).abs() < 1e-14);
         // Wide input is rejected.
         let mut wide = Matrix::zeros(2, 5);

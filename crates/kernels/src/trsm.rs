@@ -36,7 +36,7 @@
 //! A solve under the small-call rule packs nothing: it substitutes against
 //! `C` where it is stored, `NR` right-hand sides at a time.
 
-use crate::config::{BlockConfig, TileVariant, MAX_TILE_ACC};
+use crate::config::{with_tile, BlockConfig, MAX_TILE_ACC};
 use crate::driver::BlockedDriver;
 use crate::leaf::{is_small, SMALL_MAX};
 use crate::microkernel::{fmadd, microkernel};
@@ -112,13 +112,9 @@ pub(crate) fn trsm_in_place(
         substitute(c, forward, side, order, x, cfg.tile.nr());
         return Ok(());
     }
-    match cfg.tile {
-        TileVariant::T8x4 => Triangle::<8>::new(c, forward, side, x, cfg.mc).solve::<4>(x, cfg),
-        TileVariant::T8x8 => Triangle::<8>::new(c, forward, side, x, cfg.mc).solve::<8>(x, cfg),
-        TileVariant::T4x8 => Triangle::<4>::new(c, forward, side, x, cfg.mc).solve::<8>(x, cfg),
-        TileVariant::T16x4 => Triangle::<16>::new(c, forward, side, x, cfg.mc).solve::<4>(x, cfg),
-        TileVariant::T8x12 => Triangle::<8>::new(c, forward, side, x, cfg.mc).solve::<12>(x, cfg),
-    }
+    with_tile!(cfg.tile, MR, NR => {
+        Triangle::<MR>::new(c, forward, side, x, cfg.mc).solve::<NR>(x, cfg);
+    });
     Ok(())
 }
 
@@ -656,6 +652,7 @@ pub fn trsm_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TileVariant;
     use crate::trmm::trmm_naive;
     use lamb_matrix::ops::max_abs_diff;
     use lamb_matrix::random::{random_seeded, random_triangular};

@@ -4,9 +4,9 @@
 
 use lamb_kernels::pack::{pack_a, pack_b, packed_a_len, packed_b_len, Strided};
 use lamb_kernels::{
-    factor_triangle, gemm, gemm_naive, getrf, getrf_naive, ormqr, ormqr_naive, pivot_apply, potrf,
-    potrf_naive, qr, qr_naive, qr_packed, symm, syrk, trmm, trmm_naive, trsm, trsm_naive, Backend,
-    BlockConfig, KernelOp, NativeBackend, TileVariant,
+    gemm, gemm_naive, getrf, getrf_naive, ormqr, ormqr_naive, potrf, potrf_naive, qr, qr_naive,
+    symm, syrk, trmm, trmm_naive, trsm, trsm_naive, Backend, BlockConfig, KernelOp, NativeBackend,
+    TileVariant,
 };
 use lamb_matrix::ops::{frobenius_norm, max_abs_diff, zero_opposite_triangle};
 use lamb_matrix::random::{random_seeded, random_symmetric, random_triangular};
@@ -28,13 +28,7 @@ fn side_strategy() -> impl Strategy<Value = Side> {
 }
 
 fn tile_strategy() -> impl Strategy<Value = TileVariant> {
-    prop_oneof![
-        Just(TileVariant::T8x4),
-        Just(TileVariant::T8x8),
-        Just(TileVariant::T4x8),
-        Just(TileVariant::T16x4),
-        Just(TileVariant::T8x12),
-    ]
+    (0..TileVariant::ALL.len()).prop_map(|i| TileVariant::ALL[i])
 }
 
 fn config_strategy() -> impl Strategy<Value = BlockConfig> {
@@ -253,9 +247,10 @@ proptest! {
         let f = Matrix::from_fn(n, n + 1, |i, j| {
             if j < n { blocked[(i, j)] } else { pb[i] as f64 }
         });
-        let l = factor_triangle(Uplo::Lower, &f).unwrap();
-        let u = factor_triangle(Uplo::Upper, &f).unwrap();
-        let pa = pivot_apply(&f, &a).unwrap();
+        let l = NativeBackend.run_new(&KernelOp::FactorTri { uplo: Uplo::Lower, n }, &[&f], &cfg).unwrap();
+        let u = NativeBackend.run_new(&KernelOp::FactorTri { uplo: Uplo::Upper, n }, &[&f], &cfg).unwrap();
+        let left = KernelOp::PivotApply { side: Side::Left, m: n, n };
+        let pa = NativeBackend.run_new(&left, &[&f, &a], &cfg).unwrap();
         let mut back = Matrix::zeros(n, n);
         gemm_naive(Trans::No, Trans::No, 1.0, &l.view(), &u.view(), 0.0, &mut back.view_mut()).unwrap();
         prop_assert!(max_abs_diff(&back, &pa).unwrap() < 1e-10 * frobenius_norm(&pa).max(1.0));
@@ -280,10 +275,10 @@ proptest! {
         prop_assert!(max_abs_diff(&blocked, &naive).unwrap() < 1e-9 * norm);
         // ORMQR preserves Gram structure: (Qᵀa)ᵀ(Qᵀa) restricted to the top
         // n rows equals RᵀR = aᵀa (Q orthogonal and a in Q's column span).
-        let f = qr_packed(&a, &cfg).unwrap();
+        let f = NativeBackend.run_new(&KernelOp::Qr { m, n }, &[&a], &cfg).unwrap();
         let mut qta = Matrix::zeros(n, n);
         ormqr(&f, &a, &mut qta, &cfg).unwrap();
-        let r = factor_triangle(Uplo::Upper, &f).unwrap();
+        let r = NativeBackend.run_new(&KernelOp::FactorTri { uplo: Uplo::Upper, n }, &[&f], &cfg).unwrap();
         prop_assert!(max_abs_diff(&qta, &r).unwrap() < 1e-9 * norm);
         let mut gram_a = Matrix::zeros(n, n);
         gemm_naive(Trans::Yes, Trans::No, 1.0, &a.view(), &a.view(), 0.0, &mut gram_a.view_mut()).unwrap();
@@ -593,7 +588,9 @@ fn small_tier_factorisations_match_naive_up_to_past_the_rule() {
                     max_abs_diff(&fast, &naive).unwrap() <= tol * 2.0,
                     "qr {m}x{n} {cfg:?}"
                 );
-                let f = qr_packed(&a, &cfg).unwrap();
+                let f = NativeBackend
+                    .run_new(&KernelOp::Qr { m, n }, &[&a], &cfg)
+                    .unwrap();
                 for k in [1, n] {
                     let b = random_seeded(m, k, 80 + k as u64);
                     let (mut c_fast, mut c_naive) = (Matrix::zeros(n, k), Matrix::zeros(n, k));

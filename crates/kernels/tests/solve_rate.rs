@@ -12,7 +12,7 @@
 //! 1.84–2.02 (before: 2.48–2.64, max 2.79–3.25); TRSM geometric mean
 //! 0.61–0.64, max 0.71–0.75 (before: 0.85–0.88, max 1.00–1.05).
 
-use lamb_kernels::{gemm, ormqr, qr_packed, trsm, BlockConfig};
+use lamb_kernels::{gemm, ormqr, trsm, Backend, BlockConfig, KernelOp, NativeBackend};
 use lamb_matrix::random::{random_seeded, random_triangular};
 use lamb_matrix::{Matrix, Side, Trans, Uplo};
 use std::hint::black_box;
@@ -85,7 +85,10 @@ fn solve_tier_ormqr_runs_near_gemm_rate() {
     let cfg = BlockConfig::serial();
     let mut ratios = Vec::new();
     for (m, n) in [(384, 256), (576, 384)] {
-        let f = qr_packed(&random_seeded(m, n, 3), &cfg).unwrap();
+        let a = random_seeded(m, n, 3);
+        let f = NativeBackend
+            .run_new(&KernelOp::Qr { m, n }, &[&a], &cfg)
+            .unwrap();
         for k in [8, 32, 128] {
             let b = random_seeded(m, k, 4);
             let mut c = Matrix::zeros(n, k);

@@ -3,7 +3,7 @@
 
 use crate::autotune::square_gemm;
 use crate::executor::Executor;
-use crate::profile::SquareProfile;
+use crate::profile::{CallTimeTable, SquareProfile};
 use crate::store::kernel_coverage_key;
 use lamb_expr::{Algorithm, KernelCall, KernelOp, OperandId, OperandInfo, OperandRole};
 use lamb_kernels::BlockConfig;
@@ -110,8 +110,13 @@ pub fn square_ops(size: usize) -> Vec<KernelOp> {
 
 /// Sweep the per-kernel efficiency curves on square operands using any
 /// executor — the data behind the paper's Figure 1, extended with the
-/// triangular kernels.
-pub fn measure_square_profiles(executor: &mut dyn Executor, sizes: &[usize]) -> Vec<SquareProfile> {
+/// triangular kernels — filing each isolated-call time in `calls` (how
+/// `lamb calibrate` seeds a store's call table with the same benchmarks).
+pub fn measure_square_profiles(
+    executor: &mut dyn Executor,
+    sizes: &[usize],
+    calls: &mut CallTimeTable,
+) -> Vec<SquareProfile> {
     let machine = executor.machine().clone();
     let mut curves: Vec<(String, Vec<usize>, Vec<f64>)> = SQUARE_SWEEP_KERNELS
         .iter()
@@ -119,12 +124,11 @@ pub fn measure_square_profiles(executor: &mut dyn Executor, sizes: &[usize]) -> 
         .collect();
     for &size in sizes {
         for (idx, op) in square_ops(size).into_iter().enumerate() {
-            let flops = op.flops();
-            let alg = single_call_algorithm(op);
+            let alg = single_call_algorithm(op.clone());
             let seconds = executor.time_isolated_call(&alg, 0);
-            let eff = machine.efficiency(flops, seconds);
             curves[idx].1.push(size);
-            curves[idx].2.push(eff);
+            curves[idx].2.push(machine.efficiency(op.flops(), seconds));
+            calls.insert(op, seconds);
         }
     }
     curves
@@ -635,7 +639,9 @@ mod tests {
     fn simulated_square_profiles_reproduce_figure1_ordering() {
         let mut sim = SimulatedExecutor::paper_like();
         let sizes = [100, 400, 800, 1600, 3000];
-        let profiles = measure_square_profiles(&mut sim, &sizes);
+        let mut calls = CallTimeTable::new();
+        let profiles = measure_square_profiles(&mut sim, &sizes, &mut calls);
+        assert_eq!(calls.len(), sizes.len() * SQUARE_SWEEP_KERNELS.len());
         assert_eq!(profiles.len(), SQUARE_SWEEP_KERNELS.len());
         for (profile, name) in profiles.iter().zip(SQUARE_SWEEP_KERNELS) {
             assert_eq!(profile.kernel, name);

@@ -50,7 +50,7 @@ use lamb_kernels::{BlockConfig, FieldValue, TileVariant};
 use lamb_matrix::Side;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Version of the on-disk format this build writes — and the only one it
@@ -507,7 +507,7 @@ impl CalibrationStore {
     ///
     /// [`StoreError::Io`] on filesystem failures.
     pub fn save(&self, path: &Path) -> Result<(), StoreError> {
-        let tmp = path.with_extension("json.tmp");
+        let tmp = temp_path(path);
         std::fs::write(&tmp, self.to_json())?;
         std::fs::rename(&tmp, path)?;
         Ok(())
@@ -523,6 +523,16 @@ impl CalibrationStore {
         let text = std::fs::read_to_string(path)?;
         CalibrationStore::from_json(&text)
     }
+}
+
+/// The temp file [`CalibrationStore::save`] writes before renaming it over
+/// `path`: the whole file name plus `.tmp`, beside it. Named after the whole
+/// name, not with its extension replaced, so two stores whose names differ
+/// only in extension never share (and race on) one temp file.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
 /// Union of two profiles for the same kernel; `newer` wins at shared sizes.
@@ -1058,6 +1068,20 @@ mod tests {
         assert_eq!(back.to_json(), store.to_json());
         assert!(CalibrationStore::load(&dir.join("missing.json")).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn targets_differing_only_in_extension_get_distinct_temp_files() {
+        let dir = Path::new("stores");
+        let (v1, v2) = (temp_path(&dir.join("x.v1")), temp_path(&dir.join("x.v2")));
+        assert_ne!(v1, v2);
+        assert_eq!(v1.parent(), Some(dir));
+        assert_eq!(v2.parent(), Some(dir));
+        // A `.json` store keeps the temp name it always had.
+        assert_eq!(
+            temp_path(&dir.join("calibration.json")),
+            dir.join("calibration.json.tmp")
+        );
     }
 
     #[test]
