@@ -18,7 +18,8 @@
 //! * `compute_result_reusing` — `MeasuredExecutor::compute_result_reusing`
 //!   of the chosen algorithm against a warm `FactorCache`, for the four
 //!   texts of the benchmark's reuse workload (`reuse4`), each at two
-//!   right-hand-side widths against one operand, planned against that cache;
+//!   right-hand-side widths against one operand, planned against that cache
+//!   (the factors are served; every call that reads a right-hand side runs);
 //! * `plan_with reuse4` — `Planner::plan_with` of those requests against
 //!   the same warm `FactorCache`, where scoring asks the cache which calls
 //!   are resident.

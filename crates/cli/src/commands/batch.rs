@@ -412,7 +412,7 @@ mod tests {
             let column = header.iter().position(|h| h == "chosen_flops").unwrap();
             rows.map(|r| r[column].parse().unwrap()).collect()
         };
-        // Warm requests are discounted: the resident POTRF/TRSM factors make
+        // Warm requests are discounted: the resident POTRF factor makes
         // later identical solves cheaper than the cold first one.
         let cached = chosen_flops(&run_and_read(&[]));
         assert_eq!(cached.len(), 3);

@@ -108,10 +108,18 @@ pub fn run(args: &[String]) -> Result<(), String> {
             outcome.stats.cache_misses
         );
         if outcome.stats.failed > 0 {
+            let reasons: Vec<String> = (requests.iter().zip(&outcome.results))
+                .filter_map(|(req, result)| {
+                    let e = result.as_ref().err()?;
+                    let dims: Vec<String> = req.dims.iter().map(ToString::to_string).collect();
+                    Some(format!("\n  {} {}: {e}", req.expr.text(), dims.join(" ")))
+                })
+                .collect();
             return Err(format!(
-                "{} request(s) in {} failed to plan",
+                "{} request(s) in {} failed to plan:{}",
                 outcome.stats.failed,
-                path.display()
+                path.display(),
+                reasons.concat()
             ));
         }
     }
@@ -306,6 +314,35 @@ mod tests {
         let requests = BatchRequest::parse_file(&std::fs::read_to_string(&exprs).unwrap()).unwrap();
         let outcome = BatchPlanner::new().with_store(&store).plan_batch(&requests);
         assert_eq!(outcome.stats.cache_misses, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_request_that_fails_to_plan_is_named_with_its_reason() {
+        let dir = temp_dir("failed");
+        let exprs = dir.join("workload.txt");
+        // `A^+` puts the column count first: this `A` is 60 x 120, wide.
+        std::fs::write(&exprs, "A*B 20 30 40\nA^+*b 120 60 1\n").unwrap();
+        let store_path = dir.join("store.json");
+        let err = run(&strs(&[
+            "--store",
+            &store_path.to_string_lossy(),
+            "--exprs",
+            &exprs.to_string_lossy(),
+            "--sizes",
+            "100",
+        ]))
+        .unwrap_err();
+        let requests = BatchRequest::parse_file("A^+*b 120 60 1").unwrap();
+        let reason = BatchPlanner::new().plan_batch(&requests).results[0]
+            .clone()
+            .unwrap_err();
+        assert!(err.starts_with("1 request(s) in "), "{err}");
+        assert!(
+            err.ends_with(&format!("\n  A^+*b 120 60 1: {reason}")),
+            "{err}"
+        );
+        assert!(!store_path.exists(), "a failed workload writes no store");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -35,16 +35,18 @@
 //! enumerator runs the same numbering over its search stack to rank
 //! completions by what they cost under sharing.
 //!
-//! [`factor_keys`] gives every cacheable value the *structural key* the
-//! cross-request factor cache files it under, stable across algorithms and
-//! requests: a leaf is keyed on its name, raw id (executors seed input
-//! contents from it), shape and structure, a call's result on its operation
-//! (kernel, flags, logical dimensions) and its inputs' keys, and an in-place
-//! triangle copy re-keys its operand. Equal keys mean bit-identical contents
-//! under the deterministic executors. A key is 128 bits from two
-//! process-keyed standard hashers, so no text can be crafted to collide, and
-//! two of 2³² distinct values collide with probability about 2⁻⁶⁵. Keys are
-//! derived on demand, never stored on an [`Algorithm`].
+//! [`factor_keys`] gives every cacheable value — a factor or Gram product,
+//! never a value that reads a right-hand side ([`is_cacheable_op`]) — the
+//! *structural key* the cross-request factor cache files it under, stable
+//! across algorithms and requests: a leaf is keyed on its name, raw id
+//! (executors seed input contents from it), shape and structure, a call's
+//! result on its operation (kernel, flags, logical dimensions) and its
+//! inputs' keys, and an in-place triangle copy re-keys its operand. Equal
+//! keys mean bit-identical contents under the deterministic executors. A key
+//! is 128 bits from two process-keyed standard hashers, so no text can be
+//! crafted to collide, and two of 2³² distinct values collide with
+//! probability about 2⁻⁶⁵. Keys are derived on demand, never stored on an
+//! [`Algorithm`].
 
 use crate::algorithm::{Algorithm, OperandInfo, OperandRole};
 use crate::kernel_call::{CallInputs, KernelCall, KernelOp};
@@ -338,19 +340,17 @@ impl Algorithm {
 }
 
 /// Whether a kernel operation produces a *reusable factor*: a value worth
-/// caching across requests because later algorithms can skip recomputing it.
-/// Cholesky/LU/QR factors, Gram products and triangular half-solves are the
-/// factor-once/solve-many values of the paper's solve pipelines.
+/// holding across requests because later algorithms can skip recomputing it.
+/// That is exactly a call that reads **one** operand and writes a fresh one
+/// (the in-place triangle copy updates its operand instead): the Cholesky,
+/// LU and QR factors, Gram products and the triangles extracted from a
+/// packed factor — the factor-once values of the paper's solve pipelines.
+/// A call that also reads a right-hand side (TRSM, ORMQR, the pivot
+/// application, GEMM, ...) is recomputed every time: its result is as
+/// unique as that right-hand side, so holding it would only grow the cache.
 #[must_use]
 pub fn is_cacheable_op(op: &KernelOp) -> bool {
-    matches!(
-        op,
-        KernelOp::Potrf { .. }
-            | KernelOp::Getrf { .. }
-            | KernelOp::Qr { .. }
-            | KernelOp::Syrk { .. }
-            | KernelOp::Trsm { .. }
-    )
+    op.input_shapes().count() == 1 && !matches!(op, KernelOp::CopyTriangle { .. })
 }
 
 /// The structural key of a value an algorithm computes (see the module
@@ -767,19 +767,27 @@ mod tests {
                 },
             ],
         };
+        // The TRSM reads a right-hand side, so only the POTRF is yielded.
         let cacheable = keys_of(&alg);
-        assert_eq!(cacheable.len(), 2);
-        assert_eq!((cacheable[0].0, cacheable[1].0), (0, 1));
-        assert_ne!(cacheable[0].1, cacheable[1].1);
-        // Keys are whole-subtree canonical: another right-hand side moves
-        // the TRSM's key and leaves the POTRF's alone.
+        assert_eq!(cacheable.len(), 1);
+        assert_eq!(cacheable[0].0, 0);
+        // Keys are whole-subtree canonical: another right-hand side leaves
+        // the POTRF's key alone.
         let mut other = alg.clone();
         other.operands[1].id = OperandId(4);
         other.calls[1].inputs = [OperandId(2), OperandId(4)].into();
-        let moved = keys_of(&other);
-        assert_eq!(moved[0].1, cacheable[0].1);
-        assert_ne!(moved[1].1, cacheable[1].1);
+        assert_eq!(keys_of(&other), cacheable);
         // GEMM is not a factor-producing op.
         assert!(!is_cacheable_op(&op_gemm(3, 3, 3)));
+    }
+
+    #[test]
+    fn cacheable_ops_are_the_one_input_ops_that_write_a_fresh_operand() {
+        let cacheable: Vec<&str> = KernelOp::examples(4)
+            .iter()
+            .filter(|op| is_cacheable_op(op))
+            .map(KernelOp::mnemonic)
+            .collect();
+        assert_eq!(cacheable, ["syrk", "potrf", "getrf", "qr", "factortri"]);
     }
 }

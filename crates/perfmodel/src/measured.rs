@@ -710,12 +710,14 @@ mod tests {
         let mut exec = tiny_executor();
         let reference = exec.compute_result(solve);
         let store = FactorCache::new();
-        // Cold pass: everything executes, factors are deposited.
+        // Cold pass: everything executes, and exactly the one-input calls
+        // deposit: the POTRF, not the solves that read `B`.
         let (_, cold) = exec.execute_algorithm_reusing(solve, &store);
         assert_eq!(cold.reused_calls, 0);
         assert_eq!(cold.executed("potrf"), 1);
-        assert!(store.len() >= 2, "potrf + trsm results deposited");
-        // Warm pass: the factorisation and both half-solves are injected.
+        let one_input = (solve.calls.iter()).filter(|c| c.inputs.len() == 1);
+        assert_eq!((store.len(), one_input.count()), (1, 1), "the potrf alone");
+        // Warm pass: the factorisation is injected; both solves run.
         let (timing, warm) = exec.execute_algorithm_reusing(solve, &store);
         assert_eq!(warm.executed("potrf"), 0);
         assert!(warm.reused_calls >= 1);
@@ -873,6 +875,33 @@ mod tests {
     }
 
     #[test]
+    fn distinct_right_hand_sides_leave_the_resident_bytes_where_the_first_put_them() {
+        // Eight requests per solve text, each against another right-hand
+        // side of one factored operand: only the first deposits anything.
+        const WIDTHS: [usize; 8] = [1, 2, 3, 5, 7, 8, 11, 13];
+        let exec = tiny_executor();
+        let store = FactorCache::new();
+        for text in ["S[spd]^-1*B", "A^-1*B", "A^+*b"] {
+            let mut first = None;
+            for w in WIDTHS {
+                // `A^+` puts the column count first: its operand is 24 x 16.
+                let dims = if text == "A^+*b" {
+                    vec![16, 24, w]
+                } else {
+                    vec![24, w]
+                };
+                for alg in &algorithms_of(text, &dims) {
+                    let (result, _) = exec.compute_result_reusing(alg, &store);
+                    let reference = exec.compute_result(alg);
+                    assert_eq!(bits(&result), bits(&reference), "{text} {dims:?}");
+                }
+                let resident = *first.get_or_insert(store.resident_bytes());
+                assert_eq!(store.resident_bytes(), resident, "{text} {dims:?}");
+            }
+        }
+    }
+
+    #[test]
     fn an_in_place_copy_after_a_deposit_leaves_the_cached_bytes_alone() {
         // M := A*A^T (syrk, deposited), then M := full(M) in place: the
         // output is the copied operand itself.
@@ -947,16 +976,44 @@ mod tests {
 
     #[test]
     fn a_shared_output_is_copied_out_to_the_caller() {
-        // The final TRSM of the solve is deposited, so the walk's output is
+        // The final call, a POTRF, is deposited, so the walk's output is
         // shared with the store; mutating the returned matrix touches neither.
-        let solve = &algorithms_of("S[spd]^-1*B", &[24, 7])[0];
+        use lamb_matrix::Uplo;
+        let (n, uplo) = (9, Uplo::Lower);
+        let alg = Algorithm {
+            name: "potrf".into(),
+            operands: vec![
+                OperandInfo {
+                    id: OperandId(0),
+                    rows: n,
+                    cols: n,
+                    role: OperandRole::Input,
+                    name: "S".into(),
+                    structure: Structure::Spd,
+                },
+                OperandInfo {
+                    id: OperandId(1),
+                    rows: n,
+                    cols: n,
+                    role: OperandRole::Output,
+                    name: "L".into(),
+                    structure: Structure::Triangular(uplo),
+                },
+            ],
+            calls: vec![KernelCall {
+                op: KernelOp::Potrf { uplo, n },
+                inputs: [OperandId(0)].into(),
+                output: OperandId(1),
+                label: "L := chol(S)".into(),
+            }],
+        };
+        assert!(alg.is_well_formed());
         let exec = tiny_executor();
         let store = FactorCache::new();
-        let last = solve.calls.len() - 1;
-        let key = &key_of(solve, last);
+        let key = &key_of(&alg, 0);
         for pass in ["cold", "warm"] {
-            let (mut result, _) = exec.compute_result_reusing(solve, &store);
-            let cached = store.lookup(key).expect("final solve deposited");
+            let (mut result, _) = exec.compute_result_reusing(&alg, &store);
+            let cached = store.lookup(key).expect("final factorisation deposited");
             assert_eq!(Arc::strong_count(&cached), 2, "{pass}: no handle leaked");
             assert_eq!(bits(&result), bits(&cached), "{pass}");
             result.fill(0.5);

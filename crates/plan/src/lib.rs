@@ -54,9 +54,11 @@
 //!   ([`Planner::with_store`]) and exports back to one
 //!   ([`Planner::snapshot_cache`]).
 //! * [`FactorCache`] — the factor store (defined beside the executors in
-//!   `lamb_perfmodel::reuse`, re-exported here): computed factors (Cholesky
-//!   and LU factors, Gram products, half-solves) filed by structural key,
-//!   shared across the plans of a planner or the requests of a batch. Given
+//!   `lamb_perfmodel::reuse`, re-exported here): computed factors (Cholesky,
+//!   LU and QR factors, the triangles extracted from them, Gram products)
+//!   filed by structural key, shared across the plans of a planner or the
+//!   requests of a batch. A value that reads a right-hand side (a solve, an
+//!   ORMQR, a product) is never held: it is recomputed per request. Given
 //!   one, scoring prices resident factors at zero FLOPs and zero seconds:
 //!   the [`CachingExecutor`] streams each candidate's factor keys once, in
 //!   call order, and asks [`FactorCache::contains`] per key while it prices

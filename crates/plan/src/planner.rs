@@ -295,10 +295,14 @@ macro_rules! impl_settings_builder {
             /// FLOPs, zero predicted seconds — so `MinPredictedTime` (and
             /// `Hybrid`) prefer algorithms that reuse them, and each plan's
             /// chosen algorithm registers its own factors for the instances
-            /// that follow. A batch applies it in input order, after its
-            /// parallel planning pass, so the outcome does not depend on the
-            /// worker count. Off by default: without a factor cache every
-            /// instance plans independently of every other.
+            /// that follow. Cacheable are the factorisations, the triangles
+            /// extracted from them and Gram products, never a solve against
+            /// a right-hand side
+            /// ([`is_cacheable_op`](lamb_expr::is_cacheable_op)). A batch
+            /// applies it in input order, after its parallel planning pass,
+            /// so the outcome does not depend on the worker count. Off by
+            /// default: without a factor cache every instance plans
+            /// independently of every other.
             #[must_use]
             pub fn factor_cache(mut self, cache: std::sync::Arc<crate::FactorCache>) -> Self {
                 self.settings.factor_cache = Some(cache);
